@@ -11,12 +11,13 @@
 //! [`LakesimConnector`]: crate::LakesimConnector
 //! [`BatchLakesimConnector`]: crate::BatchLakesimConnector
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use autocomp::{CandidateStats, NameInterner, QuotaSignal, SizeBucket, TableRef};
 use lakesim_engine::SimEnv;
 use lakesim_lst::{plan_partition_rewrite, plan_table_rewrite, BinPackConfig, TableId, TableStats};
+use lakesim_storage::{FileId, SizeHistogram};
 
 use crate::observe::ObserveOptions;
 
@@ -201,13 +202,6 @@ pub(crate) fn snapshot_stats(
     let entry = env.catalog.table(TableId(table_uid)).ok()?;
     let target = entry.policy.target_file_size;
     let cutoff = now.saturating_sub(window_ms);
-    let mut fresh: std::collections::BTreeSet<lakesim_storage::FileId> = Default::default();
-    for snap in entry.table.snapshots() {
-        if snap.timestamp_ms >= cutoff {
-            fresh.extend(snap.added.iter().copied());
-        }
-    }
-    let mut histogram = lakesim_storage::SizeHistogram::new();
     let mut stats = TableStats {
         file_count: 0,
         small_file_count: 0,
@@ -217,23 +211,30 @@ pub(crate) fn snapshot_stats(
         partition_count: 0,
         manifest_count: entry.table.manifests().len() as u64,
         snapshot_count: entry.table.snapshots().len() as u64,
-        histogram: histogram.clone(),
+        histogram: SizeHistogram::new(),
         target_file_size: target,
         unsorted_data_bytes: 0,
         max_partition_bytes: 0,
     };
-    let mut partitions = std::collections::BTreeSet::new();
-    for f in entry.table.live_files() {
-        if !fresh.contains(&f.file_id) {
-            continue;
-        }
+    // Cost follows the window's commits, not the table's age: look up
+    // what the window's snapshots added instead of scanning the live set
+    // (the set only collapses an id re-added inside the window).
+    let fresh: BTreeSet<FileId> = entry
+        .table
+        .snapshots()
+        .iter()
+        .filter(|snap| snap.timestamp_ms >= cutoff)
+        .flat_map(|snap| snap.added.iter().copied())
+        .collect();
+    let mut partitions = BTreeSet::new();
+    for f in fresh.iter().filter_map(|id| entry.table.file(*id)) {
         stats.file_count += 1;
         stats.total_bytes += f.file_size_bytes;
-        partitions.insert(f.partition.clone());
+        partitions.insert(&f.partition);
         if f.content.is_deletes() {
             stats.delete_file_count += 1;
         } else {
-            histogram.record(f.file_size_bytes);
+            stats.histogram.record(f.file_size_bytes);
             if f.file_size_bytes < target {
                 stats.small_file_count += 1;
                 stats.small_bytes += f.file_size_bytes;
@@ -241,7 +242,6 @@ pub(crate) fn snapshot_stats(
         }
     }
     stats.partition_count = partitions.len() as u64;
-    stats.histogram = histogram;
     Some(convert(
         &stats,
         entry.usage.created_at_ms,

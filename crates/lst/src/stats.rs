@@ -5,9 +5,33 @@
 //! include "the number of files in a candidate as well as their
 //! corresponding file sizes". [`TableStats`] is that generic layout,
 //! computable for a whole table or any partition subset.
+//!
+//! # What is maintained at commit, and what a read costs
+//!
+//! Every field is a `u64` sum or count over the live files, so the table
+//! keeps them current where the live set changes — [`Table::commit`]
+//! adjusts a `FileAggregates` (total bytes, delete-file count, the
+//! data-file size histogram, unsorted data bytes, small-file count and
+//! bytes) and the byte total of each partition-index entry by exactly the
+//! files the commit removes and adds. The side that already touches each
+//! file does the per-file work; the decision-maker reads a summary.
+//!
+//! [`Table::stats`] therefore visits no file: it copies the aggregates,
+//! takes the manifest and snapshot counts, and scans the partition index
+//! (one entry per live partition) for the largest byte total. Its cost
+//! follows the partition count, not the file count or the table's age.
+//!
+//! Two fields depend on the caller's target size: `small_file_count` and
+//! `small_bytes`. They are maintained for the table's own
+//! `properties().target_file_size` (re-derived inside the next commit
+//! after that property is edited). A read at any other target recounts
+//! just those two from the live data files — the one remaining walk of
+//! the live set, and it runs only then.
+//!
+//! [`Table::partition_stats`] folds the files of the one partition asked
+//! for (O(files in that partition)) through a fresh `FileAggregates`.
 
-use std::collections::BTreeSet;
-
+use crate::datafile::DataFile;
 use crate::table::Table;
 use crate::types::PartitionKey;
 use lakesim_storage::SizeHistogram;
@@ -64,68 +88,133 @@ impl TableStats {
     }
 }
 
-impl Table {
-    /// Computes statistics over the whole table, with small-file metrics
-    /// relative to `target_file_size`.
-    pub fn stats(&self, target_file_size: u64) -> TableStats {
-        self.stats_inner(target_file_size, None)
-    }
+/// The sums and counts behind [`TableStats`] over a set of files,
+/// adjusted one file at a time. `Table` keeps one for its live set;
+/// `partition_stats` builds one over a partition's files.
+#[derive(Debug, Clone)]
+pub(crate) struct FileAggregates {
+    total_bytes: u64,
+    delete_file_count: u64,
+    /// Data files only.
+    histogram: SizeHistogram,
+    unsorted_data_bytes: u64,
+    /// The target `small_file_count` / `small_bytes` are kept against.
+    small_target: u64,
+    small_file_count: u64,
+    small_bytes: u64,
+}
 
-    /// Computes statistics over one partition.
-    pub fn partition_stats(&self, key: &PartitionKey, target_file_size: u64) -> TableStats {
-        let keys: BTreeSet<PartitionKey> = [key.clone()].into_iter().collect();
-        self.stats_inner(target_file_size, Some(&keys))
-    }
-
-    fn stats_inner(
-        &self,
-        target_file_size: u64,
-        scope: Option<&BTreeSet<PartitionKey>>,
-    ) -> TableStats {
-        let mut histogram = SizeHistogram::new();
-        let mut file_count = 0;
-        let mut small_file_count = 0;
-        let mut small_bytes = 0;
-        let mut total_bytes = 0;
-        let mut delete_file_count = 0;
-        let mut unsorted_data_bytes = 0;
-        let mut partition_bytes: std::collections::BTreeMap<&PartitionKey, u64> =
-            Default::default();
-        for f in self.live_files() {
-            if let Some(keys) = scope {
-                if !keys.contains(&f.partition) {
-                    continue;
-                }
-            }
-            file_count += 1;
-            total_bytes += f.file_size_bytes;
-            *partition_bytes.entry(&f.partition).or_insert(0) += f.file_size_bytes;
-            if f.content.is_deletes() {
-                delete_file_count += 1;
-            } else {
-                histogram.record(f.file_size_bytes);
-                if f.is_small(target_file_size) {
-                    small_file_count += 1;
-                    small_bytes += f.file_size_bytes;
-                }
-                if !f.sorted {
-                    unsorted_data_bytes += f.file_size_bytes;
-                }
-            }
+impl FileAggregates {
+    pub(crate) fn new(small_target: u64) -> Self {
+        FileAggregates {
+            total_bytes: 0,
+            delete_file_count: 0,
+            histogram: SizeHistogram::new(),
+            unsorted_data_bytes: 0,
+            small_target,
+            small_file_count: 0,
+            small_bytes: 0,
         }
+    }
+
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
+    pub(crate) fn delete_file_count(&self) -> u64 {
+        self.delete_file_count
+    }
+
+    pub(crate) fn add(&mut self, f: &DataFile) {
+        let size = f.file_size_bytes;
+        self.total_bytes += size;
+        if f.content.is_deletes() {
+            self.delete_file_count += 1;
+            return;
+        }
+        self.histogram.record(size);
+        if f.is_small(self.small_target) {
+            self.small_file_count += 1;
+            self.small_bytes += size;
+        }
+        if !f.sorted {
+            self.unsorted_data_bytes += size;
+        }
+    }
+
+    pub(crate) fn remove(&mut self, f: &DataFile) {
+        let size = f.file_size_bytes;
+        self.total_bytes -= size;
+        if f.content.is_deletes() {
+            self.delete_file_count -= 1;
+            return;
+        }
+        self.histogram.unrecord(size);
+        if f.is_small(self.small_target) {
+            self.small_file_count -= 1;
+            self.small_bytes -= size;
+        }
+        if !f.sorted {
+            self.unsorted_data_bytes -= size;
+        }
+    }
+
+    /// Recounts the two target-dependent fields for `target` from `files`
+    /// (the set the aggregates cover) unless they are already kept for it.
+    pub(crate) fn retarget<'a>(&mut self, target: u64, files: impl Iterator<Item = &'a DataFile>) {
+        if target == self.small_target {
+            return;
+        }
+        self.small_target = target;
+        (self.small_file_count, self.small_bytes) = files
+            .filter(|f| !f.content.is_deletes() && f.is_small(target))
+            .fold((0, 0), |(count, bytes), f| {
+                (count + 1, bytes + f.file_size_bytes)
+            });
+    }
+}
+
+impl Table {
+    /// Statistics over the whole table, with small-file metrics relative
+    /// to `target_file_size`. Visits no file when the target is the
+    /// table's own (see the module docs).
+    pub fn stats(&self, target_file_size: u64) -> TableStats {
+        let mut aggregates = self.aggregates().clone();
+        aggregates.retarget(target_file_size, self.live_files());
+        let (partition_count, max_partition_bytes) = self.partition_extent();
+        self.assemble(aggregates, partition_count, max_partition_bytes)
+    }
+
+    /// Statistics over one partition.
+    pub fn partition_stats(&self, key: &PartitionKey, target_file_size: u64) -> TableStats {
+        let mut aggregates = FileAggregates::new(target_file_size);
+        let ids = self.files_in_partition(key);
+        for f in ids.into_iter().flatten().filter_map(|id| self.file(*id)) {
+            aggregates.add(f);
+        }
+        let bytes = aggregates.total_bytes;
+        self.assemble(aggregates, u64::from(ids.is_some()), bytes)
+    }
+
+    fn assemble(
+        &self,
+        aggregates: FileAggregates,
+        partition_count: u64,
+        max_partition_bytes: u64,
+    ) -> TableStats {
         TableStats {
-            file_count,
-            small_file_count,
-            small_bytes,
-            total_bytes,
-            delete_file_count,
-            partition_count: partition_bytes.len() as u64,
+            file_count: aggregates.histogram.total() + aggregates.delete_file_count,
+            small_file_count: aggregates.small_file_count,
+            small_bytes: aggregates.small_bytes,
+            total_bytes: aggregates.total_bytes,
+            delete_file_count: aggregates.delete_file_count,
+            partition_count,
             manifest_count: self.manifests().len() as u64,
             snapshot_count: self.snapshots().len() as u64,
-            histogram,
-            target_file_size,
-            unsorted_data_bytes,
-            max_partition_bytes: partition_bytes.values().copied().max().unwrap_or(0),
+            histogram: aggregates.histogram,
+            target_file_size: aggregates.small_target,
+            unsorted_data_bytes: aggregates.unsorted_data_bytes,
+            max_partition_bytes,
         }
     }
 }

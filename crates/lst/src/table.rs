@@ -8,6 +8,7 @@ use crate::error::{CommitError, ConflictKind};
 use crate::manifest::{Manifest, ManifestId};
 use crate::schema::Schema;
 use crate::snapshot::{Snapshot, SnapshotSummary};
+use crate::stats::FileAggregates;
 use crate::transaction::{ConflictMode, OpKind, Transaction};
 use crate::types::{PartitionKey, PartitionSpec, SnapshotId, TableId};
 use lakesim_storage::{FileId, MB};
@@ -63,6 +64,13 @@ pub struct ExpireResult {
     pub metadata_objects_freed: u64,
 }
 
+/// One live partition: its file ids and their byte total.
+#[derive(Debug, Clone, Default)]
+struct PartitionFiles {
+    ids: BTreeSet<FileId>,
+    bytes: u64,
+}
+
 /// A log-structured table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -81,7 +89,9 @@ pub struct Table {
     sequence: u64,
 
     live: BTreeMap<FileId, DataFile>,
-    partition_index: BTreeMap<PartitionKey, BTreeSet<FileId>>,
+    partition_index: BTreeMap<PartitionKey, PartitionFiles>,
+    /// Sums over `live`, kept current by `commit` (see `crate::stats`).
+    aggregates: FileAggregates,
     manifests: Vec<Manifest>,
 }
 
@@ -102,6 +112,7 @@ impl Table {
             database: database.into(),
             schema,
             spec,
+            aggregates: FileAggregates::new(properties.target_file_size),
             properties,
             created_at_ms,
             snapshots: Vec::new(),
@@ -187,15 +198,22 @@ impl Table {
 
     /// Number of live delete files (MoR debt).
     pub fn delete_file_count(&self) -> u64 {
-        self.live
-            .values()
-            .filter(|f| f.content.is_deletes())
-            .count() as u64
+        self.aggregates.delete_file_count()
     }
 
     /// Total live bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.live.values().map(|f| f.file_size_bytes).sum()
+        self.aggregates.total_bytes()
+    }
+
+    pub(crate) fn aggregates(&self) -> &FileAggregates {
+        &self.aggregates
+    }
+
+    /// Live partition count and the byte total of the largest one.
+    pub(crate) fn partition_extent(&self) -> (u64, u64) {
+        let max_bytes = self.partition_index.values().map(|p| p.bytes).max();
+        (self.partition_index.len() as u64, max_bytes.unwrap_or(0))
     }
 
     /// Live partition keys, sorted.
@@ -205,7 +223,7 @@ impl Table {
 
     /// File ids in one partition, if the partition exists.
     pub fn files_in_partition(&self, key: &PartitionKey) -> Option<&BTreeSet<FileId>> {
-        self.partition_index.get(key)
+        self.partition_index.get(key).map(|p| &p.ids)
     }
 
     /// Looks up one live file.
@@ -244,15 +262,22 @@ impl Table {
         }
 
         // Apply: removals first (a rewrite may re-add to the same partition).
+        // The aggregates and each partition's byte total move by exactly
+        // the files removed and added here — the only place `live` changes
+        // (a `properties_mut` edit of the target is caught up with first).
+        self.aggregates
+            .retarget(self.properties.target_file_size, self.live.values());
         let mut touched = txn.staged_partitions();
         let mut removed_bytes = 0;
         for id in txn.removed().clone() {
             let file = self.live.remove(&id).expect("validated above");
             removed_bytes += file.file_size_bytes;
+            self.aggregates.remove(&file);
             touched.insert(file.partition.clone());
-            if let Some(set) = self.partition_index.get_mut(&file.partition) {
-                set.remove(&id);
-                if set.is_empty() {
+            if let Some(part) = self.partition_index.get_mut(&file.partition) {
+                part.ids.remove(&id);
+                part.bytes -= file.file_size_bytes;
+                if part.ids.is_empty() {
                     self.partition_index.remove(&file.partition);
                 }
             }
@@ -262,10 +287,10 @@ impl Table {
         let mut manifest_partitions = BTreeSet::new();
         for f in txn.added() {
             manifest_partitions.insert(f.partition.clone());
-            self.partition_index
-                .entry(f.partition.clone())
-                .or_default()
-                .insert(f.file_id);
+            let part = self.partition_index.entry(f.partition.clone()).or_default();
+            part.ids.insert(f.file_id);
+            part.bytes += f.file_size_bytes;
+            self.aggregates.add(f);
             self.live.insert(f.file_id, f.clone());
         }
 

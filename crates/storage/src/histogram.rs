@@ -56,13 +56,17 @@ impl SizeHistogram {
         }
     }
 
-    /// Records one file of the given size.
-    pub fn record(&mut self, size_bytes: u64) {
-        let idx = self
-            .edges
+    /// Index of the bucket a file of `size_bytes` falls into.
+    fn bucket(&self, size_bytes: u64) -> usize {
+        self.edges
             .iter()
             .position(|&edge| size_bytes <= edge)
-            .unwrap_or(self.edges.len());
+            .unwrap_or(self.edges.len())
+    }
+
+    /// Records one file of the given size.
+    pub fn record(&mut self, size_bytes: u64) {
+        let idx = self.bucket(size_bytes);
         self.counts[idx] += 1;
         self.total += 1;
         self.total_bytes += size_bytes;
@@ -70,14 +74,15 @@ impl SizeHistogram {
 
     /// Removes one previously recorded file (used when files are deleted).
     ///
-    /// Saturates rather than panics if the bucket is already empty, so the
-    /// histogram stays usable even if callers re-derive it lazily.
+    /// Removing a size that was never recorded is a bookkeeping bug in the
+    /// caller (table statistics are maintained through this): debug builds
+    /// panic on it, release builds saturate so the histogram stays usable.
     pub fn unrecord(&mut self, size_bytes: u64) {
-        let idx = self
-            .edges
-            .iter()
-            .position(|&edge| size_bytes <= edge)
-            .unwrap_or(self.edges.len());
+        let idx = self.bucket(size_bytes);
+        debug_assert!(
+            self.counts[idx] > 0 && self.total_bytes >= size_bytes,
+            "unrecord({size_bytes}) without a matching record"
+        );
         self.counts[idx] = self.counts[idx].saturating_sub(1);
         self.total = self.total.saturating_sub(1);
         self.total_bytes = self.total_bytes.saturating_sub(size_bytes);
@@ -195,6 +200,24 @@ mod tests {
         assert_eq!(h.total(), 1);
         assert_eq!(h.total_bytes(), 700 * MB);
         assert_eq!(h.count_at_or_below(128 * MB), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "without a matching record")]
+    fn unrecord_of_an_empty_bucket_is_a_debug_panic() {
+        let mut h = SizeHistogram::new();
+        h.record(100 * MB);
+        h.unrecord(700 * MB);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "without a matching record")]
+    fn unrecord_of_more_bytes_than_recorded_is_a_debug_panic() {
+        let mut h = SizeHistogram::new();
+        h.record(65 * MB);
+        h.unrecord(100 * MB); // same 64-128MB bucket, more bytes
     }
 
     #[test]

@@ -2,21 +2,46 @@
 //! arbitrary operation sequences to a table and check the structural
 //! invariants the rest of the system relies on after every commit.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use lakesim_lst::{
     ColumnType, ConflictMode, DataFile, Field, OpKind, PartitionFilter, PartitionKey,
-    PartitionSpec, PartitionValue, Schema, Table, TableId, TableProperties, Transform,
+    PartitionSpec, PartitionValue, Schema, Table, TableId, TableProperties, TableStats, Transform,
 };
-use lakesim_storage::{FileId, MB};
+use lakesim_storage::{FileId, SizeHistogram, MB};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Append { partition: i32, files: u8, mb: u16 },
-    MorDelta { partition: i32 },
-    Overwrite { partition: i32, mb: u16 },
-    RewritePartition { partition: i32 },
-    Expire { older_than_ms: u32 },
+    Append {
+        partition: i32,
+        files: u8,
+        mb: u16,
+    },
+    MorDelta {
+        partition: i32,
+    },
+    Overwrite {
+        partition: i32,
+        mb: u16,
+    },
+    /// `sorted` outputs are what a sort-embedding rewrite leaves behind.
+    RewritePartition {
+        partition: i32,
+        sorted: bool,
+    },
+    /// Removes every file of the partition and adds none.
+    DropPartition {
+        partition: i32,
+    },
+    /// Edits `properties_mut().target_file_size` between commits.
+    Retarget {
+        mb: u16,
+    },
+    Expire {
+        older_than_ms: u32,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,7 +53,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (0i32..4).prop_map(|partition| Op::MorDelta { partition }),
         (0i32..4, 1u16..700).prop_map(|(partition, mb)| Op::Overwrite { partition, mb }),
-        (0i32..4).prop_map(|partition| Op::RewritePartition { partition }),
+        (0i32..4, any::<bool>())
+            .prop_map(|(partition, sorted)| Op::RewritePartition { partition, sorted }),
+        (0i32..4).prop_map(|partition| Op::DropPartition { partition }),
+        (1u16..700).prop_map(|mb| Op::Retarget { mb }),
         (0u32..10_000).prop_map(|older_than_ms| Op::Expire { older_than_ms }),
     ]
 }
@@ -55,6 +83,54 @@ fn new_table(mode: ConflictMode) -> Table {
         },
         0,
     )
+}
+
+/// A second target no `Retarget` lands on (it is not a whole MB), so
+/// every check reads once at a target the table does not maintain.
+const SECOND_TARGET: u64 = 128 * MB + 1;
+
+/// The stats oracle: every [`TableStats`] field recounted from
+/// `live_files()`, for one partition or (`None`) the whole table. It
+/// shares nothing with the aggregates `Table::commit` maintains.
+fn recount(table: &Table, scope: Option<&PartitionKey>, target: u64) -> TableStats {
+    let mut stats = TableStats {
+        file_count: 0,
+        small_file_count: 0,
+        small_bytes: 0,
+        total_bytes: 0,
+        delete_file_count: 0,
+        partition_count: 0,
+        manifest_count: table.manifests().len() as u64,
+        snapshot_count: table.snapshots().len() as u64,
+        histogram: SizeHistogram::new(),
+        target_file_size: target,
+        unsorted_data_bytes: 0,
+        max_partition_bytes: 0,
+    };
+    let mut partition_bytes: BTreeMap<&PartitionKey, u64> = BTreeMap::new();
+    for f in table
+        .live_files()
+        .filter(|f| scope.is_none_or(|key| &f.partition == key))
+    {
+        stats.file_count += 1;
+        stats.total_bytes += f.file_size_bytes;
+        *partition_bytes.entry(&f.partition).or_default() += f.file_size_bytes;
+        if f.content.is_deletes() {
+            stats.delete_file_count += 1;
+            continue;
+        }
+        stats.histogram.record(f.file_size_bytes);
+        if f.file_size_bytes < target {
+            stats.small_file_count += 1;
+            stats.small_bytes += f.file_size_bytes;
+        }
+        if !f.sorted {
+            stats.unsorted_data_bytes += f.file_size_bytes;
+        }
+    }
+    stats.partition_count = partition_bytes.len() as u64;
+    stats.max_partition_bytes = partition_bytes.values().copied().max().unwrap_or(0);
+    stats
 }
 
 /// Structural invariants that must hold after every successful commit.
@@ -97,11 +173,19 @@ fn check_invariants(table: &Table) {
         assert!(table.snapshot(current).is_some());
     }
 
-    // 5. Stats agree with a recount.
-    let stats = table.stats(512 * MB);
-    assert_eq!(stats.file_count, table.file_count());
-    assert_eq!(stats.delete_file_count, table.delete_file_count());
-    assert_eq!(stats.total_bytes, table.total_bytes());
+    // 5. Every stats field agrees with a recount from the live files: for
+    //    the table and each live partition, at the target the table
+    //    maintains and at one it does not.
+    for target in [table.properties().target_file_size, SECOND_TARGET] {
+        assert_eq!(table.stats(target), recount(table, None, target));
+        for key in table.partition_keys() {
+            assert_eq!(
+                table.partition_stats(&key, target),
+                recount(table, Some(&key), target),
+                "partition {key}"
+            );
+        }
+    }
 }
 
 fn apply(table: &mut Table, op: &Op, next_file: &mut u64, now: &mut u64) {
@@ -156,7 +240,7 @@ fn apply(table: &mut Table, op: &Op, next_file: &mut u64, now: &mut u64) {
                 .commit(txn, *now)
                 .expect("serial overwrite never conflicts");
         }
-        Op::RewritePartition { partition } => {
+        Op::RewritePartition { partition, sorted } => {
             let plan = lakesim_lst::plan_partition_rewrite(
                 table,
                 &pkey(*partition),
@@ -173,18 +257,35 @@ fn apply(table: &mut Table, op: &Op, next_file: &mut u64, now: &mut u64) {
                 }
                 bytes += group.input_bytes;
             }
+            let output = if *sorted {
+                DataFile::data_sorted
+            } else {
+                DataFile::data
+            };
             for size in lakesim_lst::synthesize_outputs(bytes, 512 * MB) {
                 *next_file += 1;
-                txn.add_file(DataFile::data(
-                    FileId(*next_file),
-                    pkey(*partition),
-                    100,
-                    size,
-                ));
+                txn.add_file(output(FileId(*next_file), pkey(*partition), 100, size));
             }
             table
                 .commit(txn, *now)
                 .expect("serial rewrite never conflicts");
+        }
+        Op::DropPartition { partition } => {
+            let Some(ids) = table.files_in_partition(&pkey(*partition)) else {
+                return;
+            };
+            let mut txn = table.begin(OpKind::OverwritePartitions);
+            for id in ids.clone() {
+                txn.remove_file(id);
+            }
+            txn.declare_partition(pkey(*partition));
+            table
+                .commit(txn, *now)
+                .expect("serial drop never conflicts");
+            assert!(table.files_in_partition(&pkey(*partition)).is_none());
+        }
+        Op::Retarget { mb } => {
+            table.properties_mut().target_file_size = u64::from(*mb) * MB;
         }
         Op::Expire { older_than_ms } => {
             table.expire_snapshots(u64::from(*older_than_ms));
@@ -193,7 +294,8 @@ fn apply(table: &mut Table, op: &Op, next_file: &mut u64, now: &mut u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // 512 cases × the two conflict modes = 1024 random op sequences.
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Any serial operation sequence preserves the table invariants, under
     /// either conflict model (serial commits never conflict, so both modes
@@ -239,7 +341,10 @@ proptest! {
         let mut now = 10u64;
         apply(
             &mut table,
-            &Op::RewritePartition { partition },
+            &Op::RewritePartition {
+                partition,
+                sorted: false,
+            },
             &mut next_file,
             &mut now,
         );
