@@ -1,39 +1,31 @@
 //! Criterion: the observe phase at fleet scale — per-table pull baseline
-//! vs. the batched tier, cold vs. incremental (cursor/dirty-set) observe.
+//! vs. a session-holding `Sync` connector whose observe fans out, cold
+//! vs. incremental (cursor/dirty-set) observe.
 //!
 //! The synthetic lake models what a real connector pays per stats
 //! round-trip: a catalog-session lookup (`SESSION_STEPS`, paid *per
 //! call* by the chatty per-table protocol, amortized away by the
-//! batch-tier connector, which holds its session across the batch) plus
-//! a manifest walk (`MANIFEST_STEPS`, paid per fetched table by both).
-//! On multi-core machines the batch tier additionally fans the fetches
-//! out over scoped threads; the recorded numbers in `BENCH_ooda.json`
-//! note the harness core count.
+//! connector that holds its session across the batch) plus a manifest
+//! walk (`MANIFEST_STEPS`, paid per fetched table by both). On
+//! multi-core machines the session connector additionally fans the
+//! fetches out over scoped threads.
 //!
-//! Acceptance (tracked in `BENCH_ooda.json`): `observe/tables/100000`
-//! (cold batched) beats `observe/tables_pull/100000`, and
-//! `observe/tables_incremental/100000` (1% dirty) is ≥5× faster than the
-//! cold batched observe.
+//! Full cycles, telemetry overhead and restart cost are measured by the
+//! `benchmark/` package (`steady_1pct` `round_ms_p50`,
+//! `telemetry.trace_overhead_pct`, `crash_restart` `recover_ms_p50`).
 
 use autocomp::{
-    AlreadyCompactFilter, AutoComp, AutoCompConfig, BatchLakeConnector, Candidate, CandidateStats,
-    ChangeCursor, CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ExecutionResult,
-    FileCountReduction, FleetObserver, JobOutcome, JobOutcomeStatus, JobRuntimeConfig,
-    LakeConnector, ObserveFault, ObserveRequest, Prediction, RankingPolicy, ScopeStrategy,
-    SizeBucket, SnapshotContext, TableRef, TelemetrySink, TrackedExecutor, TraitWeight,
+    CandidateStats, ChangeCursor, FleetObservation, LakeConnector, ObserveRequest, ScopeStrategy,
+    SizeBucket, TableRef,
 };
-use autocomp_lakesim::ObserveFaultScript;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Catalog-session work per chatty round-trip (resolve table, auth,
 /// route) — the per-call overhead the batched protocol amortizes.
 const SESSION_STEPS: u64 = 96;
 
-/// Manifest-walk work per fetched table — paid by every fetch in both
-/// tiers, skipped entirely for tables an incremental observe reuses.
+/// Manifest-walk work per fetched table — paid by every fetch of both
+/// connectors, skipped entirely for tables an incremental observe reuses.
 const MANIFEST_STEPS: u64 = 96;
 
 /// Fraction of the fleet written between incremental cycles: 1%.
@@ -116,8 +108,8 @@ impl SyntheticLake {
     }
 }
 
-/// The chatty tier: every stats call is a fresh round-trip paying the
-/// catalog-session overhead.
+/// The chatty connector: every stats call is a fresh round-trip paying
+/// the catalog-session overhead.
 struct PerCallLake<'a>(&'a SyntheticLake);
 
 impl LakeConnector for PerCallLake<'_> {
@@ -138,12 +130,15 @@ impl LakeConnector for PerCallLake<'_> {
     }
 }
 
-/// The batch tier: the connector holds its catalog session across the
-/// batch, so fetches pay only the manifest walk (and fan out over scoped
-/// threads where cores allow).
+/// The connector holds its catalog session across the batch, so fetches
+/// pay only the manifest walk (and fan out over scoped threads where
+/// cores allow).
 struct SessionLake<'a>(&'a SyntheticLake);
 
-impl BatchLakeConnector for SessionLake<'_> {
+impl LakeConnector for SessionLake<'_> {
+    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+        autocomp::observe::batch_observe(self, request)
+    }
     fn list_tables(&self) -> Vec<TableRef> {
         self.0.tables.clone()
     }
@@ -164,262 +159,6 @@ impl BatchLakeConnector for SessionLake<'_> {
     }
 }
 
-/// The batch tier with explicit fallible reads: same stats as
-/// [`SessionLake`], but every `try_*` override consults an attached
-/// (empty) fault script before the real read — the exact read discipline
-/// of the production fault-capable connectors. With no faults armed this
-/// measures the fallible boundary's overhead: script check + `Result`
-/// wrapping per read, against the same-pass `full_cycle_incremental`
-/// whose connector uses the infallible `try_*` defaults.
-struct FaultCapableLake<'a> {
-    inner: SessionLake<'a>,
-    faults: Arc<ObserveFaultScript>,
-}
-
-impl BatchLakeConnector for FaultCapableLake<'_> {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.inner.list_tables()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        self.inner.listing_epoch()
-    }
-    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-        self.inner.table_stats(uid)
-    }
-    fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
-        self.inner.partition_stats(uid)
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        self.inner.fleet_cursor()
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        self.inner.changes_since(cursor)
-    }
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        match self.faults.pop_listing() {
-            Some(fault) => Err(fault),
-            None => Ok(self.list_tables()),
-        }
-    }
-    fn try_table_stats(&self, uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        match self.faults.pop_stats(uid) {
-            Some(fault) => Err(fault),
-            None => Ok(self.table_stats(uid)),
-        }
-    }
-    fn try_partition_stats(&self, uid: u64) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        match self.faults.pop_stats(uid) {
-            Some(fault) => Err(fault),
-            None => Ok(self.partition_stats(uid)),
-        }
-    }
-    fn try_snapshot_stats(
-        &self,
-        uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        match self.faults.pop_stats(uid) {
-            Some(fault) => Err(fault),
-            None => Ok(self.snapshot_stats(uid, window_ms)),
-        }
-    }
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        Ok(self.changes_since(cursor))
-    }
-}
-
-/// The batch tier with a *rotating* changelog: each observe pass's
-/// cursor advance dirties the next 1% window of the fleet, so across a
-/// bench run every dirty set differs — the steady-state shape the
-/// dirty-overwrite observe assembly and the incremental rank memo must
-/// absorb (changing dirty positions, advancing cursor chain and clock;
-/// stats stay pure per uid, so normalization bounds hold and the memo
-/// path stays engaged like a production quiet-majority fleet).
-struct RotatingSessionLake<'a> {
-    inner: &'a SyntheticLake,
-    cursor: AtomicU64,
-}
-
-impl<'a> RotatingSessionLake<'a> {
-    fn new(inner: &'a SyntheticLake) -> Self {
-        RotatingSessionLake {
-            inner,
-            cursor: AtomicU64::new(0),
-        }
-    }
-}
-
-impl BatchLakeConnector for RotatingSessionLake<'_> {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.inner.tables.clone()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        Some(0)
-    }
-    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-        Some(self.inner.fetch(uid, 0))
-    }
-    fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
-        Vec::new()
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        Some(ChangeCursor(self.cursor.fetch_add(1, Ordering::SeqCst)))
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        let n = self.inner.tables.len() as u64;
-        let window = n / DIRTY_DIVISOR;
-        Some((0..window).map(|i| (cursor.0 * window + i) % n).collect())
-    }
-}
-
-/// Trivial-stats lake with a changelog: stats production is ~free (the
-/// `ooda_pipeline` bench's formula), so the full-cycle numbers below
-/// isolate *framework* cost and are directly comparable to
-/// `ooda_cycle/tables/100000` — the cold decide path the incremental
-/// cycle is measured against.
-struct CheapChangeLake {
-    tables: Vec<TableRef>,
-    dirty: Vec<u64>,
-}
-
-impl CheapChangeLake {
-    fn new(n: u64) -> Self {
-        CheapChangeLake {
-            tables: (0..n)
-                .map(|i| TableRef {
-                    table_uid: i,
-                    database: format!("db{}", i % 64).into(),
-                    name: format!("t{i}").into(),
-                    partitioned: false,
-                    compaction_enabled: i % 17 != 0,
-                    is_intermediate: i % 23 == 0,
-                })
-                .collect(),
-            dirty: (0..n / DIRTY_DIVISOR)
-                .map(|i| i * DIRTY_DIVISOR % n)
-                .collect(),
-        }
-    }
-}
-
-impl LakeConnector for CheapChangeLake {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.tables.clone()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        Some(0)
-    }
-    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-        Some(CandidateStats {
-            file_count: 10 + (uid * 31) % 4000,
-            small_file_count: (uid * 31) % 4000,
-            small_bytes: ((uid * 71) % 2048) << 20,
-            total_bytes: ((uid * 131) % 8192) << 20,
-            target_file_size: 512 << 20,
-            ..CandidateStats::default()
-        })
-    }
-    fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
-        Vec::new()
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        Some(ChangeCursor(0))
-    }
-    fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
-        Some(self.dirty.clone())
-    }
-}
-
-struct NullExecutor;
-
-impl CompactionExecutor for NullExecutor {
-    fn execute(&mut self, _c: &Candidate, _p: &Prediction, now: u64) -> ExecutionResult {
-        ExecutionResult {
-            scheduled: true,
-            job_id: Some(1),
-            gbhr: 0.0,
-            commit_due_ms: Some(now),
-            error: None,
-        }
-    }
-}
-
-/// Async platform model for the job-runtime bench: submissions settle
-/// `duration_ms` later (≈3 cycles at the bench cadence), so a steady
-/// population of jobs stays in flight — suppression, ledger upkeep,
-/// settling and automatic feedback ingestion are all on the measured
-/// path.
-struct TrackedPlatform {
-    duration_ms: u64,
-    next_job: u64,
-    running: Vec<(u64, u64, u64)>, // (job_id, uid, due_ms)
-}
-
-impl TrackedPlatform {
-    fn new(duration_ms: u64) -> Self {
-        TrackedPlatform {
-            duration_ms,
-            next_job: 0,
-            running: Vec::new(),
-        }
-    }
-}
-
-impl CompactionExecutor for TrackedPlatform {
-    fn execute(&mut self, c: &Candidate, p: &Prediction, now: u64) -> ExecutionResult {
-        self.next_job += 1;
-        let due = now + self.duration_ms;
-        self.running.push((self.next_job, c.id.table_uid, due));
-        ExecutionResult {
-            scheduled: true,
-            job_id: Some(self.next_job),
-            gbhr: p.gbhr,
-            commit_due_ms: Some(due),
-            error: None,
-        }
-    }
-}
-
-impl TrackedExecutor for TrackedPlatform {
-    fn poll(&mut self, now: u64) -> Vec<JobOutcome> {
-        let (due, rest): (Vec<_>, Vec<_>) =
-            self.running.drain(..).partition(|(_, _, due)| *due <= now);
-        self.running = rest;
-        due.into_iter()
-            .map(|(job_id, uid, due_ms)| JobOutcome {
-                job_id,
-                table_uid: uid,
-                status: JobOutcomeStatus::Succeeded,
-                finished_at_ms: due_ms,
-                actual_reduction: 8,
-                actual_gbhr: 1.0,
-            })
-            .collect()
-    }
-}
-
-fn full_cycle_pipeline() -> AutoComp {
-    AutoComp::new(AutoCompConfig {
-        scope: ScopeStrategy::Table,
-        policy: RankingPolicy::Moop {
-            weights: vec![
-                TraitWeight::new("file_count_reduction", 0.7),
-                TraitWeight::new("compute_cost_gbhr", 0.3),
-            ],
-            k: 100,
-        },
-        trigger_label: "bench".to_string(),
-        calibrate: false,
-    })
-    .with_filter(Box::new(CompactionDisabledFilter))
-    .with_filter(Box::new(AlreadyCompactFilter {
-        min_small_files: 2,
-        min_small_fraction: 0.0,
-    }))
-    .with_trait(Box::new(FileCountReduction::default()))
-    .with_trait(Box::new(ComputeCostGbhr::default()))
-}
-
 fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("observe");
     group.sample_size(10);
@@ -434,223 +173,19 @@ fn bench_observe(c: &mut Criterion) {
         b.iter(|| chatty.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
     });
 
-    // Cold batched observe: session amortized, fetches fan out.
-    let batch = SessionLake(&lake);
+    // Cold observe with the session amortized and the fetches fanned out.
+    let session = SessionLake(&lake);
     group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
-        b.iter(|| batch.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
+        b.iter(|| session.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
     });
 
     // Incremental observe: 1% dirty, the rest reused from the prior.
-    let prior = batch.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    let prior = session.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
     group.bench_with_input(BenchmarkId::new("tables_incremental", n), &n, |b, _| {
-        b.iter(|| batch.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
-    });
-
-    // Full OODA cycle over the manifest-walk lake (the same stats-cost
-    // model as the observe benches above): cold pays full-fleet stats
-    // production + filter/orient; the incremental variant re-fetches the
-    // 1% dirty set and splices the rest of filter/orient from the cycle
-    // cache — the end-to-end incremental record BENCH_ooda.json tracks.
-    group.bench_with_input(BenchmarkId::new("full_cycle_cold", n), &n, |b, _| {
-        let mut ac = full_cycle_pipeline().with_cycle_cache(false);
-        let mut exec = NullExecutor;
-        b.iter(|| {
-            ac.run_cycle_batch(&batch, &mut exec, 0)
-                .expect("cycle runs")
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("full_cycle_incremental", n), &n, |b, _| {
-        // Sink explicitly disabled: this is the uninstrumented baseline
-        // of the telemetry-overhead pair below.
-        let mut ac = full_cycle_pipeline().with_telemetry(TelemetrySink::disabled());
-        let mut observer = FleetObserver::new();
-        let mut exec = NullExecutor;
-        // Prime: one cold cycle fills the observer + cache; every
-        // measured cycle then reuses 99% of the fleet.
-        ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 0)
-            .expect("prime cycle runs");
-        b.iter(|| {
-            ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 0)
-                .expect("cycle runs")
-        })
-    });
-
-    // Fault-boundary overhead pair: the identical incremental cycle
-    // through a connector whose `try_*` reads are real overrides
-    // (per-read fault-script check + `Result` wrapping, the production
-    // fault-capable discipline) with no faults armed. Acceptance
-    // (BENCH_ooda.json, CI smoke gate): within noise of the same-pass
-    // `full_cycle_incremental` — resilience must be free when nothing
-    // faults.
-    group.bench_with_input(
-        BenchmarkId::new("full_cycle_faulty_observe", n),
-        &n,
-        |b, _| {
-            let faulty = FaultCapableLake {
-                inner: SessionLake(&lake),
-                faults: ObserveFaultScript::new(),
-            };
-            let mut ac = full_cycle_pipeline().with_telemetry(TelemetrySink::disabled());
-            let mut observer = FleetObserver::new();
-            let mut exec = NullExecutor;
-            ac.run_cycle_incremental_batch(&mut observer, &faulty, &mut exec, 0)
-                .expect("prime cycle runs");
-            b.iter(|| {
-                ac.run_cycle_incremental_batch(&mut observer, &faulty, &mut exec, 0)
-                    .expect("cycle runs")
-            })
-        },
-    );
-
-    // Telemetry-overhead pair: the identical incremental cycle with the
-    // sink *enabled* and driven by a real microsecond clock — spans,
-    // per-phase histograms and cache/memo gauges all record every cycle.
-    // Acceptance (BENCH_ooda.json, CI smoke gate): within 3% of the
-    // same-pass `full_cycle_incremental`.
-    group.bench_with_input(BenchmarkId::new("full_cycle_telemetry", n), &n, |b, _| {
-        let epoch = Instant::now();
-        let sink = TelemetrySink::with_clock(Arc::new(move || epoch.elapsed().as_micros() as u64));
-        let mut ac = full_cycle_pipeline().with_telemetry(sink);
-        let mut observer = FleetObserver::new();
-        let mut exec = NullExecutor;
-        ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 0)
-            .expect("prime cycle runs");
-        b.iter(|| {
-            ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 0)
-                .expect("cycle runs")
-        })
-    });
-
-    // Steady-state incremental cycle: same pipeline, but the dirty 1%
-    // window *rotates* every cycle and the clock advances — the
-    // PR-5 headline shape. The dirty-overwrite observe assembly patches
-    // only the rotating window, the rank memo splices quiet scores and
-    // maintains the selection prefix, and the lazy report tail skips the
-    // fleet-wide RankedEntry materialization.
-    group.bench_with_input(
-        BenchmarkId::new("full_cycle_incremental_steady", n),
-        &n,
-        |b, _| {
-            let rotating = RotatingSessionLake::new(&lake);
-            let mut ac = full_cycle_pipeline();
-            let mut observer = FleetObserver::new();
-            let mut exec = NullExecutor;
-            let mut now = 0u64;
-            ac.run_cycle_incremental_batch(&mut observer, &rotating, &mut exec, now)
-                .expect("prime cycle runs");
-            b.iter(|| {
-                now += 577;
-                ac.run_cycle_incremental_batch(&mut observer, &rotating, &mut exec, now)
-                    .expect("cycle runs")
-            })
-        },
-    );
-
-    // Job-runtime cycle: the incremental cycle above plus the tracked
-    // act phase — poll + settle (≈100 outcomes/cycle), automatic
-    // feedback ingestion, settled-dirty re-observe, in-flight
-    // suppression over a steady 200-300-job ledger, and admission
-    // checks. Compare against full_cycle_incremental in the same pass
-    // (the tracked overhead must not push the cycle out of the
-    // incremental band).
-    group.bench_with_input(BenchmarkId::new("full_cycle_tracked", n), &n, |b, _| {
-        let mut ac = full_cycle_pipeline().with_job_tracker(JobRuntimeConfig {
-            max_in_flight: 512,
-            max_in_flight_per_database: 64,
-            ..JobRuntimeConfig::default()
-        });
-        let mut observer = FleetObserver::new();
-        let mut platform = TrackedPlatform::new(1_500);
-        let mut now = 0u64;
-        ac.run_cycle_tracked_incremental_batch(&mut observer, &batch, &mut platform, now)
-            .expect("prime cycle runs");
-        b.iter(|| {
-            now += 577;
-            ac.run_cycle_tracked_incremental_batch(&mut observer, &batch, &mut platform, now)
-                .expect("cycle runs")
-        })
-    });
-
-    // The same pair over a trivial-stats changelog lake: stats are ~free
-    // (the ooda_pipeline formula), so these isolate pure framework cost —
-    // directly comparable to `ooda_cycle/tables/100000`.
-    let cheap = CheapChangeLake::new(n);
-    group.bench_with_input(BenchmarkId::new("framework_cycle_cold", n), &n, |b, _| {
-        let mut ac = full_cycle_pipeline().with_cycle_cache(false);
-        let mut exec = NullExecutor;
-        b.iter(|| ac.run_cycle(&cheap, &mut exec, 0).expect("cycle runs"))
-    });
-    group.bench_with_input(
-        BenchmarkId::new("framework_cycle_incremental", n),
-        &n,
-        |b, _| {
-            let mut ac = full_cycle_pipeline();
-            let mut observer = FleetObserver::new();
-            let mut exec = NullExecutor;
-            ac.run_cycle_incremental(&mut observer, &cheap, &mut exec, 0)
-                .expect("prime cycle runs");
-            b.iter(|| {
-                ac.run_cycle_incremental(&mut observer, &cheap, &mut exec, 0)
-                    .expect("cycle runs")
-            })
-        },
-    );
-    group.finish();
-}
-
-/// Crash-recovery cost at fleet scale: a restart that warm-restores a
-/// boundary snapshot pays snapshot decode + the 1% dirty re-fetch; a
-/// cold restart pays the fleet-wide observe. Same pass, same lake —
-/// `BENCH_ooda.json` records the pair under `snapshot_restore/*`.
-fn bench_snapshot_restore(c: &mut Criterion) {
-    let mut group = c.benchmark_group("snapshot_restore");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    let n = 100_000u64;
-    let lake = SyntheticLake::new(n);
-    let batch = SessionLake(&lake);
-
-    // Prime a pipeline through one cycle and capture its boundary
-    // snapshot — the durable artifact both restart paths start from.
-    let mut primed = full_cycle_pipeline();
-    let mut primed_observer = FleetObserver::new();
-    let mut exec = NullExecutor;
-    primed
-        .run_cycle_incremental_batch(&mut primed_observer, &batch, &mut exec, 0)
-        .expect("prime cycle runs");
-    let ctx = SnapshotContext::default();
-    let snapshot = primed
-        .encode_snapshot(&primed_observer, &ctx)
-        .expect("boundary snapshot encodes");
-
-    // Warm restart: decode + validate the snapshot, then run the first
-    // post-restore cycle — only the 1% dirty set re-fetches.
-    group.bench_with_input(BenchmarkId::new("restore_warm", n), &n, |b, _| {
-        b.iter(|| {
-            let mut ac = full_cycle_pipeline();
-            let mut observer = FleetObserver::new();
-            let recovery = ac.restore_snapshot(&mut observer, &snapshot);
-            assert!(recovery.is_warm(), "bench snapshot must restore warm");
-            let mut exec = NullExecutor;
-            ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 577)
-                .expect("cycle runs")
-        })
-    });
-
-    // Cold restart companion: no snapshot — the first cycle re-observes
-    // the whole fleet.
-    group.bench_with_input(BenchmarkId::new("cold_restart", n), &n, |b, _| {
-        b.iter(|| {
-            let mut ac = full_cycle_pipeline();
-            let mut observer = FleetObserver::new();
-            let mut exec = NullExecutor;
-            ac.run_cycle_incremental_batch(&mut observer, &batch, &mut exec, 577)
-                .expect("cycle runs")
-        })
+        b.iter(|| session.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_observe, bench_snapshot_restore);
+criterion_group!(benches, bench_observe);
 criterion_main!(benches);

@@ -4,9 +4,9 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ExecutionResult,
-    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitWeight,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
+    Executor, FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
+    TableRef, TraitWeight,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -99,7 +99,15 @@ fn bench_ooda(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
             let mut ac = pipeline(100);
             let mut exec = NullExecutor;
-            b.iter(|| ac.run_cycle(&lake, &mut exec, 0).expect("cycle runs"))
+            b.iter(|| {
+                ac.cycle(CycleInput {
+                    connector: &lake,
+                    observer: None,
+                    executor: Executor::Plain(&mut exec),
+                    now_ms: 0,
+                })
+                .expect("cycle runs")
+            })
         });
     }
     group.finish();

@@ -6,18 +6,17 @@
 //! `scenario_mix/100000` drives zipf-skewed dirty bursts (1K writes per
 //! iteration, the commit-storm shape) through the incremental observe →
 //! cycle path; `scenario_mix_cold/100000` replays the identical churn
-//! through always-cold cycles in the same pass, so the recorded ratio in
-//! `BENCH_ooda.json` is a same-pass comparison per the repo's
-//! single-core measurement convention.
+//! through always-cold cycles in the same pass, so the two ids compare
+//! like for like.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, DeleteDebt, ExecutionResult, FileCountReduction, FleetObserver, JobKind,
-    LakeConnector, PartitionSkewExcess, Prediction, ScopeStrategy, SortDisorder, TableRef,
-    PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
+    ComputeCostGbhr, CycleInput, DeleteDebt, ExecutionResult, Executor, FileCountReduction,
+    FleetObserver, JobKind, LakeConnector, PartitionSkewExcess, Prediction, ScopeStrategy,
+    SortDisorder, TableRef, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lakesim_workload::scenario_policy;
@@ -162,7 +161,14 @@ fn bench_scenario_mix(c: &mut Criterion) {
     // actually select several distinct rewrite kinds.
     {
         let mut ac = pipeline();
-        let report = ac.run_cycle(&lake, &mut NullExecutor, 0).expect("cycle");
+        let report = ac
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 0,
+            })
+            .expect("cycle");
         let mut kinds = [false; 4];
         for job in &report.executed {
             kinds[match job.prediction.kind {
@@ -192,15 +198,25 @@ fn bench_scenario_mix(c: &mut Criterion) {
         let mut now = 0u64;
         // Prime the retained observation so iterations measure the
         // steady state, not the first cold fill.
-        ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, now)
-            .expect("prime");
+        ac.cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut NullExecutor),
+            now_ms: now,
+        })
+        .expect("prime");
         b.iter(|| {
             for _ in 0..BURST {
                 lake.write(zipf_below(&mut rng, n));
             }
             now += 1_000;
-            ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, now)
-                .expect("cycle runs")
+            ac.cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: now,
+            })
+            .expect("cycle runs")
         })
     });
     group.finish();
@@ -219,7 +235,13 @@ fn bench_scenario_mix(c: &mut Criterion) {
                 lake.write(zipf_below(&mut rng, n));
             }
             now += 1_000;
-            ac.run_cycle(&lake, &mut NullExecutor, now).expect("cold")
+            ac.cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: now,
+            })
+            .expect("cold")
         })
     });
     group.finish();

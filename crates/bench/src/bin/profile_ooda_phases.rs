@@ -15,9 +15,9 @@ use std::time::Instant;
 use autocomp::telemetry::{names, phase};
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ExecutionResult,
-    FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    TableRef, TelemetrySink, TraitWeight,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
+    Executor, FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy,
+    ScopeStrategy, TableRef, TelemetrySink, TraitWeight,
 };
 
 struct SyntheticLake {
@@ -120,7 +120,12 @@ fn main() {
     let mut exec = NullExecutor;
     for round in 0..5 {
         let report = ac
-            .run_cycle_incremental(&mut observer, &lake, &mut exec, round)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Plain(&mut exec),
+                now_ms: round,
+            })
             .expect("cycle runs");
         let cycle = ac.telemetry().current_cycle();
         let line: Vec<String> = ac

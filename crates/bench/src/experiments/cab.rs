@@ -9,8 +9,8 @@
 
 use autocomp::{
     AllParallelScheduler, AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter,
-    ComputeCostGbhr, FileCountReduction, IntermediateTableFilter, ParallelTablesScheduler,
-    RankingPolicy, ScopeStrategy, StrictSequentialScheduler, TraitWeight,
+    ComputeCostGbhr, CycleInput, Executor, FileCountReduction, IntermediateTableFilter,
+    ParallelTablesScheduler, RankingPolicy, ScopeStrategy, StrictSequentialScheduler, TraitWeight,
 };
 use autocomp_lakesim::{with_shared_env, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::JobStatus;
@@ -250,7 +250,12 @@ pub fn run_cab(config: &CabExperimentConfig) -> CabRunResult {
                         let connector = LakesimConnector::new(shared.clone());
                         let mut executor = LakesimExecutor::new(shared.clone());
                         pipeline
-                            .run_cycle(&connector, &mut executor, tick)
+                            .cycle(CycleInput {
+                                connector: &connector,
+                                observer: None,
+                                executor: Executor::Plain(&mut executor),
+                                now_ms: tick,
+                            })
                             .map(|report| report.selected_count())
                             .unwrap_or(0)
                     });

@@ -3,8 +3,8 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    FileCountReduction, IntermediateTableFilter, RankingPolicy, RecentlyCreatedFilter,
-    ScopeStrategy, TraitWeight,
+    CycleInput, Executor, FileCountReduction, IntermediateTableFilter, RankingPolicy,
+    RecentlyCreatedFilter, ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::{LakesimConnector, LakesimExecutor, ObserveOptions};
 use lakesim_catalog::{AccuracySummary, JobStatus};
@@ -85,7 +85,12 @@ pub fn auto_cycle(fleet: &Fleet, pipeline: &mut AutoComp, use_planned: bool) -> 
     );
     let mut executor = LakesimExecutor::new(fleet.env.clone());
     let selected = pipeline
-        .run_cycle(&connector, &mut executor, now)
+        .cycle(CycleInput {
+            connector: &connector,
+            observer: None,
+            executor: Executor::Plain(&mut executor),
+            now_ms: now,
+        })
         .map(|r| r.selected_count())
         .unwrap_or(0);
     drop(executor);

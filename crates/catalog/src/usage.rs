@@ -64,7 +64,7 @@ impl TableUsage {
 
     /// Read-only twin of [`writes_in_window`](Self::writes_in_window):
     /// counts against the cutoff without pruning, for shared (`&self`)
-    /// readers like the batch-tier connector. Always agrees with the
+    /// readers like the `Sync` connector. Always agrees with the
     /// mutating version for the same `now_ms`.
     pub fn writes_in_window_at(&self, now_ms: u64) -> u64 {
         let cutoff = now_ms.saturating_sub(self.window_ms);

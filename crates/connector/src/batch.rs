@@ -1,24 +1,25 @@
-//! The `Sync` batch tier over the simulated lake.
+//! The `Sync` connector over the simulated lake.
 //!
-//! PR 1's parallel orient had to leave stats *fetch* on the caller
-//! thread: the single-threaded connector shares the environment through
-//! `Rc<RefCell<SimEnv>>`, which is not `Sync`. This module provides the
-//! shareable tier — [`SyncSharedEnv`] wraps the environment in
-//! `Arc<RwLock<_>>`, and [`BatchLakesimConnector`] implements
-//! [`BatchLakeConnector`] with read-only stats production (shared with
-//! the sequential tier via `crate::stats`), so the provided
-//! `observe()` fans per-table stats out over scoped threads, each worker
-//! holding only a read lock.
+//! [`crate::LakesimConnector`] shares the environment through
+//! `Rc<RefCell<SimEnv>>`, which is not `Sync`, so its stats fetch stays
+//! on the caller thread. This module provides the shareable variant —
+//! [`SyncSharedEnv`] wraps the environment in `Arc<RwLock<_>>`, and
+//! [`BatchLakesimConnector`] is a [`LakeConnector`] with read-only stats
+//! production (shared with the `Rc<RefCell>` connector via
+//! `crate::stats`) whose `observe()` is
+//! [`batch_observe`](autocomp::observe::batch_observe): per-table stats
+//! fan out over scoped threads, each worker holding only a read lock.
 //!
 //! Determinism is preserved (NFR2): workers are handed position-stable
-//! chunks and stats production never mutates the environment, so a batch
-//! observation is bit-identical to the sequential connector's over the
-//! same lake state — pinned by the parity suite.
+//! chunks and stats production never mutates the environment, so a
+//! fanned-out observation is bit-identical to the sequential connector's
+//! over the same lake state — pinned by the parity suite.
 
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 use autocomp::{
-    BatchLakeConnector, CandidateStats, ChangeCursor, NameInterner, ObserveFault, TableRef,
+    CandidateStats, ChangeCursor, FleetObservation, LakeConnector, NameInterner, ObserveFault,
+    ObserveRequest, TableRef,
 };
 use lakesim_engine::SimEnv;
 
@@ -29,15 +30,15 @@ use crate::stats::{self, QuotaCache};
 /// Thread-shareable handle to the simulation environment.
 pub type SyncSharedEnv = Arc<RwLock<SimEnv>>;
 
-/// Wraps an environment for sharing across threads (the batch tier's
+/// Wraps an environment for sharing across threads (the `Sync`
 /// counterpart of [`crate::share`]).
 pub fn share_sync(env: SimEnv) -> SyncSharedEnv {
     Arc::new(RwLock::new(env))
 }
 
-/// [`BatchLakeConnector`] implementation over the simulated lake: the
-/// same stats as [`crate::LakesimConnector`], produced under read locks
-/// so `observe()` can fan out.
+/// `Sync` [`LakeConnector`] over the simulated lake: the same stats as
+/// [`crate::LakesimConnector`], produced under read locks so `observe()`
+/// fans out.
 pub struct BatchLakesimConnector {
     env: SyncSharedEnv,
     options: ObserveOptions,
@@ -49,12 +50,12 @@ pub struct BatchLakesimConnector {
 }
 
 impl BatchLakesimConnector {
-    /// Creates a batch-tier connector over a shareable environment.
+    /// Creates a connector over a shareable environment.
     pub fn new(env: SyncSharedEnv) -> Self {
         Self::with_options(env, ObserveOptions::default())
     }
 
-    /// Creates a batch-tier connector with custom options.
+    /// Creates a connector with custom options.
     pub fn with_options(env: SyncSharedEnv, options: ObserveOptions) -> Self {
         BatchLakesimConnector {
             env,
@@ -85,7 +86,11 @@ impl BatchLakesimConnector {
     }
 }
 
-impl BatchLakeConnector for BatchLakesimConnector {
+impl LakeConnector for BatchLakesimConnector {
+    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+        autocomp::observe::batch_observe(self, request)
+    }
+
     fn list_tables(&self) -> Vec<TableRef> {
         let env = self.env();
         stats::list_refs(&env, &mut self.interner.lock().expect("interner"))
@@ -125,8 +130,8 @@ impl BatchLakeConnector for BatchLakesimConnector {
             .map(|tables| tables.into_iter().map(|t| t.0).collect())
     }
 
-    // Fallible tier — same injection-before-read discipline as the
-    // sequential connector, so vanish keeps surfacing as `Ok(None)`.
+    // Fallible reads — same injection-before-read discipline as
+    // `LakesimConnector`, so vanish keeps surfacing as `Ok(None)`.
 
     fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
         if let Some(fault) = self.faults.as_ref().and_then(|s| s.pop_listing()) {
@@ -175,7 +180,7 @@ impl BatchLakeConnector for BatchLakesimConnector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autocomp::{LakeConnector, ObserveRequest, ScopeStrategy};
+    use autocomp::ScopeStrategy;
     use lakesim_catalog::TablePolicy;
     use lakesim_engine::{EnvConfig, FileSizePlan, WriteSpec};
     use lakesim_lst::{
@@ -249,7 +254,7 @@ mod tests {
             let batched = {
                 let shared = share_sync(build_env(7));
                 let connector = BatchLakesimConnector::new(shared);
-                BatchLakeConnector::observe(&connector, &ObserveRequest::fresh(scope))
+                connector.observe(&ObserveRequest::fresh(scope))
             };
             assert_eq!(sequential, batched, "scope {scope:?}");
         }
@@ -259,8 +264,7 @@ mod tests {
     fn batch_cursor_feeds_incremental_observe() {
         let shared = share_sync(build_env(6));
         let connector = BatchLakesimConnector::new(shared.clone());
-        let first =
-            BatchLakeConnector::observe(&connector, &ObserveRequest::fresh(ScopeStrategy::Table));
+        let first = connector.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
         assert!(first.cursor().is_some());
         // Write table 2, then observe incrementally: one fetch, rest reused.
         {
@@ -276,15 +280,11 @@ mod tests {
             env.submit_write(&spec, now + 1).unwrap();
             env.drain_all();
         }
-        let second = BatchLakeConnector::observe(
-            &connector,
-            &ObserveRequest::incremental(ScopeStrategy::Table, &first),
-        );
+        let second = connector.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &first));
         assert_eq!(second.fetched_tables(), 1);
         assert_eq!(second.reused_tables(), 5);
         // The dirty table's refreshed stats match a cold fetch.
-        let cold =
-            BatchLakeConnector::observe(&connector, &ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = connector.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(second.to_candidates(), cold.to_candidates());
     }
 }

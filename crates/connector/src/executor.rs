@@ -6,8 +6,8 @@
 //! runtime's [`TrackedExecutor`] — [`poll`](TrackedExecutor::poll) drains
 //! engine commits due by `now` and surfaces every maintenance record
 //! appended since the last poll as a [`JobOutcome`], which is what lets
-//! `AutoComp::run_cycle_tracked*` settle jobs, retry conflicts, and
-//! auto-ingest feedback without any manual
+//! `AutoComp::cycle` (given `Executor::Tracked`) settle jobs, retry
+//! conflicts, and auto-ingest feedback without any manual
 //! [`FeedbackBridge`](crate::FeedbackBridge) plumbing.
 
 use autocomp::{

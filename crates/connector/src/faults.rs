@@ -2,8 +2,8 @@
 //!
 //! The lakesim substrate is an in-memory simulation: its reads cannot
 //! actually fail. To exercise the pipeline's degradation machinery
-//! ([`autocomp::ObserveDegradation`]) against the *real* connector
-//! tiers, both [`LakesimConnector`](crate::LakesimConnector) and
+//! ([`autocomp::ObserveDegradation`]) against the *real*
+//! connectors, both [`LakesimConnector`](crate::LakesimConnector) and
 //! [`BatchLakesimConnector`](crate::BatchLakesimConnector) accept an
 //! optional [`ObserveFaultScript`]: a scripted schedule of
 //! [`ObserveFault`]s consumed by their `try_*` implementations before
@@ -49,7 +49,7 @@ struct ScriptState {
 }
 
 /// A scripted, internally synchronized fault schedule shared between a
-/// test and the connector tier(s) it drives (clone the [`Arc`]).
+/// test and the connector(s) it drives (clone the [`Arc`]).
 ///
 /// Queue semantics per read kind: `fault_*` pushes append, each `try_*`
 /// call on an attached connector pops at most one fault from the
@@ -70,7 +70,11 @@ impl ObserveFaultScript {
 
     /// Schedules a fault for the next unconsumed `try_list_tables` call.
     pub fn fault_listing(&self, fault: ObserveFault) {
-        self.state.lock().expect("fault script").listing.push_back(fault);
+        self.state
+            .lock()
+            .expect("fault script")
+            .listing
+            .push_back(fault);
     }
 
     /// Schedules a fault for the next unconsumed `try_changes_since`
@@ -138,7 +142,11 @@ impl ObserveFaultScript {
     /// Consumes the next scheduled changelog event, if any (see
     /// [`pop_listing`](Self::pop_listing) for why this is public).
     pub fn pop_changelog(&self) -> Option<ChangelogEvent> {
-        self.state.lock().expect("fault script").changelog.pop_front()
+        self.state
+            .lock()
+            .expect("fault script")
+            .changelog
+            .pop_front()
     }
 
     /// Consumes `table_uid`'s next scheduled stats fault, if any (see

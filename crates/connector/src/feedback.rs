@@ -9,8 +9,8 @@
 //!
 //! Since the act-phase job runtime landed, drivers no longer need this
 //! bridge for the steady-state loop: attach a tracker
-//! (`AutoComp::with_job_tracker`) and drive cycles through the
-//! `run_cycle_tracked*` entry points with [`crate::LakesimExecutor`] —
+//! (`AutoComp::with_job_tracker`) and hand `AutoComp::cycle` an
+//! `Executor::Tracked` over [`crate::LakesimExecutor`] —
 //! its `TrackedExecutor::poll` surfaces the same maintenance records as
 //! job outcomes, and settled successes are ingested into calibration
 //! automatically (using the *tracked* prediction rather than re-reading

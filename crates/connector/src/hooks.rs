@@ -92,7 +92,7 @@ pub fn mark_database_dirty(
 
 /// Evaluates a hook directly against a mutable environment (used by
 /// drivers that do not share the env). Stats come from the same shared
-/// builders as the connector tiers (no quota signal — hooks predate the
+/// builders as the connectors (no quota signal — hooks predate the
 /// candidate's database context).
 pub fn evaluate_hook_direct(
     env: &mut SimEnv,

@@ -5,10 +5,11 @@
 //! integration: AutoComp as "a standalone component that supports both
 //! push and pull operations" against the control plane.
 //!
-//! The observe side comes in the two tiers of the batched API:
+//! The observe side is two implementations of the one
+//! [`autocomp::LakeConnector`] trait:
 //!
-//! * [`LakesimConnector`] implements [`autocomp::LakeConnector`]
-//!   (single-threaded tier over `Rc<RefCell<SimEnv>>`): it lists catalog
+//! * [`LakesimConnector`] (over `Rc<RefCell<SimEnv>>`, the environment
+//!   the executor, bridges and hooks share): it lists catalog
 //!   tables and converts LST/catalog/storage state into the standardized
 //!   [`autocomp::CandidateStats`] layout — quota signal (§7) memoized
 //!   once per database per batch, database names interned — and surfaces
@@ -20,12 +21,12 @@
 //!   values for quiet tables (bounded staleness, see
 //!   `autocomp::observe`'s staleness contract); interleave cold observes
 //!   when exact fleetwide quota pressure matters.
-//! * [`BatchLakesimConnector`] implements
-//!   [`autocomp::BatchLakeConnector`] (the `Sync` tier over
-//!   [`SyncSharedEnv`], an `Arc<RwLock<SimEnv>>`): identical stats,
-//!   produced under read locks so `observe()` fans stats production out
-//!   over scoped threads. Both tiers share the read-only builders in the
-//!   private `stats` module and are parity-tested bit-identical.
+//! * [`BatchLakesimConnector`] (observe-only, over [`SyncSharedEnv`], an
+//!   `Arc<RwLock<SimEnv>>`): identical stats, produced under read locks
+//!   so its `observe()` fans stats production out over scoped threads
+//!   ([`autocomp::observe::batch_observe`]). Both share the read-only
+//!   builders in the private `stats` module and are parity-tested
+//!   bit-identical.
 //!
 //! The act side is unchanged in shape:
 //!
@@ -40,7 +41,7 @@
 //!   tables (§5 push mode) and can feed `MarkDirty` decisions straight
 //!   into a [`autocomp::FleetObserver`].
 //!
-//! The sequential tier shares the [`SimEnv`] through an `Rc<RefCell<_>>`:
+//! [`LakesimConnector`] shares the [`SimEnv`] through an `Rc<RefCell<_>>`:
 //! the pipeline's observe phase reads while the act phase mutates,
 //! strictly sequentially (single-threaded simulation, NFR2).
 

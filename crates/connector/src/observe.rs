@@ -1,8 +1,8 @@
 //! The observe-side connector: catalog/LST/storage → `CandidateStats`.
 //!
-//! [`LakesimConnector`] is the single-threaded tier over the shared
+//! [`LakesimConnector`] observes sequentially over the shared
 //! `Rc<RefCell<SimEnv>>`. Stats production itself is read-only (shared
-//! with the batch tier through `crate::stats`); per-cycle costs are
+//! with the `Sync` connector through `crate::stats`); per-cycle costs are
 //! amortized with a database-name interner and a per-batch quota memo,
 //! and the engine's commit changelog is surfaced as a change cursor so
 //! incremental (dirty-set) observes re-fetch only written tables.
@@ -62,9 +62,9 @@ impl Default for ObserveOptions {
     }
 }
 
-/// [`LakeConnector`] implementation over the simulated lake
-/// (single-threaded tier; see [`crate::BatchLakesimConnector`] for the
-/// `Sync` tier).
+/// [`LakeConnector`] implementation over the simulated lake (sequential
+/// observe; see [`crate::BatchLakesimConnector`] for the `Sync` one whose
+/// observe fans out).
 pub struct LakesimConnector {
     env: SharedEnv,
     options: ObserveOptions,
@@ -150,7 +150,7 @@ impl LakeConnector for LakesimConnector {
             .map(|tables| tables.into_iter().map(|t| t.0).collect())
     }
 
-    // The fallible tier: consult the scripted fault schedule first, then
+    // The fallible reads: consult the scripted fault schedule first, then
     // run the real (infallible in simulation) read. `Ok(None)` therefore
     // always means the table genuinely vanished — drop-reason wording
     // downstream stays byte-identical to the unfaulted connector.
@@ -634,7 +634,10 @@ mod tests {
         // Partition and snapshot shapes share the per-table queue.
         script.fault_stats(uid, autocomp::ObserveFault::permanent("acl revoked"));
         assert!(connector.try_partition_stats(uid).is_err());
-        assert!(connector.try_snapshot_stats(uid, u64::MAX).unwrap().is_some());
+        assert!(connector
+            .try_snapshot_stats(uid, u64::MAX)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

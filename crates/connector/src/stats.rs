@@ -1,12 +1,12 @@
 //! Shared, read-only candidate-stats production over a [`SimEnv`].
 //!
-//! Both observe tiers — the single-threaded [`LakesimConnector`] (one
-//! `Rc<RefCell<SimEnv>>`) and the `Sync` [`BatchLakesimConnector`] (an
-//! `Arc<RwLock<SimEnv>>`) — produce identical [`CandidateStats`] through
-//! these builders. Everything here takes `&SimEnv`: the historical
-//! mutable accesses (usage-window pruning) are replaced with the
-//! catalog's read-only twins, which is what lets the batch tier fan
-//! stats production out over threads holding only read locks.
+//! Both connectors — [`LakesimConnector`] (one `Rc<RefCell<SimEnv>>`)
+//! and the `Sync` [`BatchLakesimConnector`] (an `Arc<RwLock<SimEnv>>`) —
+//! produce identical [`CandidateStats`] through these builders.
+//! Everything here takes `&SimEnv`: the historical mutable accesses
+//! (usage-window pruning) are replaced with the catalog's read-only
+//! twins, which is what lets the `Sync` connector fan stats production
+//! out over threads holding only read locks.
 //!
 //! [`LakesimConnector`]: crate::LakesimConnector
 //! [`BatchLakesimConnector`]: crate::BatchLakesimConnector

@@ -76,9 +76,9 @@
 //!
 //! Drivers that used the connector-side `FeedbackBridge` to shuttle
 //! maintenance records into the pipeline can migrate by switching from
-//! `run_cycle*` + manual `drain_new`/`ingest_feedback` to the
-//! `run_cycle_tracked*` entry points with a [`TrackedExecutor`]; the
-//! bridge remains for drivers that settle out-of-band.
+//! an `Executor::Plain` cycle + manual `drain_new`/`ingest_feedback` to
+//! an `Executor::Tracked` cycle over a [`TrackedExecutor`]; the bridge
+//! remains for drivers that settle out-of-band.
 //!
 //! [`CompactionExecutor::execute`]: crate::connector::CompactionExecutor::execute
 //! [`CycleReport::dropped`]: crate::pipeline::CycleReport::dropped

@@ -3,26 +3,25 @@
 //! NFR3 (cross-platform compatibility): "AutoComp can interface with
 //! different catalogs or LSTs through connectors that feed data into the
 //! system according to a consistent data model." These traits *are* that
-//! consistent data model: two observation tiers and one action trait.
+//! consistent data model: one observation trait and one action trait.
 //!
-//! # The two observe tiers
+//! # Observing through [`LakeConnector`]
 //!
-//! * [`LakeConnector`] — the single-threaded tier. Implementors provide
-//!   the per-table primitives (`list_tables` + `*_stats`) and inherit a
-//!   batched [`observe`](LakeConnector::observe) entry point for free:
-//!   the default drives the historical per-table pull protocol and adds
-//!   incremental (dirty-set) reuse whenever the connector reports a
-//!   [`ChangeCursor`]. Every pre-batch connector keeps working unchanged.
-//! * [`BatchLakeConnector`] — the `Sync` tier for lakes whose stats can
-//!   be produced concurrently. Same per-table primitives, but `observe`
-//!   fans stats production out over scoped threads
-//!   ([`batch_observe`](crate::observe::batch_observe)), position-stable
-//!   and therefore bit-identical to the sequential tier.
+//! Implementors provide the per-table primitives (`list_tables` +
+//! `*_stats`) and inherit a batched [`observe`](LakeConnector::observe)
+//! entry point for free: the default drives the per-table pull protocol
+//! sequentially ([`pull_observe`](crate::observe::pull_observe)) and adds
+//! incremental (dirty-set) reuse whenever the connector reports a
+//! [`ChangeCursor`].
 //!
-//! Adapters bridge the tiers both ways: [`BatchAsLake`] lets batch-tier
-//! connectors flow into APIs that take the single-threaded trait
-//! (keeping the parallel observe), and [`SyncAsBatch`] promotes any
-//! `Sync` single-threaded connector into the batch tier.
+//! A connector whose stats can be produced concurrently (shared
+//! snapshots, `RwLock`-guarded state, remote catalogs) opts into parallel
+//! stats fan-out by being `Sync` and overriding `observe` with the
+//! one-line call to [`batch_observe`](crate::observe::batch_observe) —
+//! the same driver body with the fetches mapped over scoped threads in
+//! position-stable chunks, so the result is bit-identical to the
+//! sequential default. The choice rides behind `&dyn LakeConnector`;
+//! callers never make it.
 //!
 //! Cycles consume connectors through [`FleetObservation`] values
 //! returned by `observe` — one batched round-trip per cycle instead of
@@ -39,9 +38,8 @@
 //! defaults delegate to the infallible methods, so existing connectors
 //! compile unchanged and never fault; connectors backed by real
 //! networks override the `try_*` twins and report faults structurally.
-//! The observe drivers ([`pull_observe`](crate::observe::pull_observe),
-//! [`batch_observe`](crate::observe::batch_observe)) consume only the
-//! `try_*` surface and degrade per the recovery policy documented in
+//! The observe driver consumes only the `try_*` surface and degrades
+//! per the recovery policy documented in
 //! [`crate::observe`] — retry with capped-exponential backoff for
 //! listing/changelog faults, carry-forward + quarantine for per-table
 //! stats faults — instead of panicking or silently corrupting fleet
@@ -112,9 +110,9 @@ impl fmt::Display for ObserveFault {
     }
 }
 
-/// Read-side connector, single-threaded tier: lists tables and produces
-/// candidate statistics one table at a time, with a batched
-/// [`observe`](Self::observe) default built on top.
+/// Read-side connector: lists tables and produces candidate statistics
+/// one table at a time, with a batched [`observe`](Self::observe) default
+/// built on top.
 pub trait LakeConnector {
     /// All tables AutoComp may consider, in a deterministic order.
     fn list_tables(&self) -> Vec<TableRef>;
@@ -214,306 +212,14 @@ pub trait LakeConnector {
     /// and stats as a [`FleetObservation`]. The default implementation
     /// drives the per-table pull protocol above — sequential, in listing
     /// order — and reuses the prior observation's entries for tables the
-    /// changelog proves untouched. Connectors with a cheaper native path
-    /// (a batch RPC, a columnar stats table) should override it; the
+    /// changelog proves untouched. `Sync` connectors override it with
+    /// [`batch_observe`](observe::batch_observe) to fan the stats fetches
+    /// out over scoped threads; connectors with a cheaper native path (a
+    /// batch RPC, a columnar stats table) may override it outright. The
     /// parity contract is that for identical lake state the result must
     /// equal the default's.
     fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
         observe::pull_observe(self, request)
-    }
-}
-
-/// Read-side connector, batch tier: the same per-table primitives as
-/// [`LakeConnector`] but `Sync`, so the provided
-/// [`observe`](Self::observe) can fan stats production out over scoped
-/// threads. Implement this tier when stats can be produced concurrently
-/// (shared snapshots, `RwLock`-guarded state, remote catalogs).
-pub trait BatchLakeConnector: Sync {
-    /// All tables AutoComp may consider, in a deterministic order.
-    fn list_tables(&self) -> Vec<TableRef>;
-
-    /// Table-scope statistics; `None` if the table vanished.
-    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats>;
-
-    /// Per-partition statistics, keyed by opaque labels; empty for
-    /// unpartitioned tables.
-    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)>;
-
-    /// Snapshot-window statistics (§4.1). Default: unsupported.
-    fn snapshot_stats(&self, _table_uid: u64, _window_ms: u64) -> Option<CandidateStats> {
-        None
-    }
-
-    /// Current change-stream position; see
-    /// [`LakeConnector::fleet_cursor`]. Default: `None`.
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        None
-    }
-
-    /// Table-listing epoch; see [`LakeConnector::listing_epoch`].
-    /// Default: `None`.
-    fn listing_epoch(&self) -> Option<u64> {
-        None
-    }
-
-    /// Tables written since `cursor`; see
-    /// [`LakeConnector::changes_since`]. Default: `None`.
-    fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Fallible listing; see [`LakeConnector::try_list_tables`].
-    /// Default: delegates to [`list_tables`](Self::list_tables).
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        Ok(self.list_tables())
-    }
-
-    /// Fallible table-scope stats; see
-    /// [`LakeConnector::try_table_stats`] for the vanish-vs-fault
-    /// split. Default: delegates to [`table_stats`](Self::table_stats).
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        Ok(self.table_stats(table_uid))
-    }
-
-    /// Fallible per-partition stats; see
-    /// [`LakeConnector::try_partition_stats`]. Default: delegates to
-    /// [`partition_stats`](Self::partition_stats).
-    #[allow(clippy::type_complexity)]
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        Ok(self.partition_stats(table_uid))
-    }
-
-    /// Fallible snapshot-window stats; see
-    /// [`LakeConnector::try_snapshot_stats`]. Default: delegates to
-    /// [`snapshot_stats`](Self::snapshot_stats).
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        Ok(self.snapshot_stats(table_uid, window_ms))
-    }
-
-    /// Fallible changelog read; see
-    /// [`LakeConnector::try_changes_since`]. Default: delegates to
-    /// [`changes_since`](Self::changes_since).
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        Ok(self.changes_since(cursor))
-    }
-
-    /// Batched observe with parallel stats fan-out. Position-stable: the
-    /// result is bit-identical to the sequential tier's over the same
-    /// lake state, regardless of thread count (NFR2).
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        observe::batch_observe(self, request)
-    }
-}
-
-impl<C: LakeConnector + ?Sized> LakeConnector for &C {
-    fn list_tables(&self) -> Vec<TableRef> {
-        (**self).list_tables()
-    }
-    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats> {
-        (**self).table_stats(table_uid)
-    }
-    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)> {
-        (**self).partition_stats(table_uid)
-    }
-    fn snapshot_stats(&self, table_uid: u64, window_ms: u64) -> Option<CandidateStats> {
-        (**self).snapshot_stats(table_uid, window_ms)
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        (**self).fleet_cursor()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        (**self).listing_epoch()
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        (**self).changes_since(cursor)
-    }
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        (**self).try_list_tables()
-    }
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        (**self).try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        (**self).try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        (**self).try_snapshot_stats(table_uid, window_ms)
-    }
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        (**self).try_changes_since(cursor)
-    }
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        (**self).observe(request)
-    }
-}
-
-impl<C: BatchLakeConnector + ?Sized> BatchLakeConnector for &C {
-    fn list_tables(&self) -> Vec<TableRef> {
-        (**self).list_tables()
-    }
-    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats> {
-        (**self).table_stats(table_uid)
-    }
-    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)> {
-        (**self).partition_stats(table_uid)
-    }
-    fn snapshot_stats(&self, table_uid: u64, window_ms: u64) -> Option<CandidateStats> {
-        (**self).snapshot_stats(table_uid, window_ms)
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        (**self).fleet_cursor()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        (**self).listing_epoch()
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        (**self).changes_since(cursor)
-    }
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        (**self).try_list_tables()
-    }
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        (**self).try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        (**self).try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        (**self).try_snapshot_stats(table_uid, window_ms)
-    }
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        (**self).try_changes_since(cursor)
-    }
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        (**self).observe(request)
-    }
-}
-
-/// Adapts a batch-tier connector to the single-threaded trait, so it can
-/// flow into APIs written against `&dyn LakeConnector`. The `observe`
-/// override keeps the parallel fan-out.
-#[derive(Debug, Clone)]
-pub struct BatchAsLake<C>(pub C);
-
-impl<C: BatchLakeConnector> LakeConnector for BatchAsLake<C> {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.0.list_tables()
-    }
-    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats> {
-        self.0.table_stats(table_uid)
-    }
-    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)> {
-        self.0.partition_stats(table_uid)
-    }
-    fn snapshot_stats(&self, table_uid: u64, window_ms: u64) -> Option<CandidateStats> {
-        self.0.snapshot_stats(table_uid, window_ms)
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        self.0.fleet_cursor()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        self.0.listing_epoch()
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        self.0.changes_since(cursor)
-    }
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        self.0.try_list_tables()
-    }
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        self.0.try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_snapshot_stats(table_uid, window_ms)
-    }
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        self.0.try_changes_since(cursor)
-    }
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        self.0.observe(request)
-    }
-}
-
-/// Promotes a `Sync` single-threaded connector into the batch tier,
-/// unlocking parallel stats fan-out for connectors whose state is already
-/// shareable (stateless synthetics, snapshot-backed readers).
-#[derive(Debug, Clone)]
-pub struct SyncAsBatch<C>(pub C);
-
-impl<C: LakeConnector + Sync> BatchLakeConnector for SyncAsBatch<C> {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.0.list_tables()
-    }
-    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats> {
-        self.0.table_stats(table_uid)
-    }
-    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)> {
-        self.0.partition_stats(table_uid)
-    }
-    fn snapshot_stats(&self, table_uid: u64, window_ms: u64) -> Option<CandidateStats> {
-        self.0.snapshot_stats(table_uid, window_ms)
-    }
-    fn fleet_cursor(&self) -> Option<ChangeCursor> {
-        self.0.fleet_cursor()
-    }
-    fn listing_epoch(&self) -> Option<u64> {
-        self.0.listing_epoch()
-    }
-    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-        self.0.changes_since(cursor)
-    }
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        self.0.try_list_tables()
-    }
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        self.0.try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_snapshot_stats(table_uid, window_ms)
-    }
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        self.0.try_changes_since(cursor)
     }
 }
 
@@ -732,14 +438,10 @@ mod tests {
         assert!(dyn_lake.try_table_stats(2).unwrap().is_none());
         assert!(dyn_lake.try_partition_stats(1).unwrap().is_empty());
         assert!(dyn_lake.try_snapshot_stats(1, 1000).unwrap().is_none());
-        assert!(dyn_lake.try_changes_since(ChangeCursor(0)).unwrap().is_none());
-
-        // The batch tier and both adapters forward the try surface.
-        let batch = SyncAsBatch(one_table_lake());
-        assert!(batch.try_table_stats(1).unwrap().is_some());
-        let back = BatchAsLake(SyncAsBatch(one_table_lake()));
-        assert!(back.try_table_stats(2).unwrap().is_none());
-        assert_eq!((&back).try_list_tables().unwrap().len(), 1);
+        assert!(dyn_lake
+            .try_changes_since(ChangeCursor(0))
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -754,18 +456,5 @@ mod tests {
         // Shared Arc<str> detail: clones are refcount bumps.
         let t2 = t.clone();
         assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn adapters_bridge_both_tiers() {
-        let batch = SyncAsBatch(one_table_lake());
-        let dyn_batch: &dyn BatchLakeConnector = &batch;
-        let obs = dyn_batch.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(obs.candidate_count(), 1);
-
-        let back = BatchAsLake(SyncAsBatch(one_table_lake()));
-        let dyn_lake: &dyn LakeConnector = &back;
-        let obs2 = dyn_lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(obs.to_candidates(), obs2.to_candidates());
     }
 }

@@ -8,7 +8,7 @@
 //!   [`observe::FleetObservation`]: table descriptors plus a standardized
 //!   statistics layout ([`stats::CandidateStats`], §4.1) at the
 //!   configured candidate scope (table / partition / hybrid / snapshot,
-//!   FR1), fetched through a platform-agnostic connector tier (NFR3) and
+//!   FR1), fetched through a platform-agnostic connector trait (NFR3) and
 //!   consumed by index. [`scope`] materializes the observation into
 //!   candidates.
 //! * **Orient** — [`traits`] computes decision *traits* from those
@@ -31,18 +31,14 @@
 //!
 //! # The batched, snapshot-oriented observe path
 //!
-//! The observe side is a two-tier connector API (see [`connector`]):
-//!
-//! * [`connector::LakeConnector`] — the single-threaded tier. Connectors
-//!   implement the per-table primitives and inherit a batched
-//!   `observe(&ObserveRequest) -> FleetObservation` entry point that
-//!   drives the historical per-table pull protocol, so every pre-batch
-//!   connector keeps working unchanged.
-//! * [`connector::BatchLakeConnector`] — the `Sync` tier: same
-//!   primitives, but stats production fans out over scoped threads in
-//!   position-stable chunks, bit-identical to the sequential tier.
-//!   [`connector::BatchAsLake`] / [`connector::SyncAsBatch`] adapt
-//!   between the tiers.
+//! The observe side is one connector trait (see [`connector`]):
+//! [`connector::LakeConnector`] implementors provide the per-table
+//! primitives and inherit a batched
+//! `observe(&ObserveRequest) -> FleetObservation` entry point that drives
+//! the per-table pull protocol sequentially. A `Sync` connector overrides
+//! `observe` with [`observe::batch_observe`] to fan stats production out
+//! over scoped threads in position-stable chunks, bit-identical to the
+//! sequential default.
 //!
 //! Observations are snapshots that persist across cycles: a connector
 //! with a change cursor ([`observe::ChangeCursor`], fed by after-write
@@ -119,8 +115,7 @@ pub use act::{
 pub use cache::CycleCacheStats;
 pub use candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
 pub use connector::{
-    BatchAsLake, BatchLakeConnector, CompactionExecutor, ExecutionError, ExecutionResult,
-    LakeConnector, ObserveFault, Prediction, SyncAsBatch,
+    CompactionExecutor, ExecutionError, ExecutionResult, LakeConnector, ObserveFault, Prediction,
 };
 pub use durability::{
     JournalEvent, JournalingExecutor, RecoveryReport, ReplayExecutor, ReplaySummary,
@@ -138,7 +133,7 @@ pub use observe::{
     ChangeCursor, DegradeReason, FallbackCause, FleetObservation, FleetObserver, NameInterner,
     ObserveDegradation, ObserveRecoveryPolicy, ObserveRequest, Quarantined, TableObservation,
 };
-pub use pipeline::{AutoComp, AutoCompConfig, CycleReport};
+pub use pipeline::{AutoComp, AutoCompConfig, CycleInput, CycleReport, Executor};
 pub use rank::{
     DecisionNote, RankCycleStats, RankSource, RankedEntries, RankedEntry, RankingPolicy,
     TraitWeight, RANKED_PREFIX_MIN,

@@ -25,12 +25,14 @@
 //!   observation and externally-marked dirty tables (§5
 //!   [`HookAction::MarkDirty`]) through consecutive cycles.
 //!
-//! Two driver functions implement the protocol for the two connector
-//! tiers: [`pull_observe`] (sequential, the compatibility default every
-//! [`LakeConnector`] inherits) and [`batch_observe`] (stats production
-//! fans out over scoped threads for [`BatchLakeConnector`]s). Both are
-//! position-stable, so for identical lake state every path yields an
-//! identical observation — the parity contract the golden tests pin.
+//! One driver body implements the protocol; how it maps a slice of
+//! tables through the per-table stats fetch is its only parameter.
+//! [`pull_observe`] maps sequentially (the default every
+//! [`LakeConnector`] inherits) and [`batch_observe`] fans the same
+//! fetches out over scoped threads (the `observe` override of `Sync`
+//! connectors). Both are position-stable, so for identical lake state
+//! they yield an identical observation — the parity contract the golden
+//! tests pin.
 //!
 //! # Staleness contract of incremental observe
 //!
@@ -102,8 +104,8 @@
 //!
 //! # Degradation contract (fault-tolerant observe)
 //!
-//! Both drivers consume only the fallible `try_*` connector surface
-//! ([`ObserveFault`]`{Transient, Permanent}`) and **never fail the
+//! The driver consumes only the fallible `try_*` connector surface
+//! ([`ObserveFault`]`{Transient, Permanent}`) and **never fails the
 //! round**: every fault degrades along a documented path, recorded on
 //! the observation's [`ObserveDegradation`] so the runtime's health
 //! state machine and telemetry can surface it. The exact conditions,
@@ -111,7 +113,7 @@
 //!
 //! * **Listing fault** (`try_list_tables`): transient faults retry with
 //!   capped-exponential backoff — the act-phase shape, notional (the
-//!   drivers never sleep; the accumulated wait is charged against
+//!   driver never sleeps; the accumulated wait is charged against
 //!   [`ObserveRecoveryPolicy::retry_deadline_ms`]). On a permanent
 //!   fault or an exhausted budget, the *prior listing is reused*
 //!   (`listing_stale_passes` increments; the recorded listing epoch
@@ -157,14 +159,13 @@
 //! [`to_candidates`]: FleetObservation::to_candidates
 //! [`HookAction::MarkDirty`]: crate::trigger::HookAction::MarkDirty
 //! [`LakeConnector`]: crate::connector::LakeConnector
-//! [`BatchLakeConnector`]: crate::connector::BatchLakeConnector
 //! [`ObserveFault`]: crate::connector::ObserveFault
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use crate::candidate::{Candidate, CandidateId, ScopeKind, TableRef};
-use crate::connector::{BatchLakeConnector, LakeConnector, ObserveFault};
+use crate::connector::{LakeConnector, ObserveFault};
 use crate::par;
 use crate::scope::ScopeStrategy;
 use crate::stats::CandidateStats;
@@ -297,7 +298,7 @@ impl DegradeReason {
     }
 }
 
-/// Per-source recovery policy of the observe drivers (see the module
+/// Per-source recovery policy of the observe driver (see the module
 /// docs' degradation contract): capped-exponential retry-with-deadline
 /// for listing/changelog reads, carry-forward + quarantine for
 /// per-table stats reads.
@@ -306,7 +307,7 @@ pub struct ObserveRecoveryPolicy {
     /// Extra attempts after a transient listing/changelog fault.
     pub max_retries: u32,
     /// Base of the capped-exponential retry backoff (the act-phase
-    /// shape). Notional: the drivers never sleep — the accumulated wait
+    /// shape). Notional: the driver never sleeps — the accumulated wait
     /// is charged against [`retry_deadline_ms`](Self::retry_deadline_ms)
     /// so retry behavior stays deterministic.
     pub retry_backoff_ms: u64,
@@ -565,7 +566,7 @@ impl FleetObservation {
     /// Builds an observation from parallel `tables`/`stats` vectors (one
     /// arena chunk). Exposed for connectors that produce observations
     /// directly (e.g. from a native batch-stats RPC) instead of via the
-    /// drivers.
+    /// driver.
     ///
     /// # Panics
     /// Panics if the vectors disagree in length.
@@ -578,7 +579,7 @@ impl FleetObservation {
         Self::assemble_cold(scope, Arc::new(tables), None, stats, cursor)
     }
 
-    /// Cold assembly over an already-shared table listing (the drivers'
+    /// Cold assembly over an already-shared table listing (the driver's
     /// path: the listing may be reused from the prior observation when
     /// the connector's listing epoch is unchanged).
     fn assemble_cold(
@@ -788,72 +789,6 @@ impl FleetObservation {
         }
         out
     }
-
-    /// Consuming variant of [`to_candidates`](Self::to_candidates):
-    /// uniquely held arena chunks (every cold observation's) move their
-    /// stats and table names into the candidates instead of cloning them
-    /// — the zero-copy path for cycles that do not retain the
-    /// observation. Output is identical to `to_candidates`.
-    pub fn into_candidates(mut self) -> Vec<Candidate> {
-        let single_scope = self.single_scope();
-        // Fast path — a cold observation uniquely holding one identity
-        // chunk and its own table listing (the overwhelmingly common
-        // non-retained case): drain the chunk in step with the tables, no
-        // per-entry indirection and no intermediate re-collection.
-        if self.chunks.len() == 1
-            && Arc::strong_count(&self.chunks[0]) == 1
-            && Arc::strong_count(&self.tables) == 1
-            && self
-                .entries
-                .iter()
-                .enumerate()
-                .all(|(i, e)| e.chunk == 0 && e.offset as usize == i)
-        {
-            let chunk = Arc::try_unwrap(self.chunks.pop().expect("one chunk"))
-                .unwrap_or_else(|_| unreachable!("strong count was 1"));
-            let tables =
-                Arc::try_unwrap(self.tables).unwrap_or_else(|_| unreachable!("strong count was 1"));
-            let mut out = Vec::with_capacity(tables.len());
-            for (table, stat) in tables.into_iter().zip(chunk) {
-                push_candidate(&mut out, table, stat, single_scope);
-            }
-            return out;
-        }
-        self.into_candidates_general(single_scope)
-    }
-
-    /// General consuming path: unwrap each chunk once — owned chunks
-    /// yield entries by move, still-shared chunks (alive in a retained
-    /// prior) by clone.
-    fn into_candidates_general(self, single_scope: ScopeKind) -> Vec<Candidate> {
-        enum Unwrapped {
-            Owned(Vec<Option<TableObservation>>),
-            Shared(Arc<Vec<TableObservation>>),
-        }
-        let mut chunks: Vec<Unwrapped> = self
-            .chunks
-            .into_iter()
-            .map(|chunk| match Arc::try_unwrap(chunk) {
-                Ok(owned) => Unwrapped::Owned(owned.into_iter().map(Some).collect()),
-                Err(shared) => Unwrapped::Shared(shared),
-            })
-            .collect();
-        let mut out = Vec::new();
-        let tables: Vec<TableRef> = match Arc::try_unwrap(self.tables) {
-            Ok(owned) => owned,
-            Err(shared) => shared.as_ref().clone(),
-        };
-        for (table, e) in tables.into_iter().zip(self.entries.iter().copied()) {
-            let stat = match &mut chunks[e.chunk as usize] {
-                Unwrapped::Owned(slots) => slots[e.offset as usize]
-                    .take()
-                    .expect("each entry referenced once"),
-                Unwrapped::Shared(chunk) => chunk[e.offset as usize].clone(),
-            };
-            push_candidate(&mut out, table, stat, single_scope);
-        }
-        out
-    }
 }
 
 impl FleetObservation {
@@ -1009,36 +944,6 @@ impl FleetObservation {
     }
 }
 
-/// Appends the candidate(s) of one consumed `(table, stat)` pair,
-/// moving the table descriptor and stats payload.
-fn push_candidate(
-    out: &mut Vec<Candidate>,
-    table: TableRef,
-    stat: TableObservation,
-    single_scope: ScopeKind,
-) {
-    match stat {
-        TableObservation::Missing => {}
-        TableObservation::Table(stats) => {
-            let id = CandidateId {
-                table_uid: table.table_uid,
-                scope: single_scope,
-                partition: None,
-            };
-            out.push(Candidate::from_table(id, table, stats));
-        }
-        TableObservation::Partitions(parts) => {
-            for (label, stats) in parts {
-                out.push(Candidate::new(
-                    CandidateId::partition(table.table_uid, label),
-                    &table,
-                    stats,
-                ));
-            }
-        }
-    }
-}
-
 /// Threads incremental observe state — the prior observation plus
 /// externally marked dirty tables — through consecutive cycles.
 #[derive(Debug, Default)]
@@ -1078,47 +983,21 @@ impl FleetObserver {
         self.prior.as_ref()
     }
 
-    /// Observes through a single-threaded connector, incrementally when
-    /// possible, and retains the result for the next cycle.
+    /// Observes through `connector`, incrementally when possible, and
+    /// retains the result for the next cycle.
     pub fn observe(
         &mut self,
         connector: &dyn LakeConnector,
         scope: ScopeStrategy,
     ) -> &FleetObservation {
-        let observation = {
-            let request = self.request(scope);
-            connector.observe(&request)
-        };
-        self.retain(observation)
-    }
-
-    /// Observes through a batch-tier connector (parallel stats fan-out),
-    /// incrementally when possible, and retains the result.
-    pub fn observe_batch(
-        &mut self,
-        connector: &dyn BatchLakeConnector,
-        scope: ScopeStrategy,
-    ) -> &FleetObservation {
-        let observation = {
-            let request = self.request(scope);
-            connector.observe(&request)
-        };
-        self.retain(observation)
-    }
-
-    fn request(&self, scope: ScopeStrategy) -> ObserveRequest<'_> {
-        ObserveRequest {
+        let observation = connector.observe(&ObserveRequest {
             scope,
             prior: self.prior.as_ref(),
             force_dirty: self.pending_dirty.iter().copied().collect(),
             recovery: self.recovery,
-        }
-    }
-
-    fn retain(&mut self, observation: FleetObservation) -> &FleetObservation {
+        });
         self.pending_dirty.clear();
-        self.prior = Some(observation);
-        self.prior.as_ref().expect("just set")
+        self.prior.insert(observation)
     }
 
     /// Tables marked dirty but not yet folded into an observe — captured
@@ -1172,7 +1051,7 @@ impl NameInterner {
 }
 
 // ---------------------------------------------------------------------
-// Observe drivers.
+// The observe driver.
 // ---------------------------------------------------------------------
 
 /// Per-table fetch-or-reuse decision of an incremental observe plan.
@@ -1184,96 +1063,36 @@ enum FetchPlan {
     Reuse(usize),
 }
 
-/// Unifies the two connector tiers' fallible stats methods for the
-/// shared drivers. The drivers consume only this `try_*` surface;
-/// infallible connectors flow through the trait defaults' `Ok`
-/// wrapping at zero behavioral cost.
-trait StatsSource {
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault>;
-    #[allow(clippy::type_complexity)]
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault>;
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault>;
-}
-
-struct SeqSource<'a, C: ?Sized>(&'a C);
-
-impl<C: LakeConnector + ?Sized> StatsSource for SeqSource<'_, C> {
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        self.0.try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_snapshot_stats(table_uid, window_ms)
-    }
-}
-
-struct BatchSource<'a, C: ?Sized>(&'a C);
-
-impl<C: BatchLakeConnector + ?Sized> StatsSource for BatchSource<'_, C> {
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_table_stats(table_uid)
-    }
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        self.0.try_partition_stats(table_uid)
-    }
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.0.try_snapshot_stats(table_uid, window_ms)
-    }
-}
-
 /// Fetches one table's stats under `scope` — the exact per-scope calls of
 /// the historical per-table pull protocol, preserved verbatim so batched
 /// observations stay bit-identical to it. `Ok(None)` from a stats read
 /// still means *vanished* and yields `Missing`; only `Err` (the read
 /// failed) propagates for the carry-forward machinery to absorb.
-fn fetch_one(
-    source: &impl StatsSource,
+fn fetch_one<C: LakeConnector + ?Sized>(
+    connector: &C,
     table: &TableRef,
     scope: ScopeStrategy,
 ) -> Result<TableObservation, ObserveFault> {
     Ok(match scope {
-        ScopeStrategy::Table => match source.try_table_stats(table.table_uid)? {
+        ScopeStrategy::Table => match connector.try_table_stats(table.table_uid)? {
             Some(stats) => TableObservation::Table(stats),
             None => TableObservation::Missing,
         },
         ScopeStrategy::Partition => {
-            TableObservation::Partitions(source.try_partition_stats(table.table_uid)?)
+            TableObservation::Partitions(connector.try_partition_stats(table.table_uid)?)
         }
         ScopeStrategy::Hybrid => {
             if table.partitioned {
-                TableObservation::Partitions(source.try_partition_stats(table.table_uid)?)
+                TableObservation::Partitions(connector.try_partition_stats(table.table_uid)?)
             } else {
-                match source.try_table_stats(table.table_uid)? {
+                match connector.try_table_stats(table.table_uid)? {
                     Some(stats) => TableObservation::Table(stats),
                     None => TableObservation::Missing,
                 }
             }
         }
         ScopeStrategy::Snapshot { window_ms } => {
-            match source.try_snapshot_stats(table.table_uid, window_ms)? {
+            match connector.try_snapshot_stats(table.table_uid, window_ms)? {
                 Some(stats) => TableObservation::Table(stats),
                 None => TableObservation::Missing,
             }
@@ -1687,8 +1506,8 @@ fn retry_read<T>(
     }
 }
 
-/// The fallible front half both drivers share: listing and changelog
-/// answers resolved under the recovery policy.
+/// The fallible front half of the driver: listing and changelog answers
+/// resolved under the recovery policy.
 struct ResolvedReads {
     tables: Arc<Vec<TableRef>>,
     listing_epoch: Option<u64>,
@@ -1864,8 +1683,7 @@ fn fixup_fast_fetch(
             // listing), so a fault can always carry until the budget
             // runs out.
             Err(_) => {
-                if let Some(stat) = absorb_stats_fault(uid, true, policy, &prior.degradation, deg)
-                {
+                if let Some(stat) = absorb_stats_fault(uid, true, policy, &prior.degradation, deg) {
                     patch.push((*pos, stat));
                 }
             }
@@ -1948,7 +1766,10 @@ fn fixup_cold_fetch(
                 match absorb_stats_fault(uid, prior_idx.is_some(), policy, prior_deg, deg) {
                     None => {
                         let p = carry_prior.expect("carry implies a prior");
-                        out.push(p.entry(prior_idx.expect("carry implies a position")).clone());
+                        out.push(
+                            p.entry(prior_idx.expect("carry implies a position"))
+                                .clone(),
+                        );
                     }
                     Some(stat) => out.push(stat),
                 }
@@ -1961,14 +1782,18 @@ fn fixup_cold_fetch(
     out
 }
 
-/// The sequential observe driver: list, plan, then fetch (or reuse) one
-/// table at a time. This is the default every [`LakeConnector`] inherits,
-/// so pre-batch connectors keep working unchanged. Consumes only the
-/// fallible `try_*` connector surface and degrades per the module docs'
-/// contract instead of failing.
-pub fn pull_observe<C: LakeConnector + ?Sized>(
+/// The observe driver: list, plan, then fetch (or reuse) per table.
+/// Consumes only the fallible `try_*` connector surface and degrades per
+/// the module docs' contract instead of failing. `fetch` maps a slice of
+/// tables through [`fetch_one`], one result per table in slice order —
+/// the body's only parameter ([`pull_observe`] maps sequentially,
+/// [`batch_observe`] fans out). Results come back positional and the
+/// carry/quarantine fixup runs serially on them, so fault handling is
+/// identical either way.
+fn drive_observe<C: LakeConnector + ?Sized>(
     connector: &C,
     request: &ObserveRequest<'_>,
+    fetch: impl Fn(&[&TableRef]) -> Vec<Result<TableObservation, ObserveFault>>,
 ) -> FleetObservation {
     let ResolvedReads {
         tables,
@@ -1989,7 +1814,6 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         obs.degradation = deg;
         return obs;
     }
-    let source = SeqSource(connector);
     let policy = &request.recovery;
     // Dirty-overwrite fast path: shared listing + changelog answer —
     // patch the prior observation instead of planning the whole fleet.
@@ -2000,10 +1824,11 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
             carry_quarantine(prior, &BTreeSet::new(), &tables, &mut deg);
             Vec::new()
         } else {
-            let results: Vec<_> = positions
+            let wanted: Vec<&TableRef> = positions
                 .iter()
-                .map(|pos| fetch_one(&source, &prior.tables[*pos as usize], scope))
+                .map(|pos| &prior.tables[*pos as usize])
                 .collect();
+            let results = fetch(&wanted);
             fixup_fast_fetch(&tables, prior, policy, &positions, results, &mut deg)
         };
         let mut obs = if patch.is_empty() {
@@ -2016,7 +1841,8 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
     }
     match make_plans(&tables, request, changes.as_ref()) {
         None => {
-            let results: Vec<_> = tables.iter().map(|t| fetch_one(&source, t, scope)).collect();
+            let wanted: Vec<&TableRef> = tables.iter().collect();
+            let results = fetch(&wanted);
             let stats = fixup_cold_fetch(&tables, scope, request.prior, policy, results, &mut deg);
             let mut obs =
                 FleetObservation::assemble_cold(scope, tables, listing_epoch, stats, cursor);
@@ -2025,13 +1851,15 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         }
         Some(mut plans) => {
             let prior = request.prior.expect("plans imply a prior");
-            let results: Vec<_> = tables
+            let wanted: Vec<&TableRef> = tables
                 .iter()
                 .zip(&plans)
                 .filter(|(_, plan)| matches!(plan, FetchPlan::Fetch))
-                .map(|(t, _)| fetch_one(&source, t, scope))
+                .map(|(t, _)| t)
                 .collect();
-            let fetched = fixup_planned_fetch(&tables, prior, policy, &mut plans, results, &mut deg);
+            let results = fetch(&wanted);
+            let fetched =
+                fixup_planned_fetch(&tables, prior, policy, &mut plans, results, &mut deg);
             let mut obs =
                 assemble_incremental(scope, tables, listing_epoch, &plans, fetched, prior, cursor);
             obs.degradation = deg;
@@ -2040,97 +1868,45 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
     }
 }
 
-/// The parallel observe driver: stats production fans out over scoped
-/// threads in position-stable chunks, so the result is bit-identical to
-/// [`pull_observe`] over the same lake state regardless of thread count
-/// — fault handling included: results come back positional, and the
-/// carry/quarantine fixup runs serially on them.
-pub fn batch_observe<C: BatchLakeConnector + ?Sized>(
+/// The driver with sequential fetches, one table at a time in listing
+/// order: the default every [`LakeConnector`] inherits.
+pub fn pull_observe<C: LakeConnector + ?Sized>(
     connector: &C,
     request: &ObserveRequest<'_>,
 ) -> FleetObservation {
-    let ResolvedReads {
-        tables,
-        listing_epoch,
-        changes,
-        mut deg,
-        stalled,
-    } = resolve_reads(
-        request,
-        connector.listing_epoch(),
-        || connector.try_list_tables(),
-        |c| connector.try_changes_since(c),
-    );
-    let cursor = connector.fleet_cursor();
     let scope = request.scope;
-    if stalled {
-        let mut obs = FleetObservation::assemble_cold(scope, tables, None, Vec::new(), cursor);
-        obs.degradation = deg;
-        return obs;
-    }
-    let source = BatchSource(connector);
-    let policy = &request.recovery;
-    // Dirty-overwrite fast path (see `pull_observe`), with the dirty
-    // fetches fanned out position-stable like the planning path's.
-    if let Some(dirty) = fast_path_dirty(&tables, request, changes.as_ref()) {
-        let prior = request.prior.expect("fast path implies a prior");
-        let positions = dirty_positions(prior, dirty);
-        let patch = if positions.is_empty() {
-            carry_quarantine(prior, &BTreeSet::new(), &tables, &mut deg);
-            Vec::new()
-        } else {
-            let results = par::par_map(&positions, par::PAR_OBSERVE_MIN_LEN, |_, pos| {
-                fetch_one(&source, &prior.tables[*pos as usize], scope)
-            });
-            fixup_fast_fetch(&tables, prior, policy, &positions, results, &mut deg)
-        };
-        let mut obs = if patch.is_empty() {
-            fast_observe_quiet(scope, tables, listing_epoch, prior, cursor)
-        } else {
-            fast_observe_patch(scope, tables, listing_epoch, prior, cursor, patch)
-        };
-        obs.degradation = deg;
-        return obs;
-    }
-    match make_plans(&tables, request, changes.as_ref()) {
-        None => {
-            let results = par::par_map(&tables, par::PAR_OBSERVE_MIN_LEN, |_, t| {
-                fetch_one(&source, t, scope)
-            });
-            let stats = fixup_cold_fetch(&tables, scope, request.prior, policy, results, &mut deg);
-            let mut obs =
-                FleetObservation::assemble_cold(scope, tables, listing_epoch, stats, cursor);
-            obs.degradation = deg;
-            obs
-        }
-        Some(mut plans) => {
-            let prior = request.prior.expect("plans imply a prior");
-            // Fan out only over the dirty positions (position-stable, so
-            // still bit-identical to the sequential path).
-            let fetch_positions: Vec<u32> = plans
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p, FetchPlan::Fetch))
-                .map(|(i, _)| i as u32)
-                .collect();
-            let results = par::par_map(&fetch_positions, par::PAR_OBSERVE_MIN_LEN, |_, pos| {
-                fetch_one(&source, &tables[*pos as usize], scope)
-            });
-            let fetched = fixup_planned_fetch(&tables, prior, policy, &mut plans, results, &mut deg);
-            let mut obs =
-                assemble_incremental(scope, tables, listing_epoch, &plans, fetched, prior, cursor);
-            obs.degradation = deg;
-            obs
-        }
-    }
+    drive_observe(connector, request, |tables| {
+        tables
+            .iter()
+            .map(|t| fetch_one(connector, t, scope))
+            .collect()
+    })
+}
+
+/// The driver with stats production fanned out over scoped threads in
+/// position-stable chunks, so the result is bit-identical to
+/// [`pull_observe`] over the same lake state regardless of thread count.
+/// A thread-safe connector opts in by overriding
+/// [`LakeConnector::observe`] with a call to this.
+pub fn batch_observe<C: LakeConnector + Sync + ?Sized>(
+    connector: &C,
+    request: &ObserveRequest<'_>,
+) -> FleetObservation {
+    let scope = request.scope;
+    drive_observe(connector, request, |tables| {
+        par::par_map(tables, par::PAR_OBSERVE_MIN_LEN, |_, t| {
+            fetch_one(connector, t, scope)
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connector::SyncAsBatch;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
 
     /// In-memory lake with a change log and fetch counters.
     struct ChangeLake {
@@ -2291,8 +2067,7 @@ mod tests {
             ScopeStrategy::Snapshot { window_ms: 9 },
         ] {
             let pulled = pull_observe(&lake, &ObserveRequest::fresh(scope));
-            let batch = SyncAsBatch(&lake);
-            let batched = batch_observe(&batch, &ObserveRequest::fresh(scope));
+            let batched = batch_observe(&lake, &ObserveRequest::fresh(scope));
             assert_eq!(pulled, batched, "scope {scope:?}");
         }
     }
@@ -2383,38 +2158,18 @@ mod tests {
         assert!((0..10).all(|i| !obs.is_fresh(i)));
     }
 
-    /// Lake with a constant listing epoch: incremental observes share the
-    /// prior observation's table vector instead of re-materializing it.
-    struct EpochLake(ChangeLake);
-
-    impl LakeConnector for EpochLake {
-        fn list_tables(&self) -> Vec<TableRef> {
-            self.0.list_tables()
-        }
-        fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-            self.0.table_stats(uid)
-        }
-        fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
-            self.0.partition_stats(uid)
-        }
-        fn fleet_cursor(&self) -> Option<ChangeCursor> {
-            self.0.fleet_cursor()
-        }
-        fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-            self.0.changes_since(cursor)
-        }
-        fn listing_epoch(&self) -> Option<u64> {
-            Some(42)
-        }
-    }
-
     #[test]
     fn unchanged_listing_epoch_shares_the_table_vector() {
-        let lake = EpochLake(ChangeLake::new(12));
+        // A constant listing epoch: incremental observes share the prior
+        // observation's table vector instead of re-materializing it.
+        let lake = FaultyLake {
+            epoch: Some(42),
+            ..FaultyLake::new(12)
+        };
         let mut observer = FleetObserver::new();
         let first = observer.observe(&lake, ScopeStrategy::Table).clone();
         assert_eq!(first.listing_epoch(), Some(42));
-        lake.0.write(3);
+        lake.inner.write(3);
         let second = observer.observe(&lake, ScopeStrategy::Table);
         assert!(
             Arc::ptr_eq(&first.tables_shared(), &second.tables_shared()),
@@ -2473,22 +2228,31 @@ mod tests {
 
     /// `ChangeLake` wrapper with scripted fault queues on the `try_*`
     /// surface: each fallible read pops its queue (empty = healthy).
+    /// `parallel` selects which driver wrapper its `observe` override
+    /// calls, so both run behind the same `&dyn LakeConnector`.
     struct FaultyLake {
         inner: ChangeLake,
+        parallel: bool,
+        epoch: Option<u64>,
         listing_faults: Mutex<Vec<ObserveFault>>,
         changelog_faults: Mutex<Vec<ObserveFault>>,
         changelog_overflows: AtomicU64,
         stats_faults: Mutex<BTreeMap<u64, Vec<ObserveFault>>>,
+        /// Threads that served a stats read.
+        stats_threads: Mutex<HashSet<ThreadId>>,
     }
 
     impl FaultyLake {
         fn new(n: u64) -> Self {
             FaultyLake {
                 inner: ChangeLake::new(n),
+                parallel: false,
+                epoch: None,
                 listing_faults: Mutex::new(Vec::new()),
                 changelog_faults: Mutex::new(Vec::new()),
                 changelog_overflows: AtomicU64::new(0),
                 stats_faults: Mutex::new(BTreeMap::new()),
+                stats_threads: Mutex::new(HashSet::new()),
             }
         }
 
@@ -2519,6 +2283,10 @@ mod tests {
         }
 
         fn pop_stats(&self, uid: u64) -> Option<ObserveFault> {
+            self.stats_threads
+                .lock()
+                .unwrap()
+                .insert(thread::current().id());
             let mut map = self.stats_faults.lock().unwrap();
             let q = map.get_mut(&uid)?;
             if q.is_empty() {
@@ -2545,8 +2313,18 @@ mod tests {
         fn fleet_cursor(&self) -> Option<ChangeCursor> {
             self.inner.fleet_cursor()
         }
+        fn listing_epoch(&self) -> Option<u64> {
+            self.epoch
+        }
         fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
             self.inner.changes_since(cursor)
+        }
+        fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+            if self.parallel {
+                batch_observe(self, request)
+            } else {
+                pull_observe(self, request)
+            }
         }
         fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
             match Self::pop(&self.listing_faults) {
@@ -2579,7 +2357,10 @@ mod tests {
                 None => Ok(self.inner.snapshot_stats(uid, window_ms)),
             }
         }
-        fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
+        fn try_changes_since(
+            &self,
+            cursor: ChangeCursor,
+        ) -> Result<Option<Vec<u64>>, ObserveFault> {
             if self
                 .changelog_overflows
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -2679,7 +2460,11 @@ mod tests {
             Some(FallbackCause::ChangelogOverflow)
         );
         assert_eq!(obs.fetched_tables(), 7);
-        assert_eq!(obs.degradation().changelog_retries, 0, "no retry: definitive");
+        assert_eq!(
+            obs.degradation().changelog_retries,
+            0,
+            "no retry: definitive"
+        );
     }
 
     #[test]
@@ -2745,7 +2530,10 @@ mod tests {
     #[test]
     fn faulted_batch_observe_matches_pull_observe() {
         let pull = FaultyLake::new(12);
-        let batch = FaultyLake::new(12);
+        let batch = FaultyLake {
+            parallel: true,
+            ..FaultyLake::new(12)
+        };
         for lake in [&pull, &batch] {
             lake.inner.write(2);
             lake.inner.write(9);
@@ -2755,11 +2543,80 @@ mod tests {
         seq_observer.observe(&pull, ScopeStrategy::Hybrid);
         let seq = seq_observer.observe(&pull, ScopeStrategy::Hybrid);
         let mut batch_observer = FleetObserver::new();
-        let wrapped = SyncAsBatch(batch);
-        batch_observer.observe_batch(&wrapped, ScopeStrategy::Hybrid);
-        let par = batch_observer.observe_batch(&wrapped, ScopeStrategy::Hybrid);
+        batch_observer.observe(&batch, ScopeStrategy::Hybrid);
+        let par = batch_observer.observe(&batch, ScopeStrategy::Hybrid);
         assert_eq!(seq, par);
         assert_eq!(seq.degradation(), par.degradation());
+    }
+
+    /// The fan-out at a size that really fans out — more than
+    /// `PAR_OBSERVE_MIN_LEN` fetches per worker at all three fetch sites
+    /// (cold, then incremental through the dirty-overwrite fast path
+    /// under a listing epoch and through the planning path without one),
+    /// with stats faults landing in both passes.
+    #[test]
+    fn fanned_out_observe_matches_sequential_at_fleet_scale() {
+        let n = 3 * par::PAR_OBSERVE_MIN_LEN as u64 + 5;
+        let cores = thread::available_parallelism().map_or(1, |p| p.get());
+        let hiccup = || [ObserveFault::transient("store hiccup")];
+        for scope in [
+            ScopeStrategy::Table,
+            ScopeStrategy::Partition,
+            ScopeStrategy::Hybrid,
+            ScopeStrategy::Snapshot { window_ms: 9 },
+        ] {
+            for epoch in [None, Some(7)] {
+                let context = format!("scope {scope:?}, listing epoch {epoch:?}");
+                let lakes = [false, true].map(|parallel| FaultyLake {
+                    epoch,
+                    parallel,
+                    ..FaultyLake::new(n)
+                });
+                let mut observers = [FleetObserver::new(), FleetObserver::new()];
+                // One pass through both lakes behind `&dyn LakeConnector`.
+                let mut pass = |label: &str| {
+                    let [seq, par] = [0, 1].map(|i| observers[i].observe(&lakes[i], scope).clone());
+                    assert_eq!(seq, par, "{label}, {context}");
+                    assert_eq!(seq.degradation(), par.degradation(), "{label}, {context}");
+                    seq
+                };
+
+                // Cold: one set of tables faults once (nothing to carry,
+                // so they retire and heal next pass), another twice (its
+                // quarantine re-fetch in the next pass faults again).
+                for lake in &lakes {
+                    for uid in (0..n).step_by(97) {
+                        lake.fault_stats(uid, hiccup());
+                    }
+                    for uid in (1..n).step_by(389) {
+                        lake.fault_stats(uid, vec![ObserveFault::permanent("shard gone"); 2]);
+                    }
+                }
+                assert!(pass("cold").degradation().stats_faults > 0, "{context}");
+
+                // Incremental: half the fleet written, with fresh faults
+                // on tables that now have a prior entry to carry.
+                for lake in &lakes {
+                    for uid in (0..n).step_by(2) {
+                        lake.inner.write(uid);
+                    }
+                    for uid in (2..n).step_by(194) {
+                        lake.fault_stats(uid, hiccup());
+                    }
+                }
+                let obs = pass("incremental");
+                assert!(obs.fetched_tables() > par::PAR_OBSERVE_MIN_LEN, "{context}");
+                assert!(obs.reused_tables() > 0, "{context}");
+                assert!(obs.degradation().carried_entries() > 0, "{context}");
+
+                let [seq, par] = lakes.map(|lake| lake.stats_threads.lock().unwrap().len());
+                assert_eq!(seq, 1, "{context}");
+                assert!(
+                    par > 1 || cores == 1,
+                    "{context}: {par} worker(s), {cores} cores"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! splice so cached rows survive the job), submissions pass admission
 //! control (concurrency slots + GBHr budget; denied candidates are
 //! *deferred*, not dropped), conflicted jobs retry with capped backoff,
-//! and settled successes auto-ingest as estimator feedback. The
-//! `run_cycle_tracked*` entry points drive the full loop through a
-//! [`TrackedExecutor`]; see [`crate::act`] for the lifecycle contract.
+//! and settled successes auto-ingest as estimator feedback.
+//! [`AutoComp::cycle`] drives the full loop when handed an
+//! [`Executor::Tracked`]; see [`crate::act`] for the lifecycle contract.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -38,9 +38,7 @@ use std::sync::Arc;
 use crate::act::{JobLedgerSummary, JobOutcome, JobRuntimeConfig, JobTracker, TrackedExecutor};
 use crate::cache::{CacheGen, CycleCache, CycleCacheStats};
 use crate::candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
-use crate::connector::{
-    BatchLakeConnector, CompactionExecutor, ExecutionResult, LakeConnector, Prediction,
-};
+use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
 use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
@@ -235,10 +233,10 @@ impl AutoComp {
     /// Attaches the act-phase job runtime (builder style): a
     /// [`JobTracker`] that suppresses candidates with work in flight,
     /// applies admission control, retries conflicted jobs with backoff,
-    /// and auto-ingests settled outcomes as estimator feedback. Drive
-    /// cycles through the `run_cycle_tracked*` entry points so finished
-    /// jobs settle each cycle; the plain entry points still apply
-    /// suppression/admission but never poll. Attaching the tracker does
+    /// and auto-ingests settled outcomes as estimator feedback. Hand
+    /// [`cycle`](Self::cycle) an [`Executor::Tracked`] so finished jobs
+    /// settle each cycle; an [`Executor::Plain`] cycle still applies
+    /// suppression/admission but never polls. Attaching the tracker does
     /// not invalidate the cycle cache — ledger state is checked after
     /// the splice (see [`crate::act`]).
     pub fn with_job_tracker(mut self, config: JobRuntimeConfig) -> Self {
@@ -383,163 +381,51 @@ impl AutoComp {
         self.feedback.record(record);
     }
 
-    /// Runs one full OODA cycle at `now_ms` through a single-threaded
-    /// connector. The observe phase is one batched
-    /// [`observe`](LakeConnector::observe) call (a cold, full fetch); use
-    /// [`run_cycle_incremental`](Self::run_cycle_incremental) to reuse
-    /// observations across cycles, or
-    /// [`run_cycle_batch`](Self::run_cycle_batch) for the parallel tier.
-    pub fn run_cycle(
-        &mut self,
-        connector: &dyn LakeConnector,
-        executor: &mut dyn CompactionExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        let observation = connector.observe(&ObserveRequest::fresh(self.config.scope));
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        // The observation is dropped right here, so no future cycle can
-        // splice against it: skip the cache fill entirely (always-cold
-        // drivers pay zero cache overhead).
-        self.cycle_observed_inner(&observation, ExecRef::Plain(executor), now_ms, false)
-    }
-
-    /// Runs one full OODA cycle through a batch-tier connector: stats
-    /// production fans out over scoped threads, results bit-identical to
-    /// [`run_cycle`](Self::run_cycle) over the same lake state.
-    pub fn run_cycle_batch(
-        &mut self,
-        connector: &dyn BatchLakeConnector,
-        executor: &mut dyn CompactionExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        let observation = connector.observe(&ObserveRequest::fresh(self.config.scope));
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        // One-shot observation (see run_cycle): no cache fill.
-        self.cycle_observed_inner(&observation, ExecRef::Plain(executor), now_ms, false)
-    }
-
-    /// Runs one OODA cycle with incremental observe: the `observer`
-    /// threads the prior cycle's observation (and any tables marked dirty
-    /// by §5 after-write hooks) through, so connectors with a change
-    /// cursor re-fetch stats only for tables written since the last
-    /// cycle.
-    pub fn run_cycle_incremental(
-        &mut self,
-        observer: &mut FleetObserver,
-        connector: &dyn LakeConnector,
-        executor: &mut dyn CompactionExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        let observation = observer.observe(connector, self.config.scope);
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(observation, ExecRef::Plain(executor), now_ms, true)
-    }
-
-    /// Like [`run_cycle_incremental`](Self::run_cycle_incremental) for
-    /// the batch tier.
-    pub fn run_cycle_incremental_batch(
-        &mut self,
-        observer: &mut FleetObserver,
-        connector: &dyn BatchLakeConnector,
-        executor: &mut dyn CompactionExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        let observation = observer.observe_batch(connector, self.config.scope);
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(observation, ExecRef::Plain(executor), now_ms, true)
-    }
-
-    /// Runs the filter → orient → decide → act phases over an
-    /// already-captured [`FleetObservation`] — the pipeline's real entry
-    /// point; the `run_cycle*` variants differ only in how they observe.
+    /// Runs one full OODA cycle — the pipeline's only entry point; the
+    /// fields of [`CycleInput`] select the behaviour:
     ///
-    /// The observation is consumed **by index**: filters evaluate
-    /// [`CandidateView`]s built over entry stats references, orient
-    /// computes (or cache-splices) trait rows straight into the columnar
-    /// scratch, and only the selected candidates are ever materialized as
-    /// owned [`Candidate`]s for the act phase.
-    pub fn run_cycle_observed(
-        &mut self,
-        observation: &FleetObservation,
-        executor: &mut dyn CompactionExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
+    /// * **Settle** ([`Executor::Tracked`] only): finished jobs are polled
+    ///   and settled first — successes auto-ingest as feedback, conflicts
+    ///   schedule retries — and, given an observer, their tables are
+    ///   marked dirty on it so this very observe re-fetches the
+    ///   compacted/conflicted state. Without a
+    ///   [job tracker](Self::with_job_tracker) polled outcomes are
+    ///   discarded.
+    /// * **Observe**: given an observer, one retained incremental
+    ///   [`FleetObserver::observe`], and the cycle cache fills for the
+    ///   next cycle to splice against. Without one, a cold one-shot
+    ///   [`observe`](LakeConnector::observe) whose observation is dropped
+    ///   with the cycle, so the cache fill is skipped entirely.
+    /// * **Filter → orient → decide → act** over the observation,
+    ///   consumed **by index**: filters evaluate [`CandidateView`]s built
+    ///   over entry stats references, orient computes (or cache-splices)
+    ///   trait rows straight into the columnar scratch, and only the
+    ///   selected candidates are ever materialized as owned
+    ///   [`Candidate`]s for the act phase.
+    pub fn cycle(&mut self, mut input: CycleInput<'_>) -> Result<CycleReport> {
         self.telemetry.begin_cycle();
-        self.cycle_observed_inner(observation, ExecRef::Plain(executor), now_ms, true)
-    }
-
-    /// Runs one cold tracked cycle: finished jobs are settled (polled)
-    /// first — successes auto-ingest as feedback, conflicts schedule
-    /// retries — then the cycle runs with the full job runtime engaged
-    /// (suppression, admission, retry submission, inter-wave settling).
-    /// Requires [`with_job_tracker`](Self::with_job_tracker); without a
-    /// tracker this degrades to [`run_cycle`](Self::run_cycle) semantics
-    /// and polled outcomes are discarded.
-    pub fn run_cycle_tracked(
-        &mut self,
-        connector: &dyn LakeConnector,
-        executor: &mut dyn TrackedExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
+        if let Executor::Tracked(tracked) = &mut input.executor {
+            let t = self.telemetry.span_start();
+            self.settle_polled(tracked.poll(input.now_ms));
+            if let (Some(observer), Some(tracker)) = (&mut input.observer, &mut self.tracker) {
+                for uid in tracker.take_settled_dirty() {
+                    observer.mark_dirty(uid);
+                }
+            }
+            self.telemetry.span_end(tphase::SETTLE, t);
+        }
         let t = self.telemetry.span_start();
-        self.settle_polled(executor.poll(now_ms));
-        self.telemetry.span_end(tphase::SETTLE, t);
-        let t = self.telemetry.span_start();
-        let observation = connector.observe(&ObserveRequest::fresh(self.config.scope));
+        let scope = self.config.scope;
+        let cold;
+        let (observation, retained) = match input.observer {
+            Some(observer) => (observer.observe(input.connector, scope), true),
+            None => {
+                cold = input.connector.observe(&ObserveRequest::fresh(scope));
+                (&cold, false)
+            }
+        };
         self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(&observation, ExecRef::Tracked(executor), now_ms, false)
-    }
-
-    /// Runs one tracked cycle with incremental observe — the full OODA
-    /// loop of the job runtime: settle finished jobs, mark their tables
-    /// dirty on the `observer` (so this very observe re-fetches the
-    /// compacted/conflicted state), then filter → orient → decide → act
-    /// with suppression, admission and retries.
-    pub fn run_cycle_tracked_incremental(
-        &mut self,
-        observer: &mut FleetObserver,
-        connector: &dyn LakeConnector,
-        executor: &mut dyn TrackedExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        self.settle_polled(executor.poll(now_ms));
-        self.mark_settled_dirty(observer);
-        self.telemetry.span_end(tphase::SETTLE, t);
-        let t = self.telemetry.span_start();
-        let observation = observer.observe(connector, self.config.scope);
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(observation, ExecRef::Tracked(executor), now_ms, true)
-    }
-
-    /// Like [`run_cycle_tracked_incremental`](Self::run_cycle_tracked_incremental)
-    /// for the batch tier.
-    pub fn run_cycle_tracked_incremental_batch(
-        &mut self,
-        observer: &mut FleetObserver,
-        connector: &dyn BatchLakeConnector,
-        executor: &mut dyn TrackedExecutor,
-        now_ms: u64,
-    ) -> Result<CycleReport> {
-        self.telemetry.begin_cycle();
-        let t = self.telemetry.span_start();
-        self.settle_polled(executor.poll(now_ms));
-        self.mark_settled_dirty(observer);
-        self.telemetry.span_end(tphase::SETTLE, t);
-        let t = self.telemetry.span_start();
-        let observation = observer.observe_batch(connector, self.config.scope);
-        self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(observation, ExecRef::Tracked(executor), now_ms, true)
+        self.cycle_observed_inner(observation, input.executor, input.now_ms, retained)
     }
 
     /// Settles polled outcomes into the tracker and auto-ingests the
@@ -550,16 +436,6 @@ impl AutoComp {
         };
         for record in tracker.settle(outcomes) {
             self.feedback.record(record);
-        }
-    }
-
-    /// Marks every freshly settled table dirty on the observer so the
-    /// next incremental observe re-fetches its stats.
-    fn mark_settled_dirty(&mut self, observer: &mut FleetObserver) {
-        if let Some(tracker) = self.tracker.as_mut() {
-            for uid in tracker.take_settled_dirty() {
-                observer.mark_dirty(uid);
-            }
         }
     }
 
@@ -612,14 +488,15 @@ impl AutoComp {
         }
     }
 
-    /// [`run_cycle_observed`](Self::run_cycle_observed) with an explicit
-    /// cache-fill switch: one-shot cold entry points pass `false` (their
-    /// observation is dropped immediately, so a filled generation could
-    /// never be spliced), retained-observation entry points pass `true`.
+    /// The filter → orient → decide → act phases of [`cycle`](Self::cycle)
+    /// over an already-captured observation. `allow_cache_fill` is
+    /// `false` for a one-shot observation (dropped with the cycle, so a
+    /// filled generation could never be spliced) and `true` for one an
+    /// observer retains.
     fn cycle_observed_inner(
         &mut self,
         observation: &FleetObservation,
-        mut exec: ExecRef<'_>,
+        mut exec: Executor<'_>,
         now_ms: u64,
         allow_cache_fill: bool,
     ) -> Result<CycleReport> {
@@ -1379,15 +1256,31 @@ impl AutoComp {
     }
 }
 
-/// Unifies the two act-side executor tiers for the cycle core: plain
-/// fire-and-forget executors cannot settle outcomes mid-cycle
-/// (`poll` → `None`); tracked executors can.
-enum ExecRef<'a> {
+/// Everything one [`AutoComp::cycle`] call needs.
+pub struct CycleInput<'a> {
+    /// The lake to observe.
+    pub connector: &'a dyn LakeConnector,
+    /// `Some`: the retained incremental observe, and the cycle cache
+    /// fills. `None`: a cold one-shot observe with no cache fill.
+    pub observer: Option<&'a mut FleetObserver>,
+    /// Where selected work is submitted.
+    pub executor: Executor<'a>,
+    /// Cycle timestamp.
+    pub now_ms: u64,
+}
+
+/// The two act-side executor tiers: plain fire-and-forget executors
+/// cannot settle outcomes (no poll at cycle start or between waves);
+/// tracked executors can.
+pub enum Executor<'a> {
+    /// Fire-and-forget submission.
     Plain(&'a mut dyn CompactionExecutor),
+    /// Submission plus outcome polling: the cycle settles finished jobs
+    /// before observing and between waves.
     Tracked(&'a mut dyn TrackedExecutor),
 }
 
-impl ExecRef<'_> {
+impl Executor<'_> {
     fn execute(
         &mut self,
         candidate: &Candidate,
@@ -1395,15 +1288,15 @@ impl ExecRef<'_> {
         now_ms: u64,
     ) -> ExecutionResult {
         match self {
-            ExecRef::Plain(e) => e.execute(candidate, prediction, now_ms),
-            ExecRef::Tracked(e) => e.execute(candidate, prediction, now_ms),
+            Executor::Plain(e) => e.execute(candidate, prediction, now_ms),
+            Executor::Tracked(e) => e.execute(candidate, prediction, now_ms),
         }
     }
 
     fn poll(&mut self, now_ms: u64) -> Option<Vec<JobOutcome>> {
         match self {
-            ExecRef::Plain(_) => None,
-            ExecRef::Tracked(e) => Some(e.poll(now_ms)),
+            Executor::Plain(_) => None,
+            Executor::Tracked(e) => Some(e.poll(now_ms)),
         }
     }
 }
@@ -1854,8 +1747,12 @@ mod tests {
     use crate::traits::{ComputeCostGbhr, FileCountReduction, TraitDirection};
 
     /// In-memory lake with configurable per-table small-file counts.
+    /// `parallel` makes its `observe` the fanned-out driver; `changelog`
+    /// gives it a change cursor over a log that never records a write.
     struct MemoryLake {
         tables: Vec<(TableRef, CandidateStats)>,
+        parallel: bool,
+        changelog: bool,
     }
 
     impl MemoryLake {
@@ -1884,7 +1781,11 @@ mod tests {
                     )
                 })
                 .collect();
-            MemoryLake { tables }
+            MemoryLake {
+                tables,
+                parallel: false,
+                changelog: false,
+            }
         }
     }
 
@@ -1901,11 +1802,26 @@ mod tests {
         fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
             Vec::new()
         }
+        fn fleet_cursor(&self) -> Option<crate::observe::ChangeCursor> {
+            self.changelog.then_some(crate::observe::ChangeCursor(0))
+        }
+        fn changes_since(&self, _cursor: crate::observe::ChangeCursor) -> Option<Vec<u64>> {
+            self.changelog.then(Vec::new)
+        }
+        fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+            if self.parallel {
+                crate::observe::batch_observe(self, request)
+            } else {
+                crate::observe::pull_observe(self, request)
+            }
+        }
     }
 
     #[derive(Default)]
     struct RecordingExecutor {
         calls: Vec<(CandidateId, i64, u64)>,
+        /// Leading `calls` whose outcome a poll already delivered.
+        polled: usize,
     }
 
     impl CompactionExecutor for RecordingExecutor {
@@ -1925,6 +1841,44 @@ mod tests {
                 error: None,
             }
         }
+    }
+
+    /// Every job succeeds at its commit deadline.
+    impl TrackedExecutor for RecordingExecutor {
+        fn poll(&mut self, now_ms: u64) -> Vec<JobOutcome> {
+            let mut outcomes = Vec::new();
+            while let Some((id, reduction, at)) = self.calls.get(self.polled) {
+                if at + 10_000 > now_ms {
+                    break;
+                }
+                self.polled += 1;
+                outcomes.push(JobOutcome {
+                    job_id: self.polled as u64,
+                    table_uid: id.table_uid,
+                    status: crate::act::JobOutcomeStatus::Succeeded,
+                    finished_at_ms: at + 10_000,
+                    actual_reduction: *reduction,
+                    actual_gbhr: 0.0,
+                });
+            }
+            outcomes
+        }
+    }
+
+    /// One cycle through a fire-and-forget executor.
+    fn plain_cycle(
+        ac: &mut AutoComp,
+        lake: &MemoryLake,
+        observer: Option<&mut FleetObserver>,
+        exec: &mut RecordingExecutor,
+        now_ms: u64,
+    ) -> Result<CycleReport> {
+        ac.cycle(CycleInput {
+            connector: lake,
+            observer,
+            executor: Executor::Plain(exec),
+            now_ms,
+        })
     }
 
     fn pipeline(k: usize) -> AutoComp {
@@ -1950,7 +1904,7 @@ mod tests {
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
         let mut exec = RecordingExecutor::default();
         let mut ac = pipeline(2);
-        let report = ac.run_cycle(&lake, &mut exec, 1000).unwrap();
+        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 1000).unwrap();
         assert_eq!(report.generated, 3);
         assert_eq!(report.selected_count(), 2);
         assert_eq!(exec.calls.len(), 2);
@@ -1970,7 +1924,7 @@ mod tests {
             min_total_bytes: 1 << 20,
             min_file_count: 0,
         }));
-        let report = ac.run_cycle(&lake, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
         assert_eq!(report.dropped.len(), 1);
         assert_eq!(report.dropped[0].0, CandidateId::table(1));
         assert!(report.dropped[0].1.contains("min-size"));
@@ -1992,7 +1946,7 @@ mod tests {
             calibrate: false,
         });
         assert!(matches!(
-            ac.run_cycle(&lake, &mut exec, 0),
+            plain_cycle(&mut ac, &lake, None, &mut exec, 0),
             Err(AutoCompError::NoTraits)
         ));
     }
@@ -2012,7 +1966,7 @@ mod tests {
             predicted_gbhr: 1.0,
             actual_gbhr: 1.0,
         });
-        let report = ac.run_cycle(&lake, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
         assert_eq!(report.executed[0].prediction.reduction, 50);
     }
 
@@ -2022,7 +1976,7 @@ mod tests {
         let run = || {
             let mut exec = RecordingExecutor::default();
             let mut ac = pipeline(1);
-            let r = ac.run_cycle(&lake, &mut exec, 42).unwrap();
+            let r = plain_cycle(&mut ac, &lake, None, &mut exec, 42).unwrap();
             format!("{r}")
         };
         assert_eq!(run(), run());
@@ -2034,31 +1988,113 @@ mod tests {
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
         let run_pull = || {
             let mut exec = RecordingExecutor::default();
-            pipeline(2).run_cycle(&lake, &mut exec, 7).unwrap()
+            plain_cycle(&mut pipeline(2), &lake, None, &mut exec, 7).unwrap()
         };
         let pull = run_pull();
 
         let mut exec = RecordingExecutor::default();
-        let batched = pipeline(2)
-            .run_cycle_batch(&crate::connector::SyncAsBatch(&lake), &mut exec, 7)
-            .unwrap();
+        let parallel_lake = MemoryLake {
+            parallel: true,
+            ..MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)])
+        };
+        let batched = plain_cycle(&mut pipeline(2), &parallel_lake, None, &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), batched.to_string());
 
         let mut observer = crate::observe::FleetObserver::new();
         let mut exec = RecordingExecutor::default();
         let mut ac = pipeline(2);
-        let incr1 = ac
-            .run_cycle_incremental(&mut observer, &lake, &mut exec, 7)
-            .unwrap();
+        let incr1 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr1.to_string());
         // MemoryLake has no changelog, so the second incremental cycle is
         // a full re-observe — and still identical.
         let mut exec = RecordingExecutor::default();
-        let incr2 = ac
-            .run_cycle_incremental(&mut observer, &lake, &mut exec, 7)
-            .unwrap();
+        let incr2 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr2.to_string());
         assert_eq!(observer.last().unwrap().fetched_tables(), 3);
+    }
+
+    /// What the four `{observer} × {executor}` shapes of [`CycleInput`]
+    /// guarantee, over one lake and two cycles (the second starts after
+    /// the first's jobs are due).
+    #[test]
+    fn entry_matrix_pins_settle_observe_and_cache_semantics() {
+        let lake = MemoryLake {
+            changelog: true,
+            ..MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)])
+        };
+        // Both cycles of one matrix cell; every cycle's span sequence and
+        // cache fill are checked on the way.
+        let run_cell = |with_tracker: bool, retained: bool, tracked: bool| {
+            let at = format!("tracker={with_tracker} observer={retained} tracked={tracked}");
+            let mut ac = pipeline(2);
+            if with_tracker {
+                ac = ac.with_job_tracker(JobRuntimeConfig::default());
+            }
+            let mut observer = FleetObserver::new();
+            let mut exec = RecordingExecutor::default();
+            let reports = [1_000, 20_000].map(|now_ms| {
+                let report = ac
+                    .cycle(CycleInput {
+                        connector: &lake,
+                        observer: retained.then_some(&mut observer),
+                        executor: if tracked {
+                            Executor::Tracked(&mut exec)
+                        } else {
+                            Executor::Plain(&mut exec)
+                        },
+                        now_ms,
+                    })
+                    .unwrap();
+                let cycle = ac.telemetry().current_cycle();
+                let spans = ac.telemetry().recent_spans();
+                let phases: Vec<&str> = spans
+                    .iter()
+                    .filter(|s| s.cycle == cycle)
+                    .map(|s| s.phase)
+                    .collect();
+                // `ALL` lists the five phases every cycle runs, then settle.
+                let settle = if tracked { &[tphase::SETTLE][..] } else { &[] };
+                let expect = [settle, &tphase::ALL[..5]].concat();
+                assert_eq!(phases, expect, "{at}");
+                assert_eq!(ac.cycle_cache_len(), if retained { 3 } else { 0 }, "{at}");
+                report
+            });
+            (reports, ac, observer, at)
+        };
+        let same = |a: &[CycleReport; 2], b: &[CycleReport; 2], at: &str| {
+            for (a, b) in a.iter().zip(b) {
+                assert_eq!(a.to_string(), b.to_string(), "{at}");
+                assert_eq!(a.executed, b.executed, "{at}");
+                assert_eq!(a.ledger, b.ledger, "{at}");
+            }
+        };
+
+        // Without a tracker all four shapes report identically: the
+        // tracked entry reproduces the fire-and-forget reports (quiet
+        // ledger included) and incremental ≡ cold.
+        let (cold_plain, ..) = run_cell(false, false, false);
+        for (retained, tracked) in [(true, false), (false, true), (true, true)] {
+            let (reports, .., at) = run_cell(false, retained, tracked);
+            same(&cold_plain, &reports, &at);
+            assert!(reports.iter().all(|r| r.ledger.is_quiet()), "{at}");
+        }
+
+        // With a tracker the first cycle's two jobs are due by the
+        // second. Only a tracked executor settles them; only with an
+        // observer are their tables drained from the tracker and
+        // re-fetched (the changelog itself is quiet).
+        for tracked in [false, true] {
+            let (cold, mut cold_ac, ..) = run_cell(true, false, tracked);
+            let (kept, mut kept_ac, observer, at) = run_cell(true, true, tracked);
+            same(&cold, &kept, &at);
+            let settled = if tracked { 2 } else { 0 };
+            assert_eq!(kept[1].ledger.settled, settled, "{at}");
+            assert_eq!(observer.last().unwrap().fetched_tables(), settled, "{at}");
+            let undrained = |ac: &mut AutoComp| ac.job_tracker_mut().unwrap().take_settled_dirty();
+            assert_eq!(undrained(&mut kept_ac), Vec::<u64>::new(), "{at}");
+            let expect = if tracked { vec![1, 2] } else { vec![] };
+            assert_eq!(undrained(&mut cold_ac), expect, "no observer, {at}");
+        }
     }
 
     /// A trait computer that yields NaN for one specific table.
@@ -2098,7 +2134,7 @@ mod tests {
             calibrate: false,
         })
         .with_trait(Box::new(PoisonTrait));
-        let report = ac.run_cycle(&lake, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
         assert_eq!(report.dropped.len(), 1);
         assert_eq!(report.dropped[0].0, CandidateId::table(2));
         assert!(report.dropped[0].1.contains("NaN"));

@@ -1,8 +1,8 @@
 //! The event-driven continuous runtime: a deterministic, simulated-clock
 //! event loop over the OODA pipeline.
 //!
-//! The polled entry points (`run_cycle*`) model §5's periodic mode: a
-//! driver calls the pipeline at a fixed cadence, dirtiness arrives via
+//! A polled driver of [`AutoComp::cycle`] models §5's periodic mode: it
+//! calls the pipeline at a fixed cadence, dirtiness arrives via
 //! changelog pull at cycle start, and completions via
 //! [`TrackedExecutor::poll`] at cycle boundaries. Production AutoComp is
 //! instead a long-lived service *reacting* to table commits. This module
@@ -12,10 +12,10 @@
 //! [`pump_completions`](crate::act::pump_completions)), timers and
 //! explicit flushes — accumulates a
 //! dirty set, and fires **decision rounds** when a configured trigger
-//! trips. Each round runs the existing
-//! [`run_cycle_tracked_incremental`](AutoComp::run_cycle_tracked_incremental)
-//! machinery, so `CycleCache`/`RankMemo` splicing and the act-phase job
-//! ledger behave exactly as under the polled driver.
+//! trips. Each round is one [`AutoComp::cycle`] with the runtime's
+//! observer and a tracked executor, so `CycleCache`/`RankMemo` splicing
+//! and the act-phase job ledger behave exactly as under the polled
+//! driver.
 //!
 //! # Trigger contract
 //!
@@ -62,8 +62,7 @@
 //! # Fleet health
 //!
 //! Every round re-classifies the fleet into a [`FleetHealth`] state from
-//! the round's observe-side degradation record
-//! ([`ObserveDegradation`](crate::observe::ObserveDegradation)):
+//! the round's observe-side degradation record ([`ObserveDegradation`]):
 //! `Healthy` when the observe pass ran clean, `Degraded{reasons}` when
 //! the pass absorbed faults but produced a usable observation (retried
 //! reads, carried-forward entries, quarantined tables, retirements, a
@@ -118,7 +117,7 @@ use crate::cache::CycleCacheStats;
 use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
 use crate::durability::{JournalEvent, JournalingExecutor, RecoveryReport, SnapshotContext};
 use crate::observe::{DegradeReason, FleetObserver, ObserveDegradation};
-use crate::pipeline::{AutoComp, CycleReport};
+use crate::pipeline::{AutoComp, CycleInput, CycleReport, Executor};
 use crate::rank::RankCycleStats;
 use crate::telemetry::names as tnames;
 use crate::Result;
@@ -413,18 +412,18 @@ struct Durable<M> {
 /// Buffers push-delivered completions in front of an executor so the
 /// round's settle pass sees `buffered ++ poll(now)` — the event-vs-poll
 /// equivalence the module docs pin.
-struct BufferedCompletions<'a, E: ?Sized> {
-    inner: &'a mut E,
+struct BufferedCompletions<'a> {
+    inner: &'a mut dyn TrackedExecutor,
     buffered: Vec<JobOutcome>,
 }
 
-impl<E: CompactionExecutor + ?Sized> CompactionExecutor for BufferedCompletions<'_, E> {
+impl CompactionExecutor for BufferedCompletions<'_> {
     fn execute(&mut self, c: &crate::Candidate, p: &Prediction, now_ms: u64) -> ExecutionResult {
         self.inner.execute(c, p, now_ms)
     }
 }
 
-impl<E: TrackedExecutor + ?Sized> TrackedExecutor for BufferedCompletions<'_, E> {
+impl TrackedExecutor for BufferedCompletions<'_> {
     fn poll(&mut self, now_ms: u64) -> Vec<JobOutcome> {
         let mut outcomes = std::mem::take(&mut self.buffered);
         outcomes.extend(self.inner.poll(now_ms));
@@ -464,8 +463,8 @@ pub struct ContinuousRuntime<M: SnapshotMedium = MemSnapshotMedium> {
 
 impl ContinuousRuntime<MemSnapshotMedium> {
     /// A runtime without a durable boundary (no journaling, no
-    /// snapshots): rounds behave exactly like polled
-    /// `run_cycle_tracked_incremental` calls at trigger-chosen times.
+    /// snapshots): rounds behave exactly like polled tracked incremental
+    /// [`AutoComp::cycle`] calls at trigger-chosen times.
     pub fn new(pipeline: AutoComp, config: RuntimeConfig) -> Self {
         ContinuousRuntime {
             pipeline,
@@ -764,34 +763,23 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             .collect();
         let buffered = std::mem::take(&mut self.pending_completions);
 
-        let report = match self.durable.as_mut() {
+        // Durability journals each submission and settlement as the round
+        // runs; buffered completions settle ahead of the executor's poll.
+        let mut journaling;
+        let inner: &mut dyn TrackedExecutor = match self.durable.as_mut() {
             Some(durable) => {
-                let mut journaling = JournalingExecutor::new(executor, &mut durable.journal)
+                journaling = JournalingExecutor::new(&mut *executor, &mut durable.journal)
                     .with_telemetry(self.pipeline.telemetry().clone());
-                let mut exec = BufferedCompletions {
-                    inner: &mut journaling,
-                    buffered,
-                };
-                self.pipeline.run_cycle_tracked_incremental(
-                    &mut self.observer,
-                    connector,
-                    &mut exec,
-                    now,
-                )?
+                &mut journaling
             }
-            None => {
-                let mut exec = BufferedCompletions {
-                    inner: executor,
-                    buffered,
-                };
-                self.pipeline.run_cycle_tracked_incremental(
-                    &mut self.observer,
-                    connector,
-                    &mut exec,
-                    now,
-                )?
-            }
+            None => &mut *executor,
         };
+        let report = self.pipeline.cycle(CycleInput {
+            connector,
+            observer: Some(&mut self.observer),
+            executor: Executor::Tracked(&mut BufferedCompletions { inner, buffered }),
+            now_ms: now,
+        })?;
 
         self.rounds += 1;
         self.stats.rounds += 1;

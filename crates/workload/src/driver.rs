@@ -337,9 +337,9 @@ mod tests {
     fn ledger_ticks_surface_job_runtime_state() {
         use autocomp::{
             AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-            ComputeCostGbhr, ExecutionResult, FileCountReduction, FleetObserver, JobOutcome,
-            JobOutcomeStatus, JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy,
-            ScopeStrategy, TableRef, TrackedExecutor, TraitWeight,
+            ComputeCostGbhr, CycleInput, ExecutionResult, Executor, FileCountReduction,
+            FleetObserver, JobOutcome, JobOutcomeStatus, JobRuntimeConfig, LakeConnector,
+            Prediction, RankingPolicy, ScopeStrategy, TableRef, TrackedExecutor, TraitWeight,
         };
 
         /// Fragmented two-table lake (quiet changelog).
@@ -446,7 +446,12 @@ mod tests {
 
         let stats = run_stream_reported(&mut env, &[], 60_000, 240_000, |_, tick| {
             let report = ac
-                .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, tick)
+                .cycle(CycleInput {
+                    connector: &lake,
+                    observer: Some(&mut observer),
+                    executor: Executor::Tracked(&mut platform),
+                    now_ms: tick,
+                })
                 .unwrap();
             Some(sample_ledger(tick, &report, &ac))
         });

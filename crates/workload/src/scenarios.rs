@@ -24,9 +24,9 @@
 //! `tests/scenario_matrix.rs` asserts cell by cell.
 
 use autocomp::{
-    AutoComp, AutoCompConfig, ComputeCostGbhr, ContinuousRuntime, DeleteDebt, FileCountReduction,
-    FleetObserver, JobRuntimeConfig, PartitionSkewExcess, RankingPolicy, RuntimeConfig,
-    RuntimeEvent, ScopeStrategy, SortDisorder, TraitWeight, SORT_DISORDER_METRIC,
+    AutoComp, AutoCompConfig, ComputeCostGbhr, ContinuousRuntime, CycleInput, DeleteDebt, Executor,
+    FileCountReduction, FleetObserver, JobRuntimeConfig, PartitionSkewExcess, RankingPolicy,
+    RuntimeConfig, RuntimeEvent, ScopeStrategy, SortDisorder, TraitWeight, SORT_DISORDER_METRIC,
 };
 use autocomp_lakesim::{
     share, ExecutorOptions, LakesimConnector, LakesimExecutor, ObserveOptions, SharedEnv,
@@ -528,7 +528,12 @@ pub fn run_scenario_polled(s: Scenario, policy: u8, seed: u64) -> ScenarioOutcom
         }
         if tick.is_multiple_of(CYCLE_EVERY_TICKS) {
             let report = pipeline
-                .run_cycle_tracked_incremental(&mut observer, &lake, &mut exec, now)
+                .cycle(CycleInput {
+                    connector: &lake,
+                    observer: Some(&mut observer),
+                    executor: Executor::Tracked(&mut exec),
+                    now_ms: now,
+                })
                 .expect("polled scenario cycle");
             if !report.executed.is_empty() {
                 traj.last_active_ms = now;

@@ -16,8 +16,8 @@
 //! [`run_sustained_ingest`] drives the event loop (watermark + staleness
 //! triggers, completion events pumped at tick granularity);
 //! [`run_sustained_polled`] replays the identical seeded commit schedule
-//! through fixed-cadence `run_cycle_tracked_incremental` calls — the §5
-//! periodic mode — so benches can report the two modes' latency
+//! through fixed-cadence tracked incremental `AutoComp::cycle` calls —
+//! the §5 periodic mode — so benches can report the two modes' latency
 //! distributions side by side from the same pass.
 
 use std::cell::RefCell;
@@ -27,10 +27,10 @@ use std::sync::Arc;
 
 use autocomp::{
     pump_completions, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
-    CompactionExecutor, ComputeCostGbhr, ContinuousRuntime, ExecutionResult, FileCountReduction,
-    FleetObserver, JobOutcome, JobOutcomeStatus, JobRuntimeConfig, LakeConnector, Log2Histogram,
-    Prediction, RankingPolicy, RoundReport, RuntimeConfig, RuntimeEvent, RuntimeStats,
-    ScopeStrategy, TableRef, TrackedExecutor, TraitWeight,
+    CompactionExecutor, ComputeCostGbhr, ContinuousRuntime, CycleInput, ExecutionResult, Executor,
+    FileCountReduction, FleetObserver, JobOutcome, JobOutcomeStatus, JobRuntimeConfig,
+    LakeConnector, Log2Histogram, Prediction, RankingPolicy, RoundReport, RuntimeConfig,
+    RuntimeEvent, RuntimeStats, ScopeStrategy, TableRef, TrackedExecutor, TraitWeight,
 };
 use lakesim_engine::MS_PER_HOUR;
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotStore, GB, MB};
@@ -486,7 +486,12 @@ pub fn run_sustained_polled(cfg: &SustainedIngestConfig) -> IngestReport {
         }
         let latencies: Vec<u64> = pending.drain(..).map(|at| now - at).collect();
         let report = pipeline
-            .run_cycle_tracked_incremental(&mut observer, &lake, platform, now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Tracked(platform),
+                now_ms: now,
+            })
             .expect("polled cycle");
         acc.absorb(RoundReport {
             round: 0,

@@ -6,7 +6,7 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    FileCountReduction, RankingPolicy, ScopeStrategy, TraitWeight,
+    CycleInput, Executor, FileCountReduction, RankingPolicy, ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
@@ -87,7 +87,12 @@ fn main() {
     let mut executor = LakesimExecutor::new(shared.clone());
     let now = 4 * MS_PER_HOUR;
     let report = pipeline
-        .run_cycle(&connector, &mut executor, now)
+        .cycle(CycleInput {
+            connector: &connector,
+            observer: None,
+            executor: Executor::Plain(&mut executor),
+            now_ms: now,
+        })
         .expect("cycle runs");
     drop(connector);
     drop(executor);

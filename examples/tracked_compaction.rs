@@ -1,6 +1,6 @@
 //! The act-phase job runtime over the simulated lake: a fleet driven
-//! through `run_cycle_tracked_incremental`, showing the full managed
-//! lifecycle — submissions tracked in the in-flight ledger, repeat
+//! through tracked incremental `AutoComp::cycle` calls, showing the full
+//! managed lifecycle — submissions tracked in the in-flight ledger, repeat
 //! candidates suppressed while their job runs, conflicted jobs retried
 //! with backoff, admission deferrals, and settled outcomes feeding the
 //! estimator calibration automatically (no `FeedbackBridge`).
@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example tracked_compaction`
 
 use autocomp::{
-    AutoComp, AutoCompConfig, ComputeCostGbhr, FileCountReduction, FleetObserver, JobRuntimeConfig,
-    MinSizeFilter, RankingPolicy, ScopeStrategy, TraitWeight,
+    AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, Executor, FileCountReduction,
+    FleetObserver, JobRuntimeConfig, MinSizeFilter, RankingPolicy, ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
@@ -98,7 +98,12 @@ fn main() {
     let mut now = 1_000_000u64;
     for cycle in 0..10 {
         let report = ac
-            .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, now)
+            .cycle(CycleInput {
+                connector: &connector,
+                observer: Some(&mut observer),
+                executor: Executor::Tracked(&mut executor),
+                now_ms: now,
+            })
             .unwrap();
         println!(
             "cycle {cycle}: executed={} retried={} deferred={} | jobs: {}",

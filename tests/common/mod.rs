@@ -17,9 +17,26 @@ pub mod faults;
 use std::collections::BTreeMap;
 
 use autocomp::{
-    Candidate, CompactionExecutor, ExecutionResult, JobOutcome, JobOutcomeStatus, Prediction,
-    TrackedExecutor,
+    AutoComp, Candidate, CompactionExecutor, CycleInput, CycleReport, ExecutionResult, Executor,
+    FleetObserver, JobOutcome, JobOutcomeStatus, LakeConnector, Prediction, TrackedExecutor,
 };
+
+/// One tracked cycle over a retained observer — the shape every
+/// job-runtime suite (and each `ContinuousRuntime` round) drives.
+pub fn tracked_cycle(
+    pipeline: &mut AutoComp,
+    observer: &mut FleetObserver,
+    connector: &dyn LakeConnector,
+    executor: &mut dyn TrackedExecutor,
+    now_ms: u64,
+) -> autocomp::Result<CycleReport> {
+    pipeline.cycle(CycleInput {
+        connector,
+        observer: Some(observer),
+        executor: Executor::Tracked(executor),
+        now_ms,
+    })
+}
 
 /// When a submission's eventual settle conflicts.
 #[derive(Debug, Clone, Default)]

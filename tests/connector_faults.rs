@@ -24,9 +24,10 @@ use std::sync::Arc;
 
 use autocomp::{
     telemetry::names as tnames, AutoComp, AutoCompConfig, Candidate, CompactionExecutor,
-    ComputeCostGbhr, ContinuousRuntime, CycleReport, DegradeReason, ExecutionResult, FallbackCause,
-    FileCountReduction, FleetHealth, FleetObserver, MinSizeFilter, ObserveFault, Prediction,
-    RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy, TraitWeight,
+    ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, DegradeReason, ExecutionResult,
+    Executor, FallbackCause, FileCountReduction, FleetHealth, FleetObserver, MinSizeFilter,
+    ObserveFault, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy,
+    TraitWeight,
 };
 use autocomp_lakesim::{share, CommitEventBridge, LakesimConnector, ObserveFaultScript, SharedEnv};
 use lakesim_catalog::TablePolicy;
@@ -225,12 +226,22 @@ impl TwinRig {
         let mut exec = InertExecutor;
         let f = self
             .ac_f
-            .run_cycle_incremental(&mut self.obs_f, &self.faulted, &mut exec, now)
+            .cycle(CycleInput {
+                connector: &self.faulted,
+                observer: Some(&mut self.obs_f),
+                executor: Executor::Plain(&mut exec),
+                now_ms: now,
+            })
             .map_err(|e| TestCaseError::fail(format!("faulted cycle at {now}: {e}")))?;
         let mut exec = InertExecutor;
         let c = self
             .ac_c
-            .run_cycle_incremental(&mut self.obs_c, &self.clean, &mut exec, now)
+            .cycle(CycleInput {
+                connector: &self.clean,
+                observer: Some(&mut self.obs_c),
+                executor: Executor::Plain(&mut exec),
+                now_ms: now,
+            })
             .map_err(|e| TestCaseError::fail(format!("clean cycle at {now}: {e}")))?;
         Ok((f, c))
     }
@@ -380,7 +391,10 @@ fn changelog_faults_retry_then_fall_back_to_full_observe() {
             tnames::OBSERVE_READ_RETRIES_TOTAL
         ),
     ] {
-        assert!(rendered.contains(&needle), "missing {needle:?} in:\n{rendered}");
+        assert!(
+            rendered.contains(&needle),
+            "missing {needle:?} in:\n{rendered}"
+        );
     }
 }
 
@@ -435,7 +449,11 @@ fn bridge_overflow_flush_drives_degraded_round_then_recovers() {
 
     // Round 1 establishes the observer's change cursor.
     let r1 = rt
-        .handle_event(&RuntimeEvent::Flush { at_ms: 10_000 }, &connector, &mut exec)
+        .handle_event(
+            &RuntimeEvent::Flush { at_ms: 10_000 },
+            &connector,
+            &mut exec,
+        )
         .unwrap()
         .expect("flush fires a round");
     assert_eq!(r1.health, FleetHealth::Healthy);
@@ -465,7 +483,10 @@ fn bridge_overflow_flush_drives_degraded_round_then_recovers() {
     assert_eq!(deg.fallback, Some(FallbackCause::ChangelogOverflow));
     match &r2.health {
         FleetHealth::Degraded { reasons } => {
-            assert!(reasons.contains(&DegradeReason::ChangelogFallback), "{reasons:?}")
+            assert!(
+                reasons.contains(&DegradeReason::ChangelogFallback),
+                "{reasons:?}"
+            )
         }
         other => panic!("expected Degraded round, got {other:?}"),
     }
@@ -475,7 +496,10 @@ fn bridge_overflow_flush_drives_degraded_round_then_recovers() {
         "{}{{cause=\"changelog-fallback\"}} 1",
         tnames::RUNTIME_DEGRADED_ROUNDS_TOTAL
     );
-    assert!(rendered.contains(&needle), "missing {needle:?} in:\n{rendered}");
+    assert!(
+        rendered.contains(&needle),
+        "missing {needle:?} in:\n{rendered}"
+    );
 
     // Recovery: the next commit drains as a plain commit event and the
     // covering round is healthy again.
@@ -500,7 +524,10 @@ fn bridge_overflow_flush_drives_degraded_round_then_recovers() {
     assert_eq!(rt.health(), &FleetHealth::Healthy);
     let rendered = rt.pipeline().telemetry().render_prometheus();
     let gauge = format!("{} 0", tnames::RUNTIME_HEALTH_STATE);
-    assert!(rendered.contains(&gauge), "missing {gauge:?} in:\n{rendered}");
+    assert!(
+        rendered.contains(&gauge),
+        "missing {gauge:?} in:\n{rendered}"
+    );
 }
 
 /// The chaos soak: a seeded random fault schedule over tracked lake
@@ -542,7 +569,12 @@ fn run_chaos(seed: u64, permille: u32) -> Result<(), TestCaseError> {
         // Clean-record equivalence: a pass that *claims* to be clean must
         // already be bit-identical to the never-faulted twin.
         if !deg.is_degraded() {
-            prop_assert_eq!(rig.obs_f.last(), rig.obs_c.last(), "clean pass {} diverged", pass);
+            prop_assert_eq!(
+                rig.obs_f.last(),
+                rig.obs_c.last(),
+                "clean pass {} diverged",
+                pass
+            );
             reports_identical(&rf, &rc, &format!("clean fault-window pass {pass}"))?;
         }
         now += 10_000;

@@ -23,10 +23,10 @@ use std::sync::{Mutex, Once};
 use autocomp::durability::{SNAPSHOT_KIND, SNAPSHOT_VERSION};
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, CycleReport, ExecutionResult, FileCountReduction, FleetObserver,
-    JobRuntimeConfig, JournalEvent, JournalingExecutor, LakeConnector, MinSizeFilter, Prediction,
-    RankingPolicy, RecoveryReport, ReplayExecutor, ReplaySummary, ScopeStrategy, TableRef,
-    TraitWeight, Untracked,
+    ComputeCostGbhr, CycleInput, CycleReport, ExecutionResult, Executor, FileCountReduction,
+    FleetObserver, JobRuntimeConfig, JournalEvent, JournalingExecutor, LakeConnector,
+    MinSizeFilter, Prediction, RankingPolicy, RecoveryReport, ReplayExecutor, ReplaySummary,
+    ScopeStrategy, TableRef, TraitWeight, Untracked,
 };
 use lakesim_storage::{seal_frame, Journal, MemSnapshotMedium, SnapshotStore};
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ mod common;
 use common::faults::{
     CrashPoint, CrashingExecutor, FaultRates, FaultyExecutor, TornMedium, SCRIPTED_CRASH,
 };
-use common::ScriptedPlatform;
+use common::{tracked_cycle, ScriptedPlatform};
 
 const TABLES: u64 = 24;
 const CYCLES: usize = 8;
@@ -244,8 +244,7 @@ fn run_uninterrupted(cycles: usize, writes: &dyn Fn(usize) -> Vec<u64>) -> Vec<C
             for uid in writes(i) {
                 lake.write(uid);
             }
-            ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, now(i))
-                .unwrap()
+            tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, now(i)).unwrap()
         })
         .collect()
 }
@@ -337,8 +336,7 @@ fn run_interrupted(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let journaling = JournalingExecutor::new(&mut platform, &mut journal);
             let mut crashing = CrashingExecutor::new(journaling, crash);
-            ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut crashing, now(i))
-                .unwrap()
+            tracked_cycle(&mut ac, &mut observer, &lake, &mut crashing, now(i)).unwrap()
         }));
         match outcome {
             Ok(report) => {
@@ -401,9 +399,7 @@ fn run_interrupted(
     {
         let mut replay = ReplayExecutor::new(&mut platform, &mut journal, journal_watermark);
         for i in (snapshot_cycle as usize + 1)..=crashed_at {
-            let report = ac
-                .run_cycle_tracked_incremental(&mut observer, &lake, &mut replay, now(i))
-                .unwrap();
+            let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut replay, now(i)).unwrap();
             if i < crashed_at {
                 // A cycle that completed before the crash but whose
                 // snapshot was lost: the re-drive must reproduce it
@@ -439,8 +435,7 @@ fn run_interrupted(
         }
         let report = {
             let mut journaling = JournalingExecutor::new(&mut platform, &mut journal);
-            ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut journaling, now(i))
-                .unwrap()
+            tracked_cycle(&mut ac, &mut observer, &lake, &mut journaling, now(i)).unwrap()
         };
         reports.push(report);
         commit_boundary(&ac, &observer, &platform, &mut journal, &mut store, i);
@@ -531,8 +526,7 @@ fn corruption_corpus() -> (Vec<u8>, RecoveryReport) {
         if i > 0 {
             lake.write(i as u64);
         }
-        ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, now(i))
-            .unwrap();
+        tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, now(i)).unwrap();
     }
     let ctx = autocomp::SnapshotContext {
         cycle: 2,
@@ -646,8 +640,7 @@ fn journal_replay_settles_lease_evicted_jobs_once() {
     // Cycle 0 submits the first wave; snapshot at the boundary.
     {
         let mut journaling = JournalingExecutor::new(&mut platform, &mut journal);
-        ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut journaling, 1_000)
-            .unwrap();
+        tracked_cycle(&mut ac, &mut observer, &lake, &mut journaling, 1_000).unwrap();
     }
     let submitted = ac.job_tracker().unwrap().in_flight();
     assert!(submitted > 0, "first wave must submit");
@@ -664,9 +657,7 @@ fn journal_replay_settles_lease_evicted_jobs_once() {
     // (journaled) — then the process "dies" with that state unsnapshotted.
     let second_wave = {
         let mut journaling = JournalingExecutor::new(&mut platform, &mut journal);
-        let report = ac
-            .run_cycle_tracked_incremental(&mut observer, &lake, &mut journaling, 3_000)
-            .unwrap();
+        let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut journaling, 3_000).unwrap();
         assert_eq!(report.ledger.settled, submitted, "first wave settles");
         report.executed.len()
     };
@@ -702,9 +693,14 @@ fn journal_replay_settles_lease_evicted_jobs_once() {
     assert_eq!(ac.job_tracker().unwrap().in_flight(), submitted);
 
     // A quiet cycle far past the lease evicts the restored wave.
-    let report = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut Untracked(InertExecutor), 50_000)
-        .unwrap();
+    let report = tracked_cycle(
+        &mut ac,
+        &mut observer,
+        &lake,
+        &mut Untracked(InertExecutor),
+        50_000,
+    )
+    .unwrap();
     assert_eq!(
         report.ledger.leases_expired, submitted,
         "restored wave must lease-evict"
@@ -740,9 +736,14 @@ fn journal_replay_settles_lease_evicted_jobs_once() {
     assert_eq!(ac.feedback().records().len(), feedback_before + submitted);
 
     // The late settles surface in the next cycle's ledger counters.
-    let report = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut Untracked(InertExecutor), 51_000)
-        .unwrap();
+    let report = tracked_cycle(
+        &mut ac,
+        &mut observer,
+        &lake,
+        &mut Untracked(InertExecutor),
+        51_000,
+    )
+    .unwrap();
     assert_eq!(report.ledger.late_settled, submitted);
 }
 
@@ -769,8 +770,7 @@ fn duplicate_outcome_delivery_is_bit_identical_to_clean_delivery() {
                 for uid in scripted_writes(i) {
                     lake.write(uid);
                 }
-                ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut executor, now(i))
-                    .unwrap()
+                tracked_cycle(&mut ac, &mut observer, &lake, &mut executor, now(i)).unwrap()
             })
             .collect();
         if duplicate_everything {
@@ -825,9 +825,7 @@ fn lost_outcomes_are_reclaimed_by_the_lease_path() {
     let mut total_evicted = 0;
     let mut late_executed = 0;
     for i in 0..12 {
-        let report = ac
-            .run_cycle_tracked_incremental(&mut observer, &lake, &mut executor, now(i))
-            .unwrap();
+        let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut executor, now(i)).unwrap();
         total_executed += report.executed.len();
         total_evicted += report.ledger.leases_expired;
         if i >= 8 {
@@ -866,9 +864,7 @@ fn injected_submit_errors_drive_retry_and_failure_paths() {
         for uid in scripted_writes(i) {
             lake.write(uid);
         }
-        let report = ac
-            .run_cycle_tracked_incremental(&mut observer, &lake, &mut executor, now(i))
-            .unwrap();
+        let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut executor, now(i)).unwrap();
         retries_submitted += report.ledger.retries_submitted;
         // Permanent submit errors are final on any attempt: visible in
         // the report's execution trail, never in the retry queue.
@@ -918,11 +914,21 @@ fn warm_restore_resumes_incremental_observe() {
     let mut ac = untracked_pipeline();
     let mut observer = FleetObserver::new();
     let mut exec = InertExecutor;
-    ac.run_cycle_incremental(&mut observer, &lake, &mut exec, 1_000)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut exec),
+        now_ms: 1_000,
+    })
+    .unwrap();
     lake.write(3);
-    ac.run_cycle_incremental(&mut observer, &lake, &mut exec, 2_000)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut exec),
+        now_ms: 2_000,
+    })
+    .unwrap();
     let ctx = autocomp::SnapshotContext {
         cycle: 1,
         executor_cursor: 0,
@@ -942,7 +948,12 @@ fn warm_restore_resumes_incremental_observe() {
     // cycle re-fetches only that — no fleet-wide cold observe.
     lake.write(5);
     let restored_report = restored
-        .run_cycle_incremental(&mut restored_observer, &lake, &mut exec, 3_000)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut restored_observer),
+            executor: Executor::Plain(&mut exec),
+            now_ms: 3_000,
+        })
         .unwrap();
     let observation = restored_observer.last().unwrap();
     assert_eq!(
@@ -954,7 +965,12 @@ fn warm_restore_resumes_incremental_observe() {
 
     // And the warm resume is bit-identical to never having stopped.
     let twin_report = ac
-        .run_cycle_incremental(&mut observer, &lake, &mut exec, 3_000)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut exec),
+            now_ms: 3_000,
+        })
         .unwrap();
     assert_reports_identical(&twin_report, &restored_report, "warm resume");
 }

@@ -4,9 +4,9 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ExecutionResult,
-    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitWeight, RANKED_PREFIX_MIN,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
+    Executor, FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
+    TableRef, TraitWeight, RANKED_PREFIX_MIN,
 };
 
 const FLEET: u64 = 100_000;
@@ -82,7 +82,12 @@ fn hundred_thousand_table_cycle() {
 
     let mut exec = NullExecutor { calls: 0 };
     let report = ac
-        .run_cycle(&SyntheticLake, &mut exec, 0)
+        .cycle(CycleInput {
+            connector: &SyntheticLake,
+            observer: None,
+            executor: Executor::Plain(&mut exec),
+            now_ms: 0,
+        })
         .expect("cycle runs");
 
     assert_eq!(report.generated, FLEET as usize);
@@ -112,7 +117,12 @@ fn hundred_thousand_table_cycle() {
     // Deterministic across runs (parallel orient must not reorder).
     let mut exec2 = NullExecutor { calls: 0 };
     let report2 = ac
-        .run_cycle(&SyntheticLake, &mut exec2, 0)
+        .cycle(CycleInput {
+            connector: &SyntheticLake,
+            observer: None,
+            executor: Executor::Plain(&mut exec2),
+            now_ms: 0,
+        })
         .expect("cycle runs");
     assert_eq!(report.to_string(), report2.to_string());
 

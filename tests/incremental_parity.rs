@@ -31,18 +31,18 @@ use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionDisabledFilter,
-    CompactionExecutor, ComputeCostGbhr, CycleReport, DeleteDebt, ExecutionResult, FeedbackRecord,
-    FileCountReduction, FleetObserver, IntermediateTableFilter, JobKind, JobRuntimeConfig,
-    LakeConnector, MinSizeFilter, PartitionSkewExcess, Prediction, QuotaSignal, RankingPolicy,
-    RecentWriteActivityFilter, ScopeStrategy, SortDisorder, TableRef, TraitWeight, Untracked,
-    PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
+    CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport, DeleteDebt, ExecutionResult,
+    Executor, FeedbackRecord, FileCountReduction, FleetObserver, IntermediateTableFilter, JobKind,
+    JobRuntimeConfig, LakeConnector, MinSizeFilter, PartitionSkewExcess, Prediction, QuotaSignal,
+    RankingPolicy, RecentWriteActivityFilter, ScopeStrategy, SortDisorder, TableRef, TraitWeight,
+    Untracked, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 mod common;
-use common::ScriptedPlatform;
+use common::{tracked_cycle, ScriptedPlatform};
 
 const DATABASES: u64 = 4;
 
@@ -365,24 +365,34 @@ fn run_scenario(
                      label: &str|
      -> Result<(), TestCaseError> {
         let cold_report = cold
-            .run_cycle(&lake, &mut SeqExecutor::default(), now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms: now,
+            })
             .expect("cold cycle runs");
         // Alternate cycles drive the tracker-less pipeline through the
         // tracked entry point (via the `Untracked` adapter): a disabled
         // job tracker must reproduce the fire-and-forget reports
         // bit-for-bit, quiet ledger included.
         let incremental_report = if via_tracked_entry {
-            incremental
-                .run_cycle_tracked_incremental(
-                    observer,
-                    &lake,
-                    &mut Untracked(SeqExecutor::default()),
-                    now,
-                )
-                .expect("tracked-entry cycle runs")
+            tracked_cycle(
+                incremental,
+                observer,
+                &lake,
+                &mut Untracked(SeqExecutor::default()),
+                now,
+            )
+            .expect("tracked-entry cycle runs")
         } else {
             incremental
-                .run_cycle_incremental(observer, &lake, &mut SeqExecutor::default(), now)
+                .cycle(CycleInput {
+                    connector: &lake,
+                    observer: Some(observer),
+                    executor: Executor::Plain(&mut SeqExecutor::default()),
+                    now_ms: now,
+                })
                 .expect("incremental cycle runs")
         };
         prop_assert!(
@@ -573,11 +583,21 @@ fn run_tracked_scenario(
             }
             Op::Cycle => {
                 let cold_report = cold
-                    .run_cycle_tracked(&lake, &mut cold_platform, now)
+                    .cycle(CycleInput {
+                        connector: &lake,
+                        observer: None,
+                        executor: Executor::Tracked(&mut cold_platform),
+                        now_ms: now,
+                    })
                     .expect("cold tracked cycle runs");
-                let incremental_report = incremental
-                    .run_cycle_tracked_incremental(&mut observer, &lake, &mut incr_platform, now)
-                    .expect("incremental tracked cycle runs");
+                let incremental_report = tracked_cycle(
+                    &mut incremental,
+                    &mut observer,
+                    &lake,
+                    &mut incr_platform,
+                    now,
+                )
+                .expect("incremental tracked cycle runs");
                 reports_identical(
                     &cold_report,
                     &incremental_report,
@@ -607,9 +627,7 @@ fn tracked_harness_actually_exercises_the_ledger() {
     let mut now = 1_000u64;
     for round in 0..12u64 {
         lake.write(round % 12);
-        let report = ac
-            .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, now)
-            .unwrap();
+        let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, now).unwrap();
         saw.0 |= !report.executed.is_empty();
         saw.1 |= report.ledger.suppressed > 0;
         saw.2 |= report.ledger.settled > 0;
@@ -651,12 +669,8 @@ fn instrumented_cycles_match_uninstrumented_cycles() {
     let mut now = 1_000u64;
     for round in 0..12u64 {
         lake.write(round % 12);
-        let a = on
-            .run_cycle_tracked_incremental(&mut on_observer, &lake, &mut on_platform, now)
-            .unwrap();
-        let b = off
-            .run_cycle_tracked_incremental(&mut off_observer, &lake, &mut off_platform, now)
-            .unwrap();
+        let a = tracked_cycle(&mut on, &mut on_observer, &lake, &mut on_platform, now).unwrap();
+        let b = tracked_cycle(&mut off, &mut off_observer, &lake, &mut off_platform, now).unwrap();
         reports_identical(&a, &b, &format!("telemetry round {round}")).unwrap();
         now += 577;
     }
@@ -726,7 +740,12 @@ fn transform_shifts_drive_multiple_kinds_through_the_parity_harness() {
             }
             Op::Cycle => {
                 let report = ac
-                    .run_cycle_incremental(&mut observer, &lake, &mut SeqExecutor::default(), now)
+                    .cycle(CycleInput {
+                        connector: &lake,
+                        observer: Some(&mut observer),
+                        executor: Executor::Plain(&mut SeqExecutor::default()),
+                        now_ms: now,
+                    })
                     .unwrap();
                 for job in &report.executed {
                     kinds.insert(format!("{:?}", job.prediction.kind));
@@ -789,7 +808,12 @@ fn harness_scenarios_actually_splice() {
     let mut observer = FleetObserver::new();
     for now in [1_000u64, 2_000, 3_000] {
         incremental
-            .run_cycle_incremental(&mut observer, &lake, &mut SeqExecutor::default(), now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms: now,
+            })
             .unwrap();
     }
     let stats = incremental.cycle_cache_stats();
@@ -797,7 +821,12 @@ fn harness_scenarios_actually_splice() {
     assert_eq!(stats.recomputed_tables, 0);
     lake.write(5);
     incremental
-        .run_cycle_incremental(&mut observer, &lake, &mut SeqExecutor::default(), 4_000)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut SeqExecutor::default()),
+            now_ms: 4_000,
+        })
         .unwrap();
     let stats = incremental.cycle_cache_stats();
     assert_eq!(
@@ -926,10 +955,20 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
                    now: u64,
                    label: &str| {
         let a = cold
-            .run_cycle(&lake, &mut SeqExecutor::default(), now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms: now,
+            })
             .unwrap();
         let b = incremental
-            .run_cycle_incremental(observer, &lake, &mut SeqExecutor::default(), now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(observer),
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms: now,
+            })
             .unwrap();
         reports_identical(&a, &b, label).unwrap();
     };

@@ -20,9 +20,9 @@ use std::sync::Mutex;
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleReport, ExecutionResult,
-    FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    TableRef, TraitWeight,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
+    ExecutionResult, Executor, FileCountReduction, FleetObserver, LakeConnector, Prediction,
+    RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
 };
 
 const FLEET: u64 = 400;
@@ -192,11 +192,21 @@ fn soak_200_cycles_bounded_arena_and_cache_with_exact_reconvergence() {
             // cold and must match a from-scratch cold pipeline exactly.
             observer.reset();
             let incremental = ac
-                .run_cycle_incremental(&mut observer, &lake, &mut exec, now)
+                .cycle(CycleInput {
+                    connector: &lake,
+                    observer: Some(&mut observer),
+                    executor: Executor::Plain(&mut exec),
+                    now_ms: now,
+                })
                 .unwrap();
             let cold = pipeline()
                 .with_cycle_cache(false)
-                .run_cycle(&lake, &mut exec, now)
+                .cycle(CycleInput {
+                    connector: &lake,
+                    observer: None,
+                    executor: Executor::Plain(&mut exec),
+                    now_ms: now,
+                })
                 .unwrap();
             assert_reports_identical(&incremental, &cold, &format!("reset at cycle {cycle}"));
             let obs = observer.last().unwrap();
@@ -208,8 +218,13 @@ fn soak_200_cycles_bounded_arena_and_cache_with_exact_reconvergence() {
             continue;
         }
 
-        ac.run_cycle_incremental(&mut observer, &lake, &mut exec, now)
-            .unwrap();
+        ac.cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut exec),
+            now_ms: now,
+        })
+        .unwrap();
 
         let obs = observer.last().unwrap();
         // Arena hygiene: live density never drops below the compaction
@@ -263,11 +278,21 @@ fn soak_200_cycles_bounded_arena_and_cache_with_exact_reconvergence() {
     observer.reset();
     let now = 1_000 + CYCLES as u64 * 997;
     let incremental = ac
-        .run_cycle_incremental(&mut observer, &lake, &mut exec, now)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut exec),
+            now_ms: now,
+        })
         .unwrap();
     let cold = pipeline()
         .with_cycle_cache(false)
-        .run_cycle(&lake, &mut exec, now)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: None,
+            executor: Executor::Plain(&mut exec),
+            now_ms: now,
+        })
         .unwrap();
     assert_reports_identical(&incremental, &cold, "final reconvergence");
 }

@@ -14,13 +14,13 @@ use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, CycleReport, ExecutionResult, FileCountReduction, FleetObserver,
-    JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitComputer, TraitWeight, Untracked,
+    ComputeCostGbhr, CycleInput, CycleReport, ExecutionResult, Executor, FileCountReduction,
+    FleetObserver, JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
+    TableRef, TraitComputer, TraitWeight, Untracked,
 };
 
 mod common;
-use common::ScriptedPlatform;
+use common::{tracked_cycle, ScriptedPlatform};
 
 // ---------------------------------------------------------------------
 // Synthetic lake + platform.
@@ -127,9 +127,7 @@ fn in_flight_targets_are_suppressed_until_settled() {
     let mut observer = FleetObserver::new();
 
     // Cycle 1: t0 (most fragmented) selected and submitted.
-    let c1 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 1_000)
-        .unwrap();
+    let c1 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 1_000).unwrap();
     assert_eq!(c1.executed.len(), 1);
     assert_eq!(c1.executed[0].id.table_uid, 0);
     assert_eq!(c1.ledger.in_flight, 1);
@@ -137,9 +135,7 @@ fn in_flight_targets_are_suppressed_until_settled() {
 
     // Cycle 2 (job still running): t0 is suppressed with a reason, the
     // selection falls to t1.
-    let c2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 2_000)
-        .unwrap();
+    let c2 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 2_000).unwrap();
     let reasons = dropped_reasons_for(&c2, 0);
     assert_eq!(reasons.len(), 1, "t0 dropped exactly once");
     assert!(reasons[0].contains("in-flight"), "{}", reasons[0]);
@@ -151,9 +147,7 @@ fn in_flight_targets_are_suppressed_until_settled() {
     // Cycle 3 (both jobs due): settle → feedback auto-ingested, both
     // tables re-observed dirty despite a quiet changelog, t0 selectable
     // again.
-    let c3 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 30_000)
-        .unwrap();
+    let c3 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 30_000).unwrap();
     assert_eq!(c3.ledger.settled, 2);
     assert_eq!(c3.ledger.succeeded, 2);
     assert_eq!(ac.feedback().records().len(), 2, "automatic ingestion");
@@ -179,9 +173,7 @@ fn admission_defers_in_rank_order_when_fleet_slots_run_out() {
     });
     let mut platform = ScriptedPlatform::new(10_000);
     let mut observer = FleetObserver::new();
-    let report = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     // Best-ranked executes; the next two (in rank order) defer.
     assert_eq!(report.executed.len(), 1);
     assert_eq!(report.executed[0].id.table_uid, 0);
@@ -192,9 +184,7 @@ fn admission_defers_in_rank_order_when_fleet_slots_run_out() {
     assert!(report.deferred[0].1.contains("fleet"));
     // Deferred candidates were not dropped: they rank again next cycle
     // and run once the slot frees.
-    let r2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 20_000)
-        .unwrap();
+    let r2 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 20_000).unwrap();
     assert_eq!(r2.executed[0].id.table_uid, 0, "t0 settled and re-ranked");
 }
 
@@ -207,9 +197,7 @@ fn admission_enforces_per_database_slots_and_gbhr_budget() {
     });
     let mut platform = ScriptedPlatform::new(10_000);
     let mut observer = FleetObserver::new();
-    let report = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     // Rank order t0 (db0), t1 (db1), t2 (db0): t2 defers on db0's slot.
     assert_eq!(report.executed.len(), 2);
     assert_eq!(report.deferred.len(), 1);
@@ -224,9 +212,7 @@ fn admission_enforces_per_database_slots_and_gbhr_budget() {
     });
     let mut platform = ScriptedPlatform::new(10_000);
     let mut observer = FleetObserver::new();
-    let report = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    let report = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     assert!(report.executed.is_empty());
     assert_eq!(report.ledger.deferred, 2);
     assert!(report.deferred.iter().all(|(_, r)| r.contains("GBHr")));
@@ -249,15 +235,11 @@ fn conflicted_job_retries_with_backoff_then_succeeds() {
     let mut platform = ScriptedPlatform::new(1_000).with_conflicts(0, 1);
     let mut observer = FleetObserver::new();
 
-    let c1 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    let c1 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     assert_eq!(c1.executed.len(), 1); // job due at 1_000
 
     // Settles conflicted at 1_000 → retry due at 6_000.
-    let c2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 2_000)
-        .unwrap();
+    let c2 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 2_000).unwrap();
     assert_eq!(c2.ledger.settled, 1);
     assert_eq!(c2.ledger.conflicted, 1);
     assert_eq!(c2.ledger.retry_pending, 1);
@@ -267,16 +249,12 @@ fn conflicted_job_retries_with_backoff_then_succeeds() {
     assert!(c2.executed.is_empty());
 
     // Still inside the backoff window: nothing resubmits.
-    let c3 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 4_000)
-        .unwrap();
+    let c3 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 4_000).unwrap();
     assert_eq!(c3.ledger.retry_pending, 1);
     assert!(c3.retried.is_empty());
 
     // Backoff elapsed: the retry resubmits (attempt 2).
-    let c4 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 7_000)
-        .unwrap();
+    let c4 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 7_000).unwrap();
     assert_eq!(c4.ledger.retries_submitted, 1);
     assert_eq!(c4.retried.len(), 1);
     assert!(c4.retried[0].result.scheduled);
@@ -284,9 +262,7 @@ fn conflicted_job_retries_with_backoff_then_succeeds() {
     assert_eq!(c4.ledger.retry_pending, 0);
 
     // The retry settles successfully → feedback ingested automatically.
-    let c5 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 20_000)
-        .unwrap();
+    let c5 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 20_000).unwrap();
     assert_eq!(c5.ledger.succeeded, 1);
     assert_eq!(ac.feedback().records().len(), 1);
     assert_eq!(ac.feedback().records()[0].actual_reduction, 8);
@@ -305,13 +281,10 @@ fn retry_budget_exhausts_and_the_table_frees_up() {
     let mut platform = ScriptedPlatform::new(500).with_conflicts(0, u64::MAX);
     let mut observer = FleetObserver::new();
 
-    ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     // Conflict settles (attempt 1) and — the short backoff having
     // already elapsed — the retry resubmits within the same cycle.
-    let c2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 1_000)
-        .unwrap();
+    let c2 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 1_000).unwrap();
     assert_eq!(c2.ledger.conflicted, 1);
     assert_eq!(c2.ledger.retries_submitted, 1);
     assert_eq!(c2.retried.len(), 1);
@@ -320,9 +293,7 @@ fn retry_budget_exhausts_and_the_table_frees_up() {
     // The retry conflicts again with the budget spent: exhausted, not
     // requeued — and the table immediately re-enters ranking as a fresh
     // candidate (a new first attempt).
-    let c3 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 2_000)
-        .unwrap();
+    let c3 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 2_000).unwrap();
     assert_eq!(c3.ledger.conflicted, 1);
     assert_eq!(c3.ledger.retries_exhausted, 1);
     assert_eq!(c3.ledger.retry_pending, 0);
@@ -417,9 +388,7 @@ fn retry_resubmission_is_rescored_against_current_stats() {
     let mut observer = FleetObserver::new();
 
     // Cycle 1: submitted with the original 400-small-file prediction.
-    let c1 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 0)
-        .unwrap();
+    let c1 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 0).unwrap();
     assert_eq!(c1.executed.len(), 1);
     let original = c1.executed[0].prediction.clone();
     assert_eq!(original.reduction, 400);
@@ -428,18 +397,14 @@ fn retry_resubmission_is_rescored_against_current_stats() {
     lake.set_small(120);
 
     // Cycle 2: the conflict settles; a backoff retry is queued.
-    let c2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 2_000)
-        .unwrap();
+    let c2 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 2_000).unwrap();
     assert_eq!(c2.ledger.conflicted, 1);
     assert_eq!(c2.ledger.retry_pending, 1);
 
     // Cycle 3 (backoff elapsed): the resubmission is re-scored from the
     // current observation — 120 small files, not the stale 400 — so the
     // GBHr the budget window is charged is honest too.
-    let c3 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 7_000)
-        .unwrap();
+    let c3 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 7_000).unwrap();
     assert_eq!(c3.ledger.retries_submitted, 1);
     assert_eq!(c3.retried.len(), 1);
     let rescored = &c3.retried[0].prediction;
@@ -452,9 +417,7 @@ fn retry_resubmission_is_rescored_against_current_stats() {
     assert_eq!(rescored.gbhr.to_bits(), expected_gbhr.to_bits());
 
     // The retry lands; its feedback reflects the re-scored prediction.
-    let c4 = ac
-        .run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, 20_000)
-        .unwrap();
+    let c4 = tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, 20_000).unwrap();
     assert_eq!(c4.ledger.succeeded, 1);
     let records = ac.feedback().records();
     assert_eq!(records.len(), 1);
@@ -484,11 +447,21 @@ fn untracked_entry_points_reproduce_plain_reports() {
     let mut obs_b = FleetObserver::new();
     for now in [1_000u64, 2_000, 3_000] {
         let a = plain
-            .run_cycle_incremental(&mut obs_a, &lake, &mut InertExecutor, now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut obs_a),
+                executor: Executor::Plain(&mut InertExecutor),
+                now_ms: now,
+            })
             .unwrap();
-        let b = adapted
-            .run_cycle_tracked_incremental(&mut obs_b, &lake, &mut Untracked(InertExecutor), now)
-            .unwrap();
+        let b = tracked_cycle(
+            &mut adapted,
+            &mut obs_b,
+            &lake,
+            &mut Untracked(InertExecutor),
+            now,
+        )
+        .unwrap();
         assert_eq!(report_fingerprint(&a), report_fingerprint(&b));
         assert!(b.ledger.is_quiet());
     }
@@ -562,9 +535,7 @@ fn full_loop_on_lakesim_with_conflict_retry() {
     // Cycle 1: the fragmented table is selected and a rewrite job is
     // submitted to the compaction cluster.
     let t1 = 1_000_000u64;
-    let c1 = ac
-        .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, t1)
-        .unwrap();
+    let c1 = tracked_cycle(&mut ac, &mut observer, &connector, &mut executor, t1).unwrap();
     assert_eq!(c1.executed.len(), 1, "{:?}", c1.executed);
     assert!(c1.executed[0].result.scheduled);
     assert_eq!(c1.ledger.in_flight, 1);
@@ -593,9 +564,7 @@ fn full_loop_on_lakesim_with_conflict_retry() {
     // drop reason — no second job is scheduled for the same table.
     let t2 = t1 + 200;
     assert!(t2 < commit_due);
-    let c2 = ac
-        .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, t2)
-        .unwrap();
+    let c2 = tracked_cycle(&mut ac, &mut observer, &connector, &mut executor, t2).unwrap();
     assert_eq!(c2.ledger.suppressed, 1);
     assert!(dropped_reasons_for(&c2, t.0)[0].contains("in-flight"));
     assert!(c2.executed.is_empty());
@@ -606,9 +575,7 @@ fn full_loop_on_lakesim_with_conflict_retry() {
     // suppressed (now as a retry target). The conflicting write also
     // re-dirtied the table, so the observe re-fetched it.
     let t3 = commit_due + 1;
-    let c3 = ac
-        .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, t3)
-        .unwrap();
+    let c3 = tracked_cycle(&mut ac, &mut observer, &connector, &mut executor, t3).unwrap();
     assert_eq!(c3.ledger.settled, 1);
     assert_eq!(c3.ledger.conflicted, 1);
     assert_eq!(c3.ledger.retry_pending, 1);
@@ -625,9 +592,7 @@ fn full_loop_on_lakesim_with_conflict_retry() {
     // Cycle 4 (backoff elapsed): the retry resubmits, re-planned from
     // the post-conflict table state.
     let t4 = commit_due + 10_000 + 1;
-    let c4 = ac
-        .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, t4)
-        .unwrap();
+    let c4 = tracked_cycle(&mut ac, &mut observer, &connector, &mut executor, t4).unwrap();
     assert_eq!(c4.ledger.retries_submitted, 1);
     assert_eq!(c4.retried.len(), 1);
     assert!(c4.retried[0].result.scheduled, "{:?}", c4.retried[0].result);
@@ -647,9 +612,7 @@ fn full_loop_on_lakesim_with_conflict_retry() {
     // auto-ingested into calibration (no FeedbackBridge anywhere in this
     // test), and the compacted table is re-observed dirty.
     let t5 = retry_due + 1;
-    let c5 = ac
-        .run_cycle_tracked_incremental(&mut observer, &connector, &mut executor, t5)
-        .unwrap();
+    let c5 = tracked_cycle(&mut ac, &mut observer, &connector, &mut executor, t5).unwrap();
     assert_eq!(c5.ledger.settled, 1);
     assert_eq!(c5.ledger.succeeded, 1);
     assert_eq!(shared.borrow().maintenance.count(JobStatus::Succeeded), 1);
@@ -683,11 +646,21 @@ fn idle_tracker_reports_are_bit_identical_to_fire_and_forget() {
     let mut obs_b = FleetObserver::new();
     for now in [1_000u64, 2_000, 3_000] {
         let a = plain
-            .run_cycle_incremental(&mut obs_a, &lake, &mut InertExecutor, now)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut obs_a),
+                executor: Executor::Plain(&mut InertExecutor),
+                now_ms: now,
+            })
             .unwrap();
-        let b = tracked
-            .run_cycle_tracked_incremental(&mut obs_b, &lake, &mut Untracked(InertExecutor), now)
-            .unwrap();
+        let b = tracked_cycle(
+            &mut tracked,
+            &mut obs_b,
+            &lake,
+            &mut Untracked(InertExecutor),
+            now,
+        )
+        .unwrap();
         assert_eq!(report_fingerprint(&a), report_fingerprint(&b));
     }
 }

@@ -1,9 +1,9 @@
-//! Observe-path parity: the batched two-tier observe API must reproduce
-//! the per-table pull path exactly — identical selections and
-//! bit-identical scores — through every entry point:
+//! Observe-path parity: the batched observe API must reproduce the
+//! per-table pull path exactly — identical selections and bit-identical
+//! scores — through every path:
 //!
-//! * the compat blanket `observe` every `LakeConnector` inherits,
-//! * the `BatchLakeConnector` tier (parallel stats fan-out),
+//! * the sequential `observe` every `LakeConnector` inherits,
+//! * the fanned-out `observe` override of a `Sync` connector,
 //! * an incremental (cursor) cycle that reuses the prior observation,
 //!
 //! across all four scope strategies; plus a dirty-set test proving that
@@ -14,9 +14,9 @@ use std::sync::Mutex;
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleReport, ExecutionResult,
-    FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    SyncAsBatch, TableRef, TraitWeight,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
+    ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver, LakeConnector,
+    ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
 };
 
 const FLEET: u64 = 300;
@@ -25,7 +25,9 @@ const FLEET: u64 = 300;
 /// counters. Stats depend only on `(uid, per-table version)`, so a
 /// reused entry is exactly what a fresh fetch would produce for a quiet
 /// table — the precondition for bit-parity of incremental cycles.
+/// `parallel` makes its `observe` the fanned-out driver.
 struct CountingLake {
+    parallel: bool,
     tables: Vec<TableRef>,
     versions: Mutex<Vec<u64>>,
     log: Mutex<Vec<(u64, u64)>>, // (seq, uid)
@@ -38,6 +40,7 @@ struct CountingLake {
 impl CountingLake {
     fn new(n: u64) -> Self {
         CountingLake {
+            parallel: false,
             tables: (0..n)
                 .map(|i| TableRef {
                     table_uid: i,
@@ -83,6 +86,13 @@ impl CountingLake {
 }
 
 impl LakeConnector for CountingLake {
+    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+        if self.parallel {
+            autocomp::observe::batch_observe(self, request)
+        } else {
+            autocomp::observe::pull_observe(self, request)
+        }
+    }
     fn list_tables(&self) -> Vec<TableRef> {
         self.tables.clone()
     }
@@ -198,9 +208,7 @@ fn observation_candidates_match_the_pull_path() {
     for scope in SCOPES {
         let lake = CountingLake::new(FLEET);
         let pulled = autocomp::scope::generate_candidates(&lake, scope);
-        let observed = lake
-            .observe(&autocomp::ObserveRequest::fresh(scope))
-            .to_candidates();
+        let observed = lake.observe(&ObserveRequest::fresh(scope)).to_candidates();
         assert_eq!(pulled, observed, "scope {scope:?}");
     }
 }
@@ -210,10 +218,23 @@ fn batched_and_compat_cycles_are_bit_identical_across_scopes() {
     for scope in SCOPES {
         let lake = CountingLake::new(FLEET);
         let compat = pipeline(scope)
-            .run_cycle(&lake, &mut NullExecutor, 0)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 0,
+            })
             .unwrap();
         let batched = pipeline(scope)
-            .run_cycle_batch(&SyncAsBatch(&lake), &mut NullExecutor, 0)
+            .cycle(CycleInput {
+                connector: &CountingLake {
+                    parallel: true,
+                    ..CountingLake::new(FLEET)
+                },
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 0,
+            })
             .unwrap();
         assert_reports_identical(&compat, &batched, &format!("batched vs compat {scope:?}"));
     }
@@ -228,10 +249,20 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
 
         // Cycle 1 (cold) seeds the observer.
         let cold = incremental_pipeline
-            .run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 0)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 0,
+            })
             .unwrap();
         let pull_cold = pipeline(scope)
-            .run_cycle(&lake, &mut NullExecutor, 0)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 0,
+            })
             .unwrap();
         assert_reports_identical(&cold, &pull_cold, &format!("cold {scope:?}"));
 
@@ -241,10 +272,20 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
             lake.write(uid);
         }
         let incremental = incremental_pipeline
-            .run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 1)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut observer),
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 1,
+            })
             .unwrap();
         let pull = pipeline(scope)
-            .run_cycle(&lake, &mut NullExecutor, 1)
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 1,
+            })
             .unwrap();
         assert_reports_identical(&incremental, &pull, &format!("incremental {scope:?}"));
         let obs = observer.last().unwrap();
@@ -281,13 +322,16 @@ fn incremental_observe_fetches_only_written_tables() {
     );
     assert_eq!(obs.reused_tables(), FLEET as usize - dirty.len());
 
-    // The batch tier obeys the same dirty-set contract.
-    let batch = SyncAsBatch(&lake);
+    // The fanned-out observe obeys the same dirty-set contract.
+    let lake = CountingLake {
+        parallel: true,
+        ..CountingLake::new(FLEET)
+    };
     let mut batch_observer = FleetObserver::new();
-    batch_observer.observe_batch(&batch, ScopeStrategy::Table);
+    batch_observer.observe(&lake, ScopeStrategy::Table);
     lake.write(42);
     let before = lake.stats_fetches();
-    let obs = batch_observer.observe_batch(&batch, ScopeStrategy::Table);
+    let obs = batch_observer.observe(&lake, ScopeStrategy::Table);
     assert_eq!(lake.stats_fetches() - before, 1);
     assert_eq!(obs.fetched_tables(), 1);
 }
@@ -341,16 +385,26 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     let mut observer = FleetObserver::new();
 
     // Cold cycle: every candidate is filtered.
-    ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 0)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut NullExecutor),
+        now_ms: 0,
+    })
+    .unwrap();
     let cold_evals = evals.swap(0, Ordering::SeqCst);
     assert!(cold_evals >= N, "cold cycle filters the fleet");
 
     // Quiet cycle (moving timestamp, time-insensitive chain): everything
     // splices — zero filter evaluations, zero stats fetches.
     let fetches_before = lake.stats_fetches();
-    ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 1)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut NullExecutor),
+        now_ms: 1,
+    })
+    .unwrap();
     assert_eq!(evals.swap(0, Ordering::SeqCst), 0, "quiet cycle splices");
     assert_eq!(lake.stats_fetches(), fetches_before, "no re-fetch");
     assert_eq!(ac.cycle_cache_stats().spliced_tables, N as usize);
@@ -359,8 +413,13 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     // re-fetch and exactly its cache rows recompute.
     observer.mark_dirty(7);
     let fetches_before = lake.stats_fetches();
-    ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 2)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut NullExecutor),
+        now_ms: 2,
+    })
+    .unwrap();
     assert_eq!(
         lake.stats_fetches() - fetches_before,
         1,
@@ -377,8 +436,13 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
 
     // The recomputed rows re-enter the cache: the next quiet cycle is a
     // full splice again.
-    ac.run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 3)
-        .unwrap();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut NullExecutor),
+        now_ms: 3,
+    })
+    .unwrap();
     assert_eq!(evals.swap(0, Ordering::SeqCst), 0);
     assert_eq!(ac.cycle_cache_stats().spliced_tables, N as usize);
 }
@@ -431,7 +495,12 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     let mut ac = pipeline(ScopeStrategy::Table);
     let mut observer = FleetObserver::new();
     let first = ac
-        .run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 0)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut NullExecutor),
+            now_ms: 0,
+        })
         .unwrap();
     assert!(
         first.ranked.iter().any(|e| e.id.table_uid == 3),
@@ -441,10 +510,20 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     // Flip table 3's policy with a quiet changelog, then cycle again.
     lake.disabled.lock().unwrap().insert(3);
     let incremental = ac
-        .run_cycle_incremental(&mut observer, &lake, &mut NullExecutor, 1)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Plain(&mut NullExecutor),
+            now_ms: 1,
+        })
         .unwrap();
     let cold = pipeline(ScopeStrategy::Table)
-        .run_cycle(&lake, &mut NullExecutor, 1)
+        .cycle(CycleInput {
+            connector: &lake,
+            observer: None,
+            executor: Executor::Plain(&mut NullExecutor),
+            now_ms: 1,
+        })
         .unwrap();
     assert_reports_identical(&incremental, &cold, "post policy flip");
     assert!(
@@ -461,8 +540,9 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     );
 }
 
-/// End-to-end over the simulated lake: the sequential `Rc<RefCell>` tier
-/// and the `Arc<RwLock>` batch tier produce bit-identical cycles.
+/// End-to-end over the simulated lake: the sequential `Rc<RefCell>`
+/// connector and the fanned-out `Arc<RwLock>` one produce bit-identical
+/// cycles.
 #[test]
 fn lakesim_tiers_produce_identical_cycles() {
     use autocomp_lakesim::{share, share_sync, BatchLakesimConnector, LakesimConnector};
@@ -509,14 +589,24 @@ fn lakesim_tiers_produce_identical_cycles() {
         let shared = share(build());
         let connector = LakesimConnector::new(shared);
         pipeline(ScopeStrategy::Table)
-            .run_cycle(&connector, &mut NullExecutor, 1_000_000)
+            .cycle(CycleInput {
+                connector: &connector,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 1_000_000,
+            })
             .unwrap()
     };
     let batched = {
         let shared = share_sync(build());
         let connector = BatchLakesimConnector::new(shared);
         pipeline(ScopeStrategy::Table)
-            .run_cycle_batch(&connector, &mut NullExecutor, 1_000_000)
+            .cycle(CycleInput {
+                connector: &connector,
+                observer: None,
+                executor: Executor::Plain(&mut NullExecutor),
+                now_ms: 1_000_000,
+            })
             .unwrap()
     };
     assert_reports_identical(&sequential, &batched, "lakesim tiers");

@@ -7,8 +7,8 @@
 //!   bit-identical round reports and identical runtime stats.
 //! * **Parity** — a trace whose watermark trigger fires rounds at
 //!   exactly the polled driver's cadence produces `CycleReport`s
-//!   bit-identical to `run_cycle_tracked_incremental` calls at the same
-//!   times, with and without completions pumped in as events between
+//!   bit-identical to tracked incremental `AutoComp::cycle` calls at the
+//!   same times, with and without completions pumped in as events between
 //!   rounds (the `buffered ++ poll` equivalence the module docs pin).
 //! * **Trigger pins** — watermark, staleness-deadline and GBHr-headroom
 //!   rounds fire at exactly the scripted event, with the scripted cause
@@ -36,7 +36,7 @@ use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotStore};
 
 mod common;
 use common::faults::{CrashPoint, CrashingExecutor, SplitMix64, TornMedium, SCRIPTED_CRASH};
-use common::ScriptedPlatform;
+use common::{tracked_cycle, ScriptedPlatform};
 
 const TABLES: u64 = 24;
 const WINDOWS: usize = 8;
@@ -259,8 +259,8 @@ fn assert_rounds_identical(a: &RoundReport, b: &RoundReport, ctx: &str) {
 // Parity with the polled driver.
 // ---------------------------------------------------------------------
 
-/// The polled twin: one `run_cycle_tracked_incremental` per window, at
-/// the same times the event side's watermark rounds fire.
+/// The polled twin: one tracked incremental `AutoComp::cycle` per window,
+/// at the same times the event side's watermark rounds fire.
 fn run_polled_windows() -> Vec<CycleReport> {
     let lake = RuntimeLake::new(TABLES);
     let mut platform = ScriptedPlatform::parity(JOB_DURATION_MS);
@@ -271,8 +271,7 @@ fn run_polled_windows() -> Vec<CycleReport> {
             for uid in window_writes(i) {
                 lake.write(uid);
             }
-            ac.run_cycle_tracked_incremental(&mut observer, &lake, &mut platform, now(i))
-                .unwrap()
+            tracked_cycle(&mut ac, &mut observer, &lake, &mut platform, now(i)).unwrap()
         })
         .collect()
 }

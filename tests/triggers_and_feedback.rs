@@ -3,8 +3,9 @@
 //! from maintenance outcomes.
 
 use autocomp::{
-    AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, FileCountReduction, HookAction,
-    HookMode, PeriodicTrigger, RankingPolicy, ScopeStrategy, TraitWeight,
+    AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, Executor,
+    FileCountReduction, HookAction, HookMode, PeriodicTrigger, RankingPolicy, ScopeStrategy,
+    TraitWeight,
 };
 use autocomp_lakesim::hooks::{evaluate_hook, written_tables};
 use autocomp_lakesim::{share, FeedbackBridge, LakesimConnector, LakesimExecutor};
@@ -111,7 +112,12 @@ fn feedback_bridge_calibrates_predictions() {
     let connector = LakesimConnector::new(shared.clone());
     let mut executor = LakesimExecutor::new(shared.clone());
     let report1 = pipeline
-        .run_cycle(&connector, &mut executor, 4 * MS_PER_HOUR)
+        .cycle(CycleInput {
+            connector: &connector,
+            observer: None,
+            executor: Executor::Plain(&mut executor),
+            now_ms: 4 * MS_PER_HOUR,
+        })
         .unwrap();
     assert_eq!(report1.executed.len(), 1);
     shared.borrow_mut().drain_all();
