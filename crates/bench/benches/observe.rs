@@ -1,22 +1,21 @@
 //! Criterion: the observe phase at fleet scale — per-table pull baseline
-//! vs. a session-holding `Sync` connector whose observe fans out, cold
-//! vs. incremental (cursor/dirty-set) observe.
+//! vs. a session-holding connector, cold vs. incremental
+//! (cursor/dirty-set) observe, the incremental one over a listing shared
+//! under a listing epoch and over one re-read every pass.
 //!
 //! The synthetic lake models what a real connector pays per stats
 //! round-trip: a catalog-session lookup (`SESSION_STEPS`, paid *per
 //! call* by the chatty per-table protocol, amortized away by the
 //! connector that holds its session across the batch) plus a manifest
-//! walk (`MANIFEST_STEPS`, paid per fetched table by both). On
-//! multi-core machines the session connector additionally fans the
-//! fetches out over scoped threads.
+//! walk (`MANIFEST_STEPS`, paid per fetched table by both).
 //!
 //! Full cycles, telemetry overhead and restart cost are measured by the
 //! `benchmark/` package (`steady_1pct` `round_ms_p50`,
 //! `telemetry.trace_overhead_pct`, `crash_restart` `recover_ms_p50`).
 
 use autocomp::{
-    CandidateStats, ChangeCursor, FleetObservation, LakeConnector, ObserveRequest, ScopeStrategy,
-    SizeBucket, TableRef,
+    CandidateStats, ChangeCursor, LakeConnector, ObserveRequest, ScopeStrategy, SizeBucket,
+    TableRef,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -131,22 +130,23 @@ impl LakeConnector for PerCallLake<'_> {
 }
 
 /// The connector holds its catalog session across the batch, so fetches
-/// pay only the manifest walk (and fan out over scoped threads where
-/// cores allow).
-struct SessionLake<'a>(&'a SyntheticLake);
+/// pay only the manifest walk. `listing_epoch` is what it reports: with
+/// one, incremental observes share the prior's listing; without, every
+/// pass re-reads the listing and maps it onto the prior's.
+struct SessionLake<'a> {
+    lake: &'a SyntheticLake,
+    listing_epoch: Option<u64>,
+}
 
 impl LakeConnector for SessionLake<'_> {
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        autocomp::observe::batch_observe(self, request)
-    }
     fn list_tables(&self) -> Vec<TableRef> {
-        self.0.tables.clone()
+        self.lake.tables.clone()
     }
     fn listing_epoch(&self) -> Option<u64> {
-        Some(0)
+        self.listing_epoch
     }
     fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-        Some(self.0.fetch(uid, 0))
+        Some(self.lake.fetch(uid, 0))
     }
     fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
         Vec::new()
@@ -155,7 +155,7 @@ impl LakeConnector for SessionLake<'_> {
         Some(ChangeCursor(0))
     }
     fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
-        Some(self.0.dirty_set())
+        Some(self.lake.dirty_set())
     }
 }
 
@@ -173,8 +173,11 @@ fn bench_observe(c: &mut Criterion) {
         b.iter(|| chatty.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
     });
 
-    // Cold observe with the session amortized and the fetches fanned out.
-    let session = SessionLake(&lake);
+    // Cold observe with the session amortized.
+    let session = SessionLake {
+        lake: &lake,
+        listing_epoch: Some(0),
+    };
     group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
         b.iter(|| session.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
     });
@@ -183,6 +186,17 @@ fn bench_observe(c: &mut Criterion) {
     let prior = session.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
     group.bench_with_input(BenchmarkId::new("tables_incremental", n), &n, |b, _| {
         b.iter(|| session.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
+    });
+
+    // The same 1% dirty without a listing epoch: every pass lists the
+    // fleet again and walks it against the prior's listing.
+    let relisting = SessionLake {
+        lake: &lake,
+        listing_epoch: None,
+    };
+    let prior = relisting.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    group.bench_with_input(BenchmarkId::new("tables_relisted", n), &n, |b, _| {
+        b.iter(|| relisting.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
     });
     group.finish();
 }

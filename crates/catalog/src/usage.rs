@@ -57,29 +57,17 @@ impl TableUsage {
     }
 
     /// Writes observed within the rolling window ending at `now_ms`.
-    pub fn writes_in_window(&mut self, now_ms: u64) -> u64 {
-        self.prune(now_ms);
-        self.recent_writes.len() as u64
-    }
-
-    /// Read-only twin of [`writes_in_window`](Self::writes_in_window):
-    /// counts against the cutoff without pruning, for shared (`&self`)
-    /// readers like the `Sync` connector. Always agrees with the
-    /// mutating version for the same `now_ms`.
+    /// Counts against the cutoff without pruning ([`record_write`]
+    /// prunes), so observers read through `&self`.
+    ///
+    /// [`record_write`]: Self::record_write
     pub fn writes_in_window_at(&self, now_ms: u64) -> u64 {
         let cutoff = now_ms.saturating_sub(self.window_ms);
         self.recent_writes.iter().filter(|&&w| w >= cutoff).count() as u64
     }
 
-    /// Write frequency in writes/hour over the rolling window.
-    pub fn write_frequency_per_hour(&mut self, now_ms: u64) -> f64 {
-        self.prune(now_ms);
-        self.write_frequency_per_hour_at(now_ms)
-    }
-
-    /// Read-only twin of
-    /// [`write_frequency_per_hour`](Self::write_frequency_per_hour) for
-    /// shared readers; identical result, no pruning.
+    /// Write frequency in writes/hour over the rolling window ending at
+    /// `now_ms`.
     pub fn write_frequency_per_hour_at(&self, now_ms: u64) -> f64 {
         let writes = self.writes_in_window_at(now_ms) as f64;
         let hours = self.window_ms as f64 / 3_600_000.0;
@@ -126,9 +114,9 @@ mod tests {
         let mut u = TableUsage::new(0, HOUR);
         u.record_write(0);
         u.record_write(30 * 60_000);
-        assert_eq!(u.writes_in_window(30 * 60_000), 2);
+        assert_eq!(u.writes_in_window_at(30 * 60_000), 2);
         // One hour later, only the second write is inside the window.
-        assert_eq!(u.writes_in_window(HOUR + 60_000), 1);
+        assert_eq!(u.writes_in_window_at(HOUR + 60_000), 1);
         assert_eq!(u.total_writes, 2); // totals unaffected
     }
 
@@ -149,24 +137,8 @@ mod tests {
         for i in 0..6 {
             u.record_write(i * 10 * 60_000);
         }
-        let f = u.write_frequency_per_hour(60 * 60_000);
+        let f = u.write_frequency_per_hour_at(60 * 60_000);
         assert!((f - 3.0).abs() < 1e-12, "{f}");
-    }
-
-    #[test]
-    fn read_only_twins_agree_with_mutating_accessors() {
-        let mut u = TableUsage::new(0, HOUR);
-        for i in 0..5 {
-            u.record_write(i * 20 * 60_000);
-        }
-        for now in [0, 30 * 60_000, HOUR, 2 * HOUR, 3 * HOUR] {
-            let frozen = u.clone();
-            assert_eq!(frozen.writes_in_window_at(now), u.writes_in_window(now));
-            assert_eq!(
-                frozen.write_frequency_per_hour_at(now),
-                u.write_frequency_per_hour(now)
-            );
-        }
     }
 
     #[test]

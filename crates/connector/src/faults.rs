@@ -2,12 +2,10 @@
 //!
 //! The lakesim substrate is an in-memory simulation: its reads cannot
 //! actually fail. To exercise the pipeline's degradation machinery
-//! ([`autocomp::ObserveDegradation`]) against the *real*
-//! connectors, both [`LakesimConnector`](crate::LakesimConnector) and
-//! [`BatchLakesimConnector`](crate::BatchLakesimConnector) accept an
-//! optional [`ObserveFaultScript`]: a scripted schedule of
-//! [`ObserveFault`]s consumed by their `try_*` implementations before
-//! the real read runs.
+//! ([`autocomp::ObserveDegradation`]) against the *real* connector,
+//! [`LakesimConnector`](crate::LakesimConnector) accepts an optional
+//! [`ObserveFaultScript`]: a scripted schedule of [`ObserveFault`]s
+//! consumed by its `try_*` implementations before the real read runs.
 //!
 //! Scripts are strictly deterministic: each read kind (listing,
 //! changelog, per-table stats) drains its own FIFO queue — one fault per

@@ -5,30 +5,22 @@
 //! integration: AutoComp as "a standalone component that supports both
 //! push and pull operations" against the control plane.
 //!
-//! The observe side is two implementations of the one
-//! [`autocomp::LakeConnector`] trait:
+//! The observe side is [`LakesimConnector`], the
+//! [`autocomp::LakeConnector`] over `Rc<RefCell<SimEnv>>` (the
+//! environment the executor, bridges and hooks share): it lists catalog
+//! tables and converts LST/catalog/storage state into the standardized
+//! [`autocomp::CandidateStats`] layout — quota signal (§7) memoized once
+//! per database per batch, database names interned, stats production in
+//! the private read-only `stats` module — and surfaces the engine's
+//! commit changelog as a change cursor, so `observe(&ObserveRequest)`
+//! with a prior observation re-fetches only the tables written since the
+//! last cycle (§5's optimize-after-write mode without full-fleet observe
+//! cost). Incremental caveat: reused entries keep the prior cycle's
+//! quota signal and write-frequency values for quiet tables (bounded
+//! staleness, see `autocomp::observe`'s staleness contract); interleave
+//! cold observes when exact fleetwide quota pressure matters.
 //!
-//! * [`LakesimConnector`] (over `Rc<RefCell<SimEnv>>`, the environment
-//!   the executor, bridges and hooks share): it lists catalog
-//!   tables and converts LST/catalog/storage state into the standardized
-//!   [`autocomp::CandidateStats`] layout — quota signal (§7) memoized
-//!   once per database per batch, database names interned — and surfaces
-//!   the engine's commit changelog as a change cursor, so
-//!   `observe(&ObserveRequest)` with a prior observation re-fetches only
-//!   the tables written since the last cycle (§5's optimize-after-write
-//!   mode without full-fleet observe cost). Incremental caveat: reused
-//!   entries keep the prior cycle's quota signal and write-frequency
-//!   values for quiet tables (bounded staleness, see
-//!   `autocomp::observe`'s staleness contract); interleave cold observes
-//!   when exact fleetwide quota pressure matters.
-//! * [`BatchLakesimConnector`] (observe-only, over [`SyncSharedEnv`], an
-//!   `Arc<RwLock<SimEnv>>`): identical stats, produced under read locks
-//!   so its `observe()` fans stats production out over scoped threads
-//!   ([`autocomp::observe::batch_observe`]). Both share the read-only
-//!   builders in the private `stats` module and are parity-tested
-//!   bit-identical.
-//!
-//! The act side is unchanged in shape:
+//! The act side:
 //!
 //! * [`LakesimExecutor`] implements [`autocomp::CompactionExecutor`]: it
 //!   plans bin-pack rewrites at the candidate's scope and submits them to
@@ -47,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod events;
 pub mod executor;
 pub mod faults;
@@ -61,7 +52,6 @@ use std::rc::Rc;
 
 use lakesim_engine::SimEnv;
 
-pub use batch::{share_sync, BatchLakesimConnector, SyncSharedEnv};
 pub use events::CommitEventBridge;
 pub use executor::{ExecutorOptions, LakesimExecutor};
 pub use faults::{ChangelogEvent, ObserveFaultScript};

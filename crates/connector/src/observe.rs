@@ -1,11 +1,11 @@
 //! The observe-side connector: catalog/LST/storage → `CandidateStats`.
 //!
-//! [`LakesimConnector`] observes sequentially over the shared
-//! `Rc<RefCell<SimEnv>>`. Stats production itself is read-only (shared
-//! with the `Sync` connector through `crate::stats`); per-cycle costs are
-//! amortized with a database-name interner and a per-batch quota memo,
-//! and the engine's commit changelog is surfaced as a change cursor so
-//! incremental (dirty-set) observes re-fetch only written tables.
+//! [`LakesimConnector`] observes over the shared `Rc<RefCell<SimEnv>>`.
+//! Stats production itself is read-only (`crate::stats`); per-cycle
+//! costs are amortized with a database-name interner and a per-batch
+//! quota memo, and the engine's commit changelog is surfaced as a change
+//! cursor so incremental (dirty-set) observes re-fetch only written
+//! tables.
 //!
 //! # Why the event-driven runtime fetches more tables than changed
 //!
@@ -62,9 +62,7 @@ impl Default for ObserveOptions {
     }
 }
 
-/// [`LakeConnector`] implementation over the simulated lake (sequential
-/// observe; see [`crate::BatchLakesimConnector`] for the `Sync` one whose
-/// observe fans out).
+/// [`LakeConnector`] implementation over the simulated lake.
 pub struct LakesimConnector {
     env: SharedEnv,
     options: ObserveOptions,

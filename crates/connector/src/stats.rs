@@ -1,15 +1,11 @@
-//! Shared, read-only candidate-stats production over a [`SimEnv`].
+//! Read-only candidate-stats production over a [`SimEnv`].
 //!
-//! Both connectors — [`LakesimConnector`] (one `Rc<RefCell<SimEnv>>`)
-//! and the `Sync` [`BatchLakesimConnector`] (an `Arc<RwLock<SimEnv>>`) —
-//! produce identical [`CandidateStats`] through these builders.
-//! Everything here takes `&SimEnv`: the historical mutable accesses
-//! (usage-window pruning) are replaced with the catalog's read-only
-//! twins, which is what lets the `Sync` connector fan stats production
-//! out over threads holding only read locks.
+//! [`LakesimConnector`] produces its [`CandidateStats`] through these
+//! builders. Everything here takes `&SimEnv`: an observe never mutates
+//! the lake (usage windows are read through the catalog's `_at`
+//! accessors, which take the clock as an argument instead of pruning).
 //!
 //! [`LakesimConnector`]: crate::LakesimConnector
-//! [`BatchLakesimConnector`]: crate::BatchLakesimConnector
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -10,18 +10,11 @@
 //! Implementors provide the per-table primitives (`list_tables` +
 //! `*_stats`) and inherit a batched [`observe`](LakeConnector::observe)
 //! entry point for free: the default drives the per-table pull protocol
-//! sequentially ([`pull_observe`](crate::observe::pull_observe)) and adds
-//! incremental (dirty-set) reuse whenever the connector reports a
-//! [`ChangeCursor`].
-//!
-//! A connector whose stats can be produced concurrently (shared
-//! snapshots, `RwLock`-guarded state, remote catalogs) opts into parallel
-//! stats fan-out by being `Sync` and overriding `observe` with the
-//! one-line call to [`batch_observe`](crate::observe::batch_observe) —
-//! the same driver body with the fetches mapped over scoped threads in
-//! position-stable chunks, so the result is bit-identical to the
-//! sequential default. The choice rides behind `&dyn LakeConnector`;
-//! callers never make it.
+//! ([`pull_observe`](crate::observe::pull_observe)) and adds incremental
+//! (dirty-set) reuse whenever the connector reports a [`ChangeCursor`].
+//! A connector with a cheaper native path (a batch RPC, a columnar stats
+//! table) overrides `observe`; the choice rides behind
+//! `&dyn LakeConnector`, callers never make it.
 //!
 //! Cycles consume connectors through [`FleetObservation`] values
 //! returned by `observe` — one batched round-trip per cycle instead of
@@ -210,14 +203,12 @@ pub trait LakeConnector {
 
     /// Batched observe: one call captures the whole fleet's descriptors
     /// and stats as a [`FleetObservation`]. The default implementation
-    /// drives the per-table pull protocol above — sequential, in listing
-    /// order — and reuses the prior observation's entries for tables the
-    /// changelog proves untouched. `Sync` connectors override it with
-    /// [`batch_observe`](observe::batch_observe) to fan the stats fetches
-    /// out over scoped threads; connectors with a cheaper native path (a
-    /// batch RPC, a columnar stats table) may override it outright. The
-    /// parity contract is that for identical lake state the result must
-    /// equal the default's.
+    /// drives the per-table pull protocol above, in listing order, and
+    /// reuses the prior observation's entries for tables the changelog
+    /// proves untouched. Connectors with a cheaper native path (a batch
+    /// RPC, a columnar stats table) may override it. The parity contract
+    /// is that for identical lake state the result must equal the
+    /// default's.
     fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
         observe::pull_observe(self, request)
     }

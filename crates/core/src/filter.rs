@@ -23,7 +23,7 @@ pub enum FilterDecision {
 ///
 /// Filters are `Send + Sync`, like [`TraitComputer`]: they are pure
 /// predicates over the candidate, so the bound costs implementations
-/// nothing and keeps the whole observe/orient phase thread-portable.
+/// nothing and keeps an assembled pipeline movable across threads.
 ///
 /// Filters evaluate a borrowed [`CandidateView`] rather than an owned
 /// [`Candidate`]: the index-native pipeline builds views straight from

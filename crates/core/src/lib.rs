@@ -35,10 +35,8 @@
 //! [`connector::LakeConnector`] implementors provide the per-table
 //! primitives and inherit a batched
 //! `observe(&ObserveRequest) -> FleetObservation` entry point that drives
-//! the per-table pull protocol sequentially. A `Sync` connector overrides
-//! `observe` with [`observe::batch_observe`] to fan stats production out
-//! over scoped threads in position-stable chunks, bit-identical to the
-//! sequential default.
+//! the per-table pull protocol ([`observe::pull_observe`]); a connector
+//! with a cheaper native path overrides it.
 //!
 //! Observations are snapshots that persist across cycles: a connector
 //! with a change cursor ([`observe::ChangeCursor`], fed by after-write
@@ -60,11 +58,11 @@
 //!   lookups are index arithmetic over contiguous columns — no
 //!   per-candidate maps, no string-keyed probes, and **zero per-candidate
 //!   allocations** in the decide phase.
-//! * Orient fills trait columns in parallel chunks over scoped threads
-//!   for large fleets; the fill is position-stable, so results are
-//!   bit-identical to sequential runs. Filtering retains survivors in
-//!   place (no fleet-sized reallocation), and NaN trait values are
-//!   sanitized into dropped candidates instead of aborting the cycle.
+//! * Orient fills a row-major scratch in one pass (one stats access per
+//!   candidate) and transposes it into the trait columns. Filtering
+//!   retains survivors in place (no fleet-sized reallocation), and NaN
+//!   trait values are sanitized into dropped candidates instead of
+//!   aborting the cycle.
 //! * [`rank::rank_and_select`] replaces the seed's full fleet sort with
 //!   partial selection (`select_nth_unstable_by` plus a sort of the
 //!   selected head): for n candidates and k selections the decide phase
@@ -96,7 +94,6 @@ pub mod filter;
 pub mod kind;
 pub mod matrix;
 pub mod observe;
-mod par;
 pub mod pipeline;
 pub mod rank;
 pub mod report;

@@ -3,9 +3,9 @@
 //! The original connector protocol was a chatty per-table pull: one
 //! `list_tables()` round-trip, then one `table_stats()` /
 //! `partition_stats()` call per table. At the paper's fleet scale (§6–§7,
-//! 21K → 100K tables per cycle) that shape caps the OODA cadence: stats
-//! production cannot fan out, nothing is reused between cycles, and every
-//! cycle pays the full-fleet cost even when almost nothing changed.
+//! 21K → 100K tables per cycle) that shape caps the OODA cadence:
+//! nothing is reused between cycles, and every cycle pays the full-fleet
+//! cost even when almost nothing changed.
 //!
 //! This module replaces that protocol with a single entry point,
 //! `observe(&ObserveRequest) -> FleetObservation`:
@@ -25,14 +25,11 @@
 //!   observation and externally-marked dirty tables (§5
 //!   [`HookAction::MarkDirty`]) through consecutive cycles.
 //!
-//! One driver body implements the protocol; how it maps a slice of
-//! tables through the per-table stats fetch is its only parameter.
-//! [`pull_observe`] maps sequentially (the default every
-//! [`LakeConnector`] inherits) and [`batch_observe`] fans the same
-//! fetches out over scoped threads (the `observe` override of `Sync`
-//! connectors). Both are position-stable, so for identical lake state
-//! they yield an identical observation — the parity contract the golden
-//! tests pin.
+//! One driver implements the protocol: [`pull_observe`], the default
+//! every [`LakeConnector`] inherits, fetches table by table in listing
+//! order. A connector with a cheaper native path overrides
+//! [`LakeConnector::observe`]; for identical lake state its observation
+//! must equal the driver's — the parity contract the golden tests pin.
 //!
 //! # Staleness contract of incremental observe
 //!
@@ -68,39 +65,49 @@
 //! so caches invalidate their rows. See [`crate::pipeline`] and the
 //! cache-epoch rules documented there.
 //!
-//! # Dirty-overwrite assembly (the steady-state fast path)
+//! # Plan, absorb, assemble
 //!
-//! When the prior observation's listing is literally shared
-//! (`Arc::ptr_eq` under an unchanged [`LakeConnector::listing_epoch`])
-//! and the connector answers the changelog query, the incremental
-//! observe skips planning entirely: the new observation **is** the prior
-//! one — chunk table cloned wholesale (one `Arc` bump per chunk), entry
-//! table shared outright on a quiet pass or clone-and-patched at exactly
-//! the dirty positions otherwise. Dirty uids resolve to positions
-//! through a uid → position index retained (lazily built, `Arc`-shared)
-//! across the observation chain, so per-pass work is O(dirty) lookups +
-//! fetches instead of the O(n) merge-scan planning walk. The planning
-//! path remains for listing changes, scope changes, and connectors
-//! without a listing epoch.
+//! Every pass runs the same three steps after the listing and changelog
+//! reads resolve:
 //!
-//! # Arena-chunk compaction
+//! * **Plan.** Only a prior of the same scope is reused. When its
+//!   listing is literally shared (`Arc::ptr_eq` under an unchanged
+//!   [`LakeConnector::listing_epoch`]) positions are identical and dirty
+//!   uids resolve through a uid → position index retained across the
+//!   observation chain: O(dirty) work. Otherwise one O(n + dirty) walk
+//!   maps every listed table to its prior position — positional compare
+//!   first, the prior's uid index only for tables that moved — with
+//!   dirty membership by merge scan. Dirty and newly listed tables are
+//!   fetched; without a changelog answer every table is.
+//! * **Absorb.** A successful fetch lands in the pass's patch. A faulted
+//!   one carries the prior entry when the plan has a prior position for
+//!   it (it stays out of the patch and reads as reused) and otherwise
+//!   retires to `Missing`, per the degradation contract below.
+//! * **Assemble.** The prior entry table is shared outright when the
+//!   listing is shared and the patch is empty (a quiet pass is one
+//!   refcount bump), otherwise copied; the prior's chunks are imported
+//!   wholesale (one `Arc` bump per chunk, zero stats clones) and the
+//!   patch lands in one fresh chunk, so exactly the entries whose value
+//!   came from the connector this pass read as fresh.
 //!
-//! Each incremental pass adds one fresh chunk and imports the prior
-//! chunks its reused entries live in. Without intervention a long-lived
-//! observer would retain dead entries forever (a chunk stays alive while
-//! *any* of its entries is referenced) and accumulate one sliver chunk
-//! per cycle. The planning assembly therefore rewrites imported chunks
-//! into a dedicated compaction chunk when fewer than half their entries
-//! are still live ([`ARENA_COMPACT_MIN_LIVE`]) or when they hold less
-//! than `1/64` of the fleet ([`ARENA_COMPACT_SMALL_DIVISOR`]); the
-//! dirty-overwrite fast path instead amortizes — dead slots accumulate
-//! until the same bounds would be violated, then one O(n) rebuild folds
-//! every reused entry into a single compaction chunk. Consequences,
-//! pinned by the soak suite (`tests/incremental_soak.rs`) on both paths:
-//! [`FleetObservation::arena_live_density`] never drops below 1/2 and
-//! [`FleetObservation::arena_chunk_count`] stays ≤ 2 × 64 + 2 no matter
-//! how many cycles run. The compaction chunk is distinct from the fresh
-//! chunk, so relocated entries do not read as freshly fetched.
+//! Patched and dropped tables leave dead slots behind in the imported
+//! chunks, which a long-lived observer would otherwise retain forever.
+//! Every pass therefore ends with one amortized check: once fewer than half the arena's slots are live
+//! ([`ARENA_COMPACT_MIN_LIVE`]) or more than
+//! `2 × `[`ARENA_COMPACT_SMALL_DIVISOR`] chunks are held, every reused
+//! entry is cloned into a single compaction chunk — distinct from the
+//! fresh chunk, so relocated entries do not read as fetched. The rebuild
+//! clones at most the live entries and, by the density rule, runs only
+//! once the slots that died since the previous rebuild outnumber them,
+//! so its cost amortizes to O(1) per replaced or dropped entry; the
+//! chunk-count rule fires at most once in 2 × 64 passes. The check is
+//! what bounds the arena: [`FleetObservation::arena_live_density`] is
+//! ≥ 1/2 and [`FleetObservation::arena_chunk_count`] ≤ 2 × 64 + 2 after
+//! every pass (a quiet pass that shares the entry table inherits its
+//! prior's arena unchanged, so it never rebuilds), no matter how many
+//! cycles run — pinned by
+//! `tests/incremental_soak.rs` and, across listing changes,
+//! `tests/observe_parity.rs`.
 //!
 //! # Degradation contract (fault-tolerant observe)
 //!
@@ -166,7 +173,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::candidate::{Candidate, CandidateId, ScopeKind, TableRef};
 use crate::connector::{LakeConnector, ObserveFault};
-use crate::par;
 use crate::scope::ScopeStrategy;
 use crate::stats::CandidateStats;
 
@@ -494,8 +500,8 @@ struct EntryRef {
 /// `Arc`-shared arena chunks (one chunk per observe pass) addressed by
 /// `(chunk, offset)` entries: a cold observe allocates exactly one chunk
 /// for the whole fleet, and an incremental observe reuses prior entries
-/// by importing their chunks — one refcount bump per *chunk*, an 8-byte
-/// entry copy per table, and zero stats clones.
+/// by importing their chunks — one refcount bump per *chunk*, at most an
+/// 8-byte entry copy per table, and zero stats clones.
 #[derive(Debug, Clone)]
 pub struct FleetObservation {
     scope: ScopeStrategy,
@@ -505,17 +511,16 @@ pub struct FleetObservation {
     /// next incremental observe share this listing (one `Arc` bump)
     /// instead of re-materializing 100K descriptors per cycle.
     listing_epoch: Option<u64>,
-    /// Per-table entry refs, `Arc`-shared so the dirty-overwrite fast
-    /// path can either share them outright (quiet cycle: one refcount
-    /// bump) or clone-and-patch only the dirty positions.
+    /// Per-table entry refs, `Arc`-shared so a quiet pass over a shared
+    /// listing shares them outright (one refcount bump); any other pass
+    /// copies them and patches the fetched positions.
     entries: Arc<Vec<EntryRef>>,
     chunks: Vec<Arc<Vec<TableObservation>>>,
     /// Lazily built uid → listing-position index, shared across the
-    /// observation chain while the listing itself is shared. This is the
-    /// retained structure behind the dirty-overwrite assembly: mapping a
-    /// changelog's dirty uids to positions costs O(dirty) lookups
-    /// instead of an O(n) planning walk. Also serves act-phase retry
-    /// re-scoring ([`Self::position_of_uid`]).
+    /// observation chain while the listing itself is shared: planning
+    /// over a shared listing maps a changelog's dirty uids to positions
+    /// with O(dirty) lookups instead of an O(n) walk. Also serves
+    /// act-phase retry re-scoring ([`Self::position_of_uid`]).
     uid_index: Arc<OnceLock<HashMap<u64, u32>>>,
     cursor: Option<ChangeCursor>,
     /// Chunk holding the entries fetched from the connector *this pass*
@@ -536,17 +541,16 @@ pub struct FleetObservation {
     degradation: ObserveDegradation,
 }
 
-/// An imported arena chunk is rewritten (its live entries cloned into a
-/// dedicated compaction chunk) once fewer than half its entries are still
-/// referenced — long-lived incremental observers otherwise retain dead
-/// entries until every table of a chunk happens to be re-fetched.
+/// The arena is rebuilt (every reused entry cloned into one compaction
+/// chunk) once fewer than this fraction of its slots is still referenced
+/// — long-lived incremental observers otherwise retain dead entries
+/// until every table of a chunk happens to be re-fetched.
 pub const ARENA_COMPACT_MIN_LIVE: (usize, usize) = (1, 2);
 
-/// Imported chunks smaller than `fleet / ARENA_COMPACT_SMALL_DIVISOR`
-/// entries are folded into the compaction chunk regardless of density, so
-/// the per-cycle dirty-set chunks cannot accumulate without bound.
-/// Together with the density rule this caps the chunk count at
-/// `2 × ARENA_COMPACT_SMALL_DIVISOR + 2`.
+/// The arena is also rebuilt once it holds more than
+/// `2 × ARENA_COMPACT_SMALL_DIVISOR` chunks, so per-cycle dirty-set
+/// chunks too small to move the density cannot accumulate without bound:
+/// the chunk count stays within `2 × ARENA_COMPACT_SMALL_DIVISOR + 2`.
 pub const ARENA_COMPACT_SMALL_DIVISOR: usize = 64;
 
 impl PartialEq for FleetObservation {
@@ -576,39 +580,13 @@ impl FleetObservation {
         stats: Vec<TableObservation>,
         cursor: Option<ChangeCursor>,
     ) -> Self {
-        Self::assemble_cold(scope, Arc::new(tables), None, stats, cursor)
-    }
-
-    /// Cold assembly over an already-shared table listing (the driver's
-    /// path: the listing may be reused from the prior observation when
-    /// the connector's listing epoch is unchanged).
-    fn assemble_cold(
-        scope: ScopeStrategy,
-        tables: Arc<Vec<TableRef>>,
-        listing_epoch: Option<u64>,
-        stats: Vec<TableObservation>,
-        cursor: Option<ChangeCursor>,
-    ) -> Self {
         assert_eq!(tables.len(), stats.len(), "tables/stats length mismatch");
-        let fetched = tables.len();
-        FleetObservation {
-            scope,
-            entries: Arc::new(
-                (0..tables.len() as u32)
-                    .map(|offset| EntryRef { chunk: 0, offset })
-                    .collect(),
-            ),
-            tables,
-            listing_epoch,
-            chunks: vec![Arc::new(stats)],
-            uid_index: Arc::new(OnceLock::new()),
-            cursor,
-            fresh_chunk: Some(0),
-            prior_cursor: None,
-            fetched,
-            reused: 0,
-            degradation: ObserveDegradation::default(),
-        }
+        let plan = Plan {
+            prior: None,
+            fetch: (0..tables.len() as u32).collect(),
+            incremental: false,
+        };
+        assemble(scope, Arc::new(tables), None, cursor, plan, stats)
     }
 
     /// Lazily built uid → listing-position index, shared (one `Arc` bump)
@@ -630,10 +608,10 @@ impl FleetObservation {
         self.uid_index().get(&table_uid).map(|p| *p as usize)
     }
 
-    /// Whether this observation shares its entry table with `other`
-    /// (a single `Arc` bump, the quiet-cycle fast path of the
-    /// dirty-overwrite assembly). Diagnostic accessor for tests pinning
-    /// that a quiet incremental observe does O(1) assembly work.
+    /// Whether this observation shares its entry table with `other` (a
+    /// single `Arc` bump: the quiet pass over a shared listing).
+    /// Diagnostic accessor for tests pinning that a quiet incremental
+    /// observe does O(1) assembly work.
     pub fn entries_shared_with(&self, other: &FleetObservation) -> bool {
         Arc::ptr_eq(&self.entries, &other.entries)
     }
@@ -678,23 +656,27 @@ impl FleetObservation {
         &self.chunks[e.chunk as usize][e.offset as usize]
     }
 
-    /// Tables whose stats were fetched from the connector this pass.
+    /// Tables whose entry came from the connector this pass: successful
+    /// fetches plus faulted ones retired to `Missing`. Exactly the
+    /// [`is_fresh`](Self::is_fresh) entries.
     pub fn fetched_tables(&self) -> usize {
         self.fetched
     }
 
-    /// Tables whose stats were reused from the prior observation.
+    /// Tables whose entry was reused from the prior observation,
+    /// carried-forward faulted ones included.
     pub fn reused_tables(&self) -> usize {
         self.reused
     }
 
     /// Whether the entry at `index` was fetched from the connector *this
     /// pass* (as opposed to reused verbatim from the prior observation).
-    /// Cold observations are fresh everywhere; incremental observations
-    /// are fresh exactly for the dirty set — changelog hits, `force_dirty`
-    /// tables (even when the changelog missed them), and newly listed
-    /// tables. Downstream per-table caches must invalidate on fresh
-    /// entries: a fresh entry's stats may differ from the prior cycle's.
+    /// Full observes are fresh everywhere but at carried-forward faulted
+    /// tables; incremental observations are fresh exactly for the dirty
+    /// set — changelog hits, `force_dirty` tables (even when the
+    /// changelog missed them), and newly listed tables — minus carries.
+    /// Downstream per-table caches must invalidate on fresh entries: a
+    /// fresh entry's stats may differ from the prior cycle's.
     pub fn is_fresh(&self, index: usize) -> bool {
         self.fresh_chunk
             .is_some_and(|fc| self.entries[index].chunk == fc)
@@ -725,11 +707,10 @@ impl FleetObservation {
         self.chunks.iter().map(|c| c.len()).sum()
     }
 
-    /// Fraction of arena slots still referenced by an entry. Arena
-    /// compaction keeps this at or above 1/2 (the
-    /// [`ARENA_COMPACT_MIN_LIVE`] threshold): surviving imported chunks
-    /// are at least half live, and the compaction + fresh chunks are fully
-    /// live by construction.
+    /// Fraction of arena slots still referenced by an entry. The arena
+    /// rebuild keeps this at or above 1/2 (the
+    /// [`ARENA_COMPACT_MIN_LIVE`] threshold); the compaction and fresh
+    /// chunks it leaves are fully live by construction.
     pub fn arena_live_density(&self) -> f64 {
         let slots = self.arena_slot_count();
         if slots == 0 {
@@ -1054,13 +1035,44 @@ impl NameInterner {
 // The observe driver.
 // ---------------------------------------------------------------------
 
-/// Per-table fetch-or-reuse decision of an incremental observe plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FetchPlan {
-    /// Fetch fresh stats from the connector.
-    Fetch,
-    /// Reuse the prior observation's entry at this index.
-    Reuse(usize),
+/// How a pass's listing positions map onto the prior observation's.
+enum Reuse {
+    /// The listing is `Arc::ptr_eq`-shared with the prior: position `i`
+    /// is prior position `i`.
+    Identity,
+    /// The listing was re-read: the prior position of each listed table,
+    /// [`NOT_LISTED`] for a table the prior did not hold.
+    Mapped(Vec<u32>),
+}
+
+/// [`Reuse::Mapped`] marker of a table absent from the prior listing.
+const NOT_LISTED: u32 = u32::MAX;
+
+/// What one pass takes from the prior observation and what it asks the
+/// connector for.
+struct Plan<'a> {
+    /// The prior observation, if it has this pass's scope (a scope change
+    /// drops carry and quarantine state with it: prior entries have the
+    /// wrong shape), and how positions map onto it.
+    prior: Option<(&'a FleetObservation, Reuse)>,
+    /// Listing positions whose entry comes from the connector, ascending.
+    /// [`absorb_results`] removes those whose fault carried the prior
+    /// entry instead.
+    fetch: Vec<u32>,
+    /// The changelog answered, so only dirty and newly listed tables are
+    /// fetched and downstream caches may splice against the prior.
+    incremental: bool,
+}
+
+impl Plan<'_> {
+    /// Prior position of the table listed at `pos`, if the prior held it.
+    fn prior_position(&self, pos: u32) -> Option<u32> {
+        match &self.prior {
+            None => None,
+            Some((_, Reuse::Identity)) => Some(pos),
+            Some((_, Reuse::Mapped(map))) => Some(map[pos as usize]).filter(|p| *p != NOT_LISTED),
+        }
+    }
 }
 
 /// Fetches one table's stats under `scope` — the exact per-scope calls of
@@ -1100,57 +1112,62 @@ fn fetch_one<C: LakeConnector + ?Sized>(
     })
 }
 
-/// Gate of the dirty-overwrite fast path: engaged only when the prior
-/// observation's listing is literally shared (`Arc::ptr_eq` — unchanged
-/// listing epoch), the scope matches, and the changelog answered
-/// (`changes` resolved by the driver, retries already spent). Returns
-/// the combined dirty uid set (changelog hits plus `force_dirty`);
-/// `None` falls back to the planning path.
-fn fast_path_dirty(
+/// Plans one pass over `tables`: which prior entries are reusable and
+/// which positions are fetched. `changes` is the resolved changelog
+/// answer (`None`: every table is fetched).
+fn make_plan<'a>(
     tables: &Arc<Vec<TableRef>>,
-    request: &ObserveRequest<'_>,
-    changes: Option<&Vec<u64>>,
-) -> Option<Vec<u64>> {
-    let prior = request.prior?;
-    if prior.scope() != request.scope || !Arc::ptr_eq(tables, &prior.tables) {
-        return None;
+    request: &ObserveRequest<'a>,
+    changes: Option<&[u64]>,
+) -> Plan<'a> {
+    let every_position = || (0..tables.len() as u32).collect();
+    let Some(prior) = request.prior.filter(|p| p.scope() == request.scope) else {
+        return Plan {
+            prior: None,
+            fetch: every_position(),
+            incremental: false,
+        };
+    };
+    let dirty = changes.map(|changes| {
+        let mut dirty: Vec<u64> = changes
+            .iter()
+            .chain(&request.force_dirty)
+            .copied()
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
+    });
+    let incremental = dirty.is_some();
+    if Arc::ptr_eq(tables, &prior.tables) {
+        let fetch = match dirty {
+            None => every_position(),
+            // Dirty uids that are not listed (e.g. a force-dirty mark for
+            // a table the connector no longer lists) are ignored.
+            Some(dirty) => {
+                let index = prior.uid_index();
+                let mut fetch: Vec<u32> = dirty
+                    .iter()
+                    .filter_map(|uid| index.get(uid).copied())
+                    .collect();
+                fetch.sort_unstable();
+                fetch
+            }
+        };
+        return Plan {
+            prior: Some((prior, Reuse::Identity)),
+            fetch,
+            incremental,
+        };
     }
-    prior.cursor()?;
-    let mut dirty = changes?.clone();
-    dirty.extend(request.force_dirty.iter().copied());
-    Some(dirty)
-}
-
-/// Plans the fetch-or-reuse decision per listed table. Returns a plan
-/// only when an incremental pass is possible; `None` means full fetch.
-///
-/// The common steady state — an unchanged table listing — is planned with
-/// a positional uid comparison; a uid→index map over the prior is built
-/// lazily only once a position mismatches (tables created, dropped, or
-/// reordered), so the planner costs O(n) when nothing moved.
-fn make_plans(
-    tables: &[TableRef],
-    request: &ObserveRequest<'_>,
-    changes: Option<&Vec<u64>>,
-) -> Option<Vec<FetchPlan>> {
-    let prior = request.prior?;
-    if prior.scope() != request.scope {
-        return None;
-    }
-    prior.cursor()?;
-    let mut dirty: Vec<u64> = changes?.clone();
-    dirty.extend(request.force_dirty.iter().copied());
-    dirty.sort_unstable();
-    dirty.dedup();
-    let prior_tables = prior.tables();
-    let mut fallback_index: Option<BTreeMap<u64, usize>> = None;
     // Dirty-set membership via a merge scan: connectors list tables in a
     // stable order that is almost always uid-ascending, so one pointer
     // into the sorted dirty set amortizes to O(n + d); any out-of-order
     // uid falls back to a binary search for just that table.
     let mut dirty_ptr = 0usize;
     let mut last_uid = 0u64;
-    let mut is_dirty = move |uid: u64| -> bool {
+    let mut is_dirty = |uid: u64| -> bool {
+        let Some(dirty) = &dirty else { return true };
         if uid >= last_uid {
             last_uid = uid;
             while dirty_ptr < dirty.len() && dirty[dirty_ptr] < uid {
@@ -1161,280 +1178,120 @@ fn make_plans(
             dirty.binary_search(&uid).is_ok()
         }
     };
-    Some(
-        tables
-            .iter()
-            .enumerate()
-            .map(|(pos, t)| {
-                if is_dirty(t.table_uid) {
-                    return FetchPlan::Fetch;
-                }
-                if prior_tables
-                    .get(pos)
-                    .is_some_and(|p| p.table_uid == t.table_uid)
-                {
-                    return FetchPlan::Reuse(pos);
-                }
-                let index = fallback_index.get_or_insert_with(|| {
-                    prior_tables
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| (p.table_uid, i))
-                        .collect()
-                });
-                match index.get(&t.table_uid) {
-                    Some(idx) => FetchPlan::Reuse(*idx),
-                    None => FetchPlan::Fetch,
-                }
-            })
-            .collect(),
-    )
-}
-
-/// Assembles an incremental observation: freshly fetched entries land in
-/// one new arena chunk; reused entries import their prior chunk (one
-/// `Arc` bump per chunk) and copy the 8-byte entry ref. Imported chunks
-/// that fell below the live-density threshold (or shrank to a sliver of
-/// the fleet) are compacted: their live entries are cloned into a
-/// dedicated compaction chunk so the old chunk — and the dead entries it
-/// retains — can be freed once the prior observation is dropped.
-fn assemble_incremental(
-    scope: ScopeStrategy,
-    tables: Arc<Vec<TableRef>>,
-    listing_epoch: Option<u64>,
-    plans: &[FetchPlan],
-    fetched: Vec<TableObservation>,
-    prior: &FleetObservation,
-    cursor: Option<ChangeCursor>,
-) -> FleetObservation {
-    const FRESH: u32 = u32::MAX;
-    // `fetched` is compact (one entry per Fetch plan, in plan order):
-    // building a fleet-sized Option vector just to hold a 1% dirty set
-    // was measurable memory traffic at 100K tables.
-    let mut fresh: Vec<TableObservation> = fetched;
-    debug_assert_eq!(
-        fresh.len(),
-        plans
-            .iter()
-            .filter(|p| matches!(p, FetchPlan::Fetch))
-            .count(),
-        "one fetched stat per fetch plan"
-    );
-    let mut entries: Vec<EntryRef> = Vec::with_capacity(tables.len());
-    let mut chunks: Vec<Arc<Vec<TableObservation>>> = Vec::new();
-    // prior chunk index → imported chunk index (lazily assigned).
-    let mut imported: Vec<u32> = vec![FRESH; prior.chunks.len()];
-    let mut reused = 0usize;
-    let mut next_fresh = 0u32;
-    for plan in plans {
-        match plan {
-            FetchPlan::Fetch => {
-                entries.push(EntryRef {
-                    chunk: FRESH,
-                    offset: next_fresh,
-                });
-                next_fresh += 1;
-            }
-            FetchPlan::Reuse(idx) => {
-                reused += 1;
-                let prior_entry = prior.entries[*idx];
-                let slot = &mut imported[prior_entry.chunk as usize];
-                if *slot == FRESH {
-                    *slot = chunks.len() as u32;
-                    chunks.push(prior.chunks[prior_entry.chunk as usize].clone());
-                }
-                entries.push(EntryRef {
-                    chunk: *slot,
-                    offset: prior_entry.offset,
-                });
-            }
-        }
-    }
-
-    // Arena compaction over the imported chunks. The compaction chunk is
-    // distinct from the fresh chunk so reused-but-relocated entries do not
-    // read as freshly fetched downstream.
-    let total = entries.len();
-    let mut live = vec![0usize; chunks.len()];
-    for e in &entries {
-        if e.chunk != FRESH {
-            live[e.chunk as usize] += 1;
-        }
-    }
-    let (live_num, live_den) = ARENA_COMPACT_MIN_LIVE;
-    let compact_chunk: Vec<bool> = chunks
+    // The common case — nothing moved — maps with a positional uid
+    // comparison; the prior's uid index is built only once a position
+    // mismatches (tables created, dropped, or reordered).
+    let prior_tables = prior.tables();
+    let mut fetch = Vec::new();
+    let map = tables
         .iter()
-        .zip(&live)
-        .map(|(c, l)| {
-            l * live_den < c.len() * live_num || c.len() * ARENA_COMPACT_SMALL_DIVISOR < total
+        .enumerate()
+        .map(|(pos, t)| {
+            let unmoved = prior_tables
+                .get(pos)
+                .is_some_and(|p| p.table_uid == t.table_uid);
+            let from = if unmoved {
+                pos as u32
+            } else {
+                let moved = prior.uid_index().get(&t.table_uid);
+                moved.copied().unwrap_or(NOT_LISTED)
+            };
+            if is_dirty(t.table_uid) || from == NOT_LISTED {
+                fetch.push(pos as u32);
+            }
+            from
         })
         .collect();
-    if compact_chunk.iter().any(|c| *c) {
-        let mut survivors: Vec<Arc<Vec<TableObservation>>> = Vec::new();
-        let mut new_index: Vec<u32> = vec![FRESH; chunks.len()];
-        for (i, chunk) in chunks.iter().enumerate() {
-            if !compact_chunk[i] {
-                new_index[i] = survivors.len() as u32;
-                survivors.push(chunk.clone());
-            }
-        }
-        let compact_index = survivors.len() as u32;
-        let mut compacted: Vec<TableObservation> = Vec::new();
-        for e in entries.iter_mut() {
-            if e.chunk == FRESH {
-                continue;
-            }
-            let old = e.chunk as usize;
-            if compact_chunk[old] {
-                let stat = chunks[old][e.offset as usize].clone();
-                *e = EntryRef {
-                    chunk: compact_index,
-                    offset: compacted.len() as u32,
-                };
-                compacted.push(stat);
+    Plan {
+        prior: Some((prior, Reuse::Mapped(map))),
+        fetch,
+        incremental,
+    }
+}
+
+/// Builds the pass's observation: `stats[i]` is the entry of listing
+/// position `plan.fetch[i]`, every other position takes the prior entry
+/// the plan maps it to. The prior's chunks are imported wholesale (one
+/// `Arc` bump each) and `stats` becomes the fresh chunk; see the module
+/// docs for the amortized rebuild check that ends the pass.
+fn assemble(
+    scope: ScopeStrategy,
+    tables: Arc<Vec<TableRef>>,
+    listing_epoch: Option<u64>,
+    cursor: Option<ChangeCursor>,
+    plan: Plan<'_>,
+    stats: Vec<TableObservation>,
+) -> FleetObservation {
+    /// Placeholder of a position with no prior entry; the plan fetches
+    /// every such position, so the patch overwrites them all.
+    const HOLE: EntryRef = EntryRef {
+        chunk: u32::MAX,
+        offset: u32::MAX,
+    };
+    let Plan {
+        prior,
+        fetch,
+        incremental,
+    } = plan;
+    debug_assert_eq!(fetch.len(), stats.len(), "one entry per fetched position");
+    let n = tables.len();
+    let fetched = stats.len();
+    let (mut entries, mut chunks, uid_index, prior_cursor) = match prior {
+        None => (Arc::new(vec![HOLE; n]), Vec::new(), Arc::default(), None),
+        Some((prior, reuse)) => {
+            let (entries, uid_index) = match reuse {
+                // Positions cannot have moved under a shared listing, so
+                // the retained uid index stays exact.
+                Reuse::Identity => (Arc::clone(&prior.entries), Arc::clone(&prior.uid_index)),
+                // `NOT_LISTED` is past the end of any entry table.
+                Reuse::Mapped(map) => {
+                    let prior_entry = |from: &u32| prior.entries.get(*from as usize);
+                    let entries = map
+                        .iter()
+                        .map(|from| prior_entry(from).copied().unwrap_or(HOLE))
+                        .collect();
+                    (Arc::new(entries), Arc::default())
+                }
+            };
+            // A pass that reuses nothing leaves the prior's arena behind.
+            let chunks = if fetched < n {
+                prior.chunks.clone()
             } else {
-                e.chunk = new_index[old];
-            }
+                Vec::new()
+            };
+            let prior_cursor = prior.cursor().filter(|_| incremental);
+            (entries, chunks, uid_index, prior_cursor)
         }
-        if !compacted.is_empty() {
-            survivors.push(Arc::new(compacted));
-        }
-        chunks = survivors;
-    }
-
-    let fresh_chunk = if fresh.is_empty() {
-        None
-    } else {
-        fresh.shrink_to_fit();
-        let idx = chunks.len() as u32;
-        chunks.push(Arc::new(fresh));
-        for e in entries.iter_mut().filter(|e| e.chunk == FRESH) {
-            e.chunk = idx;
-        }
-        Some(idx)
     };
-    let fetched = tables.len() - reused;
-    // Keep the uid index riding along whenever the listing itself is
-    // shared — positions cannot have moved, so the retained index stays
-    // exact for the next dirty-overwrite pass.
-    let uid_index = if Arc::ptr_eq(&tables, &prior.tables) {
-        Arc::clone(&prior.uid_index)
-    } else {
-        Arc::new(OnceLock::new())
-    };
-    FleetObservation {
-        scope,
-        tables,
-        listing_epoch,
-        entries: Arc::new(entries),
-        chunks,
-        uid_index,
-        cursor,
-        fresh_chunk,
-        prior_cursor: prior.cursor(),
-        fetched,
-        reused,
-        degradation: ObserveDegradation::default(),
+    let mut fresh_chunk = None;
+    if fetched > 0 {
+        let fresh = chunks.len() as u32;
+        // Copies the entry table iff it is still the prior's.
+        let entries = Arc::make_mut(&mut entries);
+        for (offset, pos) in fetch.iter().enumerate() {
+            entries[*pos as usize] = EntryRef {
+                chunk: fresh,
+                offset: offset as u32,
+            };
+        }
+        chunks.push(Arc::new(stats));
+        fresh_chunk = Some(fresh);
     }
-}
-
-/// The dirty-overwrite incremental assembly: when the listing is shared
-/// with the prior observation (`Arc::ptr_eq`), the new observation is the
-/// prior's chunk table cloned wholesale (one `Arc` bump per chunk) with
-/// only the dirty positions patched to point into one fresh chunk — no
-/// per-table planning walk at all. A quiet pass (empty dirty set) shares
-/// the prior's entry table outright.
-///
-/// Arena hygiene is amortized instead of per-pass: the patch leaves dead
-/// slots behind in the prior chunks, so once live density would fall
-/// below [`ARENA_COMPACT_MIN_LIVE`] (or the chunk count would exceed the
-/// soak bound of `2 × ARENA_COMPACT_SMALL_DIVISOR + 2`), the reused
-/// entries are rewritten into a single compaction chunk (distinct from
-/// the fresh chunk, so relocated entries do not read as fetched). The
-/// rebuild is O(n) but runs once per ~`1/dirty_fraction` cycles, keeping
-/// the soak-test bounds intact with O(dirty) amortized cost.
-fn dirty_positions(prior: &FleetObservation, mut dirty: Vec<u64>) -> Vec<u32> {
-    dirty.sort_unstable();
-    dirty.dedup();
-    let index = prior.uid_index();
-    // Dirty uids that are not listed (e.g. a force-dirty mark for a
-    // table the connector no longer lists) are ignored, matching the
-    // planning path's membership semantics.
-    let mut positions: Vec<u32> = dirty
-        .iter()
-        .filter_map(|uid| index.get(uid).copied())
-        .collect();
-    positions.sort_unstable();
-    positions
-}
-
-/// Quiet pass of the dirty-overwrite assembly: nothing to patch — the
-/// prior's entry table is shared outright (one `Arc` bump).
-fn fast_observe_quiet(
-    scope: ScopeStrategy,
-    tables: Arc<Vec<TableRef>>,
-    listing_epoch: Option<u64>,
-    prior: &FleetObservation,
-    cursor: Option<ChangeCursor>,
-) -> FleetObservation {
-    debug_assert!(Arc::ptr_eq(&tables, &prior.tables));
-    let n = tables.len();
-    FleetObservation {
-        scope,
-        tables,
-        listing_epoch,
-        entries: Arc::clone(&prior.entries),
-        chunks: prior.chunks.clone(),
-        uid_index: Arc::clone(&prior.uid_index),
-        cursor,
-        fresh_chunk: None,
-        prior_cursor: prior.cursor(),
-        fetched: 0,
-        reused: n,
-        degradation: ObserveDegradation::default(),
-    }
-}
-
-/// Patch pass of the dirty-overwrite assembly: `patch` holds the
-/// positions whose fetches succeeded (or retired to `Missing`), in
-/// ascending position order, each with its replacement entry. Positions
-/// whose fault was absorbed by carry-forward are simply absent — their
-/// entries keep pointing at the prior chunk and read as reused.
-fn fast_observe_patch(
-    scope: ScopeStrategy,
-    tables: Arc<Vec<TableRef>>,
-    listing_epoch: Option<u64>,
-    prior: &FleetObservation,
-    cursor: Option<ChangeCursor>,
-    patch: Vec<(u32, TableObservation)>,
-) -> FleetObservation {
-    debug_assert!(Arc::ptr_eq(&tables, &prior.tables));
-    let n = tables.len();
-    let uid_index = Arc::clone(&prior.uid_index);
-    let mut entries: Vec<EntryRef> = (*prior.entries).clone();
-    let mut chunks = prior.chunks.clone();
-    let fresh_idx = chunks.len() as u32;
-    let fetched = patch.len();
-    let mut fetched_stats: Vec<TableObservation> = Vec::with_capacity(fetched);
-    for (i, (pos, stat)) in patch.into_iter().enumerate() {
-        entries[pos as usize] = EntryRef {
-            chunk: fresh_idx,
-            offset: i as u32,
-        };
-        fetched_stats.push(stat);
-    }
-    chunks.push(Arc::new(fetched_stats));
-
-    // Amortized arena hygiene: rebuild once the bounds the soak suite
-    // pins would be violated.
+    debug_assert!(
+        !entries.contains(&HOLE),
+        "unfetched position without a prior"
+    );
     let slots: usize = chunks.iter().map(|c| c.len()).sum();
     let (live_num, live_den) = ARENA_COMPACT_MIN_LIVE;
     let density_low = n * live_den < slots * live_num;
     let too_many_chunks = chunks.len() > 2 * ARENA_COMPACT_SMALL_DIVISOR;
+    // Never true of a quiet pass that shares the prior's entry table: it
+    // inherits an arena that passed this check when it was assembled.
     if density_low || too_many_chunks {
+        let fresh = fresh_chunk.map(|_| chunks.pop().expect("fresh chunk pushed above"));
         let mut compacted: Vec<TableObservation> = Vec::with_capacity(n - fetched);
-        for e in entries.iter_mut() {
-            if e.chunk == fresh_idx {
+        for e in Arc::make_mut(&mut entries) {
+            if Some(e.chunk) == fresh_chunk {
                 e.chunk = 1;
                 continue;
             }
@@ -1445,34 +1302,20 @@ fn fast_observe_patch(
             };
             compacted.push(stat);
         }
-        let fresh = chunks.pop().expect("fresh chunk pushed above");
-        chunks = vec![Arc::new(compacted), fresh];
-        return FleetObservation {
-            scope,
-            tables,
-            listing_epoch,
-            entries: Arc::new(entries),
-            chunks,
-            uid_index,
-            cursor,
-            fresh_chunk: Some(1),
-            prior_cursor: prior.cursor(),
-            fetched,
-            reused: n - fetched,
-            degradation: ObserveDegradation::default(),
-        };
+        chunks = vec![Arc::new(compacted)];
+        chunks.extend(fresh);
+        fresh_chunk = fresh_chunk.map(|_| 1);
     }
-
     FleetObservation {
         scope,
         tables,
         listing_epoch,
-        entries: Arc::new(entries),
+        entries,
         chunks,
         uid_index,
         cursor,
-        fresh_chunk: Some(fresh_idx),
-        prior_cursor: prior.cursor(),
+        fresh_chunk,
+        prior_cursor,
         fetched,
         reused: n - fetched,
         degradation: ObserveDegradation::default(),
@@ -1516,8 +1359,6 @@ struct ResolvedReads {
     /// full-fetch fallback.
     changes: Option<Vec<u64>>,
     deg: ObserveDegradation,
-    /// Listing unavailable with nothing to carry: produce a husk.
-    stalled: bool,
 }
 
 /// Resolves the table listing and (when an incremental pass is
@@ -1569,7 +1410,6 @@ fn resolve_reads(
             listing_epoch: None,
             changes: None,
             deg,
-            stalled: true,
         };
     };
     let mut changes = None;
@@ -1598,7 +1438,6 @@ fn resolve_reads(
         listing_epoch,
         changes,
         deg,
-        stalled: false,
     }
 }
 
@@ -1657,150 +1496,65 @@ fn carry_quarantine(
     }
 }
 
-/// Splits fallible fast-path fetch results into the entry patch
-/// (successes plus retirements); faults absorbed by carry-forward are
-/// dropped from the patch, so their entries keep pointing at the prior
-/// chunk and read as reused.
-fn fixup_fast_fetch(
+/// Folds the fetch results (one per `plan.fetch` position, in order)
+/// into the pass's patch: successes and retirements keep their position
+/// and yield an entry; a fault that carries the prior entry drops its
+/// position from `plan.fetch`, so the entry stays the prior's and reads
+/// as reused. A fault can carry iff the plan has a prior position for
+/// the table — until its carry budget runs out.
+fn absorb_results(
     tables: &[TableRef],
-    prior: &FleetObservation,
-    policy: &ObserveRecoveryPolicy,
-    positions: &[u32],
-    results: Vec<Result<TableObservation, ObserveFault>>,
-    deg: &mut ObserveDegradation,
-) -> Vec<(u32, TableObservation)> {
-    debug_assert_eq!(results.len(), positions.len());
-    let mut refreshed = BTreeSet::new();
-    let mut patch = Vec::with_capacity(results.len());
-    for (pos, result) in positions.iter().zip(results) {
-        let uid = tables[*pos as usize].table_uid;
-        match result {
-            Ok(stat) => {
-                refreshed.insert(uid);
-                patch.push((*pos, stat));
-            }
-            // The prior entry always exists on the fast path (identical
-            // listing), so a fault can always carry until the budget
-            // runs out.
-            Err(_) => {
-                if let Some(stat) = absorb_stats_fault(uid, true, policy, &prior.degradation, deg) {
-                    patch.push((*pos, stat));
-                }
-            }
-        }
-    }
-    carry_quarantine(prior, &refreshed, tables, deg);
-    patch
-}
-
-/// Walks the plan/result pair of the planning path: successful fetches
-/// keep their plan, faulted ones convert to `Reuse` of the prior entry
-/// (carry-forward) or stay `Fetch` with a retired `Missing` entry.
-/// Returns the compact fetched vector `assemble_incremental` expects.
-fn fixup_planned_fetch(
-    tables: &[TableRef],
-    prior: &FleetObservation,
-    policy: &ObserveRecoveryPolicy,
-    plans: &mut [FetchPlan],
-    results: Vec<Result<TableObservation, ObserveFault>>,
-    deg: &mut ObserveDegradation,
-) -> Vec<TableObservation> {
-    let mut refreshed = BTreeSet::new();
-    let mut out = Vec::with_capacity(results.len());
-    let mut results = results.into_iter();
-    for (pos, plan) in plans.iter_mut().enumerate() {
-        if !matches!(plan, FetchPlan::Fetch) {
-            continue;
-        }
-        let uid = tables[pos].table_uid;
-        match results.next().expect("one result per fetch plan") {
-            Ok(stat) => {
-                refreshed.insert(uid);
-                out.push(stat);
-            }
-            Err(_) => {
-                let prior_idx = prior.position_of_uid(uid);
-                match absorb_stats_fault(uid, prior_idx.is_some(), policy, &prior.degradation, deg)
-                {
-                    None => {
-                        *plan = FetchPlan::Reuse(prior_idx.expect("carry implies a prior entry"))
-                    }
-                    Some(stat) => out.push(stat),
-                }
-            }
-        }
-    }
-    carry_quarantine(prior, &refreshed, tables, deg);
-    out
-}
-
-/// Post-processes a cold (full-fetch) pass's fallible results. With a
-/// same-scope prior (e.g. a changelog-fallback full observe), faulted
-/// tables carry their prior entry — cloned into the cold chunk, values
-/// identical so downstream results match a reuse. Without one, faults
-/// retire to `Missing` and heal through quarantine like any other.
-fn fixup_cold_fetch(
-    tables: &[TableRef],
-    scope: ScopeStrategy,
-    prior: Option<&FleetObservation>,
+    plan: &mut Plan<'_>,
     policy: &ObserveRecoveryPolicy,
     results: Vec<Result<TableObservation, ObserveFault>>,
     deg: &mut ObserveDegradation,
 ) -> Vec<TableObservation> {
-    // A scope change drops carry/quarantine state: prior entries have
-    // the wrong shape for the new scope.
-    let carry_prior = prior.filter(|p| p.scope() == scope);
+    debug_assert_eq!(results.len(), plan.fetch.len());
     let empty = ObserveDegradation::default();
-    let prior_deg = carry_prior.map_or(&empty, |p| &p.degradation);
+    let prior_deg = plan.prior.as_ref().map_or(&empty, |(p, _)| &p.degradation);
     let mut refreshed = BTreeSet::new();
-    let mut out = Vec::with_capacity(results.len());
-    for (table, result) in tables.iter().zip(results) {
-        let uid = table.table_uid;
-        match result {
+    let mut landed = Vec::with_capacity(results.len());
+    let mut stats = Vec::with_capacity(results.len());
+    for (pos, result) in plan.fetch.iter().zip(results) {
+        let uid = tables[*pos as usize].table_uid;
+        let stat = match result {
             Ok(stat) => {
                 refreshed.insert(uid);
-                out.push(stat);
+                stat
             }
             Err(_) => {
-                let prior_idx = carry_prior.and_then(|p| p.position_of_uid(uid));
-                match absorb_stats_fault(uid, prior_idx.is_some(), policy, prior_deg, deg) {
-                    None => {
-                        let p = carry_prior.expect("carry implies a prior");
-                        out.push(
-                            p.entry(prior_idx.expect("carry implies a position"))
-                                .clone(),
-                        );
-                    }
-                    Some(stat) => out.push(stat),
+                let can_carry = plan.prior_position(*pos).is_some();
+                match absorb_stats_fault(uid, can_carry, policy, prior_deg, deg) {
+                    Some(retired) => retired,
+                    None => continue,
                 }
             }
-        }
+        };
+        landed.push(*pos);
+        stats.push(stat);
     }
-    if let Some(p) = carry_prior {
-        carry_quarantine(p, &refreshed, tables, deg);
+    plan.fetch = landed;
+    if let Some((prior, _)) = &plan.prior {
+        carry_quarantine(prior, &refreshed, tables, deg);
     }
-    out
+    stats
 }
 
-/// The observe driver: list, plan, then fetch (or reuse) per table.
-/// Consumes only the fallible `try_*` connector surface and degrades per
-/// the module docs' contract instead of failing. `fetch` maps a slice of
-/// tables through [`fetch_one`], one result per table in slice order —
-/// the body's only parameter ([`pull_observe`] maps sequentially,
-/// [`batch_observe`] fans out). Results come back positional and the
-/// carry/quarantine fixup runs serially on them, so fault handling is
-/// identical either way.
-fn drive_observe<C: LakeConnector + ?Sized>(
+/// The observe driver, and the default every [`LakeConnector`] inherits:
+/// list, plan, fetch the planned tables one at a time in listing order,
+/// absorb faults, assemble. Consumes only the fallible `try_*` connector
+/// surface and degrades per the module docs' contract instead of
+/// failing. A listing that stalled with nothing to carry arrives here
+/// as an empty listing, so the husk is the ordinary empty observation.
+pub fn pull_observe<C: LakeConnector + ?Sized>(
     connector: &C,
     request: &ObserveRequest<'_>,
-    fetch: impl Fn(&[&TableRef]) -> Vec<Result<TableObservation, ObserveFault>>,
 ) -> FleetObservation {
     let ResolvedReads {
         tables,
         listing_epoch,
         changes,
         mut deg,
-        stalled,
     } = resolve_reads(
         request,
         connector.listing_epoch(),
@@ -1809,104 +1563,23 @@ fn drive_observe<C: LakeConnector + ?Sized>(
     );
     let cursor = connector.fleet_cursor();
     let scope = request.scope;
-    if stalled {
-        let mut obs = FleetObservation::assemble_cold(scope, tables, None, Vec::new(), cursor);
-        obs.degradation = deg;
-        return obs;
-    }
-    let policy = &request.recovery;
-    // Dirty-overwrite fast path: shared listing + changelog answer —
-    // patch the prior observation instead of planning the whole fleet.
-    if let Some(dirty) = fast_path_dirty(&tables, request, changes.as_ref()) {
-        let prior = request.prior.expect("fast path implies a prior");
-        let positions = dirty_positions(prior, dirty);
-        let patch = if positions.is_empty() {
-            carry_quarantine(prior, &BTreeSet::new(), &tables, &mut deg);
-            Vec::new()
-        } else {
-            let wanted: Vec<&TableRef> = positions
-                .iter()
-                .map(|pos| &prior.tables[*pos as usize])
-                .collect();
-            let results = fetch(&wanted);
-            fixup_fast_fetch(&tables, prior, policy, &positions, results, &mut deg)
-        };
-        let mut obs = if patch.is_empty() {
-            fast_observe_quiet(scope, tables, listing_epoch, prior, cursor)
-        } else {
-            fast_observe_patch(scope, tables, listing_epoch, prior, cursor, patch)
-        };
-        obs.degradation = deg;
-        return obs;
-    }
-    match make_plans(&tables, request, changes.as_ref()) {
-        None => {
-            let wanted: Vec<&TableRef> = tables.iter().collect();
-            let results = fetch(&wanted);
-            let stats = fixup_cold_fetch(&tables, scope, request.prior, policy, results, &mut deg);
-            let mut obs =
-                FleetObservation::assemble_cold(scope, tables, listing_epoch, stats, cursor);
-            obs.degradation = deg;
-            obs
-        }
-        Some(mut plans) => {
-            let prior = request.prior.expect("plans imply a prior");
-            let wanted: Vec<&TableRef> = tables
-                .iter()
-                .zip(&plans)
-                .filter(|(_, plan)| matches!(plan, FetchPlan::Fetch))
-                .map(|(t, _)| t)
-                .collect();
-            let results = fetch(&wanted);
-            let fetched =
-                fixup_planned_fetch(&tables, prior, policy, &mut plans, results, &mut deg);
-            let mut obs =
-                assemble_incremental(scope, tables, listing_epoch, &plans, fetched, prior, cursor);
-            obs.degradation = deg;
-            obs
-        }
-    }
-}
-
-/// The driver with sequential fetches, one table at a time in listing
-/// order: the default every [`LakeConnector`] inherits.
-pub fn pull_observe<C: LakeConnector + ?Sized>(
-    connector: &C,
-    request: &ObserveRequest<'_>,
-) -> FleetObservation {
-    let scope = request.scope;
-    drive_observe(connector, request, |tables| {
-        tables
-            .iter()
-            .map(|t| fetch_one(connector, t, scope))
-            .collect()
-    })
-}
-
-/// The driver with stats production fanned out over scoped threads in
-/// position-stable chunks, so the result is bit-identical to
-/// [`pull_observe`] over the same lake state regardless of thread count.
-/// A thread-safe connector opts in by overriding
-/// [`LakeConnector::observe`] with a call to this.
-pub fn batch_observe<C: LakeConnector + Sync + ?Sized>(
-    connector: &C,
-    request: &ObserveRequest<'_>,
-) -> FleetObservation {
-    let scope = request.scope;
-    drive_observe(connector, request, |tables| {
-        par::par_map(tables, par::PAR_OBSERVE_MIN_LEN, |_, t| {
-            fetch_one(connector, t, scope)
-        })
-    })
+    let mut plan = make_plan(&tables, request, changes.as_deref());
+    let results = plan
+        .fetch
+        .iter()
+        .map(|pos| fetch_one(connector, &tables[*pos as usize], scope))
+        .collect();
+    let stats = absorb_results(&tables, &mut plan, &request.recovery, results, &mut deg);
+    let mut obs = assemble(scope, tables, listing_epoch, cursor, plan, stats);
+    obs.degradation = deg;
+    obs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
-    use std::thread::{self, ThreadId};
 
     /// In-memory lake with a change log and fetch counters.
     struct ChangeLake {
@@ -2054,22 +1727,6 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Hybrid);
         assert_eq!(obs.reused_tables(), 0);
         assert_eq!(obs.fetched_tables(), 6);
-    }
-
-    #[test]
-    fn batch_observe_is_identical_to_pull_observe() {
-        let lake = ChangeLake::new(40);
-        lake.write(5);
-        for scope in [
-            ScopeStrategy::Table,
-            ScopeStrategy::Partition,
-            ScopeStrategy::Hybrid,
-            ScopeStrategy::Snapshot { window_ms: 9 },
-        ] {
-            let pulled = pull_observe(&lake, &ObserveRequest::fresh(scope));
-            let batched = batch_observe(&lake, &ObserveRequest::fresh(scope));
-            assert_eq!(pulled, batched, "scope {scope:?}");
-        }
     }
 
     /// Connector without changelog support: incremental requests degrade
@@ -2228,31 +1885,24 @@ mod tests {
 
     /// `ChangeLake` wrapper with scripted fault queues on the `try_*`
     /// surface: each fallible read pops its queue (empty = healthy).
-    /// `parallel` selects which driver wrapper its `observe` override
-    /// calls, so both run behind the same `&dyn LakeConnector`.
     struct FaultyLake {
         inner: ChangeLake,
-        parallel: bool,
         epoch: Option<u64>,
         listing_faults: Mutex<Vec<ObserveFault>>,
         changelog_faults: Mutex<Vec<ObserveFault>>,
         changelog_overflows: AtomicU64,
         stats_faults: Mutex<BTreeMap<u64, Vec<ObserveFault>>>,
-        /// Threads that served a stats read.
-        stats_threads: Mutex<HashSet<ThreadId>>,
     }
 
     impl FaultyLake {
         fn new(n: u64) -> Self {
             FaultyLake {
                 inner: ChangeLake::new(n),
-                parallel: false,
                 epoch: None,
                 listing_faults: Mutex::new(Vec::new()),
                 changelog_faults: Mutex::new(Vec::new()),
                 changelog_overflows: AtomicU64::new(0),
                 stats_faults: Mutex::new(BTreeMap::new()),
-                stats_threads: Mutex::new(HashSet::new()),
             }
         }
 
@@ -2283,10 +1933,6 @@ mod tests {
         }
 
         fn pop_stats(&self, uid: u64) -> Option<ObserveFault> {
-            self.stats_threads
-                .lock()
-                .unwrap()
-                .insert(thread::current().id());
             let mut map = self.stats_faults.lock().unwrap();
             let q = map.get_mut(&uid)?;
             if q.is_empty() {
@@ -2318,13 +1964,6 @@ mod tests {
         }
         fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
             self.inner.changes_since(cursor)
-        }
-        fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-            if self.parallel {
-                batch_observe(self, request)
-            } else {
-                pull_observe(self, request)
-            }
         }
         fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
             match Self::pop(&self.listing_faults) {
@@ -2527,96 +2166,43 @@ mod tests {
         assert_ne!(*obs.entry(pos), TableObservation::Missing);
     }
 
+    /// One rule for carried entries on every pass: a fault absorbed by
+    /// carrying the prior entry reads as reused, also when the pass is a
+    /// changelog-fallback full observe that fetched everything else.
     #[test]
-    fn faulted_batch_observe_matches_pull_observe() {
-        let pull = FaultyLake::new(12);
-        let batch = FaultyLake {
-            parallel: true,
-            ..FaultyLake::new(12)
-        };
-        for lake in [&pull, &batch] {
-            lake.inner.write(2);
-            lake.inner.write(9);
-            lake.fault_stats(2, [ObserveFault::transient("store hiccup")]);
+    fn carried_entry_on_a_fallback_pass_reads_as_reused() {
+        let n = 8;
+        let lake = FaultyLake::new(n);
+        let mut observer = FleetObserver::new();
+        let prior = observer.observe(&lake, ScopeStrategy::Table).clone();
+        lake.inner.write(3);
+        lake.inner.write(5);
+        lake.fault_changelog([ObserveFault::permanent("stream down")]);
+        lake.fault_stats(5, [ObserveFault::transient("store hiccup")]);
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        assert_eq!(
+            obs.degradation().fallback,
+            Some(FallbackCause::ChangelogFault)
+        );
+        assert_eq!(obs.fetched_tables(), n as usize - 1);
+        assert_eq!(obs.reused_tables(), 1);
+        let carried = obs.position_of_uid(5).unwrap();
+        for i in 0..n as usize {
+            assert_eq!(obs.is_fresh(i), i != carried, "entry {i}");
         }
-        let mut seq_observer = FleetObserver::new();
-        seq_observer.observe(&pull, ScopeStrategy::Hybrid);
-        let seq = seq_observer.observe(&pull, ScopeStrategy::Hybrid);
-        let mut batch_observer = FleetObserver::new();
-        batch_observer.observe(&batch, ScopeStrategy::Hybrid);
-        let par = batch_observer.observe(&batch, ScopeStrategy::Hybrid);
-        assert_eq!(seq, par);
-        assert_eq!(seq.degradation(), par.degradation());
-    }
-
-    /// The fan-out at a size that really fans out — more than
-    /// `PAR_OBSERVE_MIN_LEN` fetches per worker at all three fetch sites
-    /// (cold, then incremental through the dirty-overwrite fast path
-    /// under a listing epoch and through the planning path without one),
-    /// with stats faults landing in both passes.
-    #[test]
-    fn fanned_out_observe_matches_sequential_at_fleet_scale() {
-        let n = 3 * par::PAR_OBSERVE_MIN_LEN as u64 + 5;
-        let cores = thread::available_parallelism().map_or(1, |p| p.get());
-        let hiccup = || [ObserveFault::transient("store hiccup")];
-        for scope in [
-            ScopeStrategy::Table,
-            ScopeStrategy::Partition,
-            ScopeStrategy::Hybrid,
-            ScopeStrategy::Snapshot { window_ms: 9 },
-        ] {
-            for epoch in [None, Some(7)] {
-                let context = format!("scope {scope:?}, listing epoch {epoch:?}");
-                let lakes = [false, true].map(|parallel| FaultyLake {
-                    epoch,
-                    parallel,
-                    ..FaultyLake::new(n)
-                });
-                let mut observers = [FleetObserver::new(), FleetObserver::new()];
-                // One pass through both lakes behind `&dyn LakeConnector`.
-                let mut pass = |label: &str| {
-                    let [seq, par] = [0, 1].map(|i| observers[i].observe(&lakes[i], scope).clone());
-                    assert_eq!(seq, par, "{label}, {context}");
-                    assert_eq!(seq.degradation(), par.degradation(), "{label}, {context}");
-                    seq
-                };
-
-                // Cold: one set of tables faults once (nothing to carry,
-                // so they retire and heal next pass), another twice (its
-                // quarantine re-fetch in the next pass faults again).
-                for lake in &lakes {
-                    for uid in (0..n).step_by(97) {
-                        lake.fault_stats(uid, hiccup());
-                    }
-                    for uid in (1..n).step_by(389) {
-                        lake.fault_stats(uid, vec![ObserveFault::permanent("shard gone"); 2]);
-                    }
-                }
-                assert!(pass("cold").degradation().stats_faults > 0, "{context}");
-
-                // Incremental: half the fleet written, with fresh faults
-                // on tables that now have a prior entry to carry.
-                for lake in &lakes {
-                    for uid in (0..n).step_by(2) {
-                        lake.inner.write(uid);
-                    }
-                    for uid in (2..n).step_by(194) {
-                        lake.fault_stats(uid, hiccup());
-                    }
-                }
-                let obs = pass("incremental");
-                assert!(obs.fetched_tables() > par::PAR_OBSERVE_MIN_LEN, "{context}");
-                assert!(obs.reused_tables() > 0, "{context}");
-                assert!(obs.degradation().carried_entries() > 0, "{context}");
-
-                let [seq, par] = lakes.map(|lake| lake.stats_threads.lock().unwrap().len());
-                assert_eq!(seq, 1, "{context}");
-                assert!(
-                    par > 1 || cores == 1,
-                    "{context}: {par} worker(s), {cores} cores"
-                );
-            }
-        }
+        assert_eq!(
+            obs.prior_cursor(),
+            None,
+            "a full observe is not incremental"
+        );
+        assert_eq!(obs.degradation().carried_entries(), 1);
+        assert_eq!(obs.to_candidates()[carried], prior.to_candidates()[carried]);
+        // Healed next pass: the quarantine re-fetch lands the write.
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        assert!(!obs.degradation().is_degraded());
+        assert!(obs.is_fresh(carried));
+        let cold = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        assert_eq!(obs.to_candidates(), cold.to_candidates());
     }
 
     #[test]

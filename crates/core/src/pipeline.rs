@@ -6,8 +6,8 @@
 //! no `Vec<Candidate>` is materialized in the hot cycle (only the handful
 //! of *selected* candidates are built for the act phase). The orient and
 //! decide phases are columnar: trait computers fill a [`TraitMatrix`]
-//! (one contiguous `f64` column per trait, filled in parallel chunks for
-//! large fleets), NaN trait values are sanitized into dropped candidates,
+//! (one contiguous `f64` column per trait), NaN trait values are
+//! sanitized into dropped candidates,
 //! and ranking consumes the matrix by index — no per-candidate maps, no
 //! id-keyed side tables, no full fleet sort.
 //!
@@ -45,7 +45,6 @@ use crate::feedback::{EstimationFeedback, FeedbackRecord};
 use crate::filter::{chain_time_sensitive, evaluate_chain, CandidateFilter};
 use crate::matrix::TraitMatrix;
 use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation};
-use crate::par;
 use crate::rank::{
     rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankMemo, RankSource, RankedEntries,
     RankedEntry, RankingPolicy, RANKED_PREFIX_MIN,
@@ -559,26 +558,25 @@ impl AutoComp {
         let gen_len = kept_slots.len();
         let mut gen_rows: Vec<u32> = (0..gen_len as u32).collect();
 
-        // Orient: one parallel pass per cycle fills a row-major scratch —
-        // cached rows are copied, fresh rows computed with a single stats
-        // access per candidate — then the scratch is transposed into the
-        // matrix's contiguous columns. The fill is position-stable, so
-        // results are identical to the sequential path.
+        // Orient: one pass per cycle fills a row-major scratch — cached
+        // rows are copied, fresh rows computed with a single stats access
+        // per candidate — then the scratch is transposed into the
+        // matrix's contiguous columns.
         let span_t = self.telemetry.span_start();
         let mut scratch = vec![0.0; kept_slots.len() * width];
-        let computers = &self.traits;
         let old_rows: &[f64] = old_gen.map(|(g, _)| g.rows.as_slice()).unwrap_or(&[]);
-        par::par_fill_rows(&kept_slots, width, &mut scratch, |slot, row| {
+        // `width` ≥ 1: the cycle requires a registered trait.
+        for (slot, row) in kept_slots.iter().zip(scratch.chunks_exact_mut(width)) {
             if slot.cached_row != COMPUTE {
                 let start = slot.cached_row as usize * width;
                 row.copy_from_slice(&old_rows[start..start + width]);
             } else {
                 let stats = slot_stats(observation, *slot);
-                for (t, col) in computers.iter().zip(&trait_cols) {
+                for (t, col) in self.traits.iter().zip(&trait_cols) {
                     row[*col] = t.compute(stats);
                 }
             }
-        });
+        }
         matrix.load_row_major(kept_slots.len(), &scratch);
 
         // Install the next cache generation: the scratch (pre-NaN-retain)
@@ -1747,11 +1745,10 @@ mod tests {
     use crate::traits::{ComputeCostGbhr, FileCountReduction, TraitDirection};
 
     /// In-memory lake with configurable per-table small-file counts.
-    /// `parallel` makes its `observe` the fanned-out driver; `changelog`
-    /// gives it a change cursor over a log that never records a write.
+    /// `changelog` gives it a change cursor over a log that never records
+    /// a write.
     struct MemoryLake {
         tables: Vec<(TableRef, CandidateStats)>,
-        parallel: bool,
         changelog: bool,
     }
 
@@ -1783,7 +1780,6 @@ mod tests {
                 .collect();
             MemoryLake {
                 tables,
-                parallel: false,
                 changelog: false,
             }
         }
@@ -1807,13 +1803,6 @@ mod tests {
         }
         fn changes_since(&self, _cursor: crate::observe::ChangeCursor) -> Option<Vec<u64>> {
             self.changelog.then(Vec::new)
-        }
-        fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-            if self.parallel {
-                crate::observe::batch_observe(self, request)
-            } else {
-                crate::observe::pull_observe(self, request)
-            }
         }
     }
 
@@ -1991,14 +1980,6 @@ mod tests {
             plain_cycle(&mut pipeline(2), &lake, None, &mut exec, 7).unwrap()
         };
         let pull = run_pull();
-
-        let mut exec = RecordingExecutor::default();
-        let parallel_lake = MemoryLake {
-            parallel: true,
-            ..MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)])
-        };
-        let batched = plain_cycle(&mut pipeline(2), &parallel_lake, None, &mut exec, 7).unwrap();
-        assert_eq!(pull.to_string(), batched.to_string());
 
         let mut observer = crate::observe::FleetObserver::new();
         let mut exec = RecordingExecutor::default();

@@ -382,8 +382,8 @@ impl RankedEntry {
     }
 }
 
-/// Note shape of lazily generated tail entries — everything needed to
-/// reproduce the eager path's per-row tail note without materializing it.
+/// Note shape of tail entries — everything needed to produce a tail
+/// row's note from its score, whether the tail is materialized or lazy.
 #[derive(Debug, Clone)]
 enum TailNoteSpec {
     /// MOOP top-k tail: [`DecisionNote::BeyondPrefix`].
@@ -415,10 +415,10 @@ struct LazyTail {
     note: TailNoteSpec,
 }
 
-impl LazyTail {
-    fn entry(&self, row: usize) -> RankedEntry {
-        let score = self.scores[row];
-        let note = match &self.note {
+impl TailNoteSpec {
+    /// The note of a tail row scored `score`.
+    fn note(&self, score: f64) -> DecisionNote {
+        match self {
             TailNoteSpec::Moop { k } => DecisionNote::BeyondPrefix { k: *k },
             TailNoteSpec::Quota => DecisionNote::QuotaBeyondPrefix,
             TailNoteSpec::Threshold {
@@ -441,7 +441,13 @@ impl LazyTail {
                     }
                 }
             }
-        };
+        }
+    }
+}
+
+impl LazyTail {
+    fn entry(&self, row: usize) -> RankedEntry {
+        let score = self.scores[row];
         RankedEntry {
             id: CandidateId {
                 table_uid: self.uids[row],
@@ -451,7 +457,7 @@ impl LazyTail {
             index: row,
             score,
             selected: false,
-            note,
+            note: self.note.note(score),
         }
     }
 }
@@ -868,7 +874,7 @@ struct WeightedCol<'a> {
     min: f64,
     span: f64,
     /// `sign × weight`, folded once so per-row recomputes accumulate in
-    /// exactly the shape [`moop_scores`] uses.
+    /// exactly the shape [`weighted_full`] uses.
     factor: f64,
 }
 
@@ -907,29 +913,10 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             let min_value = *min_value;
             let above = col.iter().filter(|s| **s >= min_value).count();
             let sel = above.min(cap);
-            let note_for = |index: usize, ranked_in: Option<usize>, scores: &[f64]| {
-                let value = scores[index];
-                if value >= min_value {
-                    match ranked_in {
-                        Some(pos) if pos < sel => DecisionNote::ThresholdMet {
-                            trait_name: name.clone(),
-                            value,
-                            min_value,
-                        },
-                        _ => DecisionNote::ThresholdOverCap {
-                            trait_name: name.clone(),
-                            value,
-                            min_value,
-                            cap,
-                        },
-                    }
-                } else {
-                    DecisionNote::ThresholdBelow {
-                        trait_name: name.clone(),
-                        value,
-                        min_value,
-                    }
-                }
+            let tail = TailNoteSpec::Threshold {
+                trait_name: name.clone(),
+                min_value,
+                cap,
             };
             Ok(rank_incremental_policy(
                 source,
@@ -939,17 +926,19 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                 || col.to_vec(),
                 |i| col[i],
                 |pos, index, scores| {
-                    (
-                        pos < sel && scores[index] >= min_value,
-                        note_for(index, Some(pos), scores),
-                    )
+                    let value = scores[index];
+                    if pos < sel && value >= min_value {
+                        let met = DecisionNote::ThresholdMet {
+                            trait_name: name.clone(),
+                            value,
+                            min_value,
+                        };
+                        (true, met)
+                    } else {
+                        (false, tail.note(value))
+                    }
                 },
-                |index, scores| note_for(index, None, scores),
-                TailNoteSpec::Threshold {
-                    trait_name: name.clone(),
-                    min_value,
-                    cap,
-                },
+                tail.clone(),
                 delta,
             ))
         }
@@ -980,7 +969,6 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                         (false, DecisionNote::RankBeyondK { rank, k })
                     }
                 },
-                |_, _| DecisionNote::BeyondPrefix { k },
                 TailNoteSpec::Moop { k },
                 delta,
             ))
@@ -995,7 +983,7 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             let cost_id = matrix
                 .trait_id(cost_trait)
                 .ok_or_else(|| AutoCompError::UnknownTrait(cost_trait.clone()))?;
-            let scores = moop_scores(matrix, weights)?;
+            let scores = weighted_full(&weighted_parts(matrix, weights)?, n);
             let costs = matrix.col(cost_id);
             let order = RankOrder::new(&scores, source);
             // The budget walk is inherently global: each selection moves
@@ -1062,7 +1050,6 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                         || (0..n).map(quota_row).collect(),
                         quota_row,
                         |pos, _, _| (pos < k, DecisionNote::QuotaRank { rank: pos + 1 }),
-                        |_, _| DecisionNote::QuotaBeyondPrefix,
                         TailNoteSpec::Quota,
                         delta,
                     ))
@@ -1127,12 +1114,14 @@ fn weighted_parts<'a>(
         .collect()
 }
 
-/// Fleet-wide weighted-sum scalarization over pre-resolved parts — the
-/// exact accumulation shape of [`moop_scores`], so results are
-/// bit-identical to it.
+/// Fleet-wide weighted-sum scalarization over pre-resolved parts: one
+/// fused normalize-and-accumulate pass per weight, no intermediate
+/// columns.
 fn weighted_full(parts: &[WeightedCol<'_>], rows: usize) -> Vec<f64> {
     let mut scores = vec![0.0; rows];
     for part in parts {
+        // The constant-column branch is hoisted out of the row loop; both
+        // arms apply the shared `normalize` rule.
         if part.span.abs() < f64::EPSILON {
             for s in scores.iter_mut() {
                 *s += part.factor * 0.5;
@@ -1174,7 +1163,6 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
     score_full: impl Fn() -> Vec<f64>,
     score_row: impl Fn(usize) -> f64,
     prefix_entry: impl Fn(usize, usize, &[f64]) -> (bool, DecisionNote),
-    tail_note: impl Fn(usize, &[f64]) -> DecisionNote,
     tail_spec: TailNoteSpec,
     delta: Option<&RankDelta<'_>>,
 ) -> (RankedEntries, Option<RankMemo>, RankCycleStats) {
@@ -1370,7 +1358,7 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
                     index,
                     score: scores[index],
                     selected: false,
-                    note: tail_note(index, &scores),
+                    note: tail_spec.note(scores[index]),
                 });
             }
             RankedEntries::eager(all)
@@ -1519,39 +1507,6 @@ fn budget_scan<S: RankSource + ?Sized>(
         },
         |index| (false, unprocessed_note(index)),
     )
-}
-
-/// Weighted-sum scalarization over matrix columns: one fused
-/// normalize-and-accumulate pass per weight, no intermediate columns.
-fn moop_scores(matrix: &TraitMatrix, weights: &[TraitWeight]) -> Result<Vec<f64>> {
-    let mut scores = vec![0.0; matrix.rows()];
-    for w in weights {
-        let id = matrix
-            .trait_id(&w.trait_name)
-            .ok_or_else(|| AutoCompError::UnknownTrait(w.trait_name.clone()))?;
-        let direction = matrix
-            .direction(id)
-            .ok_or_else(|| AutoCompError::UnknownTrait(w.trait_name.clone()))?;
-        let col = matrix.col(id);
-        let (min, max) = column_min_max(col);
-        let span = max - min;
-        let sign = match direction {
-            crate::traits::TraitDirection::Benefit => 1.0,
-            crate::traits::TraitDirection::Cost => -1.0,
-        };
-        // The constant-column branch is hoisted out of the row loop; both
-        // arms apply the shared `normalize` rule.
-        if span.abs() < f64::EPSILON {
-            for s in scores.iter_mut() {
-                *s += sign * w.weight * 0.5;
-            }
-        } else {
-            for (s, v) in scores.iter_mut().zip(col) {
-                *s += sign * w.weight * normalize(*v, min, span);
-            }
-        }
-    }
-    Ok(scores)
 }
 
 #[cfg(test)]

@@ -667,8 +667,8 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
 
     /// Runs a final flush round (covering any pending dirty work) and
     /// saves a shutdown snapshot when durability is attached. Returns
-    /// the final round's report; `None` when the loop never observed
-    /// anything (nothing to snapshot or decide over).
+    /// the final round's report — always `Some`: a flush round runs even
+    /// over an empty dirty set.
     pub fn shutdown<E: TrackedExecutor>(
         &mut self,
         connector: &dyn LakeConnector,

@@ -22,9 +22,9 @@ pub enum TraitDirection {
 /// Trait computers are independent of one another and freely combinable
 /// during ranking (§4.2) — that independence is what lets AutoComp switch
 /// optimization objectives without re-engineering (FR2/NFR1). They are
-/// `Send + Sync` so the orient phase can fill trait columns across
-/// worker threads at fleet scale; computers are pure functions of the
-/// statistics, so this costs implementations nothing.
+/// `Send + Sync` so an assembled pipeline can move to another thread;
+/// computers are pure functions of the statistics, so this costs
+/// implementations nothing.
 ///
 /// **Purity is load-bearing**: the incremental cycle cache splices a
 /// quiet table's trait row across cycles on the grounds that identical

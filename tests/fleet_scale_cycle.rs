@@ -1,6 +1,6 @@
 //! Fleet-scale smoke test: one full OODA cycle over a synthetic 100K-table
 //! lake (the paper's projected fleet size, §7) through the columnar decide
-//! path — filters, parallel orient, partial top-k selection, act.
+//! path — filters, orient, partial top-k selection, act.
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
@@ -114,7 +114,7 @@ fn hundred_thousand_table_cycle() {
     assert!(head[..100].iter().all(|e| e.selected));
     assert!(report.ranked.iter().skip(100).all(|e| !e.selected));
 
-    // Deterministic across runs (parallel orient must not reorder).
+    // Deterministic across runs.
     let mut exec2 = NullExecutor { calls: 0 };
     let report2 = ac
         .cycle(CycleInput {

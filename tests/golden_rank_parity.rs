@@ -297,8 +297,7 @@ fn assert_parity(policy: &RankingPolicy, n: u64) {
 }
 
 // ---------------------------------------------------------------------
-// The four policies, across fleet sizes that cross the prefix and
-// parallel-orient thresholds.
+// The four policies, across fleet sizes that cross the prefix threshold.
 // ---------------------------------------------------------------------
 
 const SIZES: [u64; 4] = [7, 100, 1_000, 5_000];

@@ -1021,7 +1021,7 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
     assert!(incremental.rank_memo_stats().memo_fast);
 }
 
-/// The dirty-overwrite observe assembly touches O(dirty) positions: a
+/// Observe assembly over a shared listing touches O(dirty) positions: a
 /// quiet cycle shares the prior observation's entry table outright (one
 /// refcount bump — zero positions touched), and a dirty cycle re-fetches
 /// and patches exactly the dirty set while sharing the listing.

@@ -2,22 +2,28 @@
 //! per-table pull path exactly — identical selections and bit-identical
 //! scores — through every path:
 //!
-//! * the sequential `observe` every `LakeConnector` inherits,
-//! * the fanned-out `observe` override of a `Sync` connector,
+//! * the `observe` every `LakeConnector` inherits,
 //! * an incremental (cursor) cycle that reuses the prior observation,
 //!
-//! across all four scope strategies; plus a dirty-set test proving that
-//! an incremental observe re-fetches stats *only* for written tables.
+//! across all four scope strategies; a dirty-set test proving that an
+//! incremental observe re-fetches stats *only* for written tables; and a
+//! property harness over listings that gain, lose and move tables
+//! between passes, with stats faults landing on the way.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use autocomp::observe::ARENA_COMPACT_SMALL_DIVISOR;
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
     ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver, LakeConnector,
-    ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
+    ObserveFault, ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
 };
+use proptest::collection;
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const FLEET: u64 = 300;
 
@@ -25,38 +31,59 @@ const FLEET: u64 = 300;
 /// counters. Stats depend only on `(uid, per-table version)`, so a
 /// reused entry is exactly what a fresh fetch would produce for a quiet
 /// table — the precondition for bit-parity of incremental cycles.
-/// `parallel` makes its `observe` the fanned-out driver.
 struct CountingLake {
-    parallel: bool,
-    tables: Vec<TableRef>,
+    /// The listing, in listing order; `create` / `drop_at` / `rotate`
+    /// edit it.
+    listing: Mutex<Vec<TableRef>>,
+    /// Reported as the listing epoch when present; bumped by every
+    /// listing edit.
+    epoch: Option<AtomicU64>,
+    /// Per-table version by uid; grows with `create`.
     versions: Mutex<Vec<u64>>,
     log: Mutex<Vec<(u64, u64)>>, // (seq, uid)
     seq: AtomicU64,
     table_stat_calls: AtomicU64,
     partition_stat_calls: AtomicU64,
     snapshot_stat_calls: AtomicU64,
+    /// Scripted stats faults still to inject, by uid.
+    stats_faults: Mutex<BTreeMap<u64, u32>>,
+    /// Fallible stats reads since the last `take_reads`: uid → whether
+    /// the read answered (`false`: it faulted).
+    reads: Mutex<BTreeMap<u64, bool>>,
+}
+
+fn table_ref(uid: u64) -> TableRef {
+    TableRef {
+        table_uid: uid,
+        database: format!("db{}", uid % 16).into(),
+        name: format!("t{uid}").into(),
+        partitioned: uid.is_multiple_of(3),
+        compaction_enabled: !uid.is_multiple_of(17),
+        is_intermediate: uid.is_multiple_of(23),
+    }
 }
 
 impl CountingLake {
     fn new(n: u64) -> Self {
         CountingLake {
-            parallel: false,
-            tables: (0..n)
-                .map(|i| TableRef {
-                    table_uid: i,
-                    database: format!("db{}", i % 16).into(),
-                    name: format!("t{i}").into(),
-                    partitioned: i % 3 == 0,
-                    compaction_enabled: i % 17 != 0,
-                    is_intermediate: i % 23 == 0,
-                })
-                .collect(),
+            listing: Mutex::new((0..n).map(table_ref).collect()),
+            epoch: None,
             versions: Mutex::new(vec![0; n as usize]),
             log: Mutex::new(Vec::new()),
             seq: AtomicU64::new(0),
             table_stat_calls: AtomicU64::new(0),
             partition_stat_calls: AtomicU64::new(0),
             snapshot_stat_calls: AtomicU64::new(0),
+            stats_faults: Mutex::new(BTreeMap::new()),
+            reads: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// A lake that reports a listing epoch iff `epoch`.
+    fn with_listing_epoch(n: u64, epoch: bool) -> Self {
+        CountingLake {
+            epoch: epoch.then(|| AtomicU64::new(0)),
+            ..CountingLake::new(n)
         }
     }
 
@@ -64,6 +91,77 @@ impl CountingLake {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
         self.log.lock().unwrap().push((seq, uid));
         self.versions.lock().unwrap()[uid as usize] += 1;
+    }
+
+    fn edit_listing(&self, edit: impl FnOnce(&mut Vec<TableRef>)) {
+        edit(&mut self.listing.lock().unwrap());
+        if let Some(epoch) = &self.epoch {
+            epoch.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Lists a table under a uid never used before.
+    fn create(&self) {
+        let mut versions = self.versions.lock().unwrap();
+        let uid = versions.len() as u64;
+        versions.push(0);
+        self.edit_listing(|listing| listing.push(table_ref(uid)));
+    }
+
+    /// Unlists the table at listing position `pick` (modulo the length).
+    fn drop_at(&self, pick: u64) {
+        self.edit_listing(|listing| {
+            if !listing.is_empty() {
+                listing.remove(pick as usize % listing.len());
+            }
+        });
+    }
+
+    /// Moves every table: the listing rotates left by `pick` positions.
+    fn rotate(&self, pick: u64) {
+        self.edit_listing(|listing| {
+            let by = pick as usize % listing.len().max(1);
+            listing.rotate_left(by);
+        });
+    }
+
+    /// Uid of the table at listing position `pick` (modulo the length).
+    fn listed_uid(&self, pick: u64) -> Option<u64> {
+        let listing = self.listing.lock().unwrap();
+        (!listing.is_empty()).then(|| listing[pick as usize % listing.len()].table_uid)
+    }
+
+    /// Uids handed out so far, dropped tables included.
+    fn created(&self) -> u64 {
+        self.versions.lock().unwrap().len() as u64
+    }
+
+    /// Makes `uid`'s next fallible stats read fault.
+    fn fault_stats(&self, uid: u64) {
+        *self.stats_faults.lock().unwrap().entry(uid).or_default() += 1;
+    }
+
+    fn take_reads(&self) -> BTreeMap<u64, bool> {
+        std::mem::take(&mut self.reads.lock().unwrap())
+    }
+
+    /// Front of every fallible stats read: consumes a scripted fault or
+    /// lets the read through, and records which.
+    fn read(&self, uid: u64) -> Result<(), ObserveFault> {
+        let mut faults = self.stats_faults.lock().unwrap();
+        let faulted = match faults.get_mut(&uid) {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                true
+            }
+            _ => false,
+        };
+        self.reads.lock().unwrap().insert(uid, !faulted);
+        if faulted {
+            Err(ObserveFault::transient("store hiccup"))
+        } else {
+            Ok(())
+        }
     }
 
     fn stats_for(&self, uid: u64) -> CandidateStats {
@@ -86,23 +184,19 @@ impl CountingLake {
 }
 
 impl LakeConnector for CountingLake {
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
-        if self.parallel {
-            autocomp::observe::batch_observe(self, request)
-        } else {
-            autocomp::observe::pull_observe(self, request)
-        }
-    }
     fn list_tables(&self) -> Vec<TableRef> {
-        self.tables.clone()
+        self.listing.lock().unwrap().clone()
+    }
+    fn listing_epoch(&self) -> Option<u64> {
+        self.epoch.as_ref().map(|e| e.load(Ordering::SeqCst))
     }
     fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
         self.table_stat_calls.fetch_add(1, Ordering::SeqCst);
-        (uid < FLEET).then(|| self.stats_for(uid))
+        (uid < self.created()).then(|| self.stats_for(uid))
     }
     fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
         self.partition_stat_calls.fetch_add(1, Ordering::SeqCst);
-        if self.tables.get(uid as usize).is_some_and(|t| t.partitioned) {
+        if uid < self.created() && table_ref(uid).partitioned {
             (0..3)
                 .map(|p| (format!("(d{p})"), self.stats_for(uid)))
                 .collect()
@@ -127,6 +221,22 @@ impl LakeConnector for CountingLake {
                 .map(|(_, uid)| *uid)
                 .collect(),
         )
+    }
+    fn try_table_stats(&self, uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
+        self.read(uid)?;
+        Ok(self.table_stats(uid))
+    }
+    fn try_partition_stats(&self, uid: u64) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
+        self.read(uid)?;
+        Ok(self.partition_stats(uid))
+    }
+    fn try_snapshot_stats(
+        &self,
+        uid: u64,
+        window_ms: u64,
+    ) -> Result<Option<CandidateStats>, ObserveFault> {
+        self.read(uid)?;
+        Ok(self.snapshot_stats(uid, window_ms))
     }
 }
 
@@ -214,33 +324,6 @@ fn observation_candidates_match_the_pull_path() {
 }
 
 #[test]
-fn batched_and_compat_cycles_are_bit_identical_across_scopes() {
-    for scope in SCOPES {
-        let lake = CountingLake::new(FLEET);
-        let compat = pipeline(scope)
-            .cycle(CycleInput {
-                connector: &lake,
-                observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
-                now_ms: 0,
-            })
-            .unwrap();
-        let batched = pipeline(scope)
-            .cycle(CycleInput {
-                connector: &CountingLake {
-                    parallel: true,
-                    ..CountingLake::new(FLEET)
-                },
-                observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
-                now_ms: 0,
-            })
-            .unwrap();
-        assert_reports_identical(&compat, &batched, &format!("batched vs compat {scope:?}"));
-    }
-}
-
-#[test]
 fn incremental_cycles_are_bit_identical_across_scopes() {
     for scope in SCOPES {
         let lake = CountingLake::new(FLEET);
@@ -321,19 +404,6 @@ fn incremental_observe_fetches_only_written_tables() {
         "incremental observe must touch only the dirty set"
     );
     assert_eq!(obs.reused_tables(), FLEET as usize - dirty.len());
-
-    // The fanned-out observe obeys the same dirty-set contract.
-    let lake = CountingLake {
-        parallel: true,
-        ..CountingLake::new(FLEET)
-    };
-    let mut batch_observer = FleetObserver::new();
-    batch_observer.observe(&lake, ScopeStrategy::Table);
-    lake.write(42);
-    let before = lake.stats_fetches();
-    let obs = batch_observer.observe(&lake, ScopeStrategy::Table);
-    assert_eq!(lake.stats_fetches() - before, 1);
-    assert_eq!(obs.fetched_tables(), 1);
 }
 
 /// A table force-dirtied although **absent from the changelog** must be
@@ -540,74 +610,210 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     );
 }
 
-/// End-to-end over the simulated lake: the sequential `Rc<RefCell>`
-/// connector and the fanned-out `Arc<RwLock>` one produce bit-identical
-/// cycles.
-#[test]
-fn lakesim_tiers_produce_identical_cycles() {
-    use autocomp_lakesim::{share, share_sync, BatchLakesimConnector, LakesimConnector};
-    use lakesim_catalog::TablePolicy;
-    use lakesim_engine::{EnvConfig, FileSizePlan, SimEnv, WriteSpec};
-    use lakesim_lst::{ColumnType, Field, PartitionKey, PartitionSpec, Schema, TableProperties};
-    use lakesim_storage::MB;
+// ---------------------------------------------------------------------
+// The listing property harness: tables are created, dropped and moved
+// between passes, with and without a listing epoch.
+// ---------------------------------------------------------------------
 
-    let build = || {
-        let mut env = SimEnv::new(EnvConfig {
-            seed: 19,
-            ..EnvConfig::default()
-        });
-        env.create_database("db", "tenant", Some(500_000)).unwrap();
-        for i in 0..8u64 {
-            let schema = Schema::new(vec![Field::new(1, "k", ColumnType::Int64, true)]).unwrap();
-            let t = env
-                .create_table(
-                    "db",
-                    &format!("t{i}"),
-                    schema,
-                    PartitionSpec::unpartitioned(),
-                    TableProperties::default(),
-                    TablePolicy {
-                        min_age_ms: 0,
-                        ..TablePolicy::default()
-                    },
-                )
-                .unwrap();
-            let spec = WriteSpec::insert(
-                t,
-                PartitionKey::unpartitioned(),
-                (16 + i * 8) * MB,
-                FileSizePlan::trickle(),
-                "query",
-            );
-            env.submit_write(&spec, i * 1000).unwrap();
+/// The lake's infallible surface only: a cold observe through it neither
+/// consumes scripted faults nor shows up in the read record.
+struct Unfaulted<'a>(&'a CountingLake);
+
+impl LakeConnector for Unfaulted<'_> {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.0.list_tables()
+    }
+    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+        self.0.table_stats(uid)
+    }
+    fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+        self.0.partition_stats(uid)
+    }
+    fn snapshot_stats(&self, uid: u64, window_ms: u64) -> Option<CandidateStats> {
+        self.0.snapshot_stats(uid, window_ms)
+    }
+}
+
+/// One step of a listing scenario. A `pick` selects a listing position
+/// (or, for `ForceDirty`, a uid among all ever created) modulo the
+/// count.
+#[derive(Debug, Clone)]
+enum ListingOp {
+    Write(u64),
+    /// May name a dropped table: an unlisted dirty mark is ignored.
+    ForceDirty(u64),
+    Create,
+    Drop(u64),
+    Rotate(u64),
+    /// Arms one stats fault on a listed table and writes it, so the next
+    /// observe's fetch of it faults.
+    Fault(u64),
+    Observe,
+}
+
+fn listing_op_strategy() -> impl Strategy<Value = ListingOp> {
+    prop_oneof![
+        (0u64..1_000).prop_map(ListingOp::Write),
+        (0u64..1_000).prop_map(ListingOp::Write),
+        (0u64..1_000).prop_map(ListingOp::ForceDirty),
+        (0u8..2).prop_map(|_| ListingOp::Create),
+        (0u64..1_000).prop_map(ListingOp::Drop),
+        (1u64..1_000).prop_map(ListingOp::Rotate),
+        (0u64..1_000).prop_map(ListingOp::Fault),
+        (0u8..2).prop_map(|_| ListingOp::Observe),
+        (0u8..2).prop_map(|_| ListingOp::Observe),
+    ]
+}
+
+/// What must hold after every observe pass, whatever the listing did
+/// since `prior`. `reads` are the pass's fallible stats reads.
+fn check_pass(
+    lake: &CountingLake,
+    prior: Option<&FleetObservation>,
+    obs: &FleetObservation,
+    reads: &BTreeMap<u64, bool>,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let deg = obs.degradation();
+    // Fresh ⇔ the entry came from the connector this pass: the read
+    // answered, or it faulted and the entry retired instead of carrying.
+    let mut fresh = 0;
+    for (i, table) in obs.tables().iter().enumerate() {
+        let uid = table.table_uid;
+        let expect = match reads.get(&uid) {
+            Some(true) => true,
+            Some(false) => !deg.quarantine[&uid].carried,
+            None => false,
+        };
+        prop_assert_eq!(obs.is_fresh(i), expect, "{context}: freshness of uid {uid}");
+        fresh += expect as usize;
+    }
+    prop_assert_eq!(obs.fetched_tables(), fresh, "{context}: fetched");
+    prop_assert_eq!(
+        obs.reused_tables(),
+        obs.table_count() - fresh,
+        "{context}: reused"
+    );
+    for (uid, q) in &deg.quarantine {
+        prop_assert!(
+            !q.carried || prior.is_some_and(|p| p.position_of_uid(*uid).is_some()),
+            "{context}: uid {uid} carried without a prior entry"
+        );
+    }
+    // A quarantine record outlives a re-list for as long as its table
+    // stays listed and its read has not answered.
+    for uid in prior.iter().flat_map(|p| p.degradation().quarantine.keys()) {
+        let listed = obs.position_of_uid(*uid).is_some();
+        let healed = reads.get(uid) == Some(&true);
+        prop_assert_eq!(
+            deg.quarantine.contains_key(uid),
+            listed && !healed,
+            "{context}: quarantine record of uid {uid}"
+        );
+    }
+    prop_assert!(
+        obs.arena_live_density() >= 0.5,
+        "{context}: density {}",
+        obs.arena_live_density()
+    );
+    prop_assert!(
+        obs.arena_chunk_count() <= 2 * ARENA_COMPACT_SMALL_DIVISOR + 2,
+        "{context}: {} chunks",
+        obs.arena_chunk_count()
+    );
+    if !deg.is_degraded() {
+        let cold = Unfaulted(lake).observe(&ObserveRequest::fresh(obs.scope()));
+        prop_assert_eq!(
+            obs.to_candidates(),
+            cold.to_candidates(),
+            "{context}: clean pass vs cold observe"
+        );
+    }
+    Ok(())
+}
+
+fn run_listing_scenario(
+    n: u64,
+    ops: &[ListingOp],
+    scope: ScopeStrategy,
+    epoch: bool,
+) -> Result<(), TestCaseError> {
+    let lake = CountingLake::with_listing_epoch(n, epoch);
+    let mut observer = FleetObserver::new();
+    for (step, op) in ops.iter().chain([&ListingOp::Observe]).enumerate() {
+        match op {
+            ListingOp::Write(pick) | ListingOp::Fault(pick) => {
+                if let Some(uid) = lake.listed_uid(*pick) {
+                    if matches!(op, ListingOp::Fault(_)) {
+                        lake.fault_stats(uid);
+                    }
+                    lake.write(uid);
+                }
+            }
+            ListingOp::ForceDirty(pick) => observer.mark_dirty(pick % lake.created()),
+            ListingOp::Create => lake.create(),
+            ListingOp::Drop(pick) => lake.drop_at(*pick),
+            ListingOp::Rotate(pick) => lake.rotate(*pick),
+            ListingOp::Observe => {
+                let prior = observer.last().cloned();
+                lake.take_reads();
+                let obs = observer.observe(&lake, scope).clone();
+                let context = format!("{scope:?}, epoch {epoch}, step {step}");
+                check_pass(&lake, prior.as_ref(), &obs, &lake.take_reads(), &context)?;
+            }
         }
-        env.drain_all();
-        env
-    };
+    }
+    Ok(())
+}
 
-    let sequential = {
-        let shared = share(build());
-        let connector = LakesimConnector::new(shared);
-        pipeline(ScopeStrategy::Table)
-            .cycle(CycleInput {
-                connector: &connector,
-                observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
-                now_ms: 1_000_000,
-            })
-            .unwrap()
-    };
-    let batched = {
-        let shared = share_sync(build());
-        let connector = BatchLakesimConnector::new(shared);
-        pipeline(ScopeStrategy::Table)
-            .cycle(CycleInput {
-                connector: &connector,
-                observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
-                now_ms: 1_000_000,
-            })
-            .unwrap()
-    };
-    assert_reports_identical(&sequential, &batched, "lakesim tiers");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Incremental observes over a listing that changes between passes:
+    /// freshness, quarantine carry, the arena bounds and — on every clean
+    /// pass — equality with a cold observe, across all four scopes, with
+    /// the listing shared under an epoch and re-read without one.
+    #[test]
+    fn observes_over_a_changing_listing_match_cold_observes(
+        n in 1u64..24,
+        ops in collection::vec(listing_op_strategy(), 1..40),
+    ) {
+        for scope in SCOPES {
+            for epoch in [true, false] {
+                run_listing_scenario(n, &ops, scope, epoch)?;
+            }
+        }
+    }
+}
+
+/// The arena check must not depend on something having been patched: a
+/// pass that only loses tables leaves their slots dead too.
+#[test]
+fn dropping_half_the_fleet_with_no_write_in_between_keeps_the_arena_dense() {
+    const N: u64 = 64;
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(N, epoch);
+        let mut observer = FleetObserver::new();
+        observer.observe(&lake, ScopeStrategy::Table);
+        // Rewrite the first half: its old slots die, density 2/3.
+        (0..N / 2).for_each(|uid| lake.write(uid));
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        assert_eq!(obs.arena_slot_count() as u64, N + N / 2);
+        // Drop the second half, whose entries were the cold chunk's only
+        // live ones: 1/3 of the slots would stay live.
+        (0..N / 2).for_each(|_| lake.drop_at(N / 2));
+        let prior = obs.clone();
+        lake.take_reads();
+        let obs = observer.observe(&lake, ScopeStrategy::Table).clone();
+        assert_eq!(obs.table_count() as u64, N / 2);
+        assert_eq!(obs.fetched_tables(), 0, "nothing was written");
+        check_pass(
+            &lake,
+            Some(&prior),
+            &obs,
+            &lake.take_reads(),
+            "half dropped",
+        )
+        .unwrap();
+        assert_eq!(obs.arena_live_density(), 1.0, "epoch {epoch}: rebuilt");
+    }
 }
