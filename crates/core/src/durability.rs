@@ -26,9 +26,10 @@
 //! # Snapshot format versioning and compatibility policy
 //!
 //! A snapshot is one sealed frame (`lakesim_storage::codec`): magic,
-//! format version, kind tag, payload length and a trailing FNV-1a 64
-//! checksum over the whole frame. The payload layout is identified by
-//! [`SNAPSHOT_VERSION`]; any incompatible layout change bumps it.
+//! format version, kind tag, payload length and a trailing
+//! [`frame_checksum64`](lakesim_storage::frame_checksum64) over the whole
+//! frame. The payload layout is identified by [`SNAPSHOT_VERSION`]; any
+//! incompatible layout change bumps it.
 //! Readers accept versions up to their own and reject newer ones, so an
 //! old binary never misinterprets a new snapshot; old versions may gain
 //! explicit migration arms, but the default compatibility posture is
@@ -539,19 +540,27 @@ const STATS_HEAD_BYTES: usize = 8 * 8 + 1 + 8 + 8;
 const BUCKET_BYTES: usize = 1 + 8 + 8;
 
 pub(crate) fn put_stats(enc: &mut Encoder, stats: &CandidateStats) {
-    enc.put_u64(stats.file_count);
-    enc.put_u64(stats.small_file_count);
-    enc.put_u64(stats.small_bytes);
-    enc.put_u64(stats.total_bytes);
-    enc.put_u64(stats.delete_file_count);
-    enc.put_u64(stats.partition_count);
-    enc.put_u64(stats.target_file_size);
-    enc.put_u64(stats.created_at_ms);
-    // The optional fields are written at fixed width (flag + value, the
-    // value zeroed when absent) so the whole head is STATS_HEAD_BYTES.
-    enc.put_bool(stats.last_write_ms.is_some());
-    enc.put_u64(stats.last_write_ms.unwrap_or(0));
-    enc.put_f64(stats.write_frequency_per_hour);
+    // The head goes out as one block, the mirror of `take_stats`' single
+    // read. The optional last-write is fixed width (flag + value, the
+    // value zeroed when absent) so the head is always STATS_HEAD_BYTES.
+    let mut head = [0u8; STATS_HEAD_BYTES];
+    let words = [
+        stats.file_count,
+        stats.small_file_count,
+        stats.small_bytes,
+        stats.total_bytes,
+        stats.delete_file_count,
+        stats.partition_count,
+        stats.target_file_size,
+        stats.created_at_ms,
+    ];
+    for (slot, word) in head.chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+    head[64] = stats.last_write_ms.is_some() as u8;
+    head[65..73].copy_from_slice(&stats.last_write_ms.unwrap_or(0).to_le_bytes());
+    head[73..81].copy_from_slice(&stats.write_frequency_per_hour.to_bits().to_le_bytes());
+    enc.put_raw(&head);
     match stats.quota {
         Some(q) => {
             enc.put_bool(true);

@@ -783,24 +783,32 @@ impl FleetObservation {
         put_scope(enc, self.scope);
         enc.put_opt_u64(self.listing_epoch);
         enc.put_opt_u64(self.cursor.map(|c| c.0));
-        // Distinct database names once, then per-table indexes.
+        // Distinct database names once, then per-table indexes. Tables of
+        // one database share its `Arc<str>`, so each allocation's name is
+        // hashed once and the tables after it resolve by pointer.
         let mut databases: Vec<&str> = Vec::new();
-        let mut db_index: HashMap<&str, u32> = HashMap::new();
-        for table in self.tables.iter() {
-            let next = databases.len() as u32;
-            db_index.entry(&table.database).or_insert_with(|| {
-                databases.push(&table.database);
-                next
-            });
-        }
+        let mut by_name: HashMap<&str, u32> = HashMap::new();
+        let mut by_arc: HashMap<*const u8, u32> = HashMap::new();
+        let db_of: Vec<u32> = self
+            .tables
+            .iter()
+            .map(|table| {
+                *by_arc.entry(table.database.as_ptr()).or_insert_with(|| {
+                    *by_name.entry(&table.database).or_insert_with(|| {
+                        databases.push(&table.database);
+                        databases.len() as u32 - 1
+                    })
+                })
+            })
+            .collect();
         enc.put_u64(databases.len() as u64);
         for db in &databases {
             enc.put_str(db);
         }
         enc.put_u64(self.tables.len() as u64);
-        for table in self.tables.iter() {
+        for (table, db) in self.tables.iter().zip(db_of) {
             enc.put_u64(table.table_uid);
-            enc.put_u32(db_index[&*table.database]);
+            enc.put_u32(db);
             // The three descriptor booleans pack into one flags byte so
             // the fixed head of a table record is a single 13-byte read
             // on restore.

@@ -1012,54 +1012,76 @@ impl AutoComp {
         observer: &FleetObserver,
         ctx: &SnapshotContext,
     ) -> Option<Vec<u8>> {
-        let observation = observer.last()?;
-        let span_t = self.telemetry.span_start();
         let mut enc = lakesim_storage::Encoder::new();
-        enc.put_u64(self.config_fingerprint());
-        enc.put_u64(ctx.cycle);
-        enc.put_u64(ctx.executor_cursor);
-        enc.put_u64(ctx.journal_watermark);
-        observation.snapshot_write(&mut enc);
-        let dirty = observer.pending_dirty();
-        enc.put_u64(dirty.len() as u64);
-        for uid in dirty {
-            enc.put_u64(*uid);
-        }
-        self.cache
-            .snapshot_write(&mut enc, self.epoch, &observation.tables_shared());
-        let memo = self.rank_memo.as_ref().filter(|s| {
-            s.epoch == self.epoch
-                && s.scope == observation.scope()
-                && Some(s.cursor) == observation.cursor()
-        });
-        match memo {
-            Some(stored) => {
-                enc.put_bool(true);
-                enc.put_u64(stored.width as u64);
-                stored.memo.snapshot_write(&mut enc);
-            }
-            None => enc.put_bool(false),
-        }
-        match &self.tracker {
-            Some(tracker) => {
-                enc.put_bool(true);
-                tracker.snapshot_write(&mut enc);
-            }
-            None => enc.put_bool(false),
-        }
-        self.feedback.snapshot_write(&mut enc);
-        let frame = lakesim_storage::seal_frame(
+        self.encode_snapshot_into(observer, ctx, &mut enc)
+            .then(|| enc.into_bytes())
+    }
+
+    /// [`encode_snapshot`](Self::encode_snapshot) appending the sealed
+    /// frame to `enc` instead of returning it — the form a
+    /// [`SnapshotStore::save_with`](lakesim_storage::SnapshotStore::save_with)
+    /// writer calls, so the frame is built inside the store's buffer.
+    /// Returns `false`, with nothing appended, before the first
+    /// observation.
+    pub fn encode_snapshot_into(
+        &self,
+        observer: &FleetObserver,
+        ctx: &SnapshotContext,
+        enc: &mut lakesim_storage::Encoder,
+    ) -> bool {
+        let Some(observation) = observer.last() else {
+            return false;
+        };
+        let span_t = self.telemetry.span_start();
+        let start = enc.len();
+        enc.put_frame(
             crate::durability::SNAPSHOT_KIND,
             crate::durability::SNAPSHOT_VERSION,
-            &enc.into_bytes(),
+            |enc| {
+                enc.put_u64(self.config_fingerprint());
+                enc.put_u64(ctx.cycle);
+                enc.put_u64(ctx.executor_cursor);
+                enc.put_u64(ctx.journal_watermark);
+                observation.snapshot_write(enc);
+                let dirty = observer.pending_dirty();
+                enc.put_u64(dirty.len() as u64);
+                for uid in dirty {
+                    enc.put_u64(*uid);
+                }
+                self.cache
+                    .snapshot_write(enc, self.epoch, &observation.tables_shared());
+                let memo = self.rank_memo.as_ref().filter(|s| {
+                    s.epoch == self.epoch
+                        && s.scope == observation.scope()
+                        && Some(s.cursor) == observation.cursor()
+                });
+                match memo {
+                    Some(stored) => {
+                        enc.put_bool(true);
+                        enc.put_u64(stored.width as u64);
+                        stored.memo.snapshot_write(enc);
+                    }
+                    None => enc.put_bool(false),
+                }
+                match &self.tracker {
+                    Some(tracker) => {
+                        enc.put_bool(true);
+                        tracker.snapshot_write(enc);
+                    }
+                    None => enc.put_bool(false),
+                }
+                self.feedback.snapshot_write(enc);
+            },
         );
         self.telemetry.observe(
             tnames::DURABILITY_SNAPSHOT_SAVE_US,
             self.telemetry.now().saturating_sub(span_t),
         );
-        self.telemetry
-            .observe(tnames::DURABILITY_SNAPSHOT_BYTES, frame.len() as u64);
-        Some(frame)
+        self.telemetry.observe(
+            tnames::DURABILITY_SNAPSHOT_BYTES,
+            (enc.len() - start) as u64,
+        );
+        true
     }
 
     /// Restores a snapshot produced by [`encode_snapshot`](Self::encode_snapshot)
@@ -2122,5 +2144,60 @@ mod tests {
         assert_eq!(report.ranked.len(), 2);
         assert_eq!(report.selected_count(), 1);
         assert_eq!(exec.calls[0].0, CandidateId::table(1));
+    }
+
+    /// A snapshot encoded straight into the store's buffer puts the bytes
+    /// on the medium that sealing `sequence | encode_snapshot()` by
+    /// copying does, so slots written before and after load alike.
+    #[test]
+    fn encoding_into_the_store_writes_the_bytes_of_seal_by_copy() {
+        use lakesim_storage::snapshot::{SNAPSHOT_FRAME_KIND, SNAPSHOT_FRAME_VERSION};
+        use lakesim_storage::{MemSnapshotMedium, SnapshotMedium, SnapshotStore};
+        let lake = MemoryLake {
+            changelog: true,
+            ..MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)])
+        };
+        let mut ac = pipeline(2).with_job_tracker(JobRuntimeConfig::default());
+        let mut observer = FleetObserver::new();
+        let ctx = SnapshotContext {
+            cycle: 1,
+            executor_cursor: 2,
+            journal_watermark: 3,
+        };
+        let mut in_place = SnapshotStore::new(MemSnapshotMedium::new());
+        let declined = in_place.save_with(|enc| ac.encode_snapshot_into(&observer, &ctx, enc));
+        assert_eq!(declined.unwrap(), None, "nothing observed yet");
+        assert_eq!(ac.encode_snapshot(&observer, &ctx), None);
+
+        let mut exec = RecordingExecutor::default();
+        ac.cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: Executor::Tracked(&mut exec),
+            now_ms: 1_000,
+        })
+        .unwrap();
+        let frame = ac.encode_snapshot(&observer, &ctx).unwrap();
+        let kind = crate::durability::SNAPSHOT_KIND;
+        let version = crate::durability::SNAPSHOT_VERSION;
+        let payload = lakesim_storage::open_frame(&frame, kind, version)
+            .unwrap()
+            .payload;
+        assert_eq!(frame, lakesim_storage::seal_frame(kind, version, payload));
+        for seq in 1..=3u64 {
+            let saved = in_place.save_with(|enc| ac.encode_snapshot_into(&observer, &ctx, enc));
+            assert_eq!(saved.unwrap(), Some(seq));
+            let mut enc = lakesim_storage::Encoder::new();
+            enc.put_u64(seq);
+            enc.put_bytes(&frame);
+            let by_copy = lakesim_storage::seal_frame(
+                SNAPSHOT_FRAME_KIND,
+                SNAPSHOT_FRAME_VERSION,
+                &enc.into_bytes(),
+            );
+            let slot = (seq as usize + 1) % 2;
+            assert_eq!(in_place.medium().read_slot(slot), Some(by_copy));
+            assert_eq!(in_place.load().unwrap(), (seq, frame.clone()));
+        }
     }
 }

@@ -887,10 +887,11 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             executor_cursor: executor.delivery_cursor(),
             journal_watermark: durable.journal.records(),
         };
-        let Some(bytes) = self.pipeline.encode_snapshot(&self.observer, &ctx) else {
-            return false;
-        };
-        if durable.store.save(&bytes).is_ok() {
+        let saved = durable.store.save_with(|enc| {
+            self.pipeline
+                .encode_snapshot_into(&self.observer, &ctx, enc)
+        });
+        if matches!(saved, Ok(Some(_))) {
             self.stats.snapshots_saved += 1;
             self.pipeline
                 .telemetry()

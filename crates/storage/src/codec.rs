@@ -160,6 +160,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An encoder that appends to `buf`, keeping its contents and its
+    /// allocation; [`into_bytes`](Self::into_bytes) hands it back. This is
+    /// how a caller that encodes the same large state repeatedly reuses
+    /// one buffer instead of growing a new one each time.
+    pub fn over(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// Bytes encoded so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -222,10 +230,51 @@ impl Encoder {
         }
     }
 
+    /// Appends `v` as is, with no length prefix — the mirror of
+    /// [`Decoder::take_raw`] for fixed-layout blocks.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends whatever `body` encodes as one length-prefixed byte slice
+    /// — the bytes [`put_bytes`](Self::put_bytes) would produce for
+    /// `body`'s output, without building that output separately first.
+    /// The prefix is written as a placeholder and patched once `body`
+    /// returns.
+    pub fn put_bytes_with<R>(&mut self, body: impl FnOnce(&mut Encoder) -> R) -> R {
+        let at = self.buf.len();
+        self.put_u64(0);
+        let out = body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    /// Appends whatever `body` encodes as one sealed frame (see the
+    /// module docs for the layout), in place: the header goes in with a
+    /// length placeholder, `body` appends the payload, the length is
+    /// patched, and the checksum over the frame's own bytes — not over
+    /// anything encoded before it — is appended. Frames nest.
+    pub fn put_frame<R>(
+        &mut self,
+        kind: u16,
+        version: u32,
+        body: impl FnOnce(&mut Encoder) -> R,
+    ) -> R {
+        let start = self.buf.len();
+        self.put_u32(FRAME_MAGIC);
+        self.put_u32(version);
+        self.put_u16(kind);
+        let out = self.put_bytes_with(body);
+        let checksum = frame_checksum64(&self.buf[start..]);
+        self.put_u64(checksum);
+        out
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -366,15 +415,9 @@ impl<'a> Decoder<'a> {
 /// Seals `payload` into a self-validating frame (see module docs for the
 /// layout).
 pub fn seal_frame(kind: u16, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let checksum = frame_checksum64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    let mut enc = Encoder::over(Vec::with_capacity(FRAME_OVERHEAD + payload.len()));
+    enc.put_frame(kind, version, |enc| enc.put_raw(payload));
+    enc.into_bytes()
 }
 
 /// A validated frame: header fields plus a borrowed payload whose
@@ -520,6 +563,41 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         assert!(open_frame(&flipped, 3, 1).is_err());
+    }
+
+    #[test]
+    fn in_place_frames_match_the_layout_built_by_hand() {
+        fn by_hand(kind: u16, version: u32, payload: &[u8]) -> Vec<u8> {
+            let mut out = FRAME_MAGIC.to_le_bytes().to_vec();
+            out.extend_from_slice(&version.to_le_bytes());
+            out.extend_from_slice(&kind.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            let checksum = frame_checksum64(&out);
+            out.extend_from_slice(&checksum.to_le_bytes());
+            out
+        }
+        assert_eq!(seal_frame(3, 2, b"payload"), by_hand(3, 2, b"payload"));
+        assert_eq!(seal_frame(3, 2, b""), by_hand(3, 2, b""));
+
+        // A frame inside a length-prefixed field inside a frame, after
+        // bytes that belong to neither: each checksum covers its own
+        // frame only.
+        let mut enc = Encoder::over(b"before".to_vec());
+        let answer = enc.put_frame(1, 1, |enc| {
+            enc.put_u64(9);
+            enc.put_bytes_with(|enc| enc.put_frame(7, 2, |enc| enc.put_raw(b"inner")));
+            42
+        });
+        assert_eq!(answer, 42);
+        let mut outer = 9u64.to_le_bytes().to_vec();
+        let inner = by_hand(7, 2, b"inner");
+        outer.extend_from_slice(&(inner.len() as u64).to_le_bytes());
+        outer.extend_from_slice(&inner);
+        assert_eq!(
+            enc.into_bytes(),
+            [b"before", &by_hand(1, 1, &outer)[..]].concat()
+        );
     }
 
     #[test]
