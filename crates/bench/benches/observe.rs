@@ -14,8 +14,8 @@
 //! `telemetry.trace_overhead_pct`, `crash_restart` `recover_ms_p50`).
 
 use autocomp::{
-    CandidateStats, ChangeCursor, LakeConnector, ObserveRequest, ScopeStrategy, SizeBucket,
-    TableRef,
+    CandidateStats, ChangeCursor, FleetObserver, LakeConnector, ObserveRequest, ScopeStrategy,
+    SizeBucket, TableRef,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -170,7 +170,7 @@ fn bench_observe(c: &mut Criterion) {
     // Baseline: the historical chatty per-table pull protocol.
     let chatty = PerCallLake(&lake);
     group.bench_with_input(BenchmarkId::new("tables_pull", n), &n, |b, _| {
-        b.iter(|| chatty.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
+        b.iter(|| chatty.observe(ObserveRequest::fresh(ScopeStrategy::Table)))
     });
 
     // Cold observe with the session amortized.
@@ -179,13 +179,19 @@ fn bench_observe(c: &mut Criterion) {
         listing_epoch: Some(0),
     };
     group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
-        b.iter(|| session.observe(&ObserveRequest::fresh(ScopeStrategy::Table)))
+        b.iter(|| session.observe(ObserveRequest::fresh(ScopeStrategy::Table)))
     });
 
     // Incremental observe: 1% dirty, the rest reused from the prior.
-    let prior = session.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    // Each pass's observation is the next one's prior, as in the runtime.
+    let mut observer = FleetObserver::new();
+    observer.observe(&session, ScopeStrategy::Table);
     group.bench_with_input(BenchmarkId::new("tables_incremental", n), &n, |b, _| {
-        b.iter(|| session.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
+        b.iter(|| {
+            observer
+                .observe(&session, ScopeStrategy::Table)
+                .fetched_tables()
+        })
     });
 
     // The same 1% dirty without a listing epoch: every pass lists the
@@ -194,9 +200,14 @@ fn bench_observe(c: &mut Criterion) {
         lake: &lake,
         listing_epoch: None,
     };
-    let prior = relisting.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    let mut observer = FleetObserver::new();
+    observer.observe(&relisting, ScopeStrategy::Table);
     group.bench_with_input(BenchmarkId::new("tables_relisted", n), &n, |b, _| {
-        b.iter(|| relisting.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &prior)))
+        b.iter(|| {
+            observer
+                .observe(&relisting, ScopeStrategy::Table)
+                .fetched_tables()
+        })
     });
     group.finish();
 }

@@ -208,8 +208,9 @@ pub trait LakeConnector {
     /// proves untouched. Connectors with a cheaper native path (a batch
     /// RPC, a columnar stats table) may override it. The parity contract
     /// is that for identical lake state the result must equal the
-    /// default's.
-    fn observe(&self, request: &ObserveRequest<'_>) -> FleetObservation {
+    /// default's. The request owns its prior, so a pass may patch the
+    /// prior's entries in place.
+    fn observe(&self, request: ObserveRequest) -> FleetObservation {
         observe::pull_observe(self, request)
     }
 }
@@ -412,7 +413,7 @@ mod tests {
     fn blanket_observe_works_through_a_trait_object() {
         let lake = one_table_lake();
         let dyn_lake: &dyn LakeConnector = &lake;
-        let obs = dyn_lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let obs = dyn_lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.table_count(), 1);
         assert_eq!(obs.candidate_count(), 1);
         assert!(obs.cursor().is_none());

@@ -7,7 +7,7 @@
 //! whether a compaction candidate has undergone recent frequent writes to
 //! avoid potential conflicts during compaction."
 
-use crate::candidate::{Candidate, CandidateView};
+use crate::candidate::CandidateView;
 
 /// Outcome of evaluating one filter against one candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +31,7 @@ pub enum FilterDecision {
 /// candidate structs at all.
 ///
 /// [`TraitComputer`]: crate::traits::TraitComputer
+/// [`Candidate`]: crate::candidate::Candidate
 pub trait CandidateFilter: Send + Sync {
     /// Filter name for reports.
     fn name(&self) -> &str;
@@ -242,9 +243,8 @@ impl CandidateFilter for AlreadyCompactFilter {
 /// Evaluates a filter chain against one candidate view: `None` keeps the
 /// candidate, `Some(reason)` drops it with the first dropping filter's
 /// `"name: reason"` string (the first dropping filter wins, exactly like
-/// the historical chain). This is the single evaluation site shared by
-/// the index-native pipeline and the [`apply_filters`] compatibility
-/// wrapper, so both paths produce identical verdicts and reason strings.
+/// the historical chain). This is the single evaluation site of the
+/// chain.
 pub fn evaluate_chain(
     filters: &[Box<dyn CandidateFilter>],
     candidate: &CandidateView<'_>,
@@ -267,56 +267,10 @@ pub fn chain_time_sensitive(filters: &[Box<dyn CandidateFilter>]) -> bool {
     filters.iter().any(|f| f.time_sensitive())
 }
 
-/// Applies a filter chain, returning surviving candidates and the dropped
-/// ones with reasons. Evaluation is a single sequential pass — filters
-/// are cheap statistics predicates, and profiling showed the memory
-/// traffic, not the predicates, dominates; the first dropping filter
-/// wins.
-///
-/// Survivors are retained **in place** (`Vec::extract_if` pulls the
-/// dropped ones out with a single compaction pass): at 100K candidates
-/// the seed's rebuild-into-a-fresh-vec moved ~30 MB of candidate structs
-/// every cycle, which dwarfed the actual predicate evaluation cost.
-///
-/// The hot pipeline no longer materializes candidates at all — it runs
-/// [`evaluate_chain`] over observation-backed views; this wrapper remains
-/// for callers that already hold owned candidates (ablations, profilers,
-/// custom drivers).
-pub fn apply_filters(
-    mut candidates: Vec<Candidate>,
-    filters: &[Box<dyn CandidateFilter>],
-    now_ms: u64,
-) -> (Vec<Candidate>, Vec<(Candidate, String)>) {
-    if filters.is_empty() {
-        return (candidates, Vec::new());
-    }
-    // `extract_if` calls the predicate front-to-back exactly once per
-    // element, so the reason computed for a dropped candidate is pending
-    // when the iterator yields it (a `Cell` because the predicate and the
-    // map closure are both live while the iterator drains).
-    let pending_reason: std::cell::Cell<Option<String>> = std::cell::Cell::new(None);
-    let dropped = candidates
-        .extract_if(.., |candidate| {
-            match evaluate_chain(filters, &candidate.view(), now_ms) {
-                Some(reason) => {
-                    pending_reason.set(Some(reason));
-                    true
-                }
-                None => false,
-            }
-        })
-        .map(|candidate| {
-            let reason = pending_reason.take().expect("predicate set the reason");
-            (candidate, reason)
-        })
-        .collect();
-    (candidates, dropped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::CandidateId;
+    use crate::candidate::{Candidate, CandidateId};
     use crate::stats::CandidateStats;
 
     fn candidate(stats: CandidateStats) -> Candidate {
@@ -414,11 +368,10 @@ mod tests {
             file_count: 10,
             ..CandidateStats::default()
         });
-        let (kept, dropped) = apply_filters(vec![disabled, tiny, good], &filters, 0);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(dropped.len(), 2);
-        assert!(dropped[0].1.contains("compaction-disabled"));
-        assert!(dropped[1].1.contains("min-size"));
+        let verdict = |c: &Candidate| evaluate_chain(&filters, &c.view(), 0);
+        assert!(verdict(&disabled).unwrap().contains("compaction-disabled"));
+        assert!(verdict(&tiny).unwrap().contains("min-size"));
+        assert_eq!(verdict(&good), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! The observe side is one connector trait (see [`connector`]):
 //! [`connector::LakeConnector`] implementors provide the per-table
 //! primitives and inherit a batched
-//! `observe(&ObserveRequest) -> FleetObservation` entry point that drives
+//! `observe(ObserveRequest) -> FleetObservation` entry point that drives
 //! the per-table pull protocol ([`observe::pull_observe`]); a connector
 //! with a cheaper native path overrides it.
 //!

@@ -8,19 +8,19 @@
 //! cost even when almost nothing changed.
 //!
 //! This module replaces that protocol with a single entry point,
-//! `observe(&ObserveRequest) -> FleetObservation`:
+//! `observe(ObserveRequest) -> FleetObservation`:
 //!
 //! * [`FleetObservation`] is a self-contained snapshot of the fleet —
 //!   table descriptors plus per-table stats, indexed positionally, with
 //!   `Arc<str>`-shared names — that [`to_candidates`] and the pipeline
 //!   consume by index.
 //! * [`ObserveRequest`] carries the scope strategy and, optionally, the
-//!   *prior* observation. When the connector supports a change cursor
-//!   ([`ChangeCursor`], fed by after-write hooks and the executor's commit
-//!   log), an incremental observe re-fetches stats only for the tables
-//!   written since the prior cycle and reuses the prior entries for the
-//!   rest — the §5 optimize-after-write mode stops paying full-fleet
-//!   observe cost.
+//!   *prior* observation, by value. When the connector supports a change
+//!   cursor ([`ChangeCursor`], fed by after-write hooks and the
+//!   executor's commit log), an incremental observe re-fetches stats
+//!   only for the tables written since the prior cycle and reuses the
+//!   prior entries for the rest — the §5 optimize-after-write mode stops
+//!   paying full-fleet observe cost.
 //! * [`FleetObserver`] is the small session object that threads the prior
 //!   observation and externally-marked dirty tables (§5
 //!   [`HookAction::MarkDirty`]) through consecutive cycles.
@@ -60,9 +60,9 @@
 //! invalidation contract for cross-cycle caches (the pipeline's
 //! `CycleCache`): a cached per-table artifact is valid iff it was
 //! computed against the observation whose cursor equals `prior_cursor()`
-//! *and* the table's entry is not fresh — force-dirtied tables land in
-//! the fresh chunk even when the changelog never saw a write, precisely
-//! so caches invalidate their rows. See [`crate::pipeline`] and the
+//! *and* the table's entry is not fresh — force-dirtied tables read as
+//! fresh even when the changelog never saw a write, precisely so caches
+//! invalidate their rows. See [`crate::pipeline`] and the
 //! cache-epoch rules documented there.
 //!
 //! # Plan, absorb, assemble
@@ -77,37 +77,26 @@
 //!   observation chain: O(dirty) work. Otherwise one O(n + dirty) walk
 //!   maps every listed table to its prior position — positional compare
 //!   first, the prior's uid index only for tables that moved — with
-//!   dirty membership by merge scan. Dirty and newly listed tables are
-//!   fetched; without a changelog answer every table is.
+//!   dirty membership by merge scan; a re-read listing in which no table
+//!   moved is planned exactly like a shared one. Dirty and newly listed
+//!   tables are fetched; without a changelog answer every table is.
 //! * **Absorb.** A successful fetch lands in the pass's patch. A faulted
 //!   one carries the prior entry when the plan has a prior position for
 //!   it (it stays out of the patch and reads as reused) and otherwise
 //!   retires to `Missing`, per the degradation contract below.
-//! * **Assemble.** The prior entry table is shared outright when the
-//!   listing is shared and the patch is empty (a quiet pass is one
-//!   refcount bump), otherwise copied; the prior's chunks are imported
-//!   wholesale (one `Arc` bump per chunk, zero stats clones) and the
-//!   patch lands in one fresh chunk, so exactly the entries whose value
-//!   came from the connector this pass read as fresh.
+//! * **Assemble.** The pass consumes its prior. When no position moved
+//!   the patch overwrites the prior's entry vector in place (a quiet
+//!   pass hands the same vector on untouched); when tables moved, reused
+//!   entries are moved to their new positions; with no prior the fetched
+//!   vector is the entry vector. Exactly the entries whose value came
+//!   from the connector this pass read as fresh.
 //!
-//! Patched and dropped tables leave dead slots behind in the imported
-//! chunks, which a long-lived observer would otherwise retain forever.
-//! Every pass therefore ends with one amortized check: once fewer than half the arena's slots are live
-//! ([`ARENA_COMPACT_MIN_LIVE`]) or more than
-//! `2 × `[`ARENA_COMPACT_SMALL_DIVISOR`] chunks are held, every reused
-//! entry is cloned into a single compaction chunk — distinct from the
-//! fresh chunk, so relocated entries do not read as fetched. The rebuild
-//! clones at most the live entries and, by the density rule, runs only
-//! once the slots that died since the previous rebuild outnumber them,
-//! so its cost amortizes to O(1) per replaced or dropped entry; the
-//! chunk-count rule fires at most once in 2 × 64 passes. The check is
-//! what bounds the arena: [`FleetObservation::arena_live_density`] is
-//! ≥ 1/2 and [`FleetObservation::arena_chunk_count`] ≤ 2 × 64 + 2 after
-//! every pass (a quiet pass that shares the entry table inherits its
-//! prior's arena unchanged, so it never rebuilds), no matter how many
-//! cycles run — pinned by
-//! `tests/incremental_soak.rs` and, across listing changes,
-//! `tests/observe_parity.rs`.
+//! A pass owns its prior, so the runtime's [`FleetObserver`] — the only
+//! holder of its observation — never copies an entry it reuses; the
+//! entry vector sits behind an `Arc`, and a pass over a prior someone
+//! else still holds a clone of copies the vector once before patching
+//! it (`Arc::make_mut`), so observations stay values. An observation
+//! holds exactly one entry per listed table, so nothing needs bounding.
 //!
 //! # Degradation contract (fault-tolerant observe)
 //!
@@ -159,9 +148,8 @@
 //! (`tests/connector_faults.rs`) pins: after faults heal, quarantined
 //! tables are re-fetched as their backoffs expire and cycles become
 //! bit-identical to a never-faulted twin's. Degradation metadata is
-//! excluded from [`FleetObservation`] equality for the same reason
-//! arena chunking is: it describes *how* the snapshot was obtained, not
-//! fleet content.
+//! excluded from [`FleetObservation`] equality: it describes *how* the
+//! snapshot was obtained, not fleet content.
 //!
 //! [`to_candidates`]: FleetObservation::to_candidates
 //! [`HookAction::MarkDirty`]: crate::trigger::HookAction::MarkDirty
@@ -187,17 +175,17 @@ pub struct ChangeCursor(pub u64);
 
 /// Parameters of one observe pass.
 #[derive(Debug, Clone)]
-pub struct ObserveRequest<'a> {
+pub struct ObserveRequest {
     /// Candidate scoping strategy; decides which stats are fetched per
     /// table (table-, partition- or snapshot-window-scope).
     pub scope: ScopeStrategy,
-    /// Prior cycle's observation. When present (with a cursor, matching
-    /// scope, and a connector-supported changelog) the observe pass is
-    /// incremental: only tables written since the prior cursor — plus
-    /// `force_dirty` and newly listed tables — are re-fetched. Reused
-    /// entries carry the prior cycle's values verbatim (see the module
-    /// docs' staleness contract).
-    pub prior: Option<&'a FleetObservation>,
+    /// Prior cycle's observation, consumed by the pass. When present
+    /// (with a cursor, matching scope, and a connector-supported
+    /// changelog) the observe pass is incremental: only tables written
+    /// since the prior cursor — plus `force_dirty` and newly listed
+    /// tables — are re-fetched. Reused entries carry the prior cycle's
+    /// values verbatim (see the module docs' staleness contract).
+    pub prior: Option<FleetObservation>,
     /// Tables to re-fetch regardless of the changelog (externally known
     /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode).
     pub force_dirty: Vec<u64>,
@@ -206,7 +194,7 @@ pub struct ObserveRequest<'a> {
     pub recovery: ObserveRecoveryPolicy,
 }
 
-impl<'a> ObserveRequest<'a> {
+impl ObserveRequest {
     /// A full (cold) observe: every table's stats are fetched.
     pub fn fresh(scope: ScopeStrategy) -> Self {
         ObserveRequest {
@@ -220,7 +208,7 @@ impl<'a> ObserveRequest<'a> {
     /// An incremental observe against `prior`. Falls back to a full
     /// fetch when the connector has no changelog, the prior carries no
     /// cursor, or the scope changed.
-    pub fn incremental(scope: ScopeStrategy, prior: &'a FleetObservation) -> Self {
+    pub fn incremental(scope: ScopeStrategy, prior: FleetObservation) -> Self {
         ObserveRequest {
             scope,
             prior: Some(prior),
@@ -232,12 +220,6 @@ impl<'a> ObserveRequest<'a> {
     /// Adds externally known dirty tables (builder style).
     pub fn with_force_dirty(mut self, uids: impl IntoIterator<Item = u64>) -> Self {
         self.force_dirty.extend(uids);
-        self
-    }
-
-    /// Overrides the fault-recovery policy (builder style).
-    pub fn with_recovery(mut self, recovery: ObserveRecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 }
@@ -484,24 +466,16 @@ pub enum TableObservation {
     Partitions(Vec<(String, CandidateStats)>),
 }
 
-/// Index of one observation entry into the arena: `(chunk, offset)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryRef {
-    chunk: u32,
-    offset: u32,
-}
-
 /// A batched snapshot of the observable fleet: table descriptors plus
 /// per-table stats in positional (index-aligned) form.
 ///
 /// Observations are self-contained values: they can be held across
 /// cycles, diffed against a change cursor, and consumed repeatedly by
-/// index without further connector round-trips. Stats live in
-/// `Arc`-shared arena chunks (one chunk per observe pass) addressed by
-/// `(chunk, offset)` entries: a cold observe allocates exactly one chunk
-/// for the whole fleet, and an incremental observe reuses prior entries
-/// by importing their chunks — one refcount bump per *chunk*, at most an
-/// 8-byte entry copy per table, and zero stats clones.
+/// index without further connector round-trips. The entries are one
+/// vector, one per listed table, behind an `Arc`: handing an observation
+/// to the next pass as its prior lets that pass patch the vector in
+/// place, and a clone held elsewhere keeps its values because the pass
+/// then copies the vector first (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FleetObservation {
     scope: ScopeStrategy,
@@ -511,84 +485,47 @@ pub struct FleetObservation {
     /// next incremental observe share this listing (one `Arc` bump)
     /// instead of re-materializing 100K descriptors per cycle.
     listing_epoch: Option<u64>,
-    /// Per-table entry refs, `Arc`-shared so a quiet pass over a shared
-    /// listing shares them outright (one refcount bump); any other pass
-    /// copies them and patches the fetched positions.
-    entries: Arc<Vec<EntryRef>>,
-    chunks: Vec<Arc<Vec<TableObservation>>>,
+    /// Per-table stats by listing position.
+    entries: Arc<Vec<TableObservation>>,
     /// Lazily built uid → listing-position index, shared across the
-    /// observation chain while the listing itself is shared: planning
-    /// over a shared listing maps a changelog's dirty uids to positions
-    /// with O(dirty) lookups instead of an O(n) walk. Also serves
-    /// act-phase retry re-scoring ([`Self::position_of_uid`]).
+    /// observation chain while no table moves: planning over a shared
+    /// listing maps a changelog's dirty uids to positions with O(dirty)
+    /// lookups instead of an O(n) walk. Also serves act-phase retry
+    /// re-scoring ([`Self::position_of_uid`]).
     uid_index: Arc<OnceLock<HashMap<u64, u32>>>,
     cursor: Option<ChangeCursor>,
-    /// Chunk holding the entries fetched from the connector *this pass*
-    /// (`None` when an incremental pass fetched nothing). Everything else
-    /// was reused verbatim from the prior observation — the invariant
-    /// downstream caches key on (see [`Self::is_fresh`]).
-    fresh_chunk: Option<u32>,
+    /// Listing positions whose entry came from the connector *this
+    /// pass*, ascending. Everything else was reused verbatim from the
+    /// prior observation — the invariant downstream caches key on (see
+    /// [`Self::is_fresh`]).
+    fresh: Vec<u32>,
+    /// `fresh` as a per-position flag. The next pass clears it through
+    /// `fresh`, so a pass costs O(previous fresh + fresh), not O(tables).
+    fresh_flags: Vec<bool>,
     /// Cursor of the prior observation this one was derived from
     /// incrementally; `None` for cold observations. Lets per-cycle caches
     /// verify they are splicing against the exact snapshot their rows
     /// were computed from.
     prior_cursor: Option<ChangeCursor>,
-    fetched: usize,
-    reused: usize,
     /// Fault/degradation metadata of the pass that produced this
     /// observation (see the module docs' degradation contract). Not part
     /// of logical equality.
     degradation: ObserveDegradation,
 }
 
-/// The arena is rebuilt (every reused entry cloned into one compaction
-/// chunk) once fewer than this fraction of its slots is still referenced
-/// — long-lived incremental observers otherwise retain dead entries
-/// until every table of a chunk happens to be re-fetched.
-pub const ARENA_COMPACT_MIN_LIVE: (usize, usize) = (1, 2);
-
-/// The arena is also rebuilt once it holds more than
-/// `2 × ARENA_COMPACT_SMALL_DIVISOR` chunks, so per-cycle dirty-set
-/// chunks too small to move the density cannot accumulate without bound:
-/// the chunk count stays within `2 × ARENA_COMPACT_SMALL_DIVISOR + 2`.
-pub const ARENA_COMPACT_SMALL_DIVISOR: usize = 64;
-
 impl PartialEq for FleetObservation {
     /// Logical equality: same scope, cursor, tables and per-table
-    /// entries. Arena chunking (how entries are grouped) is
-    /// representation, not content, and does not participate.
+    /// entries. How the snapshot was obtained (freshness, degradation)
+    /// does not participate.
     fn eq(&self, other: &Self) -> bool {
         self.scope == other.scope
             && self.cursor == other.cursor
             && self.tables == other.tables
-            && self.entries.len() == other.entries.len()
-            && (0..self.entries.len()).all(|i| self.entry(i) == other.entry(i))
+            && self.entries == other.entries
     }
 }
 
 impl FleetObservation {
-    /// Builds an observation from parallel `tables`/`stats` vectors (one
-    /// arena chunk). Exposed for connectors that produce observations
-    /// directly (e.g. from a native batch-stats RPC) instead of via the
-    /// driver.
-    ///
-    /// # Panics
-    /// Panics if the vectors disagree in length.
-    pub fn from_parts(
-        scope: ScopeStrategy,
-        tables: Vec<TableRef>,
-        stats: Vec<TableObservation>,
-        cursor: Option<ChangeCursor>,
-    ) -> Self {
-        assert_eq!(tables.len(), stats.len(), "tables/stats length mismatch");
-        let plan = Plan {
-            prior: None,
-            fetch: (0..tables.len() as u32).collect(),
-            incremental: false,
-        };
-        assemble(scope, Arc::new(tables), None, cursor, plan, stats)
-    }
-
     /// Lazily built uid → listing-position index, shared (one `Arc` bump)
     /// across consecutive observations over the same listing.
     fn uid_index(&self) -> &HashMap<u64, u32> {
@@ -608,10 +545,11 @@ impl FleetObservation {
         self.uid_index().get(&table_uid).map(|p| *p as usize)
     }
 
-    /// Whether this observation shares its entry table with `other` (a
-    /// single `Arc` bump: the quiet pass over a shared listing).
-    /// Diagnostic accessor for tests pinning that a quiet incremental
-    /// observe does O(1) assembly work.
+    /// Whether this observation shares its entry vector with `other`: a
+    /// quiet pass hands its prior's vector on untouched, so it is still
+    /// the one any clone of that prior holds. Diagnostic accessor for
+    /// tests pinning that a quiet incremental observe does O(1) assembly
+    /// work.
     pub fn entries_shared_with(&self, other: &FleetObservation) -> bool {
         Arc::ptr_eq(&self.entries, &other.entries)
     }
@@ -652,21 +590,20 @@ impl FleetObservation {
 
     /// Stats entry for the table at `index`.
     pub fn entry(&self, index: usize) -> &TableObservation {
-        let e = self.entries[index];
-        &self.chunks[e.chunk as usize][e.offset as usize]
+        &self.entries[index]
     }
 
     /// Tables whose entry came from the connector this pass: successful
     /// fetches plus faulted ones retired to `Missing`. Exactly the
     /// [`is_fresh`](Self::is_fresh) entries.
     pub fn fetched_tables(&self) -> usize {
-        self.fetched
+        self.fresh.len()
     }
 
     /// Tables whose entry was reused from the prior observation,
     /// carried-forward faulted ones included.
     pub fn reused_tables(&self) -> usize {
-        self.reused
+        self.entries.len() - self.fresh.len()
     }
 
     /// Whether the entry at `index` was fetched from the connector *this
@@ -678,8 +615,7 @@ impl FleetObservation {
     /// Downstream per-table caches must invalidate on fresh entries: a
     /// fresh entry's stats may differ from the prior cycle's.
     pub fn is_fresh(&self, index: usize) -> bool {
-        self.fresh_chunk
-            .is_some_and(|fc| self.entries[index].chunk == fc)
+        self.fresh_flags[index]
     }
 
     /// Cursor of the prior observation this one was incrementally derived
@@ -697,34 +633,12 @@ impl FleetObservation {
         &self.degradation
     }
 
-    /// Number of arena chunks currently backing the observation.
-    pub fn arena_chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total entry slots across all arena chunks (live + dead).
-    pub fn arena_slot_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    /// Fraction of arena slots still referenced by an entry. The arena
-    /// rebuild keeps this at or above 1/2 (the
-    /// [`ARENA_COMPACT_MIN_LIVE`] threshold); the compaction and fresh
-    /// chunks it leaves are fully live by construction.
-    pub fn arena_live_density(&self) -> f64 {
-        let slots = self.arena_slot_count();
-        if slots == 0 {
-            1.0
-        } else {
-            self.entries.len() as f64 / slots as f64
-        }
-    }
-
     /// Number of candidates [`to_candidates`](Self::to_candidates) will
     /// produce.
     pub fn candidate_count(&self) -> usize {
-        (0..self.entries.len())
-            .map(|i| match self.entry(i) {
+        self.entries
+            .iter()
+            .map(|entry| match entry {
                 TableObservation::Missing => 0,
                 TableObservation::Table(_) => 1,
                 TableObservation::Partitions(parts) => parts.len(),
@@ -775,9 +689,7 @@ impl FleetObservation {
 impl FleetObservation {
     /// Writes the observation into a snapshot: scope, cursor keys, the
     /// table listing (database names interned) and every entry's stats
-    /// in positional order. Arena chunking is representation, not
-    /// content, so entries are flattened — the restored observation
-    /// holds one chunk.
+    /// in positional order.
     pub(crate) fn snapshot_write(&self, enc: &mut lakesim_storage::Encoder) {
         use crate::durability::{put_scope, put_stats};
         put_scope(enc, self.scope);
@@ -819,8 +731,8 @@ impl FleetObservation {
             );
             enc.put_str(&table.name);
         }
-        for index in 0..self.tables.len() {
-            match self.entry(index) {
+        for entry in self.entries.iter() {
+            match entry {
                 TableObservation::Missing => enc.put_u8(0),
                 TableObservation::Table(stats) => {
                     enc.put_u8(1);
@@ -839,7 +751,7 @@ impl FleetObservation {
     }
 
     /// Restores an observation from a snapshot. The result is marked
-    /// nowhere-fresh (`fresh_chunk = None`, `prior_cursor = None`): its
+    /// nowhere-fresh (no fresh position, `prior_cursor = None`): its
     /// entries are reused state, not a new fetch, and the *next*
     /// incremental observe derives freshness from the changelog against
     /// the restored cursor exactly as it would have against the
@@ -909,23 +821,16 @@ impl FleetObservation {
                 _ => return Err(CodecError::Invalid("entry tag")),
             });
         }
-        let reused = tables.len();
         Ok(FleetObservation {
             scope,
-            entries: Arc::new(
-                (0..reused as u32)
-                    .map(|offset| EntryRef { chunk: 0, offset })
-                    .collect(),
-            ),
+            fresh: Vec::new(),
+            fresh_flags: vec![false; table_count],
             tables: Arc::new(tables),
             listing_epoch,
-            chunks: vec![Arc::new(stats)],
+            entries: Arc::new(stats),
             uid_index: Arc::new(OnceLock::new()),
             cursor,
-            fresh_chunk: None,
             prior_cursor: None,
-            fetched: 0,
-            reused,
             // A restored observation is a clean baseline: quarantine and
             // carry bookkeeping do not survive a restore.
             degradation: ObserveDegradation::default(),
@@ -979,9 +884,9 @@ impl FleetObserver {
         connector: &dyn LakeConnector,
         scope: ScopeStrategy,
     ) -> &FleetObservation {
-        let observation = connector.observe(&ObserveRequest {
+        let observation = connector.observe(ObserveRequest {
             scope,
-            prior: self.prior.as_ref(),
+            prior: self.prior.take(),
             force_dirty: self.pending_dirty.iter().copied().collect(),
             recovery: self.recovery,
         });
@@ -1045,8 +950,9 @@ impl NameInterner {
 
 /// How a pass's listing positions map onto the prior observation's.
 enum Reuse {
-    /// The listing is `Arc::ptr_eq`-shared with the prior: position `i`
-    /// is prior position `i`.
+    /// No table moved — the listing is `Arc::ptr_eq`-shared with the
+    /// prior, or was re-read uid for uid: position `i` is prior position
+    /// `i`.
     Identity,
     /// The listing was re-read: the prior position of each listed table,
     /// [`NOT_LISTED`] for a table the prior did not hold.
@@ -1058,11 +964,10 @@ const NOT_LISTED: u32 = u32::MAX;
 
 /// What one pass takes from the prior observation and what it asks the
 /// connector for.
-struct Plan<'a> {
-    /// The prior observation, if it has this pass's scope (a scope change
-    /// drops carry and quarantine state with it: prior entries have the
-    /// wrong shape), and how positions map onto it.
-    prior: Option<(&'a FleetObservation, Reuse)>,
+struct Plan {
+    /// How positions map onto the prior observation; `None` when there is
+    /// none to reuse.
+    reuse: Option<Reuse>,
     /// Listing positions whose entry comes from the connector, ascending.
     /// [`absorb_results`] removes those whose fault carried the prior
     /// entry instead.
@@ -1072,13 +977,13 @@ struct Plan<'a> {
     incremental: bool,
 }
 
-impl Plan<'_> {
+impl Plan {
     /// Prior position of the table listed at `pos`, if the prior held it.
     fn prior_position(&self, pos: u32) -> Option<u32> {
-        match &self.prior {
+        match &self.reuse {
             None => None,
-            Some((_, Reuse::Identity)) => Some(pos),
-            Some((_, Reuse::Mapped(map))) => Some(map[pos as usize]).filter(|p| *p != NOT_LISTED),
+            Some(Reuse::Identity) => Some(pos),
+            Some(Reuse::Mapped(map)) => Some(map[pos as usize]).filter(|p| *p != NOT_LISTED),
         }
     }
 }
@@ -1120,28 +1025,27 @@ fn fetch_one<C: LakeConnector + ?Sized>(
     })
 }
 
-/// Plans one pass over `tables`: which prior entries are reusable and
-/// which positions are fetched. `changes` is the resolved changelog
-/// answer (`None`: every table is fetched).
-fn make_plan<'a>(
+/// Plans one pass over `tables`: which entries of `prior` are reusable
+/// and which positions are fetched. `changes` is the resolved changelog
+/// answer (`None`: every table is fetched). A re-read listing in which no
+/// table moved plans as [`Reuse::Identity`], so the pass patches the
+/// prior's entries in place and keeps its uid index.
+fn make_plan(
     tables: &Arc<Vec<TableRef>>,
-    request: &ObserveRequest<'a>,
+    prior: Option<&FleetObservation>,
+    force_dirty: &[u64],
     changes: Option<&[u64]>,
-) -> Plan<'a> {
+) -> Plan {
     let every_position = || (0..tables.len() as u32).collect();
-    let Some(prior) = request.prior.filter(|p| p.scope() == request.scope) else {
+    let Some(prior) = prior else {
         return Plan {
-            prior: None,
+            reuse: None,
             fetch: every_position(),
             incremental: false,
         };
     };
     let dirty = changes.map(|changes| {
-        let mut dirty: Vec<u64> = changes
-            .iter()
-            .chain(&request.force_dirty)
-            .copied()
-            .collect();
+        let mut dirty: Vec<u64> = changes.iter().chain(force_dirty).copied().collect();
         dirty.sort_unstable();
         dirty.dedup();
         dirty
@@ -1163,7 +1067,7 @@ fn make_plan<'a>(
             }
         };
         return Plan {
-            prior: Some((prior, Reuse::Identity)),
+            reuse: Some(Reuse::Identity),
             fetch,
             incremental,
         };
@@ -1187,145 +1091,99 @@ fn make_plan<'a>(
         }
     };
     // The common case — nothing moved — maps with a positional uid
-    // comparison; the prior's uid index is built only once a position
-    // mismatches (tables created, dropped, or reordered).
+    // comparison; the map, and the prior's uid index, are built only once
+    // a position mismatches (tables created, dropped, or reordered).
     let prior_tables = prior.tables();
+    let mut map = (tables.len() != prior_tables.len()).then(Vec::new);
     let mut fetch = Vec::new();
-    let map = tables
-        .iter()
-        .enumerate()
-        .map(|(pos, t)| {
-            let unmoved = prior_tables
-                .get(pos)
-                .is_some_and(|p| p.table_uid == t.table_uid);
-            let from = if unmoved {
-                pos as u32
-            } else {
-                let moved = prior.uid_index().get(&t.table_uid);
-                moved.copied().unwrap_or(NOT_LISTED)
-            };
-            if is_dirty(t.table_uid) || from == NOT_LISTED {
-                fetch.push(pos as u32);
-            }
-            from
-        })
-        .collect();
+    for (pos, t) in tables.iter().enumerate() {
+        let unmoved = prior_tables
+            .get(pos)
+            .is_some_and(|p| p.table_uid == t.table_uid);
+        let from = if unmoved {
+            pos as u32
+        } else {
+            map.get_or_insert_with(|| (0..pos as u32).collect());
+            let moved = prior.uid_index().get(&t.table_uid);
+            moved.copied().unwrap_or(NOT_LISTED)
+        };
+        if let Some(map) = &mut map {
+            map.push(from);
+        }
+        if is_dirty(t.table_uid) || from == NOT_LISTED {
+            fetch.push(pos as u32);
+        }
+    }
     Plan {
-        prior: Some((prior, Reuse::Mapped(map))),
+        reuse: Some(map.map_or(Reuse::Identity, Reuse::Mapped)),
         fetch,
         incremental,
     }
 }
 
-/// Builds the pass's observation: `stats[i]` is the entry of listing
-/// position `plan.fetch[i]`, every other position takes the prior entry
-/// the plan maps it to. The prior's chunks are imported wholesale (one
-/// `Arc` bump each) and `stats` becomes the fresh chunk; see the module
-/// docs for the amortized rebuild check that ends the pass.
+/// Builds the pass's observation out of its prior: `stats[i]` is the
+/// entry of listing position `plan.fetch[i]`, every other position keeps
+/// the prior entry the plan maps it to. `prior` is `Some` exactly when
+/// `plan.reuse` is. No reused entry is cloned unless someone else still
+/// holds the prior's entry vector (see the module docs).
 fn assemble(
     scope: ScopeStrategy,
     tables: Arc<Vec<TableRef>>,
     listing_epoch: Option<u64>,
     cursor: Option<ChangeCursor>,
-    plan: Plan<'_>,
+    plan: Plan,
+    prior: Option<FleetObservation>,
     stats: Vec<TableObservation>,
 ) -> FleetObservation {
-    /// Placeholder of a position with no prior entry; the plan fetches
-    /// every such position, so the patch overwrites them all.
-    const HOLE: EntryRef = EntryRef {
-        chunk: u32::MAX,
-        offset: u32::MAX,
-    };
-    let Plan {
-        prior,
-        fetch,
-        incremental,
-    } = plan;
+    let fetch = plan.fetch;
     debug_assert_eq!(fetch.len(), stats.len(), "one entry per fetched position");
     let n = tables.len();
-    let fetched = stats.len();
-    let (mut entries, mut chunks, uid_index, prior_cursor) = match prior {
-        None => (Arc::new(vec![HOLE; n]), Vec::new(), Arc::default(), None),
-        Some((prior, reuse)) => {
-            let (entries, uid_index) = match reuse {
-                // Positions cannot have moved under a shared listing, so
-                // the retained uid index stays exact.
-                Reuse::Identity => (Arc::clone(&prior.entries), Arc::clone(&prior.uid_index)),
-                // `NOT_LISTED` is past the end of any entry table.
-                Reuse::Mapped(map) => {
-                    let prior_entry = |from: &u32| prior.entries.get(*from as usize);
-                    let entries = map
-                        .iter()
-                        .map(|from| prior_entry(from).copied().unwrap_or(HOLE))
-                        .collect();
-                    (Arc::new(entries), Arc::default())
-                }
-            };
-            // A pass that reuses nothing leaves the prior's arena behind.
-            let chunks = if fetched < n {
-                prior.chunks.clone()
-            } else {
-                Vec::new()
-            };
-            let prior_cursor = prior.cursor().filter(|_| incremental);
-            (entries, chunks, uid_index, prior_cursor)
-        }
-    };
-    let mut fresh_chunk = None;
-    if fetched > 0 {
-        let fresh = chunks.len() as u32;
-        // Copies the entry table iff it is still the prior's.
-        let entries = Arc::make_mut(&mut entries);
-        for (offset, pos) in fetch.iter().enumerate() {
-            entries[*pos as usize] = EntryRef {
-                chunk: fresh,
-                offset: offset as u32,
-            };
-        }
-        chunks.push(Arc::new(stats));
-        fresh_chunk = Some(fresh);
-    }
-    debug_assert!(
-        !entries.contains(&HOLE),
-        "unfetched position without a prior"
-    );
-    let slots: usize = chunks.iter().map(|c| c.len()).sum();
-    let (live_num, live_den) = ARENA_COMPACT_MIN_LIVE;
-    let density_low = n * live_den < slots * live_num;
-    let too_many_chunks = chunks.len() > 2 * ARENA_COMPACT_SMALL_DIVISOR;
-    // Never true of a quiet pass that shares the prior's entry table: it
-    // inherits an arena that passed this check when it was assembled.
-    if density_low || too_many_chunks {
-        let fresh = fresh_chunk.map(|_| chunks.pop().expect("fresh chunk pushed above"));
-        let mut compacted: Vec<TableObservation> = Vec::with_capacity(n - fetched);
-        for e in Arc::make_mut(&mut entries) {
-            if Some(e.chunk) == fresh_chunk {
-                e.chunk = 1;
-                continue;
+    let prior_cursor = prior.as_ref().and_then(|p| p.cursor);
+    let (entries, mut fresh_flags, uid_index) = match (prior, plan.reuse) {
+        // No position moved, so the retained uid index stays exact. A
+        // quiet pass hands the prior's vector on as is.
+        (Some(mut prior), Some(Reuse::Identity)) => {
+            for pos in prior.fresh {
+                prior.fresh_flags[pos as usize] = false;
             }
-            let stat = chunks[e.chunk as usize][e.offset as usize].clone();
-            *e = EntryRef {
-                chunk: 0,
-                offset: compacted.len() as u32,
-            };
-            compacted.push(stat);
+            if !stats.is_empty() {
+                let entries = Arc::make_mut(&mut prior.entries);
+                for (pos, stat) in fetch.iter().zip(stats) {
+                    entries[*pos as usize] = stat;
+                }
+            }
+            (prior.entries, prior.fresh_flags, prior.uid_index)
         }
-        chunks = vec![Arc::new(compacted)];
-        chunks.extend(fresh);
-        fresh_chunk = fresh_chunk.map(|_| 1);
+        // Tables moved. Every position the plan does not fetch has a
+        // prior position and no two share one, so reused entries move.
+        (Some(mut prior), Some(Reuse::Mapped(map))) => {
+            let old = Arc::make_mut(&mut prior.entries);
+            let mut patch = fetch.iter().zip(stats).peekable();
+            let mut entries = Vec::with_capacity(n);
+            for (pos, from) in map.iter().enumerate() {
+                entries.push(match patch.next_if(|(at, _)| **at as usize == pos) {
+                    Some((_, stat)) => stat,
+                    None => std::mem::replace(&mut old[*from as usize], TableObservation::Missing),
+                });
+            }
+            (Arc::new(entries), vec![false; n], Arc::default())
+        }
+        _ => (Arc::new(stats), vec![false; n], Arc::default()),
+    };
+    debug_assert_eq!(entries.len(), n, "unfetched position without a prior");
+    for pos in &fetch {
+        fresh_flags[*pos as usize] = true;
     }
     FleetObservation {
         scope,
         tables,
         listing_epoch,
         entries,
-        chunks,
         uid_index,
         cursor,
-        fresh_chunk,
-        prior_cursor,
-        fetched,
-        reused: n - fetched,
+        fresh: fetch,
+        fresh_flags,
+        prior_cursor: prior_cursor.filter(|_| plan.incremental),
         degradation: ObserveDegradation::default(),
     }
 }
@@ -1376,13 +1234,13 @@ struct ResolvedReads {
 /// folded into the dirty set here, so healing re-fetches happen
 /// automatically on whichever path the pass takes.
 fn resolve_reads(
-    request: &ObserveRequest<'_>,
+    request: &ObserveRequest,
     connector_epoch: Option<u64>,
     try_list: impl FnMut() -> Result<Vec<TableRef>, ObserveFault>,
     mut try_changes: impl FnMut(ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault>,
 ) -> ResolvedReads {
     let policy = &request.recovery;
-    let prior = request.prior;
+    let prior = request.prior.as_ref();
     let mut deg = ObserveDegradation {
         pass: prior.map_or(0, |p| p.degradation.pass + 1),
         ..ObserveDegradation::default()
@@ -1512,14 +1370,15 @@ fn carry_quarantine(
 /// the table — until its carry budget runs out.
 fn absorb_results(
     tables: &[TableRef],
-    plan: &mut Plan<'_>,
+    plan: &mut Plan,
+    prior: Option<&FleetObservation>,
     policy: &ObserveRecoveryPolicy,
     results: Vec<Result<TableObservation, ObserveFault>>,
     deg: &mut ObserveDegradation,
 ) -> Vec<TableObservation> {
     debug_assert_eq!(results.len(), plan.fetch.len());
     let empty = ObserveDegradation::default();
-    let prior_deg = plan.prior.as_ref().map_or(&empty, |(p, _)| &p.degradation);
+    let prior_deg = prior.map_or(&empty, |p| &p.degradation);
     let mut refreshed = BTreeSet::new();
     let mut landed = Vec::with_capacity(results.len());
     let mut stats = Vec::with_capacity(results.len());
@@ -1542,7 +1401,7 @@ fn absorb_results(
         stats.push(stat);
     }
     plan.fetch = landed;
-    if let Some((prior, _)) = &plan.prior {
+    if let Some(prior) = prior {
         carry_quarantine(prior, &refreshed, tables, deg);
     }
     stats
@@ -1556,7 +1415,7 @@ fn absorb_results(
 /// as an empty listing, so the husk is the ordinary empty observation.
 pub fn pull_observe<C: LakeConnector + ?Sized>(
     connector: &C,
-    request: &ObserveRequest<'_>,
+    request: ObserveRequest,
 ) -> FleetObservation {
     let ResolvedReads {
         tables,
@@ -1564,21 +1423,31 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         changes,
         mut deg,
     } = resolve_reads(
-        request,
+        &request,
         connector.listing_epoch(),
         || connector.try_list_tables(),
         |c| connector.try_changes_since(c),
     );
     let cursor = connector.fleet_cursor();
-    let scope = request.scope;
-    let mut plan = make_plan(&tables, request, changes.as_deref());
+    let (scope, policy, dirty) = (request.scope, &request.recovery, &request.force_dirty);
+    // A scope change drops carry and quarantine state with the prior:
+    // its entries have the wrong shape.
+    let prior = request.prior.filter(|p| p.scope() == scope);
+    let mut plan = make_plan(&tables, prior.as_ref(), dirty, changes.as_deref());
     let results = plan
         .fetch
         .iter()
         .map(|pos| fetch_one(connector, &tables[*pos as usize], scope))
         .collect();
-    let stats = absorb_results(&tables, &mut plan, &request.recovery, results, &mut deg);
-    let mut obs = assemble(scope, tables, listing_epoch, cursor, plan, stats);
+    let stats = absorb_results(
+        &tables,
+        &mut plan,
+        prior.as_ref(),
+        policy,
+        results,
+        &mut deg,
+    );
+    let mut obs = assemble(scope, tables, listing_epoch, cursor, plan, prior, stats);
     obs.degradation = deg;
     obs
 }
@@ -1592,6 +1461,8 @@ mod tests {
     /// In-memory lake with a change log and fetch counters.
     struct ChangeLake {
         tables: Vec<TableRef>,
+        /// Uids left out of the listing.
+        unlisted: Mutex<BTreeSet<u64>>,
         version: Mutex<BTreeMap<u64, u64>>,
         log: Mutex<Vec<(u64, u64)>>, // (seq, uid)
         seq: AtomicU64,
@@ -1611,6 +1482,7 @@ mod tests {
                         is_intermediate: false,
                     })
                     .collect(),
+                unlisted: Mutex::new(BTreeSet::new()),
                 version: Mutex::new(BTreeMap::new()),
                 log: Mutex::new(Vec::new()),
                 seq: AtomicU64::new(0),
@@ -1640,7 +1512,9 @@ mod tests {
 
     impl LakeConnector for ChangeLake {
         fn list_tables(&self) -> Vec<TableRef> {
-            self.tables.clone()
+            let unlisted = self.unlisted.lock().unwrap();
+            let listed = |t: &&TableRef| !unlisted.contains(&t.table_uid);
+            self.tables.iter().filter(listed).cloned().collect()
         }
         fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
             self.stat_calls.fetch_add(1, Ordering::SeqCst);
@@ -1686,7 +1560,7 @@ mod tests {
             ScopeStrategy::Hybrid,
             ScopeStrategy::Snapshot { window_ms: 100 },
         ] {
-            let observation = lake.observe(&ObserveRequest::fresh(scope));
+            let observation = lake.observe(ObserveRequest::fresh(scope));
             let pulled = crate::scope::generate_candidates(&lake, scope);
             assert_eq!(observation.to_candidates(), pulled, "scope {scope:?}");
             assert_eq!(observation.reused_tables(), 0);
@@ -1707,7 +1581,7 @@ mod tests {
         assert_eq!(obs.reused_tables(), 18);
         assert_eq!(obs.fetched_tables(), 2);
         // The refreshed entries reflect the writes; reused ones don't.
-        let cold = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.to_candidates(), cold.to_candidates());
     }
 
@@ -1786,14 +1660,74 @@ mod tests {
         let lake = ChangeLake::new(6);
         let prior = {
             let small = ChangeLake::new(5);
-            small.observe(&ObserveRequest::fresh(ScopeStrategy::Table))
+            small.observe(ObserveRequest::fresh(ScopeStrategy::Table))
         };
         // Splice a cursor onto the prior that the big lake accepts.
-        let request = ObserveRequest::incremental(ScopeStrategy::Table, &prior);
-        let obs = lake.observe(&request);
+        let request = ObserveRequest::incremental(ScopeStrategy::Table, prior);
+        let obs = lake.observe(request);
         assert_eq!(obs.table_count(), 6);
         assert_eq!(obs.reused_tables(), 5);
         assert_eq!(obs.fetched_tables(), 1);
+
+        // One re-listed pass that drops table 1, creates table 6 and sees
+        // a write to table 4: the four quiet survivors are reused at
+        // their new positions — moved, so a partitioned entry keeps its
+        // heap buffer — and the result equals a cold observe.
+        let lake = ChangeLake::new(7);
+        lake.unlisted.lock().unwrap().insert(6);
+        let mut observer = FleetObserver::new();
+        let parts_ptr =
+            |obs: &FleetObservation, uid: u64| match obs.entry(obs.position_of_uid(uid).unwrap()) {
+                TableObservation::Partitions(parts) => parts.as_ptr(),
+                other => panic!("table {uid} is partitioned, got {other:?}"),
+            };
+        let before = parts_ptr(observer.observe(&lake, ScopeStrategy::Hybrid), 3);
+        *lake.unlisted.lock().unwrap() = BTreeSet::from([1]);
+        lake.write(4);
+        let obs = observer.observe(&lake, ScopeStrategy::Hybrid);
+        assert_eq!(obs.table_count(), 6);
+        assert_eq!(obs.position_of_uid(3), Some(2), "table 3 moved up");
+        assert_eq!(obs.fetched_tables(), 2, "the written and the created table");
+        assert_eq!(obs.reused_tables(), 4);
+        assert_eq!(parts_ptr(obs, 3), before, "reused entry moved, not cloned");
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
+        assert_eq!(*obs, cold);
+    }
+
+    /// Observations are values: a pass over a prior that someone else
+    /// still holds a clone of copies the entries before patching them.
+    #[test]
+    fn a_pass_over_a_prior_held_elsewhere_leaves_the_clone_as_it_was() {
+        let lake = ChangeLake::new(10);
+        let prior = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let held = prior.clone();
+        let before = held.to_candidates();
+        lake.write(4);
+        let obs = lake.observe(ObserveRequest::incremental(ScopeStrategy::Table, prior));
+        assert_eq!(obs.fetched_tables(), 1);
+        assert!(!obs.entries_shared_with(&held));
+        assert_eq!(held.to_candidates(), before, "the clone kept its values");
+        assert!((0..10).all(|i| held.is_fresh(i)), "and its freshness");
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        assert_eq!(obs, cold);
+    }
+
+    /// The observer holds the only handle on its observation, so a dirty
+    /// pass patches the entry vector where it is: an unfetched entry
+    /// stays at its address. `ChangeLake` reports no listing epoch, so
+    /// this is also a re-read listing in which no table moved.
+    #[test]
+    fn a_dirty_pass_through_the_observer_patches_in_place() {
+        let lake = ChangeLake::new(10);
+        let mut observer = FleetObserver::new();
+        let before: *const TableObservation =
+            observer.observe(&lake, ScopeStrategy::Table).entry(2);
+        lake.write(7);
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        assert_eq!(obs.fetched_tables(), 1);
+        assert!(std::ptr::eq(obs.entry(2), before), "entry 2 did not move");
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        assert_eq!(*obs, cold);
     }
 
     #[test]
@@ -1843,37 +1777,27 @@ mod tests {
         // Shared listing must still re-fetch the dirty set and stay
         // identical to an un-shared cold observe.
         assert_eq!(second.fetched_tables(), 1);
-        let cold = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(second.to_candidates(), cold.to_candidates());
     }
 
     #[test]
-    fn arena_compaction_bounds_dead_entries_and_chunks() {
+    fn sliding_window_passes_stay_identical_to_cold() {
         let lake = ChangeLake::new(200);
         let mut observer = FleetObserver::new();
         observer.observe(&lake, ScopeStrategy::Table);
-        // Many incremental cycles, each dirtying a sliding window: dead
-        // entries accumulate in partially-referenced chunks until the
-        // density/small-chunk rules rewrite them.
+        // Many incremental cycles, each dirtying a sliding window, so
+        // every entry is overwritten several times over the run.
         for round in 0..120u64 {
             for k in 0..5 {
                 lake.write((round * 5 + k) % 200);
             }
             let obs = observer.observe(&lake, ScopeStrategy::Table);
-            assert!(
-                obs.arena_live_density() >= 0.5 - 1e-9,
-                "round {round}: density {}",
-                obs.arena_live_density()
-            );
-            assert!(
-                obs.arena_chunk_count() <= 2 * ARENA_COMPACT_SMALL_DIVISOR + 2,
-                "round {round}: {} chunks",
-                obs.arena_chunk_count()
-            );
-            // Compaction must not disturb values: spot-check equality
+            assert_eq!(obs.fetched_tables(), 5, "round {round}");
+            // Patching must not disturb values: spot-check equality
             // with a cold observe every few rounds.
             if round % 40 == 0 {
-                let cold = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+                let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
                 assert_eq!(obs.to_candidates(), cold.to_candidates(), "round {round}");
             }
         }
@@ -2029,14 +1953,14 @@ mod tests {
             ObserveFault::transient("catalog timeout"),
             ObserveFault::transient("catalog timeout"),
         ]);
-        let obs = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.table_count(), 6, "retries recovered the listing");
         assert_eq!(obs.degradation().listing_retries, 2);
         assert!(!obs.degradation().stalled);
         assert_eq!(
             obs.to_candidates(),
             lake.inner
-                .observe(&ObserveRequest::fresh(ScopeStrategy::Table))
+                .observe(ObserveRequest::fresh(ScopeStrategy::Table))
                 .to_candidates()
         );
     }
@@ -2062,13 +1986,13 @@ mod tests {
     fn listing_fault_with_no_prior_stalls_into_a_husk() {
         let lake = FaultyLake::new(4);
         lake.fault_listing([ObserveFault::permanent("catalog gone")]);
-        let obs = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.table_count(), 0);
         assert!(obs.degradation().stalled);
         assert!(obs.degradation().is_degraded());
         // The husk is a valid prior: once the listing heals, the next
         // pass observes the fleet fully.
-        let healed = lake.observe(&ObserveRequest::incremental(ScopeStrategy::Table, &obs));
+        let healed = lake.observe(ObserveRequest::incremental(ScopeStrategy::Table, obs));
         assert_eq!(healed.table_count(), 4);
         assert!(!healed.degradation().stalled);
     }
@@ -2138,7 +2062,7 @@ mod tests {
         assert!(!obs.degradation().is_degraded());
         let fresh = lake
             .inner
-            .observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+            .observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.to_candidates(), fresh.to_candidates());
     }
 
@@ -2209,7 +2133,7 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert!(!obs.degradation().is_degraded());
         assert!(obs.is_fresh(carried));
-        let cold = lake.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.to_candidates(), cold.to_candidates());
     }
 

@@ -1,10 +1,10 @@
 //! The assembled OODA pipeline (§3.3, Fig. 4).
 //!
 //! The pipeline is **index-native end-to-end**: filter and orient consume
-//! [`FleetObservation`] entries by `(chunk, offset)` index — candidate
-//! views are built straight over observation-backed stats references, so
-//! no `Vec<Candidate>` is materialized in the hot cycle (only the handful
-//! of *selected* candidates are built for the act phase). The orient and
+//! [`FleetObservation`] entries by position — candidate views are built
+//! straight over observation-backed stats references, so no
+//! `Vec<Candidate>` is materialized in the hot cycle (only the handful of
+//! *selected* candidates are built for the act phase). The orient and
 //! decide phases are columnar: trait computers fill a [`TraitMatrix`]
 //! (one contiguous `f64` column per trait), NaN trait values are
 //! sanitized into dropped candidates,
@@ -419,7 +419,7 @@ impl AutoComp {
         let (observation, retained) = match input.observer {
             Some(observer) => (observer.observe(input.connector, scope), true),
             None => {
-                cold = input.connector.observe(&ObserveRequest::fresh(scope));
+                cold = input.connector.observe(ObserveRequest::fresh(scope));
                 (&cold, false)
             }
         };

@@ -731,19 +731,7 @@ pub fn rank_and_select(
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
 ) -> Result<Vec<RankedEntry>> {
-    rank_and_select_source(candidates, matrix, policy).map(RankedEntries::into_vec)
-}
-
-/// [`rank_and_select`] over any [`RankSource`] — the entry point the
-/// index-native pipeline uses to rank observation-backed candidates
-/// without materializing them. Output is identical to ranking the
-/// equivalent `&[Candidate]` slice (lazy tails generate equal entries).
-pub fn rank_and_select_source<S: RankSource + ?Sized>(
-    source: &S,
-    matrix: &TraitMatrix,
-    policy: &RankingPolicy,
-) -> Result<RankedEntries> {
-    rank_with_memo(source, matrix, policy, None).map(|(entries, _, _)| entries)
+    rank_with_memo(candidates, matrix, policy, None).map(|(entries, _, _)| entries.into_vec())
 }
 
 /// Sentinel "no prior row" marker in a [`RankDelta`] splice map.

@@ -71,9 +71,8 @@
 //! [`STALL_AFTER_STALE_LISTINGS`] consecutive passes. The state rides on
 //! [`RoundReport::health`] and [`ContinuousRuntime::health`], is exported
 //! as the `autocomp_runtime_health_state` gauge plus
-//! `autocomp_runtime_degraded_rounds_total{cause=...}` counters, and is
-//! the signal the ROADMAP item-4 service tier's readiness probe will
-//! read.
+//! `autocomp_runtime_degraded_rounds_total{cause=...}` counters — the
+//! signal a readiness probe would read.
 //!
 //! # Event-vs-poll completion semantics
 //!
@@ -213,8 +212,8 @@ impl fmt::Display for TriggerCause {
 pub const STALL_AFTER_STALE_LISTINGS: u32 = 3;
 
 /// Fleet health as classified from the most recent round's observe-side
-/// degradation record — the runtime-owned state machine the service
-/// tier's readiness probe reads (ROADMAP item 4).
+/// degradation record — the runtime-owned state machine a readiness
+/// probe would read.
 ///
 /// Transitions are memoryless re-classifications per round; the
 /// degradation record itself carries the cross-pass state (quarantine
@@ -646,23 +645,6 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             Some(cause) => Ok(Some(self.round(cause, connector, executor, now)?)),
             None => Ok(None),
         }
-    }
-
-    /// Drives a whole event trace, invoking `on_round` for every round
-    /// fired. Events must be sorted by time.
-    pub fn run_events<E: TrackedExecutor>(
-        &mut self,
-        events: &[RuntimeEvent],
-        connector: &dyn LakeConnector,
-        executor: &mut E,
-        mut on_round: impl FnMut(RoundReport),
-    ) -> Result<()> {
-        for event in events {
-            if let Some(report) = self.handle_event(event, connector, executor)? {
-                on_round(report);
-            }
-        }
-        Ok(())
     }
 
     /// Runs a final flush round (covering any pending dirty work) and

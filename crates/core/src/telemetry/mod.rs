@@ -6,8 +6,7 @@
 //! pipeline through a cheap-to-clone [`TelemetrySink`] handle. Exported
 //! two ways: [`TelemetryRegistry::render_prometheus`] (text exposition,
 //! deterministic ordering, golden-pinned by `tests/telemetry.rs`) and
-//! the human-readable [`FleetHealthReport`] — the payloads the future
-//! service tier (ROADMAP item 4) will serve.
+//! the human-readable [`FleetHealthReport`].
 //!
 //! ## Metric naming convention
 //!

@@ -54,17 +54,6 @@ pub struct LedgerTick {
     pub cache: CycleCacheStats,
     /// Rank-memo splice effectiveness of the tick's cycle.
     pub memo: RankCycleStats,
-    /// Event-loop rounds deferred by the interval gate as of this tick
-    /// (cumulative [`autocomp::RuntimeStats::deferred_rounds`]; 0 for
-    /// polled drivers with no event loop).
-    pub deferred_rounds: u64,
-    /// Largest distinct-dirty backlog observed as of this tick
-    /// (cumulative [`autocomp::RuntimeStats::max_dirty_backlog`]).
-    pub max_dirty_backlog: usize,
-    /// Largest dirty-count overshoot past the watermark at round start
-    /// as of this tick (cumulative
-    /// [`autocomp::RuntimeStats::max_watermark_overshoot`]).
-    pub max_watermark_overshoot: usize,
 }
 
 /// Builds a [`LedgerTick`] from a tracked cycle's report and the
@@ -84,10 +73,6 @@ pub fn sample_ledger(
         gbhr_budget: pipeline.job_tracker().and_then(|t| t.config().gbhr_budget),
         cache: pipeline.cycle_cache_stats(),
         memo: pipeline.rank_memo_stats(),
-        // Polled drivers have no event loop: backpressure gauges stay 0.
-        deferred_rounds: 0,
-        max_dirty_backlog: 0,
-        max_watermark_overshoot: 0,
     }
 }
 

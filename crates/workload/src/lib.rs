@@ -24,10 +24,6 @@
 //! * [`driver`] — the deterministic stream runner interleaving scheduled
 //!   queries with periodic callbacks (where the bench layer plugs in
 //!   AutoComp cycles) and commit draining.
-//! * [`sustained`] — the sustained-ingest harness: ≥1M commits per
-//!   simulated hour against a 100K-table fleet through the event-driven
-//!   continuous runtime (plus a fixed-cadence polled companion),
-//!   measuring commit → decision-round latency percentiles.
 
 #![warn(missing_docs)]
 
@@ -36,7 +32,6 @@ pub mod driver;
 pub mod fleet;
 pub mod ingestion;
 pub mod scenarios;
-pub mod sustained;
 pub mod tpcds;
 pub mod tpch;
 
@@ -50,9 +45,6 @@ pub use ingestion::{sample_raw_sizes, sample_user_derived_sizes, RawPipeline, Ra
 pub use scenarios::{
     policy_name, run_scenario_event, run_scenario_polled, scenario_policy, Scenario,
     ScenarioOutcome,
-};
-pub use sustained::{
-    run_sustained_ingest, run_sustained_polled, IngestReport, SustainedIngestConfig,
 };
 pub use tpcds::{TpcdsConfig, TpcdsDatabase};
 pub use tpch::{TpchConfig, TpchDatabase};

@@ -1059,6 +1059,6 @@ fn observe_assembly_touches_only_dirty_positions() {
         "listing still shared across the chain"
     );
     // Values stay exact: the patched observation equals a cold one.
-    let reference = lake.observe(&autocomp::ObserveRequest::fresh(ScopeStrategy::Table));
+    let reference = lake.observe(autocomp::ObserveRequest::fresh(ScopeStrategy::Table));
     assert_eq!(dirty.to_candidates(), reference.to_candidates());
 }

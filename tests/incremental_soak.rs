@@ -2,11 +2,10 @@
 //!
 //! Pins the properties that only show up over many incremental cycles:
 //!
-//! * **Arena hygiene** — long-lived incremental observers must not retain
-//!   dead entries indefinitely: per the compaction thresholds in
-//!   `core/src/observe.rs`, overall live-entry density stays ≥ 1/2 and
-//!   the chunk count stays bounded (≤ 2 × `ARENA_COMPACT_SMALL_DIVISOR`
-//!   + 2) no matter how many cycles run.
+//! * **Dirty-sized observes** — an incremental observe fetches at most
+//!   the cycle's dirty set, no matter how many cycles run. (The
+//!   observation itself is one entry per table by construction — see
+//!   `core/src/observe.rs` — so there is no retained-entry bound to pin.)
 //! * **Cache boundedness** — the cycle cache retains exactly one
 //!   generation, so its table count never exceeds the fleet size.
 //! * **Reconvergence** — a periodic `FleetObserver::reset` makes the next
@@ -169,17 +168,12 @@ impl Lcg {
 }
 
 #[test]
-fn soak_200_cycles_bounded_arena_and_cache_with_exact_reconvergence() {
+fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
     let lake = SoakLake::new(FLEET);
     let mut ac = pipeline();
     let mut observer = FleetObserver::new();
     let mut exec = NullExecutor;
     let mut rng = Lcg(0x5eed_cafe);
-    // The chunk-count bound implied by the compaction thresholds: each
-    // surviving imported chunk is ≥ half live and ≥ fleet/64 entries, so
-    // Σlen ≤ 2·fleet caps the count at 128, plus the compaction chunk
-    // and the fresh chunk.
-    let chunk_bound = 2 * autocomp::observe::ARENA_COMPACT_SMALL_DIVISOR + 2;
 
     for cycle in 0..CYCLES {
         for _ in 0..WRITES_PER_CYCLE {
@@ -227,18 +221,6 @@ fn soak_200_cycles_bounded_arena_and_cache_with_exact_reconvergence() {
         .unwrap();
 
         let obs = observer.last().unwrap();
-        // Arena hygiene: live density never drops below the compaction
-        // threshold and the chunk count stays bounded, forever.
-        assert!(
-            obs.arena_live_density() >= 0.5 - 1e-9,
-            "cycle {cycle}: live density {} below threshold",
-            obs.arena_live_density()
-        );
-        assert!(
-            obs.arena_chunk_count() <= chunk_bound,
-            "cycle {cycle}: {} chunks exceeds bound {chunk_bound}",
-            obs.arena_chunk_count()
-        );
         // Incremental observes touch at most the dirty set.
         if cycle > 0 {
             assert!(

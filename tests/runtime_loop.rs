@@ -4,7 +4,8 @@
 //!
 //! * **Determinism** — the same seeded event trace (commits, timers,
 //!   flushes, pumped completions) replayed against fresh state produces
-//!   bit-identical round reports and identical runtime stats.
+//!   bit-identical round reports and identical runtime stats, with or
+//!   without the durable boundary attached.
 //! * **Parity** — a trace whose watermark trigger fires rounds at
 //!   exactly the polled driver's cadence produces `CycleReport`s
 //!   bit-identical to tracked incremental `AutoComp::cycle` calls at the
@@ -354,8 +355,9 @@ fn pumped_completions_match_round_polls() {
 // ---------------------------------------------------------------------
 
 /// Drives a seeded trace of commits, timers, flushes and pumped
-/// completions against entirely fresh state.
-fn run_seeded_trace(seed: u64) -> (Vec<RoundReport>, autocomp::RuntimeStats) {
+/// completions against entirely fresh state; `durable` attaches the
+/// snapshot + journal boundary, saving a snapshot every second round.
+fn run_seeded_trace(seed: u64, durable: bool) -> (Vec<RoundReport>, autocomp::RuntimeStats) {
     let lake = RuntimeLake::new(TABLES);
     let mut platform = ScriptedPlatform::parity(JOB_DURATION_MS);
     let config = RuntimeConfig {
@@ -363,9 +365,12 @@ fn run_seeded_trace(seed: u64) -> (Vec<RoundReport>, autocomp::RuntimeStats) {
         max_staleness_ms: Some(4_000),
         gbhr_headroom: None,
         min_round_interval_ms: 2_500,
-        snapshot_every_rounds: 0,
+        snapshot_every_rounds: if durable { 2 } else { 0 },
     };
     let mut rt = ContinuousRuntime::new(pipeline(None), config);
+    if durable {
+        rt = rt.with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    }
     let mut rng = SplitMix64::new(seed);
     let mut rounds = Vec::new();
     for step in 0..40u64 {
@@ -401,13 +406,41 @@ fn run_seeded_trace(seed: u64) -> (Vec<RoundReport>, autocomp::RuntimeStats) {
 
 #[test]
 fn seeded_trace_replays_bit_identically() {
-    let (rounds_a, stats_a) = run_seeded_trace(0xDECAF);
-    let (rounds_b, stats_b) = run_seeded_trace(0xDECAF);
+    let (rounds_a, stats_a) = run_seeded_trace(0xDECAF, false);
+    let (rounds_b, stats_b) = run_seeded_trace(0xDECAF, false);
     assert!(stats_a.rounds >= 3, "trace must fire several rounds");
     assert_eq!(stats_a, stats_b, "runtime stats must replay identically");
     assert_eq!(rounds_a.len(), rounds_b.len());
     for (i, (a, b)) in rounds_a.iter().zip(rounds_b.iter()).enumerate() {
         assert_rounds_identical(a, b, &format!("replayed round {i}"));
+    }
+}
+
+/// The durable boundary changes what a round leaves behind, not when it
+/// fires or what it decides: the same trace with snapshots and a journal
+/// attached produces the same rounds.
+#[test]
+fn durability_does_not_change_the_round_schedule() {
+    let (plain, plain_stats) = run_seeded_trace(0xDECAF, false);
+    let (mut durable, durable_stats) = run_seeded_trace(0xDECAF, true);
+    let saved = durable.iter().filter(|r| r.snapshot_saved).count() as u64;
+    assert!(
+        saved >= 2,
+        "boundary snapshots and the shutdown's were saved"
+    );
+    assert_eq!(durable_stats.snapshots_saved, saved);
+    assert_eq!(
+        autocomp::RuntimeStats {
+            snapshots_saved: 0,
+            ..durable_stats
+        },
+        plain_stats
+    );
+    assert_eq!(plain.len(), durable.len());
+    for (i, (a, b)) in plain.iter().zip(durable.iter_mut()).enumerate() {
+        b.snapshot_saved = false;
+        b.runtime.snapshots_saved = 0;
+        assert_rounds_identical(a, b, &format!("durable round {i}"));
     }
 }
 

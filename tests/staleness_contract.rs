@@ -115,7 +115,7 @@ fn sibling_write_leaves_reused_quota_stale_until_dirty_or_reset() {
     );
 
     // A cold observe over the same state sees the moved quota.
-    let cold = connector.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    let cold = connector.observe(ObserveRequest::fresh(ScopeStrategy::Table));
     let fresh = table_stats_of(&cold, b.0).quota.expect("quota signal");
     assert_ne!(
         fresh.used, stale.used,
@@ -171,7 +171,7 @@ fn frequency_decay_is_visible_cold_but_frozen_under_reuse() {
         "reused entry freezes the prior cycle's frequency"
     );
 
-    let cold = connector.observe(&ObserveRequest::fresh(ScopeStrategy::Table));
+    let cold = connector.observe(ObserveRequest::fresh(ScopeStrategy::Table));
     let decayed = table_stats_of(&cold, b.0).write_frequency_per_hour;
     assert_eq!(decayed, 0.0, "B's writes aged out of the rolling window");
     assert_ne!(frozen, decayed, "the reused frequency is bounded-stale");
@@ -207,7 +207,7 @@ fn snapshot_window_aging_is_visible_cold_but_not_under_reuse() {
         "reused snapshot-scope entry still reports the aged-out files"
     );
 
-    let cold = connector.observe(&ObserveRequest::fresh(scope));
+    let cold = connector.observe(ObserveRequest::fresh(scope));
     let b_index = cold
         .tables()
         .iter()

@@ -20,8 +20,7 @@ use autocomp::{
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotStore};
 
 /// Exact nearest-rank percentile over a sorted slice — the readout the
-/// histogram replaced in `lakesim_workload::sustained` and must stay
-/// within one log2 bucket of.
+/// histogram must stay within one log2 bucket of.
 fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
@@ -54,7 +53,7 @@ fn check_against_exact(samples: &[u64]) -> Result<(), proptest::test_runner::Tes
 }
 
 proptest! {
-    /// Uniform-ish latencies: the sustained-ingest shape.
+    /// Uniform-ish latencies: the decision-latency shape.
     #[test]
     fn histogram_tracks_uniform_distributions(
         samples in proptest::collection::vec(0u64..3_000_000, 1..400)
