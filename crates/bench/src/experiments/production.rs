@@ -79,7 +79,6 @@ pub fn auto_cycle(fleet: &Fleet, pipeline: &mut AutoComp, use_planned: bool) -> 
         fleet.env.clone(),
         ObserveOptions {
             compute_planned_estimates: use_planned,
-            small_file_fraction: 0.75,
             transform_signals: false,
         },
     );

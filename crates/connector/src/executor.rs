@@ -22,33 +22,17 @@ use lakesim_lst::{
 
 use crate::SharedEnv;
 
-/// Options for job submission.
-#[derive(Debug, Clone)]
-pub struct ExecutorOptions {
-    /// Cluster to run compaction on (the paper uses a dedicated 3-node
-    /// cluster, §6).
-    pub cluster: String,
-    /// Executor parallelism per job.
-    pub parallelism: usize,
-    /// Small-file fraction for bin-packing input selection.
-    pub small_file_fraction: f64,
-}
+/// Cluster compaction runs on (the paper uses a dedicated 3-node cluster,
+/// §6).
+const CLUSTER: &str = "compaction";
 
-impl Default for ExecutorOptions {
-    fn default() -> Self {
-        ExecutorOptions {
-            cluster: "compaction".to_string(),
-            parallelism: 3,
-            small_file_fraction: 0.75,
-        }
-    }
-}
+/// Executor parallelism per job.
+const PARALLELISM: usize = 3;
 
 /// [`CompactionExecutor`] + [`TrackedExecutor`] implementation over the
 /// simulated lake.
 pub struct LakesimExecutor {
     env: SharedEnv,
-    options: ExecutorOptions,
     /// Position in the maintenance log up to which outcomes were already
     /// reported by [`poll`](TrackedExecutor::poll). Starts at the log's
     /// current length, so an executor only reports jobs finished during
@@ -59,18 +43,8 @@ pub struct LakesimExecutor {
 impl LakesimExecutor {
     /// Creates an executor over a shared environment.
     pub fn new(env: SharedEnv) -> Self {
-        let options = ExecutorOptions::default();
-        Self::with_options(env, options)
-    }
-
-    /// Creates an executor with custom options.
-    pub fn with_options(env: SharedEnv, options: ExecutorOptions) -> Self {
         let log_cursor = env.borrow().maintenance.records().len();
-        LakesimExecutor {
-            env,
-            options,
-            log_cursor,
-        }
+        LakesimExecutor { env, log_cursor }
     }
 
     /// The outcome-delivery cursor: maintenance-log position up to which
@@ -97,7 +71,7 @@ impl LakesimExecutor {
         let entry = env.catalog.table(id).ok()?;
         let config = BinPackConfig {
             target_file_size: entry.policy.target_file_size,
-            small_file_fraction: self.options.small_file_fraction,
+            small_file_fraction: crate::SMALL_FILE_FRACTION,
             min_input_files: entry.policy.min_input_files,
         };
         let plan = match candidate.id.scope {
@@ -128,8 +102,8 @@ impl CompactionExecutor for LakesimExecutor {
         // inputs are never already-replaced files.
         self.env.borrow_mut().drain_due(now_ms);
         let opts = RewriteOptions {
-            cluster: self.options.cluster.clone(),
-            parallelism: self.options.parallelism,
+            cluster: CLUSTER.to_string(),
+            parallelism: PARALLELISM,
             trigger: prediction.trigger.clone(),
             predicted_reduction: prediction.reduction,
             predicted_gbhr: prediction.gbhr,

@@ -53,11 +53,16 @@ use std::rc::Rc;
 use lakesim_engine::SimEnv;
 
 pub use events::CommitEventBridge;
-pub use executor::{ExecutorOptions, LakesimExecutor};
+pub use executor::LakesimExecutor;
 pub use faults::{ChangelogEvent, ObserveFaultScript};
 pub use feedback::FeedbackBridge;
 pub use hooks::{evaluate_hook, mark_database_dirty, mark_dirty_from_actions};
 pub use observe::{LakesimConnector, ObserveOptions};
+
+/// Fraction of the target size below which a file counts as rewrite input,
+/// for the executor's bin-packing and the planned-reduction estimate
+/// alike (Iceberg default).
+pub(crate) const SMALL_FILE_FRACTION: f64 = 0.75;
 
 /// Shared handle to the simulation environment.
 pub type SharedEnv = Rc<RefCell<SimEnv>>;

@@ -34,32 +34,19 @@ use crate::faults::ObserveFaultScript;
 use crate::stats::{self, QuotaCache};
 use crate::SharedEnv;
 
-/// Options controlling stats production.
-#[derive(Debug, Clone)]
+/// Options controlling stats production; both default to off.
+#[derive(Debug, Clone, Default)]
 pub struct ObserveOptions {
     /// Also compute the partition-aware `planned_reduction` custom metric
     /// by dry-running the bin-packing planner (§7's estimator refinement).
     /// Costs a planning pass per candidate.
     pub compute_planned_estimates: bool,
-    /// Fraction of the target size below which a file counts as rewrite
-    /// input for the planned estimate (Iceberg default 0.75).
-    pub small_file_fraction: f64,
     /// Emit the transformation-classification custom metrics
     /// (`transforms_enabled`, sort disorder, partition skew) so the
     /// decide phase can label candidates with non-merge
     /// [`autocomp::JobKind`]s. Off by default: pre-existing pipelines
     /// keep classifying everything as merge, bit-for-bit.
     pub transform_signals: bool,
-}
-
-impl Default for ObserveOptions {
-    fn default() -> Self {
-        ObserveOptions {
-            compute_planned_estimates: false,
-            small_file_fraction: 0.75,
-            transform_signals: false,
-        }
-    }
 }
 
 /// [`LakeConnector`] implementation over the simulated lake.
@@ -291,7 +278,6 @@ mod tests {
             env,
             ObserveOptions {
                 compute_planned_estimates: true,
-                small_file_fraction: 0.75,
                 transform_signals: false,
             },
         );

@@ -89,10 +89,10 @@ pub(crate) fn convert(
     stats
 }
 
-fn bin_pack_config(options: &ObserveOptions, target: u64, min_input_files: usize) -> BinPackConfig {
+fn bin_pack_config(target: u64, min_input_files: usize) -> BinPackConfig {
     BinPackConfig {
         target_file_size: target,
-        small_file_fraction: options.small_file_fraction,
+        small_file_fraction: crate::SMALL_FILE_FRACTION,
         min_input_files,
     }
 }
@@ -130,7 +130,7 @@ pub(crate) fn table_stats(
     let target = entry.policy.target_file_size;
     let stats = entry.table.stats(target);
     let planned = options.compute_planned_estimates.then(|| {
-        let cfg = bin_pack_config(options, target, entry.policy.min_input_files);
+        let cfg = bin_pack_config(target, entry.policy.min_input_files);
         plan_table_rewrite(&entry.table, &cfg).expected_reduction() as f64
     });
     Some(convert(
@@ -167,7 +167,7 @@ pub(crate) fn partition_stats(
         .map(|key| {
             let stats = entry.table.partition_stats(&key, target);
             let planned = options.compute_planned_estimates.then(|| {
-                let cfg = bin_pack_config(options, target, entry.policy.min_input_files);
+                let cfg = bin_pack_config(target, entry.policy.min_input_files);
                 plan_partition_rewrite(&entry.table, &key, &cfg).expected_reduction() as f64
             });
             (

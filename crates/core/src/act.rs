@@ -5,10 +5,8 @@
 //! table whose previous job has not finished (§4.4), must bound how much
 //! concurrent compaction the platform absorbs (§6 runs a fixed 3-node
 //! cluster), and feeds realized outcomes back into its estimators (§7).
-//! The pipeline's act phase was fire-and-forget before this module:
-//! [`CompactionExecutor::execute`] returned scheduling info that nothing
-//! tracked. The [`JobTracker`] owned by
-//! [`AutoComp`](crate::pipeline::AutoComp) closes that gap.
+//! The [`JobTracker`] owned by [`AutoComp`](crate::pipeline::AutoComp)
+//! does all three; without one the act phase is fire-and-forget.
 //!
 //! # Lifecycle
 //!
@@ -20,45 +18,62 @@
 //! ```
 //!
 //! * **In-flight ledger** — every scheduled job is recorded against its
-//!   target table. Candidates whose table already has a live job (running
-//!   *or* awaiting a conflict retry) are suppressed in the next cycles
-//!   and surfaced in [`CycleReport::dropped`] with an explicit reason.
-//!   Suppression is checked **post-splice**: the [`CycleCache`] records
-//!   verdicts and trait rows *before* the ledger filter, so a cached row
-//!   stays valid across the job's lifetime and is ready the moment the
-//!   job settles. Suppression covers the whole table, not just the
-//!   targeted partition: §6 observed same-table partition jobs conflicting
-//!   even when disjoint, which is why the production scheduler serializes
-//!   them — the ledger extends that rule across cycles.
-//! * **Admission control** — before each submission the tracker checks
-//!   fleet-wide and per-database concurrency slots plus a rolling GBHr
-//!   budget window ([`JobRuntimeConfig`]). Denied candidates are
-//!   *deferred*, not dropped: they appear in [`CycleReport::deferred`]
-//!   with the denying rule, and re-enter ranking naturally next cycle.
+//!   table. Candidates of a table with a live job (running *or* awaiting
+//!   a retry) are suppressed and surfaced in [`CycleReport::dropped`]
+//!   with an explicit reason. Suppression is applied **post-splice**: the
+//!   [`CycleCache`] records verdicts and trait rows *before* it, so a
+//!   cached row stays valid across the job's lifetime. It covers the
+//!   whole table, not just the targeted partition: §6 observed same-table
+//!   partition jobs conflicting even when disjoint, which is why the
+//!   production scheduler serializes them — the ledger extends that rule
+//!   across cycles.
+//! * **Admission control** — each submission passes fleet-wide and
+//!   per-database concurrency slots plus a rolling GBHr budget window
+//!   ([`JobRuntimeConfig`]). Denied candidates are *deferred*, not
+//!   dropped: they appear in [`CycleReport::deferred`] with the denying
+//!   rule, and re-enter ranking naturally next cycle.
 //! * **Completion polling** — [`TrackedExecutor::poll`] settles finished
-//!   jobs. Tracked entry points poll at cycle start (so settled tables
-//!   can be re-observed dirty in the same cycle) and between act-phase
-//!   waves (so a wave-1 commit that already landed frees its table for a
-//!   wave-2 submission).
-//! * **Conflict retries** — a `Conflicted` outcome re-enters the queue
-//!   with capped exponential backoff (`retry_backoff_ms · 2^(attempt-1)`,
-//!   capped at `retry_backoff_cap_ms`) until `max_retries` submissions
-//!   have been spent; transient submit errors
-//!   ([`ExecutionError::Transient`]) ride the same queue. Retries are
-//!   re-planned by the executor from *current* table state, so a retry
-//!   after a conflicting user write compacts the post-write layout —
-//!   and before resubmission the pipeline **re-scores** the retry
-//!   against the current cycle's observed stats (the settle
-//!   force-dirtied the table, so they are fresh), so admission charges
-//!   an honest GBHr estimate rather than the stale pre-conflict one.
-//!   Only when the table (or partition) is no longer observable does
-//!   the original prediction carry over.
+//!   jobs at cycle start (so settled tables are re-observed dirty in the
+//!   same cycle) and between act-phase waves (so a wave-1 commit that
+//!   already landed frees its table for wave 2).
+//! * **Retries** — a `Conflicted` outcome, or a transient submit error
+//!   ([`ExecutionError::Transient`]), re-enters the queue with capped
+//!   exponential backoff (`retry_backoff_ms · 2^(attempt-1)`, at most
+//!   `retry_backoff_cap_ms`) until `max_retries` is spent. The executor
+//!   re-plans a retry from *current* table state, and the act phase
+//!   re-prices it off the current cycle's stats first (the settle
+//!   force-dirtied the table, so they are fresh), so admission charges an
+//!   honest GBHr; only a table or partition no longer observable keeps
+//!   its original prediction.
 //! * **Automatic feedback** — every `Succeeded` outcome becomes a
-//!   [`FeedbackRecord`] ingested into
-//!   the pipeline's calibration without any manual bridge plumbing, and
-//!   every settled table is marked dirty for the incremental observer so
-//!   the next cycle re-fetches its (now compacted or conflicted-written)
-//!   stats.
+//!   [`FeedbackRecord`] ingested into the pipeline's calibration, and
+//!   every settled table is marked dirty for the incremental observer.
+//!
+//! # Cycle protocol
+//!
+//! Only this module knows the act protocol. One
+//! [`AutoComp::cycle`](crate::pipeline::AutoComp::cycle) calls, in order:
+//!
+//! 1. **`JobTracker::live_tables`** (after orient, before rank): expires
+//!    leases, then lists the live tables — at most `max_in_flight` plus
+//!    the retry queue — with their drop reasons. The pipeline looks
+//!    *those* up in the observation's uid index and thins its kept set
+//!    once; the ledger is never probed per row.
+//! 2. **`ActPhase::run`** (after rank and scheduling): due retries first
+//!    (older work; re-priced, never re-classified), then the scheduler's
+//!    waves, settling between waves. Every submission, first attempt or
+//!    retry, takes the one private `submit`: admission (a denial is a
+//!    counted deferral, the platform is not called, a retry re-queues due
+//!    now), the platform call, then the books — `register` with
+//!    `spent + 1` attempts for a scheduled job with an id, a bare
+//!    budget-window charge for an id-less one, the retry queue or
+//!    finality for an unscheduled one. Ledger timestamps are the *cycle*
+//!    time even in later waves (the budget window prunes front to back,
+//!    so stamps must not run ahead); only the platform sees the wave's
+//!    start time. Prices come from the one `pricing` rule; feedback from
+//!    inter-wave settles is returned, not ingested, so calibration stays
+//!    frozen for the whole phase.
+//! 3. **`JobTracker::take_summary`**: the cycle's counters, reset.
 //!
 //! # Staleness / feedback contract
 //!
@@ -67,20 +82,14 @@
 //! or disabling the tracker does not invalidate the [`CycleCache`]. A
 //! disabled tracker (or an enabled one with nothing in flight and
 //! permissive admission) reproduces the fire-and-forget pipeline's
-//! `CycleReport`s bit-for-bit — pinned by `tests/job_runtime.rs` and the
-//! `tests/incremental_parity.rs` harness. Settled outcomes reach the
-//! estimators through [`EstimationFeedback`](crate::feedback) exactly as
-//! manual [`ingest_feedback`](crate::pipeline::AutoComp::ingest_feedback)
-//! calls would; feedback ingestion deliberately does not bump the cache
-//! epoch (calibration only scales act-phase predictions).
-//!
-//! Drivers that used the connector-side `FeedbackBridge` to shuttle
-//! maintenance records into the pipeline can migrate by switching from
-//! an `Executor::Plain` cycle + manual `drain_new`/`ingest_feedback` to
-//! an `Executor::Tracked` cycle over a [`TrackedExecutor`]; the bridge
+//! `CycleReport`s bit-for-bit — pinned by `tests/job_runtime.rs` and
+//! `tests/incremental_parity.rs`. Settled outcomes reach the estimators
+//! exactly as manual
+//! [`ingest_feedback`](crate::pipeline::AutoComp::ingest_feedback) calls
+//! would, and like them do not bump the cache epoch (calibration only
+//! scales act-phase predictions). The connector-side `FeedbackBridge`
 //! remains for drivers that settle out-of-band.
 //!
-//! [`CompactionExecutor::execute`]: crate::connector::CompactionExecutor::execute
 //! [`CycleReport::dropped`]: crate::pipeline::CycleReport::dropped
 //! [`CycleReport::deferred`]: crate::pipeline::CycleReport::deferred
 //! [`CycleCache`]: crate::cache
@@ -90,10 +99,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::candidate::Candidate;
+use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{CompactionExecutor, ExecutionResult, Prediction};
-use crate::feedback::FeedbackRecord;
+use crate::feedback::{EstimationFeedback, FeedbackRecord};
 use crate::kind::JobKind;
+use crate::observe::{FleetObservation, TableObservation};
+use crate::pipeline::ExecutedJob;
+use crate::schedule::{waves, ScheduledJob};
+use crate::stats::CandidateStats;
+use crate::traits::TraitComputer;
 
 /// Terminal status of one settled compaction job, as surfaced by
 /// [`TrackedExecutor::poll`]. Mirrors the engine-side maintenance status
@@ -230,6 +244,238 @@ impl<E: CompactionExecutor> CompactionExecutor for Untracked<E> {
 impl<E: CompactionExecutor> TrackedExecutor for Untracked<E> {
     fn poll(&mut self, _now_ms: u64) -> Vec<JobOutcome> {
         Vec::new()
+    }
+}
+
+/// The two act-side executor tiers: plain fire-and-forget executors
+/// cannot settle outcomes (no poll at cycle start or between waves);
+/// tracked executors can.
+pub enum Executor<'a> {
+    /// Fire-and-forget submission.
+    Plain(&'a mut dyn CompactionExecutor),
+    /// Submission plus outcome polling: the cycle settles finished jobs
+    /// before observing and between waves.
+    Tracked(&'a mut dyn TrackedExecutor),
+}
+
+impl Executor<'_> {
+    fn execute(
+        &mut self,
+        candidate: &Candidate,
+        prediction: &Prediction,
+        now_ms: u64,
+    ) -> ExecutionResult {
+        match self {
+            Executor::Plain(e) => e.execute(candidate, prediction, now_ms),
+            Executor::Tracked(e) => e.execute(candidate, prediction, now_ms),
+        }
+    }
+
+    fn poll(&mut self, now_ms: u64) -> Option<Vec<JobOutcome>> {
+        match self {
+            Executor::Plain(_) => None,
+            Executor::Tracked(e) => Some(e.poll(now_ms)),
+        }
+    }
+}
+
+/// The one pricing rule of a submission, first attempt or retry: the
+/// last-registered `file_count_reduction` and `compute_cost_gbhr`
+/// computers over the candidate's stats (`small_file_count` and `0.0`
+/// when unregistered), scaled by `calibration`'s factors as of this call
+/// — frozen for the whole phase — or unscaled without one. Trait
+/// computers are pure functions of the stats ([`crate::traits`]), so this
+/// equals the candidate's orient row.
+pub(crate) fn pricing<'a>(
+    traits: &'a [Box<dyn TraitComputer>],
+    calibration: Option<&EstimationFeedback>,
+) -> impl Fn(&CandidateStats) -> (i64, f64) + 'a {
+    let (reduction_cal, cost_cal) = calibration.map_or((1.0, 1.0), |f| {
+        (f.reduction_calibration(), f.cost_calibration())
+    });
+    let last = |name: &str| traits.iter().rev().find(|t| t.name() == name);
+    let reduction_tc = last("file_count_reduction");
+    let gbhr_tc = last("compute_cost_gbhr");
+    move |stats| {
+        let reduction = reduction_tc.map_or(stats.small_file_count as f64, |t| t.compute(stats));
+        let gbhr = gbhr_tc.map_or(0.0, |t| t.compute(stats));
+        ((reduction * reduction_cal).round() as i64, gbhr * cost_cal)
+    }
+}
+
+/// What one act phase did: the [`CycleReport`](crate::pipeline::CycleReport)
+/// fields of the same names — the totals summed over *scheduled* results
+/// in submission order (retries, then waves; the GBHr sum is compared bit
+/// for bit) — plus the feedback of inter-wave settles, for the pipeline
+/// to ingest once the phase is over.
+#[derive(Debug, Default)]
+pub(crate) struct ActOutcome {
+    pub(crate) executed: Vec<ExecutedJob>,
+    pub(crate) retried: Vec<ExecutedJob>,
+    pub(crate) deferred: Vec<(CandidateId, Arc<str>)>,
+    pub(crate) total_predicted_reduction: i64,
+    pub(crate) total_predicted_gbhr: f64,
+    pub(crate) feedback: Vec<FeedbackRecord>,
+}
+
+/// One cycle's act phase (see the module docs' cycle protocol). Without
+/// a tracker it is the fire-and-forget phase: every submission goes
+/// straight to the platform and nothing is book-kept.
+pub(crate) struct ActPhase<'a, 'e> {
+    pub(crate) tracker: Option<&'a mut JobTracker>,
+    pub(crate) exec: &'a mut Executor<'e>,
+    /// The cycle time: every ledger timestamp, and when retries run.
+    pub(crate) now_ms: u64,
+    /// The cycle's [`pricing`] rule.
+    pub(crate) price: &'a dyn Fn(&CandidateStats) -> (i64, f64),
+    pub(crate) out: ActOutcome,
+}
+
+impl ActPhase<'_, '_> {
+    /// The one submission path. `spent` is the submissions already used
+    /// on this candidate (0 = first attempt), `platform_ms` when the
+    /// platform is called; the ledger is stamped with the cycle time.
+    /// `Err(reason)`: admission deferred it and the platform was not
+    /// called — a deferred retry is back in the queue, due now.
+    fn submit(
+        &mut self,
+        candidate: &Candidate,
+        prediction: &Prediction,
+        spent: u32,
+        platform_ms: u64,
+    ) -> Result<ExecutionResult, Arc<str>> {
+        let now_ms = self.now_ms;
+        if let Some(tracker) = self.tracker.as_deref_mut() {
+            let uid = candidate.id.table_uid;
+            let (gbhr, kind) = (prediction.gbhr, prediction.kind);
+            if let Err(reason) = tracker.admit(&candidate.database, uid, gbhr, kind, now_ms) {
+                if spent > 0 {
+                    tracker.schedule_retry(candidate.clone(), prediction.clone(), now_ms, spent);
+                }
+                return Err(reason);
+            }
+        }
+        let result = self.exec.execute(candidate, prediction, platform_ms);
+        if result.scheduled {
+            self.out.total_predicted_reduction += prediction.reduction;
+            self.out.total_predicted_gbhr += prediction.gbhr;
+        }
+        if let Some(tracker) = self.tracker.as_deref_mut() {
+            if spent > 0 {
+                tracker.note_retry_submitted(prediction.kind);
+            }
+            match (result.scheduled, result.job_id) {
+                (true, Some(job_id)) => {
+                    tracker.register(job_id, candidate, prediction, spent + 1, now_ms)
+                }
+                // Scheduled but id-less: the ledger cannot follow it, but
+                // the budget must see it (TrackedExecutor contract).
+                (true, None) => tracker.charge_gbhr_window(prediction.gbhr, now_ms),
+                (false, _) => {
+                    tracker.note_unscheduled(candidate, prediction, spent + 1, &result, now_ms)
+                }
+            }
+        }
+        Ok(result)
+    }
+
+    /// Runs the phase: due retries against `observation`, then `jobs`
+    /// (the scheduler's plan over `selected`) wave by wave, each first
+    /// attempt labelled with `trigger`.
+    pub(crate) fn run(
+        mut self,
+        observation: &FleetObservation,
+        selected: &[Candidate],
+        jobs: &[ScheduledJob],
+        trigger: &str,
+    ) -> ActOutcome {
+        // Retries whose backoff elapsed go first: older work, and their
+        // tables were suppressed from this cycle's ranking. Each is
+        // re-priced off this cycle's observation (see the module docs),
+        // keeping its trigger and, always, its kind.
+        let now_ms = self.now_ms;
+        let due = match self.tracker.as_deref_mut() {
+            Some(tracker) => tracker.take_due_retries(now_ms),
+            None => Vec::new(),
+        };
+        for (mut candidate, mut prediction, spent) in due {
+            if let Some(stats) = retry_stats(observation, &candidate) {
+                (prediction.reduction, prediction.gbhr) = (self.price)(stats);
+                candidate.stats = stats.clone();
+            }
+            match self.submit(&candidate, &prediction, spent, now_ms) {
+                Err(reason) => self.out.deferred.push((candidate.id, reason)),
+                Ok(result) => self.out.retried.push(ExecutedJob {
+                    id: candidate.id,
+                    prediction,
+                    result,
+                    wave: 0,
+                }),
+            }
+        }
+
+        // First attempts, wave by wave: a wave starts only after the
+        // previous wave's commits are due (sequential partition
+        // compaction, §6), and finished jobs settle in between so a wave-1
+        // commit that already landed frees its table before wave 2.
+        let mut wave_start = now_ms;
+        let all_waves = waves(jobs);
+        let wave_count = all_waves.len();
+        for (wave_index, wave_jobs) in all_waves.into_iter().enumerate() {
+            let mut wave_due = wave_start;
+            for job in wave_jobs {
+                let candidate = &selected[job.index];
+                let (reduction, gbhr) = (self.price)(&candidate.stats);
+                let prediction = Prediction {
+                    reduction,
+                    gbhr,
+                    trigger: trigger.to_string(),
+                    kind: JobKind::classify(&candidate.stats),
+                };
+                match self.submit(candidate, &prediction, 0, wave_start) {
+                    Err(reason) => self.out.deferred.push((job.id.clone(), reason)),
+                    Ok(result) => {
+                        if let (true, Some(due)) = (result.scheduled, result.commit_due_ms) {
+                            wave_due = wave_due.max(due);
+                        }
+                        self.out.executed.push(ExecutedJob {
+                            id: job.id.clone(),
+                            prediction,
+                            result,
+                            wave: job.wave,
+                        });
+                    }
+                }
+            }
+            wave_start = wave_due.max(wave_start) + 1;
+            if wave_index + 1 < wave_count {
+                if let Some(tracker) = self.tracker.as_deref_mut() {
+                    if let Some(outcomes) = self.exec.poll(wave_start) {
+                        self.out.feedback.extend(tracker.settle(outcomes));
+                    }
+                }
+            }
+        }
+        self.out
+    }
+}
+
+/// Current-cycle stats of a retry candidate, located by uid (via the
+/// observation's retained uid index) and, for partition-scope retries,
+/// by partition label. `None` when the table vanished, the scope shape
+/// changed, or the partition is no longer reported.
+fn retry_stats<'a>(
+    observation: &'a FleetObservation,
+    candidate: &Candidate,
+) -> Option<&'a CandidateStats> {
+    let pos = observation.position_of_uid(candidate.id.table_uid)?;
+    match (observation.entry(pos), &candidate.id.partition) {
+        (TableObservation::Table(stats), None) => Some(stats),
+        (TableObservation::Partitions(parts), Some(label)) => parts
+            .iter()
+            .find(|(l, _)| l == label)
+            .map(|(_, stats)| stats),
+        _ => None,
     }
 }
 
@@ -398,6 +644,20 @@ struct TrackedJob {
     submitted_ms: u64,
 }
 
+impl TrackedJob {
+    /// The prediction-vs-outcome record of this job's success.
+    fn feedback(&self, outcome: &JobOutcome) -> FeedbackRecord {
+        FeedbackRecord {
+            candidate: self.candidate.id.clone(),
+            at_ms: outcome.finished_at_ms,
+            predicted_reduction: self.prediction.reduction,
+            actual_reduction: outcome.actual_reduction,
+            predicted_gbhr: self.prediction.gbhr,
+            actual_gbhr: outcome.actual_gbhr,
+        }
+    }
+}
+
 /// One candidate waiting out its retry backoff.
 #[derive(Debug, Clone)]
 struct RetryEntry {
@@ -539,10 +799,21 @@ impl JobTracker {
         self.gbhr_window_sum
     }
 
-    /// Whether any target is currently suppressed (fast gate for the
-    /// per-candidate walk).
-    pub(crate) fn has_live_targets(&self) -> bool {
-        !self.tables_running.is_empty() || !self.tables_retrying.is_empty()
+    /// Step 1 of the cycle protocol: expires overdue leases, then lists
+    /// every table with work in flight — a running job or a pending
+    /// retry — uid-ascending, each with its
+    /// [`suppression_reason`](Self::suppression_reason). At most
+    /// `max_in_flight` + retry-queue entries, whatever the fleet size.
+    pub(crate) fn live_tables(&mut self, now_ms: u64) -> Vec<(u64, Arc<str>)> {
+        self.expire_leases(now_ms);
+        let running = self.tables_running.keys();
+        let uids: BTreeSet<u64> = running
+            .chain(self.tables_retrying.keys())
+            .copied()
+            .collect();
+        uids.into_iter()
+            .filter_map(|uid| Some((uid, self.suppression_reason(uid)?)))
+            .collect()
     }
 
     /// Drop reason if `table_uid` currently has work in flight (running
@@ -573,9 +844,10 @@ impl JobTracker {
         }
     }
 
-    /// Counts one suppressed candidate (the pipeline pushes the reason).
-    pub(crate) fn note_suppressed(&mut self) {
-        self.counters.suppressed += 1;
+    /// Counts `rows` suppressed candidates (the pipeline maps
+    /// [`live_tables`](Self::live_tables) to rows and pushes the reasons).
+    pub(crate) fn note_suppressed(&mut self, rows: usize) {
+        self.counters.suppressed += rows;
     }
 
     /// Labels a shared deferral reason with the submission's kind.
@@ -591,8 +863,9 @@ impl JobTracker {
     /// Admission check for one submission. `Ok(())` admits; `Err(reason)`
     /// defers (the caller reports the candidate, which re-enters ranking
     /// next cycle). Prunes the GBHr window as a side effect, and counts
-    /// the verdict into the per-kind admission/deferral telemetry.
-    pub(crate) fn admit(
+    /// the verdict: a deferral into the cycle's summary, either into the
+    /// per-kind admission/deferral telemetry.
+    fn admit(
         &mut self,
         database: &str,
         table_uid: u64,
@@ -601,6 +874,7 @@ impl JobTracker {
         now_ms: u64,
     ) -> Result<(), Arc<str>> {
         let verdict = self.admit_inner(database, table_uid, predicted_gbhr, kind, now_ms);
+        self.counters.deferred += usize::from(verdict.is_err());
         let name = match verdict {
             Ok(()) => crate::telemetry::names::ACT_ADMITTED_TOTAL,
             Err(_) => crate::telemetry::names::ACT_DEFERRED_TOTAL,
@@ -670,31 +944,23 @@ impl JobTracker {
         }
     }
 
-    /// Charges the GBHr budget window for one scheduled submission.
-    /// Called from [`register`](Self::register) for tracked jobs, and
-    /// directly by the pipeline for submissions the ledger cannot follow
-    /// (`scheduled: true` with no job id — see the [`TrackedExecutor`]
-    /// contract): the platform is doing the work either way, so the
-    /// budget must see it.
-    ///
-    /// `now_ms` must be non-decreasing across calls (the pipeline passes
+    /// Charges the GBHr budget window for one scheduled submission: from
+    /// [`register`](Self::register) for tracked jobs, directly for
+    /// submissions the ledger cannot follow (no job id — see the
+    /// [`TrackedExecutor`] contract); the platform does the work either
+    /// way. `now_ms` must be non-decreasing across calls (`submit` passes
     /// the cycle time, never a wave offset): pruning stops at the first
-    /// unexpired front entry, so an out-of-order future stamp would pin
-    /// older entries in the window past their horizon.
-    pub(crate) fn charge_gbhr_window(&mut self, predicted_gbhr: f64, now_ms: u64) {
+    /// unexpired front entry, so a future stamp would pin older entries
+    /// in the window past their horizon.
+    fn charge_gbhr_window(&mut self, predicted_gbhr: f64, now_ms: u64) {
         if self.config.gbhr_budget.is_some() {
             self.gbhr_window.push_back((now_ms, predicted_gbhr));
             self.gbhr_window_sum += predicted_gbhr;
         }
     }
 
-    /// Counts one admission deferral.
-    pub(crate) fn note_deferred(&mut self) {
-        self.counters.deferred += 1;
-    }
-
     /// Records a successfully scheduled submission in the ledger.
-    pub(crate) fn register(
+    fn register(
         &mut self,
         job_id: u64,
         candidate: &Candidate,
@@ -738,7 +1004,7 @@ impl JobTracker {
     /// replay after a crash — can still settle once: feedback and the
     /// dirty mark land, the already-released slots are left alone, and a
     /// second delivery is a no-op. No-op without a configured lease.
-    pub(crate) fn expire_leases(&mut self, now_ms: u64) {
+    fn expire_leases(&mut self, now_ms: u64) {
         let Some(lease) = self.config.job_lease_ms else {
             return;
         };
@@ -788,7 +1054,7 @@ impl JobTracker {
     /// Handles a submission that the platform did not schedule: transient
     /// errors re-enter the retry queue (within the retry budget),
     /// permanent errors and plan-empty no-ops are final.
-    pub(crate) fn note_unscheduled(
+    fn note_unscheduled(
         &mut self,
         candidate: &Candidate,
         prediction: &Prediction,
@@ -862,14 +1128,7 @@ impl JobTracker {
                 JobOutcomeStatus::Succeeded => {
                     self.counters.succeeded += 1;
                     self.dirty_pending.insert(uid);
-                    feedback.push(FeedbackRecord {
-                        candidate: job.candidate.id.clone(),
-                        at_ms: outcome.finished_at_ms,
-                        predicted_reduction: job.prediction.reduction,
-                        actual_reduction: outcome.actual_reduction,
-                        predicted_gbhr: job.prediction.gbhr,
-                        actual_gbhr: outcome.actual_gbhr,
-                    });
+                    feedback.push(job.feedback(&outcome));
                 }
                 JobOutcomeStatus::Conflicted => {
                     self.counters.conflicted += 1;
@@ -924,21 +1183,14 @@ impl JobTracker {
         self.counters.late_settled += 1;
         self.dirty_pending.insert(job.candidate.id.table_uid);
         if outcome.status == JobOutcomeStatus::Succeeded {
-            feedback.push(FeedbackRecord {
-                candidate: job.candidate.id.clone(),
-                at_ms: outcome.finished_at_ms,
-                predicted_reduction: job.prediction.reduction,
-                actual_reduction: outcome.actual_reduction,
-                predicted_gbhr: job.prediction.gbhr,
-                actual_gbhr: outcome.actual_gbhr,
-            });
+            feedback.push(job.feedback(outcome));
         }
     }
 
-    /// Retries whose backoff has elapsed, in scheduling order. The caller
-    /// re-submits each through admission; targets stay suppressed until
-    /// the retry is actually re-registered or abandoned.
-    pub(crate) fn take_due_retries(&mut self, now_ms: u64) -> Vec<(Candidate, Prediction, u32)> {
+    /// Retries whose backoff has elapsed, in scheduling order, each with
+    /// the submissions already spent on it, for the act phase to
+    /// re-submit.
+    fn take_due_retries(&mut self, now_ms: u64) -> Vec<(Candidate, Prediction, u32)> {
         let mut due = Vec::new();
         let mut waiting = VecDeque::with_capacity(self.retries.len());
         for entry in self.retries.drain(..) {
@@ -949,30 +1201,19 @@ impl JobTracker {
             }
         }
         self.retries = waiting;
-        // Rebuild the retry suppression index from what's still waiting;
-        // the due entries' tables are re-suppressed on re-registration.
-        self.tables_retrying = self
-            .retries
-            .iter()
-            .map(|e| (e.candidate.id.table_uid, e.prediction.kind))
-            .collect();
+        self.reindex_retries();
         due
     }
 
-    /// Requeues a retry that admission deferred, due immediately so it
-    /// competes again next cycle. Counted as deferred by the caller.
-    pub(crate) fn requeue_deferred_retry(
-        &mut self,
-        candidate: Candidate,
-        prediction: Prediction,
-        now_ms: u64,
-        attempts: u32,
-    ) {
-        self.schedule_retry(candidate, prediction, now_ms, attempts);
+    /// Rebuilds the retry suppression index from the queue (a due entry's
+    /// table is re-suppressed when its resubmission registers).
+    fn reindex_retries(&mut self) {
+        let index = |e: &RetryEntry| (e.candidate.id.table_uid, e.prediction.kind);
+        self.tables_retrying = self.retries.iter().map(index).collect();
     }
 
     /// Counts one executed retry submission (per-kind in telemetry).
-    pub(crate) fn note_retry_submitted(&mut self, kind: JobKind) {
+    fn note_retry_submitted(&mut self, kind: JobKind) {
         self.counters.retries_submitted += 1;
         self.telemetry.counter_add_labelled(
             crate::telemetry::names::ACT_RETRIES_TOTAL,
@@ -1205,11 +1446,7 @@ impl JobTracker {
                 .entry(job.candidate.database.clone())
                 .or_insert(0) += 1;
         }
-        tracker.tables_retrying = tracker
-            .retries
-            .iter()
-            .map(|e| (e.candidate.id.table_uid, e.prediction.kind))
-            .collect();
+        tracker.reindex_retries();
         Ok(tracker)
     }
 }
@@ -1549,11 +1786,129 @@ mod tests {
         assert!(!t.take_summary().to_string().contains("kinds="));
     }
 
+    /// A platform that answers every submission alike and records when
+    /// it was called.
+    struct Answering(ExecutionResult, Vec<u64>);
+
+    impl CompactionExecutor for Answering {
+        fn execute(&mut self, _: &Candidate, _: &Prediction, now_ms: u64) -> ExecutionResult {
+            self.1.push(now_ms);
+            self.0.clone()
+        }
+    }
+
+    /// The one submission path over a denial and the four platform
+    /// answers, as a first attempt (`spent` 0) and as a retry (`spent`
+    /// 1), at cycle time 5 000 with the platform called at 9 000.
+    #[test]
+    fn submit_books_every_answer_for_first_attempts_and_retries() {
+        use crate::connector::ExecutionError;
+        let answer = |scheduled, job_id, error| ExecutionResult {
+            scheduled,
+            job_id,
+            error,
+            ..ExecutionResult::default()
+        };
+        let transient = answer(false, None, Some(ExecutionError::transient("timeout")));
+        let permanent = answer(false, None, Some(ExecutionError::permanent("dropped")));
+        for spent in [0u32, 1] {
+            let retry = usize::from(spent > 0);
+            // (fleet slots, platform answer) → (deferred, in flight,
+            // retries queued, budget-window charges).
+            let cases = [
+                (0, answer(true, Some(7), None), (1, 0, retry, 0)),
+                (9, answer(true, Some(7), None), (0, 1, 0, 1)),
+                (9, answer(true, None, None), (0, 0, 0, 1)),
+                (9, transient.clone(), (0, 0, 1, 0)),
+                (9, permanent.clone(), (0, 0, 0, 0)),
+            ];
+            for (max_in_flight, answer, expect) in cases {
+                let at = format!("spent={spent} slots={max_in_flight} {answer:?}");
+                let budget = Some(100.0);
+                let mut t = JobTracker::new(JobRuntimeConfig {
+                    max_in_flight,
+                    gbhr_budget: budget,
+                    ..JobRuntimeConfig::default()
+                });
+                let mut platform = Answering(answer.clone(), Vec::new());
+                let mut phase = ActPhase {
+                    tracker: Some(&mut t),
+                    exec: &mut Executor::Plain(&mut platform),
+                    now_ms: 5_000,
+                    price: &|_| (0, 0.0),
+                    out: ActOutcome::default(),
+                };
+                let verdict = phase.submit(&candidate(1, "db"), &prediction(), spent, 9_000);
+                let credited = phase.out.total_predicted_gbhr;
+                // Deferred ⇔ `Err` ⇔ the platform was not called.
+                let called = usize::from(expect.0 == 0);
+                assert_eq!(
+                    verdict.ok(),
+                    (called == 1).then_some(answer.clone()),
+                    "{at}"
+                );
+                assert_eq!(platform.1, vec![9_000; called], "{at}");
+                // The ledger is stamped with the cycle time, a tracked job
+                // carries `spent + 1` attempts, only scheduled results are
+                // credited. A deferred retry is due now with its `spent`
+                // intact; a transient failure waits out a backoff with
+                // `spent + 1` behind it.
+                let booked = |j: &TrackedJob| (j.attempts, j.submitted_ms) == (spent + 1, 5_000);
+                assert!(t.jobs.values().all(booked), "{at}");
+                assert!(t.gbhr_window.iter().all(|w| *w == (5_000, 1.0)), "{at}");
+                assert_eq!(credited > 0.0, called == 1 && answer.scheduled, "{at}");
+                let backoff = t.config().backoff_ms(spent + 1) * called as u64;
+                let queued = (5_000 + backoff, spent + called as u32);
+                let is_queued = |r: &RetryEntry| (r.due_ms, r.attempts) == queued;
+                assert!(t.retries.iter().all(is_queued), "{at}");
+                let (charges, s) = (t.gbhr_window.len(), t.take_summary());
+                let counted = (s.deferred, s.in_flight, s.retry_pending, charges);
+                assert_eq!(
+                    (counted, s.retries_submitted),
+                    (expect, retry * called),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    /// `live_tables` lists what a per-uid `suppression_reason` probe
+    /// finds — same uids, same reasons — on a ledger mixing running jobs,
+    /// pending retries and a non-merge kind, after expiring one lease.
+    #[test]
+    fn live_tables_match_the_per_table_probe() {
+        let mut t = JobTracker::new(JobRuntimeConfig {
+            job_lease_ms: Some(1_000),
+            ..JobRuntimeConfig::default()
+        });
+        let (merge, sort) = (prediction(), kind_prediction(JobKind::SortByColumn));
+        t.register(1, &candidate(7, "db"), &sort, 1, 0);
+        for (job, uid, p) in [(2, 5, &merge), (3, 2, &sort), (4, 9, &merge), (5, 3, &sort)] {
+            t.register(job, &candidate(uid, "db"), p, 1, 500);
+        }
+        let conflict = |job, uid| outcome(job, uid, JobOutcomeStatus::Conflicted, 600);
+        t.settle(vec![conflict(4, 9), conflict(5, 3)]);
+        assert!(t.suppression_reason(7).is_some(), "lease still running");
+        let live = t.live_tables(1_000);
+        assert_eq!(t.take_summary().leases_expired, 1, "table 7's ran out");
+        let probe = |uid| Some((uid, t.suppression_reason(uid)?));
+        assert_eq!(live, (0..12).filter_map(probe).collect::<Vec<_>>());
+        let reasons: Vec<(u64, &str)> = live.iter().map(|(uid, r)| (*uid, &**r)).collect();
+        let sort_retry = "in-flight: table awaiting a sort-by-column conflict retry";
+        let expect = [
+            (2, "in-flight: table has a live sort-by-column job"),
+            (3, sort_retry),
+            (5, "in-flight: table has a live compaction job"),
+            (9, "in-flight: table awaiting a conflict retry"),
+        ];
+        assert_eq!(reasons, expect);
+    }
+
     #[test]
     fn summary_resets_counters_but_keeps_gauges() {
         let mut t = JobTracker::new(JobRuntimeConfig::default());
         t.register(1, &candidate(1, "db"), &prediction(), 1, 0);
-        t.note_suppressed();
+        t.note_suppressed(1);
         let s = t.take_summary();
         assert_eq!(s.suppressed, 1);
         assert_eq!(s.in_flight, 1);

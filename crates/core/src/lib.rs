@@ -106,7 +106,7 @@ pub mod traits;
 pub mod trigger;
 
 pub use act::{
-    pump_completions, CompletionSink, JobLedgerSummary, JobOutcome, JobOutcomeStatus,
+    pump_completions, CompletionSink, Executor, JobLedgerSummary, JobOutcome, JobOutcomeStatus,
     JobRuntimeConfig, JobTracker, TrackedExecutor, Untracked,
 };
 pub use cache::CycleCacheStats;
@@ -128,9 +128,9 @@ pub use kind::{JobKind, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_
 pub use matrix::{TraitId, TraitMatrix};
 pub use observe::{
     ChangeCursor, DegradeReason, FallbackCause, FleetObservation, FleetObserver, NameInterner,
-    ObserveDegradation, ObserveRecoveryPolicy, ObserveRequest, Quarantined, TableObservation,
+    ObserveDegradation, ObserveRequest, Quarantined, TableObservation,
 };
-pub use pipeline::{AutoComp, AutoCompConfig, CycleInput, CycleReport, Executor};
+pub use pipeline::{AutoComp, AutoCompConfig, CycleInput, CycleReport};
 pub use rank::{
     DecisionNote, RankCycleStats, RankSource, RankedEntries, RankedEntry, RankingPolicy,
     TraitWeight, RANKED_PREFIX_MIN,

@@ -110,7 +110,7 @@
 //! * **Listing fault** (`try_list_tables`): transient faults retry with
 //!   capped-exponential backoff — the act-phase shape, notional (the
 //!   driver never sleeps; the accumulated wait is charged against
-//!   [`ObserveRecoveryPolicy::retry_deadline_ms`]). On a permanent
+//!   `RETRY_DEADLINE_MS`). On a permanent
 //!   fault or an exhausted budget, the *prior listing is reused*
 //!   (`listing_stale_passes` increments; the recorded listing epoch
 //!   stays the prior's, so a healed listing re-lists). With no prior to
@@ -127,13 +127,13 @@
 //!   The *prior entry is spliced* (carry-forward: stale but
 //!   self-consistent values), the table enters the **quarantine set**
 //!   with capped-exponential backoff *in passes*
-//!   ([`ObserveRecoveryPolicy::quarantine_release`]), and once the
+//!   (base `QUARANTINE_BACKOFF_PASSES`), and once the
 //!   backoff expires the table is re-force-dirtied automatically. Each
 //!   consecutive faulted re-fetch increments the quarantine attempt
-//!   count; past [`ObserveRecoveryPolicy::max_carry_attempts`] the
+//!   count; past `MAX_CARRY_ATTEMPTS` the
 //!   entry is **retired** to [`TableObservation::Missing`] (the table
 //!   leaves the candidate set until it heals) — so a carried entry's
-//!   staleness is bounded by the sum of the first `max_carry_attempts`
+//!   staleness is bounded by the sum of the first `MAX_CARRY_ATTEMPTS`
 //!   quarantine backoffs. A successful re-fetch clears the record.
 //! * **Vanish is never a fault**: `Ok(None)` from a stats read still
 //!   means the table vanished and yields `Missing` exactly as before —
@@ -189,9 +189,6 @@ pub struct ObserveRequest {
     /// Tables to re-fetch regardless of the changelog (externally known
     /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode).
     pub force_dirty: Vec<u64>,
-    /// Recovery policy applied when connector reads fault (see the
-    /// module docs' degradation contract).
-    pub recovery: ObserveRecoveryPolicy,
 }
 
 impl ObserveRequest {
@@ -201,7 +198,6 @@ impl ObserveRequest {
             scope,
             prior: None,
             force_dirty: Vec::new(),
-            recovery: ObserveRecoveryPolicy::default(),
         }
     }
 
@@ -210,17 +206,9 @@ impl ObserveRequest {
     /// cursor, or the scope changed.
     pub fn incremental(scope: ScopeStrategy, prior: FleetObservation) -> Self {
         ObserveRequest {
-            scope,
             prior: Some(prior),
-            force_dirty: Vec::new(),
-            recovery: ObserveRecoveryPolicy::default(),
+            ..Self::fresh(scope)
         }
-    }
-
-    /// Adds externally known dirty tables (builder style).
-    pub fn with_force_dirty(mut self, uids: impl IntoIterator<Item = u64>) -> Self {
-        self.force_dirty.extend(uids);
-        self
     }
 }
 
@@ -286,71 +274,27 @@ impl DegradeReason {
     }
 }
 
-/// Per-source recovery policy of the observe driver (see the module
-/// docs' degradation contract): capped-exponential retry-with-deadline
-/// for listing/changelog reads, carry-forward + quarantine for
-/// per-table stats reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObserveRecoveryPolicy {
-    /// Extra attempts after a transient listing/changelog fault.
-    pub max_retries: u32,
-    /// Base of the capped-exponential retry backoff (the act-phase
-    /// shape). Notional: the driver never sleeps — the accumulated wait
-    /// is charged against [`retry_deadline_ms`](Self::retry_deadline_ms)
-    /// so retry behavior stays deterministic.
-    pub retry_backoff_ms: u64,
-    /// Ceiling of one retry's backoff.
-    pub retry_backoff_cap_ms: u64,
-    /// Cumulative notional-backoff budget per read; a retry whose
-    /// backoff would exceed it gives up instead.
-    pub retry_deadline_ms: u64,
-    /// Consecutive faulted fetches a table's stale prior entry may be
-    /// carried before the entry is retired to `Missing`.
-    pub max_carry_attempts: u32,
-    /// Base quarantine backoff, measured in observe *passes* (the
-    /// observe path carries no wall clock).
-    pub quarantine_backoff_passes: u64,
-    /// Ceiling of the quarantine backoff, in passes.
-    pub quarantine_backoff_cap_passes: u64,
-}
+// The recovery policy of the observe driver (see the module docs'
+// degradation contract): capped-exponential retry-with-deadline for
+// listing/changelog reads, carry-forward + quarantine for per-table
+// stats reads. Read backoffs are notional — the driver never sleeps, the
+// accumulated wait is charged against the deadline — and quarantine
+// backoffs count observe *passes* (the observe path has no wall clock).
 
-impl Default for ObserveRecoveryPolicy {
-    fn default() -> Self {
-        ObserveRecoveryPolicy {
-            max_retries: 3,
-            retry_backoff_ms: 250,
-            retry_backoff_cap_ms: 2_000,
-            retry_deadline_ms: 4_000,
-            max_carry_attempts: 8,
-            quarantine_backoff_passes: 1,
-            quarantine_backoff_cap_passes: 8,
-        }
-    }
-}
-
-impl ObserveRecoveryPolicy {
-    /// Notional backoff before retry `attempt` (1-based): the act-phase
-    /// capped-exponential shape.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(16);
-        self.retry_backoff_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.retry_backoff_cap_ms)
-    }
-
-    /// Pass at which a table quarantined after `attempts` consecutive
-    /// faults is re-force-dirtied: capped-exponential in passes, never
-    /// sooner than the next pass.
-    pub fn quarantine_release(&self, pass: u64, attempts: u32) -> u64 {
-        let shift = attempts.saturating_sub(1).min(16);
-        let wait = self
-            .quarantine_backoff_passes
-            .saturating_mul(1u64 << shift)
-            .min(self.quarantine_backoff_cap_passes)
-            .max(1);
-        pass.saturating_add(wait)
-    }
-}
+/// Extra attempts after a transient listing/changelog fault.
+const MAX_READ_RETRIES: u32 = 3;
+/// Base and ceiling of one read retry's backoff (the act-phase shape).
+const RETRY_BACKOFF_MS: u64 = 250;
+const RETRY_BACKOFF_CAP_MS: u64 = 2_000;
+/// Cumulative backoff budget per read; a retry past it gives up instead.
+const RETRY_DEADLINE_MS: u64 = 4_000;
+/// Consecutive faulted fetches a table's stale prior entry may be
+/// carried before the entry is retired to `Missing`.
+const MAX_CARRY_ATTEMPTS: u32 = 8;
+/// Base and ceiling of the quarantine backoff, in passes (both at least
+/// one: a quarantined table is never retried sooner than the next pass).
+const QUARANTINE_BACKOFF_PASSES: u64 = 1;
+const QUARANTINE_BACKOFF_CAP_PASSES: u64 = 8;
 
 /// Quarantine record of one table whose stats read faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -844,19 +788,12 @@ impl FleetObservation {
 pub struct FleetObserver {
     prior: Option<FleetObservation>,
     pending_dirty: BTreeSet<u64>,
-    recovery: ObserveRecoveryPolicy,
 }
 
 impl FleetObserver {
     /// A fresh observer; its first observe is always a full fetch.
     pub fn new() -> Self {
         FleetObserver::default()
-    }
-
-    /// Overrides the fault-recovery policy applied to every observe this
-    /// observer drives.
-    pub fn set_recovery(&mut self, recovery: ObserveRecoveryPolicy) {
-        self.recovery = recovery;
     }
 
     /// Marks a table dirty so the next observe re-fetches its stats even
@@ -887,16 +824,16 @@ impl FleetObserver {
         let observation = connector.observe(ObserveRequest {
             scope,
             prior: self.prior.take(),
-            force_dirty: self.pending_dirty.iter().copied().collect(),
-            recovery: self.recovery,
+            force_dirty: std::mem::take(&mut self.pending_dirty)
+                .into_iter()
+                .collect(),
         });
-        self.pending_dirty.clear();
         self.prior.insert(observation)
     }
 
-    /// Tables marked dirty but not yet folded into an observe — captured
-    /// by snapshots so a restore re-fetches exactly what a crash-free run
-    /// would have.
+    /// Tables marked dirty but not yet folded into an observe: the
+    /// runtime's dirty backlog, and captured by snapshots so a restore
+    /// re-fetches exactly what a crash-free run would have.
     pub(crate) fn pending_dirty(&self) -> &BTreeSet<u64> {
         &self.pending_dirty
     }
@@ -1193,7 +1130,6 @@ fn assemble(
 /// deadline is spent; permanent faults fail immediately. Returns the
 /// final result plus the retries consumed.
 fn retry_read<T>(
-    policy: &ObserveRecoveryPolicy,
     mut attempt: impl FnMut() -> Result<T, ObserveFault>,
 ) -> (Result<T, ObserveFault>, u32) {
     let mut retries = 0u32;
@@ -1202,11 +1138,12 @@ fn retry_read<T>(
         match attempt() {
             Ok(value) => return (Ok(value), retries),
             Err(fault) => {
-                if !fault.is_transient() || retries >= policy.max_retries {
+                if !fault.is_transient() || retries >= MAX_READ_RETRIES {
                     return (Err(fault), retries);
                 }
-                waited = waited.saturating_add(policy.backoff_ms(retries + 1));
-                if waited > policy.retry_deadline_ms {
+                let backoff = RETRY_BACKOFF_MS.saturating_mul(1 << retries.min(16));
+                waited = waited.saturating_add(backoff.min(RETRY_BACKOFF_CAP_MS));
+                if waited > RETRY_DEADLINE_MS {
                     return (Err(fault), retries);
                 }
                 retries += 1;
@@ -1239,7 +1176,6 @@ fn resolve_reads(
     try_list: impl FnMut() -> Result<Vec<TableRef>, ObserveFault>,
     mut try_changes: impl FnMut(ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault>,
 ) -> ResolvedReads {
-    let policy = &request.recovery;
     let prior = request.prior.as_ref();
     let mut deg = ObserveDegradation {
         pass: prior.map_or(0, |p| p.degradation.pass + 1),
@@ -1253,7 +1189,7 @@ fn resolve_reads(
     let tables = match (connector_epoch, prior) {
         (Some(e), Some(p)) if p.listing_epoch() == Some(e) => Some(p.tables_shared()),
         _ => {
-            let (res, retries) = retry_read(policy, try_list);
+            let (res, retries) = retry_read(try_list);
             deg.listing_retries = retries;
             match res {
                 Ok(listed) => Some(Arc::new(listed)),
@@ -1282,7 +1218,7 @@ fn resolve_reads(
     if let Some(p) = prior {
         if p.scope() == request.scope {
             if let Some(cursor) = p.cursor() {
-                let (res, retries) = retry_read(policy, || try_changes(cursor));
+                let (res, retries) = retry_read(|| try_changes(cursor));
                 deg.changelog_retries = retries;
                 match res {
                     Ok(Some(dirty)) => changes = Some(dirty),
@@ -1314,7 +1250,6 @@ fn resolve_reads(
 fn absorb_stats_fault(
     uid: u64,
     can_carry: bool,
-    policy: &ObserveRecoveryPolicy,
     prior_deg: &ObserveDegradation,
     deg: &mut ObserveDegradation,
 ) -> Option<TableObservation> {
@@ -1324,12 +1259,16 @@ fn absorb_stats_fault(
         .get(&uid)
         .map_or(0, |q| q.attempts)
         .saturating_add(1);
-    let carried = can_carry && attempts <= policy.max_carry_attempts;
+    let carried = can_carry && attempts <= MAX_CARRY_ATTEMPTS;
+    // Capped-exponential in passes.
+    let wait = QUARANTINE_BACKOFF_PASSES
+        .saturating_mul(1 << (attempts - 1).min(16))
+        .min(QUARANTINE_BACKOFF_CAP_PASSES);
     deg.quarantine.insert(
         uid,
         Quarantined {
             attempts,
-            release_pass: policy.quarantine_release(deg.pass, attempts),
+            release_pass: deg.pass.saturating_add(wait),
             carried,
         },
     );
@@ -1372,7 +1311,6 @@ fn absorb_results(
     tables: &[TableRef],
     plan: &mut Plan,
     prior: Option<&FleetObservation>,
-    policy: &ObserveRecoveryPolicy,
     results: Vec<Result<TableObservation, ObserveFault>>,
     deg: &mut ObserveDegradation,
 ) -> Vec<TableObservation> {
@@ -1391,7 +1329,7 @@ fn absorb_results(
             }
             Err(_) => {
                 let can_carry = plan.prior_position(*pos).is_some();
-                match absorb_stats_fault(uid, can_carry, policy, prior_deg, deg) {
+                match absorb_stats_fault(uid, can_carry, prior_deg, deg) {
                     Some(retired) => retired,
                     None => continue,
                 }
@@ -1429,7 +1367,7 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         |c| connector.try_changes_since(c),
     );
     let cursor = connector.fleet_cursor();
-    let (scope, policy, dirty) = (request.scope, &request.recovery, &request.force_dirty);
+    let (scope, dirty) = (request.scope, &request.force_dirty);
     // A scope change drops carry and quarantine state with the prior:
     // its entries have the wrong shape.
     let prior = request.prior.filter(|p| p.scope() == scope);
@@ -1439,14 +1377,7 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         .iter()
         .map(|pos| fetch_one(connector, &tables[*pos as usize], scope))
         .collect();
-    let stats = absorb_results(
-        &tables,
-        &mut plan,
-        prior.as_ref(),
-        policy,
-        results,
-        &mut deg,
-    );
+    let stats = absorb_results(&tables, &mut plan, prior.as_ref(), results, &mut deg);
     let mut obs = assemble(scope, tables, listing_epoch, cursor, plan, prior, stats);
     obs.degradation = deg;
     obs
@@ -2069,21 +2000,24 @@ mod tests {
     #[test]
     fn carry_budget_exhaustion_retires_the_entry_to_missing() {
         let lake = FaultyLake::new(3);
-        let policy = ObserveRecoveryPolicy {
-            max_carry_attempts: 1,
-            quarantine_backoff_passes: 1,
-            quarantine_backoff_cap_passes: 1,
-            ..ObserveRecoveryPolicy::default()
-        };
         let mut observer = FleetObserver::new();
-        observer.set_recovery(policy);
         observer.observe(&lake, ScopeStrategy::Table);
-        // Two consecutive faulted re-fetches: carry, then retire.
-        lake.fault_stats(1, vec![ObserveFault::transient("flaky"); 2]);
+        // One faulted re-fetch more than the carry budget: each fault
+        // within the budget carries, the next retires. Re-fetches wait
+        // out the quarantine backoff; the quiet passes in between keep
+        // the carried record.
+        let faults = MAX_CARRY_ATTEMPTS as usize + 1;
+        lake.fault_stats(1, vec![ObserveFault::transient("flaky"); faults]);
         lake.inner.write(1);
-        let obs = observer.observe(&lake, ScopeStrategy::Table);
-        assert_eq!(obs.degradation().carried_entries(), 1);
-        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        let attempts = |obs: &FleetObservation| obs.degradation().quarantine[&1].attempts;
+        for _ in 0..faults as u64 * QUARANTINE_BACKOFF_CAP_PASSES {
+            let obs = observer.observe(&lake, ScopeStrategy::Table);
+            if attempts(obs) > MAX_CARRY_ATTEMPTS {
+                break;
+            }
+            assert_eq!(obs.degradation().carried_entries(), 1);
+        }
+        let obs = observer.last().unwrap();
         assert_eq!(obs.degradation().carried_entries(), 0);
         assert_eq!(obs.degradation().retired_entries(), 1);
         let pos = obs.position_of_uid(1).unwrap();
@@ -2092,8 +2026,12 @@ mod tests {
             .degradation()
             .reasons()
             .contains(&DegradeReason::Retired));
-        // Healing re-fetch restores the table.
-        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        // Healing re-fetch (once the last backoff expires) restores the
+        // table.
+        for _ in 0..QUARANTINE_BACKOFF_CAP_PASSES {
+            observer.observe(&lake, ScopeStrategy::Table);
+        }
+        let obs = observer.last().unwrap();
         assert!(obs.degradation().quarantine.is_empty());
         assert_ne!(*obs.entry(pos), TableObservation::Missing);
     }

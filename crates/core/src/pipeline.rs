@@ -20,25 +20,28 @@
 //! invalidation rules (cursor chain, config epoch, scope/width, and the
 //! time-sensitivity gate for filter chains).
 //!
-//! The act phase is a managed lifecycle when a job runtime is attached
-//! ([`AutoComp::with_job_tracker`]): candidates whose table has a job in
-//! flight are suppressed (a drop reason, checked *after* the cache
-//! splice so cached rows survive the job), submissions pass admission
-//! control (concurrency slots + GBHr budget; denied candidates are
-//! *deferred*, not dropped), conflicted jobs retry with capped backoff,
-//! and settled successes auto-ingest as estimator feedback.
-//! [`AutoComp::cycle`] drives the full loop when handed an
-//! [`Executor::Tracked`]; see [`crate::act`] for the lifecycle contract.
+//! The act phase belongs to [`crate::act`]: this module materializes the
+//! selected candidates, has the scheduler plan them, freezes calibration
+//! and ingests the phase's feedback afterwards; admission, submission,
+//! retries and the ledger's books are `act`'s. With a job runtime
+//! attached ([`AutoComp::with_job_tracker`]) the ledger also names its
+//! live tables after the cache splice (so cached rows survive a job), and
+//! their candidates drop out with a reason in the cycle's one thinning
+//! pass. Hand [`AutoComp::cycle`] an [`Executor::Tracked`] so finished
+//! jobs settle.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::act::{JobLedgerSummary, JobOutcome, JobRuntimeConfig, JobTracker, TrackedExecutor};
+use crate::act::{
+    pricing, ActOutcome, ActPhase, Executor, JobLedgerSummary, JobOutcome, JobRuntimeConfig,
+    JobTracker,
+};
 use crate::cache::{CacheGen, CycleCache, CycleCacheStats};
 use crate::candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
-use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
+use crate::connector::{ExecutionResult, LakeConnector, Prediction};
 use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
@@ -47,10 +50,10 @@ use crate::matrix::TraitMatrix;
 use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation};
 use crate::rank::{
     rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankMemo, RankSource, RankedEntries,
-    RankedEntry, RankingPolicy, RANKED_PREFIX_MIN,
+    RankingPolicy, NO_PRIOR_ROW, RANKED_PREFIX_MIN,
 };
 use crate::report::{decision_rows, render_table};
-use crate::schedule::{waves, ParallelTablesScheduler, Scheduler};
+use crate::schedule::{ParallelTablesScheduler, Scheduler};
 use crate::scope::ScopeStrategy;
 use crate::stats::CandidateStats;
 use crate::telemetry::{names as tnames, phase as tphase, TelemetrySink};
@@ -312,11 +315,6 @@ impl AutoComp {
         self
     }
 
-    /// Whether the incremental cycle cache is enabled.
-    pub fn cycle_cache_enabled(&self) -> bool {
-        self.cache.enabled()
-    }
-
     /// Splice effectiveness of the most recent cycle: how many tables
     /// were spliced from the cache vs recomputed.
     pub fn cycle_cache_stats(&self) -> CycleCacheStats {
@@ -567,7 +565,7 @@ impl AutoComp {
         let old_rows: &[f64] = old_gen.map(|(g, _)| g.rows.as_slice()).unwrap_or(&[]);
         // `width` ≥ 1: the cycle requires a registered trait.
         for (slot, row) in kept_slots.iter().zip(scratch.chunks_exact_mut(width)) {
-            if slot.cached_row != COMPUTE {
+            if slot.cached_row != NO_PRIOR_ROW {
                 let start = slot.cached_row as usize * width;
                 row.copy_from_slice(&old_rows[start..start + width]);
             } else {
@@ -611,44 +609,45 @@ impl AutoComp {
         self.telemetry
             .gauge_set(tnames::PIPELINE_CACHE_RECOMPUTED, recomputed as f64);
 
-        // In-flight suppression (job runtime): candidates whose table
-        // has a live job — running, or waiting out a conflict-retry
-        // backoff — drop out of this cycle with an explicit reason.
-        // Checked *post-splice* by design: the cache generation above
-        // recorded the ledger-free verdicts and rows, so they stay valid
-        // for the cycle in which the job settles.
+        // One thinning pass for the two post-splice drop sources. The
+        // ledger lists its live tables (a running job, or a retry waiting
+        // out its backoff); each is found through the observation's uid
+        // index and the position-sorted kept slots, so every candidate of
+        // a live table drops at a cost that scales with the live set, not
+        // the fleet. Post-splice by design: the generation installed above
+        // is ledger-free, so it stays valid for the cycle in which the job
+        // settles. Then NaN trait values become dropped candidates (one
+        // NaN from a connector must not poison ranking for the fleet); a
+        // row the ledger already dropped keeps the ledger's reason.
+        let mut suppressed: Vec<(usize, Arc<str>)> = Vec::new();
         if let Some(tracker) = self.tracker.as_mut() {
-            tracker.expire_leases(now_ms);
-            if tracker.has_live_targets() {
-                let mut keep = vec![true; kept_slots.len()];
-                let mut any_suppressed = false;
-                for (i, slot) in kept_slots.iter().enumerate() {
-                    let uid = tables[slot.table as usize].table_uid;
-                    if let Some(reason) = tracker.suppression_reason(uid) {
-                        keep[i] = false;
-                        any_suppressed = true;
-                        dropped.push((slot_id(observation, *slot, single_scope), reason));
-                        tracker.note_suppressed();
-                    }
-                }
-                if any_suppressed {
-                    retain_masked(&mut matrix, &mut kept_slots, &mut gen_rows, &keep);
-                }
+            let live = tracker.live_tables(now_ms).into_iter();
+            let listed = live.filter_map(|(uid, r)| Some((observation.position_of_uid(uid)?, r)));
+            for (pos, reason) in listed {
+                let first = kept_slots.partition_point(|s| (s.table as usize) < pos);
+                let of_table = kept_slots[first..].iter();
+                let rows = of_table.take_while(|s| s.table as usize == pos).count();
+                suppressed.extend((first..first + rows).map(|row| (row, reason.clone())));
             }
+            tracker.note_suppressed(suppressed.len());
         }
-
-        // Sanitize NaN trait values into dropped candidates (a single NaN
-        // from a connector must not poison ranking for the whole fleet).
         let nan_rows = matrix.nan_rows();
-        if !nan_rows.is_empty() {
+        if !suppressed.is_empty() || !nan_rows.is_empty() {
             let mut keep = vec![true; kept_slots.len()];
-            for (row, id) in &nan_rows {
-                keep[*row] = false;
-                let note = DecisionNote::NanTrait {
-                    trait_name: matrix.trait_name(*id).into(),
-                };
-                let cid = slot_id(observation, kept_slots[*row], single_scope);
-                dropped.push((cid, Arc::from(note.to_string())));
+            // `dropped` lists ledger hits in row order, then NaN rows.
+            suppressed.sort_unstable_by_key(|(row, _)| *row);
+            for (row, reason) in suppressed {
+                keep[row] = false;
+                dropped.push((slot_id(observation, kept_slots[row], single_scope), reason));
+            }
+            for (row, id) in nan_rows {
+                if std::mem::replace(&mut keep[row], false) {
+                    let note = DecisionNote::NanTrait {
+                        trait_name: matrix.trait_name(id).into(),
+                    };
+                    let cid = slot_id(observation, kept_slots[row], single_scope);
+                    dropped.push((cid, Arc::from(note.to_string())));
+                }
             }
             retain_masked(&mut matrix, &mut kept_slots, &mut gen_rows, &keep);
         }
@@ -668,7 +667,6 @@ impl AutoComp {
             single_scope,
             uniform_tail,
         };
-        let prior_rows: Vec<u32> = kept_slots.iter().map(|s| s.cached_row).collect();
         let memo_in = self.rank_memo.as_ref().and_then(|s| {
             (s.epoch == self.epoch
                 && s.scope == observation.scope()
@@ -678,10 +676,9 @@ impl AutoComp {
         });
         let delta = fill_cache.then_some(RankDelta {
             memo: memo_in,
-            prior_rows: &prior_rows,
+            slots: &kept_slots,
             gen_rows: &gen_rows,
             gen_len,
-            gen_identity: gen_rows.len() == gen_len,
         });
         let (ranked, memo_out, rank_stats) =
             rank_with_memo(&source, &matrix, &self.config.policy, delta.as_ref())?;
@@ -712,13 +709,12 @@ impl AutoComp {
                 .counter_add(tnames::PIPELINE_MEMO_FAST_TOTAL, 1);
         }
 
-        // Act: only the selected candidates are materialized; entries
-        // carry their candidate index, so job planning needs no id-keyed
-        // lookup tables.
+        // Act: only the selected candidates are materialized; the
+        // scheduler arranges them into waves, calibration is frozen here
+        // for the whole phase, and `crate::act` runs the protocol.
         let span_t = self.telemetry.span_start();
-        let selected_entries: Vec<&RankedEntry> = ranked.selected().collect();
-        let selected: Vec<Candidate> = selected_entries
-            .iter()
+        let selected: Vec<Candidate> = ranked
+            .selected()
             .map(|e| {
                 let slot = kept_slots[e.index];
                 Candidate::new(
@@ -730,203 +726,19 @@ impl AutoComp {
             .collect();
         let selected_refs: Vec<&Candidate> = selected.iter().collect();
         let jobs = self.scheduler.plan(&selected_refs);
-
-        let reduction_id = matrix.trait_id("file_count_reduction");
-        let gbhr_id = matrix.trait_id("compute_cost_gbhr");
-        let (reduction_cal, cost_cal) = if self.config.calibrate {
-            (
-                self.feedback.reduction_calibration(),
-                self.feedback.cost_calibration(),
-            )
-        } else {
-            (1.0, 1.0)
-        };
-
-        let mut executed = Vec::new();
-        let mut retried = Vec::new();
-        let mut deferred: Vec<(CandidateId, Arc<str>)> = Vec::new();
-        let mut pending_feedback: Vec<FeedbackRecord> = Vec::new();
-        let mut total_predicted_reduction = 0i64;
-        let mut total_predicted_gbhr = 0.0;
-        let mut wave_start = now_ms;
-
-        // Conflict/transient retries whose backoff elapsed go first:
-        // they are older work, already admitted once, and their tables
-        // were suppressed from this cycle's ranking above. Each retry
-        // re-passes admission; deferred retries requeue for next cycle.
-        //
-        // Retry re-ranking: a retry's original prediction was computed
-        // from the stats of the cycle that first selected it — and the
-        // conflicting write that caused the retry changed exactly those
-        // stats (the settle force-dirtied the table, so this cycle's
-        // observation carries the post-write state). Re-score against
-        // the current stats before resubmission so admission charges an
-        // honest GBHr estimate; when the table (or partition) is no
-        // longer observable the original prediction is kept.
-        let reduction_tc = self
-            .traits
-            .iter()
-            .rev()
-            .find(|t| t.name() == "file_count_reduction");
-        let gbhr_tc = self
-            .traits
-            .iter()
-            .rev()
-            .find(|t| t.name() == "compute_cost_gbhr");
-        if let Some(tracker) = self.tracker.as_mut() {
-            for (mut candidate, mut prediction, attempts) in tracker.take_due_retries(now_ms) {
-                if let Some(stats) = retry_stats(observation, &candidate) {
-                    let raw_reduction = reduction_tc
-                        .map(|t| t.compute(stats))
-                        .unwrap_or(stats.small_file_count as f64);
-                    let raw_gbhr = gbhr_tc.map(|t| t.compute(stats)).unwrap_or(0.0);
-                    prediction = Prediction {
-                        reduction: (raw_reduction * reduction_cal).round() as i64,
-                        gbhr: raw_gbhr * cost_cal,
-                        trigger: prediction.trigger,
-                        // The retry resubmits the job it is retrying: the
-                        // kind never re-classifies from fresher stats.
-                        kind: prediction.kind,
-                    };
-                    candidate.stats = stats.clone();
-                }
-                match tracker.admit(
-                    &candidate.database,
-                    candidate.id.table_uid,
-                    prediction.gbhr,
-                    prediction.kind,
-                    now_ms,
-                ) {
-                    Err(reason) => {
-                        tracker.note_deferred();
-                        deferred.push((candidate.id.clone(), reason));
-                        tracker.requeue_deferred_retry(candidate, prediction, now_ms, attempts);
-                    }
-                    Ok(()) => {
-                        let attempts = attempts + 1;
-                        let result = exec.execute(&candidate, &prediction, now_ms);
-                        tracker.note_retry_submitted(prediction.kind);
-                        if result.scheduled {
-                            total_predicted_reduction += prediction.reduction;
-                            total_predicted_gbhr += prediction.gbhr;
-                            match result.job_id {
-                                Some(job_id) => tracker.register(
-                                    job_id,
-                                    &candidate,
-                                    &prediction,
-                                    attempts,
-                                    now_ms,
-                                ),
-                                // Scheduled but id-less: the ledger cannot
-                                // follow it, but the budget must see it
-                                // (TrackedExecutor contract).
-                                None => tracker.charge_gbhr_window(prediction.gbhr, now_ms),
-                            }
-                        } else {
-                            tracker.note_unscheduled(
-                                &candidate,
-                                &prediction,
-                                attempts,
-                                &result,
-                                now_ms,
-                            );
-                        }
-                        retried.push(ExecutedJob {
-                            id: candidate.id,
-                            prediction,
-                            result,
-                            wave: 0,
-                        });
-                    }
-                }
-            }
+        let calibration = self.config.calibrate.then_some(&self.feedback);
+        let act = ActPhase {
+            tracker: self.tracker.as_mut(),
+            exec: &mut exec,
+            now_ms,
+            price: &pricing(&self.traits, calibration),
+            out: ActOutcome::default(),
         }
+        .run(observation, &selected, &jobs, &self.config.trigger_label);
 
-        let all_waves = waves(&jobs);
-        let wave_count = all_waves.len();
-        for (wave_index, wave_jobs) in all_waves.into_iter().enumerate() {
-            let mut wave_due = wave_start;
-            for job in wave_jobs {
-                let entry = selected_entries[job.index];
-                let candidate = &selected[job.index];
-                let raw_reduction = reduction_id
-                    .map(|id| matrix.value(entry.index, id))
-                    .unwrap_or(candidate.stats.small_file_count as f64);
-                let raw_gbhr = gbhr_id
-                    .map(|id| matrix.value(entry.index, id))
-                    .unwrap_or(0.0);
-                let prediction = Prediction {
-                    reduction: (raw_reduction * reduction_cal).round() as i64,
-                    gbhr: raw_gbhr * cost_cal,
-                    trigger: self.config.trigger_label.clone(),
-                    kind: crate::kind::JobKind::classify(&candidate.stats),
-                };
-                // Admission control: a denied submission is deferred —
-                // reported, left unexecuted, and regenerated next cycle.
-                // Tracker timestamps are the *cycle* time even for later
-                // waves: wave_start jumps past commit deadlines, and a
-                // future-stamped budget-window entry would block expiry
-                // of later cycles' older-stamped charges.
-                if let Some(tracker) = self.tracker.as_mut() {
-                    if let Err(reason) = tracker.admit(
-                        &candidate.database,
-                        candidate.id.table_uid,
-                        prediction.gbhr,
-                        prediction.kind,
-                        now_ms,
-                    ) {
-                        tracker.note_deferred();
-                        deferred.push((job.id.clone(), reason));
-                        continue;
-                    }
-                }
-                let result = exec.execute(candidate, &prediction, wave_start);
-                if result.scheduled {
-                    total_predicted_reduction += prediction.reduction;
-                    total_predicted_gbhr += prediction.gbhr;
-                    if let Some(due) = result.commit_due_ms {
-                        wave_due = wave_due.max(due);
-                    }
-                    if let Some(tracker) = self.tracker.as_mut() {
-                        match result.job_id {
-                            Some(job_id) => {
-                                tracker.register(job_id, candidate, &prediction, 1, now_ms)
-                            }
-                            // Scheduled but id-less (see TrackedExecutor's
-                            // contract): budget-charged, not tracked.
-                            None => tracker.charge_gbhr_window(prediction.gbhr, now_ms),
-                        }
-                    }
-                } else if let Some(tracker) = self.tracker.as_mut() {
-                    tracker.note_unscheduled(candidate, &prediction, 1, &result, now_ms);
-                }
-                executed.push(ExecutedJob {
-                    id: job.id.clone(),
-                    prediction,
-                    result,
-                    wave: job.wave,
-                });
-            }
-            // The next wave starts only after this wave's commits are due
-            // (sequential partition compaction, §6).
-            wave_start = wave_due.max(wave_start) + 1;
-            // Inter-wave settling: a wave-1 commit that already landed
-            // frees its table (ledger slot + suppression) before wave 2
-            // submits — the tracked analogue of the engine draining due
-            // commits at each submission.
-            if wave_index + 1 < wave_count {
-                if let Some(tracker) = self.tracker.as_mut() {
-                    if let Some(outcomes) = exec.poll(wave_start) {
-                        pending_feedback.extend(tracker.settle(outcomes));
-                    }
-                }
-            }
-        }
-
-        // Auto-ingest feedback from inter-wave settles. Calibration
-        // factors were frozen at cycle start, so deferring ingestion to
-        // the end keeps every wave's predictions consistent.
-        for record in pending_feedback {
+        // Auto-ingest feedback from inter-wave settles only now, so every
+        // wave was priced under the same calibration.
+        for record in act.feedback {
             self.feedback.record(record);
         }
         self.telemetry.span_end(tphase::ACT, span_t);
@@ -951,12 +763,12 @@ impl AutoComp {
             dropped,
             traits: matrix,
             ranked,
-            executed,
-            deferred,
-            retried,
+            executed: act.executed,
+            deferred: act.deferred,
+            retried: act.retried,
             ledger,
-            total_predicted_reduction,
-            total_predicted_gbhr,
+            total_predicted_reduction: act.total_predicted_reduction,
+            total_predicted_gbhr: act.total_predicted_gbhr,
         })
     }
 }
@@ -1289,38 +1101,6 @@ pub struct CycleInput<'a> {
     pub now_ms: u64,
 }
 
-/// The two act-side executor tiers: plain fire-and-forget executors
-/// cannot settle outcomes (no poll at cycle start or between waves);
-/// tracked executors can.
-pub enum Executor<'a> {
-    /// Fire-and-forget submission.
-    Plain(&'a mut dyn CompactionExecutor),
-    /// Submission plus outcome polling: the cycle settles finished jobs
-    /// before observing and between waves.
-    Tracked(&'a mut dyn TrackedExecutor),
-}
-
-impl Executor<'_> {
-    fn execute(
-        &mut self,
-        candidate: &Candidate,
-        prediction: &Prediction,
-        now_ms: u64,
-    ) -> ExecutionResult {
-        match self {
-            Executor::Plain(e) => e.execute(candidate, prediction, now_ms),
-            Executor::Tracked(e) => e.execute(candidate, prediction, now_ms),
-        }
-    }
-
-    fn poll(&mut self, now_ms: u64) -> Option<Vec<JobOutcome>> {
-        match self {
-            Executor::Plain(_) => None,
-            Executor::Tracked(e) => Some(e.poll(now_ms)),
-        }
-    }
-}
-
 /// Output of the filter/splice walk: the cycle's kept set, drop trail,
 /// next cache generation (when filling), and splice statistics.
 struct WalkOutput {
@@ -1550,7 +1330,7 @@ fn filter_splice_walk(
                     kept_slots.push(KeptSlot {
                         table: ti as u32,
                         part,
-                        cached_row: COMPUTE,
+                        cached_row: NO_PRIOR_ROW,
                     });
                     if let Some(gen) = &mut gen {
                         gen.push_kept();
@@ -1593,17 +1373,15 @@ fn retain_masked(
 /// Sentinel partition index for single-candidate scopes.
 const NO_PART: u32 = u32::MAX;
 
-/// Sentinel cache-row index: compute the trait row fresh.
-const COMPUTE: u32 = u32::MAX;
-
 /// Index of one kept candidate into its observation — table position plus
-/// partition offset — with the prior-generation row to splice from (or
-/// [`COMPUTE`]).
+/// partition offset — with the prior-generation row its trait row (and,
+/// in the rank phase, its score) splices from, or [`NO_PRIOR_ROW`]:
+/// compute fresh.
 #[derive(Debug, Clone, Copy)]
-struct KeptSlot {
+pub(crate) struct KeptSlot {
     table: u32,
     part: u32,
-    cached_row: u32,
+    pub(crate) cached_row: u32,
 }
 
 /// Stats of the `ci`-th candidate of an entry.
@@ -1612,26 +1390,6 @@ fn stats_of(entry: &TableObservation, ci: usize) -> &CandidateStats {
         TableObservation::Table(stats) => stats,
         TableObservation::Partitions(parts) => &parts[ci].1,
         TableObservation::Missing => unreachable!("missing entries yield no candidates"),
-    }
-}
-
-/// Current-cycle stats of a retry candidate, located by uid (via the
-/// observation's retained uid index) and, for partition-scope retries,
-/// by partition label. `None` when the table vanished, the scope shape
-/// changed, or the partition is no longer reported — the retry then
-/// keeps its original prediction.
-fn retry_stats<'a>(
-    observation: &'a FleetObservation,
-    candidate: &Candidate,
-) -> Option<&'a CandidateStats> {
-    let pos = observation.position_of_uid(candidate.id.table_uid)?;
-    match (observation.entry(pos), &candidate.id.partition) {
-        (TableObservation::Table(stats), None) => Some(stats),
-        (TableObservation::Partitions(parts), Some(label)) => parts
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, stats)| stats),
-        _ => None,
     }
 }
 
@@ -1760,7 +1518,9 @@ impl fmt::Debug for AutoComp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::act::TrackedExecutor;
     use crate::candidate::TableRef;
+    use crate::connector::CompactionExecutor;
     use crate::filter::MinSizeFilter;
     use crate::rank::TraitWeight;
     use crate::stats::CandidateStats;
@@ -1768,10 +1528,12 @@ mod tests {
 
     /// In-memory lake with configurable per-table small-file counts.
     /// `changelog` gives it a change cursor over a log that never records
-    /// a write.
+    /// a write; every table reports `partitions` partitions of its own
+    /// stats.
     struct MemoryLake {
         tables: Vec<(TableRef, CandidateStats)>,
         changelog: bool,
+        partitions: u64,
     }
 
     impl MemoryLake {
@@ -1803,6 +1565,7 @@ mod tests {
             MemoryLake {
                 tables,
                 changelog: false,
+                partitions: 0,
             }
         }
     }
@@ -1817,8 +1580,10 @@ mod tests {
                 .find(|(t, _)| t.table_uid == uid)
                 .map(|(_, s)| s.clone())
         }
-        fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
-            Vec::new()
+        fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+            let stats = self.table_stats(uid).unwrap_or_default();
+            let part = |p| (format!("p{p}"), stats.clone());
+            (0..self.partitions).map(part).collect()
         }
         fn fleet_cursor(&self) -> Option<crate::observe::ChangeCursor> {
             self.changelog.then_some(crate::observe::ChangeCursor(0))
@@ -2144,6 +1909,59 @@ mod tests {
         assert_eq!(report.ranked.len(), 2);
         assert_eq!(report.selected_count(), 1);
         assert_eq!(exec.calls[0].0, CandidateId::table(1));
+    }
+
+    /// Suppression covers every partition of a live table, and `dropped`
+    /// lists the hits in row (listing) order — not in the uid order the
+    /// ledger reports its live tables in.
+    #[test]
+    fn live_tables_drop_all_their_partitions_in_row_order() {
+        let lake = MemoryLake {
+            partitions: 3,
+            ..MemoryLake::with_tables(&[(2, 300, 10 << 30), (3, 100, 10 << 30), (1, 500, 10 << 30)])
+        };
+        let mut ac = pipeline(1).with_job_tracker(JobRuntimeConfig::default());
+        ac.config_mut().scope = ScopeStrategy::Partition;
+        let mut exec = RecordingExecutor::default();
+        // A plain executor never settles: cycle 1 leaves table 1 live,
+        // cycle 2 table 2 as well.
+        let reports = [1_000, 2_000, 3_000]
+            .map(|now_ms| plain_cycle(&mut ac, &lake, None, &mut exec, now_ms).unwrap());
+        let part = |uid, p| CandidateId::partition(uid, p);
+        let submitted = reports.each_ref().map(|r| r.executed[0].id.clone());
+        assert_eq!(submitted, [part(1, "p0"), part(2, "p0"), part(3, "p0")]);
+        assert_eq!(reports.each_ref().map(|r| r.ledger.suppressed), [0, 3, 6]);
+        let live: Arc<str> = "in-flight: table has a live compaction job".into();
+        let of = |uid| ["p0", "p1", "p2"].map(|p| (part(uid, p), live.clone()));
+        assert_eq!(reports[2].dropped, [of(2), of(1)].concat());
+        assert_eq!(reports[2].ranked.len(), 3, "table 3's partitions are left");
+    }
+
+    /// One thinning pass, two drop sources: a row that is both live and
+    /// NaN reports the ledger's reason only, and ledger entries come
+    /// before NaN entries whatever their rows.
+    #[test]
+    fn a_live_nan_row_reports_the_ledger_reason_only() {
+        let mut lake =
+            MemoryLake::with_tables(&[(2, 13, 10 << 30), (1, 500, 10 << 30), (3, 50, 10 << 30)]);
+        let mut ac = pipeline(1)
+            .with_trait(Box::new(PoisonTrait))
+            .with_job_tracker(JobRuntimeConfig::default());
+        let mut exec = RecordingExecutor::default();
+        let first = plain_cycle(&mut ac, &lake, None, &mut exec, 1_000).unwrap();
+        assert_eq!(first.executed[0].id, CandidateId::table(1));
+        // Table 1, now live, turns NaN as well.
+        lake.tables[1].1.small_file_count = 13;
+        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 2_000).unwrap();
+        let dropped: Vec<(u64, &str)> = report
+            .dropped
+            .iter()
+            .map(|(id, reason)| (id.table_uid, &**reason))
+            .collect();
+        let live = "in-flight: table has a live compaction job";
+        assert_eq!((dropped.len(), dropped[0]), (2, (1, live)), "{dropped:?}");
+        assert!(dropped[1].0 == 2 && dropped[1].1.contains("NaN"));
+        assert_eq!((report.ledger.suppressed, report.ranked.len()), (1, 1));
     }
 
     /// A snapshot encoded straight into the store's buffer puts the bytes

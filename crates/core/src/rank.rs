@@ -83,6 +83,7 @@ use std::sync::Arc;
 use crate::candidate::{Candidate, CandidateId, ScopeKind};
 use crate::error::AutoCompError;
 use crate::matrix::TraitMatrix;
+use crate::pipeline::KeptSlot;
 use crate::Result;
 
 /// Number of best-first rows always materialized in exact rank order —
@@ -828,18 +829,15 @@ pub(crate) struct RankDelta<'a> {
     /// The prior cycle's memo, already validated by the caller against
     /// the cursor chain + config epoch + scope/width keys.
     pub(crate) memo: Option<&'a RankMemo>,
-    /// Per current row: the prior generation row its trait row was
-    /// spliced from, or [`NO_PRIOR_ROW`] for recomputed rows.
-    pub(crate) prior_rows: &'a [u32],
+    /// The current rows' kept slots: `cached_row` is the prior
+    /// generation row the trait row was spliced from, or
+    /// [`NO_PRIOR_ROW`] for recomputed rows.
+    pub(crate) slots: &'a [KeptSlot],
     /// Per current row: its row in the generation being installed this
-    /// cycle (what next cycle's `prior_rows` will reference).
+    /// cycle (what next cycle's `cached_row`s will reference).
     pub(crate) gen_rows: &'a [u32],
     /// Kept-row count of the generation being installed.
     pub(crate) gen_len: usize,
-    /// Whether `gen_rows` is the identity mapping (no suppression/NaN
-    /// masks thinned the kept set) — the steady state, where the memo
-    /// arrays can be bulk-copied instead of scattered row by row.
-    pub(crate) gen_identity: bool,
 }
 
 /// Splice effectiveness of one rank pass (see
@@ -1183,8 +1181,9 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
             stable_slots = vec![NO_PRIOR_ROW; m.prefix.len()];
             let mut scores = Vec::with_capacity(n);
             for i in 0..n {
-                let g = d.prior_rows[i] as usize;
-                if d.prior_rows[i] != NO_PRIOR_ROW && g < m.scores.len() && m.has[g] {
+                let prior = d.slots[i].cached_row;
+                let g = prior as usize;
+                if prior != NO_PRIOR_ROW && g < m.scores.len() && m.has[g] {
                     stats.spliced_scores += 1;
                     scores.push(m.scores[g]);
                     let pos = prefix_pos[g];
@@ -1294,23 +1293,17 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
         });
     }
 
-    // Next cycle's memo, aligned to the generation being installed. In
-    // the steady state (identity generation mapping) the arrays are
-    // bulk copies, not per-row scatters.
+    // Next cycle's memo, aligned to the generation being installed:
+    // scores scatter through `gen_rows` (a live job thins the kept set
+    // nearly every round, so an identity mapping is the rare case).
     let memo_out = delta.map(|d| {
-        let (gen_scores, has) = if d.gen_identity {
-            debug_assert_eq!(d.gen_len, n);
-            (scores.clone(), vec![true; d.gen_len])
-        } else {
-            let mut gen_scores = vec![0.0; d.gen_len];
-            let mut has = vec![false; d.gen_len];
-            for (i, score) in scores.iter().enumerate() {
-                let g = d.gen_rows[i] as usize;
-                gen_scores[g] = *score;
-                has[g] = true;
-            }
-            (gen_scores, has)
-        };
+        let mut gen_scores = vec![0.0; d.gen_len];
+        let mut has = vec![false; d.gen_len];
+        for (i, score) in scores.iter().enumerate() {
+            let g = d.gen_rows[i] as usize;
+            gen_scores[g] = *score;
+            has[g] = true;
+        }
         RankMemo {
             kind,
             bounds,

@@ -47,9 +47,17 @@
 //! # Backpressure contract
 //!
 //! When event arrival outpaces rounds the loop degrades by *batching*,
-//! never by dropping: commit events accumulate in the dirty set (and in
-//! the pending-latency queue), and each round consumes everything
-//! accumulated. Two signals surface the pressure in [`RuntimeStats`]:
+//! never by dropping: commit events accumulate in the observer's
+//! pending-dirty set (and in the pending-latency queue), and each round's
+//! observe consumes everything accumulated. That set is the only one:
+//! a commit event marks the [`FleetObserver`] directly, and the backlog,
+//! the watermark / headroom triggers and [`RoundReport::dirty_consumed`]
+//! read its length. This is exact because nothing else marks the observer
+//! between rounds — settled tables are marked and consumed inside
+//! [`AutoComp::cycle`] — and a boundary snapshot is only ever taken right
+//! after a cycle, when the set is empty, so no snapshot carries commit
+//! marks and a restore starts with an empty backlog. Two signals surface
+//! the pressure in [`RuntimeStats`]:
 //! [`deferred_rounds`](RuntimeStats::deferred_rounds) counts events where
 //! a trigger was due but the `min_round_interval_ms` gate held the round
 //! back, and [`max_dirty_backlog`](RuntimeStats::max_dirty_backlog) /
@@ -106,17 +114,17 @@
 //! [`executor_cursor`](crate::durability::SnapshotContext::executor_cursor)
 //! so unjournaled outcomes re-deliver.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
 
-use crate::act::{CompletionSink, JobOutcome, TrackedExecutor};
+use crate::act::{CompletionSink, Executor, JobOutcome, TrackedExecutor};
 use crate::cache::CycleCacheStats;
 use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
 use crate::durability::{JournalEvent, JournalingExecutor, RecoveryReport, SnapshotContext};
 use crate::observe::{DegradeReason, FleetObserver, ObserveDegradation};
-use crate::pipeline::{AutoComp, CycleInput, CycleReport, Executor};
+use crate::pipeline::{AutoComp, CycleInput, CycleReport};
 use crate::rank::RankCycleStats;
 use crate::telemetry::names as tnames;
 use crate::Result;
@@ -443,8 +451,6 @@ pub struct ContinuousRuntime<M: SnapshotMedium = MemSnapshotMedium> {
     observer: FleetObserver,
     config: RuntimeConfig,
     durable: Option<Durable<M>>,
-    /// Distinct tables dirtied by commit events since the last round.
-    dirty: BTreeSet<u64>,
     /// Arrival time of every pending commit event (latency queue; one
     /// entry per event, drained by the covering round).
     pending_commits: VecDeque<u64>,
@@ -470,7 +476,6 @@ impl ContinuousRuntime<MemSnapshotMedium> {
             observer: FleetObserver::new(),
             config,
             durable: None,
-            dirty: BTreeSet::new(),
             pending_commits: VecDeque::new(),
             pending_completions: Vec::new(),
             now_ms: 0,
@@ -500,7 +505,6 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             observer: self.observer,
             config: self.config,
             durable: Some(Durable { store, journal }),
-            dirty: self.dirty,
             pending_commits: self.pending_commits,
             pending_completions: self.pending_completions,
             now_ms: self.now_ms,
@@ -537,9 +541,10 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         &self.health
     }
 
-    /// Distinct tables currently dirty (awaiting a covering round).
+    /// Distinct tables currently dirty (awaiting a covering round): the
+    /// observer's pending-dirty set.
     pub fn dirty_backlog(&self) -> usize {
-        self.dirty.len()
+        self.observer.pending_dirty().len()
     }
 
     /// Completions buffered for the next round.
@@ -621,9 +626,10 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         match event {
             RuntimeEvent::Commit { table_uid, .. } => {
                 self.stats.commit_events += 1;
-                self.dirty.insert(*table_uid);
+                self.observer.mark_dirty(*table_uid);
                 self.pending_commits.push_back(now);
-                self.stats.max_dirty_backlog = self.stats.max_dirty_backlog.max(self.dirty.len());
+                self.stats.max_dirty_backlog =
+                    self.stats.max_dirty_backlog.max(self.dirty_backlog());
             }
             RuntimeEvent::Completion { outcome, .. } => {
                 self.on_completion(now, outcome.clone());
@@ -685,7 +691,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
     /// Which (non-flush) trigger is tripped at `now`, if any.
     fn trigger_tripped(&self, now: u64) -> Option<TriggerCause> {
         if let Some(watermark) = self.config.dirty_watermark {
-            if watermark > 0 && self.dirty.len() >= watermark {
+            if watermark > 0 && self.dirty_backlog() >= watermark {
                 return Some(TriggerCause::DirtyWatermark);
             }
         }
@@ -696,28 +702,18 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
                 return Some(TriggerCause::StalenessDeadline);
             }
         }
-        if let (Some(headroom), false) = (self.config.gbhr_headroom, self.dirty.is_empty()) {
-            if let Some(budget) = self
-                .pipeline
-                .job_tracker()
-                .and_then(|t| t.config().gbhr_budget)
-            {
-                let used = self
-                    .pipeline
-                    .job_tracker()
-                    .map(|t| t.gbhr_window_usage())
-                    .unwrap_or(0.0);
-                if budget - used >= headroom {
-                    return Some(TriggerCause::GbhrHeadroom);
-                }
-            }
-        }
-        None
+        let headroom = self
+            .config
+            .gbhr_headroom
+            .filter(|_| self.dirty_backlog() > 0)?;
+        let tracker = self.pipeline.job_tracker()?;
+        let free = tracker.config().gbhr_budget? - tracker.gbhr_window_usage();
+        (free >= headroom).then_some(TriggerCause::GbhrHeadroom)
     }
 
-    /// Runs one decision round at `now`: drains the dirty set into the
-    /// observer, settles buffered completions ahead of the executor
-    /// poll, runs the tracked incremental cycle, and commits the durable
+    /// Runs one decision round at `now`: settles buffered completions
+    /// ahead of the executor poll, runs the tracked incremental cycle
+    /// (whose observe consumes the dirty set), and commits the durable
     /// boundary.
     fn round<E: TrackedExecutor>(
         &mut self,
@@ -726,17 +722,14 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         executor: &mut E,
         now: u64,
     ) -> Result<RoundReport> {
+        let dirty_consumed = self.dirty_backlog();
         if let Some(watermark) = self.config.dirty_watermark {
-            if watermark > 0 && self.dirty.len() > watermark {
+            if watermark > 0 && dirty_consumed > watermark {
                 self.stats.max_watermark_overshoot = self
                     .stats
                     .max_watermark_overshoot
-                    .max(self.dirty.len() - watermark);
+                    .max(dirty_consumed - watermark);
             }
-        }
-        let dirty_consumed = self.dirty.len();
-        while let Some(uid) = self.dirty.pop_first() {
-            self.observer.mark_dirty(uid);
         }
         let commit_latencies_ms: Vec<u64> = self
             .pending_commits

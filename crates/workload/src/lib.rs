@@ -36,10 +36,7 @@ pub mod tpcds;
 pub mod tpch;
 
 pub use cab::{CabConfig, CabWorkload, StreamPattern};
-pub use driver::{
-    run_stream, run_stream_reported, sample_ledger, LedgerTick, LedgerTotals, OpSpec, ScheduledOp,
-    StreamStats,
-};
+pub use driver::{run_stream, OpSpec, ScheduledOp, StreamStats};
 pub use fleet::{Archetype, Fleet, FleetConfig};
 pub use ingestion::{sample_raw_sizes, sample_user_derived_sizes, RawPipeline, RawPipelineConfig};
 pub use scenarios::{

@@ -28,9 +28,7 @@ use autocomp::{
     FileCountReduction, FleetObserver, JobRuntimeConfig, PartitionSkewExcess, RankingPolicy,
     RuntimeConfig, RuntimeEvent, ScopeStrategy, SortDisorder, TraitWeight, SORT_DISORDER_METRIC,
 };
-use autocomp_lakesim::{
-    share, ExecutorOptions, LakesimConnector, LakesimExecutor, ObserveOptions, SharedEnv,
-};
+use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor, ObserveOptions, SharedEnv};
 use lakesim_catalog::{JobStatus, RewriteKind, TablePolicy};
 use lakesim_engine::{EnvConfig, FileSizePlan, SimEnv, WriteOp, WriteSpec};
 use lakesim_lst::{
@@ -390,7 +388,7 @@ fn connector(env: &SharedEnv) -> LakesimConnector {
 }
 
 fn executor(env: &SharedEnv) -> LakesimExecutor {
-    LakesimExecutor::with_options(env.clone(), ExecutorOptions::default())
+    LakesimExecutor::new(env.clone())
 }
 
 /// Injects `tick`'s writes (and quota churn), returning the table uids

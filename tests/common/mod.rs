@@ -38,6 +38,42 @@ pub fn tracked_cycle(
     })
 }
 
+/// The strict bit-level comparison of two cycle reports, shared by every
+/// parity / soak / recovery suite: the first difference, described, or
+/// `None` when the reports are identical. `CycleReport` has no
+/// `PartialEq` by design (it owns `f64` columns, compared here through
+/// `to_bits`); the ranked output is walked in full, so lazily generated
+/// tails are held to the same bar as eager ones.
+pub fn report_difference(a: &CycleReport, b: &CycleReport) -> Option<String> {
+    fn differ<T: PartialEq + std::fmt::Debug>(what: &str, a: &T, b: &T) -> Option<String> {
+        (a != b).then(|| format!("{what}: {a:?} != {b:?}"))
+    }
+    let ranked = || {
+        a.ranked.iter().zip(b.ranked.iter()).find_map(|(x, y)| {
+            differ("rank order", &x.id, &y.id)
+                .or_else(|| differ("score bits", &x.score.to_bits(), &y.score.to_bits()))
+                .or_else(|| differ("selection", &x.selected, &y.selected))
+                .or_else(|| differ("note", &x.note, &y.note))
+                .map(|d| format!("{d} (at {})", x.id))
+        })
+    };
+    let gbhr = |r: &CycleReport| r.total_predicted_gbhr.to_bits();
+    differ("generated", &a.generated, &b.generated)
+        .or_else(|| differ("dropped", &a.dropped, &b.dropped))
+        .or_else(|| differ("ranked len", &a.ranked.len(), &b.ranked.len()))
+        .or_else(ranked)
+        .or_else(|| differ("executed jobs", &a.executed, &b.executed))
+        .or_else(|| differ("deferred", &a.deferred, &b.deferred))
+        .or_else(|| differ("retried", &a.retried, &b.retried))
+        .or_else(|| differ("ledger", &a.ledger, &b.ledger))
+        .or_else(|| {
+            let total = |r: &CycleReport| r.total_predicted_reduction;
+            differ("predicted reduction", &total(a), &total(b))
+        })
+        .or_else(|| differ("predicted GBHr bits", &gbhr(a), &gbhr(b)))
+        .or_else(|| differ("rendered report", &a.to_string(), &b.to_string()))
+}
+
 /// When a submission's eventual settle conflicts.
 #[derive(Debug, Clone, Default)]
 pub enum ConflictRule {

@@ -147,38 +147,7 @@ fn pipeline() -> AutoComp {
 /// Bit-level report comparison (CycleReport has no PartialEq by design —
 /// it owns f64 columns compared here via `to_bits`).
 fn reports_identical(a: &CycleReport, b: &CycleReport, ctx: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.generated, b.generated, "{}: generated", ctx);
-    prop_assert_eq!(&a.dropped, &b.dropped, "{}: dropped", ctx);
-    prop_assert_eq!(a.ranked.len(), b.ranked.len(), "{}: ranked len", ctx);
-    for (x, y) in a.ranked.iter().zip(b.ranked.iter()) {
-        prop_assert_eq!(&x.id, &y.id, "{}: rank order", ctx);
-        prop_assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{}: score of {} not bit-identical",
-            ctx,
-            x.id
-        );
-        prop_assert_eq!(x.selected, y.selected, "{}: selection of {}", ctx, x.id);
-        prop_assert_eq!(&x.note, &y.note, "{}: note of {}", ctx, x.id);
-    }
-    prop_assert_eq!(&a.executed, &b.executed, "{}: executed jobs", ctx);
-    prop_assert_eq!(&a.deferred, &b.deferred, "{}: deferred", ctx);
-    prop_assert_eq!(&a.retried, &b.retried, "{}: retried", ctx);
-    prop_assert_eq!(a.ledger, b.ledger, "{}: ledger", ctx);
-    prop_assert_eq!(
-        a.total_predicted_reduction,
-        b.total_predicted_reduction,
-        "{}: ΔF",
-        ctx
-    );
-    prop_assert_eq!(
-        a.total_predicted_gbhr.to_bits(),
-        b.total_predicted_gbhr.to_bits(),
-        "{}: GBHr",
-        ctx
-    );
-    prop_assert_eq!(a.to_string(), b.to_string(), "{}: rendered report", ctx);
+    prop_assert_eq!(common::report_difference(a, b), None, "{}", ctx);
     Ok(())
 }
 

@@ -198,34 +198,7 @@ fn scripted_writes(cycle: usize) -> Vec<u64> {
 /// Bit-level report comparison (the same fields the parity harness
 /// pins, assert-flavored).
 fn assert_reports_identical(a: &CycleReport, b: &CycleReport, ctx: &str) {
-    assert_eq!(a.generated, b.generated, "{ctx}: generated");
-    assert_eq!(a.dropped, b.dropped, "{ctx}: dropped");
-    assert_eq!(a.ranked.len(), b.ranked.len(), "{ctx}: ranked len");
-    for (x, y) in a.ranked.iter().zip(b.ranked.iter()) {
-        assert_eq!(x.id, y.id, "{ctx}: rank order");
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{ctx}: score of {} not bit-identical",
-            x.id
-        );
-        assert_eq!(x.selected, y.selected, "{ctx}: selection of {}", x.id);
-        assert_eq!(x.note, y.note, "{ctx}: note of {}", x.id);
-    }
-    assert_eq!(a.executed, b.executed, "{ctx}: executed jobs");
-    assert_eq!(a.deferred, b.deferred, "{ctx}: deferred");
-    assert_eq!(a.retried, b.retried, "{ctx}: retried");
-    assert_eq!(a.ledger, b.ledger, "{ctx}: ledger");
-    assert_eq!(
-        a.total_predicted_reduction, b.total_predicted_reduction,
-        "{ctx}: predicted reduction"
-    );
-    assert_eq!(
-        a.total_predicted_gbhr.to_bits(),
-        b.total_predicted_gbhr.to_bits(),
-        "{ctx}: predicted GBHr"
-    );
-    assert_eq!(a.to_string(), b.to_string(), "{ctx}: rendered report");
+    assert_eq!(common::report_difference(a, b), None, "{ctx}");
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,8 @@ use autocomp::{
     RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
 };
 
+mod common;
+
 const FLEET: u64 = 400;
 const CYCLES: usize = 220;
 const WRITES_PER_CYCLE: u64 = 8;
@@ -142,16 +144,7 @@ fn pipeline() -> AutoComp {
 }
 
 fn assert_reports_identical(a: &CycleReport, b: &CycleReport, context: &str) {
-    assert_eq!(a.generated, b.generated, "{context}: generated");
-    assert_eq!(a.dropped, b.dropped, "{context}: dropped");
-    assert_eq!(a.ranked.len(), b.ranked.len(), "{context}: ranked len");
-    for (x, y) in a.ranked.iter().zip(b.ranked.iter()) {
-        assert_eq!(x.id, y.id, "{context}: rank order");
-        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{context}: score");
-        assert_eq!(x.selected, y.selected, "{context}: selection");
-    }
-    assert_eq!(a.executed, b.executed, "{context}: executed");
-    assert_eq!(a.to_string(), b.to_string(), "{context}: rendered");
+    assert_eq!(common::report_difference(a, b), None, "{context}");
 }
 
 /// Deterministic LCG for the mutation schedule (no external RNG crates).

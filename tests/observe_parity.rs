@@ -24,6 +24,8 @@ use proptest::collection;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+mod common;
+
 const FLEET: u64 = 300;
 
 /// Deterministic synthetic lake with a write changelog and fetch
@@ -286,30 +288,7 @@ const SCOPES: [ScopeStrategy; 4] = [
 /// per-entry scores compared via `to_bits`, drop reasons, executed jobs,
 /// and the rendered decision table.
 fn assert_reports_identical(a: &CycleReport, b: &CycleReport, context: &str) {
-    assert_eq!(a.generated, b.generated, "{context}: generated");
-    assert_eq!(a.dropped, b.dropped, "{context}: dropped");
-    assert_eq!(a.ranked.len(), b.ranked.len(), "{context}: ranked len");
-    for (x, y) in a.ranked.iter().zip(b.ranked.iter()) {
-        assert_eq!(x.id, y.id, "{context}: rank order");
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{context}: score of {} not bit-identical",
-            x.id
-        );
-        assert_eq!(x.selected, y.selected, "{context}: selection of {}", x.id);
-    }
-    assert_eq!(a.executed, b.executed, "{context}: executed jobs");
-    assert_eq!(
-        a.total_predicted_reduction, b.total_predicted_reduction,
-        "{context}: ΔF"
-    );
-    assert_eq!(
-        a.total_predicted_gbhr.to_bits(),
-        b.total_predicted_gbhr.to_bits(),
-        "{context}: GBHr"
-    );
-    assert_eq!(a.to_string(), b.to_string(), "{context}: rendered report");
+    assert_eq!(common::report_difference(a, b), None, "{context}");
 }
 
 #[test]
