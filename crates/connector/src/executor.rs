@@ -7,8 +7,7 @@
 //! engine commits due by `now` and surfaces every maintenance record
 //! appended since the last poll as a [`JobOutcome`], which is what lets
 //! `AutoComp::cycle` (given `Executor::Tracked`) settle jobs, retry
-//! conflicts, and auto-ingest feedback without any manual
-//! [`FeedbackBridge`](crate::FeedbackBridge) plumbing.
+//! conflicts, and auto-ingest feedback.
 
 use autocomp::{
     Candidate, CompactionExecutor, ExecutionError, ExecutionResult, JobKind, JobOutcome,

@@ -26,9 +26,10 @@
 //!   plans bin-pack rewrites at the candidate's scope and submits them to
 //!   the engine's compaction cluster. Executed rewrites land in the
 //!   engine changelog, so incremental observers automatically re-fetch
-//!   compacted tables next cycle.
-//! * [`FeedbackBridge`] streams completed maintenance records back into
-//!   the pipeline's estimation feedback (§3.3's act→observe loop).
+//!   compacted tables next cycle. As a `TrackedExecutor` it also polls
+//!   the engine's maintenance log, so a tracked `AutoComp::cycle` settles
+//!   finished jobs and feeds their outcomes to the estimators (§3.3's
+//!   act→observe loop).
 //! * [`hooks`] evaluates optimize-after-write hooks against just-written
 //!   tables (§5 push mode) and can feed `MarkDirty` decisions straight
 //!   into a [`autocomp::FleetObserver`].
@@ -42,7 +43,6 @@
 pub mod events;
 pub mod executor;
 pub mod faults;
-pub mod feedback;
 pub mod hooks;
 pub mod observe;
 mod stats;
@@ -55,7 +55,6 @@ use lakesim_engine::SimEnv;
 pub use events::CommitEventBridge;
 pub use executor::LakesimExecutor;
 pub use faults::{ChangelogEvent, ObserveFaultScript};
-pub use feedback::FeedbackBridge;
 pub use hooks::{evaluate_hook, mark_database_dirty, mark_dirty_from_actions};
 pub use observe::{LakesimConnector, ObserveOptions};
 

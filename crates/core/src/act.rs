@@ -87,8 +87,8 @@
 //! exactly as manual
 //! [`ingest_feedback`](crate::pipeline::AutoComp::ingest_feedback) calls
 //! would, and like them do not bump the cache epoch (calibration only
-//! scales act-phase predictions). The connector-side `FeedbackBridge`
-//! remains for drivers that settle out-of-band.
+//! scales act-phase predictions). Outcomes settled outside the pipeline
+//! reach the estimators through `ingest_feedback`.
 //!
 //! [`CycleReport::dropped`]: crate::pipeline::CycleReport::dropped
 //! [`CycleReport::deferred`]: crate::pipeline::CycleReport::deferred

@@ -51,12 +51,15 @@
 //! rebuilding the next generation during the cycle walk is mostly
 //! `memcpy` and refcount bumps, with no per-table allocations.
 //!
-//! The decide phase retains a companion structure under the **same
-//! validity keys**: the rank memo (per-candidate scores, normalization
-//! bounds, and an exact-order selection prefix), row-aligned with this
-//! cache's generation so the walk's splice map doubles as the score
-//! splice map. See the [`crate::rank`] module docs for its additional
-//! exactness conditions (bit-equal bounds, surviving prefix).
+//! The generation also carries the decide phase's retained state, the
+//! rank memo (per-candidate scores, normalization bounds, an exact-order
+//! selection prefix), row-aligned with its kept rows so the walk's splice
+//! map doubles as the score splice map. The memo has no keys of its own:
+//! a cycle gets it exactly when the generation is usable, it is cleared
+//! with the generation, and a snapshot persists both under one liveness
+//! rule — same epoch, same cursor, literally the same listing as the
+//! snapshotted observation. See the [`crate::rank`] module docs for its
+//! additional exactness conditions (bit-equal bounds, surviving prefix).
 //!
 //! [`FleetObservation::prior_cursor`]: crate::observe::FleetObservation::prior_cursor
 //! [`FleetObservation::is_fresh`]: crate::observe::FleetObservation::is_fresh
@@ -64,7 +67,8 @@
 use std::sync::Arc;
 
 use crate::candidate::TableRef;
-use crate::observe::ChangeCursor;
+use crate::observe::{ChangeCursor, FleetObservation};
+use crate::rank::RankMemo;
 use crate::scope::ScopeStrategy;
 
 /// Splice effectiveness of the most recent cycle (see
@@ -132,11 +136,8 @@ impl CacheGen {
     }
 
     /// Bulk-appends the table range `a..b` of a prior generation — the
-    /// splice fast path for runs of positionally-aligned quiet tables.
-    /// Verdicts, reasons and uids copy as slices; the prefix arrays copy
-    /// as slices too when the running offsets are zero (the steady state:
-    /// identical fleet, identical shapes) and otherwise shift by a
-    /// constant.
+    /// splice of a run of quiet tables. Verdicts, reasons and uids copy as
+    /// slices; the prefix arrays shift by a constant.
     pub(crate) fn extend_run(&mut self, old: &CacheGen, a: usize, b: usize) {
         let c0 = old.cand_start[a];
         let c1 = old.cand_start[b];
@@ -151,29 +152,12 @@ impl CacheGen {
             .extend_from_slice(&old.verdicts[c0 as usize..c1 as usize]);
         self.reasons
             .extend_from_slice(&old.reasons[d0 as usize..d1 as usize]);
-        if cand_off == 0 && kept_off == 0 && drop_off == 0 {
-            self.cand_start
-                .extend_from_slice(&old.cand_start[a + 1..=b]);
-            self.kept_start
-                .extend_from_slice(&old.kept_start[a + 1..=b]);
-            self.drop_start
-                .extend_from_slice(&old.drop_start[a + 1..=b]);
-        } else {
-            self.cand_start.extend(
-                old.cand_start[a + 1..=b]
-                    .iter()
-                    .map(|v| v.wrapping_add(cand_off)),
-            );
-            self.kept_start.extend(
-                old.kept_start[a + 1..=b]
-                    .iter()
-                    .map(|v| v.wrapping_add(kept_off)),
-            );
-            self.drop_start.extend(
-                old.drop_start[a + 1..=b]
-                    .iter()
-                    .map(|v| v.wrapping_add(drop_off)),
-            );
+        for (to, from, off) in [
+            (&mut self.cand_start, &old.cand_start, cand_off),
+            (&mut self.kept_start, &old.kept_start, kept_off),
+            (&mut self.drop_start, &old.drop_start, drop_off),
+        ] {
+            to.extend(from[a + 1..=b].iter().map(|v| v.wrapping_add(off)));
         }
     }
 
@@ -185,16 +169,14 @@ impl CacheGen {
         self.kept_start
             .push(self.verdicts.len() as u32 - self.reasons.len() as u32);
     }
+}
 
-    /// Candidate/kept/dropped offsets of the table at `pos`:
-    /// `(cand_range, first_kept_row, first_reason)`.
-    pub(crate) fn span(&self, pos: usize) -> (std::ops::Range<usize>, usize, usize) {
-        (
-            self.cand_start[pos] as usize..self.cand_start[pos + 1] as usize,
-            self.kept_start[pos] as usize,
-            self.drop_start[pos] as usize,
-        )
-    }
+/// A spliceable generation handed out for one cycle: the generation and
+/// its listing by reference, its rank memo moved out.
+pub(crate) struct UsableGen<'a> {
+    pub(crate) gen: &'a CacheGen,
+    pub(crate) tables: &'a Arc<Vec<TableRef>>,
+    pub(crate) memo: Option<RankMemo>,
 }
 
 /// Stored generation plus the keys it is valid under.
@@ -213,6 +195,10 @@ struct StoredGen {
     /// (the common incremental case), a per-table compare otherwise.
     tables: Arc<Vec<TableRef>>,
     gen: CacheGen,
+    /// The decide phase's retained state, row-aligned with `gen`'s kept
+    /// rows: set by the cycle that installed `gen`, moved out by the
+    /// cycle that splices it.
+    memo: Option<RankMemo>,
 }
 
 /// The cross-cycle pipeline cache (see the module docs for the validity
@@ -261,29 +247,41 @@ impl CycleCache {
         };
     }
 
-    /// The retained generation (plus the listing it was computed
-    /// against), if it is spliceable under the given keys.
-    #[allow(clippy::too_many_arguments)]
+    /// The retained generation, if it is spliceable under the given keys,
+    /// with its rank memo moved out for the cycle.
     pub(crate) fn usable_gen(
-        &self,
+        &mut self,
         epoch: u64,
         scope: ScopeStrategy,
         prior_cursor: Option<ChangeCursor>,
         now_ms: u64,
         time_sensitive_chain: bool,
         width: usize,
-    ) -> Option<(&CacheGen, &Arc<Vec<TableRef>>)> {
-        let s = self.stored.as_ref()?;
+    ) -> Option<UsableGen<'_>> {
+        let s = self.stored.as_mut()?;
         let valid = self.enabled
             && s.epoch == epoch
             && s.scope == scope
             && prior_cursor == Some(s.cursor)
             && s.width == width
             && (!time_sensitive_chain || s.now_ms == now_ms);
-        valid.then_some((&s.gen, &s.tables))
+        valid.then(|| UsableGen {
+            memo: s.memo.take(),
+            gen: &s.gen,
+            tables: &s.tables,
+        })
     }
 
-    /// Installs the next generation, replacing the previous one.
+    /// Attaches the rank memo computed over the generation installed this
+    /// cycle.
+    pub(crate) fn set_memo(&mut self, memo: RankMemo) {
+        if let Some(s) = self.stored.as_mut() {
+            s.memo = Some(memo);
+        }
+    }
+
+    /// Installs the next generation (without a memo), replacing the
+    /// previous one.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn install(
         &mut self,
@@ -303,33 +301,38 @@ impl CycleCache {
             width,
             tables,
             gen,
+            memo: None,
         });
     }
 
-    /// Drops the retained generation.
+    /// Drops the retained generation and its memo.
     pub(crate) fn clear(&mut self) {
         self.stored = None;
     }
 
-    /// Writes the retained generation into a snapshot, but only when it
-    /// is still live: its epoch matches the pipeline's current epoch and
-    /// its table listing is literally the observation's
-    /// (`Arc::ptr_eq` — the restore reconstructs one shared listing, so
-    /// a generation computed against a different listing could not be
-    /// descriptor-verified after restore). A generation that fails
-    /// either condition is persisted as absent — the rest of the
-    /// snapshot stays warm and only filter/orient go cold.
+    /// Writes the retained generation into a snapshot, then its memo, but
+    /// only while the generation is live for `observation`: same epoch as
+    /// the pipeline's current one, computed at the observation's cursor,
+    /// and over literally its listing (`Arc::ptr_eq` — the restore
+    /// reconstructs one shared listing, so a generation computed against
+    /// a different listing could not be descriptor-verified after
+    /// restore). A generation that fails the rule is persisted as absent,
+    /// memo included — the rest of the snapshot stays warm and only
+    /// filter/orient/rank go cold.
     pub(crate) fn snapshot_write(
         &self,
         enc: &mut lakesim_storage::Encoder,
         current_epoch: u64,
-        observation_tables: &Arc<Vec<TableRef>>,
+        observation: &FleetObservation,
     ) {
-        let live = self
-            .stored
-            .as_ref()
-            .filter(|s| s.epoch == current_epoch && Arc::ptr_eq(&s.tables, observation_tables));
+        let live = self.stored.as_ref().filter(|s| {
+            s.epoch == current_epoch
+                && Some(s.cursor) == observation.cursor()
+                && Arc::ptr_eq(&s.tables, &observation.tables_shared())
+        });
         let Some(s) = live else {
+            // Neither the cache section nor the memo section.
+            enc.put_bool(false);
             enc.put_bool(false);
             return;
         };
@@ -377,23 +380,47 @@ impl CycleCache {
         for reason in &gen.reasons {
             enc.put_u32(index_of[&**reason]);
         }
+        enc.put_bool(s.memo.is_some());
+        if let Some(memo) = &s.memo {
+            enc.put_u64(s.width as u64);
+            memo.snapshot_write(enc);
+        }
     }
 
-    /// Restores the retained generation from a snapshot under the given
-    /// keys, re-validating the structural invariants (prefix-array
-    /// monotonicity is re-derived, counts must reconcile) before
-    /// installing anything. Returns whether a generation was restored.
+    /// Restores the retained generation, then its memo, from a snapshot
+    /// under the given keys, re-validating the generation's structural
+    /// invariants (prefix-array monotonicity is re-derived, counts must
+    /// reconcile) before installing it. A memo whose width differs from
+    /// its generation's, or one with no generation, is read past and
+    /// dropped. Returns whether the generation and the memo restored.
     pub(crate) fn snapshot_read(
         &mut self,
         dec: &mut lakesim_storage::Decoder<'_>,
         epoch: u64,
         tables: &Arc<Vec<TableRef>>,
-    ) -> Result<bool, lakesim_storage::CodecError> {
-        use lakesim_storage::CodecError;
-        if !dec.take_bool("cache present")? {
-            self.stored = None;
-            return Ok(false);
+    ) -> Result<(bool, bool), lakesim_storage::CodecError> {
+        self.stored = None;
+        if dec.take_bool("cache present")? {
+            self.stored = Some(Self::read_gen(dec, epoch, tables)?);
         }
+        if dec.take_bool("rank memo present")? {
+            let width = dec.take_u64("rank memo width")? as usize;
+            let memo = RankMemo::snapshot_read(dec)?;
+            if let Some(s) = self.stored.as_mut().filter(|s| s.width == width) {
+                s.memo = Some(memo);
+            }
+        }
+        let memo = self.stored.as_ref().is_some_and(|s| s.memo.is_some());
+        Ok((self.stored.is_some(), memo))
+    }
+
+    /// The cache section's body, validated and re-keyed to `epoch`.
+    fn read_gen(
+        dec: &mut lakesim_storage::Decoder<'_>,
+        epoch: u64,
+        tables: &Arc<Vec<TableRef>>,
+    ) -> Result<StoredGen, lakesim_storage::CodecError> {
+        use lakesim_storage::CodecError;
         let scope = crate::durability::take_scope(dec)?;
         let cursor = ChangeCursor(dec.take_u64("cache cursor")?);
         let now_ms = dec.take_u64("cache now_ms")?;
@@ -472,7 +499,7 @@ impl CycleCache {
         if !spans_ok {
             return Err(CodecError::Invalid("cache generation spans inconsistent"));
         }
-        self.stored = Some(StoredGen {
+        Ok(StoredGen {
             epoch,
             scope,
             cursor,
@@ -480,8 +507,8 @@ impl CycleCache {
             width,
             tables: Arc::clone(tables),
             gen,
-        });
-        Ok(true)
+            memo: None,
+        })
     }
 }
 
@@ -504,13 +531,22 @@ mod tests {
         gen.push_kept();
         gen.end_table(12);
 
-        let (c0, k0, d0) = gen.span(0);
-        assert_eq!((c0, k0, d0), (0..2, 0, 0));
-        let (c1, k1, d1) = gen.span(1);
-        assert_eq!((c1, k1, d1), (2..2, 1, 1));
-        let (c2, k2, d2) = gen.span(2);
-        assert_eq!((c2, k2, d2), (2..5, 1, 1));
+        assert_eq!(gen.cand_start, [0, 2, 2, 5]);
+        assert_eq!(gen.kept_start, [0, 1, 1, 3]);
+        assert_eq!(gen.drop_start, [0, 1, 1, 2]);
         assert_eq!(gen.verdicts, vec![true, false, false, true, true]);
+
+        // A run copied onto a generation that already holds rows shifts
+        // every prefix by that generation's counts.
+        let mut next = CacheGen::with_capacity(3);
+        next.push_dropped(Arc::from("f: z"));
+        next.end_table(9);
+        next.extend_run(&gen, 1, 3);
+        assert_eq!(next.uids, [9, 11, 12]);
+        assert_eq!(next.cand_start, [0, 1, 1, 4]);
+        assert_eq!(next.kept_start, [0, 0, 0, 2]);
+        assert_eq!(next.drop_start, [0, 1, 1, 2]);
+        assert_eq!(next.verdicts, vec![false, false, true, true]);
     }
 
     #[test]
@@ -526,11 +562,11 @@ mod tests {
             2,
             Arc::new(Vec::new()),
         );
-        let ok = |c: &CycleCache| {
+        let ok = |c: &mut CycleCache| {
             c.usable_gen(1, scope, Some(ChangeCursor(5)), 200, false, 2)
                 .is_some()
         };
-        assert!(ok(&cache));
+        assert!(ok(&mut cache));
         // Epoch, scope, cursor, width, and clock (time-sensitive) gates.
         assert!(cache
             .usable_gen(2, scope, Some(ChangeCursor(5)), 200, false, 2)
@@ -561,7 +597,7 @@ mod tests {
             .is_some());
         // Disabling drops the generation.
         cache.set_enabled(false);
-        assert!(!ok(&cache));
+        assert!(!ok(&mut cache));
         assert_eq!(cache.len(), 0);
     }
 }

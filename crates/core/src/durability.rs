@@ -50,9 +50,12 @@
 //!   restoring pipeline (scope, policy, trigger label, calibration flag,
 //!   filter/trait names, trait width, job-runtime config) — restoring
 //!   into a differently-configured pipeline would misread cached rows;
-//! * the cursor chain is internally consistent: the cycle cache and rank
-//!   memo, when present, were computed against exactly the snapshotted
-//!   observation's change cursor (and matching trait width);
+//! * the cursor chain is internally consistent: the cycle cache's
+//!   generation, and the rank memo inside it, are persisted under one
+//!   liveness rule — computed at the snapshotted observation's change
+//!   cursor, over literally its listing, in the current config epoch —
+//!   and a memo whose trait width differs from its generation's, or one
+//!   without a generation, is read past and dropped;
 //! * every structural invariant re-derivable from the payload holds
 //!   (entry counts match table counts, prefix arrays are monotone in
 //!   length, …) — checked during decode, before anything is installed.
@@ -135,7 +138,8 @@ pub enum RecoveryReport {
         /// Whether the cycle cache restored warm (it is persisted only
         /// when still valid at save time).
         cache_restored: bool,
-        /// Whether the rank memo restored warm.
+        /// Whether the rank memo restored warm (it travels inside the
+        /// cache generation, so never without `cache_restored`).
         memo_restored: bool,
     },
     /// The snapshot was absent, stale, torn, corrupt or mismatched; the

@@ -139,81 +139,31 @@ impl TraitMatrix {
         self.values[id.index() * self.rows + row]
     }
 
-    /// Row index of the first NaN cell at or after `row` in any column,
-    /// with the offending trait's id. Used by orient-phase sanitization.
-    pub fn find_nan(&self) -> Option<(usize, TraitId)> {
-        for id in self.trait_ids() {
-            if let Some(row) = self.col(id).iter().position(|v| v.is_nan()) {
-                return Some((row, id));
-            }
-        }
-        None
-    }
-
-    /// Per-row NaN scan: returns, for each row holding at least one NaN
-    /// cell, the id of the first NaN trait (column order). Empty when the
-    /// matrix is clean — the common case, costing one contiguous pass per
-    /// column and no allocation.
-    pub fn nan_rows(&self) -> Vec<(usize, TraitId)> {
-        if self.find_nan().is_none() {
-            return Vec::new();
-        }
-        let mut out: BTreeMap<usize, TraitId> = BTreeMap::new();
-        for id in self.trait_ids() {
-            for (row, v) in self.col(id).iter().enumerate() {
-                if v.is_nan() {
-                    out.entry(row).or_insert(id);
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// Loads every column at once by transposing a row-major scratch
-    /// buffer (`scratch[row * width + col]`), resizing the matrix to
-    /// `rows`. This is the orient phase's assembly step: trait values are
-    /// produced (or spliced from the cycle cache) one row at a time —
-    /// a single stats access per candidate — and then laid out into the
-    /// contiguous columns ranking consumes.
+    /// buffer (`scratch[row * width + col]`) — only the rows `keep` marks,
+    /// in order, or all of them when `keep` is `None`. This is the orient
+    /// phase's assembly step: trait values are produced (or spliced from
+    /// the cycle cache) one row at a time — a single stats access per
+    /// candidate — and the rows that survive thinning are then laid out
+    /// into the contiguous columns ranking consumes.
     ///
     /// # Panics
-    /// Panics if `scratch.len() != rows * width()`.
-    pub fn load_row_major(&mut self, rows: usize, scratch: &[f64]) {
+    /// Panics if `scratch` is not whole rows of [`width`](Self::width),
+    /// or if `keep` does not hold one flag per scratch row.
+    pub fn load_row_major(&mut self, scratch: &[f64], keep: Option<&[bool]>) {
         let width = self.names.len();
-        assert_eq!(scratch.len(), rows * width, "scratch shape mismatch");
-        self.rows = rows;
-        self.values = vec![0.0; width * rows];
+        let total = keep.map_or_else(|| scratch.len().checked_div(width).unwrap_or(0), <[_]>::len);
+        assert_eq!(scratch.len(), total * width, "scratch shape mismatch");
+        let kept = keep.map_or(total, |k| k.iter().filter(|k| **k).count());
+        self.rows = kept;
+        self.values = vec![0.0; width * kept];
         for col in 0..width {
-            let column = &mut self.values[col * rows..(col + 1) * rows];
-            for (row, value) in column.iter_mut().enumerate() {
+            let column = &mut self.values[col * kept..(col + 1) * kept];
+            let rows = (0..total).filter(|row| keep.is_none_or(|k| k[*row]));
+            for (value, row) in column.iter_mut().zip(rows) {
                 *value = scratch[row * width + col];
             }
         }
-    }
-
-    /// Drops the rows where `keep` is false, preserving relative order.
-    /// `keep.len()` must equal [`rows`](Self::rows).
-    pub fn retain_rows(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.rows, "keep mask length mismatch");
-        let new_rows = keep.iter().filter(|k| **k).count();
-        if new_rows == self.rows {
-            return;
-        }
-        let cols = self.names.len();
-        let mut packed = Vec::with_capacity(cols * new_rows);
-        for col in 0..cols {
-            let start = col * self.rows;
-            let column = &self.values[start..start + self.rows];
-            packed.extend(
-                column
-                    .iter()
-                    .zip(keep)
-                    .filter(|(_, k)| **k)
-                    .map(|(v, _)| *v),
-            );
-        }
-        self.values = packed;
-        self.rows = new_rows;
     }
 
     /// Builds a matrix from the seed's row-oriented representation: one
@@ -307,22 +257,28 @@ mod tests {
     }
 
     #[test]
-    fn nan_rows_and_retain() {
-        let mut m = TraitMatrix::new(4);
+    fn masked_load_transposes_only_kept_rows() {
+        let mut m = TraitMatrix::new(0);
         let a = m.intern("a", None);
-        m.col_mut(a)
-            .copy_from_slice(&[1.0, f64::NAN, 3.0, f64::NAN]);
-        let bad = m.nan_rows();
-        assert_eq!(bad.iter().map(|(r, _)| *r).collect::<Vec<_>>(), vec![1, 3]);
-        m.retain_rows(&[true, false, true, false]);
+        let b = m.intern("b", None);
+        // Row-major: four rows of (a, b).
+        let scratch = [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0];
+        m.load_row_major(&scratch, None);
+        assert_eq!(m.rows(), 4);
+        assert_eq!(m.col(a), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.col(b), &[10.0, 20.0, 30.0, 40.0]);
+        m.load_row_major(&scratch, Some(&[true, false, true, false]));
         assert_eq!(m.rows(), 2);
         assert_eq!(m.col(a), &[1.0, 3.0]);
+        assert_eq!(m.col(b), &[10.0, 30.0]);
+        m.load_row_major(&scratch, Some(&[false; 4]));
+        assert_eq!((m.rows(), m.col(b)), (0, &[][..]));
     }
 
     #[test]
     fn empty_matrix_is_fine() {
         let m = TraitMatrix::from_maps(&[], &BTreeMap::new()).unwrap();
         assert_eq!(m.rows(), 0);
-        assert!(m.nan_rows().is_empty());
+        assert_eq!(m.width(), 0);
     }
 }

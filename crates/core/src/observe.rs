@@ -410,6 +410,17 @@ pub enum TableObservation {
     Partitions(Vec<(String, CandidateStats)>),
 }
 
+impl TableObservation {
+    /// Number of candidates the entry yields.
+    pub(crate) fn candidate_count(&self) -> usize {
+        match self {
+            TableObservation::Missing => 0,
+            TableObservation::Table(_) => 1,
+            TableObservation::Partitions(parts) => parts.len(),
+        }
+    }
+}
+
 /// A batched snapshot of the observable fleet: table descriptors plus
 /// per-table stats in positional (index-aligned) form.
 ///
@@ -582,11 +593,7 @@ impl FleetObservation {
     pub fn candidate_count(&self) -> usize {
         self.entries
             .iter()
-            .map(|entry| match entry {
-                TableObservation::Missing => 0,
-                TableObservation::Table(_) => 1,
-                TableObservation::Partitions(parts) => parts.len(),
-            })
+            .map(TableObservation::candidate_count)
             .sum()
     }
 

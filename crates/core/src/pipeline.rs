@@ -5,30 +5,31 @@
 //! straight over observation-backed stats references, so no
 //! `Vec<Candidate>` is materialized in the hot cycle (only the handful of
 //! *selected* candidates are built for the act phase). The orient and
-//! decide phases are columnar: trait computers fill a [`TraitMatrix`]
-//! (one contiguous `f64` column per trait), NaN trait values are
-//! sanitized into dropped candidates,
-//! and ranking consumes the matrix by index — no per-candidate maps, no
-//! id-keyed side tables, no full fleet sort.
+//! decide phases are columnar. The `ORIENT` span fills a row-major
+//! scratch of trait values, thins it once (rows of live-job tables and
+//! rows holding a NaN drop with a reason), transposes only the kept rows
+//! into a [`TraitMatrix`] (one contiguous `f64` column per trait), and
+//! installs the unthinned scratch as the next cache generation. Ranking
+//! consumes the matrix by index — no per-candidate maps, no id-keyed
+//! side tables, no full fleet sort.
 //!
-//! Across incremental cycles a [`CycleCache`](crate::cache) retains each
-//! table's filter verdict (with its drop reason) and trait-matrix row,
-//! keyed by the observation's change-cursor chain: an incremental cycle
-//! recomputes filter/orient only for dirty tables and splices the cached
-//! rows for the rest. Rank and decide always run fleet-wide — selection
-//! is global. See the [`crate::cache`] module docs for the exact
-//! invalidation rules (cursor chain, config epoch, scope/width, and the
-//! time-sensitivity gate for filter chains).
+//! Across incremental cycles a [`CycleCache`](crate::cache) retains one
+//! generation — each table's filter verdicts (with drop reasons), its
+//! trait-matrix rows and the rank memo over them — keyed by the
+//! observation's change-cursor chain: an incremental cycle recomputes
+//! filter/orient only for dirty tables, splices runs of quiet tables
+//! from the generation, and re-scores only the rows it recomputed.
+//! Selection stays global. See the [`crate::cache`] module docs for the
+//! exact invalidation rules (cursor chain, config epoch, scope/width, and
+//! the time-sensitivity gate for filter chains).
 //!
 //! The act phase belongs to [`crate::act`]: this module materializes the
 //! selected candidates, has the scheduler plan them, freezes calibration
-//! and ingests the phase's feedback afterwards; admission, submission,
-//! retries and the ledger's books are `act`'s. With a job runtime
+//! and ingests the phase's feedback afterwards. With a job runtime
 //! attached ([`AutoComp::with_job_tracker`]) the ledger also names its
-//! live tables after the cache splice (so cached rows survive a job), and
-//! their candidates drop out with a reason in the cycle's one thinning
-//! pass. Hand [`AutoComp::cycle`] an [`Executor::Tracked`] so finished
-//! jobs settle.
+//! live tables after the cache splice (so cached rows survive a job).
+//! Hand [`AutoComp::cycle`] an [`Executor::Tracked`] so finished jobs
+//! settle.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -49,7 +50,7 @@ use crate::filter::{chain_time_sensitive, evaluate_chain, CandidateFilter};
 use crate::matrix::TraitMatrix;
 use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation};
 use crate::rank::{
-    rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankMemo, RankSource, RankedEntries,
+    rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankSource, RankedEntries,
     RankingPolicy, NO_PRIOR_ROW, RANKED_PREFIX_MIN,
 };
 use crate::report::{decision_rows, render_table};
@@ -182,12 +183,8 @@ pub struct AutoComp {
     /// `config_mut`, explicit invalidation). Cached cycle results are
     /// valid only within one epoch.
     epoch: u64,
+    /// Retained filter/orient generation and, inside it, the rank memo.
     cache: CycleCache,
-    /// Retained decide-phase state (per-candidate scores, normalization
-    /// bounds, exact-order prefix) keyed by the same cursor chain +
-    /// config epoch as the cycle cache — the incremental rank
-    /// maintenance structure (see [`crate::rank`] module docs).
-    rank_memo: Option<StoredRankMemo>,
     /// Splice effectiveness of the most recent rank pass.
     rank_stats: RankCycleStats,
     /// Act-phase job runtime (in-flight ledger + admission + retries);
@@ -198,18 +195,6 @@ pub struct AutoComp {
     /// act-ledger counters. Enabled under the null clock by default;
     /// recording never changes cycle results.
     telemetry: TelemetrySink,
-}
-
-/// A [`RankMemo`] plus the validity keys it was installed under — the
-/// exact keys the cycle cache uses, so the memo is spliceable precisely
-/// when the cache generation it is row-aligned with is.
-#[derive(Debug)]
-struct StoredRankMemo {
-    epoch: u64,
-    scope: ScopeStrategy,
-    cursor: crate::observe::ChangeCursor,
-    width: usize,
-    memo: RankMemo,
 }
 
 impl AutoComp {
@@ -225,7 +210,6 @@ impl AutoComp {
             feedback: EstimationFeedback::new(),
             epoch: 0,
             cache: CycleCache::new(true),
-            rank_memo: None,
             rank_stats: RankCycleStats::default(),
             tracker: None,
             telemetry: TelemetrySink::default(),
@@ -302,16 +286,12 @@ impl AutoComp {
     }
 
     /// Enables or disables the incremental cycle cache (builder style).
-    /// Disabling clears any retained generation; every cycle then
-    /// recomputes filter/orient for the whole fleet (the always-cold
-    /// reference behavior the parity suite compares against).
+    /// Disabling clears any retained generation (rank memo included);
+    /// every cycle then recomputes filter/orient/rank for the whole fleet
+    /// (the always-cold reference behavior the parity suite compares
+    /// against).
     pub fn with_cycle_cache(mut self, enabled: bool) -> Self {
         self.cache.set_enabled(enabled);
-        if !enabled {
-            // The rank memo is row-aligned with the cache generation;
-            // without one it can never splice.
-            self.rank_memo = None;
-        }
         self
     }
 
@@ -333,7 +313,6 @@ impl AutoComp {
     pub fn invalidate_cycle_cache(&mut self) {
         self.epoch += 1;
         self.cache.clear();
-        self.rank_memo = None;
     }
 
     /// Splice effectiveness of the most recent cycle's decide phase: how
@@ -524,15 +503,25 @@ impl AutoComp {
         let span_t = self.telemetry.span_start();
         let time_sensitive = chain_time_sensitive(&self.filters);
         let fill_cache = allow_cache_fill && self.cache.enabled() && observation.cursor().is_some();
-        let old_gen = self.cache.usable_gen(
+        // A usable generation hands over its memo, owned for the cycle.
+        let (old_gen, memo_in) = match self.cache.usable_gen(
             self.epoch,
             observation.scope(),
             observation.prior_cursor(),
             now_ms,
             time_sensitive,
             width,
-        );
-        let walk = filter_splice_walk(
+        ) {
+            Some(prior) => (Some((prior.gen, prior.tables)), prior.memo),
+            None => (None, None),
+        };
+        let WalkOutput {
+            mut kept_slots,
+            mut dropped,
+            gen,
+            spliced,
+            recomputed,
+        } = filter_splice_walk(
             &self.filters,
             observation,
             now_ms,
@@ -540,28 +529,16 @@ impl AutoComp {
             old_gen,
             fill_cache,
         );
-        let WalkOutput {
-            mut kept_slots,
-            mut dropped,
-            gen,
-            spliced,
-            recomputed,
-        } = walk;
         self.telemetry.span_end(tphase::FILTER_SPLICE, span_t);
-        let mut gen = gen;
-        // Rank-memo row bookkeeping: `gen_rows[i]` is row i's index in
-        // the generation being installed this cycle (identity before the
-        // suppression/NaN masks below thin the kept set), `gen_len` that
-        // generation's kept-row count.
-        let gen_len = kept_slots.len();
-        let mut gen_rows: Vec<u32> = (0..gen_len as u32).collect();
 
-        // Orient: one pass per cycle fills a row-major scratch — cached
-        // rows are copied, fresh rows computed with a single stats access
-        // per candidate — then the scratch is transposed into the
-        // matrix's contiguous columns.
+        // Orient, one span: fill a row-major scratch — cached rows
+        // copied, fresh rows computed with a single stats access per
+        // candidate — thin it once, transpose only the kept rows into the
+        // matrix's contiguous columns, and install the next generation
+        // from the unthinned scratch.
         let span_t = self.telemetry.span_start();
-        let mut scratch = vec![0.0; kept_slots.len() * width];
+        let gen_len = kept_slots.len();
+        let mut scratch = vec![0.0; gen_len * width];
         let old_rows: &[f64] = old_gen.map(|(g, _)| g.rows.as_slice()).unwrap_or(&[]);
         // `width` ≥ 1: the cycle requires a registered trait.
         for (slot, row) in kept_slots.iter().zip(scratch.chunks_exact_mut(width)) {
@@ -575,11 +552,59 @@ impl AutoComp {
                 }
             }
         }
-        matrix.load_row_major(kept_slots.len(), &scratch);
 
-        // Install the next cache generation: the scratch (pre-NaN-retain)
-        // is exactly the kept rows the next cycle splices from.
-        if let Some(mut g) = gen.take() {
+        // One thinning mask for the two post-splice drop sources. The
+        // ledger lists its live tables (a running job, or a retry waiting
+        // out its backoff); each is found through the observation's uid
+        // index and the position-sorted kept slots, so every candidate of
+        // a live table drops at a cost that scales with the live set, not
+        // the fleet. Post-splice by design: the generation installed below
+        // is ledger-free, so it stays valid for the cycle in which the job
+        // settles. Then a row holding a NaN trait value drops, named after
+        // its first NaN column (one NaN from a connector must not poison
+        // ranking for the fleet); a row the ledger already dropped keeps
+        // the ledger's reason. `dropped` lists ledger hits in row order,
+        // then NaN rows in row order.
+        let mut suppressed: Vec<(usize, Arc<str>)> = Vec::new();
+        if let Some(tracker) = self.tracker.as_mut() {
+            let live = tracker.live_tables(now_ms).into_iter();
+            let listed = live.filter_map(|(uid, r)| Some((observation.position_of_uid(uid)?, r)));
+            for (pos, reason) in listed {
+                let first = kept_slots.partition_point(|s| (s.table as usize) < pos);
+                let of_table = kept_slots[first..].iter();
+                let rows = of_table.take_while(|s| s.table as usize == pos).count();
+                suppressed.extend((first..first + rows).map(|row| (row, reason.clone())));
+            }
+            tracker.note_suppressed(suppressed.len());
+        }
+        let mut keep: Option<Vec<bool>> = None;
+        suppressed.sort_unstable_by_key(|(row, _)| *row);
+        for (row, reason) in suppressed {
+            keep.get_or_insert_with(|| vec![true; gen_len])[row] = false;
+            dropped.push((slot_id(observation, kept_slots[row], single_scope), reason));
+        }
+        for (row, values) in scratch.chunks_exact(width).enumerate() {
+            let Some(id) = matrix.trait_ids().find(|id| values[id.index()].is_nan()) else {
+                continue;
+            };
+            let mask = keep.get_or_insert_with(|| vec![true; gen_len]);
+            if std::mem::replace(&mut mask[row], false) {
+                let note = DecisionNote::NanTrait {
+                    trait_name: matrix.trait_name(id).into(),
+                };
+                let cid = slot_id(observation, kept_slots[row], single_scope);
+                dropped.push((cid, Arc::from(note.to_string())));
+            }
+        }
+        matrix.load_row_major(&scratch, keep.as_deref());
+        if let Some(keep) = &keep {
+            let mut keep = keep.iter();
+            kept_slots.retain(|_| *keep.next().expect("one flag per kept slot"));
+        }
+
+        // The next cache generation is the unthinned scratch: exactly the
+        // kept rows the next cycle splices from.
+        if let Some(mut g) = gen {
             g.rows = scratch;
             self.cache.install(
                 g,
@@ -609,53 +634,10 @@ impl AutoComp {
         self.telemetry
             .gauge_set(tnames::PIPELINE_CACHE_RECOMPUTED, recomputed as f64);
 
-        // One thinning pass for the two post-splice drop sources. The
-        // ledger lists its live tables (a running job, or a retry waiting
-        // out its backoff); each is found through the observation's uid
-        // index and the position-sorted kept slots, so every candidate of
-        // a live table drops at a cost that scales with the live set, not
-        // the fleet. Post-splice by design: the generation installed above
-        // is ledger-free, so it stays valid for the cycle in which the job
-        // settles. Then NaN trait values become dropped candidates (one
-        // NaN from a connector must not poison ranking for the fleet); a
-        // row the ledger already dropped keeps the ledger's reason.
-        let mut suppressed: Vec<(usize, Arc<str>)> = Vec::new();
-        if let Some(tracker) = self.tracker.as_mut() {
-            let live = tracker.live_tables(now_ms).into_iter();
-            let listed = live.filter_map(|(uid, r)| Some((observation.position_of_uid(uid)?, r)));
-            for (pos, reason) in listed {
-                let first = kept_slots.partition_point(|s| (s.table as usize) < pos);
-                let of_table = kept_slots[first..].iter();
-                let rows = of_table.take_while(|s| s.table as usize == pos).count();
-                suppressed.extend((first..first + rows).map(|row| (row, reason.clone())));
-            }
-            tracker.note_suppressed(suppressed.len());
-        }
-        let nan_rows = matrix.nan_rows();
-        if !suppressed.is_empty() || !nan_rows.is_empty() {
-            let mut keep = vec![true; kept_slots.len()];
-            // `dropped` lists ledger hits in row order, then NaN rows.
-            suppressed.sort_unstable_by_key(|(row, _)| *row);
-            for (row, reason) in suppressed {
-                keep[row] = false;
-                dropped.push((slot_id(observation, kept_slots[row], single_scope), reason));
-            }
-            for (row, id) in nan_rows {
-                if std::mem::replace(&mut keep[row], false) {
-                    let note = DecisionNote::NanTrait {
-                        trait_name: matrix.trait_name(id).into(),
-                    };
-                    let cid = slot_id(observation, kept_slots[row], single_scope);
-                    dropped.push((cid, Arc::from(note.to_string())));
-                }
-            }
-            retain_masked(&mut matrix, &mut kept_slots, &mut gen_rows, &keep);
-        }
-
         // Decide: rank straight off the observation-backed source, with
         // incremental maintenance (score splice + retained-prefix
-        // selection) whenever the retained memo lines up with the same
-        // cursor chain + epoch the cycle cache splices under.
+        // selection) from the spliced generation's memo; the next memo
+        // joins the generation installed above.
         let span_t = self.telemetry.span_start();
         let uniform_tail = matches!(
             observation.scope(),
@@ -667,32 +649,16 @@ impl AutoComp {
             single_scope,
             uniform_tail,
         };
-        let memo_in = self.rank_memo.as_ref().and_then(|s| {
-            (s.epoch == self.epoch
-                && s.scope == observation.scope()
-                && Some(s.cursor) == observation.prior_cursor()
-                && s.width == width)
-                .then_some(&s.memo)
-        });
         let delta = fill_cache.then_some(RankDelta {
-            memo: memo_in,
+            memo: memo_in.as_ref(),
             slots: &kept_slots,
-            gen_rows: &gen_rows,
             gen_len,
         });
         let (ranked, memo_out, rank_stats) =
             rank_with_memo(&source, &matrix, &self.config.policy, delta.as_ref())?;
         self.rank_stats = rank_stats;
         if let Some(memo) = memo_out {
-            self.rank_memo = Some(StoredRankMemo {
-                epoch: self.epoch,
-                scope: observation.scope(),
-                cursor: observation
-                    .cursor()
-                    .expect("memo production implies a cursor-bearing observation"),
-                width,
-                memo,
-            });
+            self.cache.set_memo(memo);
         }
         self.telemetry.span_end(tphase::RANK, span_t);
         let score_total = rank_stats.spliced_scores + rank_stats.recomputed_scores;
@@ -860,21 +826,7 @@ impl AutoComp {
                 for uid in dirty {
                     enc.put_u64(*uid);
                 }
-                self.cache
-                    .snapshot_write(enc, self.epoch, &observation.tables_shared());
-                let memo = self.rank_memo.as_ref().filter(|s| {
-                    s.epoch == self.epoch
-                        && s.scope == observation.scope()
-                        && Some(s.cursor) == observation.cursor()
-                });
-                match memo {
-                    Some(stored) => {
-                        enc.put_bool(true);
-                        enc.put_u64(stored.width as u64);
-                        stored.memo.snapshot_write(enc);
-                    }
-                    None => enc.put_bool(false),
-                }
+                self.cache.snapshot_write(enc, self.epoch, observation);
                 match &self.tracker {
                     Some(tracker) => {
                         enc.put_bool(true);
@@ -918,7 +870,6 @@ impl AutoComp {
                 // structure a partial decode may have been meant for.
                 observer.reset();
                 self.cache.clear();
-                self.rank_memo = None;
                 RecoveryReport::ColdStart { reason }
             }
         };
@@ -961,23 +912,17 @@ impl AutoComp {
             journal_watermark: dec.take_u64("journal watermark").map_err(cerr)?,
         };
         let observation = FleetObservation::snapshot_restore(&mut dec).map_err(cerr)?;
-        let Some(cursor) = observation.cursor() else {
+        if observation.cursor().is_none() {
             return Err("snapshot observation carries no change cursor".to_string());
-        };
+        }
         let mut dirty = std::collections::BTreeSet::new();
         for _ in 0..dec.take_len(8, "pending dirty").map_err(cerr)? {
             dirty.insert(dec.take_u64("dirty uid").map_err(cerr)?);
         }
         let mut cache = CycleCache::new(self.cache.enabled());
-        let cache_restored = cache
+        let (cache_restored, memo_restored) = cache
             .snapshot_read(&mut dec, self.epoch, &observation.tables_shared())
             .map_err(cerr)?;
-        let memo = if dec.take_bool("rank memo present").map_err(cerr)? {
-            let width = dec.take_u64("rank memo width").map_err(cerr)? as usize;
-            Some((width, RankMemo::snapshot_read(&mut dec).map_err(cerr)?))
-        } else {
-            None
-        };
         let tracker = if dec.take_bool("tracker present").map_err(cerr)? {
             Some(JobTracker::snapshot_read(&mut dec).map_err(cerr)?)
         } else {
@@ -986,20 +931,12 @@ impl AutoComp {
         let feedback = EstimationFeedback::snapshot_read(&mut dec).map_err(cerr)?;
         dec.finish().map_err(cerr)?;
 
-        // Validated end-to-end: install atomically. The cache and memo
-        // are re-keyed to this pipeline's current epoch — the fingerprint
-        // established the configurations agree, and the epoch is a local
-        // mutation counter, not part of the durable identity.
+        // Validated end-to-end: install atomically. The generation (memo
+        // inside) is re-keyed to this pipeline's current epoch — the
+        // fingerprint established the configurations agree, and the epoch
+        // is a local mutation counter, not part of the durable identity.
         let tables = observation.tables().len();
-        let memo_restored = memo.is_some();
         self.cache = cache;
-        self.rank_memo = memo.map(|(width, memo)| StoredRankMemo {
-            epoch: self.epoch,
-            scope: observation.scope(),
-            cursor,
-            width,
-            memo,
-        });
         let (jobs_in_flight, retries_pending) = tracker
             .as_ref()
             .map(|t| (t.in_flight(), t.retry_pending()))
@@ -1112,11 +1049,12 @@ struct WalkOutput {
 }
 
 /// The filter (+ cache splice) walk: one pass over the observation
-/// decides keep/drop per candidate — splicing quiet, descriptor-stable
-/// tables' verdicts and reasons from the prior generation and evaluating
+/// decides keep/drop per candidate — splicing runs of quiet,
+/// descriptor-stable tables' verdicts and reasons from the prior
+/// generation (in place or remapped through the uid map) and evaluating
 /// the filter chain for the rest — while co-recording the next cache
 /// generation. Isolated from the rank/act phases so the splice
-/// invariants (prefix bookkeeping, per-table vs run paths, descriptor
+/// invariants (prefix bookkeeping, run alignment, descriptor
 /// verification) live in one place.
 fn filter_splice_walk(
     filters: &[Box<dyn CandidateFilter>],
@@ -1143,170 +1081,113 @@ fn filter_splice_walk(
     let mut spliced = 0usize;
     let mut recomputed = 0usize;
 
-    // Single-candidate scopes (table / snapshot) splice runs of
-    // positionally-aligned quiet tables with bulk slice copies —
-    // candidate ids carry no partition labels there, so no entry access
-    // is needed at all inside a run.
-    let single_candidate_scope = !matches!(
+    // Partition-bearing scopes label candidates from the entry; the
+    // single-candidate scopes (table / snapshot) splice without touching
+    // an entry at all.
+    let partition_scope = matches!(
         observation.scope(),
         ScopeStrategy::Partition | ScopeStrategy::Hybrid
     );
     let mut ti = 0usize;
     while ti < tables.len() {
-        if single_candidate_scope {
-            if let Some((g, g_tables)) = old_gen {
-                let run_start = ti;
-                if same_listing {
-                    // Shared listing ⇒ `g.uids[ti] == tables[ti].table_uid`
-                    // by construction (the generation was recorded against
-                    // this exact listing), so run detection reduces to the
-                    // freshness scan — no strided descriptor loads.
-                    while ti < g.uids.len() && ti < tables.len() && !observation.is_fresh(ti) {
-                        ti += 1;
-                    }
-                } else {
-                    while ti < tables.len()
-                        && !observation.is_fresh(ti)
-                        && g.uids.get(ti).copied() == Some(tables[ti].table_uid)
-                        && g_tables.get(ti) == Some(&tables[ti])
-                    {
-                        ti += 1;
-                    }
-                }
-                if ti > run_start {
-                    let (mut row, mut reason) = (
-                        g.kept_start[run_start] as usize,
-                        g.drop_start[run_start] as usize,
-                    );
-                    let c0 = g.cand_start[run_start] as usize;
-                    let c1 = g.cand_start[ti] as usize;
-                    if c1 - c0 == ti - run_start {
-                        // Every table in the run has exactly one candidate
-                        // (the overwhelmingly common table-scope shape):
-                        // walk the verdict slice directly.
-                        for (off, v) in g.verdicts[c0..c1].iter().enumerate() {
-                            if *v {
-                                kept_slots.push(KeptSlot {
-                                    table: (run_start + off) as u32,
-                                    part: NO_PART,
-                                    cached_row: row as u32,
-                                });
-                                row += 1;
-                            } else {
-                                let id = CandidateId {
-                                    table_uid: g.uids[run_start + off],
-                                    scope: single_scope,
-                                    partition: None,
-                                };
-                                dropped.push((id, g.reasons[reason].clone()));
-                                reason += 1;
-                            }
-                        }
-                    } else {
-                        let mut ci = c0;
-                        for t in run_start..ti {
-                            let uid = g.uids[t];
-                            let cnt = (g.cand_start[t + 1] - g.cand_start[t]) as usize;
-                            for _ in 0..cnt {
-                                if g.verdicts[ci] {
-                                    kept_slots.push(KeptSlot {
-                                        table: t as u32,
-                                        part: NO_PART,
-                                        cached_row: row as u32,
-                                    });
-                                    row += 1;
-                                } else {
-                                    let id = CandidateId {
-                                        table_uid: uid,
-                                        scope: single_scope,
-                                        partition: None,
-                                    };
-                                    dropped.push((id, g.reasons[reason].clone()));
-                                    reason += 1;
-                                }
-                                ci += 1;
-                            }
-                        }
-                    }
-                    if let Some(gen) = &mut gen {
-                        gen.extend_run(g, run_start, ti);
-                    }
-                    spliced += ti - run_start;
-                    continue;
-                }
-            }
-        }
-
         let table = &tables[ti];
-        let entry = observation.entry(ti);
-        let cand_count = match entry {
-            TableObservation::Missing => 0,
-            TableObservation::Table(_) => 1,
-            TableObservation::Partitions(parts) => parts.len(),
-        };
-
         // A reused entry's stats are byte-for-byte the snapshot the
         // prior generation was computed from, so its verdicts and rows
         // splice verbatim; fresh entries (changelog hits, force-dirty
         // tables, new tables) always recompute.
-        let splice_pos = old_gen.and_then(|(g, g_tables)| {
-            if observation.is_fresh(ti) {
-                return None;
-            }
-            let pos = if g.uids.get(ti) == Some(&table.table_uid) {
+        if let Some((g, g_tables)) = old_gen.filter(|_| !observation.is_fresh(ti)) {
+            // Table `t` is quiet and the generation holds it unchanged at
+            // `p`: same uid, same descriptor (the one filter verdicts were
+            // computed against) and, where partitions label candidates,
+            // the same candidate count.
+            let aligned = |t: usize, p: usize| {
+                !observation.is_fresh(t)
+                    && g.uids.get(p) == Some(&tables[t].table_uid)
+                    && g_tables.get(p) == Some(&tables[t])
+                    && (!partition_scope
+                        || (g.cand_start[p + 1] - g.cand_start[p]) as usize
+                            == observation.entry(t).candidate_count())
+            };
+            // A shared listing holds every table at its own position with
+            // literally the prior cycle's descriptor.
+            let pos = if same_listing {
                 Some(ti)
             } else {
-                let map = uid_map.get_or_insert_with(|| {
-                    g.uids.iter().enumerate().map(|(i, u)| (*u, i)).collect()
-                });
-                map.get(&table.table_uid).copied()
-            }?;
-            // Splice only when the descriptor the cached verdicts were
-            // computed against is unchanged.
-            (same_listing || g_tables.get(pos) == Some(table)).then_some(pos)
-        });
-
-        if let Some(pos) = splice_pos {
-            let (g, _) = old_gen.expect("splice position implies a generation");
-            let (range, mut row, mut reason) = g.span(pos);
-            if range.len() == cand_count {
-                for ci in 0..cand_count {
-                    let part = match entry {
-                        TableObservation::Partitions(_) => ci as u32,
-                        _ => NO_PART,
+                let pos = if g.uids.get(ti) == Some(&table.table_uid) {
+                    Some(ti)
+                } else {
+                    let map = uid_map.get_or_insert_with(|| {
+                        g.uids.iter().enumerate().map(|(i, u)| (*u, i)).collect()
+                    });
+                    map.get(&table.table_uid).copied()
+                };
+                pos.filter(|p| aligned(ti, *p))
+            };
+            if let Some(pos) = pos {
+                // Extend the run while tables stay quiet and aligned;
+                // under a shared listing that is the bare freshness scan,
+                // with no strided descriptor loads.
+                let run_start = ti;
+                ti += 1;
+                if same_listing {
+                    while ti < tables.len().min(g.uids.len()) && !observation.is_fresh(ti) {
+                        ti += 1;
+                    }
+                } else {
+                    while ti < tables.len() && aligned(ti, pos + ti - run_start) {
+                        ti += 1;
+                    }
+                }
+                let end = pos + ti - run_start;
+                // Walk the run's candidates in order; the table cursor
+                // (`t` in the listing, `p` in the generation) steps over
+                // zero-candidate tables.
+                let (mut t, mut p) = (run_start, pos);
+                let mut row = g.kept_start[pos];
+                let mut reason = g.drop_start[pos] as usize;
+                for ci in g.cand_start[pos]..g.cand_start[end] {
+                    while g.cand_start[p + 1] <= ci {
+                        (t, p) = (t + 1, p + 1);
+                    }
+                    let within = ci - g.cand_start[p];
+                    // Only partition labels need the entry; `Missing`
+                    // stands in for it elsewhere (a single-scope candidate).
+                    let entry = if partition_scope {
+                        observation.entry(t)
+                    } else {
+                        &TableObservation::Missing
                     };
-                    if g.verdicts[range.start + ci] {
+                    if g.verdicts[ci as usize] {
+                        let part = match entry {
+                            TableObservation::Partitions(_) => within,
+                            _ => NO_PART,
+                        };
+                        let gen_row = kept_slots.len() as u32;
                         kept_slots.push(KeptSlot {
-                            table: ti as u32,
+                            table: t as u32,
                             part,
-                            cached_row: row as u32,
+                            cached_row: row,
+                            gen_row,
                         });
                         row += 1;
-                        if let Some(gen) = &mut gen {
-                            gen.push_kept();
-                        }
                     } else {
-                        let id = candidate_id(table.table_uid, single_scope, entry, ci);
-                        let r = &g.reasons[reason];
+                        let id = candidate_id(g.uids[p], single_scope, entry, within as usize);
+                        dropped.push((id, g.reasons[reason].clone()));
                         reason += 1;
-                        dropped.push((id, r.clone()));
-                        if let Some(gen) = &mut gen {
-                            gen.push_dropped(r.clone());
-                        }
                     }
                 }
                 if let Some(gen) = &mut gen {
-                    gen.end_table(table.table_uid);
+                    gen.extend_run(g, pos, end);
                 }
-                spliced += 1;
-                ti += 1;
+                spliced += ti - run_start;
                 continue;
             }
         }
 
         // Fresh or uncached: evaluate the filter chain per candidate.
         recomputed += 1;
-        for ci in 0..cand_count {
+        let entry = observation.entry(ti);
+        for ci in 0..entry.candidate_count() {
             let stats = stats_of(entry, ci);
             let (scope_kind, part, partition) = match entry {
                 TableObservation::Partitions(parts) => {
@@ -1327,10 +1208,12 @@ fn filter_splice_walk(
                     dropped.push((id, reason));
                 }
                 None => {
+                    let gen_row = kept_slots.len() as u32;
                     kept_slots.push(KeptSlot {
                         table: ti as u32,
                         part,
                         cached_row: NO_PRIOR_ROW,
+                        gen_row,
                     });
                     if let Some(gen) = &mut gen {
                         gen.push_kept();
@@ -1353,35 +1236,21 @@ fn filter_splice_walk(
     }
 }
 
-/// Drops masked-out rows from the matrix, their kept slots, and their
-/// generation-row map in step — the shared compaction step of the
-/// suppression and NaN-sanitize drop paths (the three must never
-/// diverge: ranked indices point into all of them).
-fn retain_masked(
-    matrix: &mut TraitMatrix,
-    kept_slots: &mut Vec<KeptSlot>,
-    gen_rows: &mut Vec<u32>,
-    keep: &[bool],
-) {
-    matrix.retain_rows(keep);
-    let mut it = keep.iter();
-    kept_slots.retain(|_| *it.next().expect("mask covers slots"));
-    let mut it = keep.iter();
-    gen_rows.retain(|_| *it.next().expect("mask covers rows"));
-}
-
 /// Sentinel partition index for single-candidate scopes.
 const NO_PART: u32 = u32::MAX;
 
 /// Index of one kept candidate into its observation — table position plus
-/// partition offset — with the prior-generation row its trait row (and,
-/// in the rank phase, its score) splices from, or [`NO_PRIOR_ROW`]:
-/// compute fresh.
+/// partition offset — with its two generation rows: `cached_row`, the
+/// prior generation's row its trait row (and, in the rank phase, its
+/// score) splices from, or [`NO_PRIOR_ROW`]: compute fresh; and
+/// `gen_row`, its row in the generation installed this cycle, fixed when
+/// the walk pushes the slot so it survives the cycle's thinning pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeptSlot {
     table: u32,
     part: u32,
     pub(crate) cached_row: u32,
+    pub(crate) gen_row: u32,
 }
 
 /// Stats of the `ci`-th candidate of an entry.

@@ -43,11 +43,12 @@
 //! Across incremental cycles the pipeline retains a rank memo — the
 //! per-candidate scores, the min–max normalization bounds they were
 //! computed under, and an exact-order prefix larger than the report head
-//! — keyed by the **same cursor chain + config epoch + scope/width as
-//! the cycle cache** (the memo's rows are aligned to that cache's
-//! generation). The maintained state is reused only when all of the
-//! following hold; otherwise the fleet-wide path recomputes everything
-//! (and re-seeds the memo):
+//! — **inside the cycle cache's generation**, row-aligned with its kept
+//! rows: the memo reaches a cycle exactly when the generation it belongs
+//! to is spliceable (see [`crate::cache`]), so it needs no keys of its
+//! own. The maintained state is reused only when all of the following
+//! hold; otherwise the fleet-wide path recomputes everything (and
+//! re-seeds the memo):
 //!
 //! * the policy shape is unchanged (guaranteed by the config epoch,
 //!   checked defensively), and it is not inherently global —
@@ -826,17 +827,15 @@ impl RankMemo {
 
 /// Inputs wiring one cycle's splice mapping into the rank phase.
 pub(crate) struct RankDelta<'a> {
-    /// The prior cycle's memo, already validated by the caller against
-    /// the cursor chain + config epoch + scope/width keys.
+    /// The memo of the generation the cycle spliced from — present
+    /// exactly when that generation was usable.
     pub(crate) memo: Option<&'a RankMemo>,
     /// The current rows' kept slots: `cached_row` is the prior
-    /// generation row the trait row was spliced from, or
-    /// [`NO_PRIOR_ROW`] for recomputed rows.
+    /// generation row the trait row and score splice from (or
+    /// [`NO_PRIOR_ROW`] for recomputed rows), `gen_row` the row in the
+    /// generation installed this cycle that the next memo scatters to.
     pub(crate) slots: &'a [KeptSlot],
-    /// Per current row: its row in the generation being installed this
-    /// cycle (what next cycle's `cached_row`s will reference).
-    pub(crate) gen_rows: &'a [u32],
-    /// Kept-row count of the generation being installed.
+    /// Kept-row count of the generation installed this cycle.
     pub(crate) gen_len: usize,
 }
 
@@ -1293,14 +1292,14 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
         });
     }
 
-    // Next cycle's memo, aligned to the generation being installed:
-    // scores scatter through `gen_rows` (a live job thins the kept set
-    // nearly every round, so an identity mapping is the rare case).
+    // Next cycle's memo, aligned to the generation installed this cycle:
+    // scores scatter through each slot's generation row (rows thinned
+    // after the walk keep `has` false).
     let memo_out = delta.map(|d| {
         let mut gen_scores = vec![0.0; d.gen_len];
         let mut has = vec![false; d.gen_len];
-        for (i, score) in scores.iter().enumerate() {
-            let g = d.gen_rows[i] as usize;
+        for (slot, score) in d.slots.iter().zip(&scores) {
+            let g = slot.gen_row as usize;
             gen_scores[g] = *score;
             has[g] = true;
         }
@@ -1309,7 +1308,10 @@ fn rank_incremental_policy<S: RankSource + ?Sized>(
             bounds,
             scores: gen_scores,
             has,
-            prefix: order_rows.iter().map(|r| d.gen_rows[*r as usize]).collect(),
+            prefix: order_rows
+                .iter()
+                .map(|r| d.slots[*r as usize].gen_row)
+                .collect(),
         }
     });
 

@@ -3,7 +3,7 @@
 //! managed lifecycle — submissions tracked in the in-flight ledger, repeat
 //! candidates suppressed while their job runs, conflicted jobs retried
 //! with backoff, admission deferrals, and settled outcomes feeding the
-//! estimator calibration automatically (no `FeedbackBridge`).
+//! estimator calibration automatically.
 //!
 //! Run with: `cargo run --release --example tracked_compaction`
 

@@ -948,6 +948,79 @@ fn warm_restore_resumes_incremental_observe() {
     assert_reports_identical(&twin_report, &restored_report, "warm resume");
 }
 
+/// The rank memo is part of the cache generation: a warm restore brings
+/// both back, and the restored pipeline's first (quiet) cycle maintains
+/// top-k from the memo, splicing every table, bit-identically to the
+/// never-stopped twin. A snapshot saved after the cache was invalidated
+/// restores warm with neither.
+#[test]
+fn warm_restore_carries_the_memo_with_its_generation() {
+    const N: usize = 40;
+    let lake = CrashLake::new(N as u64);
+    let untracked_pipeline = || {
+        AutoComp::new(AutoCompConfig {
+            scope: ScopeStrategy::Table,
+            policy: RankingPolicy::Moop {
+                weights: vec![
+                    TraitWeight::new("file_count_reduction", 0.7),
+                    TraitWeight::new("compute_cost_gbhr", 0.3),
+                ],
+                k: 5,
+            },
+            trigger_label: "memo".into(),
+            calibrate: false,
+        })
+        .with_trait(Box::new(FileCountReduction::default()))
+        .with_trait(Box::new(ComputeCostGbhr::default()))
+    };
+    let ctx = autocomp::SnapshotContext {
+        cycle: 1,
+        executor_cursor: 0,
+        journal_watermark: 0,
+    };
+    let mut exec = InertExecutor;
+    let mut cycle = |ac: &mut AutoComp, observer: &mut FleetObserver, now_ms| {
+        ac.cycle(CycleInput {
+            connector: &lake,
+            observer: Some(observer),
+            executor: Executor::Plain(&mut exec),
+            now_ms,
+        })
+        .unwrap()
+    };
+    let mut ac = untracked_pipeline();
+    let mut observer = FleetObserver::new();
+    cycle(&mut ac, &mut observer, 1_000);
+    let bytes = ac.encode_snapshot(&observer, &ctx).unwrap();
+
+    let mut restored = untracked_pipeline();
+    let mut restored_observer = FleetObserver::new();
+    match restored.restore_snapshot(&mut restored_observer, &bytes) {
+        RecoveryReport::Warm {
+            cache_restored,
+            memo_restored,
+            ..
+        } => assert!(cache_restored && memo_restored),
+        cold => panic!("expected warm restore, got: {cold}"),
+    }
+    let restored_report = cycle(&mut restored, &mut restored_observer, 2_000);
+    assert!(restored.rank_memo_stats().memo_fast);
+    assert_eq!(restored.cycle_cache_stats().spliced_tables, N);
+    let twin_report = cycle(&mut ac, &mut observer, 2_000);
+    assert_reports_identical(&twin_report, &restored_report, "memo restore");
+
+    ac.invalidate_cycle_cache();
+    let bytes = ac.encode_snapshot(&observer, &ctx).unwrap();
+    match untracked_pipeline().restore_snapshot(&mut FleetObserver::new(), &bytes) {
+        RecoveryReport::Warm {
+            cache_restored,
+            memo_restored,
+            ..
+        } => assert!(!cache_restored && !memo_restored),
+        cold => panic!("expected warm restore, got: {cold}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Torn snapshot media at the store layer.
 // ---------------------------------------------------------------------

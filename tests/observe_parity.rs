@@ -753,6 +753,78 @@ proptest! {
     }
 }
 
+/// The pipeline twin of [`run_listing_scenario`]: every pass cycles an
+/// incremental pipeline over the retained observer and a cold pipeline
+/// over a fresh observe, and their reports must be identical — so the
+/// cycle cache's runs splice correctly over created, dropped and moved
+/// tables (remapped runs included). `Fault` ops act as plain writes.
+fn run_listing_pipeline_scenario(
+    n: u64,
+    ops: &[ListingOp],
+    scope: ScopeStrategy,
+    epoch: bool,
+) -> Result<(), TestCaseError> {
+    let lake = CountingLake::with_listing_epoch(n, epoch);
+    let mut observer = FleetObserver::new();
+    let mut incremental = pipeline(scope);
+    for (step, op) in ops.iter().chain([&ListingOp::Observe]).enumerate() {
+        match op {
+            ListingOp::Write(pick) | ListingOp::Fault(pick) => {
+                if let Some(uid) = lake.listed_uid(*pick) {
+                    lake.write(uid);
+                }
+            }
+            ListingOp::ForceDirty(pick) => observer.mark_dirty(pick % lake.created()),
+            ListingOp::Create => lake.create(),
+            ListingOp::Drop(pick) => lake.drop_at(*pick),
+            ListingOp::Rotate(pick) => lake.rotate(*pick),
+            ListingOp::Observe => {
+                let now_ms = step as u64;
+                let warm = incremental
+                    .cycle(CycleInput {
+                        connector: &lake,
+                        observer: Some(&mut observer),
+                        executor: Executor::Plain(&mut NullExecutor),
+                        now_ms,
+                    })
+                    .unwrap();
+                let cold = pipeline(scope)
+                    .cycle(CycleInput {
+                        connector: &lake,
+                        observer: None,
+                        executor: Executor::Plain(&mut NullExecutor),
+                        now_ms,
+                    })
+                    .unwrap();
+                prop_assert_eq!(
+                    common::report_difference(&warm, &cold),
+                    None,
+                    "{scope:?}, epoch {epoch}, step {step}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Incremental cycles over a listing that changes between passes
+    /// report exactly what cold cycles do, across all four scopes, with
+    /// the listing shared under an epoch and re-read without one.
+    #[test]
+    fn cycles_over_a_changing_listing_match_cold_cycles(
+        n in 1u64..24,
+        ops in collection::vec(listing_op_strategy(), 1..40),
+    ) {
+        for scope in SCOPES {
+            for epoch in [true, false] {
+                run_listing_pipeline_scenario(n, &ops, scope, epoch)?;
+            }
+        }
+    }
+}
+
 /// A pass need not patch anything to re-map its prior: one that only
 /// loses tables fetches nothing and still passes every check.
 #[test]

@@ -4,11 +4,11 @@
 
 use autocomp::{
     AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, Executor,
-    FileCountReduction, HookAction, HookMode, PeriodicTrigger, RankingPolicy, ScopeStrategy,
-    TraitWeight,
+    FileCountReduction, HookAction, HookMode, JobRuntimeConfig, PeriodicTrigger, RankingPolicy,
+    ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::hooks::{evaluate_hook, written_tables};
-use autocomp_lakesim::{share, FeedbackBridge, LakesimConnector, LakesimExecutor};
+use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
 use lakesim_engine::{EnvConfig, FileSizePlan, SimEnv, WriteSpec, MS_PER_HOUR};
 use lakesim_lst::{ColumnType, Field, PartitionKey, PartitionSpec, Schema, TableProperties};
@@ -78,7 +78,7 @@ fn after_write_hook_triggers_through_connector() {
 }
 
 #[test]
-fn feedback_bridge_calibrates_predictions() {
+fn tracked_feedback_calibrates_predictions() {
     let (mut env, t) = env_with_table();
     for i in 0..3u64 {
         let spec = WriteSpec::insert(
@@ -106,27 +106,28 @@ fn feedback_bridge_calibrates_predictions() {
         calibrate: true,
     })
     .with_trait(Box::new(FileCountReduction::default()))
-    .with_trait(Box::new(ComputeCostGbhr::default()));
+    .with_trait(Box::new(ComputeCostGbhr::default()))
+    .with_job_tracker(JobRuntimeConfig::default());
 
-    // Cycle 1: compact, then feed outcomes back.
+    // Cycle 1 compacts; the job's commit lands; cycle 2 settles it, and
+    // the tracker feeds the outcome back.
     let connector = LakesimConnector::new(shared.clone());
     let mut executor = LakesimExecutor::new(shared.clone());
-    let report1 = pipeline
-        .cycle(CycleInput {
-            connector: &connector,
-            observer: None,
-            executor: Executor::Plain(&mut executor),
-            now_ms: 4 * MS_PER_HOUR,
-        })
-        .unwrap();
+    let mut cycle = |now_ms| {
+        pipeline
+            .cycle(CycleInput {
+                connector: &connector,
+                observer: None,
+                executor: Executor::Tracked(&mut executor),
+                now_ms,
+            })
+            .unwrap()
+    };
+    let report1 = cycle(4 * MS_PER_HOUR);
     assert_eq!(report1.executed.len(), 1);
     shared.borrow_mut().drain_all();
-    let mut bridge = FeedbackBridge::new();
-    let records = bridge.drain_new(&shared.borrow());
-    assert_eq!(records.len(), 1);
-    for r in records {
-        pipeline.ingest_feedback(r);
-    }
+    let report2 = cycle(5 * MS_PER_HOUR);
+    assert_eq!(report2.ledger.succeeded, 1);
     // Calibration factors now reflect the observed prediction error.
     let feedback = pipeline.feedback();
     assert!(feedback.cost_bias().is_some());
