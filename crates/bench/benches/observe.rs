@@ -1,7 +1,8 @@
 //! Criterion: the observe phase at fleet scale — per-table pull baseline
 //! vs. a session-holding connector, cold vs. incremental
 //! (cursor/dirty-set) observe, the incremental one over a listing shared
-//! under a listing epoch and over one re-read every pass.
+//! under a listing epoch and over one re-read every pass, and the storm
+//! shape: half the fleet dirty over a shared listing.
 //!
 //! The synthetic lake models what a real connector pays per stats
 //! round-trip: a catalog-session lookup (`SESSION_STEPS`, paid *per
@@ -29,6 +30,9 @@ const MANIFEST_STEPS: u64 = 96;
 
 /// Fraction of the fleet written between incremental cycles: 1%.
 const DIRTY_DIVISOR: u64 = 100;
+
+/// Fraction of the fleet written between storm cycles: 50%.
+const STORM_DIVISOR: u64 = 2;
 
 struct SyntheticLake {
     tables: Vec<TableRef>,
@@ -99,11 +103,10 @@ impl SyntheticLake {
         }
     }
 
-    fn dirty_set(&self) -> Vec<u64> {
+    /// Every `divisor`-th table.
+    fn dirty_set(&self, divisor: u64) -> Vec<u64> {
         let n = self.tables.len() as u64;
-        (0..n / DIRTY_DIVISOR)
-            .map(|i| i * DIRTY_DIVISOR % n)
-            .collect()
+        (0..n / divisor).map(|i| i * divisor % n).collect()
     }
 }
 
@@ -125,7 +128,7 @@ impl LakeConnector for PerCallLake<'_> {
         Some(ChangeCursor(0))
     }
     fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
-        Some(self.0.dirty_set())
+        Some(self.0.dirty_set(DIRTY_DIVISOR))
     }
 }
 
@@ -136,6 +139,8 @@ impl LakeConnector for PerCallLake<'_> {
 struct SessionLake<'a> {
     lake: &'a SyntheticLake,
     listing_epoch: Option<u64>,
+    /// Every `dirty_divisor`-th table is written between passes.
+    dirty_divisor: u64,
 }
 
 impl LakeConnector for SessionLake<'_> {
@@ -155,7 +160,7 @@ impl LakeConnector for SessionLake<'_> {
         Some(ChangeCursor(0))
     }
     fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
-        Some(self.lake.dirty_set())
+        Some(self.lake.dirty_set(self.dirty_divisor))
     }
 }
 
@@ -177,6 +182,7 @@ fn bench_observe(c: &mut Criterion) {
     let session = SessionLake {
         lake: &lake,
         listing_epoch: Some(0),
+        dirty_divisor: DIRTY_DIVISOR,
     };
     group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
         b.iter(|| session.observe(ObserveRequest::fresh(ScopeStrategy::Table)))
@@ -199,6 +205,7 @@ fn bench_observe(c: &mut Criterion) {
     let relisting = SessionLake {
         lake: &lake,
         listing_epoch: None,
+        dirty_divisor: DIRTY_DIVISOR,
     };
     let mut observer = FleetObserver::new();
     observer.observe(&relisting, ScopeStrategy::Table);
@@ -209,6 +216,27 @@ fn bench_observe(c: &mut Criterion) {
                 .fetched_tables()
         })
     });
+
+    // The storm shape: half the fleet dirty over a shared listing, so
+    // the pass is dominated by fetching and placing entries.
+    let storm = SessionLake {
+        lake: &lake,
+        listing_epoch: Some(0),
+        dirty_divisor: STORM_DIVISOR,
+    };
+    let mut observer = FleetObserver::new();
+    observer.observe(&storm, ScopeStrategy::Table);
+    group.bench_with_input(
+        BenchmarkId::new("tables_incremental_50pct", n),
+        &n,
+        |b, _| {
+            b.iter(|| {
+                observer
+                    .observe(&storm, ScopeStrategy::Table)
+                    .fetched_tables()
+            })
+        },
+    );
     group.finish();
 }
 

@@ -65,7 +65,7 @@
 //! invalidate their rows. See [`crate::pipeline`] and the
 //! cache-epoch rules documented there.
 //!
-//! # Plan, absorb, assemble
+//! # Plan, assemble, fetch in place
 //!
 //! Every pass runs the same three steps after the listing and changelog
 //! reads resolve:
@@ -78,18 +78,22 @@
 //!   maps every listed table to its prior position — positional compare
 //!   first, the prior's uid index only for tables that moved — with
 //!   dirty membership by merge scan; a re-read listing in which no table
-//!   moved is planned exactly like a shared one. Dirty and newly listed
-//!   tables are fetched; without a changelog answer every table is.
-//! * **Absorb.** A successful fetch lands in the pass's patch. A faulted
-//!   one carries the prior entry when the plan has a prior position for
-//!   it (it stays out of the patch and reads as reused) and otherwise
-//!   retires to `Missing`, per the degradation contract below.
-//! * **Assemble.** The pass consumes its prior. When no position moved
-//!   the patch overwrites the prior's entry vector in place (a quiet
-//!   pass hands the same vector on untouched); when tables moved, reused
-//!   entries are moved to their new positions; with no prior the fetched
-//!   vector is the entry vector. Exactly the entries whose value came
-//!   from the connector this pass read as fresh.
+//!   moved is planned exactly like a shared one. A prior position is
+//!   handed out once, so a uid the listing repeats is fetched at its
+//!   repeat like a new table. Dirty and newly listed tables are fetched;
+//!   without a changelog answer every table is.
+//! * **Assemble.** The pass consumes its prior and builds its entry
+//!   vector *before* fetching, every position already holding its carry
+//!   value: when no position moved, the prior's own vector; when tables
+//!   moved, prior entries moved to their new positions and `Missing`
+//!   where the prior held none; with no prior, `Missing` everywhere.
+//! * **Fetch in place.** One loop asks the connector for the planned
+//!   positions in listing order and writes each answer straight into
+//!   its slot. A faulted fetch either carries — the slot keeps its prior
+//!   entry and reads as reused — or retires the slot to `Missing`, per
+//!   the degradation contract below. Exactly the entries whose value
+//!   came from the connector this pass read as fresh; a quiet pass hands
+//!   the prior's vector on untouched.
 //!
 //! A pass owns its prior, so the runtime's [`FleetObserver`] — the only
 //! holder of its observation — never copies an entry it reuses; the
@@ -156,7 +160,9 @@
 //! [`LakeConnector`]: crate::connector::LakeConnector
 //! [`ObserveFault`]: crate::connector::ObserveFault
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use crate::candidate::{Candidate, CandidateId, ScopeKind, TableRef};
@@ -399,6 +405,70 @@ impl ObserveDegradation {
     }
 }
 
+/// Hash map keyed by table uid: the observation's uid index and the
+/// splice walk's generation lookup.
+pub(crate) type UidMap<V> = HashMap<u64, V, UidHashState>;
+
+/// Hasher factory of one [`UidMap`]. Uids are plain integers probed once
+/// per dirty table per pass, so one splitmix64 finalizer replaces
+/// SipHash's rounds. The finalizer alone is a fixed bijection: whoever
+/// picks table uids could choose a set that shares one bucket. Each map
+/// therefore draws a key from [`RandomState`] and hashes `uid ^ key`,
+/// which keeps its bucket layout as unpredictable from outside as
+/// std's default hasher.
+#[derive(Debug, Clone)]
+pub(crate) struct UidHashState {
+    key: u64,
+}
+
+impl Default for UidHashState {
+    fn default() -> Self {
+        UidHashState {
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for UidHashState {
+    type Hasher = UidHasher;
+
+    fn build_hasher(&self) -> UidHasher {
+        UidHasher {
+            key: self.key,
+            hash: 0,
+        }
+    }
+}
+
+/// One [`UidHashState`] hash: the splitmix64 finalizer of `uid ^ key`.
+pub(crate) struct UidHasher {
+    key: u64,
+    hash: u64,
+}
+
+impl Hasher for UidHasher {
+    fn write_u64(&mut self, uid: u64) {
+        let mut z = uid ^ self.key;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.hash = z ^ (z >> 31);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach a uid map; anything else folds a word at
+        // a time.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(self.hash ^ u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// Stats observed for one table, shaped by the scope strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableObservation {
@@ -447,7 +517,7 @@ pub struct FleetObservation {
     /// listing maps a changelog's dirty uids to positions with O(dirty)
     /// lookups instead of an O(n) walk. Also serves act-phase retry
     /// re-scoring ([`Self::position_of_uid`]).
-    uid_index: Arc<OnceLock<HashMap<u64, u32>>>,
+    uid_index: Arc<OnceLock<UidMap<u32>>>,
     cursor: Option<ChangeCursor>,
     /// Listing positions whose entry came from the connector *this
     /// pass*, ascending. Everything else was reused verbatim from the
@@ -483,7 +553,7 @@ impl PartialEq for FleetObservation {
 impl FleetObservation {
     /// Lazily built uid → listing-position index, shared (one `Arc` bump)
     /// across consecutive observations over the same listing.
-    fn uid_index(&self) -> &HashMap<u64, u32> {
+    fn uid_index(&self) -> &UidMap<u32> {
         self.uid_index.get_or_init(|| {
             self.tables
                 .iter()
@@ -912,9 +982,10 @@ struct Plan {
     /// How positions map onto the prior observation; `None` when there is
     /// none to reuse.
     reuse: Option<Reuse>,
-    /// Listing positions whose entry comes from the connector, ascending.
-    /// [`absorb_results`] removes those whose fault carried the prior
-    /// entry instead.
+    /// Listing positions asked of the connector, ascending. The fetch
+    /// loop of [`pull_observe`] keeps those whose entry landed as the
+    /// observation's fresh positions; a fault that carried the prior
+    /// entry drops out.
     fetch: Vec<u32>,
     /// The changelog answered, so only dirty and newly listed tables are
     /// fetched and downstream caches may splice against the prior.
@@ -1037,23 +1108,35 @@ fn make_plan(
     // The common case — nothing moved — maps with a positional uid
     // comparison; the map, and the prior's uid index, are built only once
     // a position mismatches (tables created, dropped, or reordered).
+    // `claimed` marks the prior positions handed out: a uid the listing
+    // repeats takes its prior entry once and is fetched at its repeat.
     let prior_tables = prior.tables();
     let mut map = (tables.len() != prior_tables.len()).then(Vec::new);
+    let mut claimed = vec![false; prior_tables.len()];
     let mut fetch = Vec::new();
     for (pos, t) in tables.iter().enumerate() {
         let unmoved = prior_tables
             .get(pos)
             .is_some_and(|p| p.table_uid == t.table_uid);
-        let from = if unmoved {
-            pos as u32
-        } else {
-            map.get_or_insert_with(|| (0..pos as u32).collect());
-            let moved = prior.uid_index().get(&t.table_uid);
-            moved.copied().unwrap_or(NOT_LISTED)
-        };
-        if let Some(map) = &mut map {
-            map.push(from);
+        if map.is_none() && !unmoved {
+            map = Some((0..pos as u32).collect());
+            claimed[..pos].fill(true);
         }
+        let from = match &mut map {
+            None => pos as u32,
+            Some(map) => {
+                let from = if unmoved {
+                    Some(pos as u32)
+                } else {
+                    prior.uid_index().get(&t.table_uid).copied()
+                };
+                let from = from
+                    .filter(|p| !std::mem::replace(&mut claimed[*p as usize], true))
+                    .unwrap_or(NOT_LISTED);
+                map.push(from);
+                from
+            }
+        };
         if is_dirty(t.table_uid) || from == NOT_LISTED {
             fetch.push(pos as u32);
         }
@@ -1065,59 +1148,51 @@ fn make_plan(
     }
 }
 
-/// Builds the pass's observation out of its prior: `stats[i]` is the
-/// entry of listing position `plan.fetch[i]`, every other position keeps
-/// the prior entry the plan maps it to. `prior` is `Some` exactly when
-/// `plan.reuse` is. No reused entry is cloned unless someone else still
-/// holds the prior's entry vector (see the module docs).
+/// Builds the pass's observation out of its prior before anything is
+/// fetched: every position holds its carry value — the prior entry the
+/// plan maps it to, `Missing` where there is none — and nothing reads as
+/// fresh yet. The fetch loop then overwrites the positions that land. A
+/// quiet pass hands the prior's vector on as is. `prior` is `Some` exactly
+/// when `plan.reuse` is. No reused entry is cloned unless someone else
+/// still holds the prior's entry vector (see the module docs).
 fn assemble(
     scope: ScopeStrategy,
     tables: Arc<Vec<TableRef>>,
     listing_epoch: Option<u64>,
     cursor: Option<ChangeCursor>,
-    plan: Plan,
+    plan: &Plan,
     prior: Option<FleetObservation>,
-    stats: Vec<TableObservation>,
 ) -> FleetObservation {
-    let fetch = plan.fetch;
-    debug_assert_eq!(fetch.len(), stats.len(), "one entry per fetched position");
     let n = tables.len();
     let prior_cursor = prior.as_ref().and_then(|p| p.cursor);
-    let (entries, mut fresh_flags, uid_index) = match (prior, plan.reuse) {
-        // No position moved, so the retained uid index stays exact. A
-        // quiet pass hands the prior's vector on as is.
+    let (entries, fresh_flags, uid_index) = match (prior, &plan.reuse) {
+        // No position moved, so the retained uid index stays exact.
         (Some(mut prior), Some(Reuse::Identity)) => {
             for pos in prior.fresh {
                 prior.fresh_flags[pos as usize] = false;
             }
-            if !stats.is_empty() {
-                let entries = Arc::make_mut(&mut prior.entries);
-                for (pos, stat) in fetch.iter().zip(stats) {
-                    entries[*pos as usize] = stat;
-                }
-            }
             (prior.entries, prior.fresh_flags, prior.uid_index)
         }
-        // Tables moved. Every position the plan does not fetch has a
-        // prior position and no two share one, so reused entries move.
+        // Tables moved. No two positions share a prior position, so
+        // reused entries move.
         (Some(mut prior), Some(Reuse::Mapped(map))) => {
             let old = Arc::make_mut(&mut prior.entries);
-            let mut patch = fetch.iter().zip(stats).peekable();
-            let mut entries = Vec::with_capacity(n);
-            for (pos, from) in map.iter().enumerate() {
-                entries.push(match patch.next_if(|(at, _)| **at as usize == pos) {
-                    Some((_, stat)) => stat,
-                    None => std::mem::replace(&mut old[*from as usize], TableObservation::Missing),
-                });
-            }
+            let entries = map
+                .iter()
+                .map(|from| match *from {
+                    NOT_LISTED => TableObservation::Missing,
+                    from => std::mem::replace(&mut old[from as usize], TableObservation::Missing),
+                })
+                .collect();
             (Arc::new(entries), vec![false; n], Arc::default())
         }
-        _ => (Arc::new(stats), vec![false; n], Arc::default()),
+        _ => (
+            Arc::new(vec![TableObservation::Missing; n]),
+            vec![false; n],
+            Arc::default(),
+        ),
     };
-    debug_assert_eq!(entries.len(), n, "unfetched position without a prior");
-    for pos in &fetch {
-        fresh_flags[*pos as usize] = true;
-    }
+    debug_assert_eq!(entries.len(), n, "one entry per listed table");
     FleetObservation {
         scope,
         tables,
@@ -1125,7 +1200,7 @@ fn assemble(
         entries,
         uid_index,
         cursor,
-        fresh: fetch,
+        fresh: Vec::new(),
         fresh_flags,
         prior_cursor: prior_cursor.filter(|_| plan.incremental),
         degradation: ObserveDegradation::default(),
@@ -1286,78 +1361,35 @@ fn absorb_stats_fault(
     }
 }
 
-/// Carries prior quarantine records forward: tables still listed, not
-/// refreshed and not re-faulted this pass keep their records unchanged
-/// (their entries still read the carried or retired value, awaiting
-/// their backoff).
+/// Carries prior quarantine records forward: tables still listed in
+/// `obs`, not fresh and not re-faulted this pass keep their records
+/// unchanged (their entries still read the carried or retired value,
+/// awaiting their backoff).
 fn carry_quarantine(
-    prior: &FleetObservation,
-    refreshed: &BTreeSet<u64>,
-    tables: &[TableRef],
+    prior_deg: &ObserveDegradation,
+    obs: &FleetObservation,
     deg: &mut ObserveDegradation,
 ) {
-    if prior.degradation.quarantine.is_empty() {
+    if prior_deg.quarantine.is_empty() {
         return;
     }
-    let listed: BTreeSet<u64> = tables.iter().map(|t| t.table_uid).collect();
-    for (uid, q) in &prior.degradation.quarantine {
-        if deg.quarantine.contains_key(uid) || refreshed.contains(uid) || !listed.contains(uid) {
-            continue;
+    for (uid, q) in &prior_deg.quarantine {
+        let waiting = obs
+            .position_of_uid(*uid)
+            .is_some_and(|pos| !obs.is_fresh(pos));
+        if waiting && !deg.quarantine.contains_key(uid) {
+            deg.quarantine.insert(*uid, *q);
         }
-        deg.quarantine.insert(*uid, *q);
     }
-}
-
-/// Folds the fetch results (one per `plan.fetch` position, in order)
-/// into the pass's patch: successes and retirements keep their position
-/// and yield an entry; a fault that carries the prior entry drops its
-/// position from `plan.fetch`, so the entry stays the prior's and reads
-/// as reused. A fault can carry iff the plan has a prior position for
-/// the table — until its carry budget runs out.
-fn absorb_results(
-    tables: &[TableRef],
-    plan: &mut Plan,
-    prior: Option<&FleetObservation>,
-    results: Vec<Result<TableObservation, ObserveFault>>,
-    deg: &mut ObserveDegradation,
-) -> Vec<TableObservation> {
-    debug_assert_eq!(results.len(), plan.fetch.len());
-    let empty = ObserveDegradation::default();
-    let prior_deg = prior.map_or(&empty, |p| &p.degradation);
-    let mut refreshed = BTreeSet::new();
-    let mut landed = Vec::with_capacity(results.len());
-    let mut stats = Vec::with_capacity(results.len());
-    for (pos, result) in plan.fetch.iter().zip(results) {
-        let uid = tables[*pos as usize].table_uid;
-        let stat = match result {
-            Ok(stat) => {
-                refreshed.insert(uid);
-                stat
-            }
-            Err(_) => {
-                let can_carry = plan.prior_position(*pos).is_some();
-                match absorb_stats_fault(uid, can_carry, prior_deg, deg) {
-                    Some(retired) => retired,
-                    None => continue,
-                }
-            }
-        };
-        landed.push(*pos);
-        stats.push(stat);
-    }
-    plan.fetch = landed;
-    if let Some(prior) = prior {
-        carry_quarantine(prior, &refreshed, tables, deg);
-    }
-    stats
 }
 
 /// The observe driver, and the default every [`LakeConnector`] inherits:
-/// list, plan, fetch the planned tables one at a time in listing order,
-/// absorb faults, assemble. Consumes only the fallible `try_*` connector
-/// surface and degrades per the module docs' contract instead of
-/// failing. A listing that stalled with nothing to carry arrives here
-/// as an empty listing, so the husk is the ordinary empty observation.
+/// list, plan, assemble the carry values, then fetch the planned tables
+/// one at a time in listing order straight into their slots. Consumes
+/// only the fallible `try_*` connector surface and degrades per the
+/// module docs' contract instead of failing. A listing that stalled with
+/// nothing to carry arrives here as an empty listing, so the husk is the
+/// ordinary empty observation.
 pub fn pull_observe<C: LakeConnector + ?Sized>(
     connector: &C,
     request: ObserveRequest,
@@ -1377,15 +1409,43 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
     let (scope, dirty) = (request.scope, &request.force_dirty);
     // A scope change drops carry and quarantine state with the prior:
     // its entries have the wrong shape.
-    let prior = request.prior.filter(|p| p.scope() == scope);
+    let mut prior = request.prior.filter(|p| p.scope() == scope);
     let mut plan = make_plan(&tables, prior.as_ref(), dirty, changes.as_deref());
-    let results = plan
-        .fetch
-        .iter()
-        .map(|pos| fetch_one(connector, &tables[*pos as usize], scope))
-        .collect();
-    let stats = absorb_results(&tables, &mut plan, prior.as_ref(), results, &mut deg);
-    let mut obs = assemble(scope, tables, listing_epoch, cursor, plan, prior, stats);
+    let prior_deg = prior
+        .as_mut()
+        .map(|p| std::mem::take(&mut p.degradation))
+        .unwrap_or_default();
+    let mut obs = assemble(scope, tables, listing_epoch, cursor, &plan, prior);
+    // The positions that land are compacted to the front of the fetch
+    // list, which becomes the observation's fresh list.
+    let mut fresh = std::mem::take(&mut plan.fetch);
+    if !fresh.is_empty() {
+        let entries = Arc::make_mut(&mut obs.entries);
+        let mut landed = 0;
+        for i in 0..fresh.len() {
+            let pos = fresh[i];
+            let table = &obs.tables[pos as usize];
+            entries[pos as usize] = match fetch_one(connector, table, scope) {
+                Ok(entry) => entry,
+                Err(_) => {
+                    // A fault can carry iff the plan has a prior position
+                    // for the table, until its carry budget runs out.
+                    let can_carry = plan.prior_position(pos).is_some();
+                    match absorb_stats_fault(table.table_uid, can_carry, &prior_deg, &mut deg) {
+                        Some(retired) => retired,
+                        // Carried: the slot keeps its prior entry.
+                        None => continue,
+                    }
+                }
+            };
+            obs.fresh_flags[pos as usize] = true;
+            fresh[landed] = pos;
+            landed += 1;
+        }
+        fresh.truncate(landed);
+    }
+    obs.fresh = fresh;
+    carry_quarantine(&prior_deg, &obs, &mut deg);
     obs.degradation = deg;
     obs
 }
@@ -1630,6 +1690,124 @@ mod tests {
         assert_eq!(parts_ptr(obs, 3), before, "reused entry moved, not cloned");
         let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
         assert_eq!(*obs, cold);
+    }
+
+    /// `ChangeLake` whose listing repeats `tables[2]` at its end.
+    struct RepeatingLake(ChangeLake);
+
+    impl LakeConnector for RepeatingLake {
+        fn list_tables(&self) -> Vec<TableRef> {
+            let mut listed = self.0.list_tables();
+            listed.push(self.0.tables[2].clone());
+            listed
+        }
+        fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+            self.0.table_stats(uid)
+        }
+        fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+            self.0.partition_stats(uid)
+        }
+        fn fleet_cursor(&self) -> Option<ChangeCursor> {
+            self.0.fleet_cursor()
+        }
+        fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+            self.0.changes_since(cursor)
+        }
+    }
+
+    /// A re-read listing that repeats a uid hands the prior entry to the
+    /// first listing of it; the repeat is fetched, as a cold observe does.
+    #[test]
+    fn a_relisting_that_repeats_a_uid_matches_cold() {
+        let lake = RepeatingLake(ChangeLake::new(6));
+        let mut observer = FleetObserver::new();
+        observer.observe(&lake.0, ScopeStrategy::Hybrid);
+        lake.0.write(4);
+        let obs = observer.observe(&lake, ScopeStrategy::Hybrid);
+        assert_eq!(obs.fetched_tables(), 2, "the written table and the repeat");
+        assert!(obs.is_fresh(6));
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
+        assert_eq!(*obs, cold);
+    }
+
+    /// Stats faults on a re-read listing in which tables moved: carry,
+    /// retirement and quarantine follow the table, not its position.
+    #[test]
+    fn stats_faults_on_a_moved_listing() {
+        let scope = ScopeStrategy::Hybrid;
+        let lake = FaultyLake::new(8);
+        lake.inner.unlisted.lock().unwrap().insert(7);
+        let mut observer = FleetObserver::new();
+        observer.observe(&lake, scope);
+        // Table 5 faults on a write and is quarantined, carried.
+        lake.inner.write(5);
+        lake.fault_stats(5, [ObserveFault::transient("store hiccup")]);
+        let prior = observer.observe(&lake, scope).clone();
+        assert!(prior.degradation().quarantine[&5].carried);
+        // Tables 1 and 5 leave the listing and 7 joins it, so table 3
+        // moves from position 3 to 2. Its write faults, and so does the
+        // first fetch of table 7.
+        *lake.inner.unlisted.lock().unwrap() = BTreeSet::from([1, 5]);
+        lake.inner.write(3);
+        lake.fault_stats(3, [ObserveFault::transient("store hiccup")]);
+        lake.fault_stats(7, [ObserveFault::transient("store hiccup")]);
+        let obs = observer.observe(&lake, scope);
+        let moved = obs.position_of_uid(3).unwrap();
+        assert_eq!(moved, 2);
+        assert_eq!(
+            obs.entry(moved),
+            prior.entry(3),
+            "carried at its new position"
+        );
+        assert!(!obs.is_fresh(moved));
+        assert!(obs.degradation().quarantine[&3].carried);
+        let new = obs.position_of_uid(7).unwrap();
+        assert_eq!(*obs.entry(new), TableObservation::Missing);
+        assert!(obs.is_fresh(new));
+        assert!(
+            !obs.degradation().quarantine[&7].carried,
+            "nothing to carry"
+        );
+        assert!(
+            !obs.degradation().quarantine.contains_key(&5),
+            "a dropped table loses its record"
+        );
+        // Healed: once the backoffs expire, the chain equals a cold observe.
+        for _ in 0..QUARANTINE_BACKOFF_CAP_PASSES {
+            observer.observe(&lake, scope);
+        }
+        let obs = observer.last().unwrap();
+        assert!(obs.degradation().quarantine.is_empty());
+        assert_eq!(*obs, lake.observe(ObserveRequest::fresh(scope)));
+    }
+
+    /// The keyed uid hasher answers exactly as a linear scan, extreme and
+    /// sparse uids included.
+    #[test]
+    fn position_of_uid_agrees_with_a_linear_scan() {
+        let uids: Vec<u64> = [0, 1 << 63, u64::MAX, u64::MAX - 1, 1]
+            .into_iter()
+            .chain((1..200).map(|i| i * 1_000_003))
+            .chain((1..40).map(|i| 1u64 << i))
+            .collect();
+        let lake = PlainLake(
+            uids.iter()
+                .map(|uid| TableRef {
+                    table_uid: *uid,
+                    database: "db".into(),
+                    name: format!("t{uid}").into(),
+                    partitioned: false,
+                    compaction_enabled: true,
+                    is_intermediate: false,
+                })
+                .collect(),
+        );
+        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let absent = [3, (1 << 63) + 1, u64::MAX - 2, 1_000_004, 1 << 41];
+        for uid in uids.iter().copied().chain(absent) {
+            let scan = obs.tables().iter().position(|t| t.table_uid == uid);
+            assert_eq!(obs.position_of_uid(uid), scan, "uid {uid}");
+        }
     }
 
     /// Observations are values: a pass over a prior that someone else

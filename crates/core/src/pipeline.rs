@@ -32,7 +32,6 @@
 //! settle.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,7 +47,7 @@ use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
 use crate::filter::{chain_time_sensitive, evaluate_chain, CandidateFilter};
 use crate::matrix::TraitMatrix;
-use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation};
+use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation, UidMap};
 use crate::rank::{
     rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankSource, RankedEntries,
     RankingPolicy, NO_PRIOR_ROW, RANKED_PREFIX_MIN,
@@ -1077,7 +1076,7 @@ fn filter_splice_walk(
     let mut kept_slots: Vec<KeptSlot> = Vec::with_capacity(tables.len());
     let mut dropped: Vec<(CandidateId, Arc<str>)> = Vec::new();
     let mut gen = fill_cache.then(|| CacheGen::with_capacity(tables.len()));
-    let mut uid_map: Option<HashMap<u64, usize>> = None;
+    let mut uid_map: Option<UidMap<usize>> = None;
     let mut spliced = 0usize;
     let mut recomputed = 0usize;
 
