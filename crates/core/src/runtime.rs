@@ -409,6 +409,25 @@ pub struct RoundReport {
     pub runtime: RuntimeStats,
 }
 
+impl RoundReport {
+    /// Folds this round's decision into a stream's running digest: FNV-1a
+    /// 64 over the little-endian bytes of the round number, the trigger
+    /// cause, the dirty count consumed and the table uid of every executed
+    /// job, in order. Pass `None` for a stream's first round and the
+    /// previous return value after that; equal streams of decisions give
+    /// equal digests.
+    pub fn fold_digest(&self, digest: Option<u64>) -> u64 {
+        let head = [self.round, self.cause as u64, self.dirty_consumed as u64];
+        let uids = self.report.executed.iter().map(|job| job.id.table_uid);
+        head.into_iter()
+            .chain(uids)
+            .flat_map(u64::to_le_bytes)
+            .fold(digest.unwrap_or(0xcbf2_9ce4_8422_2325), |hash, byte| {
+                (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+}
+
 /// The durable half of the runtime: snapshot store + journal, both owned
 /// so the commit boundary is real runtime code (not test scaffolding).
 struct Durable<M> {

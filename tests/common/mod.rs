@@ -13,6 +13,7 @@
 #![allow(dead_code)]
 
 pub mod faults;
+pub mod reference;
 
 use std::collections::BTreeMap;
 

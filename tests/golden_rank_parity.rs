@@ -1,193 +1,17 @@
 //! Golden parity: the columnar decide path must reproduce the seed
 //! semantics — identical selections, identical scores, and identical
 //! best-first ordering over the materialized prefix — across all four
-//! ranking policies. The reference implementation below is the seed's
+//! ranking policies. The reference implementation is the seed's
 //! row-oriented algorithm (string-keyed trait maps, full fleet sort),
-//! kept here as an executable specification.
+//! kept in `common/reference.rs` as an executable specification.
 
 use std::collections::BTreeMap;
 
 use autocomp::rank::{rank_and_select, RankingPolicy, TraitWeight, RANKED_PREFIX_MIN};
 use autocomp::{Candidate, CandidateId, CandidateStats, QuotaSignal, TraitDirection, TraitMatrix};
 
-// ---------------------------------------------------------------------
-// Reference (seed) implementation: full sort over row-oriented maps.
-// ---------------------------------------------------------------------
-
-struct RefEntry {
-    id: CandidateId,
-    score: f64,
-    selected: bool,
-}
-
-fn ref_normalize(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let span = max - min;
-    values
-        .iter()
-        .map(|v| {
-            if span.abs() < f64::EPSILON {
-                0.5
-            } else {
-                (v - min) / span
-            }
-        })
-        .collect()
-}
-
-fn ref_column(maps: &[BTreeMap<String, f64>], name: &str) -> Vec<f64> {
-    maps.iter().map(|m| m[name]).collect()
-}
-
-fn ref_moop_scores(
-    maps: &[BTreeMap<String, f64>],
-    directions: &BTreeMap<String, TraitDirection>,
-    weights: &[TraitWeight],
-) -> Vec<f64> {
-    let mut scores = vec![0.0; maps.len()];
-    for w in weights {
-        let sign = match directions[&w.trait_name] {
-            TraitDirection::Benefit => 1.0,
-            TraitDirection::Cost => -1.0,
-        };
-        let normalized = ref_normalize(&ref_column(maps, &w.trait_name));
-        for (s, n) in scores.iter_mut().zip(normalized) {
-            *s += sign * w.weight * n;
-        }
-    }
-    scores
-}
-
-fn ref_sorted(candidates: &[Candidate], scores: &[f64]) -> Vec<RefEntry> {
-    let mut entries: Vec<RefEntry> = candidates
-        .iter()
-        .zip(scores)
-        .map(|(c, &score)| RefEntry {
-            id: c.id.clone(),
-            score,
-            selected: false,
-        })
-        .collect();
-    entries.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("no NaN in golden inputs")
-            .then_with(|| a.id.cmp(&b.id))
-    });
-    entries
-}
-
-/// The seed's `rank_and_select`, minus note strings.
-fn ref_rank_and_select(
-    candidates: &[Candidate],
-    maps: &[BTreeMap<String, f64>],
-    directions: &BTreeMap<String, TraitDirection>,
-    policy: &RankingPolicy,
-) -> Vec<RefEntry> {
-    match policy {
-        RankingPolicy::Threshold {
-            trait_name,
-            min_value,
-            max_k,
-        } => {
-            let column = ref_column(maps, trait_name);
-            let mut entries = ref_sorted(candidates, &column);
-            let cap = max_k.unwrap_or(usize::MAX);
-            let mut taken = 0;
-            for e in entries.iter_mut() {
-                if e.score >= *min_value && taken < cap {
-                    e.selected = true;
-                    taken += 1;
-                }
-            }
-            entries
-        }
-        RankingPolicy::Moop { weights, k } => {
-            let scores = ref_moop_scores(maps, directions, weights);
-            let mut entries = ref_sorted(candidates, &scores);
-            for (rank, e) in entries.iter_mut().enumerate() {
-                e.selected = rank < *k;
-            }
-            entries
-        }
-        RankingPolicy::BudgetedMoop {
-            weights,
-            cost_trait,
-            budget,
-            max_k,
-        } => {
-            let scores = ref_moop_scores(maps, directions, weights);
-            let costs = ref_column(maps, cost_trait);
-            let cost_by_id: BTreeMap<CandidateId, f64> = candidates
-                .iter()
-                .zip(costs)
-                .map(|(c, cost)| (c.id.clone(), cost))
-                .collect();
-            let mut entries = ref_sorted(candidates, &scores);
-            let cap = max_k.unwrap_or(usize::MAX);
-            let mut spent = 0.0;
-            let mut taken = 0;
-            for e in entries.iter_mut() {
-                let cost = cost_by_id[&e.id];
-                if taken < cap && spent + cost <= *budget {
-                    e.selected = true;
-                    spent += cost;
-                    taken += 1;
-                }
-            }
-            entries
-        }
-        RankingPolicy::QuotaAwareMoop {
-            benefit_trait,
-            cost_trait,
-            k,
-            budget,
-        } => {
-            let benefit_n = ref_normalize(&ref_column(maps, benefit_trait));
-            let cost_raw = ref_column(maps, cost_trait);
-            let cost_n = ref_normalize(&cost_raw);
-            let scores: Vec<f64> = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let util = c.stats.quota.map(|q| q.utilization()).unwrap_or(0.0);
-                    let w1 = (0.5 * (1.0 + util)).min(1.0);
-                    let w2 = 1.0 - w1;
-                    w1 * benefit_n[i] - w2 * cost_n[i]
-                })
-                .collect();
-            let cost_by_id: BTreeMap<CandidateId, f64> = candidates
-                .iter()
-                .zip(cost_raw)
-                .map(|(c, cost)| (c.id.clone(), cost))
-                .collect();
-            let mut entries = ref_sorted(candidates, &scores);
-            match (k, budget) {
-                (Some(k), _) => {
-                    for (rank, e) in entries.iter_mut().enumerate() {
-                        e.selected = rank < *k;
-                    }
-                }
-                (None, Some(budget)) => {
-                    let mut spent = 0.0;
-                    for e in entries.iter_mut() {
-                        let cost = cost_by_id[&e.id];
-                        if spent + cost <= *budget {
-                            e.selected = true;
-                            spent += cost;
-                        }
-                    }
-                }
-                (None, None) => panic!("golden policies always carry k or budget"),
-            }
-            entries
-        }
-    }
-}
+mod common;
+use common::reference::ref_rank_and_select;
 
 // ---------------------------------------------------------------------
 // Deterministic synthetic fleet.

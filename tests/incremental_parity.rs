@@ -30,18 +30,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use autocomp::{
-    AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionDisabledFilter,
-    CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport, DeleteDebt, ExecutionResult,
-    Executor, FeedbackRecord, FileCountReduction, FleetObserver, IntermediateTableFilter, JobKind,
-    JobRuntimeConfig, LakeConnector, MinSizeFilter, PartitionSkewExcess, Prediction, QuotaSignal,
-    RankingPolicy, RecentWriteActivityFilter, ScopeStrategy, SortDisorder, TableRef, TraitWeight,
-    Untracked, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
+    AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats, ChangeCursor,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
+    DeleteDebt, ExecutionResult, Executor, FeedbackRecord, FileCountReduction, FleetObserver,
+    IntermediateTableFilter, JobKind, JobRuntimeConfig, LakeConnector, MinSizeFilter,
+    PartitionSkewExcess, Prediction, QuotaSignal, RankingPolicy, RecentWriteActivityFilter,
+    ScopeStrategy, SortDisorder, TableRef, TraitComputer, TraitWeight, Untracked,
+    PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 mod common;
+use common::reference::{reference_cycle, reference_difference};
 use common::{tracked_cycle, ScriptedPlatform};
 
 const DATABASES: u64 = 4;
@@ -268,31 +270,45 @@ fn policy(p: u8) -> RankingPolicy {
     }
 }
 
-fn pipeline(scope: ScopeStrategy, p: u8, time_sensitive_chain: bool) -> AutoComp {
-    let mut ac = AutoComp::new(AutoCompConfig {
-        scope,
-        policy: policy(p),
-        trigger_label: "parity".into(),
-        calibrate: true,
-    })
-    .with_filter(Box::new(CompactionDisabledFilter))
-    .with_filter(Box::new(IntermediateTableFilter))
-    .with_filter(Box::new(MinSizeFilter {
-        min_total_bytes: 32 << 20,
-        min_file_count: 0,
-    }))
-    .with_trait(Box::new(FileCountReduction::default()))
-    .with_trait(Box::new(ComputeCostGbhr::default()))
-    .with_trait(Box::new(DeleteDebt))
-    .with_trait(Box::new(SortDisorder))
-    .with_trait(Box::new(PartitionSkewExcess));
+fn filters(time_sensitive_chain: bool) -> Vec<Box<dyn CandidateFilter>> {
+    let mut filters: Vec<Box<dyn CandidateFilter>> = vec![
+        Box::new(CompactionDisabledFilter),
+        Box::new(IntermediateTableFilter),
+        Box::new(MinSizeFilter {
+            min_total_bytes: 32 << 20,
+            min_file_count: 0,
+        }),
+    ];
     if time_sensitive_chain {
-        ac = ac.with_filter(Box::new(RecentWriteActivityFilter {
+        filters.push(Box::new(RecentWriteActivityFilter {
             quiet_ms: 10_000,
             max_writes_per_hour: 3.5,
         }));
     }
-    ac
+    filters
+}
+
+fn traits() -> Vec<Box<dyn TraitComputer>> {
+    vec![
+        Box::new(FileCountReduction::default()),
+        Box::new(ComputeCostGbhr::default()),
+        Box::new(DeleteDebt),
+        Box::new(SortDisorder),
+        Box::new(PartitionSkewExcess),
+    ]
+}
+
+fn pipeline(scope: ScopeStrategy, p: u8, time_sensitive_chain: bool) -> AutoComp {
+    let ac = AutoComp::new(AutoCompConfig {
+        scope,
+        policy: policy(p),
+        trigger_label: "parity".into(),
+        calibrate: true,
+    });
+    let ac = filters(time_sensitive_chain)
+        .into_iter()
+        .fold(ac, AutoComp::with_filter);
+    traits().into_iter().fold(ac, AutoComp::with_trait)
 }
 
 /// Bit-level report comparison, proptest-flavored.
@@ -324,6 +340,7 @@ fn run_scenario(
     let mut observer = FleetObserver::new();
     let mut now = 1_000u64;
     let mut cycles = 0usize;
+    let (ref_filters, ref_traits) = (filters(time_sensitive_chain), traits());
     let run_cycle = |cold: &mut AutoComp,
                      incremental: &mut AutoComp,
                      observer: &mut FleetObserver,
@@ -365,6 +382,20 @@ fn run_scenario(
         prop_assert!(
             incremental_report.ledger.is_quiet(),
             "{label}: disabled tracker must keep a quiet ledger"
+        );
+        let reference = reference_cycle(
+            observer.last().expect("the incremental cycle observed"),
+            &ref_filters,
+            &ref_traits,
+            &incremental.config().policy,
+            now,
+        );
+        let difference = reference_difference(&incremental_report, &reference);
+        prop_assert!(
+            difference.is_none(),
+            "{}: against the reference cycle: {:?}",
+            label,
+            difference
         );
         reports_identical(&cold_report, &incremental_report, label)
     };

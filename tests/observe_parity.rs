@@ -15,16 +15,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use autocomp::{
-    AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
+    AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
     ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver, LakeConnector,
-    ObserveFault, ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
+    ObserveFault, ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef,
+    TraitComputer, TraitWeight,
 };
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 mod common;
+use common::reference::{reference_cycle, reference_difference};
 
 const FLEET: u64 = 300;
 
@@ -255,8 +257,25 @@ impl CompactionExecutor for NullExecutor {
     }
 }
 
+fn filters() -> Vec<Box<dyn CandidateFilter>> {
+    vec![
+        Box::new(CompactionDisabledFilter),
+        Box::new(AlreadyCompactFilter {
+            min_small_files: 2,
+            min_small_fraction: 0.0,
+        }),
+    ]
+}
+
+fn traits() -> Vec<Box<dyn TraitComputer>> {
+    vec![
+        Box::new(FileCountReduction::default()),
+        Box::new(ComputeCostGbhr::default()),
+    ]
+}
+
 fn pipeline(scope: ScopeStrategy) -> AutoComp {
-    AutoComp::new(AutoCompConfig {
+    let ac = AutoComp::new(AutoCompConfig {
         scope,
         policy: RankingPolicy::Moop {
             weights: vec![
@@ -267,14 +286,9 @@ fn pipeline(scope: ScopeStrategy) -> AutoComp {
         },
         trigger_label: "parity".into(),
         calibrate: false,
-    })
-    .with_filter(Box::new(CompactionDisabledFilter))
-    .with_filter(Box::new(AlreadyCompactFilter {
-        min_small_files: 2,
-        min_small_fraction: 0.0,
-    }))
-    .with_trait(Box::new(FileCountReduction::default()))
-    .with_trait(Box::new(ComputeCostGbhr::default()))
+    });
+    let ac = filters().into_iter().fold(ac, AutoComp::with_filter);
+    traits().into_iter().fold(ac, AutoComp::with_trait)
 }
 
 const SCOPES: [ScopeStrategy; 4] = [
@@ -767,6 +781,7 @@ fn run_listing_pipeline_scenario(
     let lake = CountingLake::with_listing_epoch(n, epoch);
     let mut observer = FleetObserver::new();
     let mut incremental = pipeline(scope);
+    let (ref_filters, ref_traits) = (filters(), traits());
     for (step, op) in ops.iter().chain([&ListingOp::Observe]).enumerate() {
         match op {
             ListingOp::Write(pick) | ListingOp::Fault(pick) => {
@@ -796,6 +811,22 @@ fn run_listing_pipeline_scenario(
                         now_ms,
                     })
                     .unwrap();
+                let reference = reference_cycle(
+                    observer.last().expect("the warm cycle observed"),
+                    &ref_filters,
+                    &ref_traits,
+                    &incremental.config().policy,
+                    now_ms,
+                );
+                let difference = reference_difference(&warm, &reference);
+                prop_assert!(
+                    difference.is_none(),
+                    "{:?}, epoch {}, step {}: against the reference cycle: {:?}",
+                    scope,
+                    epoch,
+                    step,
+                    difference
+                );
                 prop_assert_eq!(
                     common::report_difference(&warm, &cold),
                     None,
