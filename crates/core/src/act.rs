@@ -20,9 +20,10 @@
 //! * **In-flight ledger** — every scheduled job is recorded against its
 //!   table. Candidates of a table with a live job (running *or* awaiting
 //!   a retry) are suppressed and surfaced in [`CycleReport::dropped`]
-//!   with an explicit reason. Suppression is applied **post-splice**: the
-//!   [`CycleCache`] records verdicts and trait rows *before* it, so a
-//!   cached row stays valid across the job's lifetime. It covers the
+//!   with an explicit reason. Suppression is a mask over the retained
+//!   [decide state](crate::decide), never written into it, so a table's
+//!   verdicts, trait rows and score stay valid across the job's
+//!   lifetime. It covers the
 //!   whole table, not just the targeted partition: §6 observed same-table
 //!   partition jobs conflicting even when disjoint, which is why the
 //!   production scheduler serializes them — the ledger extends that rule
@@ -79,20 +80,19 @@
 //!
 //! The ledger is part of the act phase, not the observe phase: cached
 //! filter verdicts and trait rows never embed ledger state, so enabling
-//! or disabling the tracker does not invalidate the [`CycleCache`]. A
+//! or disabling the tracker does not invalidate the decide state. A
 //! disabled tracker (or an enabled one with nothing in flight and
 //! permissive admission) reproduces the fire-and-forget pipeline's
 //! `CycleReport`s bit-for-bit — pinned by `tests/job_runtime.rs` and
 //! `tests/incremental_parity.rs`. Settled outcomes reach the estimators
 //! exactly as manual
 //! [`ingest_feedback`](crate::pipeline::AutoComp::ingest_feedback) calls
-//! would, and like them do not bump the cache epoch (calibration only
+//! would, and like them do not bump the config epoch (calibration only
 //! scales act-phase predictions). Outcomes settled outside the pipeline
 //! reach the estimators through `ingest_feedback`.
 //!
 //! [`CycleReport::dropped`]: crate::pipeline::CycleReport::dropped
 //! [`CycleReport::deferred`]: crate::pipeline::CycleReport::deferred
-//! [`CycleCache`]: crate::cache
 //! [`ExecutionError::Transient`]: crate::connector::ExecutionError::Transient
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -1,8 +1,8 @@
 //! Durable snapshot/restore and crash-recovery for the OODA runtime.
 //!
 //! Every structure behind the O(dirty + k) steady state — the retained
-//! [`FleetObservation`](crate::observe::FleetObservation) chain, the
-//! cycle cache (`crate::cache::CycleCache`), the rank memo, the
+//! [`FleetObservation`](crate::observe::FleetObservation) chain with its
+//! quarantine records, the [decide state](crate::decide), the
 //! [`JobTracker`](crate::act::JobTracker) ledger and the feedback
 //! calibration means — is process-lifetime only without this module: a
 //! restart meant a fleet-wide cold re-observe and a ledger that forgot
@@ -30,39 +30,44 @@
 //! [`frame_checksum64`](lakesim_storage::frame_checksum64) over the whole
 //! frame. The payload layout is identified by [`SNAPSHOT_VERSION`]; any
 //! incompatible layout change bumps it.
-//! Readers accept versions up to their own and reject newer ones, so an
-//! old binary never misinterprets a new snapshot; old versions may gain
-//! explicit migration arms, but the default compatibility posture is
-//! *reject and cold-start* — a snapshot is a cache of recoverable state,
-//! so discarding it is always safe, only slower.
+//! Readers accept their own version only: a newer snapshot is never
+//! misinterpreted by an old binary, and an older one is not migrated.
+//! The compatibility posture is *reject and cold-start* — a snapshot is
+//! a cache of recoverable state, so discarding it is always safe, only
+//! slower. Version 3 replaced the cycle-cache and rank-memo sections with
+//! one decide-state section and added the observation's quarantine
+//! records.
 //!
 //! # Restore-validation contract
 //!
 //! Restoring yields a warm state only when **all** of the following
 //! hold; otherwise the pipeline falls back to a verbatim cold start
-//! (fresh observer, empty cache/memo, empty ledger) and reports why via
+//! (fresh observer, no decide state, empty ledger) and reports why via
 //! [`RecoveryReport::ColdStart`] — it never panics on snapshot bytes and
 //! never installs a partially-restored (silently wrong) warm state:
 //!
 //! * the frame validates: magic, kind, length and checksum match, and
-//!   the version is at most [`SNAPSHOT_VERSION`];
+//!   the version is exactly [`SNAPSHOT_VERSION`] — a newer frame is
+//!   rejected by the frame reader, an older one by the restore itself,
+//!   with a reason naming both versions;
 //! * the configuration fingerprint recorded in the snapshot matches the
 //!   restoring pipeline (scope, policy, trigger label, calibration flag,
 //!   filter/trait names, trait width, job-runtime config) — restoring
-//!   into a differently-configured pipeline would misread cached rows;
-//! * the cursor chain is internally consistent: the cycle cache's
-//!   generation, and the rank memo inside it, are persisted under one
-//!   liveness rule — computed at the snapshotted observation's change
-//!   cursor, over literally its listing, in the current config epoch —
-//!   and a memo whose trait width differs from its generation's, or one
-//!   without a generation, is read past and dropped;
+//!   into a differently-configured pipeline would misread retained rows;
+//! * the cursor chain is internally consistent: the decide state is
+//!   persisted only while live for the snapshotted observation — patched
+//!   at its change cursor, over literally its listing, in the current
+//!   config epoch — and a restore lays its slots out from the restored
+//!   observation;
 //! * every structural invariant re-derivable from the payload holds
-//!   (entry counts match table counts, prefix arrays are monotone in
-//!   length, …) — checked during decode, before anything is installed.
+//!   (entry counts match table counts, the decide state's slot count
+//!   matches the observation's candidates, every reason index and slot
+//!   is in bounds, …) — checked during decode, before anything is
+//!   installed.
 //!
 //! Partially-degraded restores are possible in one direction only:
-//! state that is *individually* absent or stale (e.g. a cache that was
-//! not persisted because its epoch had already been invalidated) is
+//! state that is *individually* absent or stale (e.g. a decide state that
+//! was not persisted because its epoch had already been invalidated) is
 //! dropped while the rest restores warm. Nothing is ever restored
 //! *wrong*: the property test in `tests/crash_recovery.rs` truncates
 //! and bit-flips valid snapshots at arbitrary offsets and asserts the
@@ -112,7 +117,7 @@ pub const SNAPSHOT_KIND: u16 = 7;
 /// Newest pipeline-snapshot payload version this build reads and writes.
 /// Bumped on any incompatible layout change; see the module docs for the
 /// compatibility policy.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// What a restore attempt produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,11 +140,12 @@ pub enum RecoveryReport {
         jobs_in_flight: usize,
         /// Pending retries restored.
         retries_pending: usize,
-        /// Whether the cycle cache restored warm (it is persisted only
+        /// Whether the decide state restored warm (it is persisted only
         /// when still valid at save time).
         cache_restored: bool,
-        /// Whether the rank memo restored warm (it travels inside the
-        /// cache generation, so never without `cache_restored`).
+        /// Whether the decide state restored with a retained selection
+        /// for the next cycle to maintain (never without
+        /// `cache_restored`).
         memo_restored: bool,
     },
     /// The snapshot was absent, stale, torn, corrupt or mismatched; the

@@ -42,16 +42,14 @@ pub trait CandidateFilter: Send + Sync {
     /// Whether this filter's verdict (or drop-reason string) depends on
     /// the cycle timestamp `now_ms` and not just the candidate's stats.
     ///
-    /// The incremental [`CycleCache`] reuses a quiet table's filter
-    /// verdict across cycles only when every filter in the chain declares
-    /// itself time-**insensitive** (or the timestamp did not move):
-    /// verdicts of time-sensitive filters can flip — and their reason
-    /// strings change — as the clock advances even when the stats are
-    /// byte-identical. Defaults to `true` (conservative: unknown filters
-    /// never get stale verdicts); pure stats predicates should override
-    /// to `false` to unlock cross-cycle caching.
-    ///
-    /// [`CycleCache`]: crate::pipeline::AutoComp::cycle_cache_stats
+    /// The retained [decide state](crate::decide) reuses a quiet table's
+    /// filter verdict across cycles only when every filter in the chain
+    /// declares itself time-**insensitive** (or the timestamp did not
+    /// move): verdicts of time-sensitive filters can flip — and their
+    /// reason strings change — as the clock advances even when the stats
+    /// are byte-identical. Defaults to `true` (conservative: unknown
+    /// filters never get stale verdicts); pure stats predicates should
+    /// override to `false` to unlock cross-cycle reuse.
     fn time_sensitive(&self) -> bool {
         true
     }
@@ -261,7 +259,7 @@ pub fn evaluate_chain(
 /// Whether any filter in the chain declares its verdicts
 /// [time-sensitive](CandidateFilter::time_sensitive). A chain that is
 /// entirely time-insensitive has verdicts that are pure functions of the
-/// candidate stats, which is what lets the incremental cycle cache splice
+/// candidate stats, which is what lets the retained decide state keep
 /// them across cycles with moving timestamps.
 pub fn chain_time_sensitive(filters: &[Box<dyn CandidateFilter>]) -> bool {
     filters.iter().any(|f| f.time_sensitive())

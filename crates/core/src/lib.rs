@@ -58,11 +58,15 @@
 //!   lookups are index arithmetic over contiguous columns — no
 //!   per-candidate maps, no string-keyed probes, and **zero per-candidate
 //!   allocations** in the decide phase.
-//! * Orient fills a row-major scratch in one pass (one stats access per
-//!   candidate) and transposes it into the trait columns. Filtering
-//!   retains survivors in place (no fleet-sized reallocation), and NaN
-//!   trait values are sanitized into dropped candidates instead of
-//!   aborting the cycle.
+//! * One [`decide`] state, retained across cycles and indexed by
+//!   candidate slot, holds every candidate's filter verdict, its trait
+//!   values as the matrix's own columns, and its score. A cycle patches
+//!   the slots of fresh tables in place — orient writes their values
+//!   straight into the columns, one stats access per candidate, with no
+//!   scratch and no transpose. Filter drops, the job ledger's live
+//!   tables and NaN trait values (sanitized into dropped candidates
+//!   instead of aborting the cycle) leave ranking through a mask, with
+//!   no thinning copy.
 //! * [`rank::rank_and_select`] replaces the seed's full fleet sort with
 //!   partial selection (`select_nth_unstable_by` plus a sort of the
 //!   selected head): for n candidates and k selections the decide phase
@@ -78,15 +82,15 @@
 //! talks to a concrete lake purely through the connector traits, which is
 //! what lets the same pipeline run against the simulated lake here, or
 //! any other LST/catalog (NFR3). [`durability`] makes the retained
-//! cross-cycle state (observation chain, cycle cache, rank memo, job
-//! ledger, calibration) survive a process restart.
+//! cross-cycle state (observation chain, decide state, job ledger,
+//! calibration) survive a process restart.
 
 #![warn(missing_docs)]
 
 pub mod act;
-pub mod cache;
 pub mod candidate;
 pub mod connector;
+pub mod decide;
 pub mod durability;
 pub mod error;
 pub mod feedback;
@@ -109,11 +113,11 @@ pub use act::{
     pump_completions, CompletionSink, Executor, JobLedgerSummary, JobOutcome, JobOutcomeStatus,
     JobRuntimeConfig, JobTracker, TrackedExecutor, Untracked,
 };
-pub use cache::CycleCacheStats;
 pub use candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
 pub use connector::{
     CompactionExecutor, ExecutionError, ExecutionResult, LakeConnector, ObserveFault, Prediction,
 };
+pub use decide::CycleCacheStats;
 pub use durability::{
     JournalEvent, JournalingExecutor, RecoveryReport, ReplayExecutor, ReplaySummary,
     SnapshotContext,

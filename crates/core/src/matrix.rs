@@ -126,7 +126,8 @@ impl TraitMatrix {
         &self.values[start..start + self.rows]
     }
 
-    /// Mutable access to one trait's column (used by the orient fill).
+    /// Mutable access to one trait's column (the orient step writes
+    /// patched slots through it).
     #[inline]
     pub fn col_mut(&mut self, id: TraitId) -> &mut [f64] {
         let start = id.index() * self.rows;
@@ -139,30 +140,14 @@ impl TraitMatrix {
         self.values[id.index() * self.rows + row]
     }
 
-    /// Loads every column at once by transposing a row-major scratch
-    /// buffer (`scratch[row * width + col]`) — only the rows `keep` marks,
-    /// in order, or all of them when `keep` is `None`. This is the orient
-    /// phase's assembly step: trait values are produced (or spliced from
-    /// the cycle cache) one row at a time — a single stats access per
-    /// candidate — and the rows that survive thinning are then laid out
-    /// into the contiguous columns ranking consumes.
-    ///
-    /// # Panics
-    /// Panics if `scratch` is not whole rows of [`width`](Self::width),
-    /// or if `keep` does not hold one flag per scratch row.
-    pub fn load_row_major(&mut self, scratch: &[f64], keep: Option<&[bool]>) {
-        let width = self.names.len();
-        let total = keep.map_or_else(|| scratch.len().checked_div(width).unwrap_or(0), <[_]>::len);
-        assert_eq!(scratch.len(), total * width, "scratch shape mismatch");
-        let kept = keep.map_or(total, |k| k.iter().filter(|k| **k).count());
-        self.rows = kept;
-        self.values = vec![0.0; width * kept];
-        for col in 0..width {
-            let column = &mut self.values[col * kept..(col + 1) * kept];
-            let rows = (0..total).filter(|row| keep.is_none_or(|k| k[*row]));
-            for (value, row) in column.iter_mut().zip(rows) {
-                *value = scratch[row * width + col];
-            }
+    /// An all-zero matrix of `rows` rows over this one's traits — how
+    /// the decide state lays out its columns for a new slot layout.
+    pub(crate) fn resized(&self, rows: usize) -> Self {
+        TraitMatrix {
+            names: self.names.clone(),
+            directions: self.directions.clone(),
+            values: vec![0.0; self.names.len() * rows],
+            rows,
         }
     }
 
@@ -254,25 +239,6 @@ mod tests {
             TraitMatrix::from_maps(&ragged, &dirs),
             Err(AutoCompError::UnknownTrait(_))
         ));
-    }
-
-    #[test]
-    fn masked_load_transposes_only_kept_rows() {
-        let mut m = TraitMatrix::new(0);
-        let a = m.intern("a", None);
-        let b = m.intern("b", None);
-        // Row-major: four rows of (a, b).
-        let scratch = [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0];
-        m.load_row_major(&scratch, None);
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.col(a), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.col(b), &[10.0, 20.0, 30.0, 40.0]);
-        m.load_row_major(&scratch, Some(&[true, false, true, false]));
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.col(a), &[1.0, 3.0]);
-        assert_eq!(m.col(b), &[10.0, 30.0]);
-        m.load_row_major(&scratch, Some(&[false; 4]));
-        assert_eq!((m.rows(), m.col(b)), (0, &[][..]));
     }
 
     #[test]

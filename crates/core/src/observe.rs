@@ -57,13 +57,13 @@
 //! pass** ([`FleetObservation::is_fresh`]) or reused verbatim, and which
 //! snapshot it was incrementally derived from
 //! ([`FleetObservation::prior_cursor`]). Together these are the
-//! invalidation contract for cross-cycle caches (the pipeline's
-//! `CycleCache`): a cached per-table artifact is valid iff it was
-//! computed against the observation whose cursor equals `prior_cursor()`
-//! *and* the table's entry is not fresh — force-dirtied tables read as
-//! fresh even when the changelog never saw a write, precisely so caches
-//! invalidate their rows. See [`crate::pipeline`] and the
-//! cache-epoch rules documented there.
+//! invalidation contract for cross-cycle state (the pipeline's
+//! [decide state](crate::decide)): a retained per-table artifact is
+//! valid iff it was computed against the observation whose cursor equals
+//! `prior_cursor()` *and* the table's entry is not fresh — force-dirtied
+//! tables read as fresh even when the changelog never saw a write,
+//! precisely so retained rows are patched. See [`crate::decide`] for the
+//! rest of its keys.
 //!
 //! # Plan, assemble, fetch in place
 //!
@@ -144,9 +144,11 @@
 //!   see the connector module docs' vanish-vs-fault split.
 //! * **Fallback/reset conditions**: a scope change drops carry and
 //!   quarantine state (prior entries have the wrong shape); snapshot
-//!   restore resets all degradation bookkeeping (the restored
-//!   observation is a clean baseline); [`FleetObserver::reset`] starts
-//!   a fresh chain.
+//!   restore keeps the quarantine records, re-based to pass 0 (a
+//!   carried entry is still re-fetched when its backoff expires, so the
+//!   carry-staleness bound survives a crash), and resets the per-pass
+//!   counters and the listing staleness; [`FleetObserver::reset`]
+//!   starts a fresh chain.
 //!
 //! Reconvergence is the contract the chaos suite
 //! (`tests/connector_faults.rs`) pins: after faults heal, quarantined
@@ -324,7 +326,8 @@ pub struct Quarantined {
 pub struct ObserveDegradation {
     /// Monotone observe-pass counter along the observation chain.
     /// Quarantine backoffs are measured against it. Resets with a fresh
-    /// chain (no prior) and on snapshot restore.
+    /// chain (no prior) and on snapshot restore, which re-bases the
+    /// quarantine releases onto it.
     pub pass: u64,
     /// Quarantined tables by uid: consecutive fault attempts, backoff
     /// release pass, and whether the entry is carried or retired.
@@ -580,8 +583,7 @@ impl FleetObservation {
     }
 
     /// Shared handle on the table listing (for listing reuse across
-    /// incremental observes, and for the cycle cache's descriptor
-    /// verification).
+    /// incremental observes, and for the decide state's listing key).
     pub(crate) fn tables_shared(&self) -> Arc<Vec<TableRef>> {
         Arc::clone(&self.tables)
     }
@@ -641,6 +643,12 @@ impl FleetObservation {
     /// fresh entry's stats may differ from the prior cycle's.
     pub fn is_fresh(&self, index: usize) -> bool {
         self.fresh_flags[index]
+    }
+
+    /// Listing positions of the [fresh](Self::is_fresh) entries,
+    /// ascending.
+    pub(crate) fn fresh_positions(&self) -> &[u32] {
+        &self.fresh
     }
 
     /// Cursor of the prior observation this one was incrementally derived
@@ -769,6 +777,17 @@ impl FleetObservation {
                 }
             }
         }
+        // Quarantine records, their release as passes still to wait: a
+        // carried entry must come back for its re-fetch after a restore
+        // exactly when it would have without one.
+        let deg = &self.degradation;
+        enc.put_u64(deg.quarantine.len() as u64);
+        for (uid, q) in &deg.quarantine {
+            enc.put_u64(*uid);
+            enc.put_u32(q.attempts);
+            enc.put_bool(q.carried);
+            enc.put_u64(q.release_pass.saturating_sub(deg.pass));
+        }
     }
 
     /// Restores an observation from a snapshot. The result is marked
@@ -776,7 +795,8 @@ impl FleetObservation {
     /// entries are reused state, not a new fetch, and the *next*
     /// incremental observe derives freshness from the changelog against
     /// the restored cursor exactly as it would have against the
-    /// original.
+    /// original. Quarantine records restore re-based to pass 0, so every
+    /// quarantined table is re-fetched on the pass it was due.
     pub(crate) fn snapshot_restore(
         dec: &mut lakesim_storage::Decoder<'_>,
     ) -> Result<FleetObservation, lakesim_storage::CodecError> {
@@ -842,6 +862,16 @@ impl FleetObservation {
                 _ => return Err(CodecError::Invalid("entry tag")),
             });
         }
+        let mut quarantine = BTreeMap::new();
+        for _ in 0..dec.take_len(21, "quarantine records")? {
+            let uid = dec.take_u64("quarantined uid")?;
+            let record = Quarantined {
+                attempts: dec.take_u32("quarantine attempts")?,
+                carried: dec.take_bool("quarantine carried")?,
+                release_pass: dec.take_u64("quarantine passes left")?,
+            };
+            quarantine.insert(uid, record);
+        }
         Ok(FleetObservation {
             scope,
             fresh: Vec::new(),
@@ -852,9 +882,12 @@ impl FleetObservation {
             uid_index: Arc::new(OnceLock::new()),
             cursor,
             prior_cursor: None,
-            // A restored observation is a clean baseline: quarantine and
-            // carry bookkeeping do not survive a restore.
-            degradation: ObserveDegradation::default(),
+            // The chain restarts at pass 0 with its quarantine re-based
+            // onto it; the per-pass fault counters start clean.
+            degradation: ObserveDegradation {
+                quarantine,
+                ..ObserveDegradation::default()
+            },
         })
     }
 }
@@ -2180,6 +2213,45 @@ mod tests {
             .inner
             .observe(ObserveRequest::fresh(ScopeStrategy::Table));
         assert_eq!(obs.to_candidates(), fresh.to_candidates());
+    }
+
+    /// A table carried stale at a snapshot is re-fetched after a restore
+    /// on the pass it was due, exactly as it is without the crash: pass
+    /// by pass the restored observer reads what the never-crashed one
+    /// does, and both end on the written stats.
+    #[test]
+    fn a_carried_entry_keeps_its_quarantine_across_a_restore() {
+        let lake = FaultyLake::new(10);
+        let mut kept = FleetObserver::new();
+        kept.observe(&lake, ScopeStrategy::Table);
+        lake.inner.write(4);
+        lake.fault_stats(4, [ObserveFault::transient("store hiccup")]);
+        let carried = kept.observe(&lake, ScopeStrategy::Table);
+        assert_eq!(carried.degradation().carried_entries(), 1);
+
+        let mut enc = lakesim_storage::Encoder::new();
+        carried.snapshot_write(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = lakesim_storage::Decoder::new(&bytes);
+        let snapshot = FleetObservation::snapshot_restore(&mut dec).unwrap();
+        let mut restored = FleetObserver::new();
+        restored.restore_prior(snapshot, BTreeSet::new());
+
+        let written = lake.inner.stats_for(4).file_count;
+        let of_table_4 = |obs: &FleetObservation| match obs.entry(4) {
+            TableObservation::Table(stats) => stats.file_count,
+            other => panic!("table 4 observed as {other:?}"),
+        };
+        for pass in 1..=3 {
+            let kept = kept.observe(&lake, ScopeStrategy::Table);
+            let restored = restored.observe(&lake, ScopeStrategy::Table);
+            assert_eq!(
+                restored.to_candidates(),
+                kept.to_candidates(),
+                "pass {pass}"
+            );
+            assert_eq!(of_table_4(restored), written, "pass {pass}");
+        }
     }
 
     #[test]

@@ -5,31 +5,30 @@
 //! straight over observation-backed stats references, so no
 //! `Vec<Candidate>` is materialized in the hot cycle (only the handful of
 //! *selected* candidates are built for the act phase). The orient and
-//! decide phases are columnar. The `ORIENT` span fills a row-major
-//! scratch of trait values, thins it once (rows of live-job tables and
-//! rows holding a NaN drop with a reason), transposes only the kept rows
-//! into a [`TraitMatrix`] (one contiguous `f64` column per trait), and
-//! installs the unthinned scratch as the next cache generation. Ranking
-//! consumes the matrix by index — no per-candidate maps, no id-keyed
-//! side tables, no full fleet sort.
+//! decide phases are columnar and slot-indexed: one
+//! [`crate::decide`] state, retained across cycles and patched in place,
+//! holds every candidate's filter verdict, its trait values as a
+//! [`TraitMatrix`]'s own columns (one contiguous `f64` column per
+//! trait) and its score. The `FILTER_SPLICE` span re-filters the patched
+//! tables, the `ORIENT` span computes their trait rows and masks out the
+//! ledger's live tables and NaN rows, and the `RANK` span re-scores what
+//! went stale and maintains the selection — no per-candidate maps, no
+//! row-major scratch, no thinning copy, no full fleet sort.
 //!
-//! Across incremental cycles a [`CycleCache`](crate::cache) retains one
-//! generation — each table's filter verdicts (with drop reasons), its
-//! trait-matrix rows and the rank memo over them — keyed by the
-//! observation's change-cursor chain: an incremental cycle recomputes
-//! filter/orient only for dirty tables, splices runs of quiet tables
-//! from the generation, and re-scores only the rows it recomputed.
-//! Selection stays global. See the [`crate::cache`] module docs for the
-//! exact invalidation rules (cursor chain, config epoch, scope/width, and
-//! the time-sensitivity gate for filter chains).
+//! A cycle patches only the observation's fresh tables (or, over a new
+//! listing, the tables it could not move by uid), and takes the
+//! fleet-wide path when the state's keys — config epoch, scope, width,
+//! change-cursor chain, and the fill time of a time-sensitive filter
+//! chain — do not hold. [`crate::decide`] documents the keys, the patch
+//! set and every fleet-wide condition.
 //!
 //! The act phase belongs to [`crate::act`]: this module materializes the
 //! selected candidates, has the scheduler plan them, freezes calibration
 //! and ingests the phase's feedback afterwards. With a job runtime
 //! attached ([`AutoComp::with_job_tracker`]) the ledger also names its
-//! live tables after the cache splice (so cached rows survive a job).
-//! Hand [`AutoComp::cycle`] an [`Executor::Tracked`] so finished jobs
-//! settle.
+//! live tables, which the mask suppresses without touching the state
+//! (so the state survives a job). Hand [`AutoComp::cycle`] an
+//! [`Executor::Tracked`] so finished jobs settle.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -39,23 +38,19 @@ use crate::act::{
     pricing, ActOutcome, ActPhase, Executor, JobLedgerSummary, JobOutcome, JobRuntimeConfig,
     JobTracker,
 };
-use crate::cache::{CacheGen, CycleCache, CycleCacheStats};
-use crate::candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
+use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{ExecutionResult, LakeConnector, Prediction};
+use crate::decide::{self, CycleCacheStats, DecideState, Keys};
 use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
-use crate::filter::{chain_time_sensitive, evaluate_chain, CandidateFilter};
-use crate::matrix::TraitMatrix;
-use crate::observe::{FleetObservation, FleetObserver, ObserveRequest, TableObservation, UidMap};
-use crate::rank::{
-    rank_with_memo, DecisionNote, RankCycleStats, RankDelta, RankSource, RankedEntries,
-    RankingPolicy, NO_PRIOR_ROW, RANKED_PREFIX_MIN,
-};
+use crate::filter::{chain_time_sensitive, CandidateFilter};
+use crate::matrix::{TraitId, TraitMatrix};
+use crate::observe::{FleetObservation, FleetObserver, ObserveRequest};
+use crate::rank::{RankCycleStats, RankedEntries, RankingPolicy, RANKED_PREFIX_MIN};
 use crate::report::{decision_rows, render_table};
 use crate::schedule::{ParallelTablesScheduler, Scheduler};
 use crate::scope::ScopeStrategy;
-use crate::stats::CandidateStats;
 use crate::telemetry::{names as tnames, phase as tphase, TelemetrySink};
 use crate::traits::TraitComputer;
 use crate::Result;
@@ -97,12 +92,15 @@ pub struct CycleReport {
     pub scope: Cow<'static, str>,
     /// Candidates generated in the observe phase.
     pub generated: usize,
-    /// Candidates dropped by filters or orient sanitization, with
-    /// reasons (shared `Arc<str>`s: on cache-splice cycles a reason is a
-    /// refcount bump, not a fresh allocation per dropped candidate).
+    /// Candidates dropped by filters, the job ledger or orient
+    /// sanitization, with reasons: filter drops, then live-job tables,
+    /// then NaN rows, each in candidate order. Reasons are shared
+    /// `Arc<str>`s: a retained filter verdict's reason is a refcount
+    /// bump, not a fresh allocation per dropped candidate.
     pub dropped: Vec<(CandidateId, Arc<str>)>,
-    /// Columnar trait values for the ranked candidates; `ranked` entries
-    /// index into its rows.
+    /// Columnar trait values, one row per generated candidate in
+    /// observation order (rows of filter-dropped candidates read zero);
+    /// `ranked` entries index into its rows.
     pub traits: TraitMatrix,
     /// Ranked candidates with scores and selection: best-first for the
     /// materialized prefix (all selected rows plus the first
@@ -182,8 +180,13 @@ pub struct AutoComp {
     /// `config_mut`, explicit invalidation). Cached cycle results are
     /// valid only within one epoch.
     epoch: u64,
-    /// Retained filter/orient generation and, inside it, the rank memo.
-    cache: CycleCache,
+    /// The retained decide state (see [`crate::decide`]).
+    state: Option<DecideState>,
+    /// Whether a cycle over a retained observation keeps its state for
+    /// the next cycle.
+    retain_state: bool,
+    /// Patch effectiveness of the most recent cycle.
+    cache_stats: CycleCacheStats,
     /// Splice effectiveness of the most recent rank pass.
     rank_stats: RankCycleStats,
     /// Act-phase job runtime (in-flight ledger + admission + retries);
@@ -199,7 +202,7 @@ pub struct AutoComp {
 impl AutoComp {
     /// Creates a pipeline with no filters, no traits, the paper's
     /// production scheduler (parallel tables, sequential partitions), and
-    /// the incremental cycle cache enabled.
+    /// the retained decide state enabled.
     pub fn new(config: AutoCompConfig) -> Self {
         AutoComp {
             config,
@@ -208,7 +211,9 @@ impl AutoComp {
             scheduler: Box::new(ParallelTablesScheduler),
             feedback: EstimationFeedback::new(),
             epoch: 0,
-            cache: CycleCache::new(true),
+            state: None,
+            retain_state: true,
+            cache_stats: CycleCacheStats::default(),
             rank_stats: RankCycleStats::default(),
             tracker: None,
             telemetry: TelemetrySink::default(),
@@ -222,8 +227,8 @@ impl AutoComp {
     /// [`cycle`](Self::cycle) an [`Executor::Tracked`] so finished jobs
     /// settle each cycle; an [`Executor::Plain`] cycle still applies
     /// suppression/admission but never polls. Attaching the tracker does
-    /// not invalidate the cycle cache — ledger state is checked after
-    /// the splice (see [`crate::act`]).
+    /// not invalidate the retained decide state — live tables are masked
+    /// each cycle, not written into it (see [`crate::decide`]).
     pub fn with_job_tracker(mut self, config: JobRuntimeConfig) -> Self {
         let mut tracker = JobTracker::new(config);
         tracker.set_telemetry(self.telemetry.clone());
@@ -284,41 +289,44 @@ impl AutoComp {
         self
     }
 
-    /// Enables or disables the incremental cycle cache (builder style).
-    /// Disabling clears any retained generation (rank memo included);
-    /// every cycle then recomputes filter/orient/rank for the whole fleet
-    /// (the always-cold reference behavior the parity suite compares
-    /// against).
+    /// Enables or disables the retained decide state (builder style).
+    /// Disabling drops any retained state; every cycle then takes the
+    /// fleet-wide path (the always-cold reference behavior the parity
+    /// suite compares against).
     pub fn with_cycle_cache(mut self, enabled: bool) -> Self {
-        self.cache.set_enabled(enabled);
+        self.retain_state = enabled;
+        if !enabled {
+            self.state = None;
+        }
         self
     }
 
-    /// Splice effectiveness of the most recent cycle: how many tables
-    /// were spliced from the cache vs recomputed.
+    /// Patch effectiveness of the most recent cycle: how many tables kept
+    /// their slots from the retained state vs were patched.
     pub fn cycle_cache_stats(&self) -> CycleCacheStats {
-        self.cache.stats()
+        self.cache_stats
     }
 
-    /// Number of tables in the retained cache generation (bounded by the
-    /// observed fleet size: exactly one generation is kept).
+    /// Number of tables laid out in the retained decide state (bounded by
+    /// the observed fleet size: exactly one state is kept).
     pub fn cycle_cache_len(&self) -> usize {
-        self.cache.len()
+        self.state.as_ref().map_or(0, DecideState::tables)
     }
 
-    /// Explicitly invalidates the cycle cache (epoch bump + clear). Use
-    /// after out-of-band changes the epoch cannot see — e.g. a filter or
-    /// trait computer whose behavior depends on interior-mutable state.
+    /// Explicitly invalidates the retained decide state (epoch bump +
+    /// drop). Use after out-of-band changes the epoch cannot see — e.g. a
+    /// filter or trait computer whose behavior depends on
+    /// interior-mutable state.
     pub fn invalidate_cycle_cache(&mut self) {
         self.epoch += 1;
-        self.cache.clear();
+        self.state = None;
     }
 
     /// Splice effectiveness of the most recent cycle's decide phase: how
-    /// many per-candidate scores were spliced from the retained rank
-    /// memo vs recomputed, and whether top-k selection was maintained
-    /// from the retained prefix (`memo_fast`) instead of running the
-    /// fleet-wide ordering pass.
+    /// many per-candidate scores were kept from the retained state vs
+    /// recomputed, and whether top-k selection was maintained from the
+    /// retained prefix (`memo_fast`) instead of running the fleet-wide
+    /// ordering pass.
     pub fn rank_memo_stats(&self) -> RankCycleStats {
         self.rank_stats
     }
@@ -329,9 +337,9 @@ impl AutoComp {
     }
 
     /// Mutable configuration (e.g. to switch policies between cycles).
-    /// Accessing it bumps the configuration epoch — the cycle cache
-    /// conservatively assumes any field may have changed and recomputes
-    /// the next cycle from scratch.
+    /// Accessing it bumps the configuration epoch — the decide state
+    /// conservatively assumes any field may have changed and the next
+    /// cycle takes the fleet-wide path.
     pub fn config_mut(&mut self) -> &mut AutoCompConfig {
         self.epoch += 1;
         &mut self.config
@@ -345,10 +353,11 @@ impl AutoComp {
     /// Ingests one prediction-vs-outcome observation (the act→observe
     /// feedback loop of §3.3).
     ///
-    /// Feedback does **not** invalidate the cycle cache: calibration
+    /// Feedback does **not** invalidate the decide state: calibration
     /// scales act-phase predictions, which are recomputed every cycle
-    /// from the (calibration-free) trait matrix — cached filter verdicts
-    /// and trait rows are pure functions of the observed stats. A custom
+    /// from the (calibration-free) trait matrix — retained filter
+    /// verdicts, trait rows and scores are pure functions of the
+    /// observed stats. A custom
     /// trait computer that *does* read calibration state must call
     /// [`invalidate_cycle_cache`](Self::invalidate_cycle_cache) after
     /// ingesting.
@@ -367,14 +376,15 @@ impl AutoComp {
     ///   [job tracker](Self::with_job_tracker) polled outcomes are
     ///   discarded.
     /// * **Observe**: given an observer, one retained incremental
-    ///   [`FleetObserver::observe`], and the cycle cache fills for the
-    ///   next cycle to splice against. Without one, a cold one-shot
+    ///   [`FleetObserver::observe`], and the decide state is kept for
+    ///   the next cycle to patch. Without one, a cold one-shot
     ///   [`observe`](LakeConnector::observe) whose observation is dropped
-    ///   with the cycle, so the cache fill is skipped entirely.
+    ///   with the cycle, and so is the state built over it.
     /// * **Filter → orient → decide → act** over the observation,
-    ///   consumed **by index**: filters evaluate [`CandidateView`]s built
-    ///   over entry stats references, orient computes (or cache-splices)
-    ///   trait rows straight into the columnar scratch, and only the
+    ///   consumed **by index**: filters evaluate
+    ///   [`CandidateView`](crate::candidate::CandidateView)s built
+    ///   over entry stats references, orient writes the patched slots'
+    ///   trait values straight into the state's columns, and only the
     ///   selected candidates are ever materialized as owned
     ///   [`Candidate`]s for the act phase.
     pub fn cycle(&mut self, mut input: CycleInput<'_>) -> Result<CycleReport> {
@@ -464,160 +474,67 @@ impl AutoComp {
     }
 
     /// The filter → orient → decide → act phases of [`cycle`](Self::cycle)
-    /// over an already-captured observation. `allow_cache_fill` is
-    /// `false` for a one-shot observation (dropped with the cycle, so a
-    /// filled generation could never be spliced) and `true` for one an
-    /// observer retains.
+    /// over an already-captured observation. `retained` is `false` for a
+    /// one-shot observation (dropped with the cycle, so a state patched
+    /// against it could never be reused) and `true` for one an observer
+    /// retains.
     fn cycle_observed_inner(
         &mut self,
         observation: &FleetObservation,
         mut exec: Executor<'_>,
         now_ms: u64,
-        allow_cache_fill: bool,
+        retained: bool,
     ) -> Result<CycleReport> {
         if self.traits.is_empty() {
             return Err(AutoCompError::NoTraits);
         }
         self.record_observe_degradation(observation);
-        let scope_label = observation.scope().label();
-        let single_scope = observation.single_scope();
-        let generated = observation.candidate_count();
-        let tables = observation.tables();
+        let (template, columns) = self.trait_template();
 
-        // Trait interning up front: the column layout (and the scratch
-        // stride) is fixed by the registered computers, independent of
-        // the kept set. Duplicate trait names share a slot, so the last
-        // computer wins like the seed's map inserts.
-        let mut matrix = TraitMatrix::new(0);
-        let trait_cols: Vec<usize> = self
-            .traits
-            .iter()
-            .map(|t| matrix.intern(t.name(), Some(t.direction())).index())
-            .collect();
-        let width = matrix.width();
-
-        // Filter (+ cache splice): one walk over the observation decides
-        // keep/drop per candidate, splicing quiet tables' verdicts from
-        // the prior generation, and records the next generation.
+        // Filter: reuse the retained state if its keys hold, lay it onto
+        // this listing, and re-filter the patched tables.
         let span_t = self.telemetry.span_start();
-        let time_sensitive = chain_time_sensitive(&self.filters);
-        let fill_cache = allow_cache_fill && self.cache.enabled() && observation.cursor().is_some();
-        // A usable generation hands over its memo, owned for the cycle.
-        let (old_gen, memo_in) = match self.cache.usable_gen(
-            self.epoch,
-            observation.scope(),
-            observation.prior_cursor(),
+        let keys = Keys {
+            epoch: self.epoch,
+            scope: observation.scope(),
+            cursor: observation.cursor(),
             now_ms,
-            time_sensitive,
-            width,
-        ) {
-            Some(prior) => (Some((prior.gen, prior.tables)), prior.memo),
-            None => (None, None),
+            tables: observation.tables_shared(),
         };
-        let WalkOutput {
-            mut kept_slots,
-            mut dropped,
-            gen,
-            spliced,
-            recomputed,
-        } = filter_splice_walk(
-            &self.filters,
-            observation,
-            now_ms,
-            single_scope,
-            old_gen,
-            fill_cache,
-        );
+        let time_sensitive = chain_time_sensitive(&self.filters);
+        let width = template.width();
+        let prior = self
+            .state
+            .take_if(|s| s.usable(&keys, observation, time_sensitive, width));
+        let (mut state, patched) =
+            DecideState::filter(prior, keys, &template, &self.filters, observation);
+        let recomputed = patched.len();
+        let spliced = observation.table_count() - recomputed;
         self.telemetry.span_end(tphase::FILTER_SPLICE, span_t);
 
-        // Orient, one span: fill a row-major scratch — cached rows
-        // copied, fresh rows computed with a single stats access per
-        // candidate — thin it once, transpose only the kept rows into the
-        // matrix's contiguous columns, and install the next generation
-        // from the unthinned scratch.
+        // Orient: trait rows of the patched slots, then the mask. The
+        // ledger's live tables are found through the observation's uid
+        // index, so suppression costs what the live set does. It masks
+        // rather than rewrites, so the state stays valid for the cycle in
+        // which the job settles.
         let span_t = self.telemetry.span_start();
-        let gen_len = kept_slots.len();
-        let mut scratch = vec![0.0; gen_len * width];
-        let old_rows: &[f64] = old_gen.map(|(g, _)| g.rows.as_slice()).unwrap_or(&[]);
-        // `width` ≥ 1: the cycle requires a registered trait.
-        for (slot, row) in kept_slots.iter().zip(scratch.chunks_exact_mut(width)) {
-            if slot.cached_row != NO_PRIOR_ROW {
-                let start = slot.cached_row as usize * width;
-                row.copy_from_slice(&old_rows[start..start + width]);
-            } else {
-                let stats = slot_stats(observation, *slot);
-                for (t, col) in self.traits.iter().zip(&trait_cols) {
-                    row[*col] = t.compute(stats);
-                }
-            }
-        }
-
-        // One thinning mask for the two post-splice drop sources. The
-        // ledger lists its live tables (a running job, or a retry waiting
-        // out its backoff); each is found through the observation's uid
-        // index and the position-sorted kept slots, so every candidate of
-        // a live table drops at a cost that scales with the live set, not
-        // the fleet. Post-splice by design: the generation installed below
-        // is ledger-free, so it stays valid for the cycle in which the job
-        // settles. Then a row holding a NaN trait value drops, named after
-        // its first NaN column (one NaN from a connector must not poison
-        // ranking for the fleet); a row the ledger already dropped keeps
-        // the ledger's reason. `dropped` lists ledger hits in row order,
-        // then NaN rows in row order.
-        let mut suppressed: Vec<(usize, Arc<str>)> = Vec::new();
+        state.orient(&patched, &self.traits, &columns, observation);
+        let live = match self.tracker.as_mut() {
+            Some(tracker) => tracker
+                .live_tables(now_ms)
+                .into_iter()
+                .filter_map(|(uid, reason)| Some((observation.position_of_uid(uid)?, reason)))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mask = state.mask(observation, &patched, live);
         if let Some(tracker) = self.tracker.as_mut() {
-            let live = tracker.live_tables(now_ms).into_iter();
-            let listed = live.filter_map(|(uid, r)| Some((observation.position_of_uid(uid)?, r)));
-            for (pos, reason) in listed {
-                let first = kept_slots.partition_point(|s| (s.table as usize) < pos);
-                let of_table = kept_slots[first..].iter();
-                let rows = of_table.take_while(|s| s.table as usize == pos).count();
-                suppressed.extend((first..first + rows).map(|row| (row, reason.clone())));
-            }
-            tracker.note_suppressed(suppressed.len());
+            tracker.note_suppressed(mask.suppressed);
         }
-        let mut keep: Option<Vec<bool>> = None;
-        suppressed.sort_unstable_by_key(|(row, _)| *row);
-        for (row, reason) in suppressed {
-            keep.get_or_insert_with(|| vec![true; gen_len])[row] = false;
-            dropped.push((slot_id(observation, kept_slots[row], single_scope), reason));
-        }
-        for (row, values) in scratch.chunks_exact(width).enumerate() {
-            let Some(id) = matrix.trait_ids().find(|id| values[id.index()].is_nan()) else {
-                continue;
-            };
-            let mask = keep.get_or_insert_with(|| vec![true; gen_len]);
-            if std::mem::replace(&mut mask[row], false) {
-                let note = DecisionNote::NanTrait {
-                    trait_name: matrix.trait_name(id).into(),
-                };
-                let cid = slot_id(observation, kept_slots[row], single_scope);
-                dropped.push((cid, Arc::from(note.to_string())));
-            }
-        }
-        matrix.load_row_major(&scratch, keep.as_deref());
-        if let Some(keep) = &keep {
-            let mut keep = keep.iter();
-            kept_slots.retain(|_| *keep.next().expect("one flag per kept slot"));
-        }
-
-        // The next cache generation is the unthinned scratch: exactly the
-        // kept rows the next cycle splices from.
-        if let Some(mut g) = gen {
-            g.rows = scratch;
-            self.cache.install(
-                g,
-                self.epoch,
-                observation.scope(),
-                observation
-                    .cursor()
-                    .expect("cache fills only for cursor-bearing observations"),
-                now_ms,
-                width,
-                observation.tables_shared(),
-            );
-        }
-        self.cache.record_cycle(spliced, recomputed);
+        self.cache_stats = CycleCacheStats {
+            spliced_tables: spliced,
+            recomputed_tables: recomputed,
+        };
         self.telemetry.span_end(tphase::ORIENT, span_t);
         let splice_total = spliced + recomputed;
         self.telemetry.gauge_set(
@@ -633,32 +550,20 @@ impl AutoComp {
         self.telemetry
             .gauge_set(tnames::PIPELINE_CACHE_RECOMPUTED, recomputed as f64);
 
-        // Decide: rank straight off the observation-backed source, with
-        // incremental maintenance (score splice + retained-prefix
-        // selection) from the spliced generation's memo; the next memo
-        // joins the generation installed above.
+        // Decide: re-score what the mask names stale and maintain the
+        // selection, or take the fleet-wide path.
         let span_t = self.telemetry.span_start();
-        let uniform_tail = matches!(
-            observation.scope(),
-            ScopeStrategy::Table | ScopeStrategy::Snapshot { .. }
-        );
-        let source = ObservationSource {
-            slots: &kept_slots,
-            observation,
-            single_scope,
-            uniform_tail,
+        let fill = self.retain_state && retained && observation.cursor().is_some();
+        let (ranked, rank_stats) = match state.rank(observation, &self.config.policy, &mask) {
+            Ok(ranked) => ranked,
+            Err(e) => {
+                if fill {
+                    self.state = Some(state);
+                }
+                return Err(e);
+            }
         };
-        let delta = fill_cache.then_some(RankDelta {
-            memo: memo_in.as_ref(),
-            slots: &kept_slots,
-            gen_len,
-        });
-        let (ranked, memo_out, rank_stats) =
-            rank_with_memo(&source, &matrix, &self.config.policy, delta.as_ref())?;
         self.rank_stats = rank_stats;
-        if let Some(memo) = memo_out {
-            self.cache.set_memo(memo);
-        }
         self.telemetry.span_end(tphase::RANK, span_t);
         let score_total = rank_stats.spliced_scores + rank_stats.recomputed_scores;
         self.telemetry.gauge_set(
@@ -680,14 +585,7 @@ impl AutoComp {
         let span_t = self.telemetry.span_start();
         let selected: Vec<Candidate> = ranked
             .selected()
-            .map(|e| {
-                let slot = kept_slots[e.index];
-                Candidate::new(
-                    slot_id(observation, slot, single_scope),
-                    &tables[slot.table as usize],
-                    slot_stats(observation, slot).clone(),
-                )
-            })
+            .map(|e| state.candidate(observation, e.index))
             .collect();
         let selected_refs: Vec<&Candidate> = selected.iter().collect();
         let jobs = self.scheduler.plan(&selected_refs);
@@ -721,12 +619,22 @@ impl AutoComp {
             .map(JobTracker::take_summary)
             .unwrap_or_default();
 
+        // The report takes a copy of the trait columns of a state kept for
+        // the next cycle, and the columns themselves otherwise.
+        let traits = match fill {
+            true => {
+                let traits = state.traits.clone();
+                self.state = Some(state);
+                traits
+            }
+            false => state.traits,
+        };
         Ok(CycleReport {
             at_ms: now_ms,
-            scope: scope_label,
-            generated,
-            dropped,
-            traits: matrix,
+            scope: observation.scope().label(),
+            generated: traits.rows(),
+            dropped: mask.dropped,
+            traits,
             ranked,
             executed: act.executed,
             deferred: act.deferred,
@@ -735,6 +643,19 @@ impl AutoComp {
             total_predicted_reduction: act.total_predicted_reduction,
             total_predicted_gbhr: act.total_predicted_gbhr,
         })
+    }
+
+    /// An empty matrix over the registered traits, and each computer's
+    /// column in it. Duplicate trait names share a column, so the last
+    /// computer wins like the seed's map inserts.
+    fn trait_template(&self) -> (TraitMatrix, Vec<TraitId>) {
+        let mut template = TraitMatrix::new(0);
+        let columns = self
+            .traits
+            .iter()
+            .map(|t| template.intern(t.name(), Some(t.direction())))
+            .collect();
+        (template, columns)
     }
 }
 
@@ -775,15 +696,14 @@ impl AutoComp {
     }
 
     /// Encodes the pipeline's full retained state — the observer's prior
-    /// observation and pending dirty marks, the cycle cache, the rank
-    /// memo, the job ledger, and the feedback calibration — into one
-    /// sealed, checksummed frame for a
+    /// observation (quarantine records included) and pending dirty
+    /// marks, the decide state, the job ledger, and the feedback
+    /// calibration — into one sealed, checksummed frame for a
     /// [`SnapshotStore`](lakesim_storage::SnapshotStore). Returns `None`
     /// before the first observation (there is nothing durable to
-    /// capture yet). Cache and memo are persisted only while still valid
-    /// for the captured observation (same epoch, same cursor, same
-    /// shared listing), so a restore can never resurrect stale splice
-    /// state.
+    /// capture yet). The decide state is persisted only while still
+    /// valid for the captured observation (same epoch, same cursor, same
+    /// shared listing), so a restore can never resurrect stale state.
     pub fn encode_snapshot(
         &self,
         observer: &FleetObserver,
@@ -825,7 +745,7 @@ impl AutoComp {
                 for uid in dirty {
                     enc.put_u64(*uid);
                 }
-                self.cache.snapshot_write(enc, self.epoch, observation);
+                decide::snapshot_write(self.state.as_ref(), enc, self.epoch, observation);
                 match &self.tracker {
                     Some(tracker) => {
                         enc.put_bool(true);
@@ -850,7 +770,8 @@ impl AutoComp {
     /// Restores a snapshot produced by [`encode_snapshot`](Self::encode_snapshot)
     /// into this pipeline and the given observer. Validation follows the
     /// [`crate::durability`] contract: the frame must open (magic, kind,
-    /// version ceiling, checksum), the configuration fingerprint must
+    /// checksum) at exactly this build's version, the configuration
+    /// fingerprint must
     /// match, and the restored observation must carry the change cursor
     /// the retained structures are keyed by. Any failure resets the
     /// incremental state to a verbatim cold start and reports the first
@@ -868,7 +789,7 @@ impl AutoComp {
                 // Degrade to a coherent cold start: drop every retained
                 // structure a partial decode may have been meant for.
                 observer.reset();
-                self.cache.clear();
+                self.state = None;
                 RecoveryReport::ColdStart { reason }
             }
         };
@@ -893,6 +814,13 @@ impl AutoComp {
             crate::durability::SNAPSHOT_VERSION,
         )
         .map_err(|e| format!("snapshot frame rejected: {e}"))?;
+        if frame.version != crate::durability::SNAPSHOT_VERSION {
+            return Err(format!(
+                "snapshot version {} predates this build's {}: no migration, cold start",
+                frame.version,
+                crate::durability::SNAPSHOT_VERSION
+            ));
+        }
         let mut dec = lakesim_storage::Decoder::new(frame.payload);
 
         // Decode everything into temporaries first; nothing is installed
@@ -918,10 +846,18 @@ impl AutoComp {
         for _ in 0..dec.take_len(8, "pending dirty").map_err(cerr)? {
             dirty.insert(dec.take_u64("dirty uid").map_err(cerr)?);
         }
-        let mut cache = CycleCache::new(self.cache.enabled());
-        let (cache_restored, memo_restored) = cache
-            .snapshot_read(&mut dec, self.epoch, &observation.tables_shared())
-            .map_err(cerr)?;
+        // The state is re-keyed to this pipeline's current epoch: the
+        // fingerprint established the configurations agree, and the epoch
+        // is a local mutation counter, not part of the durable identity.
+        let keys = Keys {
+            epoch: self.epoch,
+            scope: observation.scope(),
+            cursor: observation.cursor(),
+            now_ms: 0,
+            tables: observation.tables_shared(),
+        };
+        let (template, _) = self.trait_template();
+        let state = decide::snapshot_read(&mut dec, keys, &template, &observation).map_err(cerr)?;
         let tracker = if dec.take_bool("tracker present").map_err(cerr)? {
             Some(JobTracker::snapshot_read(&mut dec).map_err(cerr)?)
         } else {
@@ -930,12 +866,11 @@ impl AutoComp {
         let feedback = EstimationFeedback::snapshot_read(&mut dec).map_err(cerr)?;
         dec.finish().map_err(cerr)?;
 
-        // Validated end-to-end: install atomically. The generation (memo
-        // inside) is re-keyed to this pipeline's current epoch — the
-        // fingerprint established the configurations agree, and the epoch
-        // is a local mutation counter, not part of the durable identity.
+        // Validated end-to-end: install atomically.
         let tables = observation.tables().len();
-        self.cache = cache;
+        let cache_restored = state.is_some();
+        let memo_restored = state.as_ref().is_some_and(|s| s.selection.is_retained());
+        self.state = state.filter(|_| self.retain_state);
         let (jobs_in_flight, retries_pending) = tracker
             .as_ref()
             .map(|t| (t.in_flight(), t.retry_pending()))
@@ -1028,348 +963,14 @@ impl AutoComp {
 pub struct CycleInput<'a> {
     /// The lake to observe.
     pub connector: &'a dyn LakeConnector,
-    /// `Some`: the retained incremental observe, and the cycle cache
-    /// fills. `None`: a cold one-shot observe with no cache fill.
+    /// `Some`: the retained incremental observe, and the decide state is
+    /// kept for the next cycle. `None`: a cold one-shot observe whose
+    /// state is dropped with the cycle.
     pub observer: Option<&'a mut FleetObserver>,
     /// Where selected work is submitted.
     pub executor: Executor<'a>,
     /// Cycle timestamp.
     pub now_ms: u64,
-}
-
-/// Output of the filter/splice walk: the cycle's kept set, drop trail,
-/// next cache generation (when filling), and splice statistics.
-struct WalkOutput {
-    kept_slots: Vec<KeptSlot>,
-    dropped: Vec<(CandidateId, Arc<str>)>,
-    gen: Option<CacheGen>,
-    spliced: usize,
-    recomputed: usize,
-}
-
-/// The filter (+ cache splice) walk: one pass over the observation
-/// decides keep/drop per candidate — splicing runs of quiet,
-/// descriptor-stable tables' verdicts and reasons from the prior
-/// generation (in place or remapped through the uid map) and evaluating
-/// the filter chain for the rest — while co-recording the next cache
-/// generation. Isolated from the rank/act phases so the splice
-/// invariants (prefix bookkeeping, run alignment, descriptor
-/// verification) live in one place.
-fn filter_splice_walk(
-    filters: &[Box<dyn CandidateFilter>],
-    observation: &FleetObservation,
-    now_ms: u64,
-    single_scope: ScopeKind,
-    old_gen: Option<(&CacheGen, &Arc<Vec<TableRef>>)>,
-    fill_cache: bool,
-) -> WalkOutput {
-    let tables = observation.tables();
-    // Descriptor verification: filter verdicts read TableRef fields, and
-    // descriptor edits (policy flips, renames) need not appear in the
-    // write changelog. When the listing was reused wholesale the
-    // descriptors are literally the prior cycle's memory; otherwise
-    // every splice compares the stored descriptor per table.
-    let same_listing = old_gen
-        .map(|(_, t)| Arc::ptr_eq(t, &observation.tables_shared()))
-        .unwrap_or(false);
-
-    let mut kept_slots: Vec<KeptSlot> = Vec::with_capacity(tables.len());
-    let mut dropped: Vec<(CandidateId, Arc<str>)> = Vec::new();
-    let mut gen = fill_cache.then(|| CacheGen::with_capacity(tables.len()));
-    let mut uid_map: Option<UidMap<usize>> = None;
-    let mut spliced = 0usize;
-    let mut recomputed = 0usize;
-
-    // Partition-bearing scopes label candidates from the entry; the
-    // single-candidate scopes (table / snapshot) splice without touching
-    // an entry at all.
-    let partition_scope = matches!(
-        observation.scope(),
-        ScopeStrategy::Partition | ScopeStrategy::Hybrid
-    );
-    let mut ti = 0usize;
-    while ti < tables.len() {
-        let table = &tables[ti];
-        // A reused entry's stats are byte-for-byte the snapshot the
-        // prior generation was computed from, so its verdicts and rows
-        // splice verbatim; fresh entries (changelog hits, force-dirty
-        // tables, new tables) always recompute.
-        if let Some((g, g_tables)) = old_gen.filter(|_| !observation.is_fresh(ti)) {
-            // Table `t` is quiet and the generation holds it unchanged at
-            // `p`: same uid, same descriptor (the one filter verdicts were
-            // computed against) and, where partitions label candidates,
-            // the same candidate count.
-            let aligned = |t: usize, p: usize| {
-                !observation.is_fresh(t)
-                    && g.uids.get(p) == Some(&tables[t].table_uid)
-                    && g_tables.get(p) == Some(&tables[t])
-                    && (!partition_scope
-                        || (g.cand_start[p + 1] - g.cand_start[p]) as usize
-                            == observation.entry(t).candidate_count())
-            };
-            // A shared listing holds every table at its own position with
-            // literally the prior cycle's descriptor.
-            let pos = if same_listing {
-                Some(ti)
-            } else {
-                let pos = if g.uids.get(ti) == Some(&table.table_uid) {
-                    Some(ti)
-                } else {
-                    let map = uid_map.get_or_insert_with(|| {
-                        g.uids.iter().enumerate().map(|(i, u)| (*u, i)).collect()
-                    });
-                    map.get(&table.table_uid).copied()
-                };
-                pos.filter(|p| aligned(ti, *p))
-            };
-            if let Some(pos) = pos {
-                // Extend the run while tables stay quiet and aligned;
-                // under a shared listing that is the bare freshness scan,
-                // with no strided descriptor loads.
-                let run_start = ti;
-                ti += 1;
-                if same_listing {
-                    while ti < tables.len().min(g.uids.len()) && !observation.is_fresh(ti) {
-                        ti += 1;
-                    }
-                } else {
-                    while ti < tables.len() && aligned(ti, pos + ti - run_start) {
-                        ti += 1;
-                    }
-                }
-                let end = pos + ti - run_start;
-                // Walk the run's candidates in order; the table cursor
-                // (`t` in the listing, `p` in the generation) steps over
-                // zero-candidate tables.
-                let (mut t, mut p) = (run_start, pos);
-                let mut row = g.kept_start[pos];
-                let mut reason = g.drop_start[pos] as usize;
-                for ci in g.cand_start[pos]..g.cand_start[end] {
-                    while g.cand_start[p + 1] <= ci {
-                        (t, p) = (t + 1, p + 1);
-                    }
-                    let within = ci - g.cand_start[p];
-                    // Only partition labels need the entry; `Missing`
-                    // stands in for it elsewhere (a single-scope candidate).
-                    let entry = if partition_scope {
-                        observation.entry(t)
-                    } else {
-                        &TableObservation::Missing
-                    };
-                    if g.verdicts[ci as usize] {
-                        let part = match entry {
-                            TableObservation::Partitions(_) => within,
-                            _ => NO_PART,
-                        };
-                        let gen_row = kept_slots.len() as u32;
-                        kept_slots.push(KeptSlot {
-                            table: t as u32,
-                            part,
-                            cached_row: row,
-                            gen_row,
-                        });
-                        row += 1;
-                    } else {
-                        let id = candidate_id(g.uids[p], single_scope, entry, within as usize);
-                        dropped.push((id, g.reasons[reason].clone()));
-                        reason += 1;
-                    }
-                }
-                if let Some(gen) = &mut gen {
-                    gen.extend_run(g, pos, end);
-                }
-                spliced += ti - run_start;
-                continue;
-            }
-        }
-
-        // Fresh or uncached: evaluate the filter chain per candidate.
-        recomputed += 1;
-        let entry = observation.entry(ti);
-        for ci in 0..entry.candidate_count() {
-            let stats = stats_of(entry, ci);
-            let (scope_kind, part, partition) = match entry {
-                TableObservation::Partitions(parts) => {
-                    (ScopeKind::Partition, ci as u32, Some(parts[ci].0.as_str()))
-                }
-                _ => (single_scope, NO_PART, None),
-            };
-            let view = CandidateView::new(table, scope_kind, partition, stats);
-            match evaluate_chain(filters, &view, now_ms) {
-                Some(reason) => {
-                    let id = candidate_id(table.table_uid, single_scope, entry, ci);
-                    // One shared allocation serves both the report and
-                    // the cache generation.
-                    let reason: Arc<str> = reason.into();
-                    if let Some(gen) = &mut gen {
-                        gen.push_dropped(reason.clone());
-                    }
-                    dropped.push((id, reason));
-                }
-                None => {
-                    let gen_row = kept_slots.len() as u32;
-                    kept_slots.push(KeptSlot {
-                        table: ti as u32,
-                        part,
-                        cached_row: NO_PRIOR_ROW,
-                        gen_row,
-                    });
-                    if let Some(gen) = &mut gen {
-                        gen.push_kept();
-                    }
-                }
-            }
-        }
-        if let Some(gen) = &mut gen {
-            gen.end_table(table.table_uid);
-        }
-        ti += 1;
-    }
-
-    WalkOutput {
-        kept_slots,
-        dropped,
-        gen,
-        spliced,
-        recomputed,
-    }
-}
-
-/// Sentinel partition index for single-candidate scopes.
-const NO_PART: u32 = u32::MAX;
-
-/// Index of one kept candidate into its observation — table position plus
-/// partition offset — with its two generation rows: `cached_row`, the
-/// prior generation's row its trait row (and, in the rank phase, its
-/// score) splices from, or [`NO_PRIOR_ROW`]: compute fresh; and
-/// `gen_row`, its row in the generation installed this cycle, fixed when
-/// the walk pushes the slot so it survives the cycle's thinning pass.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KeptSlot {
-    table: u32,
-    part: u32,
-    pub(crate) cached_row: u32,
-    pub(crate) gen_row: u32,
-}
-
-/// Stats of the `ci`-th candidate of an entry.
-fn stats_of(entry: &TableObservation, ci: usize) -> &CandidateStats {
-    match entry {
-        TableObservation::Table(stats) => stats,
-        TableObservation::Partitions(parts) => &parts[ci].1,
-        TableObservation::Missing => unreachable!("missing entries yield no candidates"),
-    }
-}
-
-/// Stats behind a kept slot.
-fn slot_stats(observation: &FleetObservation, slot: KeptSlot) -> &CandidateStats {
-    let entry = observation.entry(slot.table as usize);
-    let ci = if slot.part == NO_PART {
-        0
-    } else {
-        slot.part as usize
-    };
-    stats_of(entry, ci)
-}
-
-/// Identity of the `ci`-th candidate of an entry — exactly the ids
-/// [`FleetObservation::to_candidates`] produces, in the same order.
-fn candidate_id(
-    uid: u64,
-    single_scope: ScopeKind,
-    entry: &TableObservation,
-    ci: usize,
-) -> CandidateId {
-    match entry {
-        TableObservation::Partitions(parts) => CandidateId::partition(uid, parts[ci].0.clone()),
-        _ => CandidateId {
-            table_uid: uid,
-            scope: single_scope,
-            partition: None,
-        },
-    }
-}
-
-/// Identity of a kept slot, materialized (partition labels cloned).
-/// Defined in terms of [`slot_id_parts`] so it agrees with the rank
-/// tie-break ([`RankSource::cmp_ids`]) by construction.
-fn slot_id(observation: &FleetObservation, slot: KeptSlot, single_scope: ScopeKind) -> CandidateId {
-    let (table_uid, scope, partition) = slot_id_parts(observation, slot, single_scope);
-    CandidateId {
-        table_uid,
-        scope,
-        partition: partition.map(str::to_string),
-    }
-}
-
-/// Identity of a kept slot as borrowed parts — the allocation-free form
-/// the rank tie-break compares.
-fn slot_id_parts(
-    observation: &FleetObservation,
-    slot: KeptSlot,
-    single_scope: ScopeKind,
-) -> (u64, ScopeKind, Option<&str>) {
-    let uid = observation.tables()[slot.table as usize].table_uid;
-    if slot.part == NO_PART {
-        (uid, single_scope, None)
-    } else {
-        match observation.entry(slot.table as usize) {
-            TableObservation::Partitions(parts) => (
-                uid,
-                ScopeKind::Partition,
-                Some(parts[slot.part as usize].0.as_str()),
-            ),
-            _ => unreachable!("partition slots point at partitioned entries"),
-        }
-    }
-}
-
-/// [`RankSource`] over the kept set of an observation: identities derived
-/// from the slots on demand (no fleet-sized id vector), quota signals
-/// read straight from the entry stats.
-struct ObservationSource<'a> {
-    slots: &'a [KeptSlot],
-    observation: &'a FleetObservation,
-    single_scope: ScopeKind,
-    /// Whether every slot is a single-candidate-scope row (table /
-    /// snapshot strategies): enables the lazy report tail, which
-    /// reconstructs candidate ids from bare uids.
-    uniform_tail: bool,
-}
-
-impl RankSource for ObservationSource<'_> {
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-    fn tail_identity(&self) -> Option<(ScopeKind, Vec<u64>)> {
-        if !self.uniform_tail {
-            return None;
-        }
-        let tables = self.observation.tables();
-        Some((
-            self.single_scope,
-            self.slots
-                .iter()
-                .map(|s| tables[s.table as usize].table_uid)
-                .collect(),
-        ))
-    }
-    fn id(&self, index: usize) -> CandidateId {
-        slot_id(self.observation, self.slots[index], self.single_scope)
-    }
-    fn cmp_ids(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        slot_id_parts(self.observation, self.slots[a], self.single_scope).cmp(&slot_id_parts(
-            self.observation,
-            self.slots[b],
-            self.single_scope,
-        ))
-    }
-    fn quota_utilization(&self, index: usize) -> f64 {
-        slot_stats(self.observation, self.slots[index])
-            .quota
-            .map(|q| q.utilization())
-            .unwrap_or(0.0)
-    }
 }
 
 impl fmt::Debug for AutoComp {

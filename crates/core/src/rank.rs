@@ -38,43 +38,18 @@
 //! columns — the fleet-wide `Vec<RankedEntry>` materialization is gone
 //! from the hot cycle, and iterating reproduces it bit-for-bit.
 //!
-//! # Incremental rank maintenance (exactness contract)
+//! # Maintained selection
 //!
-//! Across incremental cycles the pipeline retains a rank memo — the
-//! per-candidate scores, the min–max normalization bounds they were
-//! computed under, and an exact-order prefix larger than the report head
-//! — **inside the cycle cache's generation**, row-aligned with its kept
-//! rows: the memo reaches a cycle exactly when the generation it belongs
-//! to is spliceable (see [`crate::cache`]), so it needs no keys of its
-//! own. The maintained state is reused only when all of the following
-//! hold; otherwise the fleet-wide path recomputes everything (and
-//! re-seeds the memo):
-//!
-//! * the policy shape is unchanged (guaranteed by the config epoch,
-//!   checked defensively), and it is not inherently global —
-//!   budget-driven policies ([`RankingPolicy::BudgetedMoop`] and the
-//!   budget mode of [`RankingPolicy::QuotaAwareMoop`]) walk the fleet in
-//!   rank order with a running budget, so no per-row delta can be
-//!   maintained for them;
-//! * every normalization bound (per-column min and span) is
-//!   **bit-identical** to the memo's — min–max normalization is
-//!   fleet-global, so any movement changes every score; bounds are
-//!   recomputed each cycle in O(n) and compared bitwise;
-//! * enough of the retained prefix survived as spliced (unchanged) rows:
-//!   rows outside the pool ranked below every retained-prefix member
-//!   last cycle and are unchanged, so merging the surviving prefix with
-//!   the re-scored dirty rows yields the exact top-j for every
-//!   j ≤ survivors — fewer survivors than the needed head forces the
-//!   fallback.
-//!
-//! Under the memo, quiet rows' scores are *spliced* (bit-identical by
-//! construction: same inputs, same accumulation order) and only
-//! dirty/settled rows re-score. Feedback ingestion still does **not**
-//! bump the epoch: calibration scales act-phase predictions, while
-//! scores are pure functions of the (calibration-free) trait matrix —
-//! exactly the cycle cache's rule. The incremental parity harness pins
-//! bit-identical `CycleReport`s across both the maintained and fallback
-//! paths.
+//! Ranking runs over the *ranked rows* of a slot-indexed matrix: the
+//! pipeline's rows are the slots of [`crate::decide`]'s retained state
+//! that survive the filter, the ledger and the NaN check. The state keeps
+//! every slot's score, the bit patterns of the normalization bounds the
+//! scores were computed under, and the exact rank order of a prefix
+//! longer than the report head. While the policy shape and every bound
+//! are bit-equal, only the rows the state names stale re-score, and
+//! selection merges them into the surviving prefix; a moved bound, a
+//! budget-driven policy or a starved prefix takes the fleet-wide path.
+//! The conditions and the exactness argument are [`crate::decide`]'s.
 //!
 //! [`CycleReport`]: crate::pipeline::CycleReport
 
@@ -84,7 +59,6 @@ use std::sync::Arc;
 use crate::candidate::{Candidate, CandidateId, ScopeKind};
 use crate::error::AutoCompError;
 use crate::matrix::TraitMatrix;
-use crate::pipeline::KeptSlot;
 use crate::Result;
 
 /// Number of best-first rows always materialized in exact rank order —
@@ -334,7 +308,7 @@ pub trait RankSource {
     /// tail can be generated lazily on iteration instead of
     /// materializing one [`RankedEntry`] per fleet candidate. `None`
     /// (the default) keeps the fully materialized output.
-    fn tail_identity(&self) -> Option<(ScopeKind, Vec<u64>)> {
+    fn tail_identity(&self) -> Option<(ScopeKind, Arc<[u64]>)> {
         None
     }
 }
@@ -401,19 +375,22 @@ enum TailNoteSpec {
     },
 }
 
-/// Deferred tail of a decide-phase output: per-row scores and identities
-/// kept in compact columnar form; [`RankedEntry`] values are generated on
-/// iteration, in candidate order, bit-identical to the eager path.
+/// Deferred tail of a decide-phase output: the ranked rows and per-row
+/// scores and table uids in compact columnar form; [`RankedEntry`]
+/// values are generated on iteration, in row order, bit-identical to the
+/// eager path.
 #[derive(Debug, Clone)]
 struct LazyTail {
-    /// Score per candidate row (all rows, in candidate order).
+    /// Every ranked row, ascending, head rows included.
+    rows: Vec<u32>,
+    /// The head's rows, sorted: skipped on iteration.
+    in_head: Vec<u32>,
+    /// Score per row index.
     scores: Vec<f64>,
-    /// Table uid per candidate row.
-    uids: Vec<u64>,
+    /// Table uid per row index.
+    uids: Arc<[u64]>,
     /// Uniform candidate scope (single-candidate scopes only).
     scope: ScopeKind,
-    /// Rows already materialized in the head.
-    in_head: Vec<bool>,
     note: TailNoteSpec,
 }
 
@@ -448,15 +425,15 @@ impl TailNoteSpec {
 }
 
 impl LazyTail {
-    fn entry(&self, row: usize) -> RankedEntry {
-        let score = self.scores[row];
+    fn entry(&self, index: usize) -> RankedEntry {
+        let score = self.scores[index];
         RankedEntry {
             id: CandidateId {
-                table_uid: self.uids[row],
+                table_uid: self.uids[index],
                 scope: self.scope,
                 partition: None,
             },
-            index: row,
+            index,
             score,
             selected: false,
             note: self.note.note(score),
@@ -496,10 +473,9 @@ impl RankedEntries {
 
     /// Total number of ranked candidates (head + tail).
     pub fn len(&self) -> usize {
-        match &self.tail {
-            None => self.head.len(),
-            Some(tail) => tail.scores.len(),
-        }
+        self.tail
+            .as_ref()
+            .map_or(self.head.len(), |tail| tail.rows.len())
     }
 
     /// Whether no candidates were ranked.
@@ -527,23 +503,17 @@ impl RankedEntries {
     }
 
     /// Iterates every ranked entry: the head in rank order, then tail
-    /// entries generated on the fly in candidate order — exactly the
-    /// sequence the eager path materializes.
+    /// entries generated on the fly in row order — exactly the sequence
+    /// the eager path materializes.
     pub fn iter(&self) -> impl Iterator<Item = RankedEntry> + '_ {
-        let tail_rows = match &self.tail {
-            None => 0..0,
-            Some(tail) => 0..tail.scores.len(),
-        };
-        self.head.iter().cloned().chain(
-            tail_rows
-                .filter(move |row| self.tail.as_ref().is_some_and(|tail| !tail.in_head[*row]))
-                .map(move |row| {
-                    self.tail
-                        .as_ref()
-                        .expect("tail rows imply a tail")
-                        .entry(row)
-                }),
-        )
+        let tail = self.tail.iter().flat_map(|tail| {
+            let rows = tail
+                .rows
+                .iter()
+                .filter(|r| tail.in_head.binary_search(r).is_err());
+            rows.map(|r| tail.entry(*r as usize))
+        });
+        self.head.iter().cloned().chain(tail)
     }
 
     /// Materializes every entry eagerly (the compatibility accessor).
@@ -564,12 +534,11 @@ impl RankedEntries {
 /// Min–max normalizes `values`; constant inputs map to 0.5 (§4.3's
 /// normalization, with the degenerate case pinned deterministically).
 pub fn min_max_normalize(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let (min, max) = column_min_max(values);
-    let span = max - min;
-    values.iter().map(|v| normalize(*v, min, span)).collect()
+    let (min, max) = min_max(values.iter().copied());
+    values
+        .iter()
+        .map(|v| normalize(*v, min, max - min))
+        .collect()
 }
 
 /// The §4.3 min–max rule for one value given its column's min and span:
@@ -584,10 +553,16 @@ fn normalize(v: f64, min: f64, span: f64) -> f64 {
     }
 }
 
-fn column_min_max(values: &[f64]) -> (f64, f64) {
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    (min, max)
+/// Min and max of `values`, each folded in order (±∞ when empty). One
+/// pass: the two folds are independent chains.
+fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    let start = (f64::INFINITY, f64::NEG_INFINITY);
+    values.fold(start, |(min, max), v| (min.min(v), max.max(v)))
+}
+
+/// Min and max of `col` over the ranked `rows`.
+fn column_min_max(col: &[f64], rows: &[u32]) -> (f64, f64) {
+    min_max(rows.iter().map(|r| col[*r as usize]))
 }
 
 fn validate_weights(weights: &[TraitWeight]) -> Result<()> {
@@ -622,15 +597,17 @@ fn sort_key(score: f64) -> f64 {
     }
 }
 
-/// Lazily materializes the fleet's rank order (score descending, ties by
-/// candidate id): `ensure(upto)` extends the sorted prefix by partial
-/// selection — `select_nth_unstable_by` to split off the next chunk, then
-/// a sort of just that chunk — with doubling chunk growth, so consuming k
-/// of n candidates costs O(n + k log k) instead of a full O(n log n) sort.
+/// Lazily materializes the rank order of the ranked rows (score
+/// descending, ties by candidate id): `ensure(upto)` extends the sorted
+/// prefix by partial selection — `select_nth_unstable_by` to split off
+/// the next chunk, then a sort of just that chunk — with doubling chunk
+/// growth, so consuming k of n rows costs O(n + k log k) instead of a
+/// full O(n log n) sort.
 struct RankOrder<'a, S: RankSource + ?Sized> {
+    /// Row indices, the first `sorted_upto` in exact rank order.
     indices: Vec<u32>,
     sorted_upto: usize,
-    /// `sort_key(score)` precomputed once per candidate: the selection
+    /// `sort_key(score)` precomputed once per index: the selection
     /// comparator runs O(n) times per `ensure` growth and the NaN/±0
     /// normalization branches are hoisted out of it.
     keys: Vec<f64>,
@@ -638,10 +615,9 @@ struct RankOrder<'a, S: RankSource + ?Sized> {
 }
 
 impl<'a, S: RankSource + ?Sized> RankOrder<'a, S> {
-    fn new(scores: &'a [f64], source: &'a S) -> Self {
-        debug_assert_eq!(scores.len(), source.len());
+    fn new(scores: &[f64], rows: &[u32], source: &'a S) -> Self {
         RankOrder {
-            indices: (0..source.len() as u32).collect(),
+            indices: rows.to_vec(),
             sorted_upto: 0,
             keys: scores.iter().map(|s| sort_key(*s)).collect(),
             source,
@@ -681,48 +657,6 @@ impl<'a, S: RankSource + ?Sized> RankOrder<'a, S> {
     }
 }
 
-/// Assembles the output vector: the materialized rank-order prefix first
-/// (with per-position notes), then every remaining candidate in candidate
-/// order (with a shared tail note).
-fn assemble_entries<S: RankSource + ?Sized>(
-    source: &S,
-    scores: &[f64],
-    order: &RankOrder<'_, S>,
-    prefix: usize,
-    mut prefix_entry: impl FnMut(usize, usize) -> (bool, DecisionNote),
-    mut tail_note: impl FnMut(usize) -> (bool, DecisionNote),
-) -> Vec<RankedEntry> {
-    let n = source.len();
-    let mut entries = Vec::with_capacity(n);
-    let mut in_prefix = vec![false; n];
-    for pos in 0..prefix {
-        let index = order.at(pos);
-        in_prefix[index] = true;
-        let (selected, note) = prefix_entry(pos, index);
-        entries.push(RankedEntry {
-            id: source.id(index),
-            index,
-            score: scores[index],
-            selected,
-            note,
-        });
-    }
-    for index in 0..n {
-        if in_prefix[index] {
-            continue;
-        }
-        let (selected, note) = tail_note(index);
-        entries.push(RankedEntry {
-            id: source.id(index),
-            index,
-            score: scores[index],
-            selected,
-            note,
-        });
-    }
-    entries
-}
-
 /// Ranks candidates under `policy` given their columnar trait matrix.
 /// Returns entries best-first for the materialized prefix (all selected
 /// candidates plus at least [`RANKED_PREFIX_MIN`] rows), then remaining
@@ -733,38 +667,41 @@ pub fn rank_and_select(
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
 ) -> Result<Vec<RankedEntry>> {
-    rank_with_memo(candidates, matrix, policy, None).map(|(entries, _, _)| entries.into_vec())
+    let rows: Vec<u32> = (0..candidates.len() as u32).collect();
+    let slots = Slots {
+        rows: &rows,
+        fresh: &[],
+        scores: &mut vec![0.0; candidates.len()],
+        selection: &mut Selection::default(),
+    };
+    rank_slots(candidates, matrix, policy, slots).map(|(entries, _)| entries.into_vec())
 }
 
-/// Sentinel "no prior row" marker in a [`RankDelta`] splice map.
-pub(crate) const NO_PRIOR_ROW: u32 = u32::MAX;
-
-/// Retained decide-phase state of one cycle, aligned to the cycle
-/// cache's generation rows — the structure incremental rank maintenance
-/// reuses next cycle (see the module docs' exactness contract).
-#[derive(Debug, Clone)]
-pub(crate) struct RankMemo {
-    /// Policy-shape discriminant (defensive: the config epoch already
-    /// pins the policy, but a mismatched memo must never splice).
+/// What selection keeps between cycles: the policy shape, the bit
+/// patterns of the normalization bounds its scores were computed under
+/// (per consumed column, in policy consumption order), and the exact
+/// rank order of a prefix larger than the report head, so a few
+/// re-scored rows per cycle cannot force a fleet-wide re-sort at once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Selection {
+    /// Policy-shape discriminant; 0 when nothing is retained.
     kind: u8,
-    /// Bit patterns of the min–max normalization bounds per consumed
-    /// column, in policy consumption order. Any movement invalidates the
-    /// per-row scores wholesale (normalization is fleet-global).
     bounds: Vec<(u64, u64)>,
-    /// Final per-row scores by generation row.
-    scores: Vec<f64>,
-    /// Whether the generation row was ranked (present post-suppression,
-    /// post-NaN) — rows without a score always recompute.
-    has: Vec<bool>,
-    /// Generation rows of the retained exact-rank-order prefix
-    /// (strictly larger than the report head, so a few dirty rows per
-    /// cycle cannot immediately force a fleet-wide re-sort).
     prefix: Vec<u32>,
 }
 
-impl RankMemo {
-    /// Writes the memo into a snapshot, scores as raw IEEE-754 bits so a
-    /// restored memo splices bit-identically.
+impl Selection {
+    /// Whether a selection is retained for the next cycle to maintain.
+    pub(crate) fn is_retained(&self) -> bool {
+        self.kind != 0
+    }
+
+    /// Renumbers the prefix after slots moved; a slot that did not move
+    /// leaves the prefix.
+    pub(crate) fn remap(&mut self, slot: impl Fn(&u32) -> Option<u32>) {
+        self.prefix = self.prefix.iter().filter_map(slot).collect();
+    }
+
     pub(crate) fn snapshot_write(&self, enc: &mut lakesim_storage::Encoder) {
         enc.put_u8(self.kind);
         enc.put_u64(self.bounds.len() as u64);
@@ -772,71 +709,49 @@ impl RankMemo {
             enc.put_u64(*lo);
             enc.put_u64(*hi);
         }
-        enc.put_u64(self.scores.len() as u64);
-        for score in &self.scores {
-            enc.put_f64(*score);
-        }
-        debug_assert_eq!(self.scores.len(), self.has.len());
-        for has in &self.has {
-            enc.put_bool(*has);
-        }
         enc.put_u64(self.prefix.len() as u64);
-        for row in &self.prefix {
-            enc.put_u32(*row);
+        for slot in &self.prefix {
+            enc.put_u32(*slot);
         }
     }
 
-    /// Restores a memo from a snapshot, re-validating the structural
-    /// invariants (`has` row-aligned with `scores`, prefix rows in
-    /// bounds) so a corrupt payload is rejected instead of spliced.
+    /// Reads a selection whose prefix must address one of `slots` slots.
     pub(crate) fn snapshot_read(
         dec: &mut lakesim_storage::Decoder<'_>,
+        slots: usize,
     ) -> std::result::Result<Self, lakesim_storage::CodecError> {
         use lakesim_storage::CodecError;
-        let kind = dec.take_u8("memo kind")?;
-        let bounds = (0..dec.take_len(16, "memo bounds")?)
-            .map(|_| {
-                Ok((
-                    dec.take_u64("memo bound lo")?,
-                    dec.take_u64("memo bound hi")?,
-                ))
+        let kind = dec.take_u8("selection kind")?;
+        if kind > 3 {
+            return Err(CodecError::Invalid("selection kind"));
+        }
+        let bounds = (0..dec.take_len(16, "selection bounds")?)
+            .map(|_| Ok((dec.take_u64("bound min")?, dec.take_u64("bound span")?)))
+            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
+        let prefix = (0..dec.take_len(4, "selection prefix")?)
+            .map(|_| match dec.take_u32("selection prefix slot")? {
+                slot if (slot as usize) < slots => Ok(slot),
+                _ => Err(CodecError::Invalid("selection prefix slot out of bounds")),
             })
             .collect::<std::result::Result<Vec<_>, CodecError>>()?;
-        let rows = dec.take_len(8, "memo scores")?;
-        let scores = (0..rows)
-            .map(|_| dec.take_f64("memo score"))
-            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
-        let has = (0..rows)
-            .map(|_| dec.take_bool("memo has"))
-            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
-        let prefix = (0..dec.take_len(4, "memo prefix")?)
-            .map(|_| dec.take_u32("memo prefix row"))
-            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
-        if prefix.iter().any(|r| *r as usize >= rows) {
-            return Err(CodecError::Invalid("memo prefix row out of bounds"));
-        }
-        Ok(RankMemo {
+        Ok(Selection {
             kind,
             bounds,
-            scores,
-            has,
             prefix,
         })
     }
 }
 
-/// Inputs wiring one cycle's splice mapping into the rank phase.
-pub(crate) struct RankDelta<'a> {
-    /// The memo of the generation the cycle spliced from — present
-    /// exactly when that generation was usable.
-    pub(crate) memo: Option<&'a RankMemo>,
-    /// The current rows' kept slots: `cached_row` is the prior
-    /// generation row the trait row and score splice from (or
-    /// [`NO_PRIOR_ROW`] for recomputed rows), `gen_row` the row in the
-    /// generation installed this cycle that the next memo scatters to.
-    pub(crate) slots: &'a [KeptSlot],
-    /// Kept-row count of the generation installed this cycle.
-    pub(crate) gen_len: usize,
+/// One cycle's ranked rows plus the per-row state ranking keeps.
+pub(crate) struct Slots<'a> {
+    /// Rows that rank this cycle, ascending.
+    pub(crate) rows: &'a [u32],
+    /// Ranked rows whose retained score is stale, ascending.
+    pub(crate) fresh: &'a [u32],
+    /// Score per row index, kept for the next cycle.
+    pub(crate) scores: &'a mut [f64],
+    /// The selection kept for the next cycle.
+    pub(crate) selection: &'a mut Selection,
 }
 
 /// Splice effectiveness of one rank pass (see
@@ -846,10 +761,10 @@ pub struct RankCycleStats {
     /// Whether top-k selection was maintained from the retained prefix
     /// (no fleet-wide ordering pass ran).
     pub memo_fast: bool,
-    /// Rows whose score was spliced from the retained memo.
+    /// Rows whose retained score was reused.
     pub spliced_scores: usize,
-    /// Rows whose score was recomputed (dirty rows, or the whole fleet
-    /// on the fallback path).
+    /// Rows whose score was recomputed (patched rows and rows back from
+    /// the ledger, or every row on the fleet-wide path).
     pub recomputed_scores: usize,
 }
 
@@ -858,31 +773,28 @@ struct WeightedCol<'a> {
     col: &'a [f64],
     min: f64,
     span: f64,
-    /// `sign × weight`, folded once so per-row recomputes accumulate in
-    /// exactly the shape [`weighted_full`] uses.
+    /// `sign × weight`, folded once.
     factor: f64,
 }
 
-/// Decide phase with optional cross-cycle maintenance: ranks `source`
-/// under `policy`; when `delta` is provided, splices per-row scores from
-/// the retained memo (bounds permitting), maintains top-k selection from
-/// the retained prefix, and emits the next cycle's memo. `delta: None`
-/// is exactly the historical fleet-wide path.
-pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
+/// The decide phase over the `rows` of `source`: while the policy shape
+/// and every normalization bound are bit-equal to the kept selection's,
+/// only `fresh` rows re-score and selection merges them into the kept
+/// prefix's survivors (the exactness argument is in [`crate::decide`]);
+/// otherwise every row re-scores and the fleet-wide partial selection
+/// runs. Either way `scores` and `selection` are left describing this
+/// pass.
+pub(crate) fn rank_slots<S: RankSource + ?Sized>(
     source: &S,
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
-    delta: Option<&RankDelta<'_>>,
-) -> Result<(RankedEntries, Option<RankMemo>, RankCycleStats)> {
-    if source.is_empty() {
-        return Ok((
-            RankedEntries::eager(Vec::new()),
-            None,
-            RankCycleStats::default(),
-        ));
+    slots: Slots<'_>,
+) -> Result<(RankedEntries, RankCycleStats)> {
+    let rows = slots.rows;
+    if rows.is_empty() {
+        *slots.selection = Selection::default();
+        return Ok((RankedEntries::eager(Vec::new()), RankCycleStats::default()));
     }
-    debug_assert_eq!(matrix.rows(), source.len());
-    let n = source.len();
     match policy {
         RankingPolicy::Threshold {
             trait_name,
@@ -896,19 +808,21 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             let name: Arc<str> = Arc::from(trait_name.as_str());
             let cap = max_k.unwrap_or(usize::MAX);
             let min_value = *min_value;
-            let above = col.iter().filter(|s| **s >= min_value).count();
+            let above = rows
+                .iter()
+                .filter(|r| col[**r as usize] >= min_value)
+                .count();
             let sel = above.min(cap);
             let tail = TailNoteSpec::Threshold {
                 trait_name: name.clone(),
                 min_value,
                 cap,
             };
-            Ok(rank_incremental_policy(
+            Ok(rank_maintained(
                 source,
-                1,
-                Vec::new(),
+                slots,
+                (1, Vec::new()),
                 sel,
-                || col.to_vec(),
                 |i| col[i],
                 |pos, index, scores| {
                     let value = scores[index];
@@ -924,7 +838,6 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                     }
                 },
                 tail.clone(),
-                delta,
             ))
         }
         RankingPolicy::Moop { weights, k } => {
@@ -932,19 +845,17 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             // Key on (min, span) bits — exactly the two values
             // `normalize` consumes, so bit-equal keys imply bit-equal
             // normalization.
-            let parts = weighted_parts(matrix, weights)?;
+            let parts = weighted_parts(matrix, weights, rows)?;
             let bounds = parts
                 .iter()
                 .map(|p| (p.min.to_bits(), p.span.to_bits()))
                 .collect();
             let k = *k;
-            let sel = k.min(n);
-            Ok(rank_incremental_policy(
+            Ok(rank_maintained(
                 source,
-                2,
-                bounds,
-                sel,
-                || weighted_full(&parts, n),
+                slots,
+                (2, bounds),
+                k.min(rows.len()),
                 |i| weighted_row(&parts, i),
                 |pos, _, _| {
                     let rank = pos + 1;
@@ -955,7 +866,6 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                     }
                 },
                 TailNoteSpec::Moop { k },
-                delta,
             ))
         }
         RankingPolicy::BudgetedMoop {
@@ -968,28 +878,18 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             let cost_id = matrix
                 .trait_id(cost_trait)
                 .ok_or_else(|| AutoCompError::UnknownTrait(cost_trait.clone()))?;
-            let scores = weighted_full(&weighted_parts(matrix, weights)?, n);
+            let parts = weighted_parts(matrix, weights, rows)?;
+            let cap = max_k.unwrap_or(usize::MAX);
             let costs = matrix.col(cost_id);
-            let order = RankOrder::new(&scores, source);
-            // The budget walk is inherently global: each selection moves
-            // the remaining budget, so no per-row delta can be maintained
-            // — always the fleet-wide path (see the module docs).
-            Ok((
-                RankedEntries::eager(budget_scan(
-                    source,
-                    &scores,
-                    costs,
-                    order,
-                    *budget,
-                    max_k.unwrap_or(usize::MAX),
-                    BudgetNotes::Detailed,
-                )),
-                None,
-                RankCycleStats {
-                    memo_fast: false,
-                    spliced_scores: 0,
-                    recomputed_scores: n,
-                },
+            let score = |i| weighted_row(&parts, i);
+            Ok(rank_budgeted(
+                source,
+                slots,
+                score,
+                costs,
+                *budget,
+                cap,
+                BudgetNotes::Detailed,
             ))
         }
         RankingPolicy::QuotaAwareMoop {
@@ -1006,8 +906,8 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
                 .ok_or_else(|| AutoCompError::UnknownTrait(cost_trait.clone()))?;
             let benefit_col = matrix.col(benefit_id);
             let cost_col = matrix.col(cost_id);
-            let (bmin, bmax) = column_min_max(benefit_col);
-            let (cmin, cmax) = column_min_max(cost_col);
+            let (bmin, bmax) = column_min_max(benefit_col, rows);
+            let (cmin, cmax) = column_min_max(cost_col, rows);
             let bspan = bmax - bmin;
             let cspan = cmax - cmin;
             let quota_row = |i: usize| {
@@ -1022,44 +922,29 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
             match (k, budget) {
                 (Some(k), _) => {
                     let k = *k;
-                    let sel = k.min(n);
                     let bounds = vec![
                         (bmin.to_bits(), bspan.to_bits()),
                         (cmin.to_bits(), cspan.to_bits()),
                     ];
-                    Ok(rank_incremental_policy(
+                    Ok(rank_maintained(
                         source,
-                        3,
-                        bounds,
-                        sel,
-                        || (0..n).map(quota_row).collect(),
+                        slots,
+                        (3, bounds),
+                        k.min(rows.len()),
                         quota_row,
                         |pos, _, _| (pos < k, DecisionNote::QuotaRank { rank: pos + 1 }),
                         TailNoteSpec::Quota,
-                        delta,
                     ))
                 }
-                (None, Some(budget)) => {
-                    let scores: Vec<f64> = (0..n).map(quota_row).collect();
-                    let order = RankOrder::new(&scores, source);
-                    Ok((
-                        RankedEntries::eager(budget_scan(
-                            source,
-                            &scores,
-                            cost_col,
-                            order,
-                            *budget,
-                            usize::MAX,
-                            BudgetNotes::Bare,
-                        )),
-                        None,
-                        RankCycleStats {
-                            memo_fast: false,
-                            spliced_scores: 0,
-                            recomputed_scores: n,
-                        },
-                    ))
-                }
+                (None, Some(budget)) => Ok(rank_budgeted(
+                    source,
+                    slots,
+                    quota_row,
+                    cost_col,
+                    *budget,
+                    usize::MAX,
+                    BudgetNotes::Bare,
+                )),
                 (None, None) => Err(AutoCompError::InvalidConfig(
                     "QuotaAwareMoop needs k or budget".into(),
                 )),
@@ -1068,11 +953,12 @@ pub(crate) fn rank_with_memo<S: RankSource + ?Sized>(
     }
 }
 
-/// Resolves MOOP weights to their columns, normalization bounds and
-/// folded factors.
+/// Resolves MOOP weights to their columns, normalization bounds over the
+/// ranked `rows`, and folded factors.
 fn weighted_parts<'a>(
     matrix: &'a TraitMatrix,
     weights: &[TraitWeight],
+    rows: &[u32],
 ) -> Result<Vec<WeightedCol<'a>>> {
     weights
         .iter()
@@ -1084,7 +970,7 @@ fn weighted_parts<'a>(
                 .direction(id)
                 .ok_or_else(|| AutoCompError::UnknownTrait(w.trait_name.clone()))?;
             let col = matrix.col(id);
-            let (min, max) = column_min_max(col);
+            let (min, max) = column_min_max(col, rows);
             let sign = match direction {
                 crate::traits::TraitDirection::Benefit => 1.0,
                 crate::traits::TraitDirection::Cost => -1.0,
@@ -1099,255 +985,181 @@ fn weighted_parts<'a>(
         .collect()
 }
 
-/// Fleet-wide weighted-sum scalarization over pre-resolved parts: one
-/// fused normalize-and-accumulate pass per weight, no intermediate
-/// columns.
-fn weighted_full(parts: &[WeightedCol<'_>], rows: usize) -> Vec<f64> {
-    let mut scores = vec![0.0; rows];
-    for part in parts {
-        // The constant-column branch is hoisted out of the row loop; both
-        // arms apply the shared `normalize` rule.
-        if part.span.abs() < f64::EPSILON {
-            for s in scores.iter_mut() {
-                *s += part.factor * 0.5;
-            }
-        } else {
-            for (s, v) in scores.iter_mut().zip(part.col) {
-                *s += part.factor * normalize(*v, part.min, part.span);
-            }
-        }
-    }
-    scores
-}
-
-/// One row's weighted-sum score, accumulated in the same per-weight
-/// order as [`weighted_full`] (bit-identical by construction).
+/// One row's weighted-sum score: the normalized values accumulated in
+/// weight order.
 fn weighted_row(parts: &[WeightedCol<'_>], i: usize) -> f64 {
     let mut score = 0.0;
     for part in parts {
-        score += if part.span.abs() < f64::EPSILON {
-            part.factor * 0.5
-        } else {
-            part.factor * normalize(part.col[i], part.min, part.span)
-        };
+        score += part.factor * normalize(part.col[i], part.min, part.span);
     }
     score
 }
 
-/// Shared core of the incremental-capable policies (threshold, MOOP
-/// top-k, quota-aware top-k): score (splicing from the memo when the
-/// normalization bounds are bit-unchanged), select (maintaining the
-/// retained prefix when enough of it survived), and assemble the head +
-/// (lazy) tail, emitting the next memo when a delta is wired in.
-#[allow(clippy::too_many_arguments)]
-fn rank_incremental_policy<S: RankSource + ?Sized>(
+/// The budget-driven policies: every row re-scores and the greedy walk
+/// runs over the whole fleet; no selection is kept for the next cycle.
+fn rank_budgeted<S: RankSource + ?Sized>(
     source: &S,
-    kind: u8,
-    bounds: Vec<(u64, u64)>,
+    slots: Slots<'_>,
+    score_row: impl Fn(usize) -> f64,
+    costs: &[f64],
+    budget: f64,
+    cap: usize,
+    notes: BudgetNotes,
+) -> (RankedEntries, RankCycleStats) {
+    let Slots {
+        rows,
+        scores,
+        selection,
+        ..
+    } = slots;
+    for r in rows {
+        scores[*r as usize] = score_row(*r as usize);
+    }
+    *selection = Selection::default();
+    let stats = RankCycleStats {
+        memo_fast: false,
+        spliced_scores: 0,
+        recomputed_scores: rows.len(),
+    };
+    let entries = budget_scan(source, scores, costs, rows, budget, cap, notes);
+    (RankedEntries::eager(entries), stats)
+}
+
+/// Shared core of the maintained policies (threshold, MOOP top-k,
+/// quota-aware top-k): score, select, and assemble the head plus the
+/// (lazy) tail. `shape` is the policy discriminant and the bound bits
+/// its scores are computed under; `sel` the selection size.
+#[allow(clippy::too_many_arguments)]
+fn rank_maintained<S: RankSource + ?Sized>(
+    source: &S,
+    slots: Slots<'_>,
+    shape: (u8, Vec<(u64, u64)>),
     sel: usize,
-    score_full: impl Fn() -> Vec<f64>,
     score_row: impl Fn(usize) -> f64,
     prefix_entry: impl Fn(usize, usize, &[f64]) -> (bool, DecisionNote),
     tail_spec: TailNoteSpec,
-    delta: Option<&RankDelta<'_>>,
-) -> (RankedEntries, Option<RankMemo>, RankCycleStats) {
-    let n = source.len();
+) -> (RankedEntries, RankCycleStats) {
+    let Slots {
+        rows,
+        fresh,
+        scores,
+        selection,
+    } = slots;
+    let (kind, bounds) = shape;
+    let n = rows.len();
     let needed = sel.max(RANKED_PREFIX_MIN).min(n);
-    // Retained-prefix size: enough slack that the expected dirty set
-    // cannot knock the stable membership below `needed` every cycle.
-    let memo_target = needed.saturating_add(needed.max(64)).min(n);
-    let mut stats = RankCycleStats::default();
+    // Retained-prefix size: enough slack that the expected re-scored set
+    // cannot knock the surviving membership below `needed` every cycle.
+    let target = needed.saturating_add(needed.max(64)).min(n);
 
-    // The memo splices only when the policy shape and every
-    // normalization bound are bit-identical: scores are then pure
-    // per-row functions of (unchanged) trait values.
-    let memo = delta
-        .and_then(|d| d.memo)
-        .filter(|m| m.kind == kind && m.bounds == bounds);
-
-    // Score pass: splice quiet rows, recompute the rest. The same walk
-    // maps the retained prefix (prior generation rows) onto current rows
-    // — a member is *stable* when it survived as a spliced row
-    // (identical score by the bounds check above).
-    let mut fresh_rows: Vec<u32> = Vec::new();
-    let mut stable_slots: Vec<u32> = Vec::new();
-    let scores: Vec<f64> = match (delta, memo) {
-        (Some(d), Some(m)) => {
-            let mut prefix_pos = vec![NO_PRIOR_ROW; m.scores.len()];
-            for (pos, g) in m.prefix.iter().enumerate() {
-                prefix_pos[*g as usize] = pos as u32;
-            }
-            stable_slots = vec![NO_PRIOR_ROW; m.prefix.len()];
-            let mut scores = Vec::with_capacity(n);
-            for i in 0..n {
-                let prior = d.slots[i].cached_row;
-                let g = prior as usize;
-                if prior != NO_PRIOR_ROW && g < m.scores.len() && m.has[g] {
-                    stats.spliced_scores += 1;
-                    scores.push(m.scores[g]);
-                    let pos = prefix_pos[g];
-                    if pos != NO_PRIOR_ROW {
-                        stable_slots[pos as usize] = i as u32;
-                    }
-                } else {
-                    stats.recomputed_scores += 1;
-                    fresh_rows.push(i as u32);
-                    scores.push(score_row(i));
-                }
-            }
-            scores
-        }
-        _ => {
-            stats.recomputed_scores = n;
-            score_full()
-        }
+    // Kept scores hold only under the same policy shape and bit-equal
+    // bounds: scores are then pure per-row functions of unchanged inputs.
+    let kept = selection.kind == kind && selection.bounds == bounds;
+    let rescore = if kept { fresh } else { rows };
+    for r in rescore {
+        scores[*r as usize] = score_row(*r as usize);
+    }
+    let mut stats = RankCycleStats {
+        memo_fast: false,
+        spliced_scores: n - rescore.len(),
+        recomputed_scores: rescore.len(),
     };
+    let scores = &*scores;
 
     // Rank comparator: score descending (NaN last, ±0 tied), ties by
     // candidate id — identical to `RankOrder`'s.
-    let before = |a: u32, b: u32| {
-        sort_key(scores[b as usize])
-            .total_cmp(&sort_key(scores[a as usize]))
-            .then_with(|| source.cmp_ids(a as usize, b as usize))
-            == std::cmp::Ordering::Less
+    let order_of = |a: &u32, b: &u32| {
+        sort_key(scores[*b as usize])
+            .total_cmp(&sort_key(scores[*a as usize]))
+            .then_with(|| source.cmp_ids(*a as usize, *b as usize))
     };
-
-    // Selection: maintain the retained prefix when possible, otherwise
-    // run the fleet-wide lazy partial selection.
-    let mut order_rows: Option<Vec<u32>> = None;
-    if memo.is_some() {
-        let stable: Vec<u32> = stable_slots
-            .into_iter()
-            .filter(|r| *r != NO_PRIOR_ROW)
-            .collect();
-        // Exactness guard: every row outside the pool ranked after all
-        // retained-prefix members last cycle and is unchanged, so the
-        // merged top-j is the true top-j for every j ≤ |stable|. Fewer
-        // survivors than `needed` ⇒ fleet-wide fallback.
-        if needed <= stable.len() {
-            fresh_rows.sort_unstable_by(|a, b| {
-                if before(*a, *b) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
-            });
-            let take = memo_target.min(stable.len());
-            let mut merged = Vec::with_capacity(take);
-            let (mut si, mut fi) = (0usize, 0usize);
-            while merged.len() < take {
-                match (stable.get(si), fresh_rows.get(fi)) {
-                    (Some(s), Some(f)) => {
-                        if before(*f, *s) {
-                            merged.push(*f);
-                            fi += 1;
-                        } else {
-                            merged.push(*s);
-                            si += 1;
-                        }
-                    }
-                    (Some(s), None) => {
-                        merged.push(*s);
-                        si += 1;
-                    }
-                    (None, Some(f)) => {
-                        merged.push(*f);
-                        fi += 1;
-                    }
-                    (None, None) => break,
-                }
-            }
-            stats.memo_fast = true;
-            order_rows = Some(merged);
-        }
-    }
-    let order_rows = match order_rows {
-        Some(rows) => rows,
-        None => {
-            let mut order = RankOrder::new(&scores, source);
-            let prefix = if delta.is_some() {
-                memo_target.max(needed)
-            } else {
-                needed
+    let stable: Vec<u32> = match kept {
+        true => selection
+            .prefix
+            .iter()
+            .copied()
+            .filter(|s| rows.binary_search(s).is_ok() && fresh.binary_search(s).is_err())
+            .collect(),
+        false => Vec::new(),
+    };
+    let order = if kept && needed <= stable.len() {
+        // Maintained: merge the re-scored rows into the survivors.
+        stats.memo_fast = true;
+        let mut fresh = fresh.to_vec();
+        fresh.sort_unstable_by(order_of);
+        let take = target.min(stable.len());
+        let (mut stable, mut fresh) = (stable.iter().peekable(), fresh.iter().peekable());
+        let mut merged = Vec::with_capacity(take);
+        while merged.len() < take {
+            let from_fresh = match (stable.peek(), fresh.peek()) {
+                (Some(s), Some(f)) => order_of(f, s) == std::cmp::Ordering::Less,
+                (stable_left, _) => stable_left.is_none(),
             };
-            order.ensure(prefix);
-            order.indices[..prefix].to_vec()
+            let next = if from_fresh {
+                fresh.next()
+            } else {
+                stable.next()
+            };
+            merged.push(*next.expect("take ≤ survivors"));
         }
+        merged
+    } else {
+        let mut order = RankOrder::new(scores, rows, source);
+        order.ensure(target);
+        order.indices.truncate(target);
+        order.indices
     };
 
-    // Head assembly: exactly `needed` rank-ordered rows (the extra
-    // ordered rows beyond `needed` only feed the next memo's prefix).
-    let mut in_head = vec![false; n];
-    let mut head = Vec::with_capacity(needed);
-    for (pos, row) in order_rows.iter().take(needed).enumerate() {
-        let index = *row as usize;
-        in_head[index] = true;
-        let (selected, note) = prefix_entry(pos, index, &scores);
-        head.push(RankedEntry {
-            id: source.id(index),
-            index,
-            score: scores[index],
-            selected,
-            note,
-        });
-    }
-
-    // Next cycle's memo, aligned to the generation installed this cycle:
-    // scores scatter through each slot's generation row (rows thinned
-    // after the walk keep `has` false).
-    let memo_out = delta.map(|d| {
-        let mut gen_scores = vec![0.0; d.gen_len];
-        let mut has = vec![false; d.gen_len];
-        for (slot, score) in d.slots.iter().zip(&scores) {
-            let g = slot.gen_row as usize;
-            gen_scores[g] = *score;
-            has[g] = true;
-        }
-        RankMemo {
-            kind,
-            bounds,
-            scores: gen_scores,
-            has,
-            prefix: order_rows
-                .iter()
-                .map(|r| d.slots[*r as usize].gen_row)
-                .collect(),
-        }
-    });
-
-    let entries = match source.tail_identity() {
-        Some((scope, uids)) => {
-            debug_assert_eq!(uids.len(), n);
-            RankedEntries {
-                head,
-                tail: Some(LazyTail {
-                    scores,
-                    uids,
-                    scope,
-                    in_head,
-                    note: tail_spec,
-                }),
+    // Head: exactly `needed` rank-ordered rows (the rows beyond feed the
+    // next cycle's prefix only).
+    let head: Vec<RankedEntry> = order[..needed]
+        .iter()
+        .enumerate()
+        .map(|(pos, row)| {
+            let index = *row as usize;
+            let (selected, note) = prefix_entry(pos, index, scores);
+            RankedEntry {
+                id: source.id(index),
+                index,
+                score: scores[index],
+                selected,
+                note,
             }
-        }
+        })
+        .collect();
+    let mut in_head = order[..needed].to_vec();
+    in_head.sort_unstable();
+    let entries = match source.tail_identity() {
+        Some((scope, uids)) => RankedEntries {
+            head,
+            tail: Some(LazyTail {
+                rows: rows.to_vec(),
+                in_head,
+                scores: scores.to_vec(),
+                uids,
+                scope,
+                note: tail_spec,
+            }),
+        },
         None => {
             let mut all = head;
-            all.reserve(n - all.len());
-            for index in 0..n {
-                if in_head[index] {
-                    continue;
-                }
-                all.push(RankedEntry {
-                    id: source.id(index),
-                    index,
-                    score: scores[index],
-                    selected: false,
-                    note: tail_spec.note(scores[index]),
-                });
-            }
+            let tail = rows.iter().filter(|r| in_head.binary_search(r).is_err());
+            all.extend(tail.map(|r| *r as usize).map(|index| RankedEntry {
+                id: source.id(index),
+                index,
+                score: scores[index],
+                selected: false,
+                note: tail_spec.note(scores[index]),
+            }));
             RankedEntries::eager(all)
         }
     };
-    (entries, memo_out, stats)
+    *selection = Selection {
+        kind,
+        bounds,
+        prefix: order,
+    };
+    (entries, stats)
 }
 
 /// Which note flavor a budget scan writes for unselected candidates: the
@@ -1374,11 +1186,11 @@ struct RemainingMinCost {
 }
 
 impl RemainingMinCost {
-    /// Starts with an empty sorted region: the tail is the whole fleet.
-    fn new(costs: &[f64]) -> Self {
+    /// Starts with an empty sorted region: the tail is every ranked row.
+    fn new(costs: &[f64], rows: &[u32]) -> Self {
         RemainingMinCost {
             sorted_suffix_min: Vec::new(),
-            tail_min: costs.iter().cloned().fold(f64::INFINITY, f64::min),
+            tail_min: column_min_max(costs, rows).0,
         }
     }
 
@@ -1425,13 +1237,14 @@ fn budget_scan<S: RankSource + ?Sized>(
     source: &S,
     scores: &[f64],
     costs: &[f64],
-    mut order: RankOrder<'_, S>,
+    rows: &[u32],
     budget: f64,
     cap: usize,
     notes: BudgetNotes,
 ) -> Vec<RankedEntry> {
+    let mut order = RankOrder::new(scores, rows, source);
     let n = order.len();
-    let mut remaining_min = RemainingMinCost::new(costs);
+    let mut remaining_min = RemainingMinCost::new(costs, rows);
     let mut spent = 0.0;
     let mut taken = 0usize;
     let mut walked = 0usize;
@@ -1465,7 +1278,8 @@ fn budget_scan<S: RankSource + ?Sized>(
         }
         walked += 1;
     }
-    // Materialize the report prefix even when the budget exhausted early.
+    // Materialize the report prefix even when the budget exhausted early,
+    // then every other row in row order.
     let prefix = walked.max(RANKED_PREFIX_MIN.min(n));
     order.ensure(prefix);
     let unprocessed_note = |index: usize| match notes {
@@ -1476,20 +1290,29 @@ fn budget_scan<S: RankSource + ?Sized>(
         },
         BudgetNotes::Bare => DecisionNote::OverBudgetBare,
     };
-    assemble_entries(
-        source,
-        scores,
-        &order,
-        prefix,
-        |pos, index| {
-            if pos < decisions.len() {
-                decisions[pos].clone()
-            } else {
-                (false, unprocessed_note(index))
-            }
-        },
-        |index| (false, unprocessed_note(index)),
-    )
+    let entry = |index: usize, (selected, note)| RankedEntry {
+        id: source.id(index),
+        index,
+        score: scores[index],
+        selected,
+        note,
+    };
+    let mut in_prefix = vec![false; scores.len()];
+    let mut entries = Vec::with_capacity(n);
+    for (pos, decision) in decisions.into_iter().enumerate() {
+        in_prefix[order.at(pos)] = true;
+        entries.push(entry(order.at(pos), decision));
+    }
+    for pos in entries.len()..prefix {
+        in_prefix[order.at(pos)] = true;
+        entries.push(entry(
+            order.at(pos),
+            (false, unprocessed_note(order.at(pos))),
+        ));
+    }
+    let rest = rows.iter().map(|r| *r as usize).filter(|r| !in_prefix[*r]);
+    entries.extend(rest.map(|index| entry(index, (false, unprocessed_note(index)))));
+    entries
 }
 
 #[cfg(test)]

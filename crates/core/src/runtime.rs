@@ -13,9 +13,8 @@
 //! explicit flushes — accumulates a
 //! dirty set, and fires **decision rounds** when a configured trigger
 //! trips. Each round is one [`AutoComp::cycle`] with the runtime's
-//! observer and a tracked executor, so `CycleCache`/`RankMemo` splicing
-//! and the act-phase job ledger behave exactly as under the polled
-//! driver.
+//! observer and a tracked executor, so the retained decide state and the
+//! act-phase job ledger behave exactly as under the polled driver.
 //!
 //! # Trigger contract
 //!
@@ -120,8 +119,8 @@ use std::fmt;
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
 
 use crate::act::{CompletionSink, Executor, JobOutcome, TrackedExecutor};
-use crate::cache::CycleCacheStats;
 use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
+use crate::decide::CycleCacheStats;
 use crate::durability::{JournalEvent, JournalingExecutor, RecoveryReport, SnapshotContext};
 use crate::observe::{DegradeReason, FleetObserver, ObserveDegradation};
 use crate::pipeline::{AutoComp, CycleInput, CycleReport};

@@ -26,8 +26,8 @@ pub enum TraitDirection {
 /// computers are pure functions of the statistics, so this costs
 /// implementations nothing.
 ///
-/// **Purity is load-bearing**: the incremental cycle cache splices a
-/// quiet table's trait row across cycles on the grounds that identical
+/// **Purity is load-bearing**: the retained decide state keeps a quiet
+/// table's trait row and score across cycles on the grounds that identical
 /// stats bits produce identical trait bits. A computer that reads
 /// interior-mutable state (clocks, RNGs, feedback calibration) breaks
 /// that contract — register such state changes by calling

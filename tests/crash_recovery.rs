@@ -579,6 +579,33 @@ fn restore_rejects_newer_versions_and_foreign_configs() {
     assert!(reason.contains("fingerprint"), "reason: {reason}");
 }
 
+/// A slot written by an older build is not migrated: its frame opens,
+/// and the restore cold-starts with a reason naming both versions.
+#[test]
+fn an_older_version_slot_cold_starts_with_a_reason() {
+    let (bytes, _) = corruption_corpus();
+    let payload = lakesim_storage::open_frame(&bytes, SNAPSHOT_KIND, SNAPSHOT_VERSION)
+        .unwrap()
+        .payload;
+    let older = seal_frame(SNAPSHOT_KIND, SNAPSHOT_VERSION - 1, payload);
+    let mut ac = soak_pipeline();
+    let mut observer = FleetObserver::new();
+    let report = ac.restore_snapshot(&mut observer, &older);
+    let reason = report
+        .cold_reason()
+        .expect("an older version must cold-start");
+    let versions = [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION].map(|v| v.to_string());
+    assert!(
+        versions.iter().all(|v| reason.contains(v.as_str())),
+        "reason: {reason}"
+    );
+    assert!(
+        observer.last().is_none(),
+        "nothing of the slot is installed"
+    );
+    assert_eq!(ac.cycle_cache_len(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Direct journal replay: late settles for lease-evicted jobs, and
 // idempotence under repeated replay.

@@ -31,12 +31,12 @@ use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats, ChangeCursor,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
-    DeleteDebt, ExecutionResult, Executor, FeedbackRecord, FileCountReduction, FleetObserver,
-    IntermediateTableFilter, JobKind, JobRuntimeConfig, LakeConnector, MinSizeFilter,
-    PartitionSkewExcess, Prediction, QuotaSignal, RankingPolicy, RecentWriteActivityFilter,
-    ScopeStrategy, SortDisorder, TableRef, TraitComputer, TraitWeight, Untracked,
-    PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleCacheStats, CycleInput,
+    CycleReport, DeleteDebt, ExecutionResult, Executor, FeedbackRecord, FileCountReduction,
+    FleetObserver, IntermediateTableFilter, JobKind, JobRuntimeConfig, LakeConnector,
+    MinSizeFilter, PartitionSkewExcess, Prediction, QuotaSignal, RankCycleStats, RankingPolicy,
+    RecentWriteActivityFilter, ScopeStrategy, SortDisorder, TableRef, TraitComputer, TraitWeight,
+    Untracked, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -1017,6 +1017,123 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
         "re-seeded",
     );
     assert!(incremental.rank_memo_stats().memo_fast);
+}
+
+/// One pin per condition that sends a cycle down the fleet-wide path —
+/// no state, the epoch key, the cursor-chain key, the clock key of a
+/// time-sensitive chain, a starved prefix and a budget-driven policy —
+/// and one per quiet cycle that must not take it. Moved bounds are
+/// pinned above; a re-described table in `observe_parity`. Every report
+/// stays bit-identical to an always-cold pipeline's.
+#[test]
+fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
+    let n = 24usize;
+    let lake = BoundLake::new(n as u64);
+    let quiet_writer = || {
+        bound_pipeline().with_filter(Box::new(RecentWriteActivityFilter {
+            quiet_ms: 10,
+            max_writes_per_hour: 1e9,
+        }))
+    };
+    let mut incremental = bound_pipeline();
+    let mut observer = FleetObserver::new();
+    let cycle = |ac: &mut AutoComp, observer: &mut FleetObserver, now_ms: u64, label: &str| {
+        let run = |ac: &mut AutoComp, observer: Option<&mut FleetObserver>| {
+            ac.cycle(CycleInput {
+                connector: &lake,
+                observer,
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms,
+            })
+            .unwrap()
+        };
+        let mut cold = bound_pipeline().with_cycle_cache(false);
+        *cold.config_mut() = ac.config().clone();
+        let b = run(ac, Some(observer));
+        let a = run(&mut cold, None);
+        reports_identical(&a, &b, label).unwrap();
+        (ac.cycle_cache_stats(), ac.rank_memo_stats())
+    };
+    let fleet_wide = |(tables, ranks): (CycleCacheStats, RankCycleStats), label: &str| {
+        assert_eq!(tables.recomputed_tables, n, "{label}: every table patched");
+        assert!(!ranks.memo_fast, "{label}: full selection");
+        assert_eq!(ranks.recomputed_scores, n, "{label}: every row re-scored");
+    };
+    let maintained = |(tables, ranks): (CycleCacheStats, RankCycleStats), label: &str| {
+        assert_eq!(tables.spliced_tables, n, "{label}: no table patched");
+        assert!(ranks.memo_fast, "{label}: maintained selection");
+        assert_eq!(ranks.recomputed_scores, 0, "{label}: no row re-scored");
+    };
+
+    fleet_wide(
+        cycle(&mut incremental, &mut observer, 1_000, "no state"),
+        "no state",
+    );
+    maintained(
+        cycle(&mut incremental, &mut observer, 2_000, "quiet"),
+        "quiet",
+    );
+    incremental.invalidate_cycle_cache();
+    fleet_wide(
+        cycle(&mut incremental, &mut observer, 3_000, "epoch"),
+        "epoch",
+    );
+    let mut other_chain = FleetObserver::new();
+    fleet_wide(
+        cycle(&mut incremental, &mut other_chain, 4_000, "cursor"),
+        "cursor",
+    );
+    maintained(
+        cycle(&mut incremental, &mut other_chain, 5_000, "quiet"),
+        "quiet again",
+    );
+
+    // A starved prefix: five written rows leave 19 survivors for a head
+    // of 20. Bounds hold, so only the written rows re-score.
+    (1..=5).for_each(|uid| lake.write(uid));
+    let (tables, ranks) = cycle(&mut incremental, &mut other_chain, 6_000, "starved");
+    assert_eq!(tables.recomputed_tables, 5);
+    assert!(
+        !ranks.memo_fast,
+        "a starved prefix takes the full selection"
+    );
+    assert_eq!(ranks.recomputed_scores, 5);
+
+    // A budget-driven policy: filter and orient reuse every table, and
+    // ranking re-scores every row each cycle.
+    incremental.config_mut().policy = RankingPolicy::BudgetedMoop {
+        weights: vec![TraitWeight::new("file_count_reduction", 1.0)],
+        cost_trait: "file_count_reduction".into(),
+        budget: 2_000.0,
+        max_k: None,
+    };
+    cycle(&mut incremental, &mut other_chain, 7_000, "budget switch");
+    let (tables, ranks) = cycle(&mut incremental, &mut other_chain, 8_000, "budget");
+    assert_eq!(tables.spliced_tables, n);
+    assert!(!ranks.memo_fast);
+    assert_eq!(
+        ranks.recomputed_scores, n,
+        "a budget walk re-scores every row"
+    );
+
+    // The clock key: a time-sensitive chain reuses its state at the fill
+    // timestamp only.
+    let mut timed = quiet_writer();
+    let mut timed_observer = FleetObserver::new();
+    let mut timed_cycle = |now_ms| {
+        timed
+            .cycle(CycleInput {
+                connector: &lake,
+                observer: Some(&mut timed_observer),
+                executor: Executor::Plain(&mut SeqExecutor::default()),
+                now_ms,
+            })
+            .unwrap();
+        timed.cycle_cache_stats()
+    };
+    timed_cycle(9_000);
+    assert_eq!(timed_cycle(9_000).spliced_tables, n, "same timestamp");
+    assert_eq!(timed_cycle(9_500).recomputed_tables, n, "moved timestamp");
 }
 
 /// Observe assembly over a shared listing touches O(dirty) positions: a

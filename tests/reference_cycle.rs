@@ -76,7 +76,11 @@ impl LakeConnector for Lake {
         Some(self.stats_for(uid, 0))
     }
     fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
-        let parts = if uid.is_multiple_of(3) { uid % 4 + 1 } else { 0 };
+        let parts = if uid.is_multiple_of(3) {
+            uid % 4 + 1
+        } else {
+            0
+        };
         (0..parts)
             .map(|p| (format!("p{p}"), self.stats_for(uid, p)))
             .collect()
