@@ -252,10 +252,10 @@ pub(crate) struct Mask {
     /// Filter drops, then ledger hits, then NaN rows, each in slot order.
     pub(crate) dropped: Vec<(CandidateId, Arc<str>)>,
     /// Slots that rank this cycle, ascending.
-    rows: Vec<u32>,
+    pub(crate) rows: Vec<u32>,
     /// Ranked slots whose retained score is stale, ascending; empty
     /// while no selection is retained.
-    fresh: Vec<u32>,
+    pub(crate) fresh: Vec<u32>,
     /// Ledger hits this cycle.
     pub(crate) suppressed: usize,
 }
@@ -510,22 +510,23 @@ impl DecideState {
         }
     }
 
-    /// The rank step: ranks the mask's rows under `policy`, re-scoring
-    /// what the mask names stale, and keeps the scores and selection for
-    /// the next cycle.
+    /// The rank step: ranks a mask's `rows` under `policy`, re-scoring
+    /// the `fresh` ones it names stale, and keeps the scores and
+    /// selection for the next cycle.
     pub(crate) fn rank(
         &mut self,
         observation: &FleetObservation,
         policy: &RankingPolicy,
-        mask: &Mask,
+        rows: Vec<u32>,
+        fresh: &[u32],
     ) -> Result<(RankedEntries, RankCycleStats)> {
         let source = SlotSource {
             layout: &self.layout,
             observation,
         };
         let slots = Slots {
-            rows: &mask.rows,
-            fresh: &mask.fresh,
+            rows,
+            fresh,
             scores: &mut self.scores,
             selection: &mut self.selection,
         };

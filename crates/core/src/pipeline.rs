@@ -40,7 +40,7 @@ use crate::act::{
 };
 use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{ExecutionResult, LakeConnector, Prediction};
-use crate::decide::{self, CycleCacheStats, DecideState, Keys};
+use crate::decide::{self, CycleCacheStats, DecideState, Keys, Mask};
 use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
@@ -527,9 +527,14 @@ impl AutoComp {
                 .collect(),
             None => Vec::new(),
         };
-        let mask = state.mask(observation, &patched, live);
+        let Mask {
+            dropped,
+            rows,
+            fresh,
+            suppressed,
+        } = state.mask(observation, &patched, live);
         if let Some(tracker) = self.tracker.as_mut() {
-            tracker.note_suppressed(mask.suppressed);
+            tracker.note_suppressed(suppressed);
         }
         self.cache_stats = CycleCacheStats {
             spliced_tables: spliced,
@@ -554,7 +559,8 @@ impl AutoComp {
         // selection, or take the fleet-wide path.
         let span_t = self.telemetry.span_start();
         let fill = self.retain_state && retained && observation.cursor().is_some();
-        let (ranked, rank_stats) = match state.rank(observation, &self.config.policy, &mask) {
+        let ranked = state.rank(observation, &self.config.policy, rows, &fresh);
+        let (ranked, rank_stats) = match ranked {
             Ok(ranked) => ranked,
             Err(e) => {
                 if fill {
@@ -633,7 +639,7 @@ impl AutoComp {
             at_ms: now_ms,
             scope: observation.scope().label(),
             generated: traits.rows(),
-            dropped: mask.dropped,
+            dropped,
             traits,
             ranked,
             executed: act.executed,

@@ -667,9 +667,8 @@ pub fn rank_and_select(
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
 ) -> Result<Vec<RankedEntry>> {
-    let rows: Vec<u32> = (0..candidates.len() as u32).collect();
     let slots = Slots {
-        rows: &rows,
+        rows: (0..candidates.len() as u32).collect(),
         fresh: &[],
         scores: &mut vec![0.0; candidates.len()],
         selection: &mut Selection::default(),
@@ -744,8 +743,9 @@ impl Selection {
 
 /// One cycle's ranked rows plus the per-row state ranking keeps.
 pub(crate) struct Slots<'a> {
-    /// Rows that rank this cycle, ascending.
-    pub(crate) rows: &'a [u32],
+    /// Rows that rank this cycle, ascending; a lazy report tail keeps
+    /// them.
+    pub(crate) rows: Vec<u32>,
     /// Ranked rows whose retained score is stale, ascending.
     pub(crate) fresh: &'a [u32],
     /// Score per row index, kept for the next cycle.
@@ -790,8 +790,9 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
     policy: &RankingPolicy,
     slots: Slots<'_>,
 ) -> Result<(RankedEntries, RankCycleStats)> {
-    let rows = slots.rows;
-    if rows.is_empty() {
+    let rows = &slots.rows;
+    let n = rows.len();
+    if n == 0 {
         *slots.selection = Selection::default();
         return Ok((RankedEntries::eager(Vec::new()), RankCycleStats::default()));
     }
@@ -855,7 +856,7 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
                 source,
                 slots,
                 (2, bounds),
-                k.min(rows.len()),
+                k.min(n),
                 |i| weighted_row(&parts, i),
                 |pos, _, _| {
                     let rank = pos + 1;
@@ -930,7 +931,7 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
                         source,
                         slots,
                         (3, bounds),
-                        k.min(rows.len()),
+                        k.min(n),
                         quota_row,
                         |pos, _, _| (pos < k, DecisionNote::QuotaRank { rank: pos + 1 }),
                         TailNoteSpec::Quota,
@@ -1012,7 +1013,7 @@ fn rank_budgeted<S: RankSource + ?Sized>(
         selection,
         ..
     } = slots;
-    for r in rows {
+    for r in &rows {
         scores[*r as usize] = score_row(*r as usize);
     }
     *selection = Selection::default();
@@ -1021,7 +1022,7 @@ fn rank_budgeted<S: RankSource + ?Sized>(
         spliced_scores: 0,
         recomputed_scores: rows.len(),
     };
-    let entries = budget_scan(source, scores, costs, rows, budget, cap, notes);
+    let entries = budget_scan(source, scores, costs, &rows, budget, cap, notes);
     (RankedEntries::eager(entries), stats)
 }
 
@@ -1055,7 +1056,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
     // Kept scores hold only under the same policy shape and bit-equal
     // bounds: scores are then pure per-row functions of unchanged inputs.
     let kept = selection.kind == kind && selection.bounds == bounds;
-    let rescore = if kept { fresh } else { rows };
+    let rescore = if kept { fresh } else { &rows[..] };
     for r in rescore {
         scores[*r as usize] = score_row(*r as usize);
     }
@@ -1104,7 +1105,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
         }
         merged
     } else {
-        let mut order = RankOrder::new(scores, rows, source);
+        let mut order = RankOrder::new(scores, &rows, source);
         order.ensure(target);
         order.indices.truncate(target);
         order.indices
@@ -1133,7 +1134,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
         Some((scope, uids)) => RankedEntries {
             head,
             tail: Some(LazyTail {
-                rows: rows.to_vec(),
+                rows,
                 in_head,
                 scores: scores.to_vec(),
                 uids,
