@@ -563,9 +563,6 @@ struct SlotSource<'a> {
 }
 
 impl RankSource for SlotSource<'_> {
-    fn len(&self) -> usize {
-        self.layout.table_of.len()
-    }
     fn tail_identity(&self) -> Option<(ScopeKind, Arc<[u64]>)> {
         let uniform = matches!(
             self.observation.scope(),

@@ -279,14 +279,6 @@ impl fmt::Display for DecisionNote {
 /// [`FleetObservation`](crate::observe::FleetObservation) without ever
 /// building `Candidate` structs.
 pub trait RankSource {
-    /// Number of candidates (must equal the trait matrix's row count).
-    fn len(&self) -> usize;
-
-    /// Whether the source holds no candidates.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Identity of the candidate at `index`, materialized for a
     /// [`RankedEntry`]. Called once per returned entry.
     fn id(&self, index: usize) -> CandidateId;
@@ -314,9 +306,6 @@ pub trait RankSource {
 }
 
 impl RankSource for [Candidate] {
-    fn len(&self) -> usize {
-        self.len()
-    }
     fn id(&self, index: usize) -> CandidateId {
         self[index].id.clone()
     }

@@ -975,10 +975,10 @@ fn warm_restore_resumes_incremental_observe() {
     assert_reports_identical(&twin_report, &restored_report, "warm resume");
 }
 
-/// The rank memo is part of the cache generation: a warm restore brings
-/// both back, and the restored pipeline's first (quiet) cycle maintains
-/// top-k from the memo, splicing every table, bit-identically to the
-/// never-stopped twin. A snapshot saved after the cache was invalidated
+/// A warm restore brings the decide state back with its retained
+/// selection, and the restored pipeline's first (quiet) cycle maintains
+/// top-k from it, keeping every table, bit-identically to the
+/// never-stopped twin. A snapshot saved after the state was invalidated
 /// restores warm with neither.
 #[test]
 fn warm_restore_carries_the_memo_with_its_generation() {

@@ -3,10 +3,12 @@
 //! Drives randomized fleets through randomized interleavings of table
 //! writes, database quota edits, policy (config) edits, feedback
 //! ingestion, and OODA cycles, and asserts that **incremental** cycles —
-//! changelog-driven observe reuse *plus* the `CycleCache` splicing filter
-//! verdicts and trait rows — produce **bit-identical** `CycleReport`s to
-//! always-cold cycles over the same lake state, across all four scope
-//! strategies and all four ranking policies.
+//! changelog-driven observe reuse *plus* the retained decide state
+//! keeping filter verdicts, trait rows and scores — produce
+//! **bit-identical** `CycleReport`s to always-cold cycles over the same
+//! lake state, across all four scope strategies and all four ranking
+//! policies, and the same decisions as the naive reference cycle
+//! (`common/reference.rs`) over the incremental observation.
 //!
 //! The model lake keeps every stat a pure function of
 //! `(uid, per-table version, per-database quota + transform knobs)`, so a
@@ -15,8 +17,7 @@
 //! shifts are *not* in the changelog (they model the shared-signal
 //! staleness of the observe contract); the incremental driver follows the
 //! documented recipe and force-dirties every table of the edited
-//! database, which must invalidate the corresponding cycle-cache rows
-//! too.
+//! database, which must patch the corresponding decide-state slots too.
 //!
 //! The op alphabet also carries the adversarial-matrix shapes from
 //! `lakesim_workload::scenarios`: flash-crowd [`Op::Burst`]s that dirty a
@@ -199,8 +200,8 @@ enum Op {
     /// Burst of writes to one table: a large version jump that swings
     /// its stats across their modular range, so fleet-wide min–max
     /// normalization bounds frequently move mid-sequence — the rank
-    /// memo's fallback path must recompute and still match cold cycles
-    /// bit-for-bit.
+    /// phase's fleet-wide path must recompute and still match cold
+    /// cycles bit-for-bit.
     Spike(u64),
     /// Out-of-band quota edit (changelog-invisible; the incremental
     /// driver must force-dirty the database's tables to stay exact).
@@ -411,7 +412,7 @@ fn run_scenario(
                 lake.quota_edit(*db, *delta);
                 // The documented recipe for changelog-invisible shared
                 // signals: force-dirty the affected tables. Must also
-                // invalidate their cycle-cache rows.
+                // patch their decide-state slots.
                 for uid in 0..n {
                     if uid % DATABASES == *db {
                         observer.mark_dirty(uid);
@@ -487,8 +488,8 @@ fn run_scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// All four scopes × randomized policy, with a time-insensitive
-    /// filter chain: the cycle cache splices across moving timestamps and
-    /// reports must stay bit-identical to always-cold cycles.
+    /// filter chain: the decide state is reused across moving timestamps
+    /// and reports must stay bit-identical to always-cold cycles.
     #[test]
     fn incremental_cycles_match_cold_cycles(
         n in 4u64..40,
@@ -1008,7 +1009,8 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
     assert!(!stats.memo_fast, "moved bounds force the fallback");
     assert_eq!(stats.recomputed_scores, n as usize);
 
-    // The fallback re-seeds the memo: the next quiet cycle is fast again.
+    // The fallback re-seeds the selection: the next quiet cycle is fast
+    // again.
     compare(
         &mut cold,
         &mut incremental,

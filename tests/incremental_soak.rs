@@ -6,8 +6,8 @@
 //!   the cycle's dirty set, no matter how many cycles run. (The
 //!   observation itself is one entry per table by construction — see
 //!   `core/src/observe.rs` — so there is no retained-entry bound to pin.)
-//! * **Cache boundedness** — the cycle cache retains exactly one
-//!   generation, so its table count never exceeds the fleet size.
+//! * **State boundedness** — exactly one decide state is retained, so
+//!   its table count never exceeds the fleet size.
 //! * **Reconvergence** — a periodic `FleetObserver::reset` makes the next
 //!   cycle cold, and that cycle's report is bit-identical to a
 //!   from-scratch cold pipeline over the same lake state.

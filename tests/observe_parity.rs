@@ -399,7 +399,7 @@ fn incremental_observe_fetches_only_written_tables() {
 }
 
 /// A table force-dirtied although **absent from the changelog** must be
-/// re-fetched by the observe AND have its `CycleCache` rows invalidated:
+/// re-fetched by the observe AND have its decide-state slots patched:
 /// its filter verdicts and trait rows recompute even though no write was
 /// logged. Pinned by counting filter evaluations per cycle.
 #[test]
@@ -511,9 +511,9 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
 
 /// A table-descriptor edit that never touches the write changelog — an
 /// operator flipping `compaction_enabled` off — must still invalidate
-/// the table's cached filter verdict: filters read descriptor fields, so
-/// the cycle cache verifies the stored descriptor per splice instead of
-/// trusting the changelog alone.
+/// the table's retained filter verdict: filters read descriptor fields,
+/// so over a re-read listing the decide state compares each descriptor
+/// instead of trusting the changelog alone.
 #[test]
 fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     /// Lake whose policy flags can be edited out-of-band (no changelog).
