@@ -23,10 +23,10 @@ use std::sync::{Mutex, Once};
 use autocomp::durability::{SNAPSHOT_KIND, SNAPSHOT_VERSION};
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, CycleInput, CycleReport, ExecutionResult, Executor, FileCountReduction,
-    FleetObserver, JobRuntimeConfig, JournalEvent, JournalingExecutor, LakeConnector,
-    MinSizeFilter, Prediction, RankingPolicy, RecoveryReport, ReplayExecutor, ReplaySummary,
-    ScopeStrategy, TableRef, TraitWeight, Untracked,
+    ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, ExecutionResult, Executor,
+    FileCountReduction, FleetObserver, JobRuntimeConfig, JournalEvent, JournalingExecutor,
+    LakeConnector, MinSizeFilter, Prediction, RankingPolicy, RecoveryReport, ReplayExecutor,
+    ReplaySummary, RuntimeConfig, RuntimeEvent, ScopeStrategy, TableRef, TraitWeight, Untracked,
 };
 use lakesim_storage::{seal_frame, Journal, MemSnapshotMedium, SnapshotStore};
 use proptest::prelude::*;
@@ -1046,6 +1046,91 @@ fn warm_restore_carries_the_memo_with_its_generation() {
         } => assert!(!cache_restored && !memo_restored),
         cold => panic!("expected warm restore, got: {cold}"),
     }
+}
+
+/// Marks pending at a snapshot survive it: listed and unlisted alike
+/// count toward the restored backlog, the snapshot lists them in
+/// ascending uid order, and the restored runtime's first round fetches
+/// exactly the listed ones.
+#[test]
+fn a_restore_keeps_the_dirty_backlog_including_unlisted_marks() {
+    let lake = CrashLake::new(TABLES);
+    let untracked_pipeline = || {
+        AutoComp::new(AutoCompConfig {
+            scope: ScopeStrategy::Table,
+            policy: RankingPolicy::Moop {
+                weights: vec![TraitWeight::new("file_count_reduction", 1.0)],
+                k: 5,
+            },
+            trigger_label: "dirty".into(),
+            calibrate: false,
+        })
+        .with_trait(Box::new(FileCountReduction::default()))
+    };
+    let mut ac = untracked_pipeline();
+    let mut observer = FleetObserver::new();
+    ac.cycle(CycleInput {
+        connector: &lake,
+        observer: Some(&mut observer),
+        executor: Executor::Plain(&mut InertExecutor),
+        now_ms: 1_000,
+    })
+    .unwrap();
+    for uid in [9, 3, 99, 9] {
+        observer.mark_dirty(uid);
+    }
+    let ctx = autocomp::SnapshotContext {
+        cycle: 1,
+        executor_cursor: 0,
+        journal_watermark: 0,
+    };
+    let bytes = ac.encode_snapshot(&observer, &ctx).unwrap();
+
+    // The dirty section: its length, then the uids ascending.
+    let frame = lakesim_storage::open_frame(&bytes, SNAPSHOT_KIND, SNAPSHOT_VERSION).unwrap();
+    let section: Vec<u8> = [3u64, 3, 9, 99]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert!(
+        frame
+            .payload
+            .windows(section.len())
+            .any(|window| window == section),
+        "the dirty section lists 3, 9, 99 in that order"
+    );
+
+    let mut store = SnapshotStore::new(MemSnapshotMedium::new());
+    store.save(&bytes).unwrap();
+    let config = RuntimeConfig {
+        dirty_watermark: None,
+        max_staleness_ms: None,
+        gbhr_headroom: None,
+        min_round_interval_ms: 0,
+        snapshot_every_rounds: 0,
+    };
+    let mut rt =
+        ContinuousRuntime::new(untracked_pipeline(), config).with_durability(store, Journal::new());
+    match rt.recover() {
+        RecoveryReport::Warm { tables, .. } => assert_eq!(tables, TABLES as usize),
+        cold => panic!("expected warm restore, got: {cold}"),
+    }
+    assert_eq!(rt.dirty_backlog(), 3, "two listed marks and one unlisted");
+
+    rt.handle_event(
+        &RuntimeEvent::Flush { at_ms: 2_000 },
+        &lake,
+        &mut Untracked(InertExecutor),
+    )
+    .unwrap()
+    .expect("a flush always fires");
+    assert_eq!(rt.dirty_backlog(), 0);
+    let obs = rt.observer().last().unwrap();
+    let fresh: Vec<u64> = (0..obs.table_count())
+        .filter(|i| obs.is_fresh(*i))
+        .map(|i| obs.tables()[i].table_uid)
+        .collect();
+    assert_eq!(fresh, vec![3, 9], "exactly the listed marks");
 }
 
 // ---------------------------------------------------------------------

@@ -6,9 +6,11 @@
 //! * an incremental (cursor) cycle that reuses the prior observation,
 //!
 //! across all four scope strategies; a dirty-set test proving that an
-//! incremental observe re-fetches stats *only* for written tables; and a
+//! incremental observe re-fetches stats *only* for written tables; a
 //! property harness over listings that gain, lose and move tables
-//! between passes, with stats faults landing on the way.
+//! between passes, with stats faults landing on the way; and pins of
+//! what a runtime commit mark means whatever the listing does before
+//! the round that consumes it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,10 +18,10 @@ use std::sync::Mutex;
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats,
-    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
-    ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver, LakeConnector,
-    ObserveFault, ObserveRequest, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitComputer, TraitWeight,
+    CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ContinuousRuntime, CycleInput,
+    CycleReport, ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver,
+    LakeConnector, ObserveFault, ObserveRequest, Prediction, RankingPolicy, RuntimeConfig,
+    RuntimeEvent, ScopeStrategy, TableRef, TraitComputer, TraitWeight, Untracked,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -882,5 +884,152 @@ fn dropping_half_the_fleet_with_no_write_in_between_passes_every_check() {
             "half dropped",
         )
         .unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Commit marks through the runtime: the backlog counts distinct uids,
+// and the covering round observes exactly what a cold observe does,
+// whatever the listing did since the marks were made.
+// ---------------------------------------------------------------------
+
+/// A runtime whose rounds fire only on a flush.
+fn flush_only_runtime() -> ContinuousRuntime {
+    ContinuousRuntime::new(
+        pipeline(ScopeStrategy::Table),
+        RuntimeConfig {
+            dirty_watermark: None,
+            max_staleness_ms: None,
+            gbhr_headroom: None,
+            min_round_interval_ms: 0,
+            snapshot_every_rounds: 0,
+        },
+    )
+}
+
+/// One commit event per uid. Only the event marks the table; the lake's
+/// changelog sees just what the test writes.
+fn commit(rt: &mut ContinuousRuntime, lake: &CountingLake, at_ms: u64, uids: &[u64]) {
+    for uid in uids {
+        let event = RuntimeEvent::Commit {
+            at_ms,
+            table_uid: *uid,
+        };
+        let fired = rt
+            .handle_event(&event, lake, &mut Untracked(NullExecutor))
+            .unwrap();
+        assert!(fired.is_none(), "only a flush fires a round");
+    }
+}
+
+/// Runs the covering round: it consumes `backlog` marks, fetches every
+/// listed position of a `marked` uid, and observes what a cold observe
+/// does.
+fn flush_matches_cold(
+    rt: &mut ContinuousRuntime,
+    lake: &CountingLake,
+    at_ms: u64,
+    backlog: usize,
+    marked: &[u64],
+    context: &str,
+) {
+    assert_eq!(rt.dirty_backlog(), backlog, "{context}: distinct marks");
+    let round = rt
+        .handle_event(
+            &RuntimeEvent::Flush { at_ms },
+            lake,
+            &mut Untracked(NullExecutor),
+        )
+        .unwrap()
+        .expect("a flush always fires");
+    assert_eq!(round.dirty_consumed, backlog, "{context}: consumed");
+    assert_eq!(rt.dirty_backlog(), 0, "{context}: nothing left pending");
+    let obs = rt.observer().last().unwrap();
+    for (i, table) in obs.tables().iter().enumerate() {
+        if marked.contains(&table.table_uid) {
+            assert!(
+                obs.is_fresh(i),
+                "{context}: uid {} fetched",
+                table.table_uid
+            );
+        }
+    }
+    let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+    assert_eq!(*obs, cold, "{context}: round vs cold observe");
+}
+
+#[test]
+fn marks_before_the_first_observe_count_once_and_the_round_matches_cold() {
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(FLEET, epoch);
+        let mut rt = flush_only_runtime();
+        lake.write(3);
+        commit(&mut rt, &lake, 1_000, &[3, 5, 3]);
+        flush_matches_cold(&mut rt, &lake, 2_000, 2, &[3, 5], "before the first");
+    }
+}
+
+#[test]
+fn duplicate_marks_count_once_and_the_round_matches_cold() {
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(FLEET, epoch);
+        let mut rt = flush_only_runtime();
+        flush_matches_cold(&mut rt, &lake, 1_000, 0, &[], "cold");
+        lake.write(7);
+        lake.write(7);
+        commit(&mut rt, &lake, 1_500, &[7, 7, 8, 7]);
+        flush_matches_cold(&mut rt, &lake, 2_000, 2, &[7, 8], "duplicates");
+        assert_eq!(rt.observer().last().unwrap().fetched_tables(), 2);
+    }
+}
+
+#[test]
+fn a_mark_for_a_never_listed_uid_counts_and_fetches_nothing() {
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(FLEET, epoch);
+        let mut rt = flush_only_runtime();
+        flush_matches_cold(&mut rt, &lake, 1_000, 0, &[], "cold");
+        commit(&mut rt, &lake, 1_500, &[FLEET + 50, 4, FLEET + 50]);
+        flush_matches_cold(&mut rt, &lake, 2_000, 2, &[4], "never listed");
+        assert_eq!(
+            rt.observer().last().unwrap().fetched_tables(),
+            1,
+            "the unlisted mark fetches nothing"
+        );
+    }
+}
+
+#[test]
+fn a_mark_for_a_table_that_moves_follows_it_to_its_new_position() {
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(FLEET, epoch);
+        let mut rt = flush_only_runtime();
+        flush_matches_cold(&mut rt, &lake, 1_000, 0, &[], "cold");
+        lake.write(10);
+        commit(&mut rt, &lake, 1_500, &[10, 11]);
+        // Every table moves: position 10 now lists uid 15.
+        lake.rotate(5);
+        flush_matches_cold(&mut rt, &lake, 2_000, 2, &[10, 11], "moved");
+        let obs = rt.observer().last().unwrap();
+        assert_eq!(obs.position_of_uid(10), Some(5));
+        assert_eq!(obs.fetched_tables(), 2, "the marks, at their new positions");
+    }
+}
+
+#[test]
+fn a_mark_for_a_table_the_relisting_drops_counts_until_the_round() {
+    for epoch in [true, false] {
+        let lake = CountingLake::with_listing_epoch(FLEET, epoch);
+        let mut rt = flush_only_runtime();
+        flush_matches_cold(&mut rt, &lake, 1_000, 0, &[], "cold");
+        lake.write(13);
+        commit(&mut rt, &lake, 1_500, &[12, 13]);
+        // Position 12 lists uid 12.
+        lake.drop_at(12);
+        flush_matches_cold(&mut rt, &lake, 2_000, 2, &[13], "dropped");
+        let obs = rt.observer().last().unwrap();
+        assert_eq!(obs.position_of_uid(12), None);
+        assert_eq!(obs.position_of_uid(13), Some(12), "moved up one");
+        assert_eq!(obs.fetched_tables(), 1, "only the surviving mark");
     }
 }
