@@ -131,8 +131,8 @@ pub use filter::{
 pub use kind::{JobKind, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC};
 pub use matrix::{TraitId, TraitMatrix};
 pub use observe::{
-    ChangeCursor, DegradeReason, FallbackCause, FleetObservation, FleetObserver, NameInterner,
-    ObserveDegradation, ObserveRequest, Quarantined, TableObservation,
+    ChangeCursor, DegradeReason, DirtySet, FallbackCause, FleetObservation, FleetObserver,
+    NameInterner, ObserveDegradation, ObserveRequest, Quarantined, TableObservation,
 };
 pub use pipeline::{AutoComp, AutoCompConfig, CycleInput, CycleReport};
 pub use rank::{

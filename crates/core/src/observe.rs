@@ -23,7 +23,10 @@
 //!   paying full-fleet observe cost.
 //! * [`FleetObserver`] is the small session object that threads the prior
 //!   observation and externally-marked dirty tables (§5
-//!   [`HookAction::MarkDirty`]) through consecutive cycles.
+//!   [`HookAction::MarkDirty`]) through consecutive cycles. The marks are
+//!   a [`DirtySet`], bits over the prior's uid index (below): a mark is
+//!   a bit set, with no allocation, and the set keeps its distinct-uid
+//!   count as marks land.
 //!
 //! One driver implements the protocol: [`pull_observe`], the default
 //! every [`LakeConnector`] inherits, fetches table by table in listing
@@ -70,18 +73,22 @@
 //! Every pass runs the same three steps after the listing and changelog
 //! reads resolve:
 //!
-//! * **Plan.** Only a prior of the same scope is reused. When its
-//!   listing is literally shared (`Arc::ptr_eq` under an unchanged
-//!   [`LakeConnector::listing_epoch`]) positions are identical and dirty
-//!   uids resolve through a uid → position index retained across the
-//!   observation chain: O(dirty) work. Otherwise one O(n + dirty) walk
-//!   maps every listed table to its prior position — positional compare
-//!   first, the prior's uid index only for tables that moved — with
-//!   dirty membership by merge scan; a re-read listing in which no table
+//! * **Plan.** Only a prior of the same scope is reused. The changelog's
+//!   uids join the pass's [`DirtySet`] in the prior's uid index, and the
+//!   set becomes a bitmap of the prior's listing positions: every
+//!   position a dirty uid is listed at. When the listing is literally
+//!   shared (`Arc::ptr_eq` under an unchanged
+//!   [`LakeConnector::listing_epoch`]) positions are identical and the
+//!   fetch list is a scan of that bitmap, ascending: O(changes + dirty +
+//!   n/64) work, with no sort. Otherwise one O(n) walk maps every listed table
+//!   to its prior position — positional compare first, the prior's uid
+//!   index only for tables that moved — and a table is dirty when its
+//!   prior position's bit is set; a re-read listing in which no table
 //!   moved is planned exactly like a shared one. A prior position is
 //!   handed out once, so a uid the listing repeats is fetched at its
 //!   repeat like a new table. Dirty and newly listed tables are fetched;
-//!   without a changelog answer every table is.
+//!   dirty uids the prior does not list have no position and are
+//!   ignored; without a changelog answer every table is fetched.
 //! * **Assemble.** The pass consumes its prior and builds its entry
 //!   vector *before* fetching, every position already holding its carry
 //!   value: when no position moved, the prior's own vector; when tables
@@ -94,6 +101,27 @@
 //!   the degradation contract below. Exactly the entries whose value
 //!   came from the connector this pass read as fresh; a quiet pass hands
 //!   the prior's vector on untouched.
+//!
+//! # The uid index
+//!
+//! Each listing has one lazily built uid index, shared along the
+//! observation chain while no table moves. It answers
+//! [`FleetObservation::position_of_uid`] and places dirty marks, in one
+//! of two forms:
+//!
+//! * **Dense**, when the listed uids span at most twice as many uids as
+//!   there are tables (connectors that number tables as they create them):
+//!   a position table indexed by `uid - smallest uid`. Every uid in the
+//!   span has a slot, listed or not, so a mark is a range check and a bit
+//!   set — no probe on the commit path.
+//! * **Hashed**, for any other uid set: a keyed-hash map from uid to
+//!   position, and a mark is one probe. A uid's slot is its position.
+//!
+//! Either way a uid the index cannot place goes to the set's side list,
+//! counted but never fetched, and the plan maps slots to every position
+//! their uid is listed at. The two forms answer alike — pinned by
+//! `tests::position_of_uid_agrees_with_a_linear_scan` and
+//! `tests::dirty_marks_place_alike_over_dense_and_hashed_indexes`.
 //!
 //! A pass owns its prior, so the runtime's [`FleetObserver`] — the only
 //! holder of its observation — never copies an entry it reuses; the
@@ -163,7 +191,7 @@
 //! [`ObserveFault`]: crate::connector::ObserveFault
 
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
 
@@ -195,8 +223,12 @@ pub struct ObserveRequest {
     /// values verbatim (see the module docs' staleness contract).
     pub prior: Option<FleetObservation>,
     /// Tables to re-fetch regardless of the changelog (externally known
-    /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode).
-    pub force_dirty: Vec<u64>,
+    /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode),
+    /// handed over by value. Its bits are keyed on `prior`'s listing, so
+    /// only [`FleetObserver`] fills it, from
+    /// [`FleetObserver::mark_dirty`]; a request built elsewhere carries
+    /// the empty set.
+    pub force_dirty: DirtySet,
 }
 
 impl ObserveRequest {
@@ -205,7 +237,7 @@ impl ObserveRequest {
         ObserveRequest {
             scope,
             prior: None,
-            force_dirty: Vec::new(),
+            force_dirty: DirtySet::default(),
         }
     }
 
@@ -412,8 +444,235 @@ impl ObserveDegradation {
 /// splice walk's generation lookup.
 pub(crate) type UidMap<V> = HashMap<u64, V, UidHashState>;
 
+/// Uid → listing-position index of one listing, and the key space of a
+/// [`DirtySet`] over it: every uid the index can place has one *slot*.
+#[derive(Debug)]
+pub(crate) struct UidIndex {
+    slots: Slots,
+    /// `(uid, position)` for every position of a uid listed more than
+    /// once other than the one [`Self::get`] answers, ordered by uid.
+    /// Empty for a listing without repeats.
+    repeats: Vec<(u64, u32)>,
+}
+
+/// How a [`UidIndex`] places uids.
+#[derive(Debug)]
+enum Slots {
+    /// The listed uids span at most [`DENSE_SPAN`] uids per listed table
+    /// from `base`. Every uid in the span, listed or not, has the slot
+    /// `uid - base`, and `by_offset[slot]` is its position, or
+    /// [`NOT_LISTED`]. A mark is then a bit set with no probe.
+    Dense { base: u64, by_offset: Vec<u32> },
+    /// Any other uid set: a listed uid's slot is its position, found by
+    /// hashing.
+    Hashed { by_uid: UidMap<u32>, len: usize },
+}
+
+/// Uids per listed table a dense index may span. At 2 its position
+/// table takes at most half the bytes of the hashed one.
+const DENSE_SPAN: u64 = 2;
+
+impl UidIndex {
+    fn new(tables: &[TableRef]) -> Self {
+        let uids = tables.iter().map(|t| t.table_uid);
+        let mut repeats = Vec::new();
+        let slots = match uids.clone().min().zip(uids.max()) {
+            Some((base, max)) if max - base < DENSE_SPAN * tables.len() as u64 => {
+                let mut by_offset = vec![NOT_LISTED; (max - base) as usize + 1];
+                for (i, table) in tables.iter().enumerate() {
+                    let slot = &mut by_offset[(table.table_uid - base) as usize];
+                    if *slot != NOT_LISTED {
+                        repeats.push((table.table_uid, *slot));
+                    }
+                    *slot = i as u32;
+                }
+                Slots::Dense { base, by_offset }
+            }
+            _ => {
+                let mut by_uid =
+                    UidMap::with_capacity_and_hasher(tables.len(), UidHashState::default());
+                for (i, table) in tables.iter().enumerate() {
+                    if let Some(earlier) = by_uid.insert(table.table_uid, i as u32) {
+                        repeats.push((table.table_uid, earlier));
+                    }
+                }
+                Slots::Hashed {
+                    by_uid,
+                    len: tables.len(),
+                }
+            }
+        };
+        repeats.sort_unstable();
+        UidIndex { slots, repeats }
+    }
+
+    /// Listing position of `uid`: its last, for a uid listed more than
+    /// once.
+    fn get(&self, uid: u64) -> Option<u32> {
+        match &self.slots {
+            Slots::Dense { by_offset, .. } => self
+                .slot(uid)
+                .map(|slot| by_offset[slot as usize])
+                .filter(|pos| *pos != NOT_LISTED),
+            Slots::Hashed { by_uid, .. } => by_uid.get(&uid).copied(),
+        }
+    }
+
+    /// The slot of `uid`, if the index places it.
+    fn slot(&self, uid: u64) -> Option<u32> {
+        match &self.slots {
+            Slots::Dense { base, by_offset } => uid
+                .checked_sub(*base)
+                .filter(|offset| *offset < by_offset.len() as u64)
+                .map(|offset| offset as u32),
+            Slots::Hashed { by_uid, .. } => by_uid.get(&uid).copied(),
+        }
+    }
+
+    fn slot_count(&self) -> usize {
+        match &self.slots {
+            Slots::Dense { by_offset, .. } => by_offset.len(),
+            Slots::Hashed { len, .. } => *len,
+        }
+    }
+
+    /// The uid of `slot` in the listing `tables` the index was built
+    /// from.
+    fn uid_of(&self, slot: u32, tables: &[TableRef]) -> u64 {
+        match &self.slots {
+            Slots::Dense { base, .. } => base + slot as u64,
+            Slots::Hashed { .. } => tables[slot as usize].table_uid,
+        }
+    }
+
+    /// Every position listing the uid of `slot`: none for a dense slot
+    /// whose uid is not listed.
+    fn positions_of<'a>(
+        &'a self,
+        slot: u32,
+        tables: &[TableRef],
+    ) -> impl Iterator<Item = u32> + 'a {
+        let pos = match &self.slots {
+            Slots::Dense { by_offset, .. } => by_offset[slot as usize],
+            Slots::Hashed { .. } => slot,
+        };
+        let uid = self.uid_of(slot, tables);
+        let start = self.repeats.partition_point(|(u, _)| *u < uid);
+        let repeats = self.repeats[start..]
+            .iter()
+            .take_while(move |(u, _)| *u == uid)
+            .map(|(_, pos)| *pos);
+        (pos != NOT_LISTED)
+            .then_some(pos)
+            .into_iter()
+            .chain(repeats)
+    }
+}
+
+/// A fixed-size bitmap, unallocated until the first bit is set.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// Sets bit `i` of a map of `len` bits; whether it was clear.
+    fn set(&mut self, i: u32, len: usize) -> bool {
+        if self.0.is_empty() {
+            self.0 = vec![0; len.div_ceil(64)];
+        }
+        let (word, bit) = (&mut self.0[i as usize / 64], 1u64 << (i % 64));
+        let clear = *word & bit == 0;
+        *word |= bit;
+        clear
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        self.0
+            .get(i as usize / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 != 0)
+    }
+
+    /// The set bits, ascending.
+    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, word)| {
+            let mut word = *word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros();
+                    word &= word - 1;
+                    w as u32 * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// Pending dirty marks — tables a pass re-fetches whatever the
+/// changelog says — over the listing of the observation the pass
+/// reuses (see [`ObserveRequest::force_dirty`]).
+///
+/// A marked uid is one bit at its slot in that observation's uid index:
+/// its offset from the smallest listed uid when the listing's uids are
+/// dense, its listing position otherwise. A uid the index cannot place
+/// (a mark made before the first observe, or outside the listing's uid
+/// span) goes to a side set. A mark is check-and-set and the
+/// distinct-uid count is kept as marks land, so
+/// [`len`](Self::len) is O(1). The pass's changelog sets the same bits;
+/// its plan turns them into listing positions, every position a uid is
+/// listed at, in position order.
+#[derive(Debug, Clone, Default)]
+pub struct DirtySet {
+    /// One bit per slot of the uid index.
+    bits: Bits,
+    /// Distinct uids marked in `bits`.
+    slotted: usize,
+    /// Marked uids the uid index does not place.
+    unslotted: HashSet<u64, UidHashState>,
+}
+
+impl DirtySet {
+    /// Distinct uids marked.
+    pub(crate) fn len(&self) -> usize {
+        self.slotted + self.unslotted.len()
+    }
+
+    /// Marks `uid` against `index`, or in the side set when there is
+    /// none or it does not place the uid.
+    fn mark(&mut self, index: Option<&UidIndex>, uid: u64) {
+        if !index.is_some_and(|index| self.mark_slotted(index, uid)) {
+            self.unslotted.insert(uid);
+        }
+    }
+
+    /// Marks `uid`'s slot; `false`, with nothing marked, when `index`
+    /// does not place it.
+    fn mark_slotted(&mut self, index: &UidIndex, uid: u64) -> bool {
+        let Some(slot) = index.slot(uid) else {
+            return false;
+        };
+        if self.bits.set(slot, index.slot_count()) {
+            self.slotted += 1;
+        }
+        true
+    }
+
+    /// The marked positions of `observation`'s listing, over which the
+    /// set is keyed.
+    fn positions(&self, observation: &FleetObservation) -> Bits {
+        let mut positions = Bits::default();
+        if self.slotted > 0 {
+            let (index, tables) = (observation.uid_index(), observation.tables());
+            for slot in self.bits.ones() {
+                for pos in index.positions_of(slot, tables) {
+                    positions.set(pos, tables.len());
+                }
+            }
+        }
+        positions
+    }
+}
+
 /// Hasher factory of one [`UidMap`]. Uids are plain integers probed once
-/// per dirty table per pass, so one splitmix64 finalizer replaces
+/// per dirty mark and changelog uid, so one splitmix64 finalizer replaces
 /// SipHash's rounds. The finalizer alone is a fixed bijection: whoever
 /// picks table uids could choose a set that shares one bucket. Each map
 /// therefore draws a key from [`RandomState`] and hashes `uid ^ key`,
@@ -516,11 +775,11 @@ pub struct FleetObservation {
     /// Per-table stats by listing position.
     entries: Arc<Vec<TableObservation>>,
     /// Lazily built uid → listing-position index, shared across the
-    /// observation chain while no table moves: planning over a shared
-    /// listing maps a changelog's dirty uids to positions with O(dirty)
-    /// lookups instead of an O(n) walk. Also serves act-phase retry
-    /// re-scoring ([`Self::position_of_uid`]).
-    uid_index: Arc<OnceLock<UidMap<u32>>>,
+    /// observation chain while no table moves: dirty marks and a
+    /// changelog's uids find their positions with one lookup each
+    /// instead of an O(n) walk. Also serves act-phase retry re-scoring
+    /// ([`Self::position_of_uid`]).
+    uid_index: Arc<OnceLock<UidIndex>>,
     cursor: Option<ChangeCursor>,
     /// Listing positions whose entry came from the connector *this
     /// pass*, ascending. Everything else was reused verbatim from the
@@ -556,21 +815,15 @@ impl PartialEq for FleetObservation {
 impl FleetObservation {
     /// Lazily built uid → listing-position index, shared (one `Arc` bump)
     /// across consecutive observations over the same listing.
-    fn uid_index(&self) -> &UidMap<u32> {
-        self.uid_index.get_or_init(|| {
-            self.tables
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.table_uid, i as u32))
-                .collect()
-        })
+    fn uid_index(&self) -> &UidIndex {
+        self.uid_index.get_or_init(|| UidIndex::new(&self.tables))
     }
 
     /// Listing position of `table_uid`, if the table is currently listed.
     /// Backed by the retained uid index (built once per listing, then
     /// shared across the incremental observation chain).
     pub fn position_of_uid(&self, table_uid: u64) -> Option<usize> {
-        self.uid_index().get(&table_uid).map(|p| *p as usize)
+        self.uid_index().get(table_uid).map(|p| p as usize)
     }
 
     /// Whether this observation shares its entry vector with `other`: a
@@ -897,7 +1150,9 @@ impl FleetObservation {
 #[derive(Debug, Default)]
 pub struct FleetObserver {
     prior: Option<FleetObservation>,
-    pending_dirty: BTreeSet<u64>,
+    /// Tables marked dirty since the last observe, keyed on `prior`'s
+    /// listing; the next observe takes the set whole.
+    pending_dirty: DirtySet,
 }
 
 impl FleetObserver {
@@ -910,13 +1165,14 @@ impl FleetObserver {
     /// if the connector's changelog missed the write — the landing point
     /// for §5 [`HookAction::MarkDirty`](crate::trigger::HookAction).
     pub fn mark_dirty(&mut self, table_uid: u64) {
-        self.pending_dirty.insert(table_uid);
+        let index = self.prior.as_ref().map(FleetObservation::uid_index);
+        self.pending_dirty.mark(index, table_uid);
     }
 
     /// Drops the retained observation; the next observe is full.
     pub fn reset(&mut self) {
         self.prior = None;
-        self.pending_dirty.clear();
+        self.pending_dirty = DirtySet::default();
     }
 
     /// The most recent observation, if any.
@@ -934,25 +1190,40 @@ impl FleetObserver {
         let observation = connector.observe(ObserveRequest {
             scope,
             prior: self.prior.take(),
-            force_dirty: std::mem::take(&mut self.pending_dirty)
-                .into_iter()
-                .collect(),
+            force_dirty: std::mem::take(&mut self.pending_dirty),
         });
         self.prior.insert(observation)
     }
 
-    /// Tables marked dirty but not yet folded into an observe: the
-    /// runtime's dirty backlog, and captured by snapshots so a restore
-    /// re-fetches exactly what a crash-free run would have.
-    pub(crate) fn pending_dirty(&self) -> &BTreeSet<u64> {
-        &self.pending_dirty
+    /// Distinct tables marked dirty but not yet folded into an observe:
+    /// the runtime's dirty backlog.
+    pub(crate) fn dirty_backlog(&self) -> usize {
+        self.pending_dirty.len()
     }
 
-    /// Installs a snapshot-restored observation (and its not-yet-consumed
-    /// dirty marks) as the prior for the next incremental observe.
-    pub(crate) fn restore_prior(&mut self, observation: FleetObservation, dirty: BTreeSet<u64>) {
+    /// The tables [`dirty_backlog`](Self::dirty_backlog) counts, by uid
+    /// ascending: what snapshots capture, so a restore re-fetches
+    /// exactly what a crash-free run would have.
+    pub(crate) fn pending_dirty_uids(&self) -> Vec<u64> {
+        let dirty = &self.pending_dirty;
+        let mut uids: Vec<u64> = dirty.unslotted.iter().copied().collect();
+        if let Some(prior) = self.prior.as_ref().filter(|_| dirty.slotted > 0) {
+            let (index, tables) = (prior.uid_index(), prior.tables());
+            uids.extend(dirty.bits.ones().map(|slot| index.uid_of(slot, tables)));
+        }
+        uids.sort_unstable();
+        uids
+    }
+
+    /// Installs a snapshot-restored observation as the prior for the
+    /// next incremental observe, and marks its not-yet-consumed dirty
+    /// uids against it.
+    pub(crate) fn restore_prior(&mut self, observation: FleetObservation, dirty: Vec<u64>) {
         self.prior = Some(observation);
-        self.pending_dirty = dirty;
+        self.pending_dirty = DirtySet::default();
+        for uid in dirty {
+            self.mark_dirty(uid);
+        }
     }
 }
 
@@ -1074,14 +1345,15 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 }
 
 /// Plans one pass over `tables`: which entries of `prior` are reusable
-/// and which positions are fetched. `changes` is the resolved changelog
-/// answer (`None`: every table is fetched). A re-read listing in which no
-/// table moved plans as [`Reuse::Identity`], so the pass patches the
-/// prior's entries in place and keeps its uid index.
+/// and which positions are fetched. `dirty` holds the pass's marks over
+/// `prior`'s listing; `changes` is the resolved changelog answer
+/// (`None`: every table is fetched). A re-read listing in which no table
+/// moved plans as [`Reuse::Identity`], so the pass patches the prior's
+/// entries in place and keeps its uid index.
 fn make_plan(
     tables: &Arc<Vec<TableRef>>,
     prior: Option<&FleetObservation>,
-    force_dirty: &[u64],
+    mut dirty: DirtySet,
     changes: Option<&[u64]>,
 ) -> Plan {
     let every_position = || (0..tables.len() as u32).collect();
@@ -1092,52 +1364,27 @@ fn make_plan(
             incremental: false,
         };
     };
-    let dirty = changes.map(|changes| {
-        let mut dirty: Vec<u64> = changes.iter().chain(force_dirty).copied().collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
-    });
-    let incremental = dirty.is_some();
+    // The changelog's uids join the marks. A uid the prior does not list
+    // has no position: listed now, it is fetched as a new table.
+    let incremental = changes.is_some();
+    if let Some(changes) = changes.filter(|c| !c.is_empty()) {
+        let index = prior.uid_index();
+        for uid in changes {
+            dirty.mark_slotted(index, *uid);
+        }
+    }
+    let dirty = dirty.positions(prior);
     if Arc::ptr_eq(tables, &prior.tables) {
-        let fetch = match dirty {
-            None => every_position(),
-            // Dirty uids that are not listed (e.g. a force-dirty mark for
-            // a table the connector no longer lists) are ignored.
-            Some(dirty) => {
-                let index = prior.uid_index();
-                let mut fetch: Vec<u32> = dirty
-                    .iter()
-                    .filter_map(|uid| index.get(uid).copied())
-                    .collect();
-                fetch.sort_unstable();
-                fetch
-            }
-        };
         return Plan {
             reuse: Some(Reuse::Identity),
-            fetch,
+            fetch: if incremental {
+                dirty.ones().collect()
+            } else {
+                every_position()
+            },
             incremental,
         };
     }
-    // Dirty-set membership via a merge scan: connectors list tables in a
-    // stable order that is almost always uid-ascending, so one pointer
-    // into the sorted dirty set amortizes to O(n + d); any out-of-order
-    // uid falls back to a binary search for just that table.
-    let mut dirty_ptr = 0usize;
-    let mut last_uid = 0u64;
-    let mut is_dirty = |uid: u64| -> bool {
-        let Some(dirty) = &dirty else { return true };
-        if uid >= last_uid {
-            last_uid = uid;
-            while dirty_ptr < dirty.len() && dirty[dirty_ptr] < uid {
-                dirty_ptr += 1;
-            }
-            dirty_ptr < dirty.len() && dirty[dirty_ptr] == uid
-        } else {
-            dirty.binary_search(&uid).is_ok()
-        }
-    };
     // The common case — nothing moved — maps with a positional uid
     // comparison; the map, and the prior's uid index, are built only once
     // a position mismatches (tables created, dropped, or reordered).
@@ -1161,7 +1408,7 @@ fn make_plan(
                 let from = if unmoved {
                     Some(pos as u32)
                 } else {
-                    prior.uid_index().get(&t.table_uid).copied()
+                    prior.uid_index().get(t.table_uid)
                 };
                 let from = from
                     .filter(|p| !std::mem::replace(&mut claimed[*p as usize], true))
@@ -1170,7 +1417,7 @@ fn make_plan(
                 from
             }
         };
-        if is_dirty(t.table_uid) || from == NOT_LISTED {
+        if !incremental || from == NOT_LISTED || dirty.contains(from) {
             fetch.push(pos as u32);
         }
     }
@@ -1439,11 +1686,16 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
         |c| connector.try_changes_since(c),
     );
     let cursor = connector.fleet_cursor();
-    let (scope, dirty) = (request.scope, &request.force_dirty);
+    let scope = request.scope;
     // A scope change drops carry and quarantine state with the prior:
     // its entries have the wrong shape.
     let mut prior = request.prior.filter(|p| p.scope() == scope);
-    let mut plan = make_plan(&tables, prior.as_ref(), dirty, changes.as_deref());
+    let mut plan = make_plan(
+        &tables,
+        prior.as_ref(),
+        request.force_dirty,
+        changes.as_deref(),
+    );
     let prior_deg = prior
         .as_mut()
         .map(|p| std::mem::take(&mut p.degradation))
@@ -1486,6 +1738,7 @@ pub fn pull_observe<C: LakeConnector + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -1725,14 +1978,18 @@ mod tests {
         assert_eq!(*obs, cold);
     }
 
-    /// `ChangeLake` whose listing repeats `tables[2]` at its end.
-    struct RepeatingLake(ChangeLake);
+    /// `ChangeLake` whose listing repeats `tables[2]` at its end, under
+    /// the given listing epoch.
+    struct RepeatingLake(ChangeLake, Option<u64>);
 
     impl LakeConnector for RepeatingLake {
         fn list_tables(&self) -> Vec<TableRef> {
             let mut listed = self.0.list_tables();
             listed.push(self.0.tables[2].clone());
             listed
+        }
+        fn listing_epoch(&self) -> Option<u64> {
+            self.1
         }
         fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
             self.0.table_stats(uid)
@@ -1752,7 +2009,7 @@ mod tests {
     /// first listing of it; the repeat is fetched, as a cold observe does.
     #[test]
     fn a_relisting_that_repeats_a_uid_matches_cold() {
-        let lake = RepeatingLake(ChangeLake::new(6));
+        let lake = RepeatingLake(ChangeLake::new(6), None);
         let mut observer = FleetObserver::new();
         observer.observe(&lake.0, ScopeStrategy::Hybrid);
         lake.0.write(4);
@@ -1761,6 +2018,34 @@ mod tests {
         assert!(obs.is_fresh(6));
         let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
         assert_eq!(*obs, cold);
+    }
+
+    /// Under a shared listing that lists a uid twice, a write to it — by
+    /// the changelog or by a mark the changelog missed — refreshes both
+    /// positions, and the backlog counts the uid once.
+    #[test]
+    fn a_written_uid_listed_twice_under_a_shared_listing_matches_cold() {
+        for by_mark in [false, true] {
+            let lake = RepeatingLake(ChangeLake::new(6), Some(0));
+            let mut observer = FleetObserver::new();
+            let first = observer.observe(&lake, ScopeStrategy::Table).clone();
+            if by_mark {
+                // A write the changelog never saw.
+                *lake.0.version.lock().unwrap().entry(2).or_insert(0) += 1;
+                observer.mark_dirty(2);
+                observer.mark_dirty(2);
+                assert_eq!(observer.dirty_backlog(), 1, "one uid");
+                assert_eq!(observer.pending_dirty_uids(), vec![2]);
+            } else {
+                lake.0.write(2);
+            }
+            let obs = observer.observe(&lake, ScopeStrategy::Table);
+            assert!(Arc::ptr_eq(&first.tables, &obs.tables), "shared listing");
+            assert_eq!(obs.fetched_tables(), 2, "by mark {by_mark}");
+            assert!(obs.is_fresh(2) && obs.is_fresh(6), "by mark {by_mark}");
+            let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+            assert_eq!(*obs, cold, "by mark {by_mark}");
+        }
     }
 
     /// Stats faults on a re-read listing in which tables moved: carry,
@@ -1840,6 +2125,51 @@ mod tests {
         for uid in uids.iter().copied().chain(absent) {
             let scan = obs.tables().iter().position(|t| t.table_uid == uid);
             assert_eq!(obs.position_of_uid(uid), scan, "uid {uid}");
+        }
+    }
+
+    /// Both uid-index kinds place marks alike: the backlog counts
+    /// distinct uids, the snapshot list is ascending, and a mark stands
+    /// for every position its uid is listed at — repeats, uids in a gap
+    /// of a dense span, and uids the index cannot place included.
+    #[test]
+    fn dirty_marks_place_alike_over_dense_and_hashed_indexes() {
+        let dense = [10u64, 12, 11, 15, 12, 14];
+        let sparse = [10u64, 1 << 40, 11, 15, 1 << 40, 3];
+        let marks = [12u64, 13, 1 << 40, 99, 12, 3, 15, 1 << 41];
+        for listing in [dense, sparse] {
+            let lake = PlainLake(
+                listing
+                    .iter()
+                    .map(|uid| TableRef {
+                        table_uid: *uid,
+                        database: "db".into(),
+                        name: format!("t{uid}").into(),
+                        partitioned: false,
+                        compaction_enabled: true,
+                        is_intermediate: false,
+                    })
+                    .collect(),
+            );
+            let mut observer = FleetObserver::new();
+            let obs = observer.observe(&lake, ScopeStrategy::Table);
+            let is_dense = matches!(obs.uid_index().slots, Slots::Dense { .. });
+            assert_eq!(is_dense, listing == dense, "{listing:?}");
+            for uid in listing.iter().chain(&marks) {
+                let scan = listing.iter().rposition(|u| u == uid);
+                assert_eq!(obs.position_of_uid(*uid), scan, "uid {uid}");
+            }
+            for uid in marks {
+                observer.mark_dirty(uid);
+            }
+            let distinct: Vec<u64> = BTreeSet::from(marks).into_iter().collect();
+            assert_eq!(observer.dirty_backlog(), distinct.len(), "{listing:?}");
+            assert_eq!(observer.pending_dirty_uids(), distinct, "{listing:?}");
+            let marked: Vec<u32> = (0..listing.len() as u32)
+                .filter(|pos| marks.contains(&listing[*pos as usize]))
+                .collect();
+            let planned = observer.pending_dirty.positions(observer.last().unwrap());
+            assert_eq!(planned.ones().collect::<Vec<_>>(), marked, "{listing:?}");
         }
     }
 
@@ -2235,7 +2565,7 @@ mod tests {
         let mut dec = lakesim_storage::Decoder::new(&bytes);
         let snapshot = FleetObservation::snapshot_restore(&mut dec).unwrap();
         let mut restored = FleetObserver::new();
-        restored.restore_prior(snapshot, BTreeSet::new());
+        restored.restore_prior(snapshot, Vec::new());
 
         let written = lake.inner.stats_for(4).file_count;
         let of_table_4 = |obs: &FleetObservation| match obs.entry(4) {

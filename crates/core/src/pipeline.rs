@@ -703,7 +703,7 @@ impl AutoComp {
 
     /// Encodes the pipeline's full retained state — the observer's prior
     /// observation (quarantine records included) and pending dirty
-    /// marks, the decide state, the job ledger, and the feedback
+    /// marks by uid ascending, the decide state, the job ledger, and the feedback
     /// calibration — into one sealed, checksummed frame for a
     /// [`SnapshotStore`](lakesim_storage::SnapshotStore). Returns `None`
     /// before the first observation (there is nothing durable to
@@ -746,10 +746,10 @@ impl AutoComp {
                 enc.put_u64(ctx.executor_cursor);
                 enc.put_u64(ctx.journal_watermark);
                 observation.snapshot_write(enc);
-                let dirty = observer.pending_dirty();
+                let dirty = observer.pending_dirty_uids();
                 enc.put_u64(dirty.len() as u64);
                 for uid in dirty {
-                    enc.put_u64(*uid);
+                    enc.put_u64(uid);
                 }
                 decide::snapshot_write(self.state.as_ref(), enc, self.epoch, observation);
                 match &self.tracker {
@@ -848,10 +848,10 @@ impl AutoComp {
         if observation.cursor().is_none() {
             return Err("snapshot observation carries no change cursor".to_string());
         }
-        let mut dirty = std::collections::BTreeSet::new();
-        for _ in 0..dec.take_len(8, "pending dirty").map_err(cerr)? {
-            dirty.insert(dec.take_u64("dirty uid").map_err(cerr)?);
-        }
+        let dirty = (0..dec.take_len(8, "pending dirty").map_err(cerr)?)
+            .map(|_| dec.take_u64("dirty uid"))
+            .collect::<std::result::Result<Vec<u64>, _>>()
+            .map_err(cerr)?;
         // The state is re-keyed to this pipeline's current epoch: the
         // fingerprint established the configurations agree, and the epoch
         // is a local mutation counter, not part of the durable identity.
