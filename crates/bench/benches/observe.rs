@@ -1,8 +1,10 @@
 //! Criterion: the observe phase at fleet scale — per-table pull baseline
 //! vs. a session-holding connector, cold vs. incremental
 //! (cursor/dirty-set) observe, the incremental one over a listing shared
-//! under a listing epoch and over one re-read every pass, and the storm
-//! shape: half the fleet dirty over a shared listing.
+//! under a listing epoch and over one re-read every pass, the storm
+//! shape: half the fleet dirty over a shared listing, and one storm
+//! round's commit ingest: a dirty mark per commit, then the observe
+//! that consumes them.
 //!
 //! The synthetic lake models what a real connector pays per stats
 //! round-trip: a catalog-session lookup (`SESSION_STEPS`, paid *per
@@ -33,6 +35,10 @@ const DIRTY_DIVISOR: u64 = 100;
 
 /// Fraction of the fleet written between storm cycles: 50%.
 const STORM_DIVISOR: u64 = 2;
+
+/// Commits in one storm round: uniform over the fleet, they dirty about
+/// half of it.
+const STORM_COMMITS: usize = 70_000;
 
 struct SyntheticLake {
     tables: Vec<TableRef>,
@@ -107,6 +113,34 @@ impl SyntheticLake {
     fn dirty_set(&self, divisor: u64) -> Vec<u64> {
         let n = self.tables.len() as u64;
         (0..n / divisor).map(|i| i * divisor % n).collect()
+    }
+}
+
+/// A session connector whose changelog names `commits`: the tables a
+/// runtime also marks dirty, one mark per commit event.
+struct CommitLake<'a> {
+    lake: &'a SyntheticLake,
+    commits: Vec<u64>,
+}
+
+impl LakeConnector for CommitLake<'_> {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.lake.tables.clone()
+    }
+    fn listing_epoch(&self) -> Option<u64> {
+        Some(0)
+    }
+    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+        Some(self.lake.fetch(uid, 0))
+    }
+    fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
+        Vec::new()
+    }
+    fn fleet_cursor(&self) -> Option<ChangeCursor> {
+        Some(ChangeCursor(0))
+    }
+    fn changes_since(&self, _cursor: ChangeCursor) -> Option<Vec<u64>> {
+        Some(self.commits.clone())
     }
 }
 
@@ -237,6 +271,35 @@ fn bench_observe(c: &mut Criterion) {
             })
         },
     );
+
+    // One storm round's ingest: a dirty mark per commit, uniform over the
+    // fleet, then the incremental observe whose changelog names the same
+    // commits.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let commits: Vec<u64> = (0..STORM_COMMITS)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        })
+        .collect();
+    let ingest = CommitLake {
+        lake: &lake,
+        commits,
+    };
+    let mut observer = FleetObserver::new();
+    observer.observe(&ingest, ScopeStrategy::Table);
+    group.bench_with_input(BenchmarkId::new("ingest_50pct", n), &n, |b, _| {
+        b.iter(|| {
+            for uid in &ingest.commits {
+                observer.mark_dirty(*uid);
+            }
+            observer
+                .observe(&ingest, ScopeStrategy::Table)
+                .fetched_tables()
+        })
+    });
     group.finish();
 }
 
