@@ -25,8 +25,8 @@
 //!   observation and externally-marked dirty tables (§5
 //!   [`HookAction::MarkDirty`]) through consecutive cycles. The marks are
 //!   a [`DirtySet`], bits over the prior's uid index (below): a mark is
-//!   a bit set, with no allocation, and the set keeps its distinct-uid
-//!   count as marks land.
+//!   at most one index probe and a bit set, and the set keeps its
+//!   distinct-uid count as marks land.
 //!
 //! One driver implements the protocol: [`pull_observe`], the default
 //! every [`LakeConnector`] inherits, fetches table by table in listing
@@ -80,11 +80,11 @@
 //!   shared (`Arc::ptr_eq` under an unchanged
 //!   [`LakeConnector::listing_epoch`]) positions are identical and the
 //!   fetch list is a scan of that bitmap, ascending: O(changes + dirty +
-//!   n/64) work, with no sort. Otherwise one O(n) walk maps every listed table
-//!   to its prior position — positional compare first, the prior's uid
-//!   index only for tables that moved — and a table is dirty when its
-//!   prior position's bit is set; a re-read listing in which no table
-//!   moved is planned exactly like a shared one. A prior position is
+//!   n/64) work, with no sort. Otherwise one O(n) walk maps every listed
+//!   table to its prior position — positional compare first, the
+//!   prior's uid index only for tables that moved — and a table is dirty
+//!   when its prior position's bit is set; a re-read listing in which no
+//!   table moved is planned exactly like a shared one. A prior position is
 //!   handed out once, so a uid the listing repeats is fetched at its
 //!   repeat like a new table. Dirty and newly listed tables are fetched;
 //!   dirty uids the prior does not list have no position and are
@@ -101,6 +101,13 @@
 //!   the degradation contract below. Exactly the entries whose value
 //!   came from the connector this pass read as fresh; a quiet pass hands
 //!   the prior's vector on untouched.
+//!
+//! A pass owns its prior, so the runtime's [`FleetObserver`] — the only
+//! holder of its observation — never copies an entry it reuses; the
+//! entry vector sits behind an `Arc`, and a pass over a prior someone
+//! else still holds a clone of copies the vector once before patching
+//! it (`Arc::make_mut`), so observations stay values. An observation
+//! holds exactly one entry per listed table, so nothing needs bounding.
 //!
 //! # The uid index
 //!
@@ -122,13 +129,6 @@
 //! their uid is listed at. The two forms answer alike — pinned by
 //! `tests::position_of_uid_agrees_with_a_linear_scan` and
 //! `tests::dirty_marks_place_alike_over_dense_and_hashed_indexes`.
-//!
-//! A pass owns its prior, so the runtime's [`FleetObserver`] — the only
-//! holder of its observation — never copies an entry it reuses; the
-//! entry vector sits behind an `Arc`, and a pass over a prior someone
-//! else still holds a clone of copies the vector once before patching
-//! it (`Arc::make_mut`), so observations stay values. An observation
-//! holds exactly one entry per listed table, so nothing needs bounding.
 //!
 //! # Degradation contract (fault-tolerant observe)
 //!
@@ -465,7 +465,7 @@ enum Slots {
     Dense { base: u64, by_offset: Vec<u32> },
     /// Any other uid set: a listed uid's slot is its position, found by
     /// hashing.
-    Hashed { by_uid: UidMap<u32>, len: usize },
+    Hashed(UidMap<u32>),
 }
 
 /// Uids per listed table a dense index may span. At 2 its position
@@ -496,10 +496,7 @@ impl UidIndex {
                         repeats.push((table.table_uid, earlier));
                     }
                 }
-                Slots::Hashed {
-                    by_uid,
-                    len: tables.len(),
-                }
+                Slots::Hashed(by_uid)
             }
         };
         repeats.sort_unstable();
@@ -514,7 +511,7 @@ impl UidIndex {
                 .slot(uid)
                 .map(|slot| by_offset[slot as usize])
                 .filter(|pos| *pos != NOT_LISTED),
-            Slots::Hashed { by_uid, .. } => by_uid.get(&uid).copied(),
+            Slots::Hashed(by_uid) => by_uid.get(&uid).copied(),
         }
     }
 
@@ -525,14 +522,7 @@ impl UidIndex {
                 .checked_sub(*base)
                 .filter(|offset| *offset < by_offset.len() as u64)
                 .map(|offset| offset as u32),
-            Slots::Hashed { by_uid, .. } => by_uid.get(&uid).copied(),
-        }
-    }
-
-    fn slot_count(&self) -> usize {
-        match &self.slots {
-            Slots::Dense { by_offset, .. } => by_offset.len(),
-            Slots::Hashed { len, .. } => *len,
+            Slots::Hashed(by_uid) => by_uid.get(&uid).copied(),
         }
     }
 
@@ -541,7 +531,7 @@ impl UidIndex {
     fn uid_of(&self, slot: u32, tables: &[TableRef]) -> u64 {
         match &self.slots {
             Slots::Dense { base, .. } => base + slot as u64,
-            Slots::Hashed { .. } => tables[slot as usize].table_uid,
+            Slots::Hashed(_) => tables[slot as usize].table_uid,
         }
     }
 
@@ -554,7 +544,7 @@ impl UidIndex {
     ) -> impl Iterator<Item = u32> + 'a {
         let pos = match &self.slots {
             Slots::Dense { by_offset, .. } => by_offset[slot as usize],
-            Slots::Hashed { .. } => slot,
+            Slots::Hashed(_) => slot,
         };
         let uid = self.uid_of(slot, tables);
         let start = self.repeats.partition_point(|(u, _)| *u < uid);
@@ -569,17 +559,18 @@ impl UidIndex {
     }
 }
 
-/// A fixed-size bitmap, unallocated until the first bit is set.
+/// A bitmap that grows to its highest set bit.
 #[derive(Debug, Clone, Default)]
 struct Bits(Vec<u64>);
 
 impl Bits {
-    /// Sets bit `i` of a map of `len` bits; whether it was clear.
-    fn set(&mut self, i: u32, len: usize) -> bool {
-        if self.0.is_empty() {
-            self.0 = vec![0; len.div_ceil(64)];
+    /// Sets bit `i`; whether it was clear.
+    fn set(&mut self, i: u32) -> bool {
+        let w = i as usize / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
         }
-        let (word, bit) = (&mut self.0[i as usize / 64], 1u64 << (i % 64));
+        let (word, bit) = (&mut self.0[w], 1u64 << (i % 64));
         let clear = *word & bit == 0;
         *word |= bit;
         clear
@@ -649,7 +640,7 @@ impl DirtySet {
         let Some(slot) = index.slot(uid) else {
             return false;
         };
-        if self.bits.set(slot, index.slot_count()) {
+        if self.bits.set(slot) {
             self.slotted += 1;
         }
         true
@@ -663,7 +654,7 @@ impl DirtySet {
             let (index, tables) = (observation.uid_index(), observation.tables());
             for slot in self.bits.ones() {
                 for pos in index.positions_of(slot, tables) {
-                    positions.set(pos, tables.len());
+                    positions.set(pos);
                 }
             }
         }
@@ -672,7 +663,7 @@ impl DirtySet {
 }
 
 /// Hasher factory of one [`UidMap`]. Uids are plain integers probed once
-/// per dirty mark and changelog uid, so one splitmix64 finalizer replaces
+/// per dirty table or mark, so one splitmix64 finalizer replaces
 /// SipHash's rounds. The finalizer alone is a fixed bijection: whoever
 /// picks table uids could choose a set that shares one bucket. Each map
 /// therefore draws a key from [`RandomState`] and hashes `uid ^ key`,
@@ -1345,7 +1336,7 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 }
 
 /// Plans one pass over `tables`: which entries of `prior` are reusable
-/// and which positions are fetched. `dirty` holds the pass's marks over
+/// and which positions are fetched. `marks` holds the pass's marks over
 /// `prior`'s listing; `changes` is the resolved changelog answer
 /// (`None`: every table is fetched). A re-read listing in which no table
 /// moved plans as [`Reuse::Identity`], so the pass patches the prior's
@@ -1353,7 +1344,7 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 fn make_plan(
     tables: &Arc<Vec<TableRef>>,
     prior: Option<&FleetObservation>,
-    mut dirty: DirtySet,
+    mut marks: DirtySet,
     changes: Option<&[u64]>,
 ) -> Plan {
     let every_position = || (0..tables.len() as u32).collect();
@@ -1364,24 +1355,23 @@ fn make_plan(
             incremental: false,
         };
     };
-    // The changelog's uids join the marks. A uid the prior does not list
-    // has no position: listed now, it is fetched as a new table.
-    let incremental = changes.is_some();
-    if let Some(changes) = changes.filter(|c| !c.is_empty()) {
-        let index = prior.uid_index();
-        for uid in changes {
-            dirty.mark_slotted(index, *uid);
+    // The changelog's uids join the marks, and the marks become the
+    // prior's dirty listing positions. A uid the prior does not list has
+    // no position: listed now, it is fetched as a new table.
+    let dirty = changes.map(|changes| {
+        if !changes.is_empty() {
+            let index = prior.uid_index();
+            for uid in changes {
+                marks.mark_slotted(index, *uid);
+            }
         }
-    }
-    let dirty = dirty.positions(prior);
+        marks.positions(prior)
+    });
+    let incremental = dirty.is_some();
     if Arc::ptr_eq(tables, &prior.tables) {
         return Plan {
             reuse: Some(Reuse::Identity),
-            fetch: if incremental {
-                dirty.ones().collect()
-            } else {
-                every_position()
-            },
+            fetch: dirty.map_or_else(every_position, |dirty| dirty.ones().collect()),
             incremental,
         };
     }
@@ -1417,7 +1407,7 @@ fn make_plan(
                 from
             }
         };
-        if !incremental || from == NOT_LISTED || dirty.contains(from) {
+        if from == NOT_LISTED || dirty.as_ref().is_none_or(|dirty| dirty.contains(from)) {
             fetch.push(pos as u32);
         }
     }
