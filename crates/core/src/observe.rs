@@ -224,8 +224,8 @@ pub struct ObserveRequest {
     pub prior: Option<FleetObservation>,
     /// Tables to re-fetch regardless of the changelog (externally known
     /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode),
-    /// handed over by value. Its bits are keyed on `prior`'s listing, so
-    /// only [`FleetObserver`] fills it, from
+    /// handed over by value. Its bits are keyed on `prior`'s uid index,
+    /// so only [`FleetObserver`] fills it, from
     /// [`FleetObserver::mark_dirty`]; a request built elsewhere carries
     /// the empty set.
     pub force_dirty: DirtySet,
@@ -606,10 +606,10 @@ impl Bits {
 /// dense, its listing position otherwise. A uid the index cannot place
 /// (a mark made before the first observe, or outside the listing's uid
 /// span) goes to a side set. A mark is check-and-set and the
-/// distinct-uid count is kept as marks land, so
-/// [`len`](Self::len) is O(1). The pass's changelog sets the same bits;
-/// its plan turns them into listing positions, every position a uid is
-/// listed at, in position order.
+/// distinct-uid count is kept as marks land, so the dirty backlog reads
+/// in O(1). The pass's changelog sets the same bits; its plan turns them
+/// into listing positions, every position a uid is listed at, in
+/// position order.
 #[derive(Debug, Clone, Default)]
 pub struct DirtySet {
     /// One bit per slot of the uid index.
@@ -1142,7 +1142,7 @@ impl FleetObservation {
 pub struct FleetObserver {
     prior: Option<FleetObservation>,
     /// Tables marked dirty since the last observe, keyed on `prior`'s
-    /// listing; the next observe takes the set whole.
+    /// uid index; the next observe takes the set whole.
     pending_dirty: DirtySet,
 }
 

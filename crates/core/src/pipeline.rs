@@ -703,8 +703,8 @@ impl AutoComp {
 
     /// Encodes the pipeline's full retained state — the observer's prior
     /// observation (quarantine records included) and pending dirty
-    /// marks by uid ascending, the decide state, the job ledger, and the feedback
-    /// calibration — into one sealed, checksummed frame for a
+    /// marks by uid ascending, the decide state, the job ledger, and the
+    /// feedback calibration — into one sealed, checksummed frame for a
     /// [`SnapshotStore`](lakesim_storage::SnapshotStore). Returns `None`
     /// before the first observation (there is nothing durable to
     /// capture yet). The decide state is persisted only while still

@@ -49,16 +49,16 @@
 //! never by dropping: commit events accumulate in the observer's
 //! pending-dirty set (and in the pending-latency queue), and each round's
 //! observe consumes everything accumulated. That set is the only one:
-//! a commit event marks the [`FleetObserver`] directly — one bit over
-//! the retained observation's listing positions, so ingest is O(1) per
-//! event — and the backlog, the watermark / headroom triggers and
+//! a commit event marks the [`FleetObserver`] directly — one bit in a
+//! set keyed on the retained observation's uid index, so ingest is O(1)
+//! per event — and the backlog, the watermark / headroom triggers and
 //! [`RoundReport::dirty_consumed`] read its distinct-uid count. This is
 //! exact because nothing else marks the observer between rounds —
 //! settled tables are marked and consumed inside [`AutoComp::cycle`] —
 //! and a boundary snapshot is only ever taken right after a cycle, when
 //! the set is empty, so no snapshot carries commit marks and a restore
-//! starts with an empty backlog. Two signals surface
-//! the pressure in [`RuntimeStats`]:
+//! starts with an empty backlog. Two signals surface the pressure in
+//! [`RuntimeStats`]:
 //! [`deferred_rounds`](RuntimeStats::deferred_rounds) counts events where
 //! a trigger was due but the `min_round_interval_ms` gate held the round
 //! back, and [`max_dirty_backlog`](RuntimeStats::max_dirty_backlog) /
