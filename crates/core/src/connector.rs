@@ -209,7 +209,12 @@ pub trait LakeConnector {
     /// RPC, a columnar stats table) may override it. The parity contract
     /// is that for identical lake state the result must equal the
     /// default's. The request owns its prior, so a pass may patch the
-    /// prior's entries in place.
+    /// prior's entries in place. An override re-fetches the tables of
+    /// [`ObserveRequest::force_dirty`] ([`DirtySet::uids`]) as it does
+    /// the changelog's, or hands the request on to
+    /// [`pull_observe`](observe::pull_observe), which does.
+    ///
+    /// [`DirtySet::uids`]: observe::DirtySet::uids
     fn observe(&self, request: ObserveRequest) -> FleetObservation {
         observe::pull_observe(self, request)
     }

@@ -24,9 +24,9 @@
 //! * [`FleetObserver`] is the small session object that threads the prior
 //!   observation and externally-marked dirty tables (§5
 //!   [`HookAction::MarkDirty`]) through consecutive cycles. The marks are
-//!   a [`DirtySet`], bits over the prior's uid index (below): a mark is
-//!   at most one index probe and a bit set, and the set keeps its
-//!   distinct-uid count as marks land.
+//!   a [`DirtySet`], bits over the prior's uid index (below) that keep
+//!   hold of that index: a mark is at most one index probe and a bit
+//!   set, and the set keeps its distinct-uid count as marks land.
 //!
 //! One driver implements the protocol: [`pull_observe`], the default
 //! every [`LakeConnector`] inherits, fetches table by table in listing
@@ -74,7 +74,8 @@
 //! reads resolve:
 //!
 //! * **Plan.** Only a prior of the same scope is reused. The changelog's
-//!   uids join the pass's [`DirtySet`] in the prior's uid index, and the
+//!   uids join the pass's [`DirtySet`] in the prior's uid index (marks
+//!   made against another listing are placed there again), and the
 //!   set becomes a bitmap of the prior's listing positions: every
 //!   position a dirty uid is listed at. When the listing is literally
 //!   shared (`Arc::ptr_eq` under an unchanged
@@ -224,10 +225,12 @@ pub struct ObserveRequest {
     pub prior: Option<FleetObservation>,
     /// Tables to re-fetch regardless of the changelog (externally known
     /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode),
-    /// handed over by value. Its bits are keyed on `prior`'s uid index,
-    /// so only [`FleetObserver`] fills it, from
-    /// [`FleetObserver::mark_dirty`]; a request built elsewhere carries
-    /// the empty set.
+    /// handed over by value. [`FleetObserver`] fills it from
+    /// [`FleetObserver::mark_dirty`], against the observation it then
+    /// passes as `prior`; a request built elsewhere carries the empty
+    /// set. The set keeps the listing its marks were placed in, so a
+    /// pass handed another `prior` places them again in that one, and
+    /// [`DirtySet::uids`] reads them.
     pub force_dirty: DirtySet,
 }
 
@@ -598,20 +601,25 @@ impl Bits {
 }
 
 /// Pending dirty marks — tables a pass re-fetches whatever the
-/// changelog says — over the listing of the observation the pass
-/// reuses (see [`ObserveRequest::force_dirty`]).
+/// changelog says — placed in the listing of the observation they were
+/// marked against (see [`ObserveRequest::force_dirty`]).
 ///
-/// A marked uid is one bit at its slot in that observation's uid index:
-/// its offset from the smallest listed uid when the listing's uids are
+/// A marked uid is one bit at its slot in that listing's uid index: its
+/// offset from the smallest listed uid when the listing's uids are
 /// dense, its listing position otherwise. A uid the index cannot place
 /// (a mark made before the first observe, or outside the listing's uid
 /// span) goes to a side set. A mark is check-and-set and the
 /// distinct-uid count is kept as marks land, so the dirty backlog reads
-/// in O(1). The pass's changelog sets the same bits; its plan turns them
-/// into listing positions, every position a uid is listed at, in
-/// position order.
+/// in O(1). The set holds on to the listing it is keyed over, so a pass
+/// whose prior is another observation places the marked uids again in
+/// that prior's index. The pass's changelog sets the same bits; its
+/// plan turns them into listing positions, every position a uid is
+/// listed at, in position order.
 #[derive(Debug, Clone, Default)]
 pub struct DirtySet {
+    /// The listing, and its uid index, the bits are keyed over; `None`
+    /// until a mark is made against an observation.
+    key: Option<SlotKey>,
     /// One bit per slot of the uid index.
     bits: Bits,
     /// Distinct uids marked in `bits`.
@@ -620,18 +628,63 @@ pub struct DirtySet {
     unslotted: HashSet<u64, UidHashState>,
 }
 
+/// The listing, and its uid index, whose slots a [`DirtySet`] is keyed
+/// over.
+#[derive(Debug, Clone)]
+struct SlotKey {
+    tables: Arc<Vec<TableRef>>,
+    index: Arc<OnceLock<UidIndex>>,
+}
+
+impl SlotKey {
+    fn of(observation: &FleetObservation) -> Self {
+        SlotKey {
+            tables: Arc::clone(&observation.tables),
+            index: Arc::clone(&observation.uid_index),
+        }
+    }
+
+    fn index(&self) -> &UidIndex {
+        self.index.get_or_init(|| UidIndex::new(&self.tables))
+    }
+}
+
 impl DirtySet {
     /// Distinct uids marked.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.slotted + self.unslotted.len()
     }
 
-    /// Marks `uid` against `index`, or in the side set when there is
-    /// none or it does not place the uid.
-    fn mark(&mut self, index: Option<&UidIndex>, uid: u64) {
-        if !index.is_some_and(|index| self.mark_slotted(index, uid)) {
-            self.unslotted.insert(uid);
+    /// Whether no uid is marked.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The marked uids, ascending, each once. An override of
+    /// [`LakeConnector::observe`] re-fetches these besides the
+    /// changelog's uids.
+    pub fn uids(&self) -> Vec<u64> {
+        let mut uids: Vec<u64> = self.unslotted.iter().copied().collect();
+        if let Some(key) = self.key.as_ref().filter(|_| self.slotted > 0) {
+            let index = key.index();
+            uids.extend(self.bits.ones().map(|slot| index.uid_of(slot, &key.tables)));
         }
+        uids.sort_unstable();
+        uids
+    }
+
+    /// Marks `uid` against `observation`'s listing, or in the side set
+    /// when there is none or its index does not place the uid. Every
+    /// mark of one set is made against the same listing.
+    fn mark(&mut self, observation: Option<&FleetObservation>, uid: u64) {
+        if let Some(observation) = observation {
+            let key = self.key.get_or_insert_with(|| SlotKey::of(observation));
+            debug_assert!(Arc::ptr_eq(&key.index, &observation.uid_index));
+            if self.mark_slotted(observation.uid_index(), uid) {
+                return;
+            }
+        }
+        self.unslotted.insert(uid);
     }
 
     /// Marks `uid`'s slot; `false`, with nothing marked, when `index`
@@ -646,14 +699,33 @@ impl DirtySet {
         true
     }
 
-    /// The marked positions of `observation`'s listing, over which the
-    /// set is keyed.
-    fn positions(&self, observation: &FleetObservation) -> Bits {
+    /// The same marks keyed over `observation`'s listing: the set itself
+    /// when it already is, else every marked uid placed again.
+    fn over(self, observation: &FleetObservation) -> DirtySet {
+        if self
+            .key
+            .as_ref()
+            .is_some_and(|key| Arc::ptr_eq(&key.index, &observation.uid_index))
+        {
+            return self;
+        }
+        let mut set = DirtySet {
+            key: Some(SlotKey::of(observation)),
+            ..DirtySet::default()
+        };
+        for uid in self.uids() {
+            set.mark(Some(observation), uid);
+        }
+        set
+    }
+
+    /// The marked positions of the listing the set is keyed over.
+    fn positions(&self) -> Bits {
         let mut positions = Bits::default();
-        if self.slotted > 0 {
-            let (index, tables) = (observation.uid_index(), observation.tables());
+        if let Some(key) = self.key.as_ref().filter(|_| self.slotted > 0) {
+            let index = key.index();
             for slot in self.bits.ones() {
-                for pos in index.positions_of(slot, tables) {
+                for pos in index.positions_of(slot, &key.tables) {
                     positions.set(pos);
                 }
             }
@@ -1156,8 +1228,7 @@ impl FleetObserver {
     /// if the connector's changelog missed the write — the landing point
     /// for §5 [`HookAction::MarkDirty`](crate::trigger::HookAction).
     pub fn mark_dirty(&mut self, table_uid: u64) {
-        let index = self.prior.as_ref().map(FleetObservation::uid_index);
-        self.pending_dirty.mark(index, table_uid);
+        self.pending_dirty.mark(self.prior.as_ref(), table_uid);
     }
 
     /// Drops the retained observation; the next observe is full.
@@ -1196,14 +1267,7 @@ impl FleetObserver {
     /// ascending: what snapshots capture, so a restore re-fetches
     /// exactly what a crash-free run would have.
     pub(crate) fn pending_dirty_uids(&self) -> Vec<u64> {
-        let dirty = &self.pending_dirty;
-        let mut uids: Vec<u64> = dirty.unslotted.iter().copied().collect();
-        if let Some(prior) = self.prior.as_ref().filter(|_| dirty.slotted > 0) {
-            let (index, tables) = (prior.uid_index(), prior.tables());
-            uids.extend(dirty.bits.ones().map(|slot| index.uid_of(slot, tables)));
-        }
-        uids.sort_unstable();
-        uids
+        self.pending_dirty.uids()
     }
 
     /// Installs a snapshot-restored observation as the prior for the
@@ -1336,15 +1400,15 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 }
 
 /// Plans one pass over `tables`: which entries of `prior` are reusable
-/// and which positions are fetched. `marks` holds the pass's marks over
-/// `prior`'s listing; `changes` is the resolved changelog answer
+/// and which positions are fetched. `marks` holds the pass's marks;
+/// `changes` is the resolved changelog answer
 /// (`None`: every table is fetched). A re-read listing in which no table
 /// moved plans as [`Reuse::Identity`], so the pass patches the prior's
 /// entries in place and keeps its uid index.
 fn make_plan(
     tables: &Arc<Vec<TableRef>>,
     prior: Option<&FleetObservation>,
-    mut marks: DirtySet,
+    marks: DirtySet,
     changes: Option<&[u64]>,
 ) -> Plan {
     let every_position = || (0..tables.len() as u32).collect();
@@ -1355,17 +1419,19 @@ fn make_plan(
             incremental: false,
         };
     };
-    // The changelog's uids join the marks, and the marks become the
-    // prior's dirty listing positions. A uid the prior does not list has
-    // no position: listed now, it is fetched as a new table.
+    // The marks, placed in the prior's listing if they were made against
+    // another, and the changelog's uids become the prior's dirty listing
+    // positions. A uid the prior does not list has no position: listed
+    // now, it is fetched as a new table.
     let dirty = changes.map(|changes| {
+        let mut marks = marks.over(prior);
         if !changes.is_empty() {
             let index = prior.uid_index();
             for uid in changes {
                 marks.mark_slotted(index, *uid);
             }
         }
-        marks.positions(prior)
+        marks.positions()
     });
     let incremental = dirty.is_some();
     if Arc::ptr_eq(tables, &prior.tables) {
@@ -1745,8 +1811,13 @@ mod tests {
 
     impl ChangeLake {
         fn new(n: u64) -> Self {
+            Self::with_uids(0..n)
+        }
+
+        fn with_uids(uids: impl IntoIterator<Item = u64>) -> Self {
             ChangeLake {
-                tables: (0..n)
+                tables: uids
+                    .into_iter()
                     .map(|i| TableRef {
                         table_uid: i,
                         database: "db".into(),
@@ -1782,6 +1853,10 @@ mod tests {
         fn calls(&self) -> u64 {
             self.stat_calls.load(Ordering::SeqCst)
         }
+
+        fn table(&self, uid: u64) -> Option<&TableRef> {
+            self.tables.iter().find(|t| t.table_uid == uid)
+        }
     }
 
     impl LakeConnector for ChangeLake {
@@ -1792,11 +1867,11 @@ mod tests {
         }
         fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
             self.stat_calls.fetch_add(1, Ordering::SeqCst);
-            (uid < self.tables.len() as u64).then(|| self.stats_for(uid))
+            self.table(uid).map(|_| self.stats_for(uid))
         }
         fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
             self.stat_calls.fetch_add(1, Ordering::SeqCst);
-            if self.tables.get(uid as usize).is_some_and(|t| t.partitioned) {
+            if self.table(uid).is_some_and(|t| t.partitioned) {
                 vec![
                     ("(p0)".to_string(), self.stats_for(uid)),
                     ("(p1)".to_string(), self.stats_for(uid)),
@@ -2158,9 +2233,87 @@ mod tests {
             let marked: Vec<u32> = (0..listing.len() as u32)
                 .filter(|pos| marks.contains(&listing[*pos as usize]))
                 .collect();
-            let planned = observer.pending_dirty.positions(observer.last().unwrap());
+            let planned = observer.pending_dirty.positions();
             assert_eq!(planned.ones().collect::<Vec<_>>(), marked, "{listing:?}");
         }
+    }
+
+    /// `ChangeLake` behind a connector that may list it backwards, and
+    /// whose `observe` override may hand the driver a prior of its own
+    /// in place of the request's. It records the marks each request
+    /// carried.
+    struct Wrapped<'a> {
+        lake: &'a ChangeLake,
+        backwards: bool,
+        prior: Option<FleetObservation>,
+        marks: Mutex<Vec<Vec<u64>>>,
+    }
+
+    impl<'a> Wrapped<'a> {
+        fn new(lake: &'a ChangeLake, backwards: bool, prior: Option<FleetObservation>) -> Self {
+            Wrapped {
+                lake,
+                backwards,
+                prior,
+                marks: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl LakeConnector for Wrapped<'_> {
+        fn list_tables(&self) -> Vec<TableRef> {
+            let mut listed = self.lake.list_tables();
+            if self.backwards {
+                listed.reverse();
+            }
+            listed
+        }
+        fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+            self.lake.table_stats(uid)
+        }
+        fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+            self.lake.partition_stats(uid)
+        }
+        fn fleet_cursor(&self) -> Option<ChangeCursor> {
+            self.lake.fleet_cursor()
+        }
+        fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+            self.lake.changes_since(cursor)
+        }
+        fn observe(&self, mut request: ObserveRequest) -> FleetObservation {
+            self.marks.lock().unwrap().push(request.force_dirty.uids());
+            if let Some(prior) = &self.prior {
+                request.prior = Some(prior.clone());
+            }
+            pull_observe(self, request)
+        }
+    }
+
+    /// Marks made against the observer's prior hold when an override
+    /// hands the driver another prior: over sparse uids a slot is a
+    /// listing position, and the other prior lists the tables in
+    /// reverse, so the marks must be placed again by uid. The override
+    /// reads the marks it was handed.
+    #[test]
+    fn marks_follow_the_prior_an_override_hands_the_driver() {
+        let lake = ChangeLake::with_uids([7, 1 << 40, 3, 1 << 33, 12]);
+        let mut observer = FleetObserver::new();
+        observer.observe(&lake, ScopeStrategy::Table);
+        let backwards =
+            Wrapped::new(&lake, true, None).observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        assert_eq!(backwards.position_of_uid(7), Some(4));
+        // Writes the changelog never saw, to the first and fourth listed.
+        for uid in [7, 1 << 33] {
+            *lake.version.lock().unwrap().entry(uid).or_insert(0) += 1;
+            observer.mark_dirty(uid);
+        }
+        let swapping = Wrapped::new(&lake, false, Some(backwards));
+        let obs = observer.observe(&swapping, ScopeStrategy::Table);
+        assert_eq!(*swapping.marks.lock().unwrap(), vec![vec![7, 1 << 33]]);
+        assert_eq!(obs.fetched_tables(), 2);
+        assert!(obs.is_fresh(0) && obs.is_fresh(3));
+        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        assert_eq!(*obs, cold);
     }
 
     /// Observations are values: a pass over a prior that someone else
