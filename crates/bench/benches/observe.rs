@@ -4,7 +4,8 @@
 //! under a listing epoch and over one re-read every pass, the storm
 //! shape: half the fleet dirty over a shared listing, and one storm
 //! round's commit ingest: a dirty mark per commit, then the observe
-//! that consumes them.
+//! that consumes them, over densely numbered uids and over uids
+//! scattered across the `u64` range.
 //!
 //! The synthetic lake models what a real connector pays per stats
 //! round-trip: a catalog-session lookup (`SESSION_STEPS`, paid *per
@@ -46,10 +47,26 @@ struct SyntheticLake {
 
 impl SyntheticLake {
     fn new(n: u64) -> Self {
+        Self::with_uids(n, |i| i)
+    }
+
+    /// `n` tables whose uids scatter over the whole `u64` range, so the
+    /// observation's uid index hashes them.
+    fn sparse(n: u64) -> Self {
+        Self::with_uids(n, |i| {
+            let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    }
+
+    /// Table `i` has uid `uid(i)`.
+    fn with_uids(n: u64, uid: impl Fn(u64) -> u64) -> Self {
         SyntheticLake {
             tables: (0..n)
                 .map(|i| TableRef {
-                    table_uid: i,
+                    table_uid: uid(i),
                     database: format!("db{}", i % 64).into(),
                     name: format!("t{i}").into(),
                     partitioned: false,
@@ -274,32 +291,33 @@ fn bench_observe(c: &mut Criterion) {
 
     // One storm round's ingest: a dirty mark per commit, uniform over the
     // fleet, then the incremental observe whose changelog names the same
-    // commits.
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let commits: Vec<u64> = (0..STORM_COMMITS)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % n
-        })
-        .collect();
-    let ingest = CommitLake {
-        lake: &lake,
-        commits,
-    };
-    let mut observer = FleetObserver::new();
-    observer.observe(&ingest, ScopeStrategy::Table);
-    group.bench_with_input(BenchmarkId::new("ingest_50pct", n), &n, |b, _| {
-        b.iter(|| {
-            for uid in &ingest.commits {
-                observer.mark_dirty(*uid);
-            }
-            observer
-                .observe(&ingest, ScopeStrategy::Table)
-                .fetched_tables()
-        })
-    });
+    // commits. The benchmark's fleets number their tables densely; the
+    // sparse fleet takes the uid index's other, hashed form.
+    let sparse = SyntheticLake::sparse(n);
+    for (name, lake) in [("ingest_50pct", &lake), ("ingest_50pct_sparse", &sparse)] {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let commits: Vec<u64> = (0..STORM_COMMITS)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                lake.tables[(state % n) as usize].table_uid
+            })
+            .collect();
+        let ingest = CommitLake { lake, commits };
+        let mut observer = FleetObserver::new();
+        observer.observe(&ingest, ScopeStrategy::Table);
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+            b.iter(|| {
+                for uid in &ingest.commits {
+                    observer.mark_dirty(*uid);
+                }
+                observer
+                    .observe(&ingest, ScopeStrategy::Table)
+                    .fetched_tables()
+            })
+        });
+    }
     group.finish();
 }
 
