@@ -2239,7 +2239,7 @@ mod tests {
     }
 
     /// `ChangeLake` behind a connector that may list it backwards, and
-    /// whose `observe` override may hand the driver a prior of its own
+    /// whose `observe` override may hand [`pull_observe`] a prior of its own
     /// in place of the request's. It records the marks each request
     /// carried.
     struct Wrapped<'a> {
@@ -2290,12 +2290,12 @@ mod tests {
     }
 
     /// Marks made against the observer's prior hold when an override
-    /// hands the driver another prior: over sparse uids a slot is a
+    /// hands `pull_observe` another prior: over sparse uids a slot is a
     /// listing position, and the other prior lists the tables in
     /// reverse, so the marks must be placed again by uid. The override
     /// reads the marks it was handed.
     #[test]
-    fn marks_follow_the_prior_an_override_hands_the_driver() {
+    fn marks_follow_the_prior_an_override_passes_on() {
         let lake = ChangeLake::with_uids([7, 1 << 40, 3, 1 << 33, 12]);
         let mut observer = FleetObserver::new();
         observer.observe(&lake, ScopeStrategy::Table);
