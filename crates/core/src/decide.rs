@@ -94,7 +94,7 @@ use lakesim_storage::{CodecError, Decoder, Encoder};
 use crate::candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};
 use crate::filter::{evaluate_chain, CandidateFilter};
 use crate::matrix::{TraitId, TraitMatrix};
-use crate::observe::{ChangeCursor, FleetObservation, TableObservation, UidMap};
+use crate::observe::{Bits, ChangeCursor, FleetObservation, TableObservation, UidMap};
 use crate::rank::{
     rank_slots, DecisionNote, RankCycleStats, RankSource, RankedEntries, RankingPolicy, Selection,
     Slots,
@@ -245,6 +245,9 @@ pub(crate) struct DecideState {
     pub(crate) selection: Selection,
     /// Slots the job ledger suppressed last cycle, ascending.
     live: Vec<u32>,
+    /// The slots whose score the last rank pass wrote, ascending, or
+    /// `None` when it wrote every ranked slot's.
+    rescored: Option<Vec<u32>>,
 }
 
 /// One cycle's ranking inputs: the drop trail and the ranked slots.
@@ -281,6 +284,7 @@ impl DecideState {
             scores: vec![0.0; slots],
             selection: Selection::default(),
             live: Vec::new(),
+            rescored: None,
         }
     }
 
@@ -530,7 +534,39 @@ impl DecideState {
             scores: &mut self.scores,
             selection: &mut self.selection,
         };
-        rank_slots(&source, &self.traits, policy, slots)
+        let ranked = rank_slots(&source, &self.traits, policy, slots);
+        // A pass that kept no score re-scored every ranked slot; else it
+        // re-scored the fresh ones, and an error scored none.
+        self.rescored = match &ranked {
+            Ok((_, stats)) if stats.spliced_scores == 0 && stats.recomputed_scores > 0 => None,
+            Ok(_) => Some(fresh.to_vec()),
+            Err(_) => Some(Vec::new()),
+        };
+        ranked
+    }
+
+    /// Identity of the slot layout: one allocation per layout, shared by
+    /// every cycle that patches the state in place.
+    pub(crate) fn layout_id(&self) -> &Arc<[u64]> {
+        &self.layout.uids
+    }
+
+    /// Number of candidate slots.
+    pub(crate) fn slots(&self) -> usize {
+        self.verdicts.len()
+    }
+
+    /// Marks in `tables` the listing position of every slot whose score
+    /// the last rank pass wrote; `false`, with nothing marked, when it
+    /// wrote them all.
+    pub(crate) fn mark_rescored(&self, tables: &mut Bits) -> bool {
+        let Some(slots) = &self.rescored else {
+            return false;
+        };
+        for slot in slots {
+            tables.set(self.layout.table_of[*slot as usize]);
+        }
+        true
     }
 
     /// The candidate at `slot`, materialized for the act phase.
@@ -545,7 +581,7 @@ impl DecideState {
 
     /// Whether the state was patched against exactly `observation` in
     /// `epoch` — the rule a snapshot persists it under.
-    fn live_for(&self, epoch: u64, observation: &FleetObservation) -> bool {
+    pub(crate) fn live_for(&self, epoch: u64, observation: &FleetObservation) -> bool {
         self.keys.epoch == epoch
             && self.keys.scope == observation.scope()
             && self.keys.cursor.is_some()
@@ -598,15 +634,64 @@ pub(crate) fn snapshot_write(
     enc.put_bool(true);
     enc.put_u64(s.keys.now_ms);
     enc.put_u64(s.traits.width() as u64);
-    enc.put_u64(s.verdicts.len() as u64);
-    let tags: Vec<u8> = s.verdicts.iter().map(|v| v.is_some() as u8).collect();
+    put_verdicts(enc, &s.verdicts);
+    for id in s.traits.trait_ids() {
+        s.traits.col(id).iter().for_each(|v| enc.put_f64(*v));
+    }
+    s.scores.iter().for_each(|v| enc.put_f64(*v));
+    s.selection.snapshot_write(enc);
+    put_live(enc, &s.live);
+}
+
+/// Writes the decide-state section of a snapshot delta over a base that
+/// holds this state's layout: the state's presence, and while present
+/// its fill time, the verdicts, trait rows and scores of the slots of the
+/// `changed` listing positions, every score when `all_scores`, the
+/// selection and the live slots.
+pub(crate) fn delta_write(
+    state: Option<&DecideState>,
+    enc: &mut Encoder,
+    epoch: u64,
+    observation: &FleetObservation,
+    changed: &Bits,
+    all_scores: bool,
+) {
+    let Some(s) = state.filter(|s| s.live_for(epoch, observation)) else {
+        enc.put_bool(false);
+        return;
+    };
+    enc.put_bool(true);
+    enc.put_u64(s.keys.now_ms);
+    let slots: Vec<usize> = changed
+        .ones()
+        .flat_map(|t| s.layout.slots_of(t as usize))
+        .collect();
+    let verdicts: Vec<Option<Arc<str>>> =
+        slots.iter().map(|slot| s.verdicts[*slot].clone()).collect();
+    put_verdicts(enc, &verdicts);
+    for id in s.traits.trait_ids() {
+        let col = s.traits.col(id);
+        slots.iter().for_each(|slot| enc.put_f64(col[*slot]));
+    }
+    enc.put_bool(all_scores);
+    match all_scores {
+        true => s.scores.iter().for_each(|v| enc.put_f64(*v)),
+        false => slots.iter().for_each(|slot| enc.put_f64(s.scores[*slot])),
+    }
+    s.selection.snapshot_write(enc);
+    put_live(enc, &s.live);
+}
+
+/// Verdicts as a count, one tag byte each, then their reasons interned:
+/// the distinct strings once, then one index per dropped slot, so a
+/// restore shares one `Arc<str>` per reason again.
+fn put_verdicts(enc: &mut Encoder, verdicts: &[Option<Arc<str>>]) {
+    enc.put_u64(verdicts.len() as u64);
+    let tags: Vec<u8> = verdicts.iter().map(|v| v.is_some() as u8).collect();
     enc.put_raw(&tags);
-    // Reasons are interned: the distinct strings once, then one index per
-    // dropped slot, so a restore shares one `Arc<str>` per reason again.
     let mut distinct: Vec<&str> = Vec::new();
     let mut index_of = BTreeMap::new();
-    let reasons: Vec<u32> = s
-        .verdicts
+    let reasons: Vec<u32> = verdicts
         .iter()
         .flatten()
         .map(|reason| {
@@ -623,42 +708,24 @@ pub(crate) fn snapshot_write(
     for index in reasons {
         enc.put_u32(index);
     }
-    for id in s.traits.trait_ids() {
-        s.traits.col(id).iter().for_each(|v| enc.put_f64(*v));
-    }
-    s.scores.iter().for_each(|v| enc.put_f64(*v));
-    s.selection.snapshot_write(enc);
-    enc.put_u64(s.live.len() as u64);
-    s.live.iter().for_each(|slot| enc.put_u32(*slot));
 }
 
-/// Reads the decide-state section of a snapshot, laying the slots out
-/// from the restored `observation`, under `keys` (whose fill time the
-/// section supplies) and `template`'s traits. Every count, index and slot
-/// is checked against the layout before the state is built.
-pub(crate) fn snapshot_read(
+/// Reads what [`put_verdicts`] wrote into `verdicts`, whose length the
+/// count must equal.
+fn take_verdicts(
     dec: &mut Decoder<'_>,
-    keys: Keys,
-    template: &TraitMatrix,
-    observation: &FleetObservation,
-) -> std::result::Result<Option<DecideState>, CodecError> {
-    if !dec.take_bool("decide state present")? {
-        return Ok(None);
-    }
-    let now_ms = dec.take_u64("decide fill time")?;
-    let width = dec.take_u64("decide width")?;
-    let slots = dec.take_len(1, "decide slots")?;
-    let mut s = DecideState::blank(observation, template, Keys { now_ms, ..keys }, |_, _| None);
-    if width != template.width() as u64 || slots != s.verdicts.len() {
+    verdicts: &mut [Option<Arc<str>>],
+) -> std::result::Result<(), CodecError> {
+    if dec.take_len(1, "decide slots")? != verdicts.len() {
         return Err(CodecError::Invalid(
             "decide state does not fit the observation",
         ));
     }
-    let tags = dec.take_raw(slots, "decide verdicts")?.to_vec();
+    let tags = dec.take_raw(verdicts.len(), "decide verdicts")?;
     let distinct = (0..dec.take_len(8, "decide reasons")?)
         .map(|_| Ok(Arc::from(dec.take_str("decide reason")?)))
         .collect::<std::result::Result<Vec<Arc<str>>, CodecError>>()?;
-    for (verdict, tag) in s.verdicts.iter_mut().zip(tags) {
+    for (verdict, tag) in verdicts.iter_mut().zip(tags) {
         *verdict = match tag {
             0 => None,
             1 => {
@@ -673,30 +740,183 @@ pub(crate) fn snapshot_read(
             _ => return Err(CodecError::Invalid("decide verdict")),
         };
     }
-    let mut take_column = |column: &mut [f64], what| -> std::result::Result<(), CodecError> {
-        let raw = dec.take_raw(slots * 8, what)?;
-        for (value, word) in column.iter_mut().zip(raw.chunks_exact(8)) {
-            *value = f64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        }
-        Ok(())
-    };
-    for id in template.trait_ids() {
-        take_column(s.traits.col_mut(id), "decide trait column")?;
+    Ok(())
+}
+
+/// Reads `n` `f64`s, handing each to `put` with its index.
+fn take_f64s(
+    dec: &mut Decoder<'_>,
+    n: usize,
+    what: &'static str,
+    mut put: impl FnMut(usize, f64),
+) -> std::result::Result<(), CodecError> {
+    let raw = dec.take_raw(n * 8, what)?;
+    for (i, word) in raw.chunks_exact(8).enumerate() {
+        put(
+            i,
+            f64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
     }
-    take_column(&mut s.scores, "decide scores")?;
-    s.selection = Selection::snapshot_read(dec, slots)?;
-    s.live = (0..dec.take_len(4, "decide live slots")?)
+    Ok(())
+}
+
+fn put_live(enc: &mut Encoder, live: &[u32]) {
+    enc.put_u64(live.len() as u64);
+    live.iter().for_each(|slot| enc.put_u32(*slot));
+}
+
+fn take_live(dec: &mut Decoder<'_>, slots: usize) -> std::result::Result<Vec<u32>, CodecError> {
+    let mut live = (0..dec.take_len(4, "decide live slots")?)
         .map(|_| match dec.take_u32("decide live slot")? {
             slot if (slot as usize) < slots => Ok(slot),
             _ => Err(CodecError::Invalid("decide live slot out of bounds")),
         })
-        .collect::<std::result::Result<_, CodecError>>()?;
-    s.live.sort_unstable();
-    s.live.dedup();
+        .collect::<std::result::Result<Vec<u32>, CodecError>>()?;
+    live.sort_unstable();
+    live.dedup();
+    Ok(live)
+}
+
+/// Reads the decide-state section of a snapshot, laying the slots out
+/// from the restored `observation`, under `keys` (whose fill time the
+/// section supplies) and `template`'s traits. Every count, index and slot
+/// is checked against the layout before the state is built.
+///
+/// With a `delta` — the decoder of a delta's decide-state section and
+/// the listing positions the delta replaced in `observation` — the
+/// delta's slots, fill time, selection and live slots then replace the
+/// base's. Each replaced position must keep its table's slot count, so
+/// the base's layout still holds.
+pub(crate) fn snapshot_read(
+    dec: &mut Decoder<'_>,
+    delta: Option<(&mut Decoder<'_>, &[u32])>,
+    keys: Keys,
+    template: &TraitMatrix,
+    observation: &FleetObservation,
+) -> std::result::Result<Option<DecideState>, CodecError> {
+    let present = dec.take_bool("decide state present")?;
+    let mut delta = delta;
+    if let Some((d, _)) = delta.as_mut() {
+        if d.take_bool("decide state present")? != present {
+            return Err(CodecError::Invalid(
+                "delta and base disagree on the decide state",
+            ));
+        }
+    }
+    if !present {
+        return Ok(None);
+    }
+    let now_ms = dec.take_u64("decide fill time")?;
+    let width = dec.take_u64("decide width")?;
+    let mut s = DecideState::blank(observation, template, Keys { now_ms, ..keys }, |_, _| None);
+    if width != template.width() as u64 {
+        return Err(CodecError::Invalid(
+            "decide state does not fit the observation",
+        ));
+    }
+    let slots = s.slots();
+    take_verdicts(dec, &mut s.verdicts)?;
+    for id in template.trait_ids() {
+        let column = s.traits.col_mut(id);
+        take_f64s(dec, slots, "decide trait column", |i, v| column[i] = v)?;
+    }
+    take_f64s(dec, slots, "decide scores", |i, v| s.scores[i] = v)?;
+    s.selection = Selection::snapshot_read(dec, slots)?;
+    s.live = take_live(dec, slots)?;
+    if let Some((d, positions)) = delta {
+        SlotPatch::read(d, &s, positions, observation)?.apply(&mut s, observation);
+    }
     for slot in 0..slots {
         s.nan[slot] = s.verdicts[slot].is_none() && s.first_nan(slot).is_some();
     }
     Ok(Some(s))
+}
+
+/// The decide-state section of a snapshot delta, read against the
+/// layout of the state its base restored.
+struct SlotPatch {
+    now_ms: u64,
+    /// The slots of the replaced positions, ascending.
+    slots: Vec<usize>,
+    verdicts: Vec<Option<Arc<str>>>,
+    /// Per trait, in the state's trait order: the values of `slots`.
+    traits: Vec<Vec<f64>>,
+    /// The scores of `slots`, or of every slot when `whole_scores`.
+    scores: Vec<f64>,
+    whole_scores: bool,
+    selection: Selection,
+    live: Vec<u32>,
+}
+
+impl SlotPatch {
+    /// Reads what [`delta_write`] wrote after the presence flag.
+    fn read(
+        dec: &mut Decoder<'_>,
+        s: &DecideState,
+        positions: &[u32],
+        observation: &FleetObservation,
+    ) -> std::result::Result<Self, CodecError> {
+        let now_ms = dec.take_u64("decide fill time")?;
+        let mut slots = Vec::new();
+        for &t in positions {
+            let range = s.layout.slots_of(t as usize);
+            if range.len() != observation.entry(t as usize).candidate_count() {
+                return Err(CodecError::Invalid("delta moves a decide-state slot"));
+            }
+            slots.extend(range);
+        }
+        let mut verdicts = vec![None; slots.len()];
+        take_verdicts(dec, &mut verdicts)?;
+        let mut take = |n, what| {
+            let mut values = vec![0.0; n];
+            take_f64s(dec, n, what, |i, v| values[i] = v).map(|_| values)
+        };
+        let traits = s
+            .traits
+            .trait_ids()
+            .map(|_| take(slots.len(), "delta trait values"))
+            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
+        let whole_scores = dec.take_bool("delta scores whole")?;
+        let n = if whole_scores { s.slots() } else { slots.len() };
+        let mut scores = vec![0.0; n];
+        take_f64s(dec, n, "delta scores", |i, v| scores[i] = v)?;
+        Ok(SlotPatch {
+            now_ms,
+            slots,
+            verdicts,
+            traits,
+            scores,
+            whole_scores,
+            selection: Selection::snapshot_read(dec, s.slots())?,
+            live: take_live(dec, s.slots())?,
+        })
+    }
+
+    /// Writes the patch over the state its base restored.
+    fn apply(self, s: &mut DecideState, observation: &FleetObservation) {
+        for (slot, verdict) in self.slots.iter().zip(self.verdicts) {
+            s.verdicts[*slot] = verdict;
+        }
+        let ids: Vec<TraitId> = s.traits.trait_ids().collect();
+        for (id, values) in ids.into_iter().zip(self.traits) {
+            let column = s.traits.col_mut(id);
+            for (slot, value) in self.slots.iter().zip(values) {
+                column[*slot] = value;
+            }
+        }
+        match self.whole_scores {
+            true => s.scores = self.scores,
+            false => {
+                for (slot, score) in self.slots.iter().zip(self.scores) {
+                    s.scores[*slot] = score;
+                }
+            }
+        }
+        s.keys.now_ms = self.now_ms;
+        s.keys.cursor = observation.cursor();
+        s.selection = self.selection;
+        s.live = self.live;
+    }
 }
 
 #[cfg(test)]

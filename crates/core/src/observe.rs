@@ -564,11 +564,11 @@ impl UidIndex {
 
 /// A bitmap that grows to its highest set bit.
 #[derive(Debug, Clone, Default)]
-struct Bits(Vec<u64>);
+pub(crate) struct Bits(Vec<u64>);
 
 impl Bits {
     /// Sets bit `i`; whether it was clear.
-    fn set(&mut self, i: u32) -> bool {
+    pub(crate) fn set(&mut self, i: u32) -> bool {
         let w = i as usize / 64;
         if w >= self.0.len() {
             self.0.resize(w + 1, 0);
@@ -585,8 +585,13 @@ impl Bits {
             .is_some_and(|word| word >> (i % 64) & 1 != 0)
     }
 
+    /// Number of set bits.
+    pub(crate) fn count(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
     /// The set bits, ascending.
-    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.0.iter().enumerate().flat_map(|(w, word)| {
             let mut word = *word;
             std::iter::from_fn(move || {
@@ -1036,8 +1041,7 @@ impl FleetObservation {
     /// table listing (database names interned) and every entry's stats
     /// in positional order.
     pub(crate) fn snapshot_write(&self, enc: &mut lakesim_storage::Encoder) {
-        use crate::durability::{put_scope, put_stats};
-        put_scope(enc, self.scope);
+        crate::durability::put_scope(enc, self.scope);
         enc.put_opt_u64(self.listing_epoch);
         enc.put_opt_u64(self.cursor.map(|c| c.0));
         // Distinct database names once, then per-table indexes. Tables of
@@ -1077,25 +1081,15 @@ impl FleetObservation {
             enc.put_str(&table.name);
         }
         for entry in self.entries.iter() {
-            match entry {
-                TableObservation::Missing => enc.put_u8(0),
-                TableObservation::Table(stats) => {
-                    enc.put_u8(1);
-                    put_stats(enc, stats);
-                }
-                TableObservation::Partitions(parts) => {
-                    enc.put_u8(2);
-                    enc.put_u64(parts.len() as u64);
-                    for (label, stats) in parts {
-                        enc.put_str(label);
-                        put_stats(enc, stats);
-                    }
-                }
-            }
+            put_entry(enc, entry);
         }
-        // Quarantine records, their release as passes still to wait: a
-        // carried entry must come back for its re-fetch after a restore
-        // exactly when it would have without one.
+        self.put_quarantine(enc);
+    }
+
+    /// Quarantine records, their release as passes still to wait: a
+    /// carried entry must come back for its re-fetch after a restore
+    /// exactly when it would have without one.
+    fn put_quarantine(&self, enc: &mut lakesim_storage::Encoder) {
         let deg = &self.degradation;
         enc.put_u64(deg.quarantine.len() as u64);
         for (uid, q) in &deg.quarantine {
@@ -1106,6 +1100,23 @@ impl FleetObservation {
         }
     }
 
+    /// Writes the observation section of a snapshot delta over a base
+    /// that holds this observation's listing: the scope and cursor keys,
+    /// the entries at the `changed` positions, each after its position,
+    /// and the quarantine records.
+    pub(crate) fn snapshot_write_delta(&self, enc: &mut lakesim_storage::Encoder, changed: &Bits) {
+        crate::durability::put_scope(enc, self.scope);
+        enc.put_opt_u64(self.listing_epoch);
+        enc.put_opt_u64(self.cursor.map(|c| c.0));
+        enc.put_u64(self.tables.len() as u64);
+        enc.put_u64(changed.count() as u64);
+        for pos in changed.ones() {
+            enc.put_u32(pos);
+            put_entry(enc, &self.entries[pos as usize]);
+        }
+        self.put_quarantine(enc);
+    }
+
     /// Restores an observation from a snapshot. The result is marked
     /// nowhere-fresh (no fresh position, `prior_cursor = None`): its
     /// entries are reused state, not a new fetch, and the *next*
@@ -1113,14 +1124,20 @@ impl FleetObservation {
     /// the restored cursor exactly as it would have against the
     /// original. Quarantine records restore re-based to pass 0, so every
     /// quarantined table is re-fetched on the pass it was due.
+    ///
+    /// With a `delta` over the snapshot, the delta's entries take the
+    /// place of the base's at their positions as the base is decoded in
+    /// order (the superseded base entries are skipped, not built), and
+    /// its scope and cursor keys and quarantine records replace the
+    /// base's.
     pub(crate) fn snapshot_restore(
         dec: &mut lakesim_storage::Decoder<'_>,
+        delta: Option<ObservationDelta>,
     ) -> Result<FleetObservation, lakesim_storage::CodecError> {
-        use crate::durability::{take_scope, take_stats};
         use lakesim_storage::CodecError;
-        let scope = take_scope(dec)?;
-        let listing_epoch = dec.take_opt_u64("listing epoch")?;
-        let cursor = dec.take_opt_u64("observation cursor")?.map(ChangeCursor);
+        let mut scope = crate::durability::take_scope(dec)?;
+        let mut listing_epoch = dec.take_opt_u64("listing epoch")?;
+        let mut cursor = dec.take_opt_u64("observation cursor")?.map(ChangeCursor);
         let db_count = dec.take_len(8, "database table")?;
         let mut databases: Vec<Arc<str>> = Vec::with_capacity(db_count);
         for _ in 0..db_count {
@@ -1160,34 +1177,35 @@ impl FleetObservation {
             });
         }
         let mut stats = Vec::with_capacity(table_count);
-        for _ in 0..table_count {
-            stats.push(match dec.take_u8("entry tag")? {
-                0 => TableObservation::Missing,
-                1 => TableObservation::Table(take_stats(dec)?),
-                2 => {
-                    let parts = (0..dec.take_len(8, "partition entries")?)
-                        .map(|_| {
-                            Ok((
-                                dec.take_str("partition label")?.to_string(),
-                                take_stats(dec)?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, CodecError>>()?;
-                    TableObservation::Partitions(parts)
+        let quarantine = match delta {
+            None => {
+                for _ in 0..table_count {
+                    stats.push(take_entry(dec)?);
                 }
-                _ => return Err(CodecError::Invalid("entry tag")),
-            });
-        }
-        let mut quarantine = BTreeMap::new();
-        for _ in 0..dec.take_len(21, "quarantine records")? {
-            let uid = dec.take_u64("quarantined uid")?;
-            let record = Quarantined {
-                attempts: dec.take_u32("quarantine attempts")?,
-                carried: dec.take_bool("quarantine carried")?,
-                release_pass: dec.take_u64("quarantine passes left")?,
-            };
-            quarantine.insert(uid, record);
-        }
+                take_quarantine(dec)?
+            }
+            Some(delta) => {
+                if delta.tables != table_count as u64 {
+                    return Err(CodecError::Invalid("delta listing differs from the base's"));
+                }
+                let mut patches = delta.positions.into_iter().zip(delta.entries).peekable();
+                for pos in 0..table_count {
+                    match patches.next_if(|(at, _)| *at as usize == pos) {
+                        Some((_, entry)) => {
+                            skip_entry(dec)?;
+                            stats.push(entry);
+                        }
+                        None => stats.push(take_entry(dec)?),
+                    }
+                }
+                if patches.next().is_some() {
+                    return Err(CodecError::Invalid("delta position"));
+                }
+                take_quarantine(dec)?;
+                (scope, listing_epoch, cursor) = (delta.scope, delta.listing_epoch, delta.cursor);
+                delta.quarantine
+            }
+        };
         Ok(FleetObservation {
             scope,
             fresh: Vec::new(),
@@ -1206,6 +1224,130 @@ impl FleetObservation {
             },
         })
     }
+}
+
+/// The observation section of a snapshot delta, decoded ahead of its
+/// base so that the base's decode takes the delta's entries in stride
+/// (see [`FleetObservation::snapshot_restore`]).
+pub(crate) struct ObservationDelta {
+    scope: ScopeStrategy,
+    listing_epoch: Option<u64>,
+    cursor: Option<ChangeCursor>,
+    /// Tables in the listing the delta was taken over.
+    tables: u64,
+    /// The positions the delta replaces, ascending, and their entries.
+    pub(crate) positions: Vec<u32>,
+    entries: Vec<TableObservation>,
+    quarantine: BTreeMap<u64, Quarantined>,
+}
+
+impl ObservationDelta {
+    /// Reads what [`FleetObservation::snapshot_write_delta`] wrote.
+    pub(crate) fn read(
+        dec: &mut lakesim_storage::Decoder<'_>,
+    ) -> Result<Self, lakesim_storage::CodecError> {
+        let scope = crate::durability::take_scope(dec)?;
+        let listing_epoch = dec.take_opt_u64("listing epoch")?;
+        let cursor = dec.take_opt_u64("observation cursor")?.map(ChangeCursor);
+        let tables = dec.take_u64("delta table count")?;
+        let count = dec.take_len(5, "delta entries")?;
+        let (mut positions, mut entries) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        for _ in 0..count {
+            let pos = dec.take_u32("delta position")?;
+            if positions.last().is_some_and(|p| *p >= pos) {
+                return Err(lakesim_storage::CodecError::Invalid("delta position"));
+            }
+            positions.push(pos);
+            entries.push(take_entry(dec)?);
+        }
+        Ok(ObservationDelta {
+            scope,
+            listing_epoch,
+            cursor,
+            tables,
+            positions,
+            entries,
+            quarantine: take_quarantine(dec)?,
+        })
+    }
+}
+
+/// Writes one entry of a snapshot's observation section.
+fn put_entry(enc: &mut lakesim_storage::Encoder, entry: &TableObservation) {
+    use crate::durability::put_stats;
+    match entry {
+        TableObservation::Missing => enc.put_u8(0),
+        TableObservation::Table(stats) => {
+            enc.put_u8(1);
+            put_stats(enc, stats);
+        }
+        TableObservation::Partitions(parts) => {
+            enc.put_u8(2);
+            enc.put_u64(parts.len() as u64);
+            for (label, stats) in parts {
+                enc.put_str(label);
+                put_stats(enc, stats);
+            }
+        }
+    }
+}
+
+fn take_entry(
+    dec: &mut lakesim_storage::Decoder<'_>,
+) -> Result<TableObservation, lakesim_storage::CodecError> {
+    use crate::durability::take_stats;
+    use lakesim_storage::CodecError;
+    Ok(match dec.take_u8("entry tag")? {
+        0 => TableObservation::Missing,
+        1 => TableObservation::Table(take_stats(dec)?),
+        2 => {
+            let parts = (0..dec.take_len(8, "partition entries")?)
+                .map(|_| {
+                    Ok((
+                        dec.take_str("partition label")?.to_string(),
+                        take_stats(dec)?,
+                    ))
+                })
+                .collect::<Result<Vec<_>, CodecError>>()?;
+            TableObservation::Partitions(parts)
+        }
+        _ => return Err(CodecError::Invalid("entry tag")),
+    })
+}
+
+/// Steps over one entry of a snapshot's observation section without
+/// building it.
+fn skip_entry(dec: &mut lakesim_storage::Decoder<'_>) -> Result<(), lakesim_storage::CodecError> {
+    use crate::durability::skip_stats;
+    match dec.take_u8("entry tag")? {
+        0 => {}
+        1 => skip_stats(dec)?,
+        2 => {
+            for _ in 0..dec.take_len(8, "partition entries")? {
+                dec.take_str("partition label")?;
+                skip_stats(dec)?;
+            }
+        }
+        _ => return Err(lakesim_storage::CodecError::Invalid("entry tag")),
+    }
+    Ok(())
+}
+
+/// Reads quarantine records, re-based to pass 0.
+fn take_quarantine(
+    dec: &mut lakesim_storage::Decoder<'_>,
+) -> Result<BTreeMap<u64, Quarantined>, lakesim_storage::CodecError> {
+    let mut quarantine = BTreeMap::new();
+    for _ in 0..dec.take_len(21, "quarantine records")? {
+        let uid = dec.take_u64("quarantined uid")?;
+        let record = Quarantined {
+            attempts: dec.take_u32("quarantine attempts")?,
+            carried: dec.take_bool("quarantine carried")?,
+            release_pass: dec.take_u64("quarantine passes left")?,
+        };
+        quarantine.insert(uid, record);
+    }
+    Ok(quarantine)
 }
 
 /// Threads incremental observe state — the prior observation plus
@@ -2706,7 +2848,7 @@ mod tests {
         carried.snapshot_write(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = lakesim_storage::Decoder::new(&bytes);
-        let snapshot = FleetObservation::snapshot_restore(&mut dec).unwrap();
+        let snapshot = FleetObservation::snapshot_restore(&mut dec, None).unwrap();
         let mut restored = FleetObserver::new();
         restored.restore_prior(snapshot, Vec::new());
 

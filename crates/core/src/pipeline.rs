@@ -41,12 +41,12 @@ use crate::act::{
 use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{ExecutionResult, LakeConnector, Prediction};
 use crate::decide::{self, CycleCacheStats, DecideState, Keys, Mask};
-use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SnapshotContext};
+use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SinceBase, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
 use crate::filter::{chain_time_sensitive, CandidateFilter};
 use crate::matrix::{TraitId, TraitMatrix};
-use crate::observe::{FleetObservation, FleetObserver, ObserveRequest};
+use crate::observe::{Bits, FleetObservation, FleetObserver, ObservationDelta, ObserveRequest};
 use crate::rank::{RankCycleStats, RankedEntries, RankingPolicy, RANKED_PREFIX_MIN};
 use crate::report::{decision_rows, render_table};
 use crate::schedule::{ParallelTablesScheduler, Scheduler};
@@ -732,9 +732,19 @@ impl AutoComp {
         ctx: &SnapshotContext,
         enc: &mut lakesim_storage::Encoder,
     ) -> bool {
-        let Some(observation) = observer.last() else {
-            return false;
-        };
+        self.encode_base_into(observer, ctx, enc).is_some()
+    }
+
+    /// [`encode_snapshot_into`](Self::encode_snapshot_into), returning
+    /// what a delta over the frame must know of it (its sequence number
+    /// left at 0 for the caller to fill in).
+    pub(crate) fn encode_base_into(
+        &self,
+        observer: &FleetObserver,
+        ctx: &SnapshotContext,
+        enc: &mut lakesim_storage::Encoder,
+    ) -> Option<SinceBase> {
+        let observation = observer.last()?;
         let span_t = self.telemetry.span_start();
         let start = enc.len();
         enc.put_frame(
@@ -742,35 +752,141 @@ impl AutoComp {
             crate::durability::SNAPSHOT_VERSION,
             |enc| {
                 enc.put_u64(self.config_fingerprint());
-                enc.put_u64(ctx.cycle);
-                enc.put_u64(ctx.executor_cursor);
-                enc.put_u64(ctx.journal_watermark);
+                put_context(enc, ctx);
                 observation.snapshot_write(enc);
-                let dirty = observer.pending_dirty_uids();
-                enc.put_u64(dirty.len() as u64);
-                for uid in dirty {
-                    enc.put_u64(uid);
-                }
+                put_dirty(enc, observer);
                 decide::snapshot_write(self.state.as_ref(), enc, self.epoch, observation);
-                match &self.tracker {
-                    Some(tracker) => {
-                        enc.put_bool(true);
-                        tracker.snapshot_write(enc);
-                    }
-                    None => enc.put_bool(false),
-                }
-                self.feedback.snapshot_write(enc);
+                self.put_ledger_and_feedback(enc);
             },
         );
+        self.observe_save(span_t, enc.len() - start);
+        let frame = &enc.as_bytes()[start..];
+        Some(SinceBase {
+            seq: 0,
+            check: frame_check(frame),
+            bytes: frame.len(),
+            tables: observation.tables_shared(),
+            layout: self.persisted_layout(observation),
+            epoch: self.epoch,
+            changed: Bits::default(),
+            all_scores: false,
+        })
+    }
+
+    /// Whether the next boundary may save a delta over `since` (see the
+    /// fold rule in [`crate::durability`]): the observation is over the
+    /// base's listing, the decide state the base holds (or lacks) is the
+    /// one a snapshot would hold now, the configuration epoch is the
+    /// base's, and the delta is estimated at no more than a quarter of
+    /// the base.
+    pub(crate) fn delta_fits(&self, observer: &FleetObserver, since: &SinceBase) -> bool {
+        let Some(observation) = observer.last() else {
+            return false;
+        };
+        let same_layout = match (self.persisted_layout(observation), &since.layout) {
+            (None, None) => true,
+            (Some(now), Some(base)) => Arc::ptr_eq(&now, base),
+            _ => false,
+        };
+        if !(same_layout
+            && self.epoch == since.epoch
+            && Arc::ptr_eq(&observation.tables_shared(), &since.tables))
+        {
+            return false;
+        }
+        let per_table = since.bytes / observation.table_count().max(1);
+        let scores = match since.all_scores {
+            true => self.state.as_ref().map_or(0, |s| 8 * s.slots()),
+            false => 0,
+        };
+        4 * (since.changed.count() * per_table + scores) <= since.bytes
+    }
+
+    /// Folds the last cycle into what changed since a base: the
+    /// observation's fresh positions, and the tables of the slots the
+    /// last rank pass re-scored.
+    pub(crate) fn note_round(&self, observer: &FleetObserver, since: &mut SinceBase) {
+        let Some(observation) = observer.last() else {
+            return;
+        };
+        for &pos in observation.fresh_positions() {
+            since.changed.set(pos);
+        }
+        if let Some(state) = &self.state {
+            if !state.mark_rescored(&mut since.changed) {
+                since.all_scores = true;
+            }
+        }
+    }
+
+    /// Encodes a delta over the base `since` describes into `enc` (see
+    /// [`crate::durability`] for what it holds). The caller has checked
+    /// [`delta_fits`](Self::delta_fits); `false`, with nothing appended,
+    /// before the first observation.
+    pub(crate) fn encode_delta_into(
+        &self,
+        observer: &FleetObserver,
+        ctx: &SnapshotContext,
+        since: &SinceBase,
+        enc: &mut lakesim_storage::Encoder,
+    ) -> bool {
+        let Some(observation) = observer.last() else {
+            return false;
+        };
+        let span_t = self.telemetry.span_start();
+        let start = enc.len();
+        enc.put_frame(
+            crate::durability::SNAPSHOT_DELTA_KIND,
+            crate::durability::SNAPSHOT_VERSION,
+            |enc| {
+                enc.put_u64(self.config_fingerprint());
+                enc.put_u64(since.check);
+                put_context(enc, ctx);
+                observation.snapshot_write_delta(enc, &since.changed);
+                put_dirty(enc, observer);
+                decide::delta_write(
+                    self.state.as_ref(),
+                    enc,
+                    self.epoch,
+                    observation,
+                    &since.changed,
+                    since.all_scores,
+                );
+                self.put_ledger_and_feedback(enc);
+            },
+        );
+        self.observe_save(span_t, enc.len() - start);
+        true
+    }
+
+    /// Layout identity of the decide state a snapshot of `observation`
+    /// would hold now.
+    fn persisted_layout(&self, observation: &FleetObservation) -> Option<Arc<[u64]>> {
+        let state = self.state.as_ref()?;
+        state
+            .live_for(self.epoch, observation)
+            .then(|| Arc::clone(state.layout_id()))
+    }
+
+    fn put_ledger_and_feedback(&self, enc: &mut lakesim_storage::Encoder) {
+        match &self.tracker {
+            Some(tracker) => {
+                enc.put_bool(true);
+                tracker.snapshot_write(enc);
+            }
+            None => enc.put_bool(false),
+        }
+        self.feedback.snapshot_write(enc);
+    }
+
+    /// Records one save's encode time and frame bytes.
+    fn observe_save(&self, span_t: u64, bytes: usize) {
         self.telemetry.observe(
             tnames::DURABILITY_SNAPSHOT_SAVE_US,
             self.telemetry.now().saturating_sub(span_t),
         );
-        self.telemetry.observe(
-            tnames::DURABILITY_SNAPSHOT_BYTES,
-            (enc.len() - start) as u64,
-        );
-        true
+        self.telemetry
+            .observe(tnames::DURABILITY_SNAPSHOT_BYTES, bytes as u64);
     }
 
     /// Restores a snapshot produced by [`encode_snapshot`](Self::encode_snapshot)
@@ -783,13 +899,37 @@ impl AutoComp {
     /// incremental state to a verbatim cold start and reports the first
     /// failed condition — this method never panics on untrusted bytes
     /// and never installs a partially-restored warm state.
+    ///
+    /// `bytes` is one base frame, or a base frame followed by a delta
+    /// frame over it: what [`SnapshotStore::load`](lakesim_storage::SnapshotStore::load)
+    /// returns.
     pub fn restore_snapshot(
         &mut self,
         observer: &mut FleetObserver,
         bytes: &[u8],
     ) -> RecoveryReport {
+        self.restore(observer, bytes, true)
+    }
+
+    /// [`restore_snapshot`](Self::restore_snapshot) of what a store's
+    /// load returned: its slot checksums already covered every byte, so
+    /// the frames' own checksums are not computed again.
+    pub(crate) fn restore_loaded(
+        &mut self,
+        observer: &mut FleetObserver,
+        bytes: &[u8],
+    ) -> RecoveryReport {
+        self.restore(observer, bytes, false)
+    }
+
+    fn restore(
+        &mut self,
+        observer: &mut FleetObserver,
+        bytes: &[u8],
+        checked: bool,
+    ) -> RecoveryReport {
         let span_t = self.telemetry.span_start();
-        let report = match self.try_restore(observer, bytes) {
+        let report = match self.try_restore(observer, bytes, checked) {
             Ok(report) => report,
             Err(reason) => {
                 // Degrade to a coherent cold start: drop every retained
@@ -810,48 +950,72 @@ impl AutoComp {
         &mut self,
         observer: &mut FleetObserver,
         bytes: &[u8],
+        checked: bool,
     ) -> std::result::Result<RecoveryReport, String> {
+        use crate::durability::{SNAPSHOT_DELTA_KIND, SNAPSHOT_KIND, SNAPSHOT_VERSION};
         fn cerr(e: lakesim_storage::CodecError) -> String {
             format!("snapshot payload corrupt: {e}")
         }
-        let frame = lakesim_storage::open_frame(
-            bytes,
-            crate::durability::SNAPSHOT_KIND,
-            crate::durability::SNAPSHOT_VERSION,
-        )
-        .map_err(|e| format!("snapshot frame rejected: {e}"))?;
-        if frame.version != crate::durability::SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot version {} predates this build's {}: no migration, cold start",
-                frame.version,
-                crate::durability::SNAPSHOT_VERSION
-            ));
-        }
-        let mut dec = lakesim_storage::Decoder::new(frame.payload);
+        let open_frame = match checked {
+            true => lakesim_storage::open_frame,
+            false => lakesim_storage::codec::open_covered_frame,
+        };
+        let open = |bytes, kind, what| {
+            let frame = open_frame(bytes, kind, SNAPSHOT_VERSION)
+                .map_err(|e| format!("snapshot {what} rejected: {e}"))?;
+            if frame.version != SNAPSHOT_VERSION {
+                return Err(format!(
+                    "snapshot version {} predates this build's {SNAPSHOT_VERSION}: no migration, \
+                     cold start",
+                    frame.version
+                ));
+            }
+            let mut dec = lakesim_storage::Decoder::new(frame.payload);
+            if dec.take_u64("config fingerprint").map_err(cerr)? != self.config_fingerprint() {
+                return Err(
+                    "configuration fingerprint mismatch: snapshot was taken under a different \
+                     pipeline configuration"
+                        .to_string(),
+                );
+            }
+            Ok(dec)
+        };
+        // The base frame, then the delta over it, if one follows. The
+        // delta's sections are read alongside the base's, so no entry
+        // the delta replaces is built from the base.
+        let (base, delta) = bytes.split_at(frame_len(bytes).unwrap_or(bytes.len()));
+        let mut dec = open(base, SNAPSHOT_KIND, "frame")?;
+        let mut delta = match delta.is_empty() {
+            true => None,
+            false => {
+                let mut dec = open(delta, SNAPSHOT_DELTA_KIND, "delta")?;
+                if dec.take_u64("delta base").map_err(cerr)? != frame_check(base) {
+                    return Err("snapshot delta was taken over another base frame".to_string());
+                }
+                Some(dec)
+            }
+        };
 
         // Decode everything into temporaries first; nothing is installed
         // until the whole payload has validated.
-        let fingerprint = dec.take_u64("config fingerprint").map_err(cerr)?;
-        if fingerprint != self.config_fingerprint() {
-            return Err(
-                "configuration fingerprint mismatch: snapshot was taken under a different \
-                 pipeline configuration"
-                    .to_string(),
-            );
+        let mut ctx = take_context(&mut dec).map_err(cerr)?;
+        let mut observation_delta = None;
+        if let Some(d) = delta.as_mut() {
+            ctx = take_context(d).map_err(cerr)?;
+            observation_delta = Some(ObservationDelta::read(d).map_err(cerr)?);
         }
-        let ctx = SnapshotContext {
-            cycle: dec.take_u64("cycle").map_err(cerr)?,
-            executor_cursor: dec.take_u64("executor cursor").map_err(cerr)?,
-            journal_watermark: dec.take_u64("journal watermark").map_err(cerr)?,
-        };
-        let observation = FleetObservation::snapshot_restore(&mut dec).map_err(cerr)?;
+        let positions = observation_delta
+            .as_ref()
+            .map_or_else(Vec::new, |d| d.positions.clone());
+        let observation =
+            FleetObservation::snapshot_restore(&mut dec, observation_delta).map_err(cerr)?;
         if observation.cursor().is_none() {
             return Err("snapshot observation carries no change cursor".to_string());
         }
-        let dirty = (0..dec.take_len(8, "pending dirty").map_err(cerr)?)
-            .map(|_| dec.take_u64("dirty uid"))
-            .collect::<std::result::Result<Vec<u64>, _>>()
-            .map_err(cerr)?;
+        let mut dirty = take_dirty(&mut dec).map_err(cerr)?;
+        if let Some(d) = delta.as_mut() {
+            dirty = take_dirty(d).map_err(cerr)?;
+        }
         // The state is re-keyed to this pipeline's current epoch: the
         // fingerprint established the configurations agree, and the epoch
         // is a local mutation counter, not part of the durable identity.
@@ -863,14 +1027,14 @@ impl AutoComp {
             tables: observation.tables_shared(),
         };
         let (template, _) = self.trait_template();
-        let state = decide::snapshot_read(&mut dec, keys, &template, &observation).map_err(cerr)?;
-        let tracker = if dec.take_bool("tracker present").map_err(cerr)? {
-            Some(JobTracker::snapshot_read(&mut dec).map_err(cerr)?)
-        } else {
-            None
-        };
-        let feedback = EstimationFeedback::snapshot_read(&mut dec).map_err(cerr)?;
-        dec.finish().map_err(cerr)?;
+        let decide_delta = delta.as_mut().map(|d| (d, &positions[..]));
+        let state = decide::snapshot_read(&mut dec, decide_delta, keys, &template, &observation)
+            .map_err(cerr)?;
+        // The ledger and the feedback go whole into a delta, so the
+        // base's are not read under one.
+        let mut tail = delta.unwrap_or(dec);
+        let (tracker, feedback) = take_ledger_and_feedback(&mut tail).map_err(cerr)?;
+        tail.finish().map_err(cerr)?;
 
         // Validated end-to-end: install atomically.
         let tables = observation.tables().len();
@@ -963,6 +1127,65 @@ impl AutoComp {
         }
         summary
     }
+}
+
+/// Bytes of the sealed frame `bytes` opens with, as its header declares
+/// them, when they fit in `bytes`.
+fn frame_len(bytes: &[u8]) -> Option<usize> {
+    let header = lakesim_storage::codec::FRAME_OVERHEAD - 8;
+    let len = u64::from_le_bytes(bytes.get(header - 8..header)?.try_into().unwrap());
+    let total = usize::try_from(len)
+        .ok()?
+        .checked_add(lakesim_storage::codec::FRAME_OVERHEAD)?;
+    (total <= bytes.len()).then_some(total)
+}
+
+/// The checksum sealing a whole frame: its last eight bytes.
+fn frame_check(frame: &[u8]) -> u64 {
+    u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap())
+}
+
+fn put_context(enc: &mut lakesim_storage::Encoder, ctx: &SnapshotContext) {
+    enc.put_u64(ctx.cycle);
+    enc.put_u64(ctx.executor_cursor);
+    enc.put_u64(ctx.journal_watermark);
+}
+
+fn take_context(
+    dec: &mut lakesim_storage::Decoder<'_>,
+) -> std::result::Result<SnapshotContext, lakesim_storage::CodecError> {
+    Ok(SnapshotContext {
+        cycle: dec.take_u64("cycle")?,
+        executor_cursor: dec.take_u64("executor cursor")?,
+        journal_watermark: dec.take_u64("journal watermark")?,
+    })
+}
+
+/// The observer's pending dirty marks, by uid ascending.
+fn put_dirty(enc: &mut lakesim_storage::Encoder, observer: &FleetObserver) {
+    let dirty = observer.pending_dirty_uids();
+    enc.put_u64(dirty.len() as u64);
+    for uid in dirty {
+        enc.put_u64(uid);
+    }
+}
+
+fn take_dirty(
+    dec: &mut lakesim_storage::Decoder<'_>,
+) -> std::result::Result<Vec<u64>, lakesim_storage::CodecError> {
+    (0..dec.take_len(8, "pending dirty")?)
+        .map(|_| dec.take_u64("dirty uid"))
+        .collect()
+}
+
+fn take_ledger_and_feedback(
+    dec: &mut lakesim_storage::Decoder<'_>,
+) -> std::result::Result<(Option<JobTracker>, EstimationFeedback), lakesim_storage::CodecError> {
+    let tracker = match dec.take_bool("tracker present")? {
+        true => Some(JobTracker::snapshot_read(dec)?),
+        false => None,
+    };
+    Ok((tracker, EstimationFeedback::snapshot_read(dec)?))
 }
 
 /// Everything one [`AutoComp::cycle`] call needs.

@@ -107,7 +107,11 @@
 //! [`snapshot_every_rounds`](RuntimeConfig::snapshot_every_rounds)-th
 //! round (plus [`shutdown`](ContinuousRuntime::shutdown)) saves a
 //! boundary snapshot through the dual-slot
-//! [`SnapshotStore`]. After a crash,
+//! [`SnapshotStore`]: a base, or a delta over the last base when the fold
+//! rule of [`crate::durability`] allows one. The runtime keeps the base's
+//! identity and, updated after every round, the listing positions that
+//! changed since it; the first boundary after a restore saves a base.
+//! After a crash,
 //! [`recover`](ContinuousRuntime::recover) restores the newest valid
 //! snapshot generation and direct-replays the journal suffix (re-adopting
 //! in-flight jobs, re-applying settlements idempotently); platforms with
@@ -123,7 +127,9 @@ use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore}
 use crate::act::{CompletionSink, Executor, JobOutcome, TrackedExecutor};
 use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
 use crate::decide::CycleCacheStats;
-use crate::durability::{JournalEvent, JournalingExecutor, RecoveryReport, SnapshotContext};
+use crate::durability::{
+    JournalEvent, JournalingExecutor, RecoveryReport, SinceBase, SnapshotContext,
+};
 use crate::observe::{DegradeReason, FleetObserver, ObserveDegradation};
 use crate::pipeline::{AutoComp, CycleInput, CycleReport};
 use crate::rank::RankCycleStats;
@@ -434,6 +440,10 @@ impl RoundReport {
 struct Durable<M> {
     store: SnapshotStore<M>,
     journal: Journal,
+    /// The last base saved and what changed since it: `None` before the
+    /// first base, after a restore and once no delta over the base fits,
+    /// so the next boundary saves a base.
+    since: Option<SinceBase>,
 }
 
 /// Buffers push-delivered completions in front of an executor so the
@@ -524,7 +534,11 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             pipeline: self.pipeline,
             observer: self.observer,
             config: self.config,
-            durable: Some(Durable { store, journal }),
+            durable: Some(Durable {
+                store,
+                journal,
+                since: None,
+            }),
             pending_commits: self.pending_commits,
             pending_completions: self.pending_completions,
             now_ms: self.now_ms,
@@ -612,12 +626,18 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
                 reason: "no durability attached".into(),
             };
         };
+        durable.since = None;
         let Some((_seq, bytes)) = durable.store.load() else {
-            return RecoveryReport::ColdStart {
-                reason: "no valid snapshot generation".into(),
+            let reason = match durable.store.missing_base() {
+                Some((delta, base)) => format!(
+                    "no valid snapshot generation: delta {delta} needs base {base}, \
+                     which no slot holds intact"
+                ),
+                None => "no valid snapshot generation".into(),
             };
+            return RecoveryReport::ColdStart { reason };
         };
-        let report = self.pipeline.restore_snapshot(&mut self.observer, &bytes);
+        let report = self.pipeline.restore_loaded(&mut self.observer, &bytes);
         if let RecoveryReport::Warm {
             cycle,
             journal_watermark,
@@ -688,7 +708,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         let now = self.now_ms;
         let mut report = self.round(TriggerCause::Flush, connector, executor, now)?;
         if !report.snapshot_saved {
-            report.snapshot_saved = self.save_boundary_snapshot(executor);
+            report.snapshot_saved = self.save_snapshot(executor);
         }
         Ok(Some(report))
     }
@@ -775,7 +795,19 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             observer: Some(&mut self.observer),
             executor: Executor::Tracked(&mut BufferedCompletions { inner, buffered }),
             now_ms: now,
-        })?;
+        });
+        // What the cycle changed counts toward the next delta even when
+        // it failed part way. Once no delta fits any more, none will
+        // before the next base, so tracking stops.
+        if let Some(durable) = self.durable.as_mut() {
+            if let Some(since) = durable.since.as_mut() {
+                self.pipeline.note_round(&self.observer, since);
+                if !self.pipeline.delta_fits(&self.observer, since) {
+                    durable.since = None;
+                }
+            }
+        }
+        let report = report?;
 
         self.rounds += 1;
         self.stats.rounds += 1;
@@ -789,7 +821,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             );
             let every = self.config.snapshot_every_rounds;
             if every > 0 && self.rounds.is_multiple_of(every) {
-                snapshot_saved = self.save_boundary_snapshot(executor);
+                snapshot_saved = self.save_snapshot(executor);
             }
         }
 
@@ -871,10 +903,14 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
     }
 
     /// Saves a boundary snapshot recording the executor's delivery
-    /// cursor and the journal watermark. Returns whether a snapshot was
-    /// actually written (requires durability, an observation, and a
-    /// writable medium).
-    fn save_boundary_snapshot<E: TrackedExecutor>(&mut self, executor: &E) -> bool {
+    /// cursor and the journal watermark: a delta over the last base when
+    /// the fold rule of [`crate::durability`] allows one, else a base.
+    /// Rounds call this at every
+    /// [`snapshot_every_rounds`](RuntimeConfig::snapshot_every_rounds)-th
+    /// boundary and on [`shutdown`](Self::shutdown). Returns whether a
+    /// snapshot was actually written (requires durability, an
+    /// observation, and a writable medium).
+    pub fn save_snapshot<E: TrackedExecutor>(&mut self, executor: &E) -> bool {
         let Some(durable) = self.durable.as_mut() else {
             return false;
         };
@@ -883,10 +919,32 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             executor_cursor: executor.delivery_cursor(),
             journal_watermark: durable.journal.records(),
         };
-        let saved = durable.store.save_with(|enc| {
-            self.pipeline
-                .encode_snapshot_into(&self.observer, &ctx, enc)
-        });
+        let (pipeline, observer) = (&self.pipeline, &self.observer);
+        let delta = durable
+            .since
+            .as_ref()
+            .filter(|since| pipeline.delta_fits(observer, since));
+        // A delta the store declines (its base is gone) becomes a base.
+        let saved = match delta {
+            Some(since) => durable.store.save_delta_with(since.seq, |enc| {
+                pipeline.encode_delta_into(observer, &ctx, since, enc)
+            }),
+            None => Ok(None),
+        };
+        let saved = match saved {
+            Ok(None) => {
+                let mut base = None;
+                let saved = durable.store.save_with(|enc| {
+                    base = pipeline.encode_base_into(observer, &ctx, enc);
+                    base.is_some()
+                });
+                if let (Ok(Some(seq)), Some(base)) = (&saved, base) {
+                    durable.since = Some(SinceBase { seq: *seq, ..base });
+                }
+                saved
+            }
+            delta => delta,
+        };
         if matches!(saved, Ok(Some(_))) {
             self.stats.snapshots_saved += 1;
             self.pipeline

@@ -178,6 +178,11 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Consumes the encoder, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -441,6 +446,23 @@ pub fn open_frame(
     expected_kind: u16,
     max_version: u32,
 ) -> Result<Frame<'_>, CodecError> {
+    let frame = open_covered_frame(bytes, expected_kind, max_version)?;
+    let body_end = bytes.len() - 8;
+    let stored = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
+    if frame_checksum64(&bytes[..body_end]) != stored {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    Ok(frame)
+}
+
+/// [`open_frame`] for a frame whose bytes a checksum of an enclosing
+/// frame already covered, such as a snapshot a store slot sealed: every
+/// check but the frame's own checksum.
+pub fn open_covered_frame(
+    bytes: &[u8],
+    expected_kind: u16,
+    max_version: u32,
+) -> Result<Frame<'_>, CodecError> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(CodecError::UnexpectedEof {
             what: "frame header",
@@ -472,15 +494,10 @@ pub fn open_frame(
             what: "frame payload",
         });
     }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    if frame_checksum64(&bytes[..body_end]) != stored {
-        return Err(CodecError::ChecksumMismatch);
-    }
     Ok(Frame {
         version,
         kind,
-        payload: &bytes[header..body_end],
+        payload: &bytes[header..bytes.len() - 8],
     })
 }
 

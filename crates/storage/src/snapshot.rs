@@ -1,79 +1,115 @@
-//! Dual-slot durable snapshot store with torn-write fallback.
+//! Dual-slot durable snapshot store with torn-write fallback, and the
+//! append-only journal that covers the gap between snapshots.
 //!
 //! A snapshot that is overwritten in place can be destroyed by the very
 //! crash it exists to survive: a process killed mid-write leaves neither
 //! the old nor the new state readable. The store therefore keeps **two
-//! slots** and alternates between them:
+//! slots** and never writes the one the newest restorable state depends
+//! on. A slot holds one generation of one of two kinds:
 //!
-//! * every save is sealed into a checksummed frame
-//!   ([`Encoder::put_frame`]) carrying a monotonically increasing
-//!   sequence number, and written to the slot *not* holding the latest
-//!   valid snapshot;
-//! * every load picks the highest-sequence slot that passes checksum
-//!   validation.
+//! * a **base**, `frame(seq:u64 | len:u64 | payload)` of kind
+//!   [`SNAPSHOT_FRAME_KIND`]: a whole snapshot on its own;
+//! * a **delta**, `frame(seq:u64 | base:u64 | base_check:u64 | len:u64 |
+//!   payload)` of kind [`SNAPSHOT_DELTA_FRAME_KIND`]: a patch over the
+//!   base in the *other* slot, named by its sequence number and by the
+//!   checksum that seals that slot.
 //!
-//! A torn or corrupted write therefore costs exactly one snapshot
-//! generation: the previous slot still validates and wins the load. Only
-//! when both slots are unreadable does [`SnapshotStore::load`] report
+//! Every generation is sealed into a checksummed frame
+//! ([`Encoder::put_frame`]) carrying a monotonically increasing sequence
+//! number. A base alone is restorable; a delta is restorable only
+//! together with the base it names, intact in the other slot. A load
+//! returns the newest restorable generation: a base's payload, or a
+//! base's payload followed by its delta's. Whatever it is, the payload is
+//! what the caller saved; for the OODA runtime, one sealed frame or two.
+//!
+//! The slots alternate like this. A base goes to the slot *not* holding
+//! the base the newest generation depends on, so it replaces the newest
+//! delta (or the older base), never the base that delta needs. A delta
+//! goes to the slot not holding its base and replaces the delta before
+//! it. A torn write therefore costs at most the generations since the
+//! base: the base still validates and wins the load. Only when no slot
+//! holds a restorable generation does [`SnapshotStore::load`] report
 //! nothing, and the caller falls back to a cold start.
-//!
-//! A slot holds `frame(seq:u64 | len:u64 | payload)`; the payload is
-//! whatever the caller saved, for the OODA runtime itself a sealed frame.
 //!
 //! # What is validated, and when
 //!
 //! Validating a slot means reading it from the medium and checking its
 //! frame header, its declared lengths and the checksum over all of it. A
-//! fleet-scale snapshot is tens of megabytes, so the store validates no
-//! more slots than the protocol needs, and never relies on a slot it has
-//! not validated:
+//! fleet-scale base is tens of megabytes, so the store validates no more
+//! slots than the protocol needs, and never relies on a slot it has not
+//! validated:
 //!
 //! * **`load`** consults nothing the store remembers — a restart may keep
 //!   the store object or build a new one, and must see the same. It reads
-//!   both slots, validates the one whose header *claims* the higher
-//!   sequence (slot 0 on a tie), and validates the other only if that
-//!   fails. A claim is unchecked bytes, but it only orders the work: the
-//!   slot returned has passed its checksum, and a valid slot's sequence is
-//!   its claim, so the result is that of validating both.
-//! * **`save`** must not overwrite the newest valid generation, so before
-//!   writing slot *t* it validates the *other* slot, the one whose
-//!   survival the protocol depends on. The store remembers the sequence
-//!   and slot it wrote last; if that slot still validates with that
-//!   sequence it is the newest, and the target is the other one, which is
-//!   never read. If nothing is remembered, or the remembered slot no
-//!   longer validates, both slots are validated and the target chosen
-//!   from what they hold.
+//!   both slots and validates the one whose header *claims* the higher
+//!   sequence (slot 0 on a tie). If that is a delta, it validates the
+//!   other slot as the base the delta names. If the first slot is not
+//!   restorable it tries the other one alone. A claim is unchecked bytes,
+//!   but it only orders the work: a valid slot's sequence is its claim,
+//!   so the result is that of validating both. A base alone is cut out
+//!   of its slot's buffer in place; a base and a delta are copied once
+//!   into one buffer of their own, the base's payload first.
+//! * **`save`** (a base) and **`save_delta_with`** (a delta) must not
+//!   overwrite the base the newest generation depends on, the slot whose
+//!   survival the protocol depends on. A base is therefore validated
+//!   once, before the first write after it — the first delta over it,
+//!   or the next base — and trusted after that while the store
+//!   remembers it: every later delta over it is written without reading
+//!   a slot. If nothing is remembered, or the remembered base no longer
+//!   validates, both slots are validated, one at a time, and the target
+//!   chosen from the newest restorable generation they hold; a delta
+//!   save whose base is not that generation's base writes nothing.
 //!
 //! # Fault model
 //!
 //! A medium may acknowledge a write it tore: `write_slot` returns `Ok`,
 //! the process lives on, and the slot is garbage. The store still
-//! remembers having written it, which is why the remembered slot is
-//! re-validated from the medium before every save rather than trusted:
-//! the next save finds it invalid, falls back to validating both, and
-//! aims at the torn slot again, leaving the last valid generation alone.
-//! A failed (`Err`) write forgets the remembered slot outright.
+//! remembers having written it. A torn delta is harmless: the next
+//! write aims at the same slot, and the base it depends on validated
+//! before the first delta. A torn base is why a base is validated
+//! before the first write after it rather than trusted on being
+//! written: that write finds it invalid, falls back to validating both
+//! slots, and aims at the torn slot again, leaving the last restorable
+//! generation alone. A failed (`Err`) write forgets what the store
+//! remembered outright.
 //!
 //! The store assumes it is the medium's only writer. The one sanctioned
 //! way around it is [`SnapshotStore::medium_mut`], through which a caller
 //! can rewrite either slot, including planting a generation newer than
 //! the store's own in the slot the next save would target; handing it out
-//! therefore forgets the remembered slot.
+//! therefore forgets everything remembered.
 //!
 //! The byte sink behind the slots is abstracted as [`SnapshotMedium`] so
 //! tests can interpose deterministic torn-write faults, and services can
 //! choose between the in-memory medium (crash-simulation harnesses) and
 //! the directory medium (real files).
+//!
+//! # The journal's checksum
+//!
+//! [`Journal`] records are checked with [`frame_checksum64`], which reads
+//! a word at a time, so a reload costs what copying the bytes does. Its
+//! records were checked with the byte-serial
+//! [`fnv1a64`](crate::codec::fnv1a64) before: the record header is the
+//! same 12 bytes, but the checksum values differ, so an older journal
+//! reloads as empty. That is safe because the switch
+//! shipped with the runtime's snapshot version 4: a journal is only
+//! replayed past the watermark of a snapshot the same build wrote, and a
+//! build that reads this journal rejects every older snapshot before any
+//! replay, cold-starting instead.
 
 use std::ops::Range;
 use std::path::PathBuf;
 
-use crate::codec::{fnv1a64, open_frame, CodecError, Decoder, Encoder, FRAME_OVERHEAD};
+use crate::codec::{frame_checksum64, open_frame, CodecError, Decoder, Encoder, FRAME_OVERHEAD};
 
-/// Frame kind tag of snapshot-store frames.
+/// Frame kind tag of base slots.
 pub const SNAPSHOT_FRAME_KIND: u16 = 1;
 
-/// Newest snapshot-store frame version this build reads and writes.
+/// Frame kind tag of delta slots.
+pub const SNAPSHOT_DELTA_FRAME_KIND: u16 = 2;
+
+/// Newest snapshot-store frame version this build reads and writes, for
+/// both kinds.
 pub const SNAPSHOT_FRAME_VERSION: u32 = 1;
 
 /// Byte sink with two addressable slots. Implementations must make
@@ -158,22 +194,46 @@ impl SnapshotMedium for DirSnapshotMedium {
 }
 
 /// Byte offset of the sequence number in a slot: it is the first field of
-/// the store frame's payload, right after the frame header.
+/// the store frame's payload, right after the frame header, in both
+/// kinds.
 const SEQUENCE_AT: usize = FRAME_OVERHEAD - 8;
 
-/// Opens a slot's bytes as `(sequence, payload range)`, or `None` when
-/// they are torn or corrupt. Validates everything: frame header, declared
+/// A slot that validated: everything checked, frame header, declared
 /// lengths and the checksum over the whole slot.
-fn open_slot(bytes: &[u8]) -> Option<(u64, Range<usize>)> {
-    let frame = open_frame(bytes, SNAPSHOT_FRAME_KIND, SNAPSHOT_FRAME_VERSION).ok()?;
+struct Opened {
+    seq: u64,
+    /// For a delta, the `(sequence, check)` of the base it patches.
+    base: Option<(u64, u64)>,
+    payload: Range<usize>,
+    /// The checksum sealing the slot: the name a delta gives its base.
+    check: u64,
+}
+
+/// Opens a slot's bytes, or `None` when they are torn or corrupt.
+fn open_slot(bytes: &[u8]) -> Option<Opened> {
+    let kind = u16::from_le_bytes(bytes.get(8..10)?.try_into().unwrap());
+    let frame = open_frame(bytes, kind, SNAPSHOT_FRAME_VERSION).ok()?;
     let mut dec = Decoder::new(frame.payload);
     let seq = dec.take_u64("snapshot sequence").ok()?;
+    let base = match kind {
+        SNAPSHOT_FRAME_KIND => None,
+        SNAPSHOT_DELTA_FRAME_KIND => Some((
+            dec.take_u64("base sequence").ok()?,
+            dec.take_u64("base check").ok()?,
+        )),
+        _ => return None,
+    };
     let payload = dec.take_bytes("snapshot payload").ok()?;
     dec.finish().ok()?;
     // The payload is the frame's tail, so it ends where the checksum
     // starts.
     let end = bytes.len() - 8;
-    Some((seq, end - payload.len()..end))
+    Some(Opened {
+        seq,
+        base,
+        payload: end - payload.len()..end,
+        check: u64::from_le_bytes(bytes[end..].try_into().unwrap()),
+    })
 }
 
 /// The sequence number a slot's header *claims*, unvalidated — only good
@@ -183,16 +243,104 @@ fn claimed_sequence(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(word.try_into().unwrap()))
 }
 
+/// A base generation on the medium.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BaseSlot {
+    seq: u64,
+    slot: usize,
+    check: u64,
+}
+
+/// The newest restorable generation of two slots: a base, and the delta
+/// over it if there is one, each with its slot.
+struct Restorable {
+    base: (usize, Opened),
+    delta: Option<(usize, Opened)>,
+}
+
+impl Restorable {
+    /// Sequence of the generation: the delta's, if there is one.
+    fn seq(&self) -> u64 {
+        self.delta.as_ref().unwrap_or(&self.base).1.seq
+    }
+
+    fn base_slot(&self) -> BaseSlot {
+        let (slot, base) = &self.base;
+        BaseSlot {
+            seq: base.seq,
+            slot: *slot,
+            check: base.check,
+        }
+    }
+}
+
+/// The newest restorable generation of two slots, opening slot `i` with
+/// `open(i)`: slot `first` first, the other only when `first` is a
+/// delta (to find its base) or restores nothing.
+fn newest_restorable(
+    first: usize,
+    mut open: impl FnMut(usize) -> Option<Opened>,
+) -> Option<Restorable> {
+    let under = match open(first) {
+        Some(newest) => match newest.base {
+            None => {
+                return Some(Restorable {
+                    base: (first, newest),
+                    delta: None,
+                })
+            }
+            Some(named) => {
+                let under = open(1 - first);
+                if under
+                    .as_ref()
+                    .is_some_and(|b| b.base.is_none() && (b.seq, b.check) == named)
+                {
+                    return Some(Restorable {
+                        base: (1 - first, under.unwrap()),
+                        delta: Some((first, newest)),
+                    });
+                }
+                under
+            }
+        },
+        None => open(1 - first),
+    };
+    // The newest slot restores nothing: the other one may, alone.
+    let alone = under.filter(|o| o.base.is_none())?;
+    Some(Restorable {
+        base: (1 - first, alone),
+        delta: None,
+    })
+}
+
+/// The slot to open first: the one whose header claims, or whose
+/// validated frame holds, the higher sequence (slot 0 on a tie).
+fn higher(claims: [Option<u64>; 2]) -> usize {
+    (claims[1] > claims[0]) as usize
+}
+
+/// What the store wrote last, while nothing else can have touched the
+/// medium since.
+#[derive(Debug, Clone, Copy)]
+struct Written {
+    /// The base the newest generation is, or patches.
+    base: BaseSlot,
+    /// Whether `base` validated from the medium since it was written.
+    trusted: bool,
+    /// Sequence of the newest generation written: `base`'s own, or a
+    /// delta's over it.
+    newest: u64,
+}
+
 /// Alternating dual-slot snapshot store over a [`SnapshotMedium`]. See
-/// the module docs for what `load` and `save` validate.
+/// the module docs for the slot protocol and for what `load` and the
+/// saves validate.
 #[derive(Debug)]
 pub struct SnapshotStore<M> {
     medium: M,
     /// The last frame built, kept for its allocation.
     frame: Vec<u8>,
-    /// `(sequence, slot)` of the generation this store wrote last, while
-    /// nothing else can have touched the medium since.
-    newest: Option<(u64, usize)>,
+    written: Option<Written>,
 }
 
 impl<M: SnapshotMedium> SnapshotStore<M> {
@@ -201,7 +349,7 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
         SnapshotStore {
             medium,
             frame: Vec::new(),
-            newest: None,
+            written: None,
         }
     }
 
@@ -212,62 +360,99 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
 
     /// Mutable access to the underlying medium (used by fault-injecting
     /// test wrappers to tear a just-written slot). The caller may rewrite
-    /// either slot through it, so the store forgets which slot it wrote
-    /// last and the next save scans both.
+    /// either slot through it, so the store forgets what it wrote and the
+    /// next save reads both slots.
     pub fn medium_mut(&mut self) -> &mut M {
-        self.newest = None;
+        self.written = None;
         &mut self.medium
     }
 
-    /// Validated sequence number of one slot, or `None` when the slot is
-    /// missing, torn or corrupt.
-    fn valid_sequence(&self, slot: usize) -> Option<u64> {
-        Some(open_slot(&self.medium.read_slot(slot)?)?.0)
-    }
-
-    /// Loads the newest valid snapshot as `(sequence, payload)`, or
-    /// `None` when neither slot validates (cold start). Nothing
-    /// remembered is consulted: both slots are read, the one claiming the
-    /// higher sequence is validated first (slot 0 on a tie), and the
-    /// other only if that fails.
+    /// Loads the newest restorable generation as `(sequence, payload)`:
+    /// a base's payload, or a base's payload followed by the payload of
+    /// the delta over it. `None` when no slot holds one (cold start).
+    /// Nothing remembered is consulted: both slots are read, the one
+    /// claiming the higher sequence is validated first (slot 0 on a tie),
+    /// then the base it names, if it is a delta, and the other slot alone
+    /// only if that fails.
     pub fn load(&self) -> Option<(u64, Vec<u8>)> {
         let mut slots = [0, 1].map(|slot| self.medium.read_slot(slot));
-        let claim = |slot: &Option<Vec<u8>>| slot.as_deref().and_then(claimed_sequence);
-        if claim(&slots[1]) > claim(&slots[0]) {
-            slots.swap(0, 1);
-        }
-        slots.into_iter().flatten().find_map(|mut bytes| {
-            let (seq, payload) = open_slot(&bytes)?;
-            // Cut the payload out of the slot's own buffer.
-            bytes.truncate(payload.end);
-            bytes.drain(..payload.start);
-            Some((seq, bytes))
+        let first = higher([0, 1].map(|i| slots[i].as_deref().and_then(claimed_sequence)));
+        let found = newest_restorable(first, |i| slots[i].as_deref().and_then(open_slot))?;
+        let mut read = |(slot, opened): &(usize, Opened)| {
+            (
+                slots[*slot].take().expect("an opened slot was read"),
+                opened.payload.clone(),
+            )
+        };
+        let (mut base, payload) = read(&found.base);
+        Some((
+            found.seq(),
+            match found.delta.as_ref().map(read) {
+                // A base alone is cut out of the slot's own buffer.
+                None => {
+                    base.truncate(payload.end);
+                    base.drain(..payload.start);
+                    base
+                }
+                Some((delta, delta_payload)) => {
+                    let delta = &delta[delta_payload];
+                    let mut out = Vec::with_capacity(payload.len() + delta.len());
+                    out.extend_from_slice(&base[payload]);
+                    out.extend_from_slice(delta);
+                    out
+                }
+            },
+        ))
+    }
+
+    /// `(delta sequence, base sequence)` of a delta that validates on the
+    /// medium while no slot holds the base it names intact: why a
+    /// [`load`](Self::load) that found nothing found nothing, when that is
+    /// the reason.
+    pub fn missing_base(&self) -> Option<(u64, u64)> {
+        let slots = [0, 1].map(|slot| self.medium.read_slot(slot).and_then(|b| open_slot(&b)));
+        (0..2).find_map(|i| {
+            let (base, check) = slots[i].as_ref()?.base?;
+            let held = slots[1 - i]
+                .as_ref()
+                .is_some_and(|b| b.base.is_none() && (b.seq, b.check) == (base, check));
+            (!held).then(|| (slots[i].as_ref().unwrap().seq, base))
         })
     }
 
-    /// The sequence number and target slot of the next save: one past the
-    /// newest valid generation, into the slot *not* holding it. The slot
-    /// holding it is validated from the medium here, checksum included —
-    /// first the one this store wrote last, then, if that is unknown or
-    /// no longer validates, both.
-    fn next_generation(&self) -> (u64, usize) {
-        if let Some((seq, slot)) = self.newest {
-            if self.valid_sequence(slot) == Some(seq) {
-                return (seq + 1, 1 - slot);
+    /// The base the newest generation depends on, and that generation's
+    /// sequence. The remembered base is validated from the medium the
+    /// first time it is asked for — it is then still the last frame
+    /// built, so its slot must read back byte for byte — and trusted
+    /// after that; if nothing is remembered, or the remembered base does
+    /// not read back, both slots are validated, one at a time, so a
+    /// fleet-scale store never holds two copies of its slots here.
+    fn current_base(&mut self) -> Option<(BaseSlot, u64)> {
+        if let Some(written) = self.written.as_mut() {
+            let base = written.base;
+            let intact = written.trusted
+                || self.medium.read_slot(base.slot).as_deref() == Some(&self.frame[..]);
+            if intact {
+                written.trusted = true;
+                return Some((base, written.newest));
             }
         }
-        match (self.valid_sequence(0), self.valid_sequence(1)) {
-            (Some(a), Some(b)) => (a.max(b) + 1, if a >= b { 1 } else { 0 }),
-            (Some(a), None) => (a + 1, 1),
-            (None, Some(b)) => (b + 1, 0),
-            (None, None) => (1, 0),
-        }
+        let mut opened = [0, 1].map(|slot| self.medium.read_slot(slot).and_then(|b| open_slot(&b)));
+        let first = higher([0, 1].map(|i| opened[i].as_ref().map(|o| o.seq)));
+        let found = newest_restorable(first, |i| opened[i].take())?;
+        let (base, newest) = (found.base_slot(), found.seq());
+        self.written = Some(Written {
+            base,
+            trusted: true,
+            newest,
+        });
+        Some((base, newest))
     }
 
-    /// Saves `payload` as the next snapshot generation and returns its
-    /// sequence number. The write targets the slot *not* holding the
-    /// newest valid snapshot, so a crash mid-write cannot lose the prior
-    /// generation.
+    /// Saves `payload` as the next base generation and returns its
+    /// sequence number. The write targets the slot *not* holding the base
+    /// the newest generation depends on, so a crash mid-write cannot lose
+    /// it.
     pub fn save(&mut self, payload: &[u8]) -> std::io::Result<u64> {
         let saved = self.save_with(|enc| {
             enc.put_raw(payload);
@@ -285,30 +470,89 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
         &mut self,
         write: impl FnOnce(&mut Encoder) -> bool,
     ) -> std::io::Result<Option<u64>> {
-        let (seq, target) = self.next_generation();
-        let mut frame = std::mem::take(&mut self.frame);
-        frame.clear();
-        let mut enc = Encoder::over(frame);
-        let written = enc.put_frame(SNAPSHOT_FRAME_KIND, SNAPSHOT_FRAME_VERSION, |enc| {
+        let (seq, target) = match self.current_base() {
+            Some((base, newest)) => (newest + 1, 1 - base.slot),
+            None => (1, 0),
+        };
+        let written = self.write_frame(target, SNAPSHOT_FRAME_KIND, |enc| {
             enc.put_u64(seq);
             enc.put_bytes_with(write)
-        });
-        self.frame = enc.into_bytes();
+        })?;
         if !written {
             return Ok(None);
         }
-        // A failed write leaves the target slot in an unknown state.
-        self.newest = None;
-        self.medium.write_slot(target, &self.frame)?;
-        self.newest = Some((seq, target));
+        let check = u64::from_le_bytes(self.frame[self.frame.len() - 8..].try_into().unwrap());
+        self.written = Some(Written {
+            base: BaseSlot {
+                seq,
+                slot: target,
+                check,
+            },
+            trusted: false,
+            newest: seq,
+        });
         Ok(Some(seq))
+    }
+
+    /// Saves a delta over the base generation `base`: the payload `write`
+    /// appends patches that base's, and [`load`](Self::load) returns the
+    /// two together. The delta goes to the slot not holding the base,
+    /// replacing the delta before it. Returns its sequence number, or
+    /// `Ok(None)` with nothing written when `write` declines or when
+    /// `base` is not the base the newest generation depends on — then
+    /// `write` is not called, and the caller saves a base instead.
+    pub fn save_delta_with(
+        &mut self,
+        base: u64,
+        write: impl FnOnce(&mut Encoder) -> bool,
+    ) -> std::io::Result<Option<u64>> {
+        let Some((held, newest)) = self.current_base().filter(|(b, _)| b.seq == base) else {
+            return Ok(None);
+        };
+        let seq = newest + 1;
+        let written = self.write_frame(1 - held.slot, SNAPSHOT_DELTA_FRAME_KIND, |enc| {
+            enc.put_u64(seq);
+            enc.put_u64(held.seq);
+            enc.put_u64(held.check);
+            enc.put_bytes_with(write)
+        })?;
+        if !written {
+            return Ok(None);
+        }
+        if let Some(w) = self.written.as_mut() {
+            w.newest = seq;
+        }
+        Ok(Some(seq))
+    }
+
+    /// Builds one frame of `kind` into the retained buffer and, unless
+    /// `body` declines, writes it to `target`.
+    fn write_frame(
+        &mut self,
+        target: usize,
+        kind: u16,
+        body: impl FnOnce(&mut Encoder) -> bool,
+    ) -> std::io::Result<bool> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        let mut enc = Encoder::over(frame);
+        let written = enc.put_frame(kind, SNAPSHOT_FRAME_VERSION, body);
+        self.frame = enc.into_bytes();
+        if !written {
+            return Ok(false);
+        }
+        // A failed write leaves the target slot in an unknown state.
+        let remembered = self.written.take();
+        self.medium.write_slot(target, &self.frame)?;
+        self.written = remembered;
+        Ok(true)
     }
 }
 
 /// Append-only record journal with per-record framing and a tolerant
 /// reader.
 ///
-/// Each record is stored as `len:u32 | fnv64:u64 | payload`, checksummed
+/// Each record is stored as `len:u32 | check:u64 | payload`, checksummed
 /// individually, so the journal degrades like a write-ahead log: a crash
 /// mid-append tears at most the final record, and
 /// [`Journal::from_bytes`] recovers every record up to (not including)
@@ -339,7 +583,7 @@ impl Journal {
             let Some(end) = pos.checked_add(12).and_then(|s| s.checked_add(len)) else {
                 break;
             };
-            if end > bytes.len() || fnv1a64(&bytes[pos + 12..end]) != stored {
+            if end > bytes.len() || frame_checksum64(&bytes[pos + 12..end]) != stored {
                 break;
             }
             offsets.push(pos);
@@ -360,7 +604,7 @@ impl Journal {
         self.bytes
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.bytes
-            .extend_from_slice(&fnv1a64(payload).to_le_bytes());
+            .extend_from_slice(&frame_checksum64(payload).to_le_bytes());
         self.bytes.extend_from_slice(payload);
         index
     }
@@ -461,6 +705,37 @@ mod tests {
         let mut recovered = Journal::from_bytes(journal.bytes());
         assert_eq!(recovered.append(b"dddd"), 3);
         assert_eq!(recovered.record(3), Some(b"dddd".as_slice()));
+    }
+
+    /// The record checksum reads words: a flip of any bit of any word of
+    /// a multi-word record — payload, tail or the stored checksum itself
+    /// — drops that record and everything after it.
+    #[test]
+    fn journal_detects_a_flip_in_every_word_of_a_record() {
+        let mut journal = Journal::new();
+        journal.append(b"first");
+        let payload: Vec<u8> = (0..43u8).map(|i| i.wrapping_mul(37)).collect();
+        journal.append(&payload);
+        journal.append(b"third");
+        let start = 12 + b"first".len();
+        // The record's checksum word, then its payload words (the last
+        // one short).
+        let words = std::iter::once(start + 4..start + 12).chain(
+            (start + 12..start + 12 + payload.len())
+                .step_by(8)
+                .map(|at| at..(at + 8).min(start + 12 + payload.len())),
+        );
+        for word in words {
+            for byte in word {
+                for bit in 0..8 {
+                    let mut flipped = journal.bytes().to_vec();
+                    flipped[byte] ^= 1 << bit;
+                    let recovered = Journal::from_bytes(&flipped);
+                    assert_eq!(recovered.records(), 1, "byte {byte} bit {bit}");
+                    assert_eq!(recovered.record(0), Some(b"first".as_slice()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,12 +28,13 @@ use autocomp::{
     LakeConnector, MinSizeFilter, Prediction, RankingPolicy, RecoveryReport, ReplayExecutor,
     ReplaySummary, RuntimeConfig, RuntimeEvent, ScopeStrategy, TableRef, TraitWeight, Untracked,
 };
-use lakesim_storage::{seal_frame, Journal, MemSnapshotMedium, SnapshotStore};
+use lakesim_storage::{seal_frame, Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
 use proptest::prelude::*;
 
 mod common;
 use common::faults::{
-    CrashPoint, CrashingExecutor, FaultRates, FaultyExecutor, TornMedium, SCRIPTED_CRASH,
+    CrashPoint, CrashingExecutor, FaultRates, FaultyExecutor, SplitMix64, TornMedium,
+    SCRIPTED_CRASH,
 };
 use common::{tracked_cycle, ScriptedPlatform};
 
@@ -1151,4 +1152,437 @@ fn torn_store_writes_fall_back_then_self_heal() {
     let (seq, payload) = store.load().unwrap();
     assert_eq!(seq, gen3);
     assert_eq!(payload, b"generation three");
+}
+
+// ---------------------------------------------------------------------
+// Delta generations: a base plus one cumulative delta.
+// ---------------------------------------------------------------------
+
+/// A lake a script reshapes between rounds: writes through a changelog,
+/// tables listed and delisted under a listing epoch, stats reads that
+/// fault on demand, and partitions (two per table, three once a table
+/// has been written a lot). A write of many versions at once makes its
+/// table the fleet's largest, which moves a normalization bound.
+struct DeltaLake {
+    tables: Mutex<Vec<TableRef>>,
+    epoch: AtomicU64,
+    next_uid: AtomicU64,
+    versions: Mutex<std::collections::BTreeMap<u64, u64>>,
+    log: Mutex<Vec<u64>>,
+    faulty: Mutex<std::collections::BTreeSet<u64>>,
+}
+
+impl DeltaLake {
+    fn new(n: u64) -> Self {
+        DeltaLake {
+            tables: Mutex::new((0..n).map(Self::table).collect()),
+            epoch: AtomicU64::new(0),
+            next_uid: AtomicU64::new(n),
+            versions: Mutex::new((0..n).map(|uid| (uid, 0)).collect()),
+            log: Mutex::new(Vec::new()),
+            faulty: Mutex::new(Default::default()),
+        }
+    }
+
+    fn table(uid: u64) -> TableRef {
+        TableRef {
+            table_uid: uid,
+            database: format!("db{}", uid % 3).into(),
+            name: format!("t{uid}").into(),
+            partitioned: uid.is_multiple_of(2),
+            compaction_enabled: true,
+            is_intermediate: false,
+        }
+    }
+
+    fn uids(&self) -> Vec<u64> {
+        self.tables
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|t| t.table_uid)
+            .collect()
+    }
+
+    fn write(&self, uid: u64, versions: u64) {
+        *self.versions.lock().unwrap().entry(uid).or_default() += versions;
+        self.log.lock().unwrap().push(uid);
+    }
+
+    /// Lists a new table or delists one: a new listing.
+    fn relist(&self, rng: &mut SplitMix64) {
+        let mut tables = self.tables.lock().unwrap();
+        if tables.len() > 8 && rng.below(2) == 0 {
+            let at = rng.below(tables.len() as u64) as usize;
+            tables.remove(at);
+        } else {
+            let uid = self.next_uid.fetch_add(1, Ordering::SeqCst);
+            self.versions.lock().unwrap().insert(uid, 0);
+            tables.push(Self::table(uid));
+        }
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The table's next stats read fails.
+    fn fault(&self, uid: u64) {
+        self.faulty.lock().unwrap().insert(uid);
+    }
+
+    fn faulted(&self, uid: u64) -> bool {
+        self.faulty.lock().unwrap().remove(&uid)
+    }
+
+    fn stats(&self, uid: u64, part: u64) -> CandidateStats {
+        let v = self.versions.lock().unwrap()[&uid];
+        CandidateStats {
+            file_count: 40 + (uid * 13 + v * 7 + part * 5) % 120 + v / 16 * 400,
+            small_file_count: (uid * 11 + v * 5 + part) % 100,
+            small_bytes: (((uid + v) % 32) + 1) << 20,
+            total_bytes: ((((uid * 3 + v + part) % 64) + 8) << 20).max(1 << 22),
+            target_file_size: 512 << 20,
+            last_write_ms: (v > 0).then_some(v * 40),
+            ..CandidateStats::default()
+        }
+    }
+
+    fn listed(&self, uid: u64) -> bool {
+        self.tables
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|t| t.table_uid == uid)
+    }
+}
+
+impl LakeConnector for DeltaLake {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.tables.lock().unwrap().clone()
+    }
+    fn listing_epoch(&self) -> Option<u64> {
+        Some(self.epoch.load(Ordering::SeqCst))
+    }
+    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+        self.listed(uid).then(|| self.stats(uid, 0))
+    }
+    fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+        if !self.listed(uid) {
+            return Vec::new();
+        }
+        let parts = 2 + (self.versions.lock().unwrap()[&uid] >= 12) as u64;
+        (0..parts)
+            .map(|p| (format!("(p={p})"), self.stats(uid, p)))
+            .collect()
+    }
+    fn fleet_cursor(&self) -> Option<ChangeCursor> {
+        Some(ChangeCursor(self.log.lock().unwrap().len() as u64))
+    }
+    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+        self.log
+            .lock()
+            .unwrap()
+            .get(cursor.0 as usize..)
+            .map(<[u64]>::to_vec)
+    }
+    fn try_table_stats(&self, uid: u64) -> Result<Option<CandidateStats>, autocomp::ObserveFault> {
+        match self.faulted(uid) {
+            true => Err(autocomp::ObserveFault::transient(
+                "stats endpoint timed out",
+            )),
+            false => Ok(self.table_stats(uid)),
+        }
+    }
+    fn try_partition_stats(
+        &self,
+        uid: u64,
+    ) -> Result<Vec<(String, CandidateStats)>, autocomp::ObserveFault> {
+        match self.faulted(uid) {
+            true => Err(autocomp::ObserveFault::transient(
+                "stats endpoint timed out",
+            )),
+            false => Ok(self.partition_stats(uid)),
+        }
+    }
+}
+
+fn delta_pipeline(scope: ScopeStrategy, k: usize) -> AutoComp {
+    AutoComp::new(AutoCompConfig {
+        scope,
+        policy: RankingPolicy::Moop {
+            weights: vec![
+                TraitWeight::new("file_count_reduction", 0.7),
+                TraitWeight::new("compute_cost_gbhr", 0.3),
+            ],
+            k,
+        },
+        trigger_label: "deltas".into(),
+        calibrate: true,
+    })
+    .with_filter(Box::new(MinSizeFilter {
+        min_total_bytes: 12 << 20,
+        min_file_count: 0,
+    }))
+    .with_trait(Box::new(FileCountReduction::default()))
+    .with_trait(Box::new(ComputeCostGbhr::default()))
+    .with_job_tracker(JobRuntimeConfig {
+        max_in_flight: 4,
+        max_in_flight_per_database: 2,
+        ..JobRuntimeConfig::default()
+    })
+}
+
+/// Rounds only on flush, a snapshot after every one.
+fn every_round_snapshots() -> RuntimeConfig {
+    RuntimeConfig {
+        dirty_watermark: None,
+        max_staleness_ms: None,
+        gbhr_headroom: None,
+        min_round_interval_ms: 0,
+        snapshot_every_rounds: 1,
+    }
+}
+
+/// A loaded generation split into its base frame and its delta frame
+/// (empty for a base alone).
+fn split_generation(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let len = u64::from_le_bytes(bytes[10..18].try_into().unwrap()) as usize;
+    bytes.split_at(lakesim_storage::codec::FRAME_OVERHEAD + len)
+}
+
+/// The newest restorable generation of a durable runtime's store.
+fn newest_generation<M: SnapshotMedium>(rt: &ContinuousRuntime<M>) -> Vec<u8> {
+    rt.snapshot_store()
+        .unwrap()
+        .load()
+        .expect("a restorable generation")
+        .1
+}
+
+fn flush<M: SnapshotMedium, E: autocomp::TrackedExecutor>(
+    rt: &mut ContinuousRuntime<M>,
+    lake: &dyn LakeConnector,
+    exec: &mut E,
+    at_ms: u64,
+) -> autocomp::RoundReport {
+    rt.handle_event(&RuntimeEvent::Flush { at_ms }, lake, exec)
+        .unwrap()
+        .expect("a flush always fires")
+}
+
+/// Over a random interleaving of writes, listing changes, configuration
+/// edits, stats faults and bound-moving writes, every generation a
+/// durable runtime saves restores to exactly the live state: the full
+/// frame re-encoded from `restore(base ++ delta)` is byte-equal to the
+/// full frame of the live pipeline. A listing change and a configuration
+/// edit each force a base.
+fn deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> (usize, usize) {
+    let lake = DeltaLake::new(16);
+    let mut rng = SplitMix64::new(seed);
+    let mut k = 4;
+    let mut rt = ContinuousRuntime::new(delta_pipeline(scope, k), every_round_snapshots())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let mut platform = ScriptedPlatform::new(JOB_DURATION_MS);
+    let ctx = autocomp::SnapshotContext::default();
+    let (mut deltas, mut full_rescores) = (0, 0);
+    for step in 0..28 {
+        let at = format!("seed {seed} {scope:?} step {step}");
+        let uids = lake.uids();
+        let pick = |rng: &mut SplitMix64| uids[rng.below(uids.len() as u64) as usize];
+        let forced_base = match rng.below(12) {
+            0 => {
+                lake.relist(&mut rng);
+                true
+            }
+            1 => {
+                k = 3 + rng.below(4) as usize;
+                let config = rt.pipeline_mut().config_mut();
+                config.policy = delta_pipeline(scope, k).config().policy.clone();
+                true
+            }
+            2 => {
+                let uid = pick(&mut rng);
+                lake.fault(uid);
+                lake.write(uid, 1);
+                false
+            }
+            3 => {
+                lake.write(pick(&mut rng), 16 + rng.below(16));
+                false
+            }
+            4 => false,
+            _ => {
+                for _ in 0..1 + rng.below(2) {
+                    lake.write(pick(&mut rng), 1);
+                }
+                false
+            }
+        };
+        let round = flush(&mut rt, &lake, &mut platform, now(step));
+        assert!(round.snapshot_saved, "{at}");
+        let memo = rt.pipeline().rank_memo_stats();
+        let full_rescore = memo.spliced_scores == 0 && memo.recomputed_scores > 0;
+
+        let bytes = newest_generation(&rt);
+        let is_delta = !split_generation(&bytes).1.is_empty();
+        assert!(
+            !(forced_base && is_delta),
+            "{at}: a delta across a forced base"
+        );
+        deltas += is_delta as usize;
+        full_rescores += (is_delta && full_rescore) as usize;
+
+        let live = rt.pipeline().encode_snapshot(rt.observer(), &ctx).unwrap();
+        let mut restored = delta_pipeline(scope, k);
+        let mut observer = FleetObserver::new();
+        let report = restored.restore_snapshot(&mut observer, &bytes);
+        assert!(report.is_warm(), "{at}: {report}");
+        let again = restored.encode_snapshot(&observer, &ctx).unwrap();
+        assert!(
+            again == live,
+            "{at}: the restored state differs from the live one"
+        );
+    }
+    (deltas, full_rescores)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn restoring_base_plus_delta_reproduces_the_live_state(seed in 0u64..u64::MAX) {
+        for scope in [ScopeStrategy::Table, ScopeStrategy::Partition] {
+            let (deltas, _) = deltas_restore_the_live_state(seed, scope);
+            prop_assert!(deltas > 0, "seed {} {:?}: no delta was saved", seed, scope);
+        }
+    }
+}
+
+/// The seeds above between them cover a delta saved after a fleet-wide
+/// re-score, whose scores travel whole.
+#[test]
+fn a_delta_after_a_fleet_wide_rescore_restores_the_live_state() {
+    let covered: usize = (0..12)
+        .map(|seed| deltas_restore_the_live_state(seed, ScopeStrategy::Table).1)
+        .sum();
+    assert!(covered > 0, "no delta followed a fleet-wide re-score");
+}
+
+/// A torn delta restores the base's boundary warm, and the restored
+/// runtime's rounds match an uninterrupted twin's once it has caught up.
+#[test]
+fn a_torn_delta_restores_the_base_boundary_and_reconverges() {
+    let lake = CrashLake::new(TABLES);
+    let config = every_round_snapshots();
+    let mut twin = ContinuousRuntime::new(soak_pipeline(), config.clone());
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), config.clone()).with_durability(
+        SnapshotStore::new(TornMedium::new(MemSnapshotMedium::new())),
+        Journal::new(),
+    );
+    let mut exec = Untracked(InertExecutor);
+    let mut twin_exec = Untracked(InertExecutor);
+    for i in 0..3 {
+        for uid in scripted_writes(i) {
+            lake.write(uid);
+        }
+        if i == 2 {
+            // Round 3's delta tears.
+            let store = rt.snapshot_store_mut().unwrap();
+            store.medium_mut().tear_next_write_at(40);
+        }
+        flush(&mut rt, &lake, &mut exec, now(i));
+        flush(&mut twin, &lake, &mut twin_exec, now(i));
+        if i == 1 {
+            let bytes = newest_generation(&rt);
+            assert!(
+                !split_generation(&bytes).1.is_empty(),
+                "round 2 saved a delta"
+            );
+        }
+    }
+
+    let (store, journal) = rt.into_durable_parts().unwrap();
+    let journal = Journal::from_bytes(journal.bytes());
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), config).with_durability(store, journal);
+    match rt.recover() {
+        RecoveryReport::Warm { cycle, .. } => assert_eq!(cycle, 1, "the base's boundary"),
+        cold => panic!("expected a warm restore, got: {cold}"),
+    }
+    // The first round catches up on everything written since the base;
+    // from the next one on, the two runs decide alike.
+    for uid in scripted_writes(3) {
+        lake.write(uid);
+    }
+    flush(&mut rt, &lake, &mut exec, now(3));
+    flush(&mut twin, &lake, &mut twin_exec, now(3));
+    for i in 4..CYCLES {
+        for uid in scripted_writes(i) {
+            lake.write(uid);
+        }
+        let ours = flush(&mut rt, &lake, &mut exec, now(i));
+        let theirs = flush(&mut twin, &lake, &mut twin_exec, now(i));
+        assert_reports_identical(&theirs.report, &ours.report, &format!("round {i}"));
+    }
+}
+
+/// A delta whose base is corrupt restores nothing: the restart is a cold
+/// start whose reason names the missing base.
+#[test]
+fn a_corrupt_base_under_a_valid_delta_cold_starts_naming_the_base() {
+    let lake = CrashLake::new(TABLES);
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let mut exec = Untracked(InertExecutor);
+    for i in 0..2 {
+        lake.write(i as u64);
+        flush(&mut rt, &lake, &mut exec, now(i));
+    }
+    assert!(!split_generation(&newest_generation(&rt)).1.is_empty());
+
+    // The base is the slot whose frame is the longer one; flip a byte
+    // in the middle of it.
+    let medium = rt.snapshot_store_mut().unwrap().medium_mut();
+    let base_slot = (0..2)
+        .max_by_key(|slot| medium.read_slot(*slot).map_or(0, |b| b.len()))
+        .unwrap();
+    let mut bytes = medium.read_slot(base_slot).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    medium.write_slot(base_slot, &bytes).unwrap();
+
+    let (store, journal) = rt.into_durable_parts().unwrap();
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
+        .with_durability(store, journal);
+    let report = rt.recover();
+    let reason = report.cold_reason().expect("nothing restorable");
+    assert!(reason.contains("needs base 1"), "reason: {reason}");
+    assert!(rt.observer().last().is_none());
+}
+
+/// A delta restores only over the base it was taken over: glued to a
+/// base over another listing, the restore rejects it.
+#[test]
+fn a_delta_over_another_listing_is_rejected() {
+    let lake = DeltaLake::new(12);
+    let scope = ScopeStrategy::Table;
+    let mut rt = ContinuousRuntime::new(delta_pipeline(scope, 4), every_round_snapshots())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let mut platform = Untracked(InertExecutor);
+    flush(&mut rt, &lake, &mut platform, now(0));
+    let first = newest_generation(&rt);
+    let (first_base, _) = split_generation(&first);
+
+    lake.relist(&mut SplitMix64::new(7));
+    flush(&mut rt, &lake, &mut platform, now(1));
+    lake.write(3, 1);
+    flush(&mut rt, &lake, &mut platform, now(2));
+    let second = newest_generation(&rt);
+    let (second_base, delta) = split_generation(&second);
+    assert!(!delta.is_empty(), "round 3 saved a delta");
+    assert_ne!(first_base, second_base, "the listing change forced a base");
+
+    let restore =
+        |bytes: &[u8]| delta_pipeline(scope, 4).restore_snapshot(&mut FleetObserver::new(), bytes);
+    assert!(restore(&second).is_warm());
+    let glued = [first_base, delta].concat();
+    let report = restore(&glued);
+    let reason = report.cold_reason().expect("a delta over another base");
+    assert!(reason.contains("another base"), "reason: {reason}");
 }
