@@ -5,8 +5,8 @@
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
-    Executor, FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    TableRef, TraitWeight,
+    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
+    TraitWeight, Untracked,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -98,12 +98,12 @@ fn bench_ooda(c: &mut Criterion) {
         let lake = SyntheticLake::new(n);
         group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
             let mut ac = pipeline(100);
-            let mut exec = NullExecutor;
+            let mut exec = Untracked(NullExecutor);
             b.iter(|| {
                 ac.cycle(CycleInput {
                     connector: &lake,
                     observer: None,
-                    executor: Executor::Plain(&mut exec),
+                    executor: &mut exec,
                     now_ms: 0,
                 })
                 .expect("cycle runs")

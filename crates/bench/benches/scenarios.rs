@@ -14,9 +14,9 @@ use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, CycleInput, DeleteDebt, ExecutionResult, Executor, FileCountReduction,
-    FleetObserver, JobKind, LakeConnector, PartitionSkewExcess, Prediction, ScopeStrategy,
-    SortDisorder, TableRef, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
+    ComputeCostGbhr, CycleInput, DeleteDebt, ExecutionResult, FileCountReduction, FleetObserver,
+    JobKind, LakeConnector, PartitionSkewExcess, Prediction, ScopeStrategy, SortDisorder, TableRef,
+    Untracked, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lakesim_workload::scenario_policy;
@@ -165,7 +165,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
             .expect("cycle");
@@ -201,7 +201,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
         ac.cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut NullExecutor),
+            executor: &mut Untracked(NullExecutor),
             now_ms: now,
         })
         .expect("prime");
@@ -213,7 +213,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
             ac.cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut observer),
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: now,
             })
             .expect("cycle runs")
@@ -227,7 +227,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-        let mut ac = pipeline().with_cycle_cache(false);
+        let mut ac = pipeline();
         let mut rng = 0x5eed_u64;
         let mut now = 0u64;
         b.iter(|| {
@@ -235,10 +235,11 @@ fn bench_scenario_mix(c: &mut Criterion) {
                 lake.write(zipf_below(&mut rng, n));
             }
             now += 1_000;
+            ac.invalidate_cycle_cache();
             ac.cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: now,
             })
             .expect("cold")

@@ -16,8 +16,8 @@ use autocomp::telemetry::{names, phase};
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
-    Executor, FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy,
-    ScopeStrategy, TableRef, TelemetrySink, TraitWeight,
+    FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
+    TableRef, TelemetrySink, TraitWeight, Untracked,
 };
 
 struct SyntheticLake {
@@ -117,13 +117,13 @@ fn main() {
     .with_telemetry(sink);
 
     let mut observer = FleetObserver::new();
-    let mut exec = NullExecutor;
+    let mut exec = Untracked(NullExecutor);
     for round in 0..5 {
         let report = ac
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut observer),
-                executor: Executor::Plain(&mut exec),
+                executor: &mut exec,
                 now_ms: round,
             })
             .expect("cycle runs");

@@ -9,8 +9,9 @@
 
 use autocomp::{
     AllParallelScheduler, AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter,
-    ComputeCostGbhr, CycleInput, Executor, FileCountReduction, IntermediateTableFilter,
+    ComputeCostGbhr, CycleInput, FileCountReduction, IntermediateTableFilter,
     ParallelTablesScheduler, RankingPolicy, ScopeStrategy, StrictSequentialScheduler, TraitWeight,
+    Untracked,
 };
 use autocomp_lakesim::{with_shared_env, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::JobStatus;
@@ -248,12 +249,12 @@ pub fn run_cab(config: &CabExperimentConfig) -> CabRunResult {
                 if let Some(pipeline) = pipeline.as_mut() {
                     let selected = with_shared_env(env, |shared| {
                         let connector = LakesimConnector::new(shared.clone());
-                        let mut executor = LakesimExecutor::new(shared.clone());
+                        let mut executor = Untracked(LakesimExecutor::new(shared.clone()));
                         pipeline
                             .cycle(CycleInput {
                                 connector: &connector,
                                 observer: None,
-                                executor: Executor::Plain(&mut executor),
+                                executor: &mut executor,
                                 now_ms: tick,
                             })
                             .map(|report| report.selected_count())

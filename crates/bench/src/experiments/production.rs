@@ -3,8 +3,8 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    CycleInput, Executor, FileCountReduction, IntermediateTableFilter, RankingPolicy,
-    RecentlyCreatedFilter, ScopeStrategy, TraitWeight,
+    CycleInput, FileCountReduction, IntermediateTableFilter, RankingPolicy, RecentlyCreatedFilter,
+    ScopeStrategy, TraitWeight, Untracked,
 };
 use autocomp_lakesim::{LakesimConnector, LakesimExecutor, ObserveOptions};
 use lakesim_catalog::{AccuracySummary, JobStatus};
@@ -82,12 +82,12 @@ pub fn auto_cycle(fleet: &Fleet, pipeline: &mut AutoComp, use_planned: bool) -> 
             transform_signals: false,
         },
     );
-    let mut executor = LakesimExecutor::new(fleet.env.clone());
+    let mut executor = Untracked(LakesimExecutor::new(fleet.env.clone()));
     let selected = pipeline
         .cycle(CycleInput {
             connector: &connector,
             observer: None,
-            executor: Executor::Plain(&mut executor),
+            executor: &mut executor,
             now_ms: now,
         })
         .map(|r| r.selected_count())

@@ -1,13 +1,12 @@
 //! The act-side connector: candidate → bin-pack plan → engine rewrite job,
 //! with completion polling over the engine's maintenance log.
 //!
-//! [`LakesimExecutor`] implements both act tiers: the fire-and-forget
-//! [`CompactionExecutor`] (submit, return scheduling info) and the job
-//! runtime's [`TrackedExecutor`] — [`poll`](TrackedExecutor::poll) drains
-//! engine commits due by `now` and surfaces every maintenance record
-//! appended since the last poll as a [`JobOutcome`], which is what lets
-//! `AutoComp::cycle` (given `Executor::Tracked`) settle jobs, retry
-//! conflicts, and auto-ingest feedback.
+//! [`LakesimExecutor`] implements [`CompactionExecutor`] (submit, return
+//! scheduling info) and the job runtime's [`TrackedExecutor`] —
+//! [`poll`](TrackedExecutor::poll) drains engine commits due by `now` and
+//! surfaces every maintenance record appended since the last poll as a
+//! [`JobOutcome`], which is what lets `AutoComp::cycle` settle jobs,
+//! retry conflicts, and auto-ingest feedback.
 
 use autocomp::{
     Candidate, CompactionExecutor, ExecutionError, ExecutionResult, JobKind, JobOutcome,

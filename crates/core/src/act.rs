@@ -6,7 +6,7 @@
 //! concurrent compaction the platform absorbs (§6 runs a fixed 3-node
 //! cluster), and feeds realized outcomes back into its estimators (§7).
 //! The [`JobTracker`] owned by [`AutoComp`](crate::pipeline::AutoComp)
-//! does all three; without one the act phase is fire-and-forget.
+//! does all three; without one the act phase submits and keeps no books.
 //!
 //! # Lifecycle
 //!
@@ -80,12 +80,11 @@
 //!
 //! The ledger is part of the act phase, not the observe phase: cached
 //! filter verdicts and trait rows never embed ledger state, so enabling
-//! or disabling the tracker does not invalidate the decide state. A
-//! disabled tracker (or an enabled one with nothing in flight and
-//! permissive admission) reproduces the fire-and-forget pipeline's
-//! `CycleReport`s bit-for-bit — pinned by `tests/job_runtime.rs` and
-//! `tests/incremental_parity.rs`. Settled outcomes reach the estimators
-//! exactly as manual
+//! or disabling the tracker does not invalidate the decide state. An
+//! enabled tracker with nothing in flight and permissive admission
+//! reproduces the reports of a pipeline without one bit-for-bit —
+//! pinned by `tests/job_runtime.rs` and `tests/incremental_parity.rs`.
+//! Settled outcomes reach the estimators exactly as manual
 //! [`ingest_feedback`](crate::pipeline::AutoComp::ingest_feedback) calls
 //! would, and like them do not bump the config epoch (calibration only
 //! scales act-phase predictions). Outcomes settled outside the pipeline
@@ -157,12 +156,13 @@ pub struct JobOutcome {
 /// [`CompactionExecutor`], plus [`poll`](Self::poll) to settle jobs that
 /// finished since the last poll.
 ///
-/// Wrap a plain fire-and-forget executor in [`Untracked`] to use it where
-/// a `TrackedExecutor` is expected — its `poll` settles nothing. Beware:
-/// registered jobs only ever leave the ledger by settling (or by an
-/// expired [`job_lease_ms`](JobRuntimeConfig::job_lease_ms)), so a
-/// tracker driven exclusively through a non-polling executor accumulates
-/// permanently suppressed tables until admission refuses everything.
+/// [`AutoComp::cycle`](crate::pipeline::AutoComp::cycle) takes only this
+/// tier: wrap a plain executor in [`Untracked`], whose `poll` settles
+/// nothing. Beware: registered jobs only ever leave the ledger by
+/// settling (or by an expired
+/// [`job_lease_ms`](JobRuntimeConfig::job_lease_ms)), so a tracker driven
+/// exclusively through a non-polling executor accumulates permanently
+/// suppressed tables until admission refuses everything.
 /// Prefer a real `poll` wherever the platform can answer, and set a job
 /// lease as the safety valve where outcome reporting may be lossy.
 pub trait TrackedExecutor: CompactionExecutor {
@@ -247,38 +247,6 @@ impl<E: CompactionExecutor> TrackedExecutor for Untracked<E> {
     }
 }
 
-/// The two act-side executor tiers: plain fire-and-forget executors
-/// cannot settle outcomes (no poll at cycle start or between waves);
-/// tracked executors can.
-pub enum Executor<'a> {
-    /// Fire-and-forget submission.
-    Plain(&'a mut dyn CompactionExecutor),
-    /// Submission plus outcome polling: the cycle settles finished jobs
-    /// before observing and between waves.
-    Tracked(&'a mut dyn TrackedExecutor),
-}
-
-impl Executor<'_> {
-    fn execute(
-        &mut self,
-        candidate: &Candidate,
-        prediction: &Prediction,
-        now_ms: u64,
-    ) -> ExecutionResult {
-        match self {
-            Executor::Plain(e) => e.execute(candidate, prediction, now_ms),
-            Executor::Tracked(e) => e.execute(candidate, prediction, now_ms),
-        }
-    }
-
-    fn poll(&mut self, now_ms: u64) -> Option<Vec<JobOutcome>> {
-        match self {
-            Executor::Plain(_) => None,
-            Executor::Tracked(e) => Some(e.poll(now_ms)),
-        }
-    }
-}
-
 /// The one pricing rule of a submission, first attempt or retry: the
 /// last-registered `file_count_reduction` and `compute_cost_gbhr`
 /// computers over the candidate's stats (`small_file_count` and `0.0`
@@ -319,11 +287,11 @@ pub(crate) struct ActOutcome {
 }
 
 /// One cycle's act phase (see the module docs' cycle protocol). Without
-/// a tracker it is the fire-and-forget phase: every submission goes
-/// straight to the platform and nothing is book-kept.
-pub(crate) struct ActPhase<'a, 'e> {
+/// a tracker every submission goes straight to the platform and nothing
+/// is book-kept.
+pub(crate) struct ActPhase<'a> {
     pub(crate) tracker: Option<&'a mut JobTracker>,
-    pub(crate) exec: &'a mut Executor<'e>,
+    pub(crate) exec: &'a mut dyn TrackedExecutor,
     /// The cycle time: every ledger timestamp, and when retries run.
     pub(crate) now_ms: u64,
     /// The cycle's [`pricing`] rule.
@@ -331,7 +299,7 @@ pub(crate) struct ActPhase<'a, 'e> {
     pub(crate) out: ActOutcome,
 }
 
-impl ActPhase<'_, '_> {
+impl ActPhase<'_> {
     /// The one submission path. `spent` is the submissions already used
     /// on this candidate (0 = first attempt), `platform_ms` when the
     /// platform is called; the ledger is stamped with the cycle time.
@@ -450,9 +418,8 @@ impl ActPhase<'_, '_> {
             wave_start = wave_due.max(wave_start) + 1;
             if wave_index + 1 < wave_count {
                 if let Some(tracker) = self.tracker.as_deref_mut() {
-                    if let Some(outcomes) = self.exec.poll(wave_start) {
-                        self.out.feedback.extend(tracker.settle(outcomes));
-                    }
+                    let outcomes = self.exec.poll(wave_start);
+                    self.out.feedback.extend(tracker.settle(outcomes));
                 }
             }
         }
@@ -547,7 +514,7 @@ impl JobRuntimeConfig {
 /// Counters summarizing one cycle's ledger activity, attached to every
 /// [`CycleReport`](crate::pipeline::CycleReport). All-zero (the
 /// [`Default`]) when the tracker is disabled or idle — the report then
-/// renders exactly as the fire-and-forget pipeline's.
+/// renders exactly as a pipeline's without a tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobLedgerSummary {
     /// Jobs running on the platform after this cycle.
@@ -1830,10 +1797,10 @@ mod tests {
                     gbhr_budget: budget,
                     ..JobRuntimeConfig::default()
                 });
-                let mut platform = Answering(answer.clone(), Vec::new());
+                let mut platform = Untracked(Answering(answer.clone(), Vec::new()));
                 let mut phase = ActPhase {
                     tracker: Some(&mut t),
-                    exec: &mut Executor::Plain(&mut platform),
+                    exec: &mut platform,
                     now_ms: 5_000,
                     price: &|_| (0, 0.0),
                     out: ActOutcome::default(),
@@ -1847,7 +1814,7 @@ mod tests {
                     (called == 1).then_some(answer.clone()),
                     "{at}"
                 );
-                assert_eq!(platform.1, vec![9_000; called], "{at}");
+                assert_eq!(platform.0 .1, vec![9_000; called], "{at}");
                 // The ledger is stamped with the cycle time, a tracked job
                 // carries `spent + 1` attempts, only scheduled results are
                 // credited. A deferred retry is due now with its `spent`

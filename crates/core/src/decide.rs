@@ -72,8 +72,8 @@
 //! by [`crate::rank`]'s partial selection over every ranked slot. It
 //! runs:
 //!
-//! * with no state: the first cycle, a disabled cache, a one-shot
-//!   observation, a cold restore;
+//! * with no state: the first cycle, one after an explicit invalidation,
+//!   a one-shot or cursor-less observation, a cold restore;
 //! * on any key mismatch above;
 //! * for ranking alone: when a normalization bound moved (min–max
 //!   normalization is fleet-global, so every score moves with it), for a
@@ -239,8 +239,9 @@ pub(crate) struct DecideState {
     /// Per slot: trait values, one column per interned trait; zero on
     /// dropped slots.
     pub(crate) traits: TraitMatrix,
-    /// Per slot: the last score computed, under `selection`'s bounds.
-    scores: Vec<f64>,
+    /// Per slot: the last score computed, under `selection`'s bounds;
+    /// shared with the lazy tail of the last report.
+    scores: Arc<[f64]>,
     /// Bound bits and retained prefix of the last selection.
     pub(crate) selection: Selection,
     /// Slots the job ledger suppressed last cycle, ascending.
@@ -281,7 +282,7 @@ impl DecideState {
             verdicts,
             nan: vec![false; slots],
             traits: traits.resized(slots),
-            scores: vec![0.0; slots],
+            scores: vec![0.0; slots].into(),
             selection: Selection::default(),
             live: Vec::new(),
             rescored: None,
@@ -393,7 +394,7 @@ impl DecideState {
             let from = self.layout.slots_of(p);
             next.verdicts[to.clone()].clone_from_slice(&self.verdicts[from.clone()]);
             next.nan[to.clone()].copy_from_slice(&self.nan[from.clone()]);
-            next.scores[to.clone()].copy_from_slice(&self.scores[from.clone()]);
+            Arc::make_mut(&mut next.scores)[to.clone()].copy_from_slice(&self.scores[from.clone()]);
             for id in self.traits.trait_ids() {
                 next.traits.col_mut(id)[to.clone()]
                     .copy_from_slice(&self.traits.col(id)[from.clone()]);
@@ -820,7 +821,8 @@ pub(crate) fn snapshot_read(
         let column = s.traits.col_mut(id);
         take_f64s(dec, slots, "decide trait column", |i, v| column[i] = v)?;
     }
-    take_f64s(dec, slots, "decide scores", |i, v| s.scores[i] = v)?;
+    let scores = Arc::make_mut(&mut s.scores);
+    take_f64s(dec, slots, "decide scores", |i, v| scores[i] = v)?;
     s.selection = Selection::snapshot_read(dec, slots)?;
     s.live = take_live(dec, slots)?;
     if let Some((d, positions)) = delta {
@@ -905,10 +907,11 @@ impl SlotPatch {
             }
         }
         match self.whole_scores {
-            true => s.scores = self.scores,
+            true => s.scores = self.scores.into(),
             false => {
+                let scores = Arc::make_mut(&mut s.scores);
                 for (slot, score) in self.slots.iter().zip(self.scores) {
-                    s.scores[*slot] = score;
+                    scores[*slot] = score;
                 }
             }
         }

@@ -21,8 +21,9 @@
 //!   quota-aware weighting `w1 = 0.5 × (1 + Used/Total)` (§4.3, §7).
 //! * **Act** — [`schedule`] orders the selected work units (parallel
 //!   across tables, sequential within a table, §4.4/§6) and
-//!   [`pipeline::AutoComp`] submits them through a
-//!   [`connector::CompactionExecutor`].
+//!   [`pipeline::AutoComp`] submits them through an
+//!   [`act::TrackedExecutor`], whose poll settles finished jobs; a plain
+//!   [`connector::CompactionExecutor`] goes through [`act::Untracked`].
 //!
 //! [`trigger`] provides the two §5 execution modes (periodic and
 //! optimize-after-write); [`feedback`] closes the loop with predicted-vs-
@@ -110,7 +111,7 @@ pub mod traits;
 pub mod trigger;
 
 pub use act::{
-    pump_completions, CompletionSink, Executor, JobLedgerSummary, JobOutcome, JobOutcomeStatus,
+    pump_completions, CompletionSink, JobLedgerSummary, JobOutcome, JobOutcomeStatus,
     JobRuntimeConfig, JobTracker, TrackedExecutor, Untracked,
 };
 pub use candidate::{Candidate, CandidateId, CandidateView, ScopeKind, TableRef};

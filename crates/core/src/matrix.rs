@@ -151,6 +151,17 @@ impl TraitMatrix {
         }
     }
 
+    /// A matrix over this one's traits holding the values of `rows`, in
+    /// that order.
+    pub(crate) fn gather(&self, rows: impl Iterator<Item = usize> + Clone) -> Self {
+        let column = |id| rows.clone().map(move |row| self.value(row, id));
+        TraitMatrix {
+            values: self.trait_ids().flat_map(column).collect(),
+            rows: rows.clone().count(),
+            ..self.resized(0)
+        }
+    }
+
     /// Builds a matrix from the seed's row-oriented representation: one
     /// string-keyed map per candidate plus a shared direction map. The
     /// **first** candidate's keys define the columns; a later candidate

@@ -27,16 +27,16 @@
 //! and ingests the phase's feedback afterwards. With a job runtime
 //! attached ([`AutoComp::with_job_tracker`]) the ledger also names its
 //! live tables, which the mask suppresses without touching the state
-//! (so the state survives a job). Hand [`AutoComp::cycle`] an
-//! [`Executor::Tracked`] so finished jobs settle.
+//! (so the state survives a job). The cycle's executor polls finished
+//! jobs, which settle at cycle start and between waves.
 
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::act::{
-    pricing, ActOutcome, ActPhase, Executor, JobLedgerSummary, JobOutcome, JobRuntimeConfig,
-    JobTracker,
+    pricing, ActOutcome, ActPhase, JobLedgerSummary, JobOutcome, JobRuntimeConfig, JobTracker,
+    TrackedExecutor,
 };
 use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{ExecutionResult, LakeConnector, Prediction};
@@ -90,7 +90,8 @@ pub struct CycleReport {
     pub at_ms: u64,
     /// Scope label (borrowed for the static scope strategies).
     pub scope: Cow<'static, str>,
-    /// Candidates generated in the observe phase.
+    /// Candidates generated in the observe phase: the decide state's slot
+    /// count.
     pub generated: usize,
     /// Candidates dropped by filters, the job ledger or orient
     /// sanitization, with reasons: filter drops, then live-job tables,
@@ -98,9 +99,10 @@ pub struct CycleReport {
     /// `Arc<str>`s: a retained filter verdict's reason is a refcount
     /// bump, not a fresh allocation per dropped candidate.
     pub dropped: Vec<(CandidateId, Arc<str>)>,
-    /// Columnar trait values, one row per generated candidate in
-    /// observation order (rows of filter-dropped candidates read zero);
-    /// `ranked` entries index into its rows.
+    /// Trait values of the rendered rows: row `i` belongs to head entry
+    /// `i`, for the first `min(head.len(), RANKED_PREFIX_MIN)` entries of
+    /// [`RankedEntries::head`]. The fleet's full columns stay in the
+    /// decide state.
     pub traits: TraitMatrix,
     /// Ranked candidates with scores and selection: best-first for the
     /// materialized prefix (all selected rows plus the first
@@ -154,8 +156,8 @@ impl fmt::Display for CycleReport {
             crate::report::fmt_f64(self.total_predicted_gbhr),
         )?;
         // The ledger line appears only when the job runtime did anything:
-        // a disabled (or idle) tracker renders bit-identically to the
-        // fire-and-forget pipeline — the parity suites depend on it.
+        // an idle tracker renders bit-identically to no tracker — the
+        // parity suites depend on it.
         if !self.ledger.is_quiet() {
             writeln!(f, "jobs: {}", self.ledger)?;
         }
@@ -182,15 +184,12 @@ pub struct AutoComp {
     epoch: u64,
     /// The retained decide state (see [`crate::decide`]).
     state: Option<DecideState>,
-    /// Whether a cycle over a retained observation keeps its state for
-    /// the next cycle.
-    retain_state: bool,
     /// Patch effectiveness of the most recent cycle.
     cache_stats: CycleCacheStats,
     /// Splice effectiveness of the most recent rank pass.
     rank_stats: RankCycleStats,
     /// Act-phase job runtime (in-flight ledger + admission + retries);
-    /// `None` keeps the historical fire-and-forget act phase.
+    /// `None` submits without book-keeping.
     tracker: Option<JobTracker>,
     /// Shared observability handle (see [`crate::telemetry`]): phase
     /// spans, cache/memo gauges, and — cloned into the tracker — the
@@ -212,7 +211,6 @@ impl AutoComp {
             feedback: EstimationFeedback::new(),
             epoch: 0,
             state: None,
-            retain_state: true,
             cache_stats: CycleCacheStats::default(),
             rank_stats: RankCycleStats::default(),
             tracker: None,
@@ -223,12 +221,13 @@ impl AutoComp {
     /// Attaches the act-phase job runtime (builder style): a
     /// [`JobTracker`] that suppresses candidates with work in flight,
     /// applies admission control, retries conflicted jobs with backoff,
-    /// and auto-ingests settled outcomes as estimator feedback. Hand
-    /// [`cycle`](Self::cycle) an [`Executor::Tracked`] so finished jobs
-    /// settle each cycle; an [`Executor::Plain`] cycle still applies
-    /// suppression/admission but never polls. Attaching the tracker does
-    /// not invalidate the retained decide state — live tables are masked
-    /// each cycle, not written into it (see [`crate::decide`]).
+    /// and auto-ingests settled outcomes as estimator feedback. Jobs
+    /// settle when [`cycle`](Self::cycle)'s executor polls them; behind
+    /// an [`Untracked`](crate::act::Untracked) executor none ever does,
+    /// so set a [job lease](JobRuntimeConfig::job_lease_ms) there.
+    /// Attaching the tracker does not invalidate the retained decide
+    /// state — live tables are masked each cycle, not written into it
+    /// (see [`crate::decide`]).
     pub fn with_job_tracker(mut self, config: JobRuntimeConfig) -> Self {
         let mut tracker = JobTracker::new(config);
         tracker.set_telemetry(self.telemetry.clone());
@@ -289,18 +288,6 @@ impl AutoComp {
         self
     }
 
-    /// Enables or disables the retained decide state (builder style).
-    /// Disabling drops any retained state; every cycle then takes the
-    /// fleet-wide path (the always-cold reference behavior the parity
-    /// suite compares against).
-    pub fn with_cycle_cache(mut self, enabled: bool) -> Self {
-        self.retain_state = enabled;
-        if !enabled {
-            self.state = None;
-        }
-        self
-    }
-
     /// Patch effectiveness of the most recent cycle: how many tables kept
     /// their slots from the retained state vs were patched.
     pub fn cycle_cache_stats(&self) -> CycleCacheStats {
@@ -316,7 +303,9 @@ impl AutoComp {
     /// Explicitly invalidates the retained decide state (epoch bump +
     /// drop). Use after out-of-band changes the epoch cannot see — e.g. a
     /// filter or trait computer whose behavior depends on
-    /// interior-mutable state.
+    /// interior-mutable state. Called before every cycle, it makes each
+    /// one take the fleet-wide path: the always-cold reference the parity
+    /// suites compare against.
     pub fn invalidate_cycle_cache(&mut self) {
         self.epoch += 1;
         self.state = None;
@@ -368,8 +357,8 @@ impl AutoComp {
     /// Runs one full OODA cycle — the pipeline's only entry point; the
     /// fields of [`CycleInput`] select the behaviour:
     ///
-    /// * **Settle** ([`Executor::Tracked`] only): finished jobs are polled
-    ///   and settled first — successes auto-ingest as feedback, conflicts
+    /// * **Settle**: the executor's finished jobs are polled and settled
+    ///   first — successes auto-ingest as feedback, conflicts
     ///   schedule retries — and, given an observer, their tables are
     ///   marked dirty on it so this very observe re-fetches the
     ///   compacted/conflicted state. Without a
@@ -389,16 +378,14 @@ impl AutoComp {
     ///   [`Candidate`]s for the act phase.
     pub fn cycle(&mut self, mut input: CycleInput<'_>) -> Result<CycleReport> {
         self.telemetry.begin_cycle();
-        if let Executor::Tracked(tracked) = &mut input.executor {
-            let t = self.telemetry.span_start();
-            self.settle_polled(tracked.poll(input.now_ms));
-            if let (Some(observer), Some(tracker)) = (&mut input.observer, &mut self.tracker) {
-                for uid in tracker.take_settled_dirty() {
-                    observer.mark_dirty(uid);
-                }
+        let t = self.telemetry.span_start();
+        self.settle_polled(input.executor.poll(input.now_ms));
+        if let (Some(observer), Some(tracker)) = (&mut input.observer, &mut self.tracker) {
+            for uid in tracker.take_settled_dirty() {
+                observer.mark_dirty(uid);
             }
-            self.telemetry.span_end(tphase::SETTLE, t);
         }
+        self.telemetry.span_end(tphase::SETTLE, t);
         let t = self.telemetry.span_start();
         let scope = self.config.scope;
         let cold;
@@ -481,7 +468,7 @@ impl AutoComp {
     fn cycle_observed_inner(
         &mut self,
         observation: &FleetObservation,
-        mut exec: Executor<'_>,
+        exec: &mut dyn TrackedExecutor,
         now_ms: u64,
         retained: bool,
     ) -> Result<CycleReport> {
@@ -558,7 +545,7 @@ impl AutoComp {
         // Decide: re-score what the mask names stale and maintain the
         // selection, or take the fleet-wide path.
         let span_t = self.telemetry.span_start();
-        let fill = self.retain_state && retained && observation.cursor().is_some();
+        let fill = retained && observation.cursor().is_some();
         let ranked = state.rank(observation, &self.config.policy, rows, &fresh);
         let (ranked, rank_stats) = match ranked {
             Ok(ranked) => ranked,
@@ -598,7 +585,7 @@ impl AutoComp {
         let calibration = self.config.calibrate.then_some(&self.feedback);
         let act = ActPhase {
             tracker: self.tracker.as_mut(),
-            exec: &mut exec,
+            exec,
             now_ms,
             price: &pricing(&self.traits, calibration),
             out: ActOutcome::default(),
@@ -625,22 +612,15 @@ impl AutoComp {
             .map(JobTracker::take_summary)
             .unwrap_or_default();
 
-        // The report takes a copy of the trait columns of a state kept for
-        // the next cycle, and the columns themselves otherwise.
-        let traits = match fill {
-            true => {
-                let traits = state.traits.clone();
-                self.state = Some(state);
-                traits
-            }
-            false => state.traits,
-        };
-        Ok(CycleReport {
+        // The report keeps the trait rows it renders; the state keeps the
+        // fleet's columns.
+        let rendered = ranked.head().iter().take(RANKED_PREFIX_MIN);
+        let report = CycleReport {
             at_ms: now_ms,
             scope: observation.scope().label(),
-            generated: traits.rows(),
+            generated: state.slots(),
             dropped,
-            traits,
+            traits: state.traits.gather(rendered.map(|e| e.index)),
             ranked,
             executed: act.executed,
             deferred: act.deferred,
@@ -648,7 +628,11 @@ impl AutoComp {
             ledger,
             total_predicted_reduction: act.total_predicted_reduction,
             total_predicted_gbhr: act.total_predicted_gbhr,
-        })
+        };
+        if fill {
+            self.state = Some(state);
+        }
+        Ok(report)
     }
 
     /// An empty matrix over the registered traits, and each computer's
@@ -1040,7 +1024,7 @@ impl AutoComp {
         let tables = observation.tables().len();
         let cache_restored = state.is_some();
         let memo_restored = state.as_ref().is_some_and(|s| s.selection.is_retained());
-        self.state = state.filter(|_| self.retain_state);
+        self.state = state;
         let (jobs_in_flight, retries_pending) = tracker
             .as_ref()
             .map(|t| (t.in_flight(), t.retry_pending()))
@@ -1196,8 +1180,10 @@ pub struct CycleInput<'a> {
     /// kept for the next cycle. `None`: a cold one-shot observe whose
     /// state is dropped with the cycle.
     pub observer: Option<&'a mut FleetObserver>,
-    /// Where selected work is submitted.
-    pub executor: Executor<'a>,
+    /// Where selected work is submitted and finished jobs are polled; a
+    /// plain [`CompactionExecutor`](crate::connector::CompactionExecutor)
+    /// goes through [`Untracked`](crate::act::Untracked).
+    pub executor: &'a mut dyn TrackedExecutor,
     /// Cycle timestamp.
     pub now_ms: u64,
 }
@@ -1216,7 +1202,7 @@ impl fmt::Debug for AutoComp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::act::TrackedExecutor;
+    use crate::act::Untracked;
     use crate::candidate::TableRef;
     use crate::connector::CompactionExecutor;
     use crate::filter::MinSizeFilter;
@@ -1227,11 +1213,12 @@ mod tests {
     /// In-memory lake with configurable per-table small-file counts.
     /// `changelog` gives it a change cursor over a log that never records
     /// a write; every table reports `partitions` partitions of its own
-    /// stats.
+    /// stats; `listing_epoch` lets observes share an unchanged listing.
     struct MemoryLake {
         tables: Vec<(TableRef, CandidateStats)>,
         changelog: bool,
         partitions: u64,
+        listing_epoch: Option<u64>,
     }
 
     impl MemoryLake {
@@ -1264,6 +1251,7 @@ mod tests {
                 tables,
                 changelog: false,
                 partitions: 0,
+                listing_epoch: None,
             }
         }
     }
@@ -1288,6 +1276,9 @@ mod tests {
         }
         fn changes_since(&self, _cursor: crate::observe::ChangeCursor) -> Option<Vec<u64>> {
             self.changelog.then(Vec::new)
+        }
+        fn listing_epoch(&self) -> Option<u64> {
+            self.listing_epoch
         }
     }
 
@@ -1339,18 +1330,18 @@ mod tests {
         }
     }
 
-    /// One cycle through a fire-and-forget executor.
+    /// One cycle through an executor whose poll settles nothing.
     fn plain_cycle(
         ac: &mut AutoComp,
         lake: &MemoryLake,
         observer: Option<&mut FleetObserver>,
-        exec: &mut RecordingExecutor,
+        exec: &mut Untracked<RecordingExecutor>,
         now_ms: u64,
     ) -> Result<CycleReport> {
         ac.cycle(CycleInput {
             connector: lake,
             observer,
-            executor: Executor::Plain(exec),
+            executor: exec,
             now_ms,
         })
     }
@@ -1376,14 +1367,14 @@ mod tests {
     fn full_cycle_selects_and_executes_top_k() {
         let lake =
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(2);
         let report = plain_cycle(&mut ac, &lake, None, &mut exec, 1000).unwrap();
         assert_eq!(report.generated, 3);
         assert_eq!(report.selected_count(), 2);
-        assert_eq!(exec.calls.len(), 2);
+        assert_eq!(exec.0.calls.len(), 2);
         // Most fragmented table first.
-        assert_eq!(exec.calls[0].0, CandidateId::table(2));
+        assert_eq!(exec.0.calls[0].0, CandidateId::table(2));
         assert!(report.total_predicted_reduction >= 500);
         let text = report.to_string();
         assert!(text.contains("selected"));
@@ -1393,7 +1384,7 @@ mod tests {
     #[test]
     fn filters_drop_with_reasons() {
         let lake = MemoryLake::with_tables(&[(1, 100, 10), (2, 100, 10 << 30)]);
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(5).with_filter(Box::new(MinSizeFilter {
             min_total_bytes: 1 << 20,
             min_file_count: 0,
@@ -1408,7 +1399,7 @@ mod tests {
     #[test]
     fn no_traits_is_an_error() {
         let lake = MemoryLake::with_tables(&[(1, 1, 1)]);
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = AutoComp::new(AutoCompConfig {
             scope: ScopeStrategy::Table,
             policy: RankingPolicy::Threshold {
@@ -1428,7 +1419,7 @@ mod tests {
     #[test]
     fn calibration_scales_predictions() {
         let lake = MemoryLake::with_tables(&[(1, 100, 10 << 30)]);
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(1);
         ac.config_mut().calibrate = true;
         // Feedback says reductions are 2× over-estimated.
@@ -1448,7 +1439,7 @@ mod tests {
     fn cycles_are_deterministic() {
         let lake = MemoryLake::with_tables(&[(1, 10, 1 << 30), (2, 20, 1 << 30)]);
         let run = || {
-            let mut exec = RecordingExecutor::default();
+            let mut exec = Untracked(RecordingExecutor::default());
             let mut ac = pipeline(1);
             let r = plain_cycle(&mut ac, &lake, None, &mut exec, 42).unwrap();
             format!("{r}")
@@ -1461,27 +1452,27 @@ mod tests {
         let lake =
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
         let run_pull = || {
-            let mut exec = RecordingExecutor::default();
+            let mut exec = Untracked(RecordingExecutor::default());
             plain_cycle(&mut pipeline(2), &lake, None, &mut exec, 7).unwrap()
         };
         let pull = run_pull();
 
         let mut observer = crate::observe::FleetObserver::new();
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(2);
         let incr1 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr1.to_string());
         // MemoryLake has no changelog, so the second incremental cycle is
         // a full re-observe — and still identical.
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let incr2 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr2.to_string());
         assert_eq!(observer.last().unwrap().fetched_tables(), 3);
     }
 
-    /// What the four `{observer} × {executor}` shapes of [`CycleInput`]
-    /// guarantee, over one lake and two cycles (the second starts after
-    /// the first's jobs are due).
+    /// What the four `{observer} × {polling, untracked executor}` shapes
+    /// of [`CycleInput`] guarantee, over one lake and two cycles (the
+    /// second starts after the first's jobs are due).
     #[test]
     fn entry_matrix_pins_settle_observe_and_cache_semantics() {
         let lake = MemoryLake {
@@ -1498,16 +1489,13 @@ mod tests {
             }
             let mut observer = FleetObserver::new();
             let mut exec = RecordingExecutor::default();
+            let mut untracked = Untracked(RecordingExecutor::default());
             let reports = [1_000, 20_000].map(|now_ms| {
                 let report = ac
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: retained.then_some(&mut observer),
-                        executor: if tracked {
-                            Executor::Tracked(&mut exec)
-                        } else {
-                            Executor::Plain(&mut exec)
-                        },
+                        executor: if tracked { &mut exec } else { &mut untracked },
                         now_ms,
                     })
                     .unwrap();
@@ -1518,9 +1506,8 @@ mod tests {
                     .filter(|s| s.cycle == cycle)
                     .map(|s| s.phase)
                     .collect();
-                // `ALL` lists the five phases every cycle runs, then settle.
-                let settle = if tracked { &[tphase::SETTLE][..] } else { &[] };
-                let expect = [settle, &tphase::ALL[..5]].concat();
+                // `ALL` lists the five phases after settle, then settle.
+                let expect = [&[tphase::SETTLE][..], &tphase::ALL[..5]].concat();
                 assert_eq!(phases, expect, "{at}");
                 assert_eq!(ac.cycle_cache_len(), if retained { 3 } else { 0 }, "{at}");
                 report
@@ -1535,9 +1522,9 @@ mod tests {
             }
         };
 
-        // Without a tracker all four shapes report identically: the
-        // tracked entry reproduces the fire-and-forget reports (quiet
-        // ledger included) and incremental ≡ cold.
+        // Without a tracker all four shapes report identically: a polling
+        // executor reproduces an untracked one's reports (quiet ledger
+        // included) and incremental ≡ cold.
         let (cold_plain, ..) = run_cell(false, false, false);
         for (retained, tracked) in [(true, false), (false, true), (true, true)] {
             let (reports, .., at) = run_cell(false, retained, tracked);
@@ -1546,7 +1533,7 @@ mod tests {
         }
 
         // With a tracker the first cycle's two jobs are due by the
-        // second. Only a tracked executor settles them; only with an
+        // second. Only a polling executor settles them; only with an
         // observer are their tables drained from the tracker and
         // re-fetched (the changelog itself is quiet).
         for tracked in [false, true] {
@@ -1561,6 +1548,48 @@ mod tests {
             let expect = if tracked { vec![1, 2] } else { vec![] };
             assert_eq!(undrained(&mut cold_ac), expect, "no observer, {at}");
         }
+    }
+
+    /// A report keeps what it showed when it was returned: later cycles
+    /// patch the state in place and re-score the score column its lazy
+    /// tail shares, and the held report still iterates and renders
+    /// exactly as before. It holds the trait rows of the rendered head
+    /// only.
+    #[test]
+    fn a_held_report_is_unchanged_by_later_rescoring_cycles() {
+        let specs: Vec<(u64, u64, u64)> = (1..=40)
+            .map(|uid| (uid, uid * 7 % 23 + 1, 10 << 30))
+            .collect();
+        let mut lake = MemoryLake {
+            changelog: true,
+            listing_epoch: Some(0),
+            ..MemoryLake::with_tables(&specs)
+        };
+        let mut ac = pipeline(3);
+        let mut observer = FleetObserver::new();
+        let mut exec = Untracked(RecordingExecutor::default());
+        let held = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 1_000).unwrap();
+        assert_eq!(held.traits.rows(), RANKED_PREFIX_MIN);
+        let (entries, text) = (held.ranked.to_vec(), held.to_string());
+        for round in 1..=2u64 {
+            for (table, stats) in lake.tables.iter_mut().step_by(3) {
+                stats.small_file_count += 50 * round;
+                observer.mark_dirty(table.table_uid);
+            }
+            let next = plain_cycle(
+                &mut ac,
+                &lake,
+                Some(&mut observer),
+                &mut exec,
+                1_000 + round,
+            )
+            .unwrap();
+            assert_eq!(ac.cycle_cache_stats().spliced_tables, 26, "round {round}");
+            assert!(ac.rank_memo_stats().recomputed_scores > 0, "round {round}");
+            assert_ne!(next.ranked.to_vec(), entries, "round {round}");
+        }
+        assert_eq!(held.ranked.to_vec(), entries);
+        assert_eq!(held.to_string(), text);
     }
 
     /// A trait computer that yields NaN for one specific table.
@@ -1589,7 +1618,7 @@ mod tests {
             (2, 13, 10 << 30), // poisoned
             (3, 50, 10 << 30),
         ]);
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = AutoComp::new(AutoCompConfig {
             scope: ScopeStrategy::Table,
             policy: RankingPolicy::Moop {
@@ -1606,7 +1635,7 @@ mod tests {
         assert!(report.dropped[0].1.contains("NaN"));
         assert_eq!(report.ranked.len(), 2);
         assert_eq!(report.selected_count(), 1);
-        assert_eq!(exec.calls[0].0, CandidateId::table(1));
+        assert_eq!(exec.0.calls[0].0, CandidateId::table(1));
     }
 
     /// Suppression covers every partition of a live table, and `dropped`
@@ -1620,8 +1649,8 @@ mod tests {
         };
         let mut ac = pipeline(1).with_job_tracker(JobRuntimeConfig::default());
         ac.config_mut().scope = ScopeStrategy::Partition;
-        let mut exec = RecordingExecutor::default();
-        // A plain executor never settles: cycle 1 leaves table 1 live,
+        let mut exec = Untracked(RecordingExecutor::default());
+        // An untracked executor never settles: cycle 1 leaves table 1 live,
         // cycle 2 table 2 as well.
         let reports = [1_000, 2_000, 3_000]
             .map(|now_ms| plain_cycle(&mut ac, &lake, None, &mut exec, now_ms).unwrap());
@@ -1645,7 +1674,7 @@ mod tests {
         let mut ac = pipeline(1)
             .with_trait(Box::new(PoisonTrait))
             .with_job_tracker(JobRuntimeConfig::default());
-        let mut exec = RecordingExecutor::default();
+        let mut exec = Untracked(RecordingExecutor::default());
         let first = plain_cycle(&mut ac, &lake, None, &mut exec, 1_000).unwrap();
         assert_eq!(first.executed[0].id, CandidateId::table(1));
         // Table 1, now live, turns NaN as well.
@@ -1689,7 +1718,7 @@ mod tests {
         ac.cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Tracked(&mut exec),
+            executor: &mut exec,
             now_ms: 1_000,
         })
         .unwrap();

@@ -323,14 +323,16 @@ impl RankSource for [Candidate] {
 
 /// One ranked candidate with its decision trail (NFR2 explainability).
 ///
-/// Entries are columnar-friendly: they carry the candidate's `index` into
-/// the cycle's candidate slice / [`TraitMatrix`] rows instead of cloned
-/// trait maps, and the `note` is a lazy [`DecisionNote`].
+/// Entries are columnar-friendly: they carry the candidate's `index`
+/// instead of cloned trait maps, and the `note` is a lazy
+/// [`DecisionNote`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedEntry {
     /// Candidate identity.
     pub id: CandidateId,
-    /// Row index into the cycle's candidate slice and trait matrix.
+    /// The candidate's position in the ranked input: its index in the
+    /// candidate slice [`rank_and_select`] was given, or its slot (listing
+    /// order) in a [`CycleReport`](crate::pipeline::CycleReport).
     pub index: usize,
     /// Scalarized score (or raw trait value for threshold policies).
     pub score: f64,
@@ -338,13 +340,6 @@ pub struct RankedEntry {
     pub selected: bool,
     /// Why it was (not) selected; rendered on [`Display`](fmt::Display).
     pub note: DecisionNote,
-}
-
-impl RankedEntry {
-    /// Looks up one of this entry's trait values in the cycle matrix.
-    pub fn trait_value(&self, matrix: &TraitMatrix, name: &str) -> Option<f64> {
-        matrix.trait_id(name).map(|id| matrix.value(self.index, id))
-    }
 }
 
 /// Note shape of tail entries — everything needed to produce a tail
@@ -367,7 +362,8 @@ enum TailNoteSpec {
 /// Deferred tail of a decide-phase output: the ranked rows and per-row
 /// scores and table uids in compact columnar form; [`RankedEntry`]
 /// values are generated on iteration, in row order, bit-identical to the
-/// eager path.
+/// eager path. The score column is the decide state's own: the next rank
+/// pass copies it before writing only while this tail still holds it.
 #[derive(Debug, Clone)]
 struct LazyTail {
     /// Every ranked row, ascending, head rows included.
@@ -375,7 +371,7 @@ struct LazyTail {
     /// The head's rows, sorted: skipped on iteration.
     in_head: Vec<u32>,
     /// Score per row index.
-    scores: Vec<f64>,
+    scores: Arc<[f64]>,
     /// Table uid per row index.
     uids: Arc<[u64]>,
     /// Uniform candidate scope (single-candidate scopes only).
@@ -659,7 +655,7 @@ pub fn rank_and_select(
     let slots = Slots {
         rows: (0..candidates.len() as u32).collect(),
         fresh: &[],
-        scores: &mut vec![0.0; candidates.len()],
+        scores: &mut vec![0.0; candidates.len()].into(),
         selection: &mut Selection::default(),
     };
     rank_slots(candidates, matrix, policy, slots).map(|(entries, _)| entries.into_vec())
@@ -737,8 +733,9 @@ pub(crate) struct Slots<'a> {
     pub(crate) rows: Vec<u32>,
     /// Ranked rows whose retained score is stale, ascending.
     pub(crate) fresh: &'a [u32],
-    /// Score per row index, kept for the next cycle.
-    pub(crate) scores: &'a mut [f64],
+    /// Score per row index, kept for the next cycle and shared with the
+    /// report's lazy tail.
+    pub(crate) scores: &'a mut Arc<[f64]>,
     /// The selection kept for the next cycle.
     pub(crate) selection: &'a mut Selection,
 }
@@ -1002,8 +999,9 @@ fn rank_budgeted<S: RankSource + ?Sized>(
         selection,
         ..
     } = slots;
+    let written = Arc::make_mut(scores);
     for r in &rows {
-        scores[*r as usize] = score_row(*r as usize);
+        written[*r as usize] = score_row(*r as usize);
     }
     *selection = Selection::default();
     let stats = RankCycleStats {
@@ -1046,8 +1044,9 @@ fn rank_maintained<S: RankSource + ?Sized>(
     // bounds: scores are then pure per-row functions of unchanged inputs.
     let kept = selection.kind == kind && selection.bounds == bounds;
     let rescore = if kept { fresh } else { &rows[..] };
+    let written = Arc::make_mut(scores);
     for r in rescore {
-        scores[*r as usize] = score_row(*r as usize);
+        written[*r as usize] = score_row(*r as usize);
     }
     let mut stats = RankCycleStats {
         memo_fast: false,
@@ -1125,7 +1124,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
             tail: Some(LazyTail {
                 rows,
                 in_head,
-                scores: scores.to_vec(),
+                scores: Arc::clone(scores),
                 uids,
                 scope,
                 note: tail_spec,

@@ -44,9 +44,10 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// Builds the decision-table rows for the report's top `limit` ranked
-/// entries. Trait cells list columns alphabetically (the order the seed's
-/// `BTreeMap` iteration produced); notes render lazily here — only these
-/// rows ever pay the formatting cost.
+/// entries; `matrix` row `i` holds entry `i`'s trait values. Trait cells
+/// list columns alphabetically (the order the seed's `BTreeMap` iteration
+/// produced); notes render lazily here — only these rows ever pay the
+/// formatting cost.
 pub fn decision_rows(
     matrix: &TraitMatrix,
     ranked: &[RankedEntry],
@@ -56,14 +57,15 @@ pub fn decision_rows(
     ranked
         .iter()
         .take(limit)
-        .map(|e| {
+        .enumerate()
+        .map(|(row, e)| {
             let traits = name_order
                 .iter()
                 .map(|id| {
                     format!(
                         "{}={}",
                         matrix.trait_name(*id),
-                        fmt_f64(matrix.value(e.index, *id))
+                        fmt_f64(matrix.value(row, *id))
                     )
                 })
                 .collect::<Vec<_>>()

@@ -124,7 +124,7 @@ use std::fmt;
 
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
 
-use crate::act::{CompletionSink, Executor, JobOutcome, TrackedExecutor};
+use crate::act::{CompletionSink, JobOutcome, TrackedExecutor};
 use crate::connector::{CompactionExecutor, ExecutionResult, LakeConnector, Prediction};
 use crate::decide::CycleCacheStats;
 use crate::durability::{
@@ -793,7 +793,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         let report = self.pipeline.cycle(CycleInput {
             connector,
             observer: Some(&mut self.observer),
-            executor: Executor::Tracked(&mut BufferedCompletions { inner, buffered }),
+            executor: &mut BufferedCompletions { inner, buffered },
             now_ms: now,
         });
         // What the cycle changed counts toward the next delta even when

@@ -24,7 +24,7 @@
 //! `tests/scenario_matrix.rs` asserts cell by cell.
 
 use autocomp::{
-    AutoComp, AutoCompConfig, ComputeCostGbhr, ContinuousRuntime, CycleInput, DeleteDebt, Executor,
+    AutoComp, AutoCompConfig, ComputeCostGbhr, ContinuousRuntime, CycleInput, DeleteDebt,
     FileCountReduction, FleetObserver, JobRuntimeConfig, PartitionSkewExcess, RankingPolicy,
     RuntimeConfig, RuntimeEvent, ScopeStrategy, SortDisorder, TraitWeight, SORT_DISORDER_METRIC,
 };
@@ -529,7 +529,7 @@ pub fn run_scenario_polled(s: Scenario, policy: u8, seed: u64) -> ScenarioOutcom
                 .cycle(CycleInput {
                     connector: &lake,
                     observer: Some(&mut observer),
-                    executor: Executor::Tracked(&mut exec),
+                    executor: &mut exec,
                     now_ms: now,
                 })
                 .expect("polled scenario cycle");

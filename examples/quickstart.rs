@@ -6,7 +6,7 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    CycleInput, Executor, FileCountReduction, RankingPolicy, ScopeStrategy, TraitWeight,
+    CycleInput, FileCountReduction, RankingPolicy, ScopeStrategy, TraitWeight, Untracked,
 };
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
@@ -84,13 +84,13 @@ fn main() {
 
     let shared = share(env);
     let connector = LakesimConnector::new(shared.clone());
-    let mut executor = LakesimExecutor::new(shared.clone());
+    let mut executor = Untracked(LakesimExecutor::new(shared.clone()));
     let now = 4 * MS_PER_HOUR;
     let report = pipeline
         .cycle(CycleInput {
             connector: &connector,
             observer: None,
-            executor: Executor::Plain(&mut executor),
+            executor: &mut executor,
             now_ms: now,
         })
         .expect("cycle runs");

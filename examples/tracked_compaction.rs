@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example tracked_compaction`
 
 use autocomp::{
-    AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, Executor, FileCountReduction,
-    FleetObserver, JobRuntimeConfig, MinSizeFilter, RankingPolicy, ScopeStrategy, TraitWeight,
+    AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, FileCountReduction, FleetObserver,
+    JobRuntimeConfig, MinSizeFilter, RankingPolicy, ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
@@ -101,7 +101,7 @@ fn main() {
             .cycle(CycleInput {
                 connector: &connector,
                 observer: Some(&mut observer),
-                executor: Executor::Tracked(&mut executor),
+                executor: &mut executor,
                 now_ms: now,
             })
             .unwrap();

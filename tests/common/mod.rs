@@ -18,7 +18,7 @@ pub mod reference;
 use std::collections::BTreeMap;
 
 use autocomp::{
-    AutoComp, Candidate, CompactionExecutor, CycleInput, CycleReport, ExecutionResult, Executor,
+    AutoComp, Candidate, CompactionExecutor, CycleInput, CycleReport, ExecutionResult,
     FleetObserver, JobOutcome, JobOutcomeStatus, LakeConnector, Prediction, TrackedExecutor,
 };
 
@@ -34,7 +34,7 @@ pub fn tracked_cycle(
     pipeline.cycle(CycleInput {
         connector,
         observer: Some(observer),
-        executor: Executor::Tracked(executor),
+        executor,
         now_ms,
     })
 }

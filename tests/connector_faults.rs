@@ -25,9 +25,8 @@ use std::sync::Arc;
 use autocomp::{
     telemetry::names as tnames, AutoComp, AutoCompConfig, Candidate, CompactionExecutor,
     ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, DegradeReason, ExecutionResult,
-    Executor, FallbackCause, FileCountReduction, FleetHealth, FleetObserver, MinSizeFilter,
-    ObserveFault, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy,
-    TraitWeight,
+    FallbackCause, FileCountReduction, FleetHealth, FleetObserver, MinSizeFilter, ObserveFault,
+    Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy, TraitWeight, Untracked,
 };
 use autocomp_lakesim::{share, CommitEventBridge, LakesimConnector, ObserveFaultScript, SharedEnv};
 use lakesim_catalog::TablePolicy;
@@ -192,23 +191,23 @@ impl TwinRig {
 
     /// One incremental cycle on both twins, proptest-flavored.
     fn try_cycle(&mut self, now: u64) -> Result<(CycleReport, CycleReport), TestCaseError> {
-        let mut exec = InertExecutor;
+        let mut exec = Untracked(InertExecutor);
         let f = self
             .ac_f
             .cycle(CycleInput {
                 connector: &self.faulted,
                 observer: Some(&mut self.obs_f),
-                executor: Executor::Plain(&mut exec),
+                executor: &mut exec,
                 now_ms: now,
             })
             .map_err(|e| TestCaseError::fail(format!("faulted cycle at {now}: {e}")))?;
-        let mut exec = InertExecutor;
+        let mut exec = Untracked(InertExecutor);
         let c = self
             .ac_c
             .cycle(CycleInput {
                 connector: &self.clean,
                 observer: Some(&mut self.obs_c),
-                executor: Executor::Plain(&mut exec),
+                executor: &mut exec,
                 now_ms: now,
             })
             .map_err(|e| TestCaseError::fail(format!("clean cycle at {now}: {e}")))?;

@@ -23,7 +23,7 @@ use std::sync::{Mutex, Once};
 use autocomp::durability::{SNAPSHOT_KIND, SNAPSHOT_VERSION};
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, ExecutionResult, Executor,
+    ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, ExecutionResult,
     FileCountReduction, FleetObserver, JobRuntimeConfig, JournalEvent, JournalingExecutor,
     LakeConnector, MinSizeFilter, Prediction, RankingPolicy, RecoveryReport, ReplayExecutor,
     ReplaySummary, RuntimeConfig, RuntimeEvent, ScopeStrategy, TableRef, TraitWeight, Untracked,
@@ -914,11 +914,11 @@ fn warm_restore_resumes_incremental_observe() {
     };
     let mut ac = untracked_pipeline();
     let mut observer = FleetObserver::new();
-    let mut exec = InertExecutor;
+    let mut exec = Untracked(InertExecutor);
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut exec),
+        executor: &mut exec,
         now_ms: 1_000,
     })
     .unwrap();
@@ -926,7 +926,7 @@ fn warm_restore_resumes_incremental_observe() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut exec),
+        executor: &mut exec,
         now_ms: 2_000,
     })
     .unwrap();
@@ -952,7 +952,7 @@ fn warm_restore_resumes_incremental_observe() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut restored_observer),
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: 3_000,
         })
         .unwrap();
@@ -969,7 +969,7 @@ fn warm_restore_resumes_incremental_observe() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: 3_000,
         })
         .unwrap();
@@ -1006,12 +1006,12 @@ fn warm_restore_carries_the_memo_with_its_generation() {
         executor_cursor: 0,
         journal_watermark: 0,
     };
-    let mut exec = InertExecutor;
+    let mut exec = Untracked(InertExecutor);
     let mut cycle = |ac: &mut AutoComp, observer: &mut FleetObserver, now_ms| {
         ac.cycle(CycleInput {
             connector: &lake,
             observer: Some(observer),
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms,
         })
         .unwrap()
@@ -1073,7 +1073,7 @@ fn a_restore_keeps_the_dirty_backlog_including_unlisted_marks() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut InertExecutor),
+        executor: &mut Untracked(InertExecutor),
         now_ms: 1_000,
     })
     .unwrap();

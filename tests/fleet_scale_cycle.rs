@@ -5,8 +5,8 @@
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
-    Executor, FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    TableRef, TraitWeight, RANKED_PREFIX_MIN,
+    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
+    TraitWeight, Untracked, RANKED_PREFIX_MIN,
 };
 
 const FLEET: u64 = 100_000;
@@ -80,12 +80,12 @@ fn hundred_thousand_table_cycle() {
     .with_trait(Box::new(FileCountReduction::default()))
     .with_trait(Box::new(ComputeCostGbhr::default()));
 
-    let mut exec = NullExecutor { calls: 0 };
+    let mut exec = Untracked(NullExecutor { calls: 0 });
     let report = ac
         .cycle(CycleInput {
             connector: &SyntheticLake,
             observer: None,
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: 0,
         })
         .expect("cycle runs");
@@ -98,7 +98,7 @@ fn hundred_thousand_table_cycle() {
         "every candidate is accounted for"
     );
     assert_eq!(report.selected_count(), 100);
-    assert_eq!(exec.calls, 100);
+    assert_eq!(exec.0.calls, 100);
 
     // The materialized prefix is in strict rank order and the selected
     // candidates lead it; the (lazily generated) tail is unselected.
@@ -115,18 +115,20 @@ fn hundred_thousand_table_cycle() {
     assert!(report.ranked.iter().skip(100).all(|e| !e.selected));
 
     // Deterministic across runs.
-    let mut exec2 = NullExecutor { calls: 0 };
+    let mut exec2 = Untracked(NullExecutor { calls: 0 });
     let report2 = ac
         .cycle(CycleInput {
             connector: &SyntheticLake,
             observer: None,
-            executor: Executor::Plain(&mut exec2),
+            executor: &mut exec2,
             now_ms: 0,
         })
         .expect("cycle runs");
     assert_eq!(report.to_string(), report2.to_string());
 
-    // The report renders only the prefix, never the fleet tail.
+    // The report renders only the prefix, never the fleet tail, and
+    // keeps the trait rows of that prefix only.
     let rendered = report.to_string();
     assert!(rendered.lines().count() < RANKED_PREFIX_MIN + 10);
+    assert_eq!(report.traits.rows(), RANKED_PREFIX_MIN);
 }

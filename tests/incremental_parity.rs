@@ -33,9 +33,9 @@ use std::sync::Mutex;
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats, ChangeCursor,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleCacheStats, CycleInput,
-    CycleReport, DeleteDebt, ExecutionResult, Executor, FeedbackRecord, FileCountReduction,
-    FleetObserver, IntermediateTableFilter, JobKind, JobRuntimeConfig, LakeConnector,
-    MinSizeFilter, PartitionSkewExcess, Prediction, QuotaSignal, RankCycleStats, RankingPolicy,
+    CycleReport, DeleteDebt, ExecutionResult, FeedbackRecord, FileCountReduction, FleetObserver,
+    IntermediateTableFilter, JobKind, JobRuntimeConfig, LakeConnector, MinSizeFilter,
+    PartitionSkewExcess, Prediction, QuotaSignal, RankCycleStats, RankingPolicy,
     RecentWriteActivityFilter, ScopeStrategy, SortDisorder, TableRef, TraitComputer, TraitWeight,
     Untracked, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC,
 };
@@ -336,7 +336,7 @@ fn run_scenario(
     time_sensitive_chain: bool,
 ) -> Result<(), TestCaseError> {
     let lake = ModelLake::new(n);
-    let mut cold = pipeline(scope, p0, time_sensitive_chain).with_cycle_cache(false);
+    let mut cold = pipeline(scope, p0, time_sensitive_chain);
     let mut incremental = pipeline(scope, p0, time_sensitive_chain);
     let mut observer = FleetObserver::new();
     let mut now = 1_000u64;
@@ -349,18 +349,18 @@ fn run_scenario(
                      via_tracked_entry: bool,
                      label: &str|
      -> Result<(), TestCaseError> {
+        cold.invalidate_cycle_cache();
         let cold_report = cold
             .cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
             .expect("cold cycle runs");
         // Alternate cycles drive the tracker-less pipeline through the
-        // tracked entry point (via the `Untracked` adapter): a disabled
-        // job tracker must reproduce the fire-and-forget reports
-        // bit-for-bit, quiet ledger included.
+        // shared `tracked_cycle` helper: without a job tracker the
+        // reports match bit-for-bit either way, quiet ledger included.
         let incremental_report = if via_tracked_entry {
             tracked_cycle(
                 incremental,
@@ -375,7 +375,7 @@ fn run_scenario(
                 .cycle(CycleInput {
                     connector: &lake,
                     observer: Some(observer),
-                    executor: Executor::Plain(&mut SeqExecutor::default()),
+                    executor: &mut Untracked(SeqExecutor::default()),
                     now_ms: now,
                 })
                 .expect("incremental cycle runs")
@@ -525,9 +525,7 @@ fn run_tracked_scenario(
         retry_backoff_cap_ms: 2_400,
         job_lease_ms: None,
     };
-    let mut cold = pipeline(scope, p0, false)
-        .with_cycle_cache(false)
-        .with_job_tracker(runtime.clone());
+    let mut cold = pipeline(scope, p0, false).with_job_tracker(runtime.clone());
     let mut incremental = pipeline(scope, p0, false).with_job_tracker(runtime);
     let mut cold_platform = ScriptedPlatform::parity(1_500);
     let mut incr_platform = ScriptedPlatform::parity(1_500);
@@ -581,11 +579,12 @@ fn run_tracked_scenario(
                 incremental.ingest_feedback(record);
             }
             Op::Cycle => {
+                cold.invalidate_cycle_cache();
                 let cold_report = cold
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: None,
-                        executor: Executor::Tracked(&mut cold_platform),
+                        executor: &mut cold_platform,
                         now_ms: now,
                     })
                     .expect("cold tracked cycle runs");
@@ -742,7 +741,7 @@ fn transform_shifts_drive_multiple_kinds_through_the_parity_harness() {
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: Some(&mut observer),
-                        executor: Executor::Plain(&mut SeqExecutor::default()),
+                        executor: &mut Untracked(SeqExecutor::default()),
                         now_ms: now,
                     })
                     .unwrap();
@@ -810,7 +809,7 @@ fn harness_scenarios_actually_splice() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut observer),
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
             .unwrap();
@@ -823,7 +822,7 @@ fn harness_scenarios_actually_splice() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut SeqExecutor::default()),
+            executor: &mut Untracked(SeqExecutor::default()),
             now_ms: 4_000,
         })
         .unwrap();
@@ -945,7 +944,7 @@ fn bound_pipeline() -> AutoComp {
 fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
     let n = 24u64;
     let lake = BoundLake::new(n);
-    let mut cold = bound_pipeline().with_cycle_cache(false);
+    let mut cold = bound_pipeline();
     let mut incremental = bound_pipeline();
     let mut observer = FleetObserver::new();
     let compare = |cold: &mut AutoComp,
@@ -953,11 +952,12 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
                    observer: &mut FleetObserver,
                    now: u64,
                    label: &str| {
+        cold.invalidate_cycle_cache();
         let a = cold
             .cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
             .unwrap();
@@ -965,7 +965,7 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(observer),
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
             .unwrap();
@@ -1044,14 +1044,15 @@ fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
             ac.cycle(CycleInput {
                 connector: &lake,
                 observer,
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms,
             })
             .unwrap()
         };
-        let mut cold = bound_pipeline().with_cycle_cache(false);
+        let mut cold = bound_pipeline();
         *cold.config_mut() = ac.config().clone();
         let b = run(ac, Some(observer));
+        cold.invalidate_cycle_cache();
         let a = run(&mut cold, None);
         reports_identical(&a, &b, label).unwrap();
         (ac.cycle_cache_stats(), ac.rank_memo_stats())
@@ -1127,7 +1128,7 @@ fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut timed_observer),
-                executor: Executor::Plain(&mut SeqExecutor::default()),
+                executor: &mut Untracked(SeqExecutor::default()),
                 now_ms,
             })
             .unwrap();

@@ -20,8 +20,8 @@ use std::sync::Mutex;
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, CycleReport,
-    ExecutionResult, Executor, FileCountReduction, FleetObserver, LakeConnector, Prediction,
-    RankingPolicy, ScopeStrategy, TableRef, TraitWeight,
+    ExecutionResult, FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy,
+    ScopeStrategy, TableRef, TraitWeight, Untracked,
 };
 
 mod common;
@@ -165,7 +165,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
     let lake = SoakLake::new(FLEET);
     let mut ac = pipeline();
     let mut observer = FleetObserver::new();
-    let mut exec = NullExecutor;
+    let mut exec = Untracked(NullExecutor);
     let mut rng = Lcg(0x5eed_cafe);
 
     for cycle in 0..CYCLES {
@@ -182,16 +182,17 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
                 .cycle(CycleInput {
                     connector: &lake,
                     observer: Some(&mut observer),
-                    executor: Executor::Plain(&mut exec),
+                    executor: &mut exec,
                     now_ms: now,
                 })
                 .unwrap();
-            let cold = pipeline()
-                .with_cycle_cache(false)
+            let mut cold = pipeline();
+            cold.invalidate_cycle_cache();
+            let cold = cold
                 .cycle(CycleInput {
                     connector: &lake,
                     observer: None,
-                    executor: Executor::Plain(&mut exec),
+                    executor: &mut exec,
                     now_ms: now,
                 })
                 .unwrap();
@@ -208,7 +209,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
         ac.cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: now,
         })
         .unwrap();
@@ -256,16 +257,17 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: now,
         })
         .unwrap();
-    let cold = pipeline()
-        .with_cycle_cache(false)
+    let mut cold = pipeline();
+    cold.invalidate_cycle_cache();
+    let cold = cold
         .cycle(CycleInput {
             connector: &lake,
             observer: None,
-            executor: Executor::Plain(&mut exec),
+            executor: &mut exec,
             now_ms: now,
         })
         .unwrap();

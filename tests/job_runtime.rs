@@ -14,9 +14,9 @@ use std::sync::Mutex;
 
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
-    ComputeCostGbhr, CycleInput, CycleReport, ExecutionResult, Executor, FileCountReduction,
-    FleetObserver, JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
-    TableRef, TraitComputer, TraitWeight, Untracked,
+    ComputeCostGbhr, CycleInput, CycleReport, ExecutionResult, FileCountReduction, FleetObserver,
+    JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
+    TraitComputer, TraitWeight, Untracked,
 };
 
 mod common;
@@ -435,38 +435,6 @@ fn report_fingerprint(r: &CycleReport) -> String {
     )
 }
 
-#[test]
-fn untracked_entry_points_reproduce_plain_reports() {
-    // A pipeline without a tracker, driven through the tracked entry
-    // points via the `Untracked` adapter, must be bit-identical to the
-    // plain fire-and-forget path.
-    let lake = ScriptLake::new(6);
-    let mut plain = pipeline(2);
-    let mut adapted = pipeline(2);
-    let mut obs_a = FleetObserver::new();
-    let mut obs_b = FleetObserver::new();
-    for now in [1_000u64, 2_000, 3_000] {
-        let a = plain
-            .cycle(CycleInput {
-                connector: &lake,
-                observer: Some(&mut obs_a),
-                executor: Executor::Plain(&mut InertExecutor),
-                now_ms: now,
-            })
-            .unwrap();
-        let b = tracked_cycle(
-            &mut adapted,
-            &mut obs_b,
-            &lake,
-            &mut Untracked(InertExecutor),
-            now,
-        )
-        .unwrap();
-        assert_eq!(report_fingerprint(&a), report_fingerprint(&b));
-        assert!(b.ledger.is_quiet());
-    }
-}
-
 // ---------------------------------------------------------------------
 // The full loop over the real lakesim substrate (acceptance pin).
 // ---------------------------------------------------------------------
@@ -637,8 +605,8 @@ fn full_loop_on_lakesim_with_conflict_retry() {
 #[test]
 fn idle_tracker_reports_are_bit_identical_to_fire_and_forget() {
     // Tracker attached, but the platform never schedules: the ledger
-    // stays quiet and reports (including Display) match the plain
-    // pipeline exactly.
+    // stays quiet and reports (including Display) match a pipeline
+    // without a tracker exactly.
     let lake = ScriptLake::new(6);
     let mut plain = pipeline(2);
     let mut tracked = pipeline(2).with_job_tracker(JobRuntimeConfig::default());
@@ -649,7 +617,7 @@ fn idle_tracker_reports_are_bit_identical_to_fire_and_forget() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut obs_a),
-                executor: Executor::Plain(&mut InertExecutor),
+                executor: &mut Untracked(InertExecutor),
                 now_ms: now,
             })
             .unwrap();

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ContinuousRuntime, CycleInput,
-    CycleReport, ExecutionResult, Executor, FileCountReduction, FleetObservation, FleetObserver,
+    CycleReport, ExecutionResult, FileCountReduction, FleetObservation, FleetObserver,
     LakeConnector, ObserveFault, ObserveRequest, Prediction, RankingPolicy, RuntimeConfig,
     RuntimeEvent, ScopeStrategy, TableRef, TraitComputer, TraitWeight, Untracked,
 };
@@ -329,7 +329,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut observer),
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
             .unwrap();
@@ -337,7 +337,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
             .unwrap();
@@ -352,7 +352,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: Some(&mut observer),
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: 1,
             })
             .unwrap();
@@ -360,7 +360,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
             .cycle(CycleInput {
                 connector: &lake,
                 observer: None,
-                executor: Executor::Plain(&mut NullExecutor),
+                executor: &mut Untracked(NullExecutor),
                 now_ms: 1,
             })
             .unwrap();
@@ -452,7 +452,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut NullExecutor),
+        executor: &mut Untracked(NullExecutor),
         now_ms: 0,
     })
     .unwrap();
@@ -465,7 +465,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut NullExecutor),
+        executor: &mut Untracked(NullExecutor),
         now_ms: 1,
     })
     .unwrap();
@@ -480,7 +480,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut NullExecutor),
+        executor: &mut Untracked(NullExecutor),
         now_ms: 2,
     })
     .unwrap();
@@ -503,7 +503,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     ac.cycle(CycleInput {
         connector: &lake,
         observer: Some(&mut observer),
-        executor: Executor::Plain(&mut NullExecutor),
+        executor: &mut Untracked(NullExecutor),
         now_ms: 3,
     })
     .unwrap();
@@ -562,7 +562,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut NullExecutor),
+            executor: &mut Untracked(NullExecutor),
             now_ms: 0,
         })
         .unwrap();
@@ -577,7 +577,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
         .cycle(CycleInput {
             connector: &lake,
             observer: Some(&mut observer),
-            executor: Executor::Plain(&mut NullExecutor),
+            executor: &mut Untracked(NullExecutor),
             now_ms: 1,
         })
         .unwrap();
@@ -585,7 +585,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
         .cycle(CycleInput {
             connector: &lake,
             observer: None,
-            executor: Executor::Plain(&mut NullExecutor),
+            executor: &mut Untracked(NullExecutor),
             now_ms: 1,
         })
         .unwrap();
@@ -801,7 +801,7 @@ fn run_listing_pipeline_scenario(
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: Some(&mut observer),
-                        executor: Executor::Plain(&mut NullExecutor),
+                        executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
                     .unwrap();
@@ -809,7 +809,7 @@ fn run_listing_pipeline_scenario(
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: None,
-                        executor: Executor::Plain(&mut NullExecutor),
+                        executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
                     .unwrap();

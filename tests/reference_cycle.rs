@@ -9,9 +9,9 @@ use std::sync::Mutex;
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats,
     ChangeCursor, CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ContinuousRuntime,
-    CycleInput, ExecutionResult, Executor, FileCountReduction, FleetObserver, LakeConnector,
-    Prediction, QuotaSignal, RankingPolicy, RoundReport, RuntimeConfig, RuntimeEvent,
-    ScopeStrategy, TableRef, TraitComputer, TraitDirection, TraitWeight, Untracked,
+    CycleInput, ExecutionResult, FileCountReduction, FleetObserver, LakeConnector, Prediction,
+    QuotaSignal, RankingPolicy, RoundReport, RuntimeConfig, RuntimeEvent, ScopeStrategy, TableRef,
+    TraitComputer, TraitDirection, TraitWeight, Untracked,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -215,7 +215,7 @@ proptest! {
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: Some(&mut observer),
-                        executor: Executor::Plain(&mut NullExecutor),
+                        executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
                     .unwrap();
@@ -228,7 +228,7 @@ proptest! {
                     .cycle(CycleInput {
                         connector: &lake,
                         observer: None,
-                        executor: Executor::Plain(&mut NullExecutor),
+                        executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
                     .unwrap();

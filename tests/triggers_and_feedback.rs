@@ -3,9 +3,9 @@
 //! from maintenance outcomes.
 
 use autocomp::{
-    AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, Executor,
-    FileCountReduction, HookAction, HookMode, JobRuntimeConfig, PeriodicTrigger, RankingPolicy,
-    ScopeStrategy, TraitWeight,
+    AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, FileCountReduction,
+    HookAction, HookMode, JobRuntimeConfig, PeriodicTrigger, RankingPolicy, ScopeStrategy,
+    TraitWeight,
 };
 use autocomp_lakesim::hooks::{evaluate_hook, written_tables};
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
@@ -118,7 +118,7 @@ fn tracked_feedback_calibrates_predictions() {
             .cycle(CycleInput {
                 connector: &connector,
                 observer: None,
-                executor: Executor::Tracked(&mut executor),
+                executor: &mut executor,
                 now_ms,
             })
             .unwrap()
