@@ -1,12 +1,17 @@
 //! Criterion: a full OODA cycle (observe → orient → decide → act) over an
 //! in-memory lake, measuring decision throughput vs fleet size — the
-//! framework-overhead question behind scaling to "100K tables".
+//! framework-overhead question behind scaling to "100K tables" — and the
+//! warm round of a retained observer: 1% of the fleet written between
+//! cycles, behind a changelog and a listing epoch, with the job ledger
+//! at its cap.
+
+use std::sync::Mutex;
 
 use autocomp::{
-    AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
+    AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
-    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitWeight, Untracked,
+    FileCountReduction, FleetObserver, JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy,
+    ScopeStrategy, TableRef, TraitWeight, Untracked,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -49,6 +54,52 @@ impl LakeConnector for SyntheticLake {
     }
     fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
         Vec::new()
+    }
+}
+
+/// `SyntheticLake` behind a changelog and a constant listing epoch: a
+/// write bumps its table's version, which moves the table's stats.
+struct ChangelogLake {
+    lake: SyntheticLake,
+    versions: Mutex<Vec<u64>>,
+    log: Mutex<Vec<u64>>,
+}
+
+impl ChangelogLake {
+    fn new(n: u64) -> Self {
+        ChangelogLake {
+            lake: SyntheticLake::new(n),
+            versions: Mutex::new(vec![0; n as usize]),
+            log: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn write(&self, uid: u64) {
+        self.versions.lock().unwrap()[uid as usize] += 1;
+        self.log.lock().unwrap().push(uid);
+    }
+}
+
+impl LakeConnector for ChangelogLake {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.lake.list_tables()
+    }
+    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+        let version = self.versions.lock().unwrap()[uid as usize];
+        self.lake.table_stats(uid.wrapping_add(version * 7_919))
+    }
+    fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
+        Vec::new()
+    }
+    fn fleet_cursor(&self) -> Option<ChangeCursor> {
+        Some(ChangeCursor(self.log.lock().unwrap().len() as u64))
+    }
+    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+        let log = self.log.lock().unwrap();
+        log.get(cursor.0 as usize..).map(<[u64]>::to_vec)
+    }
+    fn listing_epoch(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -110,6 +161,38 @@ fn bench_ooda(c: &mut Criterion) {
             })
         });
     }
+    // Warm rounds, one a second: 1% of the fleet written per iteration,
+    // then a cycle through a retained observer and decide state, with a
+    // job ledger held at its 64-slot cap — no job ever settles, and a
+    // 20-round lease frees a few slots each round, as in `steady_1pct`.
+    // The state outlives the routine, which the harness calls once per
+    // sample, and the cold first cycle runs before timing starts.
+    let n = 100_000u64;
+    let lake = ChangelogLake::new(n);
+    let mut ac = pipeline(64).with_job_tracker(JobRuntimeConfig {
+        job_lease_ms: Some(20_000),
+        ..JobRuntimeConfig::default()
+    });
+    let mut observer = FleetObserver::new();
+    let mut exec = Untracked(NullExecutor);
+    let mut round = 0u64;
+    let mut warm_round = || {
+        round += 1;
+        for i in 0..n / 100 {
+            lake.write((round * 7_919 + i * 101) % n);
+        }
+        ac.cycle(CycleInput {
+            connector: &lake,
+            observer: Some(&mut observer),
+            executor: &mut exec,
+            now_ms: round * 1_000,
+        })
+        .expect("cycle runs")
+    };
+    warm_round();
+    group.bench_with_input(BenchmarkId::new("warm_1pct", n), &n, |b, _| {
+        b.iter(&mut warm_round)
+    });
     group.finish();
 }
 

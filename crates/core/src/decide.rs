@@ -4,11 +4,12 @@
 //! A *slot* is a candidate's position in listing order: table after
 //! table, each table's candidates (the table itself, or its partitions)
 //! in observation order. The state holds per slot the filter verdict (or
-//! its shared `Arc<str>` drop reason), whether the trait row holds a NaN,
-//! the trait values as a [`TraitMatrix`]'s own columns, and the score.
-//! Beside them sit the bit patterns of the normalization bounds the
-//! scores were computed under, the retained exact-order prefix of the
-//! last selection, and the slots the job ledger suppressed last cycle.
+//! its shared `Arc<str>` drop reason), the trait values as a
+//! [`TraitMatrix`]'s own columns, and the score. Beside them sit the bit
+//! patterns of the normalization bounds the scores were computed under,
+//! the retained exact-order prefix of the last selection, the slots the
+//! job ledger suppressed last cycle, and bitmaps and bounds derived from
+//! those.
 //!
 //! # Keys
 //!
@@ -48,12 +49,24 @@
 //!   descriptor edits need not reach the changelog, so a changed
 //!   descriptor counts as fresh.
 //!
-//! The job ledger's live tables and NaN rows then leave ranking through
-//! a mask, not a copy: the ranked rows are the kept, NaN-free slots of
-//! tables without a live job. `dropped` lists filter drops, then ledger
-//! hits, then NaN rows, each in slot order; a live NaN row reports the
-//! ledger's reason only. A ranked slot re-scores when its table was
-//! patched or left the ledger since the last cycle.
+//! The *ranked set* is a retained bitmap of the kept, NaN-free slots of
+//! tables without a live ledger job. Orient patches it for the patched
+//! slots and the mask for the ledger's enter/leave diff, so neither walks
+//! the fleet; the report's lazy tail shares it like the score column,
+//! copied on write only while a report holds it. `dropped` lists filter
+//! drops, then ledger hits, then NaN rows (one shared reason per trait),
+//! each in slot order and read off a bitmap of the slots the filter or a
+//! NaN excluded; a live NaN row reports the ledger's reason only. A
+//! ranked slot re-scores when its table was patched or left the ledger.
+//!
+//! Each trait column's min and max over the ranked set, with the number
+//! of ranked slots holding each, are updated wherever a ranked value or
+//! membership changes, a patched row counted in before its old row is
+//! counted out. One rule rescans a column, when next read: an extreme
+//! lost its last holder (the bound moved, so every slot re-scores
+//! anyway), or a zero touched a zero extreme that zeros of both signs
+//! hold (the in-order fold's result then depends on their order). The
+//! bounds are thus bit-equal to a fold over the ranked slots.
 //!
 //! # Selection
 //!
@@ -80,6 +93,10 @@
 //!   budget-driven policy (its greedy walk is global), or when fewer
 //!   prefix members survived than the report head needs.
 //!
+//! A remap or a restore derives the bitmaps in one walk; a patch of a
+//! quarter of the tables or more re-derives the ranked set from the
+//! excluded bitmap. Either leaves every bound stale.
+//!
 //! A snapshot persists the state only while it is live for the
 //! snapshotted observation: same epoch and scope, patched at that
 //! observation's cursor, over literally its listing. A restore lays the
@@ -96,8 +113,8 @@ use crate::filter::{evaluate_chain, CandidateFilter};
 use crate::matrix::{TraitId, TraitMatrix};
 use crate::observe::{Bits, ChangeCursor, FleetObservation, TableObservation, UidMap};
 use crate::rank::{
-    rank_slots, DecisionNote, RankCycleStats, RankSource, RankedEntries, RankingPolicy, Selection,
-    Slots,
+    rank_slots, Bounds, DecisionNote, RankCycleStats, RankSource, RankedEntries, RankingPolicy,
+    Selection, Slots,
 };
 use crate::scope::ScopeStrategy;
 use crate::stats::CandidateStats;
@@ -234,8 +251,6 @@ pub(crate) struct DecideState {
     /// Per slot: `None` when the filter chain kept the candidate, else its
     /// drop reason.
     verdicts: Vec<Option<Arc<str>>>,
-    /// Per slot: whether a kept slot's trait row holds a NaN.
-    nan: Vec<bool>,
     /// Per slot: trait values, one column per interned trait; zero on
     /// dropped slots.
     pub(crate) traits: TraitMatrix,
@@ -249,14 +264,18 @@ pub(crate) struct DecideState {
     /// The slots whose score the last rank pass wrote, ascending, or
     /// `None` when it wrote every ranked slot's.
     rescored: Option<Vec<u32>>,
+    /// Slots the filter dropped or whose trait row holds a NaN.
+    excluded: Bits,
+    /// The ranked set, shared with the lazy tail of the last report.
+    ranked: Arc<Bits>,
+    /// Per trait column, its min and max over `ranked`.
+    bounds: Bounds,
 }
 
-/// One cycle's ranking inputs: the drop trail and the ranked slots.
+/// One cycle's ranking inputs: the drop trail and the stale slots.
 pub(crate) struct Mask {
     /// Filter drops, then ledger hits, then NaN rows, each in slot order.
     pub(crate) dropped: Vec<(CandidateId, Arc<str>)>,
-    /// Slots that rank this cycle, ascending.
-    pub(crate) rows: Vec<u32>,
     /// Ranked slots whose retained score is stale, ascending; empty
     /// while no selection is retained.
     pub(crate) fresh: Vec<u32>,
@@ -266,7 +285,7 @@ pub(crate) struct Mask {
 
 impl DecideState {
     /// A state over every slot of `observation` with each slot's filter
-    /// verdict, its trait values and score not filled in yet.
+    /// verdict, its trait values, score and bitmaps not filled in yet.
     fn blank(
         observation: &FleetObservation,
         traits: &TraitMatrix,
@@ -280,12 +299,14 @@ impl DecideState {
             keys,
             layout,
             verdicts,
-            nan: vec![false; slots],
             traits: traits.resized(slots),
             scores: vec![0.0; slots].into(),
             selection: Selection::default(),
             live: Vec::new(),
             rescored: None,
+            excluded: Bits::default(),
+            ranked: Arc::default(),
+            bounds: Bounds::stale(traits.width()),
         }
     }
 
@@ -393,7 +414,6 @@ impl DecideState {
             };
             let from = self.layout.slots_of(p);
             next.verdicts[to.clone()].clone_from_slice(&self.verdicts[from.clone()]);
-            next.nan[to.clone()].copy_from_slice(&self.nan[from.clone()]);
             Arc::make_mut(&mut next.scores)[to.clone()].copy_from_slice(&self.scores[from.clone()]);
             for id in self.traits.trait_ids() {
                 next.traits.col_mut(id)[to.clone()]
@@ -408,12 +428,13 @@ impl DecideState {
         next.selection.remap(moved);
         next.live = self.live.iter().filter_map(moved).collect();
         next.live.sort_unstable();
+        next.rebuild_sets();
         (next, patched)
     }
 
     /// The orient step: computes the trait rows of the patched tables'
     /// kept slots, one stats access per slot, zeroes the rows of dropped
-    /// ones, and records which rows hold a NaN.
+    /// ones, and patches the bitmaps and the bounds (see the module docs).
     pub(crate) fn orient(
         &mut self,
         patched: &[u32],
@@ -421,16 +442,48 @@ impl DecideState {
         columns: &[TraitId],
         observation: &FleetObservation,
     ) {
+        // Past a quarter of the tables, re-deriving beats tracking each row.
+        let track = patched.len() * 4 < self.tables();
+        let ranked = Arc::make_mut(&mut self.ranked);
+        let mut row = vec![0.0; self.traits.width()];
         for &t in patched {
-            for slot in self.layout.slots_of(t as usize) {
+            for (ci, slot) in self.layout.slots_of(t as usize).enumerate() {
                 let kept = self.verdicts[slot].is_none();
-                let stats = self.layout.stats(observation, slot);
-                for (computer, col) in traits.iter().zip(columns) {
-                    let value = if kept { computer.compute(stats) } else { 0.0 };
-                    self.traits.col_mut(*col)[slot] = value;
+                let stats = candidate_parts(observation, t as usize, ci).2;
+                row.fill(0.0);
+                for (computer, col) in traits.iter().zip(columns).filter(|_| kept) {
+                    row[col.index()] = computer.compute(stats);
                 }
-                self.nan[slot] = kept && self.first_nan(slot).is_some();
+                let (s, kept) = (slot as u32, kept && !row.iter().any(|v| v.is_nan()));
+                let ranks = track && kept && self.live.binary_search(&s).is_err();
+                let was = track && ranked.contains(s);
+                for (id, v) in self.traits.trait_ids().zip(&row) {
+                    if ranks {
+                        self.bounds.step(id, *v, true);
+                    }
+                    if was {
+                        self.bounds.step(id, self.traits.value(slot, id), false);
+                    }
+                    self.traits.col_mut(id)[slot] = *v;
+                }
+                self.excluded.put(s, !kept);
+                if track {
+                    ranked.put(s, ranks);
+                }
             }
+        }
+        if !track {
+            self.rerank();
+        }
+    }
+
+    /// Moves `slot`, its trait row unchanged, into or out of the ranked
+    /// set and the bounds.
+    fn set_ranked(&mut self, slot: u32, ranks: bool) {
+        let moved = Arc::make_mut(&mut self.ranked).put(slot, ranks);
+        for id in self.traits.trait_ids().filter(|_| moved) {
+            self.bounds
+                .step(id, self.traits.value(slot as usize, id), ranks);
         }
     }
 
@@ -451,56 +504,49 @@ impl DecideState {
         patched: &[u32],
         live: Vec<(usize, Arc<str>)>,
     ) -> Mask {
-        let layout = &self.layout;
         let mut hits: Vec<(u32, Arc<str>)> = Vec::new();
         for (table, reason) in live {
-            let kept = layout
+            let kept = self
+                .layout
                 .slots_of(table)
                 .filter(|s| self.verdicts[*s].is_none());
             hits.extend(kept.map(|slot| (slot as u32, reason.clone())));
         }
         hits.sort_unstable_by_key(|(slot, _)| *slot);
         let live: Vec<u32> = hits.iter().map(|(slot, _)| *slot).collect();
+        let left: Vec<u32> = (self.live.iter().copied())
+            .filter(|s| live.binary_search(s).is_err())
+            .collect();
+        live.iter().for_each(|s| self.set_ranked(*s, false));
+        left.iter()
+            .for_each(|s| self.set_ranked(*s, !self.excluded.contains(*s)));
 
-        let mut dropped = Vec::new();
-        let mut nan_rows = Vec::new();
-        let mut rows = Vec::with_capacity(self.verdicts.len());
-        let mut next_live = live.iter().peekable();
-        for (slot, verdict) in self.verdicts.iter().enumerate() {
-            if let Some(reason) = verdict {
-                dropped.push((layout.id(observation, slot), reason.clone()));
-            } else if next_live.next_if_eq(&&(slot as u32)).is_none() {
-                match self.nan[slot] {
-                    true => nan_rows.push(slot),
-                    false => rows.push(slot as u32),
-                }
-            }
-        }
+        let layout = &self.layout;
+        let id = |slot: u32| layout.id(observation, slot as usize);
+        let reason = |slot: u32| Some((id(slot), self.verdicts[slot as usize].clone()?));
+        let mut dropped: Vec<_> = self.excluded.ones().filter_map(reason).collect();
         let suppressed = hits.len();
-        dropped.extend(
-            hits.into_iter()
-                .map(|(slot, reason)| (layout.id(observation, slot as usize), reason)),
-        );
-        for slot in nan_rows {
-            let id = self.first_nan(slot).expect("a NaN row holds a NaN");
-            let note = DecisionNote::NanTrait {
-                trait_name: self.traits.trait_name(id).into(),
-            };
-            dropped.push((layout.id(observation, slot), Arc::from(note.to_string())));
+        dropped.extend(hits.into_iter().map(|(slot, reason)| (id(slot), reason)));
+        let mut notes: Vec<Option<Arc<str>>> = vec![None; self.traits.width()];
+        let nan_rows = self
+            .excluded
+            .ones()
+            .filter(|s| self.verdicts[*s as usize].is_none());
+        for slot in nan_rows.filter(|s| live.binary_search(s).is_err()) {
+            let nan = self.first_nan(slot as usize).expect("a NaN row");
+            let note = notes[nan.index()].get_or_insert_with(|| {
+                let trait_name = self.traits.trait_name(nan).into();
+                Arc::from(DecisionNote::NanTrait { trait_name }.to_string())
+            });
+            dropped.push((id(slot), note.clone()));
         }
 
         // Stale scores matter only to a retained selection.
-        let ranked = |slot: &u32| {
-            let s = *slot as usize;
-            self.verdicts[s].is_none() && !self.nan[s] && live.binary_search(slot).is_err()
-        };
         let patched_slots = patched.iter().flat_map(|t| layout.slots_of(*t as usize));
-        let left_ledger = self.live.iter().filter(|s| live.binary_search(s).is_err());
         let mut fresh: Vec<u32> = match self.selection.is_retained() {
-            true => patched_slots
-                .map(|slot| slot as u32)
-                .chain(left_ledger.copied())
-                .filter(ranked)
+            true => (patched_slots.map(|slot| slot as u32))
+                .chain(left)
+                .filter(|slot| self.ranked.contains(*slot))
                 .collect(),
             false => Vec::new(),
         };
@@ -509,20 +555,33 @@ impl DecideState {
         self.live = live;
         Mask {
             dropped,
-            rows,
             fresh,
             suppressed,
         }
     }
 
-    /// The rank step: ranks a mask's `rows` under `policy`, re-scoring
-    /// the `fresh` ones it names stale, and keeps the scores and
+    /// Derives the bitmaps from the verdicts, the trait rows and the live
+    /// slots: how a remap or a restore completes a state laid out anew.
+    fn rebuild_sets(&mut self) {
+        let out = |(slot, v): (usize, &Option<_>)| v.is_some() || self.first_nan(slot).is_some();
+        self.excluded = self.verdicts.iter().enumerate().map(out).collect();
+        self.rerank();
+    }
+
+    /// The ranked set from the excluded and live slots, every bound stale.
+    fn rerank(&mut self) {
+        let mut ranked = self.excluded.complement(self.slots());
+        self.live.iter().for_each(|slot| _ = ranked.clear(*slot));
+        (self.ranked, self.bounds) = (Arc::new(ranked), Bounds::stale(self.traits.width()));
+    }
+
+    /// The rank step: ranks the ranked set under `policy`, re-scoring
+    /// the `fresh` slots a mask names stale, and keeps the scores and
     /// selection for the next cycle.
     pub(crate) fn rank(
         &mut self,
         observation: &FleetObservation,
         policy: &RankingPolicy,
-        rows: Vec<u32>,
         fresh: &[u32],
     ) -> Result<(RankedEntries, RankCycleStats)> {
         let source = SlotSource {
@@ -530,10 +589,11 @@ impl DecideState {
             observation,
         };
         let slots = Slots {
-            rows,
+            ranked: &self.ranked,
             fresh,
             scores: &mut self.scores,
             selection: &mut self.selection,
+            bounds: &mut self.bounds,
         };
         let ranked = rank_slots(&source, &self.traits, policy, slots);
         // A pass that kept no score re-scored every ranked slot; else it
@@ -826,100 +886,52 @@ pub(crate) fn snapshot_read(
     s.selection = Selection::snapshot_read(dec, slots)?;
     s.live = take_live(dec, slots)?;
     if let Some((d, positions)) = delta {
-        SlotPatch::read(d, &s, positions, observation)?.apply(&mut s, observation);
+        apply_delta(d, &mut s, positions, observation)?;
     }
-    for slot in 0..slots {
-        s.nan[slot] = s.verdicts[slot].is_none() && s.first_nan(slot).is_some();
-    }
+    s.rebuild_sets();
     Ok(Some(s))
 }
 
-/// The decide-state section of a snapshot delta, read against the
-/// layout of the state its base restored.
-struct SlotPatch {
-    now_ms: u64,
-    /// The slots of the replaced positions, ascending.
-    slots: Vec<usize>,
-    verdicts: Vec<Option<Arc<str>>>,
-    /// Per trait, in the state's trait order: the values of `slots`.
-    traits: Vec<Vec<f64>>,
-    /// The scores of `slots`, or of every slot when `whole_scores`.
-    scores: Vec<f64>,
-    whole_scores: bool,
-    selection: Selection,
-    live: Vec<u32>,
-}
-
-impl SlotPatch {
-    /// Reads what [`delta_write`] wrote after the presence flag.
-    fn read(
-        dec: &mut Decoder<'_>,
-        s: &DecideState,
-        positions: &[u32],
-        observation: &FleetObservation,
-    ) -> std::result::Result<Self, CodecError> {
-        let now_ms = dec.take_u64("decide fill time")?;
-        let mut slots = Vec::new();
-        for &t in positions {
-            let range = s.layout.slots_of(t as usize);
-            if range.len() != observation.entry(t as usize).candidate_count() {
-                return Err(CodecError::Invalid("delta moves a decide-state slot"));
-            }
-            slots.extend(range);
+/// Reads what [`delta_write`] wrote after the presence flag over `s`, the
+/// state its base restored, once each replaced position is checked to
+/// keep its table's slot count.
+fn apply_delta(
+    dec: &mut Decoder<'_>,
+    s: &mut DecideState,
+    positions: &[u32],
+    observation: &FleetObservation,
+) -> std::result::Result<(), CodecError> {
+    let now_ms = dec.take_u64("decide fill time")?;
+    let mut slots = Vec::new();
+    for &t in positions {
+        let range = s.layout.slots_of(t as usize);
+        if range.len() != observation.entry(t as usize).candidate_count() {
+            return Err(CodecError::Invalid("delta moves a decide-state slot"));
         }
-        let mut verdicts = vec![None; slots.len()];
-        take_verdicts(dec, &mut verdicts)?;
-        let mut take = |n, what| {
-            let mut values = vec![0.0; n];
-            take_f64s(dec, n, what, |i, v| values[i] = v).map(|_| values)
-        };
-        let traits = s
-            .traits
-            .trait_ids()
-            .map(|_| take(slots.len(), "delta trait values"))
-            .collect::<std::result::Result<Vec<_>, CodecError>>()?;
-        let whole_scores = dec.take_bool("delta scores whole")?;
-        let n = if whole_scores { s.slots() } else { slots.len() };
-        let mut scores = vec![0.0; n];
-        take_f64s(dec, n, "delta scores", |i, v| scores[i] = v)?;
-        Ok(SlotPatch {
-            now_ms,
-            slots,
-            verdicts,
-            traits,
-            scores,
-            whole_scores,
-            selection: Selection::snapshot_read(dec, s.slots())?,
-            live: take_live(dec, s.slots())?,
-        })
+        slots.extend(range);
     }
-
-    /// Writes the patch over the state its base restored.
-    fn apply(self, s: &mut DecideState, observation: &FleetObservation) {
-        for (slot, verdict) in self.slots.iter().zip(self.verdicts) {
-            s.verdicts[*slot] = verdict;
-        }
-        let ids: Vec<TraitId> = s.traits.trait_ids().collect();
-        for (id, values) in ids.into_iter().zip(self.traits) {
-            let column = s.traits.col_mut(id);
-            for (slot, value) in self.slots.iter().zip(values) {
-                column[*slot] = value;
-            }
-        }
-        match self.whole_scores {
-            true => s.scores = self.scores.into(),
-            false => {
-                let scores = Arc::make_mut(&mut s.scores);
-                for (slot, score) in self.slots.iter().zip(self.scores) {
-                    scores[*slot] = score;
-                }
-            }
-        }
-        s.keys.now_ms = self.now_ms;
-        s.keys.cursor = observation.cursor();
-        s.selection = self.selection;
-        s.live = self.live;
+    let mut verdicts = vec![None; slots.len()];
+    take_verdicts(dec, &mut verdicts)?;
+    for (slot, verdict) in slots.iter().zip(verdicts) {
+        s.verdicts[*slot] = verdict;
     }
+    for id in s.traits.trait_ids() {
+        let column = s.traits.col_mut(id);
+        take_f64s(dec, slots.len(), "delta trait values", |i, v| {
+            column[slots[i]] = v
+        })?;
+    }
+    let scores = Arc::make_mut(&mut s.scores);
+    match dec.take_bool("delta scores whole")? {
+        true => take_f64s(dec, scores.len(), "delta scores", |i, v| scores[i] = v)?,
+        false => take_f64s(dec, slots.len(), "delta scores", |i, v| {
+            scores[slots[i]] = v
+        })?,
+    }
+    s.selection = Selection::snapshot_read(dec, s.slots())?;
+    s.live = take_live(dec, s.slots())?;
+    (s.keys.now_ms, s.keys.cursor) = (now_ms, observation.cursor());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -990,5 +1002,205 @@ mod tests {
         let unchained = QuietLake.observe(ObserveRequest::fresh(Table));
         let cursor = state.usable(&keys(1, Table, 200), &unchained, false, 1);
         assert!(!cursor, "cursor chain");
+    }
+
+    /// Tables whose stats a test rewrites, behind a changelog of the
+    /// writes and an unchanging listing epoch.
+    struct WrittenLake {
+        stats: std::sync::Mutex<Vec<CandidateStats>>,
+        log: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl LakeConnector for WrittenLake {
+        fn list_tables(&self) -> Vec<TableRef> {
+            let n = self.stats.lock().unwrap().len() as u64;
+            (0..n)
+                .map(|uid| TableRef {
+                    table_uid: uid,
+                    database: "db".into(),
+                    name: format!("t{uid}").into(),
+                    partitioned: false,
+                    compaction_enabled: true,
+                    is_intermediate: false,
+                })
+                .collect()
+        }
+        fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+            self.stats.lock().unwrap().get(uid as usize).cloned()
+        }
+        fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
+            Vec::new()
+        }
+        fn fleet_cursor(&self) -> Option<ChangeCursor> {
+            Some(ChangeCursor(self.log.lock().unwrap().len() as u64))
+        }
+        fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+            self.log
+                .lock()
+                .unwrap()
+                .get(cursor.0 as usize..)
+                .map(<[u64]>::to_vec)
+        }
+        fn listing_epoch(&self) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    /// A trait that reads one stats field through a palette of values.
+    struct Palette(&'static str, fn(&CandidateStats) -> u64, [f64; 8]);
+
+    impl TraitComputer for Palette {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn direction(&self) -> crate::traits::TraitDirection {
+            crate::traits::TraitDirection::Benefit
+        }
+        fn compute(&self, stats: &CandidateStats) -> f64 {
+            self.2[(self.1)(stats) as usize % 8]
+        }
+    }
+
+    /// Over random sequences of writes, filter drops, NaN rows, ledger
+    /// entries and exits, signed zeros and tied extremes, the retained
+    /// ranked set is exactly the slots a walk over every verdict would
+    /// rank — kept, NaN-free, not live — and every column's bounds are
+    /// bit-equal to the in-order fold over them, maintained or rescanned.
+    #[test]
+    fn ranked_set_and_bounds_match_a_walk_over_every_slot() {
+        const TABLES: u64 = 48;
+        let lake = WrittenLake {
+            stats: std::sync::Mutex::new(vec![CandidateStats::default(); TABLES as usize]),
+            log: std::sync::Mutex::new(Vec::new()),
+        };
+        let nan = f64::NAN;
+        let traits: Vec<Box<dyn TraitComputer>> = vec![
+            // Zero extremes of both signs.
+            Box::new(Palette(
+                "zeros",
+                |s| s.small_file_count,
+                [0.0, -0.0, 0.0, 1.0, 2.0, nan, 2.0, -0.0],
+            )),
+            // Tied extremes on both ends.
+            Box::new(Palette(
+                "ties",
+                |s| s.file_count,
+                [-1.0, 3.0, 5.0, 0.5, 5.0, -1.0, 2.0, 3.0],
+            )),
+            // Mostly one holder per extreme.
+            Box::new(Palette(
+                "spread",
+                |s| s.small_bytes,
+                [-4.0, 1.5, 9.0, 2.5, -7.0, 6.0, 0.25, 8.0],
+            )),
+        ];
+        let mut template = TraitMatrix::new(0);
+        let columns: Vec<TraitId> = traits
+            .iter()
+            .map(|t| template.intern(t.name(), Some(t.direction())))
+            .collect();
+        let filters: Vec<Box<dyn CandidateFilter>> = vec![Box::new(crate::filter::MinSizeFilter {
+            min_total_bytes: 1,
+            min_file_count: 0,
+        })];
+        let policy = RankingPolicy::Moop {
+            weights: vec![
+                crate::rank::TraitWeight::new("zeros", 0.2),
+                crate::rank::TraitWeight::new("ties", 0.4),
+                crate::rank::TraitWeight::new("spread", 0.4),
+            ],
+            k: 3,
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rng = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut observer = FleetObserver::new();
+        let mut state: Option<DecideState> = None;
+        let mut maintained = [0; 3];
+        for cycle in 0..400u64 {
+            // Mostly a few writes; now and then a quarter of the fleet or
+            // more, which re-derives the ranked set in place.
+            let writes = if rng(10) == 0 {
+                12 + rng(12)
+            } else {
+                1 + rng(6)
+            };
+            for _ in 0..writes {
+                let uid = rng(TABLES);
+                let mut stats = lake.stats.lock().unwrap();
+                let s = &mut stats[uid as usize];
+                (s.small_file_count, s.file_count) = (rng(8), rng(8));
+                (s.small_bytes, s.total_bytes) = (rng(8), rng(9));
+                lake.log.lock().unwrap().push(uid);
+            }
+            let observation = observer.observe(&lake, ScopeStrategy::Table);
+            let keys = Keys {
+                epoch: 1,
+                scope: ScopeStrategy::Table,
+                cursor: observation.cursor(),
+                now_ms: 0,
+                tables: observation.tables_shared(),
+            };
+            // Now and then the state is dropped (orient fills every slot),
+            // or restored from a snapshot (the bitmaps are derived).
+            let prior = state
+                .take()
+                .filter(|s| rng(20) > 0 && s.usable(&keys, observation, false, 3));
+            let (mut s, patched) =
+                DecideState::filter(prior, keys, &template, &filters, observation);
+            s.orient(&patched, &traits, &columns, observation);
+            let live = (0..rng(5)).map(|_| (rng(TABLES) as usize, Arc::from("live")));
+            let mask = s.mask(observation, &patched, live.collect());
+            // NaN rows of one trait share one reason.
+            let nan_reasons: Vec<&Arc<str>> = (mask.dropped.iter())
+                .map(|(_, reason)| reason)
+                .filter(|reason| reason.contains("is NaN"))
+                .collect();
+            assert!(nan_reasons.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
+            let walk: Vec<u32> = (0..s.slots() as u32)
+                .filter(|slot| {
+                    let slot = *slot as usize;
+                    s.verdicts[slot].is_none()
+                        && s.first_nan(slot).is_none()
+                        && s.live.binary_search(&(slot as u32)).is_err()
+                })
+                .collect();
+            assert_eq!(s.ranked.ones().collect::<Vec<_>>(), walk, "cycle {cycle}");
+            assert_eq!(s.ranked.count(), walk.len(), "cycle {cycle}");
+            for id in template.trait_ids() {
+                let col = s.traits.col(id);
+                let fold = crate::rank::column_min_max(col, walk.iter().copied());
+                let (lo, hi) = s.bounds.clone().get(id, col, &s.ranked);
+                let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+                assert_eq!(bits((lo, hi)), bits(fold), "cycle {cycle}, {id:?}");
+                maintained[id.index()] += crate::rank::tests::maintained(&s.bounds, id) as u32;
+            }
+            s.rank(observation, &policy, &mask.fresh).unwrap();
+            if rng(7) == 0 {
+                let mut enc = Encoder::new();
+                snapshot_write(Some(&s), &mut enc, 1, observation);
+                let bytes = enc.into_bytes();
+                let keys = s.keys.clone();
+                let read = snapshot_read(
+                    &mut Decoder::new(&bytes),
+                    None,
+                    keys,
+                    &template,
+                    observation,
+                );
+                s = read.unwrap().expect("a live state is persisted");
+            }
+            state = Some(s);
+        }
+        // Every column is read maintained in some cycles, rescanned in
+        // others.
+        assert!(
+            maintained.iter().all(|m| (1..400).contains(m)),
+            "{maintained:?}"
+        );
     }
 }

@@ -79,7 +79,8 @@
 //!   set becomes a bitmap of the prior's listing positions: every
 //!   position a dirty uid is listed at. When the listing is literally
 //!   shared (`Arc::ptr_eq` under an unchanged
-//!   [`LakeConnector::listing_epoch`]) positions are identical and the
+//!   [`LakeConnector::listing_epoch`], or re-read equal to the prior's
+//!   element for element) positions are identical and the
 //!   fetch list is a scan of that bitmap, ascending: O(changes + dirty +
 //!   n/64) work, with no sort. Otherwise one O(n) walk maps every listed
 //!   table to its prior position — positional compare first, the
@@ -579,7 +580,26 @@ impl Bits {
         clear
     }
 
-    fn contains(&self, i: u32) -> bool {
+    /// Clears bit `i`; whether it was set.
+    pub(crate) fn clear(&mut self, i: u32) -> bool {
+        let Some(word) = self.0.get_mut(i as usize / 64) else {
+            return false;
+        };
+        let bit = 1u64 << (i % 64);
+        let set = *word & bit != 0;
+        *word &= !bit;
+        set
+    }
+
+    /// Sets bit `i` when `on`, else clears it; whether it changed.
+    pub(crate) fn put(&mut self, i: u32, on: bool) -> bool {
+        match on {
+            true => self.set(i),
+            false => self.clear(i),
+        }
+    }
+
+    pub(crate) fn contains(&self, i: u32) -> bool {
         self.0
             .get(i as usize / 64)
             .is_some_and(|word| word >> (i % 64) & 1 != 0)
@@ -602,6 +622,33 @@ impl Bits {
                 })
             })
         })
+    }
+}
+
+impl Bits {
+    /// The bits below `len` that are clear here.
+    pub(crate) fn complement(&self, len: usize) -> Bits {
+        let word = |w| !self.0.get(w).copied().unwrap_or(0);
+        let mut words: Vec<u64> = (0..len.div_ceil(64)).map(word).collect();
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last &= (1 << (len % 64)) - 1;
+        }
+        Bits(words)
+    }
+}
+
+/// Bit `i` set for each `i`-th item that is `true`, packed a word at a
+/// time.
+impl FromIterator<bool> for Bits {
+    fn from_iter<I: IntoIterator<Item = bool>>(items: I) -> Self {
+        let mut words = Vec::new();
+        for (i, on) in items.into_iter().enumerate() {
+            if i.is_multiple_of(64) {
+                words.push(0);
+            }
+            *words.last_mut().expect("pushed above") |= (on as u64) << (i % 64);
+        }
+        Bits(words)
     }
 }
 
@@ -1752,7 +1799,12 @@ fn resolve_reads(
             let (res, retries) = retry_read(try_list);
             deg.listing_retries = retries;
             match res {
-                Ok(listed) => Some(Arc::new(listed)),
+                // A re-read listing equal to the prior's keeps the
+                // prior's `Arc`, so everything keyed on it stays valid.
+                Ok(listed) => Some(match prior {
+                    Some(p) if p.tables() == listed.as_slice() => p.tables_shared(),
+                    _ => Arc::new(listed),
+                }),
                 Err(_) => match prior {
                     Some(p) => {
                         deg.listing_stale_passes =

@@ -26,8 +26,8 @@
 //! selected candidates, has the scheduler plan them, freezes calibration
 //! and ingests the phase's feedback afterwards. With a job runtime
 //! attached ([`AutoComp::with_job_tracker`]) the ledger also names its
-//! live tables, which the mask suppresses without touching the state
-//! (so the state survives a job). The cycle's executor polls finished
+//! live tables, which the mask takes out of the ranked set without
+//! touching their verdicts or trait rows (so the state survives a job). The cycle's executor polls finished
 //! jobs, which settle at cycle start and between waves.
 
 use std::borrow::Cow;
@@ -40,7 +40,7 @@ use crate::act::{
 };
 use crate::candidate::{Candidate, CandidateId};
 use crate::connector::{ExecutionResult, LakeConnector, Prediction};
-use crate::decide::{self, CycleCacheStats, DecideState, Keys, Mask};
+use crate::decide::{self, CycleCacheStats, DecideState, Keys};
 use crate::durability::{JournalEvent, RecoveryReport, ReplaySummary, SinceBase, SnapshotContext};
 use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
@@ -514,29 +514,18 @@ impl AutoComp {
                 .collect(),
             None => Vec::new(),
         };
-        let Mask {
-            dropped,
-            rows,
-            fresh,
-            suppressed,
-        } = state.mask(observation, &patched, live);
+        let mask = state.mask(observation, &patched, live);
         if let Some(tracker) = self.tracker.as_mut() {
-            tracker.note_suppressed(suppressed);
+            tracker.note_suppressed(mask.suppressed);
         }
         self.cache_stats = CycleCacheStats {
             spliced_tables: spliced,
             recomputed_tables: recomputed,
         };
         self.telemetry.span_end(tphase::ORIENT, span_t);
-        let splice_total = spliced + recomputed;
-        self.telemetry.gauge_set(
-            tnames::PIPELINE_CACHE_HIT_RATIO,
-            if splice_total > 0 {
-                spliced as f64 / splice_total as f64
-            } else {
-                0.0
-            },
-        );
+        let hit_ratio = spliced as f64 / (spliced + recomputed).max(1) as f64;
+        self.telemetry
+            .gauge_set(tnames::PIPELINE_CACHE_HIT_RATIO, hit_ratio);
         self.telemetry
             .gauge_set(tnames::PIPELINE_CACHE_SPLICED, spliced as f64);
         self.telemetry
@@ -546,7 +535,7 @@ impl AutoComp {
         // selection, or take the fleet-wide path.
         let span_t = self.telemetry.span_start();
         let fill = retained && observation.cursor().is_some();
-        let ranked = state.rank(observation, &self.config.policy, rows, &fresh);
+        let ranked = state.rank(observation, &self.config.policy, &mask.fresh);
         let (ranked, rank_stats) = match ranked {
             Ok(ranked) => ranked,
             Err(e) => {
@@ -559,14 +548,9 @@ impl AutoComp {
         self.rank_stats = rank_stats;
         self.telemetry.span_end(tphase::RANK, span_t);
         let score_total = rank_stats.spliced_scores + rank_stats.recomputed_scores;
-        self.telemetry.gauge_set(
-            tnames::PIPELINE_MEMO_HIT_RATIO,
-            if score_total > 0 {
-                rank_stats.spliced_scores as f64 / score_total as f64
-            } else {
-                0.0
-            },
-        );
+        let memo_ratio = rank_stats.spliced_scores as f64 / score_total.max(1) as f64;
+        self.telemetry
+            .gauge_set(tnames::PIPELINE_MEMO_HIT_RATIO, memo_ratio);
         if rank_stats.memo_fast {
             self.telemetry
                 .counter_add(tnames::PIPELINE_MEMO_FAST_TOTAL, 1);
@@ -619,7 +603,7 @@ impl AutoComp {
             at_ms: now_ms,
             scope: observation.scope().label(),
             generated: state.slots(),
-            dropped,
+            dropped: mask.dropped,
             traits: state.traits.gather(rendered.map(|e| e.index)),
             ranked,
             executed: act.executed,
@@ -1590,6 +1574,46 @@ mod tests {
         }
         assert_eq!(held.ranked.to_vec(), entries);
         assert_eq!(held.to_string(), text);
+    }
+
+    /// Without a listing epoch every observe re-reads the listing; one
+    /// equal to the prior's keeps the prior's `Arc`, so the decide state
+    /// keeps its slot layout from cycle to cycle and still decides what a
+    /// cold pipeline decides. A changed descriptor still remaps it.
+    #[test]
+    fn an_unchanged_listing_without_an_epoch_keeps_the_layout() {
+        let specs: Vec<(u64, u64, u64)> = (1..=30)
+            .map(|uid| (uid, uid * 5 % 17 + 1, 10 << 30))
+            .collect();
+        let mut lake = MemoryLake {
+            changelog: true,
+            ..MemoryLake::with_tables(&specs)
+        };
+        let mut ac = pipeline(3);
+        let mut observer = FleetObserver::new();
+        let mut exec = Untracked(RecordingExecutor::default());
+        let layout = |ac: &AutoComp| Arc::clone(ac.state.as_ref().expect("kept").layout_id());
+        plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 1_000).unwrap();
+        let first = layout(&ac);
+        for round in 1..=3 {
+            lake.tables[round].1.small_file_count += 40;
+            observer.mark_dirty(lake.tables[round].0.table_uid);
+            let now_ms = 1_000 + round as u64;
+            let warm = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, now_ms);
+            let mut fresh = Untracked(RecordingExecutor::default());
+            let cold = plain_cycle(&mut pipeline(3), &lake, None, &mut fresh, now_ms);
+            let (warm, cold) = (warm.unwrap(), cold.unwrap());
+            assert!(Arc::ptr_eq(&first, &layout(&ac)), "round {round}");
+            assert_eq!(ac.cycle_cache_stats().recomputed_tables, 1, "round {round}");
+            assert_eq!(warm.ranked.to_vec(), cold.ranked.to_vec(), "round {round}");
+            assert_eq!(warm.to_string(), cold.to_string(), "round {round}");
+        }
+        lake.tables[4].0.name = "renamed".into();
+        plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 2_000).unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &layout(&ac)),
+            "a changed descriptor remaps"
+        );
     }
 
     /// A trait computer that yields NaN for one specific table.

@@ -19,10 +19,13 @@
 //! contiguous `f64` columns — so scalarization is index arithmetic, not
 //! string-keyed map probes. Selection uses partial ordering
 //! (`select_nth_unstable_by` plus a sort of the selected head) instead of
-//! a full fleet sort: for a fixed k the decide phase is **O(n + k log k)**
-//! in the candidate count n. Returned entries carry their candidate
-//! `index` so downstream phases address the matrix and candidate slice
-//! directly, with no id-keyed side tables.
+//! a full fleet sort: for a fixed k a fleet-wide pass is **O(n + k log
+//! k)** in the candidate count n. A maintained pass (below) reads the
+//! ranked rows as a retained bitmap and the normalization bounds as
+//! maintained extremes: **O(d log d + k)** in the d re-scored rows, plus
+//! one O(n) rescan for a stale bound, whose move re-scores every row
+//! anyway. Entries carry their candidate `index`, so later phases address
+//! the matrix and the candidates directly.
 //!
 //! ## Ordering contract
 //!
@@ -30,13 +33,7 @@
 //! least every selected candidate plus the first
 //! [`RANKED_PREFIX_MIN`] rows (what [`CycleReport`] renders). Entries past
 //! the prefix follow in candidate order and their notes carry no exact
-//! rank; nothing renders them. The seed sorted the entire fleet for every
-//! cycle, which is exactly the O(n log n) framework overhead §7 warns
-//! about. The output type is [`RankedEntries`]: the prefix is eager
-//! (`head()`), and on single-candidate-scope paths the candidate-order
-//! tail is generated **lazily** on iteration from compact per-row
-//! columns — the fleet-wide `Vec<RankedEntry>` materialization is gone
-//! from the hot cycle, and iterating reproduces it bit-for-bit.
+//! rank; [`RankedEntries`] generates them lazily where it can.
 //!
 //! # Maintained selection
 //!
@@ -58,7 +55,8 @@ use std::sync::Arc;
 
 use crate::candidate::{Candidate, CandidateId, ScopeKind};
 use crate::error::AutoCompError;
-use crate::matrix::TraitMatrix;
+use crate::matrix::{TraitId, TraitMatrix};
+use crate::observe::Bits;
 use crate::Result;
 
 /// Number of best-first rows always materialized in exact rank order —
@@ -361,13 +359,13 @@ enum TailNoteSpec {
 
 /// Deferred tail of a decide-phase output: the ranked rows and per-row
 /// scores and table uids in compact columnar form; [`RankedEntry`]
-/// values are generated on iteration, in row order, bit-identical to the
-/// eager path. The score column is the decide state's own: the next rank
-/// pass copies it before writing only while this tail still holds it.
+/// values are generated on iteration, in row order. The ranked set and
+/// the score column are the decide state's own, which copies them before
+/// writing only while this tail still holds them.
 #[derive(Debug, Clone)]
 struct LazyTail {
-    /// Every ranked row, ascending, head rows included.
-    rows: Vec<u32>,
+    /// Every ranked row, head rows included.
+    ranked: Arc<Bits>,
     /// The head's rows, sorted: skipped on iteration.
     in_head: Vec<u32>,
     /// Score per row index.
@@ -430,14 +428,9 @@ impl LazyTail {
 /// selected candidate plus at least [`RANKED_PREFIX_MIN`] report rows)
 /// plus a tail covering the rest of the fleet in candidate order.
 ///
-/// On hot single-candidate-scope paths the tail is **lazy**: entries are
-/// generated on [`iter`](Self::iter)/[`to_vec`](Self::to_vec) from
-/// compact per-row columns instead of being materialized every cycle —
-/// at 100K tables the eager fleet-wide `Vec<RankedEntry>` was a
-/// measurable slice of the steady-state incremental cycle. Iteration
-/// yields entries bit-identical to the eager path (pinned by the parity
-/// suites); [`head`](Self::head) is the eager accessor rendering and
-/// seed-parity tests pin unchanged output against.
+/// On single-candidate-scope paths the tail is **lazy**: entries are
+/// generated on [`iter`](Self::iter)/[`to_vec`](Self::to_vec) from the
+/// decide state's shared columns, bit-identical to the eager path.
 #[derive(Debug, Clone)]
 pub struct RankedEntries {
     /// Eager entries: the full rank-order prefix — and, when `tail` is
@@ -460,7 +453,7 @@ impl RankedEntries {
     pub fn len(&self) -> usize {
         self.tail
             .as_ref()
-            .map_or(self.head.len(), |tail| tail.rows.len())
+            .map_or(self.head.len(), |tail| tail.ranked.count())
     }
 
     /// Whether no candidates were ranked.
@@ -492,11 +485,9 @@ impl RankedEntries {
     /// the eager path materializes.
     pub fn iter(&self) -> impl Iterator<Item = RankedEntry> + '_ {
         let tail = self.tail.iter().flat_map(|tail| {
-            let rows = tail
-                .rows
-                .iter()
-                .filter(|r| tail.in_head.binary_search(r).is_err());
-            rows.map(|r| tail.entry(*r as usize))
+            let rows = tail.ranked.ones();
+            let rows = rows.filter(|r| tail.in_head.binary_search(r).is_err());
+            rows.map(|r| tail.entry(r as usize))
         });
         self.head.iter().cloned().chain(tail)
     }
@@ -545,9 +536,83 @@ fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
     values.fold(start, |(min, max), v| (min.min(v), max.max(v)))
 }
 
-/// Min and max of `col` over the ranked `rows`.
-fn column_min_max(col: &[f64], rows: &[u32]) -> (f64, f64) {
-    min_max(rows.iter().map(|r| col[*r as usize]))
+/// Min and max of `col` over the ranked `rows`, folded in row order.
+pub(crate) fn column_min_max(col: &[f64], rows: impl Iterator<Item = u32>) -> (f64, f64) {
+    min_max(rows.map(|r| col[r as usize]))
+}
+
+/// One end of a column's in-order fold over the ranked rows: its bits,
+/// the ranked rows holding exactly them, and whether zeros of both signs
+/// hold it (the fold's result then depends on their order).
+#[derive(Debug, Clone, Copy)]
+struct Extreme(u64, u32, bool);
+
+impl Extreme {
+    /// Counts `v` in (`enter`) or out of the ranked rows, `beyond` this
+    /// end or not; `false` once only a rescan can tell the fold.
+    #[inline]
+    fn step(&mut self, v: f64, enter: bool, beyond: bool) -> bool {
+        let Extreme(bits, holders, mixed) = self;
+        if v.to_bits() == *bits {
+            *holders = if enter { *holders + 1 } else { *holders - 1 };
+            return *holders > 0 && !*mixed;
+        }
+        let other_zero = v == f64::from_bits(*bits);
+        if enter && beyond {
+            *self = Extreme(v.to_bits(), 1, false);
+        }
+        self.2 |= other_zero;
+        !other_zero
+    }
+}
+
+/// Steps both ends of a column; `false` once either needs a rescan.
+#[inline]
+fn step_ends([lo, hi]: &mut [Extreme; 2], v: f64, enter: bool) -> bool {
+    let (below, above) = (v < f64::from_bits(lo.0), v > f64::from_bits(hi.0));
+    lo.step(v, enter, below) & hi.step(v, enter, above)
+}
+
+/// Per trait column, the min and max over the ranked rows, bit-equal to
+/// [`column_min_max`]'s fold and maintained as ranked values come and go;
+/// `None` while stale (the rescan rule is [`crate::decide`]'s).
+#[derive(Debug, Clone)]
+pub(crate) struct Bounds(Vec<Option<[Extreme; 2]>>);
+
+impl Bounds {
+    pub(crate) fn stale(width: usize) -> Self {
+        Bounds(vec![None; width])
+    }
+
+    /// Counts `v` into (`enter`) or out of column `id`'s ranked values.
+    pub(crate) fn step(&mut self, id: TraitId, v: f64, enter: bool) {
+        let column = &mut self.0[id.index()];
+        if column
+            .as_mut()
+            .is_some_and(|ends| !step_ends(ends, v, enter))
+        {
+            *column = None;
+        }
+    }
+
+    /// Column `id`'s min and max over `ranked`, whose values `col` holds.
+    /// A rescan counts every value in, and takes the fold's word only for
+    /// an end that zeros of both signs hold.
+    pub(crate) fn get(&mut self, id: TraitId, col: &[f64], ranked: &Bits) -> (f64, f64) {
+        let [lo, hi] = *self.0[id.index()].get_or_insert_with(|| {
+            let mut ends =
+                [f64::INFINITY, f64::NEG_INFINITY].map(|e| Extreme(e.to_bits(), 0, false));
+            ranked
+                .ones()
+                .for_each(|r| _ = step_ends(&mut ends, col[r as usize], true));
+            if ends.iter().any(|end| end.2) {
+                let (min, max) = column_min_max(col, ranked.ones());
+                (ends[0].0, ends[1].0) = (min.to_bits(), max.to_bits());
+            }
+            ends
+        });
+        (f64::from_bits(lo.0), f64::from_bits(hi.0))
+    }
 }
 
 fn validate_weights(weights: &[TraitWeight]) -> Result<()> {
@@ -600,9 +665,9 @@ struct RankOrder<'a, S: RankSource + ?Sized> {
 }
 
 impl<'a, S: RankSource + ?Sized> RankOrder<'a, S> {
-    fn new(scores: &[f64], rows: &[u32], source: &'a S) -> Self {
+    fn new(scores: &[f64], rows: Vec<u32>, source: &'a S) -> Self {
         RankOrder {
-            indices: rows.to_vec(),
+            indices: rows,
             sorted_upto: 0,
             keys: scores.iter().map(|s| sort_key(*s)).collect(),
             source,
@@ -652,11 +717,13 @@ pub fn rank_and_select(
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
 ) -> Result<Vec<RankedEntry>> {
+    let ranked: Bits = candidates.iter().map(|_| true).collect();
     let slots = Slots {
-        rows: (0..candidates.len() as u32).collect(),
+        ranked: &Arc::new(ranked),
         fresh: &[],
         scores: &mut vec![0.0; candidates.len()].into(),
         selection: &mut Selection::default(),
+        bounds: &mut Bounds::stale(matrix.width()),
     };
     rank_slots(candidates, matrix, policy, slots).map(|(entries, _)| entries.into_vec())
 }
@@ -728,9 +795,8 @@ impl Selection {
 
 /// One cycle's ranked rows plus the per-row state ranking keeps.
 pub(crate) struct Slots<'a> {
-    /// Rows that rank this cycle, ascending; a lazy report tail keeps
-    /// them.
-    pub(crate) rows: Vec<u32>,
+    /// Rows that rank this cycle; a lazy report tail shares them.
+    pub(crate) ranked: &'a Arc<Bits>,
     /// Ranked rows whose retained score is stale, ascending.
     pub(crate) fresh: &'a [u32],
     /// Score per row index, kept for the next cycle and shared with the
@@ -738,6 +804,8 @@ pub(crate) struct Slots<'a> {
     pub(crate) scores: &'a mut Arc<[f64]>,
     /// The selection kept for the next cycle.
     pub(crate) selection: &'a mut Selection,
+    /// Normalization bounds of every trait column over `ranked`.
+    pub(crate) bounds: &'a mut Bounds,
 }
 
 /// Splice effectiveness of one rank pass (see
@@ -763,7 +831,7 @@ struct WeightedCol<'a> {
     factor: f64,
 }
 
-/// The decide phase over the `rows` of `source`: while the policy shape
+/// The decide phase over the ranked rows of `source`: while the policy shape
 /// and every normalization bound are bit-equal to the kept selection's,
 /// only `fresh` rows re-score and selection merges them into the kept
 /// prefix's survivors (the exactness argument is in [`crate::decide`]);
@@ -774,10 +842,10 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
     source: &S,
     matrix: &TraitMatrix,
     policy: &RankingPolicy,
-    slots: Slots<'_>,
+    mut slots: Slots<'_>,
 ) -> Result<(RankedEntries, RankCycleStats)> {
-    let rows = &slots.rows;
-    let n = rows.len();
+    let ranked = slots.ranked;
+    let n = ranked.count();
     if n == 0 {
         *slots.selection = Selection::default();
         return Ok((RankedEntries::eager(Vec::new()), RankCycleStats::default()));
@@ -795,10 +863,8 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
             let name: Arc<str> = Arc::from(trait_name.as_str());
             let cap = max_k.unwrap_or(usize::MAX);
             let min_value = *min_value;
-            let above = rows
-                .iter()
-                .filter(|r| col[**r as usize] >= min_value)
-                .count();
+            let above = ranked.ones().filter(|r| col[*r as usize] >= min_value);
+            let above = above.count();
             let sel = above.min(cap);
             let tail = TailNoteSpec::Threshold {
                 trait_name: name.clone(),
@@ -832,7 +898,7 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
             // Key on (min, span) bits — exactly the two values
             // `normalize` consumes, so bit-equal keys imply bit-equal
             // normalization.
-            let parts = weighted_parts(matrix, weights, rows)?;
+            let parts = weighted_parts(matrix, weights, &mut slots)?;
             let bounds = parts
                 .iter()
                 .map(|p| (p.min.to_bits(), p.span.to_bits()))
@@ -865,7 +931,7 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
             let cost_id = matrix
                 .trait_id(cost_trait)
                 .ok_or_else(|| AutoCompError::UnknownTrait(cost_trait.clone()))?;
-            let parts = weighted_parts(matrix, weights, rows)?;
+            let parts = weighted_parts(matrix, weights, &mut slots)?;
             let cap = max_k.unwrap_or(usize::MAX);
             let costs = matrix.col(cost_id);
             let score = |i| weighted_row(&parts, i);
@@ -893,8 +959,8 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
                 .ok_or_else(|| AutoCompError::UnknownTrait(cost_trait.clone()))?;
             let benefit_col = matrix.col(benefit_id);
             let cost_col = matrix.col(cost_id);
-            let (bmin, bmax) = column_min_max(benefit_col, rows);
-            let (cmin, cmax) = column_min_max(cost_col, rows);
+            let (bmin, bmax) = slots.bounds.get(benefit_id, benefit_col, ranked);
+            let (cmin, cmax) = slots.bounds.get(cost_id, cost_col, ranked);
             let bspan = bmax - bmin;
             let cspan = cmax - cmin;
             let quota_row = |i: usize| {
@@ -941,11 +1007,11 @@ pub(crate) fn rank_slots<S: RankSource + ?Sized>(
 }
 
 /// Resolves MOOP weights to their columns, normalization bounds over the
-/// ranked `rows`, and folded factors.
+/// ranked rows, and folded factors.
 fn weighted_parts<'a>(
     matrix: &'a TraitMatrix,
     weights: &[TraitWeight],
-    rows: &[u32],
+    slots: &mut Slots<'_>,
 ) -> Result<Vec<WeightedCol<'a>>> {
     weights
         .iter()
@@ -957,7 +1023,7 @@ fn weighted_parts<'a>(
                 .direction(id)
                 .ok_or_else(|| AutoCompError::UnknownTrait(w.trait_name.clone()))?;
             let col = matrix.col(id);
-            let (min, max) = column_min_max(col, rows);
+            let (min, max) = slots.bounds.get(id, col, slots.ranked);
             let sign = match direction {
                 crate::traits::TraitDirection::Benefit => 1.0,
                 crate::traits::TraitDirection::Cost => -1.0,
@@ -994,11 +1060,12 @@ fn rank_budgeted<S: RankSource + ?Sized>(
     notes: BudgetNotes,
 ) -> (RankedEntries, RankCycleStats) {
     let Slots {
-        rows,
+        ranked,
         scores,
         selection,
         ..
     } = slots;
+    let rows: Vec<u32> = ranked.ones().collect();
     let written = Arc::make_mut(scores);
     for r in &rows {
         written[*r as usize] = score_row(*r as usize);
@@ -1028,13 +1095,14 @@ fn rank_maintained<S: RankSource + ?Sized>(
     tail_spec: TailNoteSpec,
 ) -> (RankedEntries, RankCycleStats) {
     let Slots {
-        rows,
+        ranked,
         fresh,
         scores,
         selection,
+        ..
     } = slots;
     let (kind, bounds) = shape;
-    let n = rows.len();
+    let n = ranked.count();
     let needed = sel.max(RANKED_PREFIX_MIN).min(n);
     // Retained-prefix size: enough slack that the expected re-scored set
     // cannot knock the surviving membership below `needed` every cycle.
@@ -1043,15 +1111,19 @@ fn rank_maintained<S: RankSource + ?Sized>(
     // Kept scores hold only under the same policy shape and bit-equal
     // bounds: scores are then pure per-row functions of unchanged inputs.
     let kept = selection.kind == kind && selection.bounds == bounds;
-    let rescore = if kept { fresh } else { &rows[..] };
-    let written = Arc::make_mut(scores);
-    for r in rescore {
-        written[*r as usize] = score_row(*r as usize);
+    let (written, mut rescored) = (Arc::make_mut(scores), 0);
+    let mut rescore = |r: u32| {
+        written[r as usize] = score_row(r as usize);
+        rescored += 1;
+    };
+    match kept {
+        true => fresh.iter().for_each(|r| rescore(*r)),
+        false => ranked.ones().for_each(rescore),
     }
     let mut stats = RankCycleStats {
         memo_fast: false,
-        spliced_scores: n - rescore.len(),
-        recomputed_scores: rescore.len(),
+        spliced_scores: n - rescored,
+        recomputed_scores: rescored,
     };
     let scores = &*scores;
 
@@ -1067,7 +1139,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
             .prefix
             .iter()
             .copied()
-            .filter(|s| rows.binary_search(s).is_ok() && fresh.binary_search(s).is_err())
+            .filter(|s| ranked.contains(*s) && fresh.binary_search(s).is_err())
             .collect(),
         false => Vec::new(),
     };
@@ -1093,7 +1165,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
         }
         merged
     } else {
-        let mut order = RankOrder::new(scores, &rows, source);
+        let mut order = RankOrder::new(scores, ranked.ones().collect(), source);
         order.ensure(target);
         order.indices.truncate(target);
         order.indices
@@ -1122,7 +1194,7 @@ fn rank_maintained<S: RankSource + ?Sized>(
         Some((scope, uids)) => RankedEntries {
             head,
             tail: Some(LazyTail {
-                rows,
+                ranked: Arc::clone(ranked),
                 in_head,
                 scores: Arc::clone(scores),
                 uids,
@@ -1132,8 +1204,8 @@ fn rank_maintained<S: RankSource + ?Sized>(
         },
         None => {
             let mut all = head;
-            let tail = rows.iter().filter(|r| in_head.binary_search(r).is_err());
-            all.extend(tail.map(|r| *r as usize).map(|index| RankedEntry {
+            let tail = ranked.ones().filter(|r| in_head.binary_search(r).is_err());
+            all.extend(tail.map(|r| r as usize).map(|index| RankedEntry {
                 id: source.id(index),
                 index,
                 score: scores[index],
@@ -1179,7 +1251,7 @@ impl RemainingMinCost {
     fn new(costs: &[f64], rows: &[u32]) -> Self {
         RemainingMinCost {
             sorted_suffix_min: Vec::new(),
-            tail_min: column_min_max(costs, rows).0,
+            tail_min: column_min_max(costs, rows.iter().copied()).0,
         }
     }
 
@@ -1231,7 +1303,7 @@ fn budget_scan<S: RankSource + ?Sized>(
     cap: usize,
     notes: BudgetNotes,
 ) -> Vec<RankedEntry> {
-    let mut order = RankOrder::new(scores, rows, source);
+    let mut order = RankOrder::new(scores, rows.to_vec(), source);
     let n = order.len();
     let mut remaining_min = RemainingMinCost::new(costs, rows);
     let mut spent = 0.0;
@@ -1305,11 +1377,67 @@ fn budget_scan<S: RankSource + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::stats::{CandidateStats, QuotaSignal};
     use crate::traits::TraitDirection;
     use std::collections::BTreeMap;
+
+    /// Whether column `id`'s bounds are maintained rather than stale.
+    pub(crate) fn maintained(bounds: &Bounds, id: TraitId) -> bool {
+        bounds.0[id.index()].is_some()
+    }
+
+    /// The one rescan rule of the maintained bounds: a column goes stale
+    /// only when an extreme loses its last holder, or when a zero touches
+    /// a zero extreme that zeros of both signs hold; every other step
+    /// keeps it bit-equal to the in-order fold.
+    #[test]
+    fn bounds_rescan_only_when_an_extreme_loses_its_last_holder_or_zeros_mix() {
+        let id = TraitMatrix::new(0).intern("x", None);
+        let col = [3.0, 1.0, 1.0, 5.0, 0.0, -0.0, 0.0, 7.0, -0.0];
+        let mut ranked = Bits::default();
+        let mut bounds = Bounds::stale(1);
+        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        let mut step = |ranked: &mut Bits, row: u32, enter: bool, kept: bool| {
+            ranked.put(row, enter);
+            bounds.step(id, col[row as usize], enter);
+            assert_eq!(maintained(&bounds, id), kept, "row {row}, enter {enter}");
+            let fold = column_min_max(&col, ranked.ones());
+            assert_eq!(bits(bounds.get(id, &col, ranked)), bits(fold), "row {row}");
+        };
+        // A value entering a stale column leaves it stale; the rescan
+        // counts each extreme's holders, and later entries are counted.
+        step(&mut ranked, 0, true, false);
+        (1..4).for_each(|row| step(&mut ranked, row, true, true));
+        // A tied extreme losing one of its holders stays maintained.
+        step(&mut ranked, 1, false, true);
+        // A value beyond an extreme moves it; its last holder leaving
+        // forces the rescan.
+        step(&mut ranked, 7, true, true);
+        step(&mut ranked, 7, false, false);
+        // Zeros of one sign form a maintained extreme.
+        step(&mut ranked, 4, true, true);
+        step(&mut ranked, 6, true, true);
+        step(&mut ranked, 6, false, true);
+        // A zero of the other sign touching it forces a rescan.
+        step(&mut ranked, 5, true, false);
+        // While both signs hold it, any zero forces one — even one of the
+        // sign the fold returned — but other values do not.
+        step(&mut ranked, 8, true, false);
+        step(&mut ranked, 0, false, true);
+        step(&mut ranked, 8, false, false);
+        // Both min holders gone: the last-holder rule again.
+        step(&mut ranked, 4, false, false);
+        step(&mut ranked, 5, false, false);
+        // Emptied, the fold's infinities.
+        step(&mut ranked, 2, false, false);
+        step(&mut ranked, 3, false, false);
+        assert_eq!(
+            bounds.get(id, &col, &ranked),
+            (f64::INFINITY, f64::NEG_INFINITY)
+        );
+    }
 
     fn candidate(uid: u64, quota_util: Option<f64>) -> Candidate {
         Candidate {
