@@ -8,12 +8,19 @@
 //! * `snapshot/delta_8_rounds/100000` — one
 //!   [`ContinuousRuntime::save_snapshot`] after eight rounds that each
 //!   changed 1 % of the fleet since the base: a delta over the base.
+//! * `snapshot/delta_after_restore/100000` — the same save in a runtime
+//!   that recovered that base and delta and then ran one 1 % round: a
+//!   cumulative delta over the restored base. The restart and the round
+//!   are set up outside the timing; the save includes the check a store
+//!   built at a restart makes before its first write, reading and
+//!   validating both slots.
 //! * `restore/base_plus_delta/100000` — `SnapshotStore::load` of that
 //!   base and delta, then `AutoComp::restore_snapshot` into a fresh
 //!   pipeline and observer.
 //!
-//! End to end, the same costs show as `steady_1pct`'s
-//! `round_ms_snap_p50` and `recover_ms_p50` in the `benchmark/` package.
+//! End to end, the same costs show as `steady_1pct`'s and
+//! `crash_restart`'s `round_ms_snap_p50` and `recover_ms_p50` in the
+//! `benchmark/` package.
 
 use std::cell::RefCell;
 
@@ -23,7 +30,7 @@ use autocomp::{
     JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent,
     ScopeStrategy, SnapshotContext, TableRef, TraitWeight, Untracked,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
 
 const TABLES: u64 = 100_000;
@@ -124,17 +131,21 @@ fn pipeline() -> AutoComp {
     .with_job_tracker(JobRuntimeConfig::default())
 }
 
-/// A durable runtime that observed the fleet and saved a base, then ran
-/// eight rounds each writing 1 % of it (a splitmix walk, so rounds
-/// overlap like uniform commits do). Snapshots are saved only when asked.
-fn runtime_eight_rounds_past_a_base(lake: &Lake) -> ContinuousRuntime<MemSnapshotMedium> {
-    let config = RuntimeConfig {
+/// Rounds only on flush; snapshots only when asked.
+fn flush_only() -> RuntimeConfig {
+    RuntimeConfig {
         dirty_watermark: None,
         max_staleness_ms: None,
         snapshot_every_rounds: 0,
         ..RuntimeConfig::default()
-    };
-    let mut rt = ContinuousRuntime::new(pipeline(), config)
+    }
+}
+
+/// A durable runtime that observed the fleet and saved a base, then ran
+/// eight rounds each writing 1 % of it (a splitmix walk, so rounds
+/// overlap like uniform commits do). Snapshots are saved only when asked.
+fn runtime_eight_rounds_past_a_base(lake: &Lake) -> ContinuousRuntime<MemSnapshotMedium> {
+    let mut rt = ContinuousRuntime::new(pipeline(), flush_only())
         .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
     let mut exec = Untracked(Inert);
     rt.handle_event(&RuntimeEvent::Flush { at_ms: 1_000 }, lake, &mut exec)
@@ -159,6 +170,33 @@ fn runtime_eight_rounds_past_a_base(lake: &Lake) -> ContinuousRuntime<MemSnapsho
         rt.handle_event(&RuntimeEvent::Flush { at_ms }, lake, &mut exec)
             .expect("round");
     }
+    rt
+}
+
+/// A restart over a copy of `medium`: a runtime that recovered its
+/// generation and ran one round writing 1 % of the fleet. The round
+/// writes the same tables every time, so however often it runs, the
+/// change since the base stays that of the generation plus those tables.
+fn restarted_one_round_past(
+    medium: &MemSnapshotMedium,
+    lake: &Lake,
+) -> ContinuousRuntime<MemSnapshotMedium> {
+    let mut rt = ContinuousRuntime::new(pipeline(), flush_only())
+        .with_durability(SnapshotStore::new(medium.clone()), Journal::new());
+    let report = rt.recover();
+    assert!(report.is_warm(), "{report}");
+    let mut exec = Untracked(Inert);
+    let at_ms = 20_000;
+    for uid in (0..PER_ROUND).map(|i| i * 97 % TABLES) {
+        lake.write(uid);
+        let commit = RuntimeEvent::Commit {
+            at_ms,
+            table_uid: uid,
+        };
+        rt.handle_event(&commit, lake, &mut exec).expect("commit");
+    }
+    rt.handle_event(&RuntimeEvent::Flush { at_ms }, lake, &mut exec)
+        .expect("round");
     rt
 }
 
@@ -192,7 +230,34 @@ fn bench_durability(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("delta_8_rounds", TABLES), |b| {
         b.iter(|| rt.save_snapshot(&Untracked(Inert)))
     });
+
+    let medium = rt.snapshot_store().expect("durable").medium().clone();
+    let mut restarted = restarted_one_round_past(&medium, &lake);
+    assert!(restarted.save_snapshot(&Untracked(Inert)), "saved");
+    let [a, b] = slot_bytes(restarted.snapshot_store().expect("durable"));
+    assert!(
+        4 * a.min(b) <= a.max(b),
+        "the save after a restore is a delta: slots {a} and {b} bytes"
+    );
+    // The runtime a sample saved from is dropped in the next setup, so
+    // neither the restart nor freeing it is timed.
+    let saved_from = RefCell::new(Some(restarted));
+    group.bench_function(BenchmarkId::new("delta_after_restore", TABLES), |b| {
+        b.iter_batched(
+            || {
+                saved_from.take();
+                restarted_one_round_past(&medium, &lake)
+            },
+            |mut rt| {
+                let saved = rt.save_snapshot(&Untracked(Inert));
+                *saved_from.borrow_mut() = Some(rt);
+                saved
+            },
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
+    drop(saved_from);
 
     let store = rt.snapshot_store().expect("durable");
     let mut group = c.benchmark_group("restore");

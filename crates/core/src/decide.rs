@@ -65,8 +65,10 @@
 //! counted out. One rule rescans a column, when next read: an extreme
 //! lost its last holder (the bound moved, so every slot re-scores
 //! anyway), or a zero touched a zero extreme that zeros of both signs
-//! hold (the in-order fold's result then depends on their order). The
-//! bounds are thus bit-equal to a fold over the ranked slots.
+//! hold. Where zeros of both signs sit at an end, the fold takes `-0.0`
+//! as the min and `+0.0` as the max whatever their order, and the counts
+//! follow the same rule, so the bounds are bit-equal to a fold over the
+//! ranked slots.
 //!
 //! # Selection
 //!
@@ -262,7 +264,8 @@ pub(crate) struct DecideState {
     /// Slots the job ledger suppressed last cycle, ascending.
     live: Vec<u32>,
     /// The slots whose score the last rank pass wrote, ascending, or
-    /// `None` when it wrote every ranked slot's.
+    /// `None` when it wrote every ranked slot's. A restored state counts
+    /// the scores its delta carried over the base, none without one.
     rescored: Option<Vec<u32>>,
     /// Slots the filter dropped or whose trait row holds a NaN.
     excluded: Bits,
@@ -618,8 +621,8 @@ impl DecideState {
     }
 
     /// Marks in `tables` the listing position of every slot whose score
-    /// the last rank pass wrote; `false`, with nothing marked, when it
-    /// wrote them all.
+    /// the last rank pass wrote (on a restored state, the restored delta);
+    /// `false`, with nothing marked, when it wrote them all.
     pub(crate) fn mark_rescored(&self, tables: &mut Bits) -> bool {
         let Some(slots) = &self.rescored else {
             return false;
@@ -847,7 +850,8 @@ fn take_live(dec: &mut Decoder<'_>, slots: usize) -> std::result::Result<Vec<u32
 /// the listing positions the delta replaced in `observation` — the
 /// delta's slots, fill time, selection and live slots then replace the
 /// base's. Each replaced position must keep its table's slot count, so
-/// the base's layout still holds.
+/// the base's layout still holds. The state's re-scored slots are the
+/// ones the delta carried scores for (see [`DecideState::mark_rescored`]).
 pub(crate) fn snapshot_read(
     dec: &mut Decoder<'_>,
     delta: Option<(&mut Decoder<'_>, &[u32])>,
@@ -885,6 +889,7 @@ pub(crate) fn snapshot_read(
     take_f64s(dec, slots, "decide scores", |i, v| scores[i] = v)?;
     s.selection = Selection::snapshot_read(dec, slots)?;
     s.live = take_live(dec, slots)?;
+    s.rescored = Some(Vec::new());
     if let Some((d, positions)) = delta {
         apply_delta(d, &mut s, positions, observation)?;
     }
@@ -922,12 +927,18 @@ fn apply_delta(
         })?;
     }
     let scores = Arc::make_mut(&mut s.scores);
-    match dec.take_bool("delta scores whole")? {
-        true => take_f64s(dec, scores.len(), "delta scores", |i, v| scores[i] = v)?,
-        false => take_f64s(dec, slots.len(), "delta scores", |i, v| {
-            scores[slots[i]] = v
-        })?,
-    }
+    s.rescored = match dec.take_bool("delta scores whole")? {
+        true => {
+            take_f64s(dec, scores.len(), "delta scores", |i, v| scores[i] = v)?;
+            None
+        }
+        false => {
+            take_f64s(dec, slots.len(), "delta scores", |i, v| {
+                scores[slots[i]] = v
+            })?;
+            Some(slots.iter().map(|slot| *slot as u32).collect())
+        }
+    };
     s.selection = Selection::snapshot_read(dec, s.slots())?;
     s.live = take_live(dec, s.slots())?;
     (s.keys.now_ms, s.keys.cursor) = (now_ms, observation.cursor());

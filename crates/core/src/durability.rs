@@ -64,8 +64,7 @@
 //! the base frame followed by the delta frame; the restore decodes the
 //! base, then applies the delta. A delta is written only over the base's
 //! own listing `Arc`, decide-state layout and configuration epoch; a new
-//! listing, a rebuilt layout, a configuration edit, and the first
-//! boundary after a restore each force a base.
+//! listing, a rebuilt layout and a configuration edit each force a base.
 //!
 //! **Fold rule.** A boundary writes a base when the delta it would write
 //! is estimated to exceed a quarter of the last base's bytes, and a delta
@@ -92,6 +91,15 @@
 //!    fleet that changes half its tables per boundary exceeds the quarter
 //!    at once, so every boundary there is a base, as before deltas.
 //!
+//! A restore resumes the chain rather than starting a new one. The base
+//! it read stays the base: its store sequence number, frame checksum and
+//! length, the restored listing `Arc`, the restored decide state's
+//! layout and the current configuration epoch are what a delta over it
+//! must share, and what changed since it starts as what the restored
+//! delta carried — its listing positions, and every score if its scores
+//! went whole. A runtime restarted after every boundary therefore folds
+//! on the same rule as one that never stops.
+//!
 //! **Validity** is decided at one point, the store's load: a delta is
 //! returned only together with the intact base it names, by sequence
 //! number and slot checksum, in the other slot. The restore checks the
@@ -99,7 +107,10 @@
 //! never overwrites the base the newest delta depends on, a torn write —
 //! acknowledged or not — costs at most the base's boundary: the restore
 //! falls back to the base, and the journal replays from the base's
-//! watermark, which the journal still holds.
+//! watermark, which the journal still holds. That holds for a delta
+//! written after a restore too: its base is the one the restore read, and
+//! the journal is never truncated, so a torn post-restore delta falls
+//! back to that base and replays from its watermark.
 //!
 //! # Restore-validation contract
 //!
@@ -192,9 +203,9 @@ pub const SNAPSHOT_DELTA_KIND: u16 = 8;
 /// see the module docs for the compatibility policy.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// What a durable runtime keeps about its last base: the identities a
-/// delta over it must share, and what changed since it (see the module
-/// docs' fold rule).
+/// What a durable runtime keeps about its last base, saved or restored:
+/// the identities a delta over it must share, and what changed since it
+/// (see the module docs' fold rule).
 #[derive(Debug)]
 pub(crate) struct SinceBase {
     /// Store sequence number of the base.

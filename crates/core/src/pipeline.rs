@@ -876,50 +876,58 @@ impl AutoComp {
         observer: &mut FleetObserver,
         bytes: &[u8],
     ) -> RecoveryReport {
-        self.restore(observer, bytes, true)
+        let (base, delta) = bytes.split_at(frame_len(bytes).unwrap_or(bytes.len()));
+        self.restore(observer, base, delta, true).0
     }
 
-    /// [`restore_snapshot`](Self::restore_snapshot) of what a store's
-    /// load returned: its slot checksums already covered every byte, so
-    /// the frames' own checksums are not computed again.
+    /// [`restore_snapshot`](Self::restore_snapshot) of the base frame and
+    /// the delta frame (empty without one) of a generation a store
+    /// loaded: its slot checksums already covered every byte, so the
+    /// frames' own checksums are not computed again. A warm restore also
+    /// returns what a delta over the restored base must know of it (its
+    /// sequence number left at 0 for the caller to fill in): the base's
+    /// identities, and as changed since it what the delta carried.
     pub(crate) fn restore_loaded(
         &mut self,
         observer: &mut FleetObserver,
-        bytes: &[u8],
-    ) -> RecoveryReport {
-        self.restore(observer, bytes, false)
+        base: &[u8],
+        delta: &[u8],
+    ) -> (RecoveryReport, Option<SinceBase>) {
+        self.restore(observer, base, delta, false)
     }
 
     fn restore(
         &mut self,
         observer: &mut FleetObserver,
-        bytes: &[u8],
+        base: &[u8],
+        delta: &[u8],
         checked: bool,
-    ) -> RecoveryReport {
+    ) -> (RecoveryReport, Option<SinceBase>) {
         let span_t = self.telemetry.span_start();
-        let report = match self.try_restore(observer, bytes, checked) {
-            Ok(report) => report,
+        let restored = match self.try_restore(observer, base, delta, checked) {
+            Ok((report, since)) => (report, Some(since)),
             Err(reason) => {
                 // Degrade to a coherent cold start: drop every retained
                 // structure a partial decode may have been meant for.
                 observer.reset();
                 self.state = None;
-                RecoveryReport::ColdStart { reason }
+                (RecoveryReport::ColdStart { reason }, None)
             }
         };
         self.telemetry.observe(
             tnames::DURABILITY_RESTORE_US,
             self.telemetry.now().saturating_sub(span_t),
         );
-        report
+        restored
     }
 
     fn try_restore(
         &mut self,
         observer: &mut FleetObserver,
-        bytes: &[u8],
+        base: &[u8],
+        delta: &[u8],
         checked: bool,
-    ) -> std::result::Result<RecoveryReport, String> {
+    ) -> std::result::Result<(RecoveryReport, SinceBase), String> {
         use crate::durability::{SNAPSHOT_DELTA_KIND, SNAPSHOT_KIND, SNAPSHOT_VERSION};
         fn cerr(e: lakesim_storage::CodecError) -> String {
             format!("snapshot payload corrupt: {e}")
@@ -948,10 +956,9 @@ impl AutoComp {
             }
             Ok(dec)
         };
-        // The base frame, then the delta over it, if one follows. The
+        // The base frame, then the delta over it, if there is one. The
         // delta's sections are read alongside the base's, so no entry
         // the delta replaces is built from the base.
-        let (base, delta) = bytes.split_at(frame_len(bytes).unwrap_or(bytes.len()));
         let mut dec = open(base, SNAPSHOT_KIND, "frame")?;
         let mut delta = match delta.is_empty() {
             true => None,
@@ -975,6 +982,10 @@ impl AutoComp {
         let positions = observation_delta
             .as_ref()
             .map_or_else(Vec::new, |d| d.positions.clone());
+        let mut changed = Bits::default();
+        for &pos in &positions {
+            changed.set(pos);
+        }
         let observation =
             FleetObservation::snapshot_restore(&mut dec, observation_delta).map_err(cerr)?;
         if observation.cursor().is_none() {
@@ -1021,8 +1032,21 @@ impl AutoComp {
             self.tracker = Some(tracker);
         }
         self.feedback = feedback;
+        let since = SinceBase {
+            seq: 0,
+            check: frame_check(base),
+            bytes: base.len(),
+            tables: observation.tables_shared(),
+            layout: self.persisted_layout(&observation),
+            epoch: self.epoch,
+            all_scores: self
+                .state
+                .as_ref()
+                .is_some_and(|s| !s.mark_rescored(&mut changed)),
+            changed,
+        };
         observer.restore_prior(observation, dirty);
-        Ok(RecoveryReport::Warm {
+        let report = RecoveryReport::Warm {
             cycle: ctx.cycle,
             executor_cursor: ctx.executor_cursor,
             journal_watermark: ctx.journal_watermark,
@@ -1031,7 +1055,8 @@ impl AutoComp {
             retries_pending,
             cache_restored,
             memo_restored,
-        })
+        };
+        Ok((report, since))
     }
 
     /// Direct journal replay — recovery mode 2 of [`crate::durability`]:

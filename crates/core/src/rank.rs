@@ -529,11 +529,18 @@ fn normalize(v: f64, min: f64, span: f64) -> f64 {
     }
 }
 
-/// Min and max of `values`, each folded in order (±∞ when empty). One
-/// pass: the two folds are independent chains.
+/// Min and max of `values` (±∞ when empty), NaN skipped. One pass: the
+/// two folds are independent chains. Zeros of both signs at an end give
+/// `-0.0` as the min and `+0.0` as the max, so the result depends on the
+/// values alone, not on their order or on how `f64::min` is compiled.
 fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
     let start = (f64::INFINITY, f64::NEG_INFINITY);
-    values.fold(start, |(min, max), v| (min.min(v), max.max(v)))
+    values.fold(start, |(min, max), v| {
+        let negative = v.is_sign_negative();
+        let lower = v < min || (v == min && negative);
+        let higher = v > max || (v == max && !negative);
+        (if lower { v } else { min }, if higher { v } else { max })
+    })
 }
 
 /// Min and max of `col` over the ranked `rows`, folded in row order.
@@ -541,24 +548,25 @@ pub(crate) fn column_min_max(col: &[f64], rows: impl Iterator<Item = u32>) -> (f
     min_max(rows.map(|r| col[r as usize]))
 }
 
-/// One end of a column's in-order fold over the ranked rows: its bits,
-/// the ranked rows holding exactly them, and whether zeros of both signs
-/// hold it (the fold's result then depends on their order).
+/// One end of a column's fold over the ranked rows: its bits, the ranked
+/// rows holding exactly them, and whether zeros of both signs hold it.
 #[derive(Debug, Clone, Copy)]
 struct Extreme(u64, u32, bool);
 
 impl Extreme {
     /// Counts `v` in (`enter`) or out of the ranked rows, `beyond` this
-    /// end or not; `false` once only a rescan can tell the fold.
+    /// end or not, where a zero of the sign this end takes (`wins`) is
+    /// beyond the other zero; `false` once only a rescan can tell the
+    /// fold.
     #[inline]
-    fn step(&mut self, v: f64, enter: bool, beyond: bool) -> bool {
+    fn step(&mut self, v: f64, enter: bool, beyond: bool, wins: bool) -> bool {
         let Extreme(bits, holders, mixed) = self;
         if v.to_bits() == *bits {
             *holders = if enter { *holders + 1 } else { *holders - 1 };
             return *holders > 0 && !*mixed;
         }
         let other_zero = v == f64::from_bits(*bits);
-        if enter && beyond {
+        if enter && (beyond || other_zero && wins) {
             *self = Extreme(v.to_bits(), 1, false);
         }
         self.2 |= other_zero;
@@ -566,11 +574,14 @@ impl Extreme {
     }
 }
 
-/// Steps both ends of a column; `false` once either needs a rescan.
+/// Steps both ends of a column; `false` once either needs a rescan. The
+/// min takes `-0.0` over `+0.0`, the max `+0.0` over `-0.0`, as
+/// [`min_max`] does.
 #[inline]
 fn step_ends([lo, hi]: &mut [Extreme; 2], v: f64, enter: bool) -> bool {
     let (below, above) = (v < f64::from_bits(lo.0), v > f64::from_bits(hi.0));
-    lo.step(v, enter, below) & hi.step(v, enter, above)
+    let negative = v.is_sign_negative();
+    lo.step(v, enter, below, negative) & hi.step(v, enter, above, !negative)
 }
 
 /// Per trait column, the min and max over the ranked rows, bit-equal to
@@ -596,8 +607,7 @@ impl Bounds {
     }
 
     /// Column `id`'s min and max over `ranked`, whose values `col` holds.
-    /// A rescan counts every value in, and takes the fold's word only for
-    /// an end that zeros of both signs hold.
+    /// A rescan counts every value in.
     pub(crate) fn get(&mut self, id: TraitId, col: &[f64], ranked: &Bits) -> (f64, f64) {
         let [lo, hi] = *self.0[id.index()].get_or_insert_with(|| {
             let mut ends =
@@ -605,10 +615,6 @@ impl Bounds {
             ranked
                 .ones()
                 .for_each(|r| _ = step_ends(&mut ends, col[r as usize], true));
-            if ends.iter().any(|end| end.2) {
-                let (min, max) = column_min_max(col, ranked.ones());
-                (ends[0].0, ends[1].0) = (min.to_bits(), max.to_bits());
-            }
             ends
         });
         (f64::from_bits(lo.0), f64::from_bits(hi.0))
@@ -1436,6 +1442,29 @@ pub(crate) mod tests {
         assert_eq!(
             bounds.get(id, &col, &ranked),
             (f64::INFINITY, f64::NEG_INFINITY)
+        );
+    }
+
+    /// Where zeros of both signs sit at an end, the fold's min is `-0.0`
+    /// and its max `+0.0`, in either order and through the column fold
+    /// over ranked rows alike; a NaN is skipped.
+    #[test]
+    fn min_max_takes_a_zero_sign_from_the_data_alone() {
+        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        let values = [1.0, -0.0, 0.0, 2.0];
+        let want = bits((-0.0, 2.0));
+        assert_eq!(bits(min_max(values.iter().copied())), want);
+        assert_eq!(bits(min_max(values.iter().rev().copied())), want);
+        let rows = |rows: &[u32]| bits(column_min_max(&values, rows.iter().copied()));
+        assert_eq!(rows(&[0, 1, 2, 3]), want);
+        assert_eq!(rows(&[3, 2, 1, 0]), want);
+        assert_eq!(rows(&[1, 2]), bits((-0.0, 0.0)));
+        assert_eq!(rows(&[2, 1]), bits((-0.0, 0.0)));
+        let with_nan = [f64::NAN, 0.0, -0.0, f64::NAN];
+        assert_eq!(bits(min_max(with_nan.into_iter())), bits((-0.0, 0.0)));
+        assert_eq!(
+            bits(min_max(std::iter::empty())),
+            bits((f64::INFINITY, f64::NEG_INFINITY))
         );
     }
 

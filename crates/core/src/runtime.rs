@@ -110,14 +110,15 @@
 //! [`SnapshotStore`]: a base, or a delta over the last base when the fold
 //! rule of [`crate::durability`] allows one. The runtime keeps the base's
 //! identity and, updated after every round, the listing positions that
-//! changed since it; the first boundary after a restore saves a base.
-//! After a crash,
+//! changed since it. After a crash,
 //! [`recover`](ContinuousRuntime::recover) restores the newest valid
 //! snapshot generation and direct-replays the journal suffix (re-adopting
 //! in-flight jobs, re-applying settlements idempotently); platforms with
 //! a rewindable outcome stream can additionally seek to the reported
 //! [`executor_cursor`](crate::durability::SnapshotContext::executor_cursor)
-//! so unjournaled outcomes re-deliver.
+//! so unjournaled outcomes re-deliver. A warm restore resumes the chain:
+//! the base it read stays the base, and what its delta carried counts as
+//! changed since it, so the next boundary may save a delta again.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -440,9 +441,9 @@ impl RoundReport {
 struct Durable<M> {
     store: SnapshotStore<M>,
     journal: Journal,
-    /// The last base saved and what changed since it: `None` before the
-    /// first base, after a restore and once no delta over the base fits,
-    /// so the next boundary saves a base.
+    /// The last base saved or restored and what changed since it: `None`
+    /// before the first base, after a cold restore and once no delta over
+    /// the base fits, so the next boundary saves a base.
     since: Option<SinceBase>,
 }
 
@@ -613,9 +614,13 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
     /// Restores the pipeline from the newest valid snapshot generation
     /// and direct-replays the journal suffix past the snapshot's
     /// watermark (re-adopting journaled in-flight submissions,
-    /// re-applying journaled settlements idempotently). Returns the
-    /// recovery report; on [`RecoveryReport::Warm`] the caller may
-    /// additionally rewind a seekable platform to
+    /// re-applying journaled settlements idempotently). The generation's
+    /// base and delta are restored from the slot bytes as read, without
+    /// joining them. A warm restore keeps the base it read as the base
+    /// of the next boundary's delta, with what the restored delta carried
+    /// counted as changed since it (see [`crate::durability`]'s fold
+    /// rule). Returns the recovery report; on [`RecoveryReport::Warm`]
+    /// the caller may additionally rewind a seekable platform to
     /// `executor_cursor` so unjournaled outcomes re-deliver (the
     /// ledger's settled-id dedupe absorbs the overlap with journaled
     /// ones). Without attached durability (or without any valid
@@ -627,7 +632,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             };
         };
         durable.since = None;
-        let Some((_seq, bytes)) = durable.store.load() else {
+        let Some(generation) = durable.store.load_generation() else {
             let reason = match durable.store.missing_base() {
                 Some((delta, base)) => format!(
                     "no valid snapshot generation: delta {delta} needs base {base}, \
@@ -637,7 +642,15 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             };
             return RecoveryReport::ColdStart { reason };
         };
-        let report = self.pipeline.restore_loaded(&mut self.observer, &bytes);
+        let (base, delta) = generation.payloads();
+        let delta = delta.unwrap_or_default();
+        let (report, since) = self
+            .pipeline
+            .restore_loaded(&mut self.observer, base, delta);
+        durable.since = since.map(|since| SinceBase {
+            seq: generation.base_seq(),
+            ..since
+        });
         if let RecoveryReport::Warm {
             cycle,
             journal_watermark,

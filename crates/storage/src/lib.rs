@@ -56,7 +56,9 @@ pub use histogram::SizeHistogram;
 pub use metrics::StorageMetrics;
 pub use namenode::{NameNode, RpcCounters, RpcKind, RpcTicket};
 pub use namespace::QuotaUsage;
-pub use snapshot::{DirSnapshotMedium, Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
+pub use snapshot::{
+    DirSnapshotMedium, Generation, Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore,
+};
 pub use units::{GB, KB, MB, TB};
 
 /// Crate-level result alias.

@@ -39,16 +39,19 @@
 //! slots than the protocol needs, and never relies on a slot it has not
 //! validated:
 //!
-//! * **`load`** consults nothing the store remembers — a restart may keep
-//!   the store object or build a new one, and must see the same. It reads
-//!   both slots and validates the one whose header *claims* the higher
-//!   sequence (slot 0 on a tie). If that is a delta, it validates the
-//!   other slot as the base the delta names. If the first slot is not
-//!   restorable it tries the other one alone. A claim is unchecked bytes,
-//!   but it only orders the work: a valid slot's sequence is its claim,
-//!   so the result is that of validating both. A base alone is cut out
-//!   of its slot's buffer in place; a base and a delta are copied once
-//!   into one buffer of their own, the base's payload first.
+//! * **`load_generation`** consults nothing the store remembers — a
+//!   restart may keep the store object or build a new one, and must see
+//!   the same. It reads both slots and validates the one whose header
+//!   *claims* the higher sequence (slot 0 on a tie). If that is a delta,
+//!   it validates the other slot as the base the delta names. If the
+//!   first slot is not restorable it tries the other one alone. A claim
+//!   is unchecked bytes, but it only orders the work: a valid slot's
+//!   sequence is its claim, so the result is that of validating both. It
+//!   hands back the slot buffers as read, with the payload ranges and the
+//!   base's sequence, which a restart names when it resumes writing deltas
+//!   over that base. **`load`** is the same read with the payloads cut
+//!   out: a base alone in place in its slot's buffer, a base and a delta
+//!   copied once into one buffer of their own, the base's payload first.
 //! * **`save`** (a base) and **`save_delta_with`** (a delta) must not
 //!   overwrite the base the newest generation depends on, the slot whose
 //!   survival the protocol depends on. A base is therefore validated
@@ -332,6 +335,41 @@ struct Written {
     newest: u64,
 }
 
+/// The newest restorable generation of a store, as
+/// [`SnapshotStore::load_generation`] read it from the medium: the slot
+/// bytes of its base and of its delta, if it has one, each with the range
+/// of the payload it carries.
+#[derive(Debug)]
+pub struct Generation {
+    seq: u64,
+    base_seq: u64,
+    base: (Vec<u8>, Range<usize>),
+    delta: Option<(Vec<u8>, Range<usize>)>,
+}
+
+impl Generation {
+    /// Sequence of the generation: its delta's, or its base's when the
+    /// base is alone.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Sequence of the generation's base: the base a
+    /// [`save_delta_with`](SnapshotStore::save_delta_with) over this
+    /// generation names.
+    pub fn base_seq(&self) -> u64 {
+        self.base_seq
+    }
+
+    /// The base's payload and the delta's, if there is a delta, borrowed
+    /// from the slot bytes.
+    pub fn payloads(&self) -> (&[u8], Option<&[u8]>) {
+        let (base, at) = &self.base;
+        let delta = self.delta.as_ref().map(|(delta, at)| &delta[at.clone()]);
+        (&base[at.clone()], delta)
+    }
+}
+
 /// Alternating dual-slot snapshot store over a [`SnapshotMedium`]. See
 /// the module docs for the slot protocol and for what `load` and the
 /// saves validate.
@@ -370,25 +408,19 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
     /// Loads the newest restorable generation as `(sequence, payload)`:
     /// a base's payload, or a base's payload followed by the payload of
     /// the delta over it. `None` when no slot holds one (cold start).
-    /// Nothing remembered is consulted: both slots are read, the one
-    /// claiming the higher sequence is validated first (slot 0 on a tie),
-    /// then the base it names, if it is a delta, and the other slot alone
-    /// only if that fails.
+    /// This is [`load_generation`](Self::load_generation) with the
+    /// payloads cut out: a base alone in place in its slot's buffer, a
+    /// base and a delta copied once into one buffer of their own.
     pub fn load(&self) -> Option<(u64, Vec<u8>)> {
-        let mut slots = [0, 1].map(|slot| self.medium.read_slot(slot));
-        let first = higher([0, 1].map(|i| slots[i].as_deref().and_then(claimed_sequence)));
-        let found = newest_restorable(first, |i| slots[i].as_deref().and_then(open_slot))?;
-        let mut read = |(slot, opened): &(usize, Opened)| {
-            (
-                slots[*slot].take().expect("an opened slot was read"),
-                opened.payload.clone(),
-            )
-        };
-        let (mut base, payload) = read(&found.base);
+        let Generation {
+            seq,
+            base: (mut base, payload),
+            delta,
+            ..
+        } = self.load_generation()?;
         Some((
-            found.seq(),
-            match found.delta.as_ref().map(read) {
-                // A base alone is cut out of the slot's own buffer.
+            seq,
+            match delta {
                 None => {
                     base.truncate(payload.end);
                     base.drain(..payload.start);
@@ -403,6 +435,31 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
                 }
             },
         ))
+    }
+
+    /// Loads the newest restorable generation as the medium holds it: its
+    /// base's slot bytes and its delta's, if it has one, with their
+    /// payload ranges, its sequence and its base's. `None` when no slot
+    /// holds one (cold start). Nothing remembered is consulted: both
+    /// slots are read, the one claiming the higher sequence is validated
+    /// first (slot 0 on a tie), then the base it names, if it is a delta,
+    /// and the other slot alone only if that fails.
+    pub fn load_generation(&self) -> Option<Generation> {
+        let mut slots = [0, 1].map(|slot| self.medium.read_slot(slot));
+        let first = higher([0, 1].map(|i| slots[i].as_deref().and_then(claimed_sequence)));
+        let found = newest_restorable(first, |i| slots[i].as_deref().and_then(open_slot))?;
+        let mut read = |(slot, opened): &(usize, Opened)| {
+            (
+                slots[*slot].take().expect("an opened slot was read"),
+                opened.payload.clone(),
+            )
+        };
+        Some(Generation {
+            seq: found.seq(),
+            base_seq: found.base.1.seq,
+            base: read(&found.base),
+            delta: found.delta.as_ref().map(read),
+        })
     }
 
     /// `(delta sequence, base sequence)` of a delta that validates on the

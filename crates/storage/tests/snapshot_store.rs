@@ -362,6 +362,22 @@ fn save_delta_checked(
 
 #[test]
 fn store_with_deltas_agrees_with_the_stateless_reference_under_random_faults() {
+    let (deltas, restored_deltas) = delta_fuzz(|store, at| {
+        assert_eq!(store.load(), ref_load_with_deltas(store.medium()), "{at}");
+    });
+    // The loop exercises the delta path, not only declines.
+    assert!(
+        deltas > 2_000 && restored_deltas > 2_000,
+        "{deltas} deltas, {restored_deltas} loads"
+    );
+}
+
+/// The delta fuzz loop: 200 seeds of 80 steps, each a save of either
+/// kind (over the base in use, or one that is gone), a torn save, a bit
+/// flip at rest, a generation planted from outside or a restart that
+/// builds a new store. `check` sees the store after every step. Returns
+/// the deltas written and the steps whose newest generation is a delta.
+fn delta_fuzz(mut check: impl FnMut(&SnapshotStore<ProbedMedium>, &str)) -> (u32, u32) {
     let (mut deltas, mut restored_deltas) = (0, 0);
     for seed in 0..200u64 {
         let mut rng = Rng(seed);
@@ -439,18 +455,87 @@ fn store_with_deltas_agrees_with_the_stateless_reference_under_random_faults() {
                 }
                 _ => {}
             }
-            let loaded = store.load();
-            assert_eq!(loaded, ref_load_with_deltas(store.medium()), "{at}");
+            check(&store, &at);
             restored_deltas += ref_newest(store.medium()).is_some_and(|(seq, slot, _)| {
                 ref_open(store.medium(), slot).is_some_and(|base| base.seq != seq)
             }) as u32;
         }
     }
-    // The loop exercises the delta path, not only declines.
-    assert!(
-        deltas > 2_000 && restored_deltas > 2_000,
-        "{deltas} deltas, {restored_deltas} loads"
+    (deltas, restored_deltas)
+}
+
+/// `load_generation` and `load` agree on every step of the delta fuzz
+/// loop: the same sequence and the same payloads. The base's payload and
+/// sequence are those of the slot holding the newest generation's base,
+/// and a delta's payload is the other slot's, which names that base.
+#[test]
+fn load_generation_agrees_with_load_on_every_step_of_the_delta_fuzz() {
+    delta_fuzz(|store, at| {
+        let generation = store.load_generation();
+        let joined = generation.as_ref().map(|g| {
+            let (base, delta) = g.payloads();
+            (g.seq(), [base, delta.unwrap_or_default()].concat())
+        });
+        assert_eq!(joined, store.load(), "{at}");
+        let Some(g) = generation else {
+            return;
+        };
+        let (_, slot, _) = ref_newest(store.medium()).expect("a restorable generation");
+        let base = ref_open(store.medium(), slot).expect("its base validates");
+        assert_eq!(g.base_seq(), base.seq, "{at}");
+        let (base_payload, delta_payload) = g.payloads();
+        assert_eq!(base_payload, &base.payload[..], "{at}");
+        if let Some(delta_payload) = delta_payload {
+            let delta = ref_open(store.medium(), 1 - slot).expect("the delta validates");
+            assert_eq!(delta.base, Some((base.seq, base.check)), "{at}");
+            assert_eq!(delta_payload, &delta.payload[..], "{at}");
+        }
+    });
+}
+
+/// A restart that builds a new store, remembering nothing, resumes the
+/// delta chain: a delta over the base sequence `load_generation`
+/// reports is written, replaces the old delta, and `load` returns the
+/// base followed by the new delta, never the old one.
+#[test]
+fn a_new_store_writes_a_delta_over_the_base_load_generation_reports() {
+    let delta = |store: &mut SnapshotStore<ProbedMedium>, base, payload: &'static [u8]| {
+        store
+            .save_delta_with(base, |enc| {
+                enc.put_raw(payload);
+                true
+            })
+            .unwrap()
+    };
+    let (mut store, probe) = probed_store();
+    assert_eq!(store.save(b"base one").unwrap(), 1);
+    assert_eq!(delta(&mut store, 1, b"+two"), Some(2));
+
+    let mut store = SnapshotStore::new(ProbedMedium {
+        inner: store.medium().inner.clone(),
+        probe,
+    });
+    let generation = store.load_generation().expect("base + delta");
+    assert_eq!((generation.seq(), generation.base_seq()), (2, 1));
+    assert_eq!(
+        generation.payloads(),
+        (&b"base one"[..], Some(&b"+two"[..]))
     );
+    assert_eq!(delta(&mut store, generation.base_seq(), b"+three"), Some(3));
+    assert_eq!(store.load().unwrap(), (3, b"base one+three".to_vec()));
+    assert_eq!(store.load_generation().unwrap().base_seq(), 1);
+
+    // The same holds for a base alone.
+    let seq = store.save(b"base four").unwrap();
+    let mut store = SnapshotStore::new(ProbedMedium {
+        inner: store.medium().inner.clone(),
+        probe: Rc::new(Probe::default()),
+    });
+    let generation = store.load_generation().expect("a base");
+    assert_eq!((generation.seq(), generation.base_seq()), (seq, seq));
+    assert_eq!(generation.payloads(), (&b"base four"[..], None));
+    assert_eq!(delta(&mut store, seq, b"+five"), Some(seq + 1));
+    assert_eq!(store.load().unwrap(), (seq + 1, b"base four+five".to_vec()));
 }
 
 #[test]

@@ -1586,3 +1586,174 @@ fn a_delta_over_another_listing_is_rejected() {
     let reason = report.cold_reason().expect("a delta over another base");
     assert!(reason.contains("another base"), "reason: {reason}");
 }
+
+// ---------------------------------------------------------------------
+// A delta chain across restarts.
+// ---------------------------------------------------------------------
+
+/// Process death and restart: only the store and the journal's bytes
+/// survive; a fresh runtime over them, built with `pipeline`, recovers.
+fn kill_and_recover<M: SnapshotMedium>(
+    rt: ContinuousRuntime<M>,
+    pipeline: AutoComp,
+) -> (ContinuousRuntime<M>, RecoveryReport) {
+    let (store, journal) = rt.into_durable_parts().unwrap();
+    let journal = Journal::from_bytes(journal.bytes());
+    let mut rt =
+        ContinuousRuntime::new(pipeline, every_round_snapshots()).with_durability(store, journal);
+    let report = rt.recover();
+    (rt, report)
+}
+
+/// Like the `crash_restart` benchmark workload, a durable runtime is
+/// killed and recovered after every boundary, over a random interleaving
+/// of writes, bound-moving writes, stats faults, listing changes,
+/// configuration edits and the ledger churn of a platform whose jobs
+/// settle. A twin that is never killed runs the same script over its
+/// own copy of the lake and the platform. After every round the two
+/// decide alike, and the full frame re-encoded from `restore(load())` is
+/// byte-equal to the twin's live frame. Returns how many boundaries after
+/// a restore saved a delta.
+fn restarted_deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> usize {
+    let lakes = [DeltaLake::new(16), DeltaLake::new(16)];
+    let mut platforms = [
+        ScriptedPlatform::new(JOB_DURATION_MS),
+        ScriptedPlatform::new(JOB_DURATION_MS),
+    ];
+    let mut rng = SplitMix64::new(seed);
+    let mut k = 4;
+    let mut twin = ContinuousRuntime::new(delta_pipeline(scope, k), every_round_snapshots());
+    let mut rt = ContinuousRuntime::new(delta_pipeline(scope, k), every_round_snapshots())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let ctx = autocomp::SnapshotContext::default();
+    let mut deltas = 0;
+    for step in 0..28 {
+        let at = format!("seed {seed} {scope:?} step {step}");
+        let uids = lakes[0].uids();
+        let pick = |rng: &mut SplitMix64| uids[rng.below(uids.len() as u64) as usize];
+        match rng.below(12) {
+            0 => {
+                let relist = rng.next_u64();
+                for lake in &lakes {
+                    lake.relist(&mut SplitMix64::new(relist));
+                }
+            }
+            1 => {
+                k = 3 + rng.below(4) as usize;
+                let policy = delta_pipeline(scope, k).config().policy.clone();
+                rt.pipeline_mut().config_mut().policy = policy.clone();
+                twin.pipeline_mut().config_mut().policy = policy;
+            }
+            2 => {
+                let uid = pick(&mut rng);
+                for lake in &lakes {
+                    lake.fault(uid);
+                    lake.write(uid, 1);
+                }
+            }
+            3 => {
+                let (uid, versions) = (pick(&mut rng), 16 + rng.below(16));
+                lakes.iter().for_each(|lake| lake.write(uid, versions));
+            }
+            4 => {}
+            _ => {
+                for _ in 0..1 + rng.below(2) {
+                    let uid = pick(&mut rng);
+                    lakes.iter().for_each(|lake| lake.write(uid, 1));
+                }
+            }
+        }
+        let ours = flush(&mut rt, &lakes[0], &mut platforms[0], now(step));
+        let theirs = flush(&mut twin, &lakes[1], &mut platforms[1], now(step));
+        assert_reports_identical(&theirs.report, &ours.report, &at);
+        assert!(ours.snapshot_saved, "{at}");
+
+        let bytes = newest_generation(&rt);
+        deltas += (step > 0 && !split_generation(&bytes).1.is_empty()) as usize;
+        let live = twin.pipeline().encode_snapshot(twin.observer(), &ctx);
+        let mut restored = delta_pipeline(scope, k);
+        let mut observer = FleetObserver::new();
+        let report = restored.restore_snapshot(&mut observer, &bytes);
+        assert!(report.is_warm(), "{at}: {report}");
+        assert!(
+            restored.encode_snapshot(&observer, &ctx) == live,
+            "{at}: the restored state differs from the twin's live one"
+        );
+
+        let report;
+        (rt, report) = kill_and_recover(rt, delta_pipeline(scope, k));
+        assert!(report.is_warm(), "{at}: {report}");
+    }
+    deltas
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn a_runtime_restarted_after_every_boundary_keeps_writing_deltas(
+        seed in 0u64..u64::MAX,
+    ) {
+        for scope in [ScopeStrategy::Table, ScopeStrategy::Partition] {
+            let deltas = restarted_deltas_restore_the_live_state(seed, scope);
+            prop_assert!(
+                deltas > 0,
+                "seed {} {:?}: no boundary after a restore saved a delta", seed, scope
+            );
+        }
+    }
+}
+
+/// A delta written after a restore that tears costs only the generations
+/// since the base: the restart falls back to the base, replays the
+/// journal from the base's watermark (the journal still holds it), and
+/// once the first round has caught up the restarted runtime decides like
+/// a twin that never stopped.
+#[test]
+fn a_torn_delta_after_a_restore_falls_back_to_the_base_and_reconverges() {
+    let lake = CrashLake::new(TABLES);
+    let config = every_round_snapshots();
+    let mut twin = ContinuousRuntime::new(soak_pipeline(), config.clone());
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), config).with_durability(
+        SnapshotStore::new(TornMedium::new(MemSnapshotMedium::new())),
+        Journal::new(),
+    );
+    let mut platform = ScriptedPlatform::parity(JOB_DURATION_MS);
+    let mut twin_platform = platform.clone();
+    for i in 0..3 {
+        for uid in scripted_writes(i) {
+            lake.write(uid);
+        }
+        if i == 2 {
+            // Round 3's delta, the second since the restores began, tears.
+            let store = rt.snapshot_store_mut().unwrap();
+            store.medium_mut().tear_next_write_at(40);
+        }
+        flush(&mut rt, &lake, &mut platform, now(i));
+        flush(&mut twin, &lake, &mut twin_platform, now(i));
+        let is_delta = !split_generation(&newest_generation(&rt)).1.is_empty();
+        assert_eq!(is_delta, i == 1, "round {}: a base, then a delta", i + 1);
+        let report;
+        (rt, report) = kill_and_recover(rt, soak_pipeline());
+        match report {
+            RecoveryReport::Warm { cycle, .. } => {
+                assert_eq!(cycle, [1, 2, 1][i], "round {}'s restore", i + 1)
+            }
+            cold => panic!("expected a warm restore, got: {cold}"),
+        }
+    }
+    // The first round catches up on everything written since the base;
+    // from the next one on, the two runs decide alike.
+    for uid in scripted_writes(3) {
+        lake.write(uid);
+    }
+    flush(&mut rt, &lake, &mut platform, now(3));
+    flush(&mut twin, &lake, &mut twin_platform, now(3));
+    for i in 4..CYCLES {
+        for uid in scripted_writes(i) {
+            lake.write(uid);
+        }
+        let ours = flush(&mut rt, &lake, &mut platform, now(i));
+        let theirs = flush(&mut twin, &lake, &mut twin_platform, now(i));
+        assert_reports_identical(&theirs.report, &ours.report, &format!("round {i}"));
+    }
+}
