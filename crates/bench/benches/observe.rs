@@ -1,5 +1,7 @@
-//! Criterion: the observe phase at fleet scale — per-table pull baseline
-//! vs. a session-holding connector, cold vs. incremental
+//! Criterion: the observe phase at fleet scale, every case through
+//! `FleetObserver::observe` (a cold case is a fresh observer's first
+//! pass) — a connector paying a catalog session per call vs. one
+//! holding its session, cold vs. incremental
 //! (cursor/dirty-set) observe, the incremental one over a listing shared
 //! under a listing epoch and over one re-read every pass, the storm
 //! shape: half the fleet dirty over a shared listing, and one storm
@@ -18,8 +20,7 @@
 //! `telemetry.trace_overhead_pct`, `crash_restart` `recover_ms_p50`).
 
 use autocomp::{
-    CandidateStats, ChangeCursor, FleetObserver, LakeConnector, ObserveRequest, ScopeStrategy,
-    SizeBucket, TableRef,
+    CandidateStats, ChangeCursor, FleetObserver, LakeConnector, ScopeStrategy, SizeBucket, TableRef,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -223,10 +224,14 @@ fn bench_observe(c: &mut Criterion) {
     let n = 100_000u64;
     let lake = SyntheticLake::new(n);
 
-    // Baseline: the historical chatty per-table pull protocol.
+    // Baseline: a connector that pays a catalog session per call.
     let chatty = PerCallLake(&lake);
     group.bench_with_input(BenchmarkId::new("tables_pull", n), &n, |b, _| {
-        b.iter(|| chatty.observe(ObserveRequest::fresh(ScopeStrategy::Table)))
+        b.iter(|| {
+            FleetObserver::new()
+                .observe(&chatty, ScopeStrategy::Table)
+                .table_count()
+        })
     });
 
     // Cold observe with the session amortized.
@@ -236,7 +241,11 @@ fn bench_observe(c: &mut Criterion) {
         dirty_divisor: DIRTY_DIVISOR,
     };
     group.bench_with_input(BenchmarkId::new("tables", n), &n, |b, _| {
-        b.iter(|| session.observe(ObserveRequest::fresh(ScopeStrategy::Table)))
+        b.iter(|| {
+            FleetObserver::new()
+                .observe(&session, ScopeStrategy::Table)
+                .table_count()
+        })
     });
 
     // Incremental observe: 1% dirty, the rest reused from the prior.

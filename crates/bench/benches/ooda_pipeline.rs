@@ -153,7 +153,7 @@ fn bench_ooda(c: &mut Criterion) {
             b.iter(|| {
                 ac.cycle(CycleInput {
                     connector: &lake,
-                    observer: None,
+                    observer: &mut FleetObserver::new(),
                     executor: &mut exec,
                     now_ms: 0,
                 })
@@ -183,7 +183,7 @@ fn bench_ooda(c: &mut Criterion) {
         }
         ac.cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut exec,
             now_ms: round * 1_000,
         })

@@ -164,7 +164,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
         let report = ac
             .cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
@@ -200,7 +200,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
         // steady state, not the first cold fill.
         ac.cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut Untracked(NullExecutor),
             now_ms: now,
         })
@@ -212,7 +212,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
             now += 1_000;
             ac.cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut Untracked(NullExecutor),
                 now_ms: now,
             })
@@ -238,7 +238,7 @@ fn bench_scenario_mix(c: &mut Criterion) {
             ac.invalidate_cycle_cache();
             ac.cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(NullExecutor),
                 now_ms: now,
             })

@@ -122,7 +122,7 @@ fn main() {
         let report = ac
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut exec,
                 now_ms: round,
             })

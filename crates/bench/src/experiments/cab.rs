@@ -9,7 +9,7 @@
 
 use autocomp::{
     AllParallelScheduler, AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter,
-    ComputeCostGbhr, CycleInput, FileCountReduction, IntermediateTableFilter,
+    ComputeCostGbhr, CycleInput, FileCountReduction, FleetObserver, IntermediateTableFilter,
     ParallelTablesScheduler, RankingPolicy, ScopeStrategy, StrictSequentialScheduler, TraitWeight,
     Untracked,
 };
@@ -253,7 +253,7 @@ pub fn run_cab(config: &CabExperimentConfig) -> CabRunResult {
                         pipeline
                             .cycle(CycleInput {
                                 connector: &connector,
-                                observer: None,
+                                observer: &mut FleetObserver::new(),
                                 executor: &mut executor,
                                 now_ms: tick,
                             })

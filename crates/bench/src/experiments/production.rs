@@ -3,8 +3,8 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    CycleInput, FileCountReduction, IntermediateTableFilter, RankingPolicy, RecentlyCreatedFilter,
-    ScopeStrategy, TraitWeight, Untracked,
+    CycleInput, FileCountReduction, FleetObserver, IntermediateTableFilter, RankingPolicy,
+    RecentlyCreatedFilter, ScopeStrategy, TraitWeight, Untracked,
 };
 use autocomp_lakesim::{LakesimConnector, LakesimExecutor, ObserveOptions};
 use lakesim_catalog::{AccuracySummary, JobStatus};
@@ -86,7 +86,7 @@ pub fn auto_cycle(fleet: &Fleet, pipeline: &mut AutoComp, use_planned: bool) -> 
     let selected = pipeline
         .cycle(CycleInput {
             connector: &connector,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut executor,
             now_ms: now,
         })

@@ -12,10 +12,10 @@
 //! [`autocomp::CandidateStats`] layout — quota signal (§7) memoized once
 //! per database per batch, database names interned, stats production in
 //! the private read-only `stats` module — and surfaces the engine's
-//! commit changelog as a change cursor, so `observe(ObserveRequest)`
-//! with a prior observation re-fetches only the tables written since the
-//! last cycle (§5's optimize-after-write mode without full-fleet observe
-//! cost). Incremental caveat: reused entries keep the prior cycle's
+//! commit changelog as a change cursor, so a retained
+//! [`autocomp::FleetObserver`]'s pass re-fetches only the tables written
+//! since the last cycle (§5's optimize-after-write mode without
+//! full-fleet observe cost). Incremental caveat: reused entries keep the prior cycle's
 //! quota signal and write-frequency values for quiet tables (bounded
 //! staleness, see `autocomp::observe`'s staleness contract); interleave
 //! cold observes when exact fleetwide quota pressure matters.

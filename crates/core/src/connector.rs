@@ -7,19 +7,21 @@
 //!
 //! # Observing through [`LakeConnector`]
 //!
-//! Implementors provide the per-table primitives (`list_tables` +
-//! `*_stats`) and inherit a batched [`observe`](LakeConnector::observe)
-//! entry point for free: the default drives the per-table pull protocol
-//! ([`pull_observe`](crate::observe::pull_observe)) and adds incremental
-//! (dirty-set) reuse whenever the connector reports a [`ChangeCursor`].
-//! A connector with a cheaper native path (a batch RPC, a columnar stats
-//! table) overrides `observe`; the choice rides behind
-//! `&dyn LakeConnector`, callers never make it.
+//! Implementors provide the per-table read primitives (`list_tables` +
+//! `*_stats`, and optionally a change cursor, a changelog and a listing
+//! epoch). They are the whole data model: a connector does not observe.
+//! [`FleetObserver::observe`] is the one way to observe; its driver
+//! reads the primitives through `&dyn LakeConnector`, in listing order,
+//! and adds incremental (dirty-set) reuse whenever the connector
+//! reports a [`ChangeCursor`].
 //!
-//! Cycles consume connectors through [`FleetObservation`] values
-//! returned by `observe` — one batched round-trip per cycle instead of
-//! one call per table, which is what lets the OODA cadence survive
-//! 100K-table fleets (§6–§7).
+//! Cycles consume connectors through the [`FleetObservation`] values
+//! the observer keeps — built once per cycle and consumed by index,
+//! which is what lets the OODA cadence survive 100K-table fleets
+//! (§6–§7).
+//!
+//! [`FleetObserver::observe`]: crate::observe::FleetObserver::observe
+//! [`FleetObservation`]: crate::observe::FleetObservation
 //!
 //! # The fallible `try_*` surface
 //!
@@ -48,10 +50,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::candidate::{Candidate, TableRef};
-use crate::observe::{self, ChangeCursor, FleetObservation, ObserveRequest};
+use crate::observe::ChangeCursor;
 use crate::stats::CandidateStats;
 
-/// Why a connector read failed, classified for the observe drivers'
+/// Why a connector read failed, classified for the observe driver's
 /// recovery policy: [`Transient`](Self::Transient) faults are retried
 /// (listing/changelog) or carried forward with quarantine (per-table
 /// stats); [`Permanent`](Self::Permanent) faults skip the retry budget
@@ -81,7 +83,7 @@ impl ObserveFault {
         ObserveFault::Permanent(detail.into())
     }
 
-    /// Whether the observe drivers may retry this read.
+    /// Whether the observe driver may retry this read.
     pub fn is_transient(&self) -> bool {
         matches!(self, ObserveFault::Transient(_))
     }
@@ -104,8 +106,7 @@ impl fmt::Display for ObserveFault {
 }
 
 /// Read-side connector: lists tables and produces candidate statistics
-/// one table at a time, with a batched [`observe`](Self::observe) default
-/// built on top.
+/// one table at a time.
 pub trait LakeConnector {
     /// All tables AutoComp may consider, in a deterministic order.
     fn list_tables(&self) -> Vec<TableRef>;
@@ -134,7 +135,7 @@ pub trait LakeConnector {
     /// Monotone-ish epoch of the table *listing* (which tables exist and
     /// their descriptor flags): any create, drop, rename, or policy edit
     /// must change it. When a connector reports one and it is unchanged
-    /// since the prior observation, the observe drivers share the prior
+    /// since the prior observation, the observe driver shares the prior
     /// listing (one `Arc` bump) instead of re-materializing every
     /// [`TableRef`] — at 100K tables the listing clone alone is a
     /// measurable slice of an incremental observe. Default: `None`
@@ -154,8 +155,8 @@ pub trait LakeConnector {
     /// Fallible listing. Default: delegates to
     /// [`list_tables`](Self::list_tables) and never faults. Connectors
     /// over real catalogs override this to report listing failures
-    /// structurally; the observe drivers retry transient faults with
-    /// capped-exponential backoff and then fall back to the prior
+    /// structurally; the observe driver retries transient faults with
+    /// capped-exponential backoff and then falls back to the prior
     /// listing (degraded) rather than failing the round.
     fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
         Ok(self.list_tables())
@@ -199,24 +200,6 @@ pub trait LakeConnector {
     /// [`changes_since`](Self::changes_since) and never faults.
     fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
         Ok(self.changes_since(cursor))
-    }
-
-    /// Batched observe: one call captures the whole fleet's descriptors
-    /// and stats as a [`FleetObservation`]. The default implementation
-    /// drives the per-table pull protocol above, in listing order, and
-    /// reuses the prior observation's entries for tables the changelog
-    /// proves untouched. Connectors with a cheaper native path (a batch
-    /// RPC, a columnar stats table) may override it. The parity contract
-    /// is that for identical lake state the result must equal the
-    /// default's. The request owns its prior, so a pass may patch the
-    /// prior's entries in place. An override re-fetches the tables of
-    /// [`ObserveRequest::force_dirty`] ([`DirtySet::uids`]) as it does
-    /// the changelog's, or hands the request on to
-    /// [`pull_observe`](observe::pull_observe), which does.
-    ///
-    /// [`DirtySet::uids`]: observe::DirtySet::uids
-    fn observe(&self, request: ObserveRequest) -> FleetObservation {
-        observe::pull_observe(self, request)
     }
 }
 
@@ -319,6 +302,7 @@ pub trait CompactionExecutor {
 mod tests {
     use super::*;
     use crate::candidate::CandidateId;
+    use crate::observe::FleetObserver;
     use crate::scope::ScopeStrategy;
 
     /// A minimal in-memory connector proving the traits are object-safe
@@ -414,14 +398,21 @@ mod tests {
         assert_eq!(exec.calls, 1);
     }
 
+    /// The observer reads a connector through a trait object; a clone of
+    /// its last observation, held across the next pass, is a value.
     #[test]
-    fn blanket_observe_works_through_a_trait_object() {
+    fn observe_works_through_a_trait_object() {
         let lake = one_table_lake();
         let dyn_lake: &dyn LakeConnector = &lake;
-        let obs = dyn_lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(obs.table_count(), 1);
-        assert_eq!(obs.candidate_count(), 1);
-        assert!(obs.cursor().is_none());
+        let mut observer = FleetObserver::new();
+        let held = observer.observe(dyn_lake, ScopeStrategy::Table).clone();
+        assert_eq!(held.table_count(), 1);
+        assert_eq!(held.candidate_count(), 1);
+        assert!(held.cursor().is_none());
+        // No changelog: the next pass fetches the table again.
+        let next = observer.observe(dyn_lake, ScopeStrategy::Table);
+        assert_eq!((next.fetched_tables(), next), (1, &held));
+        assert_eq!(held.fetched_tables(), 1);
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //!   predictions, never verdicts, trait values or scores.
 //! * **Scope and width** — the same scope strategy and trait-column
 //!   count.
-//! * **Cursor chain** — the observation was derived from the very
-//!   observation the state was last patched against: its
-//!   [`prior_cursor`](FleetObservation::prior_cursor) is the state's
-//!   cursor.
+//! * **Chain** — the observation was derived, through the changelog,
+//!   from the very observation the state was last patched against: its
+//!   prior's serial is the state's (see [`crate::observe`]'s chain).
+//!   Serials are process-unique, so a state never splices into another
+//!   observer's chain, whatever cursors the two share.
 //! * **Clock** — a chain with a
 //!   [time-sensitive](crate::filter::CandidateFilter::time_sensitive)
 //!   filter reuses the state only at the timestamp it was filled at.
@@ -64,11 +65,10 @@
 //! membership changes, a patched row counted in before its old row is
 //! counted out. One rule rescans a column, when next read: an extreme
 //! lost its last holder (the bound moved, so every slot re-scores
-//! anyway), or a zero touched a zero extreme that zeros of both signs
-//! hold. Where zeros of both signs sit at an end, the fold takes `-0.0`
-//! as the min and `+0.0` as the max whatever their order, and the counts
-//! follow the same rule, so the bounds are bit-equal to a fold over the
-//! ranked slots.
+//! anyway). Where zeros of both signs sit at an end, the fold takes
+//! `-0.0` as the min and `+0.0` as the max whatever their order, and an
+//! end counts the holders of the zero it takes, so the bounds are
+//! bit-equal to a fold over the ranked slots.
 //!
 //! # Selection
 //!
@@ -87,8 +87,10 @@
 //! by [`crate::rank`]'s partial selection over every ranked slot. It
 //! runs:
 //!
-//! * with no state: the first cycle, one after an explicit invalidation,
-//!   a one-shot or cursor-less observation, a cold restore;
+//! * with no usable state: the first cycle, one after an explicit
+//!   invalidation, a full observe (a fresh observer's, a cursor-less
+//!   connector's, a changelog fallback), a state another observer's
+//!   cycle left, a cold restore;
 //! * on any key mismatch above;
 //! * for ranking alone: when a normalization bound moved (min–max
 //!   normalization is fleet-global, so every score moves with it), for a
@@ -100,9 +102,10 @@
 //! excluded bitmap. Either leaves every bound stale.
 //!
 //! A snapshot persists the state only while it is live for the
-//! snapshotted observation: same epoch and scope, patched at that
-//! observation's cursor, over literally its listing. A restore lays the
-//! slots out from the restored observation.
+//! snapshotted observation: same epoch, last patched against exactly
+//! that observation, which carries a change cursor (a restore needs
+//! one). A restore lays the slots out from the restored observation,
+//! and the state is patched against it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -249,6 +252,8 @@ fn candidate_parts(
 #[derive(Debug)]
 pub(crate) struct DecideState {
     keys: Keys,
+    /// Serial of the observation the state was last patched against.
+    over: u64,
     layout: Layout,
     /// Per slot: `None` when the filter chain kept the candidate, else its
     /// drop reason.
@@ -300,6 +305,7 @@ impl DecideState {
         let slots = layout.table_of.len();
         DecideState {
             keys,
+            over: observation.serial(),
             layout,
             verdicts,
             traits: traits.resized(slots),
@@ -329,8 +335,7 @@ impl DecideState {
     ) -> bool {
         self.keys.epoch == keys.epoch
             && self.keys.scope == keys.scope
-            && self.keys.cursor.is_some()
-            && self.keys.cursor == observation.prior_cursor()
+            && Some(self.over) == observation.prior_serial()
             && self.traits.width() == width
             && (!time_sensitive || self.keys.now_ms == keys.now_ms)
     }
@@ -355,7 +360,7 @@ impl DecideState {
         };
         let (mut state, patched) = match prior {
             Some(mut s) if s.patches_in_place(observation) => {
-                s.keys = keys;
+                (s.keys, s.over) = (keys, observation.serial());
                 (s, observation.fresh_positions().to_vec())
             }
             Some(s) => s.remap(observation, keys),
@@ -644,13 +649,10 @@ impl DecideState {
     }
 
     /// Whether the state was patched against exactly `observation` in
-    /// `epoch` — the rule a snapshot persists it under.
+    /// `epoch`, and that observation carries a change cursor — the rule a
+    /// snapshot persists it under.
     pub(crate) fn live_for(&self, epoch: u64, observation: &FleetObservation) -> bool {
-        self.keys.epoch == epoch
-            && self.keys.scope == observation.scope()
-            && self.keys.cursor.is_some()
-            && self.keys.cursor == observation.cursor()
-            && Arc::ptr_eq(&self.keys.tables, &observation.tables_shared())
+        self.keys.epoch == epoch && self.over == observation.serial() && self.keys.cursor.is_some()
     }
 }
 
@@ -941,7 +943,7 @@ fn apply_delta(
     };
     s.selection = Selection::snapshot_read(dec, s.slots())?;
     s.live = take_live(dec, s.slots())?;
-    (s.keys.now_ms, s.keys.cursor) = (now_ms, observation.cursor());
+    s.keys.now_ms = now_ms;
     Ok(())
 }
 
@@ -949,7 +951,7 @@ fn apply_delta(
 mod tests {
     use super::*;
     use crate::connector::LakeConnector;
-    use crate::observe::{FleetObserver, ObserveRequest};
+    use crate::observe::FleetObserver;
 
     /// Three tables behind a changelog that never records a write.
     struct QuietLake;
@@ -982,8 +984,9 @@ mod tests {
     }
 
     /// Each key gates reuse on its own: the epoch, the scope, the width,
-    /// the cursor chain and — for a time-sensitive chain only — the fill
-    /// time.
+    /// the chain and — for a time-sensitive chain only — the fill time.
+    /// The chain is the observer's own: another observer's pass over the
+    /// same quiet lake carries the same cursors and is still not it.
     #[test]
     fn every_key_gates_reuse() {
         use ScopeStrategy::{Hybrid, Table};
@@ -1010,9 +1013,19 @@ mod tests {
         assert!(!usable(keys(1, Table, 200), false, 2), "width");
         assert!(!usable(keys(1, Table, 200), true, 1), "fill time");
         assert!(usable(keys(1, Table, 100), true, 1), "same fill time");
-        let unchained = QuietLake.observe(ObserveRequest::fresh(Table));
-        let cursor = state.usable(&keys(1, Table, 200), &unchained, false, 1);
-        assert!(!cursor, "cursor chain");
+        let unchained = FleetObserver::new().observe(&QuietLake, Table).clone();
+        assert!(
+            !state.usable(&keys(1, Table, 200), &unchained, false, 1),
+            "chain"
+        );
+        let mut other = FleetObserver::new();
+        other.observe(&QuietLake, Table);
+        let foreign = other.observe(&QuietLake, Table);
+        assert!(foreign.prior_serial().is_some() && foreign.cursor() == next.cursor());
+        assert!(
+            !state.usable(&keys(1, Table, 200), foreign, false, 1),
+            "chain"
+        );
     }
 
     /// Tables whose stats a test rewrites, behind a changelog of the

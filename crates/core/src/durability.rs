@@ -130,11 +130,10 @@
 //!   restoring pipeline (scope, policy, trigger label, calibration flag,
 //!   filter/trait names, trait width, job-runtime config) — restoring
 //!   into a differently-configured pipeline would misread retained rows;
-//! * the cursor chain is internally consistent: the decide state is
-//!   persisted only while live for the snapshotted observation — patched
-//!   at its change cursor, over literally its listing, in the current
-//!   config epoch — and a restore lays its slots out from the restored
-//!   observation;
+//! * the observation chain is internally consistent: the decide state is
+//!   persisted only while live for the snapshotted observation — last
+//!   patched against exactly it, in the current config epoch — and a
+//!   restore lays its slots out from the restored observation;
 //! * a delta, when one follows the base, names that base frame's
 //!   checksum, covers the base's listing (same table count, positions in
 //!   range and ascending) and keeps the slot count of every table it

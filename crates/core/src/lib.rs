@@ -4,9 +4,9 @@
 //! automatic, scalable data compaction of log-structured tables,
 //! structured as an 'Observe, Orient, Decide, Act' (OODA) loop (§3.3):
 //!
-//! * **Observe** — one batched `observe()` call captures the fleet as a
-//!   [`observe::FleetObservation`]: table descriptors plus a standardized
-//!   statistics layout ([`stats::CandidateStats`], §4.1) at the
+//! * **Observe** — one [`observe::FleetObserver::observe`] pass captures
+//!   the fleet as a [`observe::FleetObservation`]: table descriptors plus
+//!   a standardized statistics layout ([`stats::CandidateStats`], §4.1) at the
 //!   configured candidate scope (table / partition / hybrid / snapshot,
 //!   FR1), fetched through a platform-agnostic connector trait (NFR3) and
 //!   consumed by index. [`scope`] materializes the observation into
@@ -30,21 +30,22 @@
 //! actual estimator accuracy (§7). Every phase is deterministic and every
 //! cycle produces an explainable [`pipeline::CycleReport`] (NFR2).
 //!
-//! # The batched, snapshot-oriented observe path
+//! # One observe entry
 //!
-//! The observe side is one connector trait (see [`connector`]):
-//! [`connector::LakeConnector`] implementors provide the per-table
-//! primitives and inherit a batched
-//! `observe(ObserveRequest) -> FleetObservation` entry point that drives
-//! the per-table pull protocol ([`observe::pull_observe`]); a connector
-//! with a cheaper native path overrides it.
+//! The observe side is one connector trait and one observer (see
+//! [`connector`] and [`observe`]): [`connector::LakeConnector`]
+//! implementors provide the per-table read primitives, and
+//! [`observe::FleetObserver::observe`] — the only way to observe — reads
+//! them into a [`observe::FleetObservation`], table by table in listing
+//! order.
 //!
 //! Observations are snapshots that persist across cycles: a connector
 //! with a change cursor ([`observe::ChangeCursor`], fed by after-write
-//! hooks and executed compactions) lets [`observe::FleetObserver`] run
+//! hooks and executed compactions) lets the observer run
 //! **incremental** cycles that re-fetch stats only for tables written
 //! since the prior cycle — the §5 optimize-after-write mode stops paying
-//! full-fleet observe cost.
+//! full-fleet observe cost. A one-shot caller passes a fresh observer,
+//! whose first pass fetches every table.
 //!
 //! # The columnar decide path
 //!
@@ -132,8 +133,8 @@ pub use filter::{
 pub use kind::{JobKind, PARTITION_SKEW_METRIC, SORT_DISORDER_METRIC, TRANSFORMS_ENABLED_METRIC};
 pub use matrix::{TraitId, TraitMatrix};
 pub use observe::{
-    ChangeCursor, DegradeReason, DirtySet, FallbackCause, FleetObservation, FleetObserver,
-    NameInterner, ObserveDegradation, ObserveRequest, Quarantined, TableObservation,
+    ChangeCursor, DegradeReason, FallbackCause, FleetObservation, FleetObserver, NameInterner,
+    ObserveDegradation, Quarantined, TableObservation,
 };
 pub use pipeline::{AutoComp, AutoCompConfig, CycleInput, CycleReport};
 pub use rank::{

@@ -7,32 +7,29 @@
 //! nothing is reused between cycles, and every cycle pays the full-fleet
 //! cost even when almost nothing changed.
 //!
-//! This module replaces that protocol with a single entry point,
-//! `observe(ObserveRequest) -> FleetObservation`:
+//! This module replaces that protocol with one entry point,
+//! [`FleetObserver::observe`]:
 //!
 //! * [`FleetObservation`] is a self-contained snapshot of the fleet —
 //!   table descriptors plus per-table stats, indexed positionally, with
 //!   `Arc<str>`-shared names — that [`to_candidates`] and the pipeline
 //!   consume by index.
-//! * [`ObserveRequest`] carries the scope strategy and, optionally, the
-//!   *prior* observation, by value. When the connector supports a change
-//!   cursor ([`ChangeCursor`], fed by after-write hooks and the
-//!   executor's commit log), an incremental observe re-fetches stats
-//!   only for the tables written since the prior cycle and reuses the
-//!   prior entries for the rest — the §5 optimize-after-write mode stops
-//!   paying full-fleet observe cost.
-//! * [`FleetObserver`] is the small session object that threads the prior
-//!   observation and externally-marked dirty tables (§5
-//!   [`HookAction::MarkDirty`]) through consecutive cycles. The marks are
-//!   a [`DirtySet`], bits over the prior's uid index (below) that keep
-//!   hold of that index: a mark is at most one index probe and a bit
-//!   set, and the set keeps its distinct-uid count as marks land.
+//! * [`FleetObserver`] is the small session object that threads the
+//!   prior observation and externally-marked dirty tables (§5
+//!   [`HookAction::MarkDirty`]) through consecutive passes. When the
+//!   connector supports a change cursor ([`ChangeCursor`], fed by
+//!   after-write hooks and the executor's commit log), a pass re-fetches
+//!   stats only for the tables written since the prior pass and reuses
+//!   the prior entries for the rest — the §5 optimize-after-write mode
+//!   stops paying full-fleet observe cost. A one-shot caller observes
+//!   through a fresh observer, whose first pass is a full fetch. The
+//!   marks are bits over the prior's uid index (below): a mark is at
+//!   most one index probe and a bit set, and the set keeps its
+//!   distinct-uid count as marks land.
 //!
-//! One driver implements the protocol: [`pull_observe`], the default
-//! every [`LakeConnector`] inherits, fetches table by table in listing
-//! order. A connector with a cheaper native path overrides
-//! [`LakeConnector::observe`]; for identical lake state its observation
-//! must equal the driver's — the parity contract the golden tests pin.
+//! One driver implements the protocol over the [`LakeConnector`] read
+//! primitives, fetching table by table in listing order; the connector
+//! is the data model, the driver is not a connector's to replace.
 //!
 //! # Staleness contract of incremental observe
 //!
@@ -57,16 +54,20 @@
 //! # Freshness, and what downstream caches key on
 //!
 //! Every observation knows, per entry, whether it was **fetched this
-//! pass** ([`FleetObservation::is_fresh`]) or reused verbatim, and which
-//! snapshot it was incrementally derived from
-//! ([`FleetObservation::prior_cursor`]). Together these are the
-//! invalidation contract for cross-cycle state (the pipeline's
-//! [decide state](crate::decide)): a retained per-table artifact is
-//! valid iff it was computed against the observation whose cursor equals
-//! `prior_cursor()` *and* the table's entry is not fresh — force-dirtied
-//! tables read as fresh even when the changelog never saw a write,
-//! precisely so retained rows are patched. See [`crate::decide`] for the
-//! rest of its keys.
+//! pass** ([`FleetObservation::is_fresh`]) or reused verbatim. It also
+//! carries a process-unique serial and, when its pass reused a prior
+//! through the changelog, the serial of that prior: the observation
+//! *chain*. Together these are the invalidation contract for
+//! cross-cycle state (the pipeline's [decide state](crate::decide)): a
+//! retained per-table artifact is valid iff it was computed against the
+//! observation this one was derived from *and* the table's entry is not
+//! fresh — force-dirtied tables read as fresh even when the changelog
+//! never saw a write, precisely so retained rows are patched. Serials
+//! name observations, not lake states: two observers over one lake never
+//! share a chain, however equal their cursors. A restored observation
+//! takes a new serial and starts a chain. Serials are neither compared
+//! by [`FleetObservation`] equality nor persisted. See [`crate::decide`]
+//! for the rest of its keys.
 //!
 //! # Plan, assemble, fetch in place
 //!
@@ -74,8 +75,7 @@
 //! reads resolve:
 //!
 //! * **Plan.** Only a prior of the same scope is reused. The changelog's
-//!   uids join the pass's [`DirtySet`] in the prior's uid index (marks
-//!   made against another listing are placed there again), and the
+//!   uids join the pass's dirty marks in the prior's uid index, and the
 //!   set becomes a bitmap of the prior's listing positions: every
 //!   position a dirty uid is listed at. When the listing is literally
 //!   shared (`Arc::ptr_eq` under an unchanged
@@ -210,51 +210,6 @@ use crate::stats::CandidateStats;
 /// environments) are not comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChangeCursor(pub u64);
-
-/// Parameters of one observe pass.
-#[derive(Debug, Clone)]
-pub struct ObserveRequest {
-    /// Candidate scoping strategy; decides which stats are fetched per
-    /// table (table-, partition- or snapshot-window-scope).
-    pub scope: ScopeStrategy,
-    /// Prior cycle's observation, consumed by the pass. When present
-    /// (with a cursor, matching scope, and a connector-supported
-    /// changelog) the observe pass is incremental: only tables written
-    /// since the prior cursor — plus `force_dirty` and newly listed
-    /// tables — are re-fetched. Reused entries carry the prior cycle's
-    /// values verbatim (see the module docs' staleness contract).
-    pub prior: Option<FleetObservation>,
-    /// Tables to re-fetch regardless of the changelog (externally known
-    /// dirty tables, e.g. §5 after-write hooks in `MarkDirty` mode),
-    /// handed over by value. [`FleetObserver`] fills it from
-    /// [`FleetObserver::mark_dirty`], against the observation it then
-    /// passes as `prior`; a request built elsewhere carries the empty
-    /// set. The set keeps the listing its marks were placed in, so a
-    /// pass handed another `prior` places them again in that one, and
-    /// [`DirtySet::uids`] reads them.
-    pub force_dirty: DirtySet,
-}
-
-impl ObserveRequest {
-    /// A full (cold) observe: every table's stats are fetched.
-    pub fn fresh(scope: ScopeStrategy) -> Self {
-        ObserveRequest {
-            scope,
-            prior: None,
-            force_dirty: DirtySet::default(),
-        }
-    }
-
-    /// An incremental observe against `prior`. Falls back to a full
-    /// fetch when the connector has no changelog, the prior carries no
-    /// cursor, or the scope changed.
-    pub fn incremental(scope: ScopeStrategy, prior: FleetObservation) -> Self {
-        ObserveRequest {
-            prior: Some(prior),
-            ..Self::fresh(scope)
-        }
-    }
-}
 
 /// Why an observe pass abandoned the incremental path and fell back to
 /// a full fetch. Recorded on [`ObserveDegradation::fallback`] and
@@ -653,8 +608,8 @@ impl FromIterator<bool> for Bits {
 }
 
 /// Pending dirty marks — tables a pass re-fetches whatever the
-/// changelog says — placed in the listing of the observation they were
-/// marked against (see [`ObserveRequest::force_dirty`]).
+/// changelog says — placed in the listing of the observer's prior, the
+/// observation the next pass reuses.
 ///
 /// A marked uid is one bit at its slot in that listing's uid index: its
 /// offset from the smallest listed uid when the listing's uids are
@@ -662,17 +617,14 @@ impl FromIterator<bool> for Bits {
 /// (a mark made before the first observe, or outside the listing's uid
 /// span) goes to a side set. A mark is check-and-set and the
 /// distinct-uid count is kept as marks land, so the dirty backlog reads
-/// in O(1). The set holds on to the listing it is keyed over, so a pass
-/// whose prior is another observation places the marked uids again in
-/// that prior's index. The pass's changelog sets the same bits; its
-/// plan turns them into listing positions, every position a uid is
-/// listed at, in position order.
+/// in O(1). The set does not hold the listing: the observer keeps its
+/// marks and its prior together, so every read of the bits is handed
+/// that prior. The pass's changelog sets the same bits; its plan turns
+/// them into listing positions, every position a uid is listed at, in
+/// position order.
 #[derive(Debug, Clone, Default)]
-pub struct DirtySet {
-    /// The listing, and its uid index, the bits are keyed over; `None`
-    /// until a mark is made against an observation.
-    key: Option<SlotKey>,
-    /// One bit per slot of the uid index.
+pub(crate) struct DirtySet {
+    /// One bit per slot of the prior's uid index.
     bits: Bits,
     /// Distinct uids marked in `bits`.
     slotted: usize,
@@ -680,61 +632,33 @@ pub struct DirtySet {
     unslotted: HashSet<u64, UidHashState>,
 }
 
-/// The listing, and its uid index, whose slots a [`DirtySet`] is keyed
-/// over.
-#[derive(Debug, Clone)]
-struct SlotKey {
-    tables: Arc<Vec<TableRef>>,
-    index: Arc<OnceLock<UidIndex>>,
-}
-
-impl SlotKey {
-    fn of(observation: &FleetObservation) -> Self {
-        SlotKey {
-            tables: Arc::clone(&observation.tables),
-            index: Arc::clone(&observation.uid_index),
-        }
-    }
-
-    fn index(&self) -> &UidIndex {
-        self.index.get_or_init(|| UidIndex::new(&self.tables))
-    }
-}
-
 impl DirtySet {
     /// Distinct uids marked.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.slotted + self.unslotted.len()
     }
 
-    /// Whether no uid is marked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The marked uids, ascending, each once. An override of
-    /// [`LakeConnector::observe`] re-fetches these besides the
-    /// changelog's uids.
-    pub fn uids(&self) -> Vec<u64> {
+    /// The marked uids, ascending, each once; `prior` is the observation
+    /// the marks were made against.
+    fn uids(&self, prior: Option<&FleetObservation>) -> Vec<u64> {
         let mut uids: Vec<u64> = self.unslotted.iter().copied().collect();
-        if let Some(key) = self.key.as_ref().filter(|_| self.slotted > 0) {
-            let index = key.index();
-            uids.extend(self.bits.ones().map(|slot| index.uid_of(slot, &key.tables)));
+        if let Some(prior) = prior.filter(|_| self.slotted > 0) {
+            let index = prior.uid_index();
+            uids.extend(
+                self.bits
+                    .ones()
+                    .map(|slot| index.uid_of(slot, &prior.tables)),
+            );
         }
         uids.sort_unstable();
         uids
     }
 
-    /// Marks `uid` against `observation`'s listing, or in the side set
-    /// when there is none or its index does not place the uid. Every
-    /// mark of one set is made against the same listing.
-    fn mark(&mut self, observation: Option<&FleetObservation>, uid: u64) {
-        if let Some(observation) = observation {
-            let key = self.key.get_or_insert_with(|| SlotKey::of(observation));
-            debug_assert!(Arc::ptr_eq(&key.index, &observation.uid_index));
-            if self.mark_slotted(observation.uid_index(), uid) {
-                return;
-            }
+    /// Marks `uid` in `prior`'s uid index, or in the side set when there
+    /// is no prior or its index does not place the uid.
+    fn mark(&mut self, prior: Option<&FleetObservation>, uid: u64) {
+        if prior.is_some_and(|p| self.mark_slotted(p.uid_index(), uid)) {
+            return;
         }
         self.unslotted.insert(uid);
     }
@@ -751,33 +675,13 @@ impl DirtySet {
         true
     }
 
-    /// The same marks keyed over `observation`'s listing: the set itself
-    /// when it already is, else every marked uid placed again.
-    fn over(self, observation: &FleetObservation) -> DirtySet {
-        if self
-            .key
-            .as_ref()
-            .is_some_and(|key| Arc::ptr_eq(&key.index, &observation.uid_index))
-        {
-            return self;
-        }
-        let mut set = DirtySet {
-            key: Some(SlotKey::of(observation)),
-            ..DirtySet::default()
-        };
-        for uid in self.uids() {
-            set.mark(Some(observation), uid);
-        }
-        set
-    }
-
-    /// The marked positions of the listing the set is keyed over.
-    fn positions(&self) -> Bits {
+    /// The marked positions of `prior`'s listing.
+    fn positions(&self, prior: &FleetObservation) -> Bits {
         let mut positions = Bits::default();
-        if let Some(key) = self.key.as_ref().filter(|_| self.slotted > 0) {
-            let index = key.index();
+        if self.slotted > 0 {
+            let index = prior.uid_index();
             for slot in self.bits.ones() {
-                for pos in index.positions_of(slot, &key.tables) {
+                for pos in index.positions_of(slot, &prior.tables) {
                     positions.set(pos);
                 }
             }
@@ -904,21 +808,32 @@ pub struct FleetObservation {
     /// `fresh` as a per-position flag. The next pass clears it through
     /// `fresh`, so a pass costs O(previous fresh + fresh), not O(tables).
     fresh_flags: Vec<bool>,
-    /// Cursor of the prior observation this one was derived from
-    /// incrementally; `None` for cold observations. Lets per-cycle caches
-    /// verify they are splicing against the exact snapshot their rows
-    /// were computed from.
-    prior_cursor: Option<ChangeCursor>,
+    /// Process-unique name of this observation, shared by its clones
+    /// (see the module docs' chain). Not part of logical equality, never
+    /// persisted.
+    serial: u64,
+    /// Serial of the prior this observation was derived from through the
+    /// changelog; `None` for full observes and restores.
+    prior_serial: Option<u64>,
     /// Fault/degradation metadata of the pass that produced this
     /// observation (see the module docs' degradation contract). Not part
     /// of logical equality.
     degradation: ObserveDegradation,
 }
 
+/// A serial no observation of this process has taken yet.
+fn next_serial() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // The counter publishes no other data: the read-modify-write alone
+    // makes each serial unique, whatever the ordering.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl PartialEq for FleetObservation {
     /// Logical equality: same scope, cursor, tables and per-table
-    /// entries. How the snapshot was obtained (freshness, degradation)
-    /// does not participate.
+    /// entries. How the snapshot was obtained (freshness, degradation,
+    /// the chain) does not participate.
     fn eq(&self, other: &Self) -> bool {
         self.scope == other.scope
             && self.cursor == other.cursor
@@ -962,8 +877,8 @@ impl FleetObservation {
     }
 
     /// Change cursor as of this observation, if the connector supports
-    /// one. Feed it back (via [`ObserveRequest::incremental`]) to observe
-    /// only the delta next cycle.
+    /// one. The observer's next pass asks the changelog for the tables
+    /// written since it.
     pub fn cursor(&self) -> Option<ChangeCursor> {
         self.cursor
     }
@@ -1005,8 +920,9 @@ impl FleetObservation {
     /// pass* (as opposed to reused verbatim from the prior observation).
     /// Full observes are fresh everywhere but at carried-forward faulted
     /// tables; incremental observations are fresh exactly for the dirty
-    /// set — changelog hits, `force_dirty` tables (even when the
-    /// changelog missed them), and newly listed tables — minus carries.
+    /// set — changelog hits, tables marked with
+    /// [`FleetObserver::mark_dirty`] (even when the changelog missed
+    /// them), and newly listed tables — minus carries.
     /// Downstream per-table caches must invalidate on fresh entries: a
     /// fresh entry's stats may differ from the prior cycle's.
     pub fn is_fresh(&self, index: usize) -> bool {
@@ -1019,12 +935,16 @@ impl FleetObservation {
         &self.fresh
     }
 
-    /// Cursor of the prior observation this one was incrementally derived
-    /// from, or `None` for cold observations. A cache keyed on the cursor
-    /// chain splices only when this matches the cursor of the observation
-    /// its rows were computed against.
-    pub fn prior_cursor(&self) -> Option<ChangeCursor> {
-        self.prior_cursor
+    /// This observation's serial (see the module docs' chain).
+    pub(crate) fn serial(&self) -> u64 {
+        self.serial
+    }
+
+    /// The serial of the prior this observation was derived from
+    /// through the changelog, or `None` for a full observe or a restore.
+    /// State kept over that prior may be patched for this observation.
+    pub(crate) fn prior_serial(&self) -> Option<u64> {
+        self.prior_serial
     }
 
     /// Degradation metadata of the pass that produced this observation:
@@ -1165,8 +1085,8 @@ impl FleetObservation {
     }
 
     /// Restores an observation from a snapshot. The result is marked
-    /// nowhere-fresh (no fresh position, `prior_cursor = None`): its
-    /// entries are reused state, not a new fetch, and the *next*
+    /// nowhere-fresh (no fresh position) and starts a chain under a new
+    /// serial: its entries are reused state, not a new fetch, and the *next*
     /// incremental observe derives freshness from the changelog against
     /// the restored cursor exactly as it would have against the
     /// original. Quarantine records restore re-based to pass 0, so every
@@ -1262,7 +1182,8 @@ impl FleetObservation {
             entries: Arc::new(stats),
             uid_index: Arc::new(OnceLock::new()),
             cursor,
-            prior_cursor: None,
+            serial: next_serial(),
+            prior_serial: None,
             // The chain restarts at pass 0 with its quarantine re-based
             // onto it; the per-pass fault counters start clean.
             degradation: ObserveDegradation {
@@ -1432,17 +1353,16 @@ impl FleetObserver {
     }
 
     /// Observes through `connector`, incrementally when possible, and
-    /// retains the result for the next cycle.
+    /// retains the result for the next cycle: the only way to observe
+    /// (see the module docs). The pass consumes the prior and the dirty
+    /// marks; a pass of a fresh observer fetches every table.
     pub fn observe(
         &mut self,
         connector: &dyn LakeConnector,
         scope: ScopeStrategy,
     ) -> &FleetObservation {
-        let observation = connector.observe(ObserveRequest {
-            scope,
-            prior: self.prior.take(),
-            force_dirty: std::mem::take(&mut self.pending_dirty),
-        });
+        let marks = std::mem::take(&mut self.pending_dirty);
+        let observation = observe_pass(connector, scope, self.prior.take(), marks);
         self.prior.insert(observation)
     }
 
@@ -1456,7 +1376,7 @@ impl FleetObserver {
     /// ascending: what snapshots capture, so a restore re-fetches
     /// exactly what a crash-free run would have.
     pub(crate) fn pending_dirty_uids(&self) -> Vec<u64> {
-        self.pending_dirty.uids()
+        self.pending_dirty.uids(self.prior.as_ref())
     }
 
     /// Installs a snapshot-restored observation as the prior for the
@@ -1531,7 +1451,7 @@ struct Plan {
     /// none to reuse.
     reuse: Option<Reuse>,
     /// Listing positions asked of the connector, ascending. The fetch
-    /// loop of [`pull_observe`] keeps those whose entry landed as the
+    /// loop of [`observe_pass`] keeps those whose entry landed as the
     /// observation's fresh positions; a fault that carried the prior
     /// entry drops out.
     fetch: Vec<u32>,
@@ -1556,8 +1476,8 @@ impl Plan {
 /// observations stay bit-identical to it. `Ok(None)` from a stats read
 /// still means *vanished* and yields `Missing`; only `Err` (the read
 /// failed) propagates for the carry-forward machinery to absorb.
-fn fetch_one<C: LakeConnector + ?Sized>(
-    connector: &C,
+fn fetch_one(
+    connector: &dyn LakeConnector,
     table: &TableRef,
     scope: ScopeStrategy,
 ) -> Result<TableObservation, ObserveFault> {
@@ -1589,7 +1509,8 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 }
 
 /// Plans one pass over `tables`: which entries of `prior` are reusable
-/// and which positions are fetched. `marks` holds the pass's marks;
+/// and which positions are fetched. `marks` holds the pass's marks, made
+/// against `prior`;
 /// `changes` is the resolved changelog answer
 /// (`None`: every table is fetched). A re-read listing in which no table
 /// moved plans as [`Reuse::Identity`], so the pass patches the prior's
@@ -1597,7 +1518,7 @@ fn fetch_one<C: LakeConnector + ?Sized>(
 fn make_plan(
     tables: &Arc<Vec<TableRef>>,
     prior: Option<&FleetObservation>,
-    marks: DirtySet,
+    mut marks: DirtySet,
     changes: Option<&[u64]>,
 ) -> Plan {
     let every_position = || (0..tables.len() as u32).collect();
@@ -1608,19 +1529,17 @@ fn make_plan(
             incremental: false,
         };
     };
-    // The marks, placed in the prior's listing if they were made against
-    // another, and the changelog's uids become the prior's dirty listing
-    // positions. A uid the prior does not list has no position: listed
-    // now, it is fetched as a new table.
+    // The marks and the changelog's uids become the prior's dirty
+    // listing positions. A uid the prior does not list has no position:
+    // listed now, it is fetched as a new table.
     let dirty = changes.map(|changes| {
-        let mut marks = marks.over(prior);
         if !changes.is_empty() {
             let index = prior.uid_index();
             for uid in changes {
                 marks.mark_slotted(index, *uid);
             }
         }
-        marks.positions()
+        marks.positions(prior)
     });
     let incremental = dirty.is_some();
     if Arc::ptr_eq(tables, &prior.tables) {
@@ -1689,7 +1608,7 @@ fn assemble(
     prior: Option<FleetObservation>,
 ) -> FleetObservation {
     let n = tables.len();
-    let prior_cursor = prior.as_ref().and_then(|p| p.cursor);
+    let prior_serial = prior.as_ref().map(|p| p.serial);
     let (entries, fresh_flags, uid_index) = match (prior, &plan.reuse) {
         // No position moved, so the retained uid index stays exact.
         (Some(mut prior), Some(Reuse::Identity)) => {
@@ -1727,7 +1646,8 @@ fn assemble(
         cursor,
         fresh: Vec::new(),
         fresh_flags,
-        prior_cursor: prior_cursor.filter(|_| plan.incremental),
+        serial: next_serial(),
+        prior_serial: prior_serial.filter(|_| plan.incremental),
         degradation: ObserveDegradation::default(),
     }
 }
@@ -1778,12 +1698,11 @@ struct ResolvedReads {
 /// folded into the dirty set here, so healing re-fetches happen
 /// automatically on whichever path the pass takes.
 fn resolve_reads(
-    request: &ObserveRequest,
-    connector_epoch: Option<u64>,
-    try_list: impl FnMut() -> Result<Vec<TableRef>, ObserveFault>,
-    mut try_changes: impl FnMut(ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault>,
+    connector: &dyn LakeConnector,
+    scope: ScopeStrategy,
+    prior: Option<&FleetObservation>,
 ) -> ResolvedReads {
-    let prior = request.prior.as_ref();
+    let connector_epoch = connector.listing_epoch();
     let mut deg = ObserveDegradation {
         pass: prior.map_or(0, |p| p.degradation.pass + 1),
         ..ObserveDegradation::default()
@@ -1796,7 +1715,7 @@ fn resolve_reads(
     let tables = match (connector_epoch, prior) {
         (Some(e), Some(p)) if p.listing_epoch() == Some(e) => Some(p.tables_shared()),
         _ => {
-            let (res, retries) = retry_read(try_list);
+            let (res, retries) = retry_read(|| connector.try_list_tables());
             deg.listing_retries = retries;
             match res {
                 // A re-read listing equal to the prior's keeps the
@@ -1828,9 +1747,9 @@ fn resolve_reads(
     };
     let mut changes = None;
     if let Some(p) = prior {
-        if p.scope() == request.scope {
+        if p.scope() == scope {
             if let Some(cursor) = p.cursor() {
-                let (res, retries) = retry_read(|| try_changes(cursor));
+                let (res, retries) = retry_read(|| connector.try_changes_since(cursor));
                 deg.changelog_retries = retries;
                 match res {
                     Ok(Some(dirty)) => changes = Some(dirty),
@@ -1913,39 +1832,30 @@ fn carry_quarantine(
     }
 }
 
-/// The observe driver, and the default every [`LakeConnector`] inherits:
-/// list, plan, assemble the carry values, then fetch the planned tables
-/// one at a time in listing order straight into their slots. Consumes
-/// only the fallible `try_*` connector surface and degrades per the
-/// module docs' contract instead of failing. A listing that stalled with
-/// nothing to carry arrives here as an empty listing, so the husk is the
-/// ordinary empty observation.
-pub fn pull_observe<C: LakeConnector + ?Sized>(
-    connector: &C,
-    request: ObserveRequest,
+/// The observe driver behind [`FleetObserver::observe`]: list, plan,
+/// assemble the carry values, then fetch the planned tables one at a
+/// time in listing order straight into their slots. Consumes only the
+/// fallible `try_*` connector surface and degrades per the module docs'
+/// contract instead of failing. A listing that stalled with nothing to
+/// carry arrives here as an empty listing, so the husk is the ordinary
+/// empty observation.
+fn observe_pass(
+    connector: &dyn LakeConnector,
+    scope: ScopeStrategy,
+    prior: Option<FleetObservation>,
+    marks: DirtySet,
 ) -> FleetObservation {
     let ResolvedReads {
         tables,
         listing_epoch,
         changes,
         mut deg,
-    } = resolve_reads(
-        &request,
-        connector.listing_epoch(),
-        || connector.try_list_tables(),
-        |c| connector.try_changes_since(c),
-    );
+    } = resolve_reads(connector, scope, prior.as_ref());
     let cursor = connector.fleet_cursor();
-    let scope = request.scope;
     // A scope change drops carry and quarantine state with the prior:
     // its entries have the wrong shape.
-    let mut prior = request.prior.filter(|p| p.scope() == scope);
-    let mut plan = make_plan(
-        &tables,
-        prior.as_ref(),
-        request.force_dirty,
-        changes.as_deref(),
-    );
+    let mut prior = prior.filter(|p| p.scope() == scope);
+    let mut plan = make_plan(&tables, prior.as_ref(), marks, changes.as_deref());
     let prior_deg = prior
         .as_mut()
         .map(|p| std::mem::take(&mut p.degradation))
@@ -1991,6 +1901,11 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+
+    /// A full observe: the first pass of a fresh observer.
+    fn cold_observe(connector: &dyn LakeConnector, scope: ScopeStrategy) -> FleetObservation {
+        FleetObserver::new().observe(connector, scope).clone()
+    }
 
     /// In-memory lake with a change log and fetch counters.
     struct ChangeLake {
@@ -2103,7 +2018,7 @@ mod tests {
             ScopeStrategy::Hybrid,
             ScopeStrategy::Snapshot { window_ms: 100 },
         ] {
-            let observation = lake.observe(ObserveRequest::fresh(scope));
+            let observation = cold_observe(&lake, scope);
             let pulled = crate::scope::generate_candidates(&lake, scope);
             assert_eq!(observation.to_candidates(), pulled, "scope {scope:?}");
             assert_eq!(observation.reused_tables(), 0);
@@ -2124,7 +2039,7 @@ mod tests {
         assert_eq!(obs.reused_tables(), 18);
         assert_eq!(obs.fetched_tables(), 2);
         // The refreshed entries reflect the writes; reused ones don't.
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = cold_observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.to_candidates(), cold.to_candidates());
     }
 
@@ -2201,13 +2116,10 @@ mod tests {
         // Prior observed tables 0..=4; the lake now lists 0..=5: the new
         // table 5 is fetched, the other five are reused.
         let lake = ChangeLake::new(6);
-        let prior = {
-            let small = ChangeLake::new(5);
-            small.observe(ObserveRequest::fresh(ScopeStrategy::Table))
-        };
-        // Splice a cursor onto the prior that the big lake accepts.
-        let request = ObserveRequest::incremental(ScopeStrategy::Table, prior);
-        let obs = lake.observe(request);
+        let mut observer = FleetObserver::new();
+        observer.observe(&ChangeLake::new(5), ScopeStrategy::Table);
+        // The prior's cursor is one the big lake accepts.
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.table_count(), 6);
         assert_eq!(obs.reused_tables(), 5);
         assert_eq!(obs.fetched_tables(), 1);
@@ -2233,7 +2145,7 @@ mod tests {
         assert_eq!(obs.fetched_tables(), 2, "the written and the created table");
         assert_eq!(obs.reused_tables(), 4);
         assert_eq!(parts_ptr(obs, 3), before, "reused entry moved, not cloned");
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
+        let cold = cold_observe(&lake, ScopeStrategy::Hybrid);
         assert_eq!(*obs, cold);
     }
 
@@ -2275,7 +2187,7 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Hybrid);
         assert_eq!(obs.fetched_tables(), 2, "the written table and the repeat");
         assert!(obs.is_fresh(6));
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Hybrid));
+        let cold = cold_observe(&lake, ScopeStrategy::Hybrid);
         assert_eq!(*obs, cold);
     }
 
@@ -2302,7 +2214,7 @@ mod tests {
             assert!(Arc::ptr_eq(&first.tables, &obs.tables), "shared listing");
             assert_eq!(obs.fetched_tables(), 2, "by mark {by_mark}");
             assert!(obs.is_fresh(2) && obs.is_fresh(6), "by mark {by_mark}");
-            let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+            let cold = cold_observe(&lake, ScopeStrategy::Table);
             assert_eq!(*obs, cold, "by mark {by_mark}");
         }
     }
@@ -2355,7 +2267,7 @@ mod tests {
         }
         let obs = observer.last().unwrap();
         assert!(obs.degradation().quarantine.is_empty());
-        assert_eq!(*obs, lake.observe(ObserveRequest::fresh(scope)));
+        assert_eq!(*obs, cold_observe(&lake, scope));
     }
 
     /// The keyed uid hasher answers exactly as a linear scan, extreme and
@@ -2379,7 +2291,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let obs = cold_observe(&lake, ScopeStrategy::Table);
         let absent = [3, (1 << 63) + 1, u64::MAX - 2, 1_000_004, 1 << 41];
         for uid in uids.iter().copied().chain(absent) {
             let scan = obs.tables().iter().position(|t| t.table_uid == uid);
@@ -2427,87 +2339,9 @@ mod tests {
             let marked: Vec<u32> = (0..listing.len() as u32)
                 .filter(|pos| marks.contains(&listing[*pos as usize]))
                 .collect();
-            let planned = observer.pending_dirty.positions();
+            let planned = (observer.pending_dirty).positions(observer.last().unwrap());
             assert_eq!(planned.ones().collect::<Vec<_>>(), marked, "{listing:?}");
         }
-    }
-
-    /// `ChangeLake` behind a connector that may list it backwards, and
-    /// whose `observe` override may hand [`pull_observe`] a prior of its own
-    /// in place of the request's. It records the marks each request
-    /// carried.
-    struct Wrapped<'a> {
-        lake: &'a ChangeLake,
-        backwards: bool,
-        prior: Option<FleetObservation>,
-        marks: Mutex<Vec<Vec<u64>>>,
-    }
-
-    impl<'a> Wrapped<'a> {
-        fn new(lake: &'a ChangeLake, backwards: bool, prior: Option<FleetObservation>) -> Self {
-            Wrapped {
-                lake,
-                backwards,
-                prior,
-                marks: Mutex::new(Vec::new()),
-            }
-        }
-    }
-
-    impl LakeConnector for Wrapped<'_> {
-        fn list_tables(&self) -> Vec<TableRef> {
-            let mut listed = self.lake.list_tables();
-            if self.backwards {
-                listed.reverse();
-            }
-            listed
-        }
-        fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-            self.lake.table_stats(uid)
-        }
-        fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
-            self.lake.partition_stats(uid)
-        }
-        fn fleet_cursor(&self) -> Option<ChangeCursor> {
-            self.lake.fleet_cursor()
-        }
-        fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
-            self.lake.changes_since(cursor)
-        }
-        fn observe(&self, mut request: ObserveRequest) -> FleetObservation {
-            self.marks.lock().unwrap().push(request.force_dirty.uids());
-            if let Some(prior) = &self.prior {
-                request.prior = Some(prior.clone());
-            }
-            pull_observe(self, request)
-        }
-    }
-
-    /// Marks made against the observer's prior hold when an override
-    /// hands `pull_observe` another prior: over sparse uids a slot is a
-    /// listing position, and the other prior lists the tables in
-    /// reverse, so the marks must be placed again by uid. The override
-    /// reads the marks it was handed.
-    #[test]
-    fn marks_follow_the_prior_an_override_passes_on() {
-        let lake = ChangeLake::with_uids([7, 1 << 40, 3, 1 << 33, 12]);
-        let mut observer = FleetObserver::new();
-        observer.observe(&lake, ScopeStrategy::Table);
-        let backwards =
-            Wrapped::new(&lake, true, None).observe(ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(backwards.position_of_uid(7), Some(4));
-        // Writes the changelog never saw, to the first and fourth listed.
-        for uid in [7, 1 << 33] {
-            *lake.version.lock().unwrap().entry(uid).or_insert(0) += 1;
-            observer.mark_dirty(uid);
-        }
-        let swapping = Wrapped::new(&lake, false, Some(backwards));
-        let obs = observer.observe(&swapping, ScopeStrategy::Table);
-        assert_eq!(*swapping.marks.lock().unwrap(), vec![vec![7, 1 << 33]]);
-        assert_eq!(obs.fetched_tables(), 2);
-        assert!(obs.is_fresh(0) && obs.is_fresh(3));
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(*obs, cold);
     }
 
     /// Observations are values: a pass over a prior that someone else
@@ -2515,17 +2349,17 @@ mod tests {
     #[test]
     fn a_pass_over_a_prior_held_elsewhere_leaves_the_clone_as_it_was() {
         let lake = ChangeLake::new(10);
-        let prior = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
-        let held = prior.clone();
+        let mut observer = FleetObserver::new();
+        observer.observe(&lake, ScopeStrategy::Table);
+        let held = observer.last().unwrap().clone();
         let before = held.to_candidates();
         lake.write(4);
-        let obs = lake.observe(ObserveRequest::incremental(ScopeStrategy::Table, prior));
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.fetched_tables(), 1);
         assert!(!obs.entries_shared_with(&held));
         assert_eq!(held.to_candidates(), before, "the clone kept its values");
         assert!((0..10).all(|i| held.is_fresh(i)), "and its freshness");
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
-        assert_eq!(obs, cold);
+        assert_eq!(*obs, cold_observe(&lake, ScopeStrategy::Table));
     }
 
     /// The observer holds the only handle on its observation, so a dirty
@@ -2542,7 +2376,7 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.fetched_tables(), 1);
         assert!(std::ptr::eq(obs.entry(2), before), "entry 2 did not move");
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = cold_observe(&lake, ScopeStrategy::Table);
         assert_eq!(*obs, cold);
     }
 
@@ -2555,12 +2389,13 @@ mod tests {
             (0..10).all(|i| cold.is_fresh(i)),
             "cold is fresh everywhere"
         );
+        let first = cold.serial();
         lake.write(4);
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         for i in 0..10 {
             assert_eq!(obs.is_fresh(i), i == 4, "entry {i}");
         }
-        assert_eq!(obs.prior_cursor(), Some(ChangeCursor(0)));
+        assert_eq!(obs.prior_serial(), Some(first));
         // A force-dirtied table absent from the changelog is fresh too —
         // the invariant downstream caches key their invalidation on.
         observer.mark_dirty(7);
@@ -2593,7 +2428,7 @@ mod tests {
         // Shared listing must still re-fetch the dirty set and stay
         // identical to an un-shared cold observe.
         assert_eq!(second.fetched_tables(), 1);
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = cold_observe(&lake, ScopeStrategy::Table);
         assert_eq!(second.to_candidates(), cold.to_candidates());
     }
 
@@ -2613,7 +2448,7 @@ mod tests {
             // Patching must not disturb values: spot-check equality
             // with a cold observe every few rounds.
             if round % 40 == 0 {
-                let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+                let cold = cold_observe(&lake, ScopeStrategy::Table);
                 assert_eq!(obs.to_candidates(), cold.to_candidates(), "round {round}");
             }
         }
@@ -2769,15 +2604,13 @@ mod tests {
             ObserveFault::transient("catalog timeout"),
             ObserveFault::transient("catalog timeout"),
         ]);
-        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let obs = cold_observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.table_count(), 6, "retries recovered the listing");
         assert_eq!(obs.degradation().listing_retries, 2);
         assert!(!obs.degradation().stalled);
         assert_eq!(
             obs.to_candidates(),
-            lake.inner
-                .observe(ObserveRequest::fresh(ScopeStrategy::Table))
-                .to_candidates()
+            cold_observe(&lake.inner, ScopeStrategy::Table).to_candidates()
         );
     }
 
@@ -2802,13 +2635,14 @@ mod tests {
     fn listing_fault_with_no_prior_stalls_into_a_husk() {
         let lake = FaultyLake::new(4);
         lake.fault_listing([ObserveFault::permanent("catalog gone")]);
-        let obs = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let mut observer = FleetObserver::new();
+        let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.table_count(), 0);
         assert!(obs.degradation().stalled);
         assert!(obs.degradation().is_degraded());
         // The husk is a valid prior: once the listing heals, the next
         // pass observes the fleet fully.
-        let healed = lake.observe(ObserveRequest::incremental(ScopeStrategy::Table, obs));
+        let healed = observer.observe(&lake, ScopeStrategy::Table);
         assert_eq!(healed.table_count(), 4);
         assert!(!healed.degradation().stalled);
     }
@@ -2876,9 +2710,7 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert!(obs.degradation().quarantine.is_empty());
         assert!(!obs.degradation().is_degraded());
-        let fresh = lake
-            .inner
-            .observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let fresh = cold_observe(&lake.inner, ScopeStrategy::Table);
         assert_eq!(obs.to_candidates(), fresh.to_candidates());
     }
 
@@ -2985,7 +2817,7 @@ mod tests {
             assert_eq!(obs.is_fresh(i), i != carried, "entry {i}");
         }
         assert_eq!(
-            obs.prior_cursor(),
+            obs.prior_serial(),
             None,
             "a full observe is not incremental"
         );
@@ -2995,7 +2827,7 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert!(!obs.degradation().is_degraded());
         assert!(obs.is_fresh(carried));
-        let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+        let cold = cold_observe(&lake, ScopeStrategy::Table);
         assert_eq!(obs.to_candidates(), cold.to_candidates());
     }
 

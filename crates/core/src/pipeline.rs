@@ -18,7 +18,7 @@
 //! A cycle patches only the observation's fresh tables (or, over a new
 //! listing, the tables it could not move by uid), and takes the
 //! fleet-wide path when the state's keys — config epoch, scope, width,
-//! change-cursor chain, and the fill time of a time-sensitive filter
+//! observation chain, and the fill time of a time-sensitive filter
 //! chain — do not hold. [`crate::decide`] documents the keys, the patch
 //! set and every fleet-wide condition.
 //!
@@ -46,7 +46,7 @@ use crate::error::AutoCompError;
 use crate::feedback::{EstimationFeedback, FeedbackRecord};
 use crate::filter::{chain_time_sensitive, CandidateFilter};
 use crate::matrix::{TraitId, TraitMatrix};
-use crate::observe::{Bits, FleetObservation, FleetObserver, ObservationDelta, ObserveRequest};
+use crate::observe::{Bits, FleetObservation, FleetObserver, ObservationDelta};
 use crate::rank::{RankCycleStats, RankedEntries, RankingPolicy, RANKED_PREFIX_MIN};
 use crate::report::{decision_rows, render_table};
 use crate::schedule::{ParallelTablesScheduler, Scheduler};
@@ -359,16 +359,15 @@ impl AutoComp {
     ///
     /// * **Settle**: the executor's finished jobs are polled and settled
     ///   first — successes auto-ingest as feedback, conflicts
-    ///   schedule retries — and, given an observer, their tables are
-    ///   marked dirty on it so this very observe re-fetches the
+    ///   schedule retries — and their tables are marked dirty on the
+    ///   observer so this very observe re-fetches the
     ///   compacted/conflicted state. Without a
     ///   [job tracker](Self::with_job_tracker) polled outcomes are
     ///   discarded.
-    /// * **Observe**: given an observer, one retained incremental
-    ///   [`FleetObserver::observe`], and the decide state is kept for
-    ///   the next cycle to patch. Without one, a cold one-shot
-    ///   [`observe`](LakeConnector::observe) whose observation is dropped
-    ///   with the cycle, and so is the state built over it.
+    /// * **Observe**: one [`FleetObserver::observe`] — incremental over
+    ///   the observer's prior when the connector has a changelog, a full
+    ///   fetch for a fresh observer. One-shot callers pass a fresh
+    ///   observer.
     /// * **Filter → orient → decide → act** over the observation,
     ///   consumed **by index**: filters evaluate
     ///   [`CandidateView`](crate::candidate::CandidateView)s built
@@ -376,28 +375,25 @@ impl AutoComp {
     ///   trait values straight into the state's columns, and only the
     ///   selected candidates are ever materialized as owned
     ///   [`Candidate`]s for the act phase.
-    pub fn cycle(&mut self, mut input: CycleInput<'_>) -> Result<CycleReport> {
+    ///
+    /// The pipeline holds the decide state of its last cycle, and the
+    /// next cycle patches it only over the observation chain it was
+    /// built on (see [`crate::decide`]'s keys); any other observation
+    /// drops it before a new one is built.
+    pub fn cycle(&mut self, input: CycleInput<'_>) -> Result<CycleReport> {
         self.telemetry.begin_cycle();
         let t = self.telemetry.span_start();
         self.settle_polled(input.executor.poll(input.now_ms));
-        if let (Some(observer), Some(tracker)) = (&mut input.observer, &mut self.tracker) {
+        if let Some(tracker) = &mut self.tracker {
             for uid in tracker.take_settled_dirty() {
-                observer.mark_dirty(uid);
+                input.observer.mark_dirty(uid);
             }
         }
         self.telemetry.span_end(tphase::SETTLE, t);
         let t = self.telemetry.span_start();
-        let scope = self.config.scope;
-        let cold;
-        let (observation, retained) = match input.observer {
-            Some(observer) => (observer.observe(input.connector, scope), true),
-            None => {
-                cold = input.connector.observe(ObserveRequest::fresh(scope));
-                (&cold, false)
-            }
-        };
+        let observation = input.observer.observe(input.connector, self.config.scope);
         self.telemetry.span_end(tphase::OBSERVE, t);
-        self.cycle_observed_inner(observation, input.executor, input.now_ms, retained)
+        self.cycle_observed_inner(observation, input.executor, input.now_ms)
     }
 
     /// Settles polled outcomes into the tracker and auto-ingests the
@@ -461,16 +457,12 @@ impl AutoComp {
     }
 
     /// The filter → orient → decide → act phases of [`cycle`](Self::cycle)
-    /// over an already-captured observation. `retained` is `false` for a
-    /// one-shot observation (dropped with the cycle, so a state patched
-    /// against it could never be reused) and `true` for one an observer
-    /// retains.
+    /// over an already-captured observation.
     fn cycle_observed_inner(
         &mut self,
         observation: &FleetObservation,
         exec: &mut dyn TrackedExecutor,
         now_ms: u64,
-        retained: bool,
     ) -> Result<CycleReport> {
         if self.traits.is_empty() {
             return Err(AutoCompError::NoTraits);
@@ -492,7 +484,8 @@ impl AutoComp {
         let width = template.width();
         let prior = self
             .state
-            .take_if(|s| s.usable(&keys, observation, time_sensitive, width));
+            .take()
+            .filter(|s| s.usable(&keys, observation, time_sensitive, width));
         let (mut state, patched) =
             DecideState::filter(prior, keys, &template, &self.filters, observation);
         let recomputed = patched.len();
@@ -534,14 +527,11 @@ impl AutoComp {
         // Decide: re-score what the mask names stale and maintain the
         // selection, or take the fleet-wide path.
         let span_t = self.telemetry.span_start();
-        let fill = retained && observation.cursor().is_some();
         let ranked = state.rank(observation, &self.config.policy, &mask.fresh);
         let (ranked, rank_stats) = match ranked {
             Ok(ranked) => ranked,
             Err(e) => {
-                if fill {
-                    self.state = Some(state);
-                }
+                self.state = Some(state);
                 return Err(e);
             }
         };
@@ -613,9 +603,7 @@ impl AutoComp {
             total_predicted_reduction: act.total_predicted_reduction,
             total_predicted_gbhr: act.total_predicted_gbhr,
         };
-        if fill {
-            self.state = Some(state);
-        }
+        self.state = Some(state);
         Ok(report)
     }
 
@@ -676,8 +664,9 @@ impl AutoComp {
     /// [`SnapshotStore`](lakesim_storage::SnapshotStore). Returns `None`
     /// before the first observation (there is nothing durable to
     /// capture yet). The decide state is persisted only while still
-    /// valid for the captured observation (same epoch, same cursor, same
-    /// shared listing), so a restore can never resurrect stale state.
+    /// valid for the captured observation (same epoch, last patched
+    /// against exactly that observation), so a restore can never
+    /// resurrect stale state or another observer's.
     pub fn encode_snapshot(
         &self,
         observer: &FleetObserver,
@@ -1185,10 +1174,9 @@ fn take_ledger_and_feedback(
 pub struct CycleInput<'a> {
     /// The lake to observe.
     pub connector: &'a dyn LakeConnector,
-    /// `Some`: the retained incremental observe, and the decide state is
-    /// kept for the next cycle. `None`: a cold one-shot observe whose
-    /// state is dropped with the cycle.
-    pub observer: Option<&'a mut FleetObserver>,
+    /// The observer the cycle observes through; it keeps the observation
+    /// for the next cycle. A one-shot caller passes a fresh one.
+    pub observer: &'a mut FleetObserver,
     /// Where selected work is submitted and finished jobs are polled; a
     /// plain [`CompactionExecutor`](crate::connector::CompactionExecutor)
     /// goes through [`Untracked`](crate::act::Untracked).
@@ -1343,7 +1331,7 @@ mod tests {
     fn plain_cycle(
         ac: &mut AutoComp,
         lake: &MemoryLake,
-        observer: Option<&mut FleetObserver>,
+        observer: &mut FleetObserver,
         exec: &mut Untracked<RecordingExecutor>,
         now_ms: u64,
     ) -> Result<CycleReport> {
@@ -1378,7 +1366,8 @@ mod tests {
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
         let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(2);
-        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 1000).unwrap();
+        let report =
+            plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 1000).unwrap();
         assert_eq!(report.generated, 3);
         assert_eq!(report.selected_count(), 2);
         assert_eq!(exec.0.calls.len(), 2);
@@ -1398,7 +1387,7 @@ mod tests {
             min_total_bytes: 1 << 20,
             min_file_count: 0,
         }));
-        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 0).unwrap();
         assert_eq!(report.dropped.len(), 1);
         assert_eq!(report.dropped[0].0, CandidateId::table(1));
         assert!(report.dropped[0].1.contains("min-size"));
@@ -1420,7 +1409,7 @@ mod tests {
             calibrate: false,
         });
         assert!(matches!(
-            plain_cycle(&mut ac, &lake, None, &mut exec, 0),
+            plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 0),
             Err(AutoCompError::NoTraits)
         ));
     }
@@ -1440,7 +1429,7 @@ mod tests {
             predicted_gbhr: 1.0,
             actual_gbhr: 1.0,
         });
-        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 0).unwrap();
         assert_eq!(report.executed[0].prediction.reduction, 50);
     }
 
@@ -1450,7 +1439,7 @@ mod tests {
         let run = || {
             let mut exec = Untracked(RecordingExecutor::default());
             let mut ac = pipeline(1);
-            let r = plain_cycle(&mut ac, &lake, None, &mut exec, 42).unwrap();
+            let r = plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 42).unwrap();
             format!("{r}")
         };
         assert_eq!(run(), run());
@@ -1462,26 +1451,34 @@ mod tests {
             MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)]);
         let run_pull = || {
             let mut exec = Untracked(RecordingExecutor::default());
-            plain_cycle(&mut pipeline(2), &lake, None, &mut exec, 7).unwrap()
+            plain_cycle(
+                &mut pipeline(2),
+                &lake,
+                &mut FleetObserver::new(),
+                &mut exec,
+                7,
+            )
+            .unwrap()
         };
         let pull = run_pull();
 
         let mut observer = crate::observe::FleetObserver::new();
         let mut exec = Untracked(RecordingExecutor::default());
         let mut ac = pipeline(2);
-        let incr1 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
+        let incr1 = plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr1.to_string());
         // MemoryLake has no changelog, so the second incremental cycle is
         // a full re-observe — and still identical.
         let mut exec = Untracked(RecordingExecutor::default());
-        let incr2 = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 7).unwrap();
+        let incr2 = plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 7).unwrap();
         assert_eq!(pull.to_string(), incr2.to_string());
         assert_eq!(observer.last().unwrap().fetched_tables(), 3);
     }
 
-    /// What the four `{observer} × {polling, untracked executor}` shapes
-    /// of [`CycleInput`] guarantee, over one lake and two cycles (the
-    /// second starts after the first's jobs are due).
+    /// What the four `{kept, fresh observer} × {polling, untracked
+    /// executor}` shapes of [`CycleInput`] guarantee, over one lake and
+    /// two cycles (the second starts after the first's jobs are due). A
+    /// fresh observer is a one-shot caller's: a new one every cycle.
     #[test]
     fn entry_matrix_pins_settle_observe_and_cache_semantics() {
         let lake = MemoryLake {
@@ -1489,9 +1486,11 @@ mod tests {
             ..MemoryLake::with_tables(&[(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)])
         };
         // Both cycles of one matrix cell; every cycle's span sequence and
-        // cache fill are checked on the way.
-        let run_cell = |with_tracker: bool, retained: bool, tracked: bool| {
-            let at = format!("tracker={with_tracker} observer={retained} tracked={tracked}");
+        // the state the pipeline holds are checked on the way. Returns
+        // the reports, the pipeline, the last cycle's observer and the
+        // tables the second cycle patched.
+        let run_cell = |with_tracker: bool, kept: bool, tracked: bool| {
+            let at = format!("tracker={with_tracker} kept={kept} tracked={tracked}");
             let mut ac = pipeline(2);
             if with_tracker {
                 ac = ac.with_job_tracker(JobRuntimeConfig::default());
@@ -1500,10 +1499,13 @@ mod tests {
             let mut exec = RecordingExecutor::default();
             let mut untracked = Untracked(RecordingExecutor::default());
             let reports = [1_000, 20_000].map(|now_ms| {
+                if !kept {
+                    observer = FleetObserver::new();
+                }
                 let report = ac
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: retained.then_some(&mut observer),
+                        observer: &mut observer,
                         executor: if tracked { &mut exec } else { &mut untracked },
                         now_ms,
                     })
@@ -1518,10 +1520,11 @@ mod tests {
                 // `ALL` lists the five phases after settle, then settle.
                 let expect = [&[tphase::SETTLE][..], &tphase::ALL[..5]].concat();
                 assert_eq!(phases, expect, "{at}");
-                assert_eq!(ac.cycle_cache_len(), if retained { 3 } else { 0 }, "{at}");
+                assert_eq!(ac.cycle_cache_len(), 3, "the last cycle's state, {at}");
                 report
             });
-            (reports, ac, observer, at)
+            let patched = ac.cycle_cache_stats().recomputed_tables;
+            (reports, ac, observer, at, patched)
         };
         let same = |a: &[CycleReport; 2], b: &[CycleReport; 2], at: &str| {
             for (a, b) in a.iter().zip(b) {
@@ -1533,29 +1536,34 @@ mod tests {
 
         // Without a tracker all four shapes report identically: a polling
         // executor reproduces an untracked one's reports (quiet ledger
-        // included) and incremental ≡ cold.
+        // included) and incremental ≡ cold. A fresh observer's cycle
+        // patches every table; a kept one's patches none.
         let (cold_plain, ..) = run_cell(false, false, false);
-        for (retained, tracked) in [(true, false), (false, true), (true, true)] {
-            let (reports, .., at) = run_cell(false, retained, tracked);
+        for (kept, tracked) in [(true, false), (false, true), (true, true)] {
+            let (reports, .., at, patched) = run_cell(false, kept, tracked);
             same(&cold_plain, &reports, &at);
             assert!(reports.iter().all(|r| r.ledger.is_quiet()), "{at}");
+            assert_eq!(patched, if kept { 0 } else { 3 }, "{at}");
         }
 
         // With a tracker the first cycle's two jobs are due by the
-        // second. Only a polling executor settles them; only with an
-        // observer are their tables drained from the tracker and
-        // re-fetched (the changelog itself is quiet).
+        // second. Only a polling executor settles them; their tables are
+        // drained from the tracker into whichever observer the cycle
+        // observes through, and a kept one re-fetches and patches just
+        // them (the changelog itself is quiet).
         for tracked in [false, true] {
-            let (cold, mut cold_ac, ..) = run_cell(true, false, tracked);
-            let (kept, mut kept_ac, observer, at) = run_cell(true, true, tracked);
+            let (cold, mut cold_ac, fresh, _, cold_patched) = run_cell(true, false, tracked);
+            let (kept, mut kept_ac, observer, at, patched) = run_cell(true, true, tracked);
             same(&cold, &kept, &at);
             let settled = if tracked { 2 } else { 0 };
             assert_eq!(kept[1].ledger.settled, settled, "{at}");
             assert_eq!(observer.last().unwrap().fetched_tables(), settled, "{at}");
-            let undrained = |ac: &mut AutoComp| ac.job_tracker_mut().unwrap().take_settled_dirty();
-            assert_eq!(undrained(&mut kept_ac), Vec::<u64>::new(), "{at}");
-            let expect = if tracked { vec![1, 2] } else { vec![] };
-            assert_eq!(undrained(&mut cold_ac), expect, "no observer, {at}");
+            assert_eq!((patched, cold_patched), (settled, 3), "{at}");
+            assert_eq!(fresh.last().unwrap().fetched_tables(), 3, "{at}");
+            for ac in [&mut kept_ac, &mut cold_ac] {
+                let undrained = ac.job_tracker_mut().unwrap().take_settled_dirty();
+                assert_eq!(undrained, Vec::<u64>::new(), "{at}");
+            }
         }
     }
 
@@ -1577,7 +1585,7 @@ mod tests {
         let mut ac = pipeline(3);
         let mut observer = FleetObserver::new();
         let mut exec = Untracked(RecordingExecutor::default());
-        let held = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 1_000).unwrap();
+        let held = plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 1_000).unwrap();
         assert_eq!(held.traits.rows(), RANKED_PREFIX_MIN);
         let (entries, text) = (held.ranked.to_vec(), held.to_string());
         for round in 1..=2u64 {
@@ -1585,20 +1593,96 @@ mod tests {
                 stats.small_file_count += 50 * round;
                 observer.mark_dirty(table.table_uid);
             }
-            let next = plain_cycle(
-                &mut ac,
-                &lake,
-                Some(&mut observer),
-                &mut exec,
-                1_000 + round,
-            )
-            .unwrap();
+            let next =
+                plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 1_000 + round).unwrap();
             assert_eq!(ac.cycle_cache_stats().spliced_tables, 26, "round {round}");
             assert!(ac.rank_memo_stats().recomputed_scores > 0, "round {round}");
             assert_ne!(next.ranked.to_vec(), entries, "round {round}");
         }
         assert_eq!(held.ranked.to_vec(), entries);
         assert_eq!(held.to_string(), text);
+    }
+
+    /// A state is patched only over the observation chain it was built
+    /// on. Observer A's chain, interleaved with a one-shot cycle through
+    /// a fresh observer B over stats the changelog never saw, decides
+    /// what A's chain alone decides: B's state shares A's cursors but not
+    /// its chain, so A's next cycle drops it. A's snapshot then restores
+    /// a chain that decides what the uninterrupted twin does.
+    #[test]
+    fn a_state_is_patched_only_over_its_own_observation_chain() {
+        let v0 = [(1, 100, 10 << 30), (2, 500, 10 << 30), (3, 10, 10 << 30)];
+        let mut lake = MemoryLake {
+            changelog: true,
+            ..MemoryLake::with_tables(&v0)
+        };
+        let set = |lake: &mut MemoryLake, small: [u64; 3]| {
+            for ((_, stats), small) in lake.tables.iter_mut().zip(small) {
+                stats.small_file_count = small;
+            }
+        };
+        let (mut ac, mut a) = (pipeline(2), FleetObserver::new());
+        let (mut twin, mut twin_a) = (pipeline(2), FleetObserver::new());
+        let mut exec = Untracked(RecordingExecutor::default());
+        let mut twin_exec = Untracked(RecordingExecutor::default());
+        let same = |x: &CycleReport, y: &CycleReport, at: &str| {
+            assert_eq!(x.ranked.to_vec(), y.ranked.to_vec(), "{at}");
+            assert_eq!(x.to_string(), y.to_string(), "{at}");
+        };
+
+        let first = plain_cycle(&mut ac, &lake, &mut a, &mut exec, 1_000).unwrap();
+        let alone = plain_cycle(&mut twin, &lake, &mut twin_a, &mut twin_exec, 1_000).unwrap();
+        same(&first, &alone, "A's first cycle");
+        // Unlogged writes: A's chain keeps the stats it saw; a fresh
+        // observer sees the new ones.
+        set(&mut lake, [900, 700, 5]);
+        let mut b = FleetObserver::new();
+        plain_cycle(&mut ac, &lake, &mut b, &mut exec, 2_000).unwrap();
+        assert_eq!(
+            b.last().unwrap().cursor(),
+            a.last().unwrap().cursor(),
+            "B shares A's cursor"
+        );
+        let third = plain_cycle(&mut ac, &lake, &mut a, &mut exec, 3_000).unwrap();
+        let alone = plain_cycle(&mut twin, &lake, &mut twin_a, &mut twin_exec, 3_000).unwrap();
+        same(&third, &alone, "A after B");
+        assert_eq!(
+            ac.cycle_cache_stats().recomputed_tables,
+            3,
+            "B's state dropped"
+        );
+
+        // A's snapshot resumes A's chain: a fresh observer restored from
+        // it re-fetches only what it is told, like the twin's.
+        let ctx = SnapshotContext {
+            cycle: 3,
+            executor_cursor: 0,
+            journal_watermark: 0,
+        };
+        let bytes = ac.encode_snapshot(&a, &ctx).unwrap();
+        let (mut restored, mut r) = (pipeline(2), FleetObserver::new());
+        let report = restored.restore_snapshot(&mut r, &bytes);
+        assert!(
+            matches!(
+                report,
+                RecoveryReport::Warm {
+                    cache_restored: true,
+                    ..
+                }
+            ),
+            "{report:?}"
+        );
+        set(&mut lake, [60, 700, 5]);
+        r.mark_dirty(1);
+        twin_a.mark_dirty(1);
+        let next = plain_cycle(&mut restored, &lake, &mut r, &mut exec, 4_000).unwrap();
+        let alone = plain_cycle(&mut twin, &lake, &mut twin_a, &mut twin_exec, 4_000).unwrap();
+        same(&next, &alone, "A restored");
+        assert_eq!(
+            restored.cycle_cache_stats().recomputed_tables,
+            1,
+            "the chain resumed"
+        );
     }
 
     /// Without a listing epoch every observe re-reads the listing; one
@@ -1618,15 +1702,21 @@ mod tests {
         let mut observer = FleetObserver::new();
         let mut exec = Untracked(RecordingExecutor::default());
         let layout = |ac: &AutoComp| Arc::clone(ac.state.as_ref().expect("kept").layout_id());
-        plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 1_000).unwrap();
+        plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 1_000).unwrap();
         let first = layout(&ac);
         for round in 1..=3 {
             lake.tables[round].1.small_file_count += 40;
             observer.mark_dirty(lake.tables[round].0.table_uid);
             let now_ms = 1_000 + round as u64;
-            let warm = plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, now_ms);
+            let warm = plain_cycle(&mut ac, &lake, &mut observer, &mut exec, now_ms);
             let mut fresh = Untracked(RecordingExecutor::default());
-            let cold = plain_cycle(&mut pipeline(3), &lake, None, &mut fresh, now_ms);
+            let cold = plain_cycle(
+                &mut pipeline(3),
+                &lake,
+                &mut FleetObserver::new(),
+                &mut fresh,
+                now_ms,
+            );
             let (warm, cold) = (warm.unwrap(), cold.unwrap());
             assert!(Arc::ptr_eq(&first, &layout(&ac)), "round {round}");
             assert_eq!(ac.cycle_cache_stats().recomputed_tables, 1, "round {round}");
@@ -1634,7 +1724,7 @@ mod tests {
             assert_eq!(warm.to_string(), cold.to_string(), "round {round}");
         }
         lake.tables[4].0.name = "renamed".into();
-        plain_cycle(&mut ac, &lake, Some(&mut observer), &mut exec, 2_000).unwrap();
+        plain_cycle(&mut ac, &lake, &mut observer, &mut exec, 2_000).unwrap();
         assert!(
             !Arc::ptr_eq(&first, &layout(&ac)),
             "a changed descriptor remaps"
@@ -1678,7 +1768,7 @@ mod tests {
             calibrate: false,
         })
         .with_trait(Box::new(PoisonTrait));
-        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 0).unwrap();
+        let report = plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 0).unwrap();
         assert_eq!(report.dropped.len(), 1);
         assert_eq!(report.dropped[0].0, CandidateId::table(2));
         assert!(report.dropped[0].1.contains("NaN"));
@@ -1701,8 +1791,9 @@ mod tests {
         let mut exec = Untracked(RecordingExecutor::default());
         // An untracked executor never settles: cycle 1 leaves table 1 live,
         // cycle 2 table 2 as well.
-        let reports = [1_000, 2_000, 3_000]
-            .map(|now_ms| plain_cycle(&mut ac, &lake, None, &mut exec, now_ms).unwrap());
+        let reports = [1_000, 2_000, 3_000].map(|now_ms| {
+            plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, now_ms).unwrap()
+        });
         let part = |uid, p| CandidateId::partition(uid, p);
         let submitted = reports.each_ref().map(|r| r.executed[0].id.clone());
         assert_eq!(submitted, [part(1, "p0"), part(2, "p0"), part(3, "p0")]);
@@ -1724,11 +1815,13 @@ mod tests {
             .with_trait(Box::new(PoisonTrait))
             .with_job_tracker(JobRuntimeConfig::default());
         let mut exec = Untracked(RecordingExecutor::default());
-        let first = plain_cycle(&mut ac, &lake, None, &mut exec, 1_000).unwrap();
+        let first =
+            plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 1_000).unwrap();
         assert_eq!(first.executed[0].id, CandidateId::table(1));
         // Table 1, now live, turns NaN as well.
         lake.tables[1].1.small_file_count = 13;
-        let report = plain_cycle(&mut ac, &lake, None, &mut exec, 2_000).unwrap();
+        let report =
+            plain_cycle(&mut ac, &lake, &mut FleetObserver::new(), &mut exec, 2_000).unwrap();
         let dropped: Vec<(u64, &str)> = report
             .dropped
             .iter()
@@ -1766,7 +1859,7 @@ mod tests {
         let mut exec = RecordingExecutor::default();
         ac.cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut exec,
             now_ms: 1_000,
         })

@@ -548,40 +548,42 @@ pub(crate) fn column_min_max(col: &[f64], rows: impl Iterator<Item = u32>) -> (f
     min_max(rows.map(|r| col[r as usize]))
 }
 
-/// One end of a column's fold over the ranked rows: its bits, the ranked
-/// rows holding exactly them, and whether zeros of both signs hold it.
+/// One end of a column's fold over the ranked rows: its bits, and the
+/// ranked rows holding exactly them.
 #[derive(Debug, Clone, Copy)]
-struct Extreme(u64, u32, bool);
+struct Extreme(u64, u32);
 
 impl Extreme {
     /// Counts `v` in (`enter`) or out of the ranked rows, `beyond` this
-    /// end or not, where a zero of the sign this end takes (`wins`) is
-    /// beyond the other zero; `false` once only a rescan can tell the
-    /// fold.
+    /// end or not; `false` once its last holder left, when only a rescan
+    /// can tell the fold.
     #[inline]
-    fn step(&mut self, v: f64, enter: bool, beyond: bool, wins: bool) -> bool {
-        let Extreme(bits, holders, mixed) = self;
+    fn step(&mut self, v: f64, enter: bool, beyond: bool) -> bool {
+        let Extreme(bits, holders) = self;
         if v.to_bits() == *bits {
             *holders = if enter { *holders + 1 } else { *holders - 1 };
-            return *holders > 0 && !*mixed;
+            return *holders > 0;
         }
-        let other_zero = v == f64::from_bits(*bits);
-        if enter && (beyond || other_zero && wins) {
-            *self = Extreme(v.to_bits(), 1, false);
+        if enter && beyond {
+            *self = Extreme(v.to_bits(), 1);
         }
-        self.2 |= other_zero;
-        !other_zero
+        true
     }
 }
 
-/// Steps both ends of a column; `false` once either needs a rescan. The
-/// min takes `-0.0` over `+0.0`, the max `+0.0` over `-0.0`, as
-/// [`min_max`] does.
+/// Steps both ends of a column; `false` once either needs a rescan.
+/// Beyond an end is what [`min_max`] would move it to: the min takes
+/// `-0.0` over `+0.0`, the max `+0.0` over `-0.0`. So the zero an end
+/// holds is the one the fold returns, and its holders are exactly the
+/// rows holding that zero; a zero of the other sign entering or leaving
+/// beneath it changes neither.
 #[inline]
 fn step_ends([lo, hi]: &mut [Extreme; 2], v: f64, enter: bool) -> bool {
-    let (below, above) = (v < f64::from_bits(lo.0), v > f64::from_bits(hi.0));
+    let (min, max) = (f64::from_bits(lo.0), f64::from_bits(hi.0));
     let negative = v.is_sign_negative();
-    lo.step(v, enter, below, negative) & hi.step(v, enter, above, !negative)
+    let below = v < min || (v == min && negative);
+    let above = v > max || (v == max && !negative);
+    lo.step(v, enter, below) & hi.step(v, enter, above)
 }
 
 /// Per trait column, the min and max over the ranked rows, bit-equal to
@@ -610,8 +612,7 @@ impl Bounds {
     /// A rescan counts every value in.
     pub(crate) fn get(&mut self, id: TraitId, col: &[f64], ranked: &Bits) -> (f64, f64) {
         let [lo, hi] = *self.0[id.index()].get_or_insert_with(|| {
-            let mut ends =
-                [f64::INFINITY, f64::NEG_INFINITY].map(|e| Extreme(e.to_bits(), 0, false));
+            let mut ends = [f64::INFINITY, f64::NEG_INFINITY].map(|e| Extreme(e.to_bits(), 0));
             ranked
                 .ones()
                 .for_each(|r| _ = step_ends(&mut ends, col[r as usize], true));
@@ -1395,54 +1396,79 @@ pub(crate) mod tests {
     }
 
     /// The one rescan rule of the maintained bounds: a column goes stale
-    /// only when an extreme loses its last holder, or when a zero touches
-    /// a zero extreme that zeros of both signs hold; every other step
-    /// keeps it bit-equal to the in-order fold.
+    /// only when an extreme loses its last holder; every other step keeps
+    /// it bit-equal to the in-order fold, zeros of both signs included.
     #[test]
-    fn bounds_rescan_only_when_an_extreme_loses_its_last_holder_or_zeros_mix() {
-        let id = TraitMatrix::new(0).intern("x", None);
-        let col = [3.0, 1.0, 1.0, 5.0, 0.0, -0.0, 0.0, 7.0, -0.0];
-        let mut ranked = Bits::default();
-        let mut bounds = Bounds::stale(1);
-        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
-        let mut step = |ranked: &mut Bits, row: u32, enter: bool, kept: bool| {
+    fn bounds_rescan_only_when_an_extreme_loses_its_last_holder() {
+        /// Steps row `row` of `col` into or out of the ranked rows, then
+        /// checks that the column is maintained exactly when `kept`, and
+        /// that its bounds are the fold's.
+        fn check(
+            col: &[f64],
+            ranked: &mut Bits,
+            bounds: &mut Bounds,
+            row: u32,
+            enter: bool,
+            kept: bool,
+        ) {
+            let id = TraitMatrix::new(0).intern("x", None);
+            let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
             ranked.put(row, enter);
             bounds.step(id, col[row as usize], enter);
-            assert_eq!(maintained(&bounds, id), kept, "row {row}, enter {enter}");
-            let fold = column_min_max(&col, ranked.ones());
-            assert_eq!(bits(bounds.get(id, &col, ranked)), bits(fold), "row {row}");
-        };
+            assert_eq!(maintained(bounds, id), kept, "row {row}, enter {enter}");
+            let fold = column_min_max(col, ranked.ones());
+            assert_eq!(bits(bounds.get(id, col, ranked)), bits(fold), "row {row}");
+        }
+        let col = [3.0, 1.0, 1.0, 5.0, 0.0, -0.0, 0.0, 7.0, -0.0];
+        let (mut ranked, mut bounds) = (Bits::default(), Bounds::stale(1));
+        let mut step = |row, enter, kept| check(&col, &mut ranked, &mut bounds, row, enter, kept);
         // A value entering a stale column leaves it stale; the rescan
         // counts each extreme's holders, and later entries are counted.
-        step(&mut ranked, 0, true, false);
-        (1..4).for_each(|row| step(&mut ranked, row, true, true));
+        step(0, true, false);
+        (1..4).for_each(|row| step(row, true, true));
         // A tied extreme losing one of its holders stays maintained.
-        step(&mut ranked, 1, false, true);
+        step(1, false, true);
         // A value beyond an extreme moves it; its last holder leaving
         // forces the rescan.
-        step(&mut ranked, 7, true, true);
-        step(&mut ranked, 7, false, false);
+        step(7, true, true);
+        step(7, false, false);
         // Zeros of one sign form a maintained extreme.
-        step(&mut ranked, 4, true, true);
-        step(&mut ranked, 6, true, true);
-        step(&mut ranked, 6, false, true);
-        // A zero of the other sign touching it forces a rescan.
-        step(&mut ranked, 5, true, false);
-        // While both signs hold it, any zero forces one — even one of the
-        // sign the fold returned — but other values do not.
-        step(&mut ranked, 8, true, false);
-        step(&mut ranked, 0, false, true);
-        step(&mut ranked, 8, false, false);
-        // Both min holders gone: the last-holder rule again.
-        step(&mut ranked, 4, false, false);
-        step(&mut ranked, 5, false, false);
+        step(4, true, true);
+        step(6, true, true);
+        step(6, false, true);
+        // A `-0.0` is beyond a `+0.0` min: it takes the end, one holder.
+        step(5, true, true);
+        // A `+0.0` entering or leaving beneath it changes nothing.
+        step(6, true, true);
+        step(6, false, true);
+        // A second `-0.0` is a second holder, and either may leave.
+        step(8, true, true);
+        step(0, false, true);
+        step(8, false, true);
+        // The last `+0.0` leaves unseen; the last `-0.0` leaving is the
+        // last-holder rule again.
+        step(4, false, true);
+        step(5, false, false);
         // Emptied, the fold's infinities.
-        step(&mut ranked, 2, false, false);
-        step(&mut ranked, 3, false, false);
+        step(2, false, false);
+        step(3, false, false);
+        let id = TraitMatrix::new(0).intern("x", None);
         assert_eq!(
             bounds.get(id, &col, &ranked),
             (f64::INFINITY, f64::NEG_INFINITY)
         );
+
+        // The max mirrors it: a `+0.0` is beyond a `-0.0` max.
+        let col = [-1.0, -0.0, 0.0, -0.0];
+        let (mut ranked, mut bounds) = (Bits::default(), Bounds::stale(1));
+        let mut step = |row, enter, kept| check(&col, &mut ranked, &mut bounds, row, enter, kept);
+        step(0, true, false);
+        step(1, true, true);
+        step(2, true, true);
+        step(3, true, true);
+        step(3, false, true);
+        step(1, false, true);
+        step(2, false, false);
     }
 
     /// Where zeros of both signs sit at an end, the fold's min is `-0.0`

@@ -805,7 +805,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
         };
         let report = self.pipeline.cycle(CycleInput {
             connector,
-            observer: Some(&mut self.observer),
+            observer: &mut self.observer,
             executor: &mut BufferedCompletions { inner, buffered },
             now_ms: now,
         });

@@ -46,7 +46,7 @@ impl ScopeStrategy {
 /// per table).
 ///
 /// This is the historical observe path, kept as the executable reference
-/// the batched [`observe`](crate::connector::LakeConnector::observe) API
+/// [`FleetObserver::observe`](crate::observe::FleetObserver::observe)
 /// is parity-tested against; cycle code should prefer
 /// [`FleetObservation::to_candidates`](crate::observe::FleetObservation::to_candidates),
 /// which additionally enables reuse across cycles.

@@ -528,7 +528,7 @@ pub fn run_scenario_polled(s: Scenario, policy: u8, seed: u64) -> ScenarioOutcom
             let report = pipeline
                 .cycle(CycleInput {
                     connector: &lake,
-                    observer: Some(&mut observer),
+                    observer: &mut observer,
                     executor: &mut exec,
                     now_ms: now,
                 })

@@ -6,7 +6,8 @@
 
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, CompactionDisabledFilter, ComputeCostGbhr,
-    CycleInput, FileCountReduction, RankingPolicy, ScopeStrategy, TraitWeight, Untracked,
+    CycleInput, FileCountReduction, FleetObserver, RankingPolicy, ScopeStrategy, TraitWeight,
+    Untracked,
 };
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
 use lakesim_catalog::TablePolicy;
@@ -89,7 +90,7 @@ fn main() {
     let report = pipeline
         .cycle(CycleInput {
             connector: &connector,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut executor,
             now_ms: now,
         })

@@ -100,7 +100,7 @@ fn main() {
         let report = ac
             .cycle(CycleInput {
                 connector: &connector,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut executor,
                 now_ms: now,
             })

@@ -33,7 +33,7 @@ pub fn tracked_cycle(
 ) -> autocomp::Result<CycleReport> {
     pipeline.cycle(CycleInput {
         connector,
-        observer: Some(observer),
+        observer,
         executor,
         now_ms,
     })

@@ -196,7 +196,7 @@ impl TwinRig {
             .ac_f
             .cycle(CycleInput {
                 connector: &self.faulted,
-                observer: Some(&mut self.obs_f),
+                observer: &mut self.obs_f,
                 executor: &mut exec,
                 now_ms: now,
             })
@@ -206,7 +206,7 @@ impl TwinRig {
             .ac_c
             .cycle(CycleInput {
                 connector: &self.clean,
-                observer: Some(&mut self.obs_c),
+                observer: &mut self.obs_c,
                 executor: &mut exec,
                 now_ms: now,
             })

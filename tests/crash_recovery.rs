@@ -917,7 +917,7 @@ fn warm_restore_resumes_incremental_observe() {
     let mut exec = Untracked(InertExecutor);
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut exec,
         now_ms: 1_000,
     })
@@ -925,7 +925,7 @@ fn warm_restore_resumes_incremental_observe() {
     lake.write(3);
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut exec,
         now_ms: 2_000,
     })
@@ -951,7 +951,7 @@ fn warm_restore_resumes_incremental_observe() {
     let restored_report = restored
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut restored_observer),
+            observer: &mut restored_observer,
             executor: &mut exec,
             now_ms: 3_000,
         })
@@ -968,7 +968,7 @@ fn warm_restore_resumes_incremental_observe() {
     let twin_report = ac
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut exec,
             now_ms: 3_000,
         })
@@ -1010,7 +1010,7 @@ fn warm_restore_carries_the_memo_with_its_generation() {
     let mut cycle = |ac: &mut AutoComp, observer: &mut FleetObserver, now_ms| {
         ac.cycle(CycleInput {
             connector: &lake,
-            observer: Some(observer),
+            observer,
             executor: &mut exec,
             now_ms,
         })
@@ -1072,7 +1072,7 @@ fn a_restore_keeps_the_dirty_backlog_including_unlisted_marks() {
     let mut observer = FleetObserver::new();
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut Untracked(InertExecutor),
         now_ms: 1_000,
     })

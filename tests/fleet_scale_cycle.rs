@@ -5,8 +5,8 @@
 use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, CycleInput, ExecutionResult,
-    FileCountReduction, LakeConnector, Prediction, RankingPolicy, ScopeStrategy, TableRef,
-    TraitWeight, Untracked, RANKED_PREFIX_MIN,
+    FileCountReduction, FleetObserver, LakeConnector, Prediction, RankingPolicy, ScopeStrategy,
+    TableRef, TraitWeight, Untracked, RANKED_PREFIX_MIN,
 };
 
 const FLEET: u64 = 100_000;
@@ -84,7 +84,7 @@ fn hundred_thousand_table_cycle() {
     let report = ac
         .cycle(CycleInput {
             connector: &SyntheticLake,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut exec,
             now_ms: 0,
         })
@@ -119,7 +119,7 @@ fn hundred_thousand_table_cycle() {
     let report2 = ac
         .cycle(CycleInput {
             connector: &SyntheticLake,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut exec2,
             now_ms: 0,
         })

@@ -353,7 +353,7 @@ fn run_scenario(
         let cold_report = cold
             .cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
@@ -374,7 +374,7 @@ fn run_scenario(
             incremental
                 .cycle(CycleInput {
                     connector: &lake,
-                    observer: Some(observer),
+                    observer,
                     executor: &mut Untracked(SeqExecutor::default()),
                     now_ms: now,
                 })
@@ -583,7 +583,7 @@ fn run_tracked_scenario(
                 let cold_report = cold
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: None,
+                        observer: &mut FleetObserver::new(),
                         executor: &mut cold_platform,
                         now_ms: now,
                     })
@@ -740,7 +740,7 @@ fn transform_shifts_drive_multiple_kinds_through_the_parity_harness() {
                 let report = ac
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: Some(&mut observer),
+                        observer: &mut observer,
                         executor: &mut Untracked(SeqExecutor::default()),
                         now_ms: now,
                     })
@@ -808,7 +808,7 @@ fn harness_scenarios_actually_splice() {
         incremental
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
@@ -821,7 +821,7 @@ fn harness_scenarios_actually_splice() {
     incremental
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut Untracked(SeqExecutor::default()),
             now_ms: 4_000,
         })
@@ -956,7 +956,7 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
         let a = cold
             .cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
@@ -964,7 +964,7 @@ fn bound_movement_forces_rank_fallback_and_stays_bit_identical() {
         let b = incremental
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(observer),
+                observer,
                 executor: &mut Untracked(SeqExecutor::default()),
                 now_ms: now,
             })
@@ -1040,7 +1040,7 @@ fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
     let mut incremental = bound_pipeline();
     let mut observer = FleetObserver::new();
     let cycle = |ac: &mut AutoComp, observer: &mut FleetObserver, now_ms: u64, label: &str| {
-        let run = |ac: &mut AutoComp, observer: Option<&mut FleetObserver>| {
+        let run = |ac: &mut AutoComp, observer: &mut FleetObserver| {
             ac.cycle(CycleInput {
                 connector: &lake,
                 observer,
@@ -1051,9 +1051,9 @@ fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
         };
         let mut cold = bound_pipeline();
         *cold.config_mut() = ac.config().clone();
-        let b = run(ac, Some(observer));
+        let b = run(ac, observer);
         cold.invalidate_cycle_cache();
-        let a = run(&mut cold, None);
+        let a = run(&mut cold, &mut FleetObserver::new());
         reports_identical(&a, &b, label).unwrap();
         (ac.cycle_cache_stats(), ac.rank_memo_stats())
     };
@@ -1127,7 +1127,7 @@ fn each_fleet_wide_condition_takes_the_fleet_wide_path() {
         timed
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut timed_observer),
+                observer: &mut timed_observer,
                 executor: &mut Untracked(SeqExecutor::default()),
                 now_ms,
             })
@@ -1177,6 +1177,8 @@ fn observe_assembly_touches_only_dirty_positions() {
         "listing still shared across the chain"
     );
     // Values stay exact: the patched observation equals a cold one.
-    let reference = lake.observe(autocomp::ObserveRequest::fresh(ScopeStrategy::Table));
+    let reference = FleetObserver::new()
+        .observe(&lake, ScopeStrategy::Table)
+        .clone();
     assert_eq!(dirty.to_candidates(), reference.to_candidates());
 }

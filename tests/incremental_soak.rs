@@ -181,7 +181,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
             let incremental = ac
                 .cycle(CycleInput {
                     connector: &lake,
-                    observer: Some(&mut observer),
+                    observer: &mut observer,
                     executor: &mut exec,
                     now_ms: now,
                 })
@@ -191,7 +191,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
             let cold = cold
                 .cycle(CycleInput {
                     connector: &lake,
-                    observer: None,
+                    observer: &mut FleetObserver::new(),
                     executor: &mut exec,
                     now_ms: now,
                 })
@@ -208,7 +208,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
 
         ac.cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut exec,
             now_ms: now,
         })
@@ -256,7 +256,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
     let incremental = ac
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut exec,
             now_ms: now,
         })
@@ -266,7 +266,7 @@ fn soak_200_cycles_bounded_cache_with_exact_reconvergence() {
     let cold = cold
         .cycle(CycleInput {
             connector: &lake,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut exec,
             now_ms: now,
         })

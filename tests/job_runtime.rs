@@ -616,7 +616,7 @@ fn idle_tracker_reports_are_bit_identical_to_fire_and_forget() {
         let a = plain
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut obs_a),
+                observer: &mut obs_a,
                 executor: &mut Untracked(InertExecutor),
                 now_ms: now,
             })

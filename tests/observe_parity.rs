@@ -20,8 +20,8 @@ use autocomp::{
     AlreadyCompactFilter, AutoComp, AutoCompConfig, Candidate, CandidateFilter, CandidateStats,
     CompactionDisabledFilter, CompactionExecutor, ComputeCostGbhr, ContinuousRuntime, CycleInput,
     CycleReport, ExecutionResult, FileCountReduction, FleetObservation, FleetObserver,
-    LakeConnector, ObserveFault, ObserveRequest, Prediction, RankingPolicy, RuntimeConfig,
-    RuntimeEvent, ScopeStrategy, TableRef, TraitComputer, TraitWeight, Untracked,
+    LakeConnector, ObserveFault, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent,
+    ScopeStrategy, TableRef, TraitComputer, TraitWeight, Untracked,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -312,7 +312,7 @@ fn observation_candidates_match_the_pull_path() {
     for scope in SCOPES {
         let lake = CountingLake::new(FLEET);
         let pulled = autocomp::scope::generate_candidates(&lake, scope);
-        let observed = lake.observe(ObserveRequest::fresh(scope)).to_candidates();
+        let observed = FleetObserver::new().observe(&lake, scope).to_candidates();
         assert_eq!(pulled, observed, "scope {scope:?}");
     }
 }
@@ -328,7 +328,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
         let cold = incremental_pipeline
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
@@ -336,7 +336,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
         let pull_cold = pipeline(scope)
             .cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(NullExecutor),
                 now_ms: 0,
             })
@@ -351,7 +351,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
         let incremental = incremental_pipeline
             .cycle(CycleInput {
                 connector: &lake,
-                observer: Some(&mut observer),
+                observer: &mut observer,
                 executor: &mut Untracked(NullExecutor),
                 now_ms: 1,
             })
@@ -359,7 +359,7 @@ fn incremental_cycles_are_bit_identical_across_scopes() {
         let pull = pipeline(scope)
             .cycle(CycleInput {
                 connector: &lake,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut Untracked(NullExecutor),
                 now_ms: 1,
             })
@@ -451,7 +451,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     // Cold cycle: every candidate is filtered.
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut Untracked(NullExecutor),
         now_ms: 0,
     })
@@ -464,7 +464,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     let fetches_before = lake.stats_fetches();
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut Untracked(NullExecutor),
         now_ms: 1,
     })
@@ -479,7 +479,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     let fetches_before = lake.stats_fetches();
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut Untracked(NullExecutor),
         now_ms: 2,
     })
@@ -502,7 +502,7 @@ fn force_dirty_tables_invalidate_cycle_cache_rows() {
     // full splice again.
     ac.cycle(CycleInput {
         connector: &lake,
-        observer: Some(&mut observer),
+        observer: &mut observer,
         executor: &mut Untracked(NullExecutor),
         now_ms: 3,
     })
@@ -561,7 +561,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     let first = ac
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut Untracked(NullExecutor),
             now_ms: 0,
         })
@@ -576,7 +576,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     let incremental = ac
         .cycle(CycleInput {
             connector: &lake,
-            observer: Some(&mut observer),
+            observer: &mut observer,
             executor: &mut Untracked(NullExecutor),
             now_ms: 1,
         })
@@ -584,7 +584,7 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
     let cold = pipeline(ScopeStrategy::Table)
         .cycle(CycleInput {
             connector: &lake,
-            observer: None,
+            observer: &mut FleetObserver::new(),
             executor: &mut Untracked(NullExecutor),
             now_ms: 1,
         })
@@ -706,7 +706,9 @@ fn check_pass(
         );
     }
     if !deg.is_degraded() {
-        let cold = Unfaulted(lake).observe(ObserveRequest::fresh(obs.scope()));
+        let cold = FleetObserver::new()
+            .observe(&Unfaulted(lake), obs.scope())
+            .clone();
         prop_assert_eq!(
             obs.to_candidates(),
             cold.to_candidates(),
@@ -800,7 +802,7 @@ fn run_listing_pipeline_scenario(
                 let warm = incremental
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: Some(&mut observer),
+                        observer: &mut observer,
                         executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
@@ -808,7 +810,7 @@ fn run_listing_pipeline_scenario(
                 let cold = pipeline(scope)
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: None,
+                        observer: &mut FleetObserver::new(),
                         executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
@@ -954,7 +956,9 @@ fn flush_matches_cold(
             );
         }
     }
-    let cold = lake.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+    let cold = FleetObserver::new()
+        .observe(lake, ScopeStrategy::Table)
+        .clone();
     assert_eq!(*obs, cold, "{context}: round vs cold observe");
 }
 

@@ -214,7 +214,7 @@ proptest! {
                 let report = warm
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: Some(&mut observer),
+                        observer: &mut observer,
                         executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })
@@ -227,7 +227,7 @@ proptest! {
                 let cold = pipeline(scope, p)
                     .cycle(CycleInput {
                         connector: &lake,
-                        observer: None,
+                        observer: &mut FleetObserver::new(),
                         executor: &mut Untracked(NullExecutor),
                         now_ms,
                     })

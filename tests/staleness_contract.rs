@@ -15,9 +15,7 @@
 //! affected tables, e.g. via `mark_database_dirty`) reconverges the
 //! observation exactly with cold state.
 
-use autocomp::{
-    CandidateStats, FleetObserver, LakeConnector, ObserveRequest, ScopeStrategy, TableObservation,
-};
+use autocomp::{CandidateStats, FleetObserver, ScopeStrategy, TableObservation};
 use autocomp_lakesim::{mark_database_dirty, share, LakesimConnector};
 use lakesim_catalog::TablePolicy;
 use lakesim_engine::{EnvConfig, FileSizePlan, SimEnv, WriteSpec};
@@ -115,7 +113,9 @@ fn sibling_write_leaves_reused_quota_stale_until_dirty_or_reset() {
     );
 
     // A cold observe over the same state sees the moved quota.
-    let cold = connector.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+    let cold = FleetObserver::new()
+        .observe(&connector, ScopeStrategy::Table)
+        .clone();
     let fresh = table_stats_of(&cold, b.0).quota.expect("quota signal");
     assert_ne!(
         fresh.used, stale.used,
@@ -171,7 +171,9 @@ fn frequency_decay_is_visible_cold_but_frozen_under_reuse() {
         "reused entry freezes the prior cycle's frequency"
     );
 
-    let cold = connector.observe(ObserveRequest::fresh(ScopeStrategy::Table));
+    let cold = FleetObserver::new()
+        .observe(&connector, ScopeStrategy::Table)
+        .clone();
     let decayed = table_stats_of(&cold, b.0).write_frequency_per_hour;
     assert_eq!(decayed, 0.0, "B's writes aged out of the rolling window");
     assert_ne!(frozen, decayed, "the reused frequency is bounded-stale");
@@ -207,7 +209,7 @@ fn snapshot_window_aging_is_visible_cold_but_not_under_reuse() {
         "reused snapshot-scope entry still reports the aged-out files"
     );
 
-    let cold = connector.observe(ObserveRequest::fresh(scope));
+    let cold = FleetObserver::new().observe(&connector, scope).clone();
     let b_index = cold
         .tables()
         .iter()

@@ -4,8 +4,8 @@
 
 use autocomp::{
     AfterWriteHook, AutoComp, AutoCompConfig, ComputeCostGbhr, CycleInput, FileCountReduction,
-    HookAction, HookMode, JobRuntimeConfig, PeriodicTrigger, RankingPolicy, ScopeStrategy,
-    TraitWeight,
+    FleetObserver, HookAction, HookMode, JobRuntimeConfig, PeriodicTrigger, RankingPolicy,
+    ScopeStrategy, TraitWeight,
 };
 use autocomp_lakesim::hooks::{evaluate_hook, written_tables};
 use autocomp_lakesim::{share, LakesimConnector, LakesimExecutor};
@@ -117,7 +117,7 @@ fn tracked_feedback_calibrates_predictions() {
         pipeline
             .cycle(CycleInput {
                 connector: &connector,
-                observer: None,
+                observer: &mut FleetObserver::new(),
                 executor: &mut executor,
                 now_ms,
             })
