@@ -15,10 +15,13 @@
 //! commit changelog as a change cursor, so a retained
 //! [`autocomp::FleetObserver`]'s pass re-fetches only the tables written
 //! since the last cycle (§5's optimize-after-write mode without
-//! full-fleet observe cost). Incremental caveat: reused entries keep the prior cycle's
-//! quota signal and write-frequency values for quiet tables (bounded
-//! staleness, see `autocomp::observe`'s staleness contract); interleave
-//! cold observes when exact fleetwide quota pressure matters.
+//! full-fleet observe cost). Incremental caveat: reused entries keep the
+//! prior cycle's quota signal and write-frequency values for quiet
+//! tables (bounded staleness, see `autocomp::observe`'s staleness
+//! contract); interleave cold observes when exact fleetwide quota
+//! pressure matters. The simulated lake cannot fail a read, so the
+//! connector's fallible `try_*` reads are the trait's never-faulting
+//! defaults.
 //!
 //! The act side:
 //!
@@ -34,6 +37,9 @@
 //!   tables (§5 push mode) and can feed `MarkDirty` decisions straight
 //!   into a [`autocomp::FleetObserver`].
 //!
+//! Between the two, [`CommitEventBridge`] ([`events`]) tails the
+//! engine's changelog into commit events for a continuous runtime.
+//!
 //! [`LakesimConnector`] shares the [`SimEnv`] through an `Rc<RefCell<_>>`:
 //! the pipeline's observe phase reads while the act phase mutates,
 //! strictly sequentially (single-threaded simulation, NFR2).
@@ -42,7 +48,6 @@
 
 pub mod events;
 pub mod executor;
-pub mod faults;
 pub mod hooks;
 pub mod observe;
 mod stats;
@@ -54,7 +59,6 @@ use lakesim_engine::SimEnv;
 
 pub use events::CommitEventBridge;
 pub use executor::LakesimExecutor;
-pub use faults::{ChangelogEvent, ObserveFaultScript};
 pub use hooks::{evaluate_hook, mark_database_dirty, mark_dirty_from_actions};
 pub use observe::{LakesimConnector, ObserveOptions};
 

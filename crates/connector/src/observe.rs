@@ -26,11 +26,9 @@
 //! microsecond at any table age, so the residue is cheap.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
-use autocomp::{CandidateStats, ChangeCursor, LakeConnector, NameInterner, ObserveFault, TableRef};
+use autocomp::{CandidateStats, ChangeCursor, LakeConnector, NameInterner, TableRef};
 
-use crate::faults::ObserveFaultScript;
 use crate::stats::{self, QuotaCache};
 use crate::SharedEnv;
 
@@ -50,6 +48,14 @@ pub struct ObserveOptions {
 }
 
 /// [`LakeConnector`] implementation over the simulated lake.
+///
+/// It implements the seven reads of the lake's data model: the listing,
+/// the table, partition and snapshot statistics, the change cursor, the
+/// listing epoch (the catalog's registry epoch) and the changelog. An
+/// in-memory simulation cannot fail a read, so the fallible `try_*`
+/// reads are the trait's defaults and never fault. Tests that exercise
+/// the observe driver's degradation wrap the connector in a fault
+/// injector instead; nothing here knows about one.
 pub struct LakesimConnector {
     env: SharedEnv,
     options: ObserveOptions,
@@ -58,9 +64,6 @@ pub struct LakesimConnector {
     /// One quota lookup per database per storage epoch, instead of one
     /// per table/partition candidate.
     quota: RefCell<QuotaCache>,
-    /// Optional scripted fault schedule consumed by the `try_*` reads
-    /// (see [`crate::faults`]); `None` never faults.
-    faults: Option<Arc<ObserveFaultScript>>,
 }
 
 impl LakesimConnector {
@@ -76,20 +79,7 @@ impl LakesimConnector {
             options,
             interner: RefCell::new(NameInterner::new()),
             quota: RefCell::new(QuotaCache::default()),
-            faults: None,
         }
-    }
-
-    /// Attaches a scripted fault schedule (builder style): the `try_*`
-    /// reads consume it before touching the environment, so injected
-    /// faults surface as `Err` and never masquerade as vanished tables.
-    pub fn with_fault_script(mut self, script: Arc<ObserveFaultScript>) -> Self {
-        self.faults = Some(script);
-        self
-    }
-
-    fn injected_stats_fault(&self, table_uid: u64) -> Option<ObserveFault> {
-        self.faults.as_ref().and_then(|s| s.pop_stats(table_uid))
     }
 }
 
@@ -133,54 +123,6 @@ impl LakeConnector for LakesimConnector {
             .borrow()
             .changes_since(cursor.0)
             .map(|tables| tables.into_iter().map(|t| t.0).collect())
-    }
-
-    // The fallible reads: consult the scripted fault schedule first, then
-    // run the real (infallible in simulation) read. `Ok(None)` therefore
-    // always means the table genuinely vanished — drop-reason wording
-    // downstream stays byte-identical to the unfaulted connector.
-
-    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
-        if let Some(fault) = self.faults.as_ref().and_then(|s| s.pop_listing()) {
-            return Err(fault);
-        }
-        Ok(self.list_tables())
-    }
-
-    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        if let Some(fault) = self.injected_stats_fault(table_uid) {
-            return Err(fault);
-        }
-        Ok(self.table_stats(table_uid))
-    }
-
-    fn try_partition_stats(
-        &self,
-        table_uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        if let Some(fault) = self.injected_stats_fault(table_uid) {
-            return Err(fault);
-        }
-        Ok(self.partition_stats(table_uid))
-    }
-
-    fn try_snapshot_stats(
-        &self,
-        table_uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        if let Some(fault) = self.injected_stats_fault(table_uid) {
-            return Err(fault);
-        }
-        Ok(self.snapshot_stats(table_uid, window_ms))
-    }
-
-    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
-        match self.faults.as_ref().and_then(|s| s.pop_changelog()) {
-            Some(crate::faults::ChangelogEvent::Fault(fault)) => Err(fault),
-            Some(crate::faults::ChangelogEvent::Overflow) => Ok(None),
-            None => Ok(self.changes_since(cursor)),
-        }
     }
 }
 
@@ -599,29 +541,6 @@ mod tests {
         let third = observer.observe(&connector, ScopeStrategy::Table);
         assert_ne!(second.listing_epoch(), third.listing_epoch());
         assert!(!third.tables()[0].compaction_enabled);
-    }
-
-    #[test]
-    fn injected_faults_never_masquerade_as_drops() {
-        let (env, uid) = setup();
-        let script = crate::ObserveFaultScript::new();
-        let connector = LakesimConnector::new(env).with_fault_script(script.clone());
-        // A genuinely missing table is a state signal even with faults
-        // armed: `Ok(None)`, exactly the unfaulted drop path.
-        assert!(matches!(connector.try_table_stats(999), Ok(None)));
-        // A scripted fault is `Err` — the read failed, nothing vanished.
-        script.fault_stats(uid, autocomp::ObserveFault::transient("stats endpoint 503"));
-        assert!(connector.try_table_stats(uid).is_err());
-        // One fault per read: the schedule drained, so the retry heals.
-        assert!(script.drained());
-        assert!(matches!(connector.try_table_stats(uid), Ok(Some(_))));
-        // Partition and snapshot shapes share the per-table queue.
-        script.fault_stats(uid, autocomp::ObserveFault::permanent("acl revoked"));
-        assert!(connector.try_partition_stats(uid).is_err());
-        assert!(connector
-            .try_snapshot_stats(uid, u64::MAX)
-            .unwrap()
-            .is_some());
     }
 
     #[test]

@@ -401,9 +401,12 @@ impl DecideState {
         let mut moved_to = vec![u32::MAX; self.verdicts.len()];
         let mut uid_map: Option<UidMap<usize>> = None;
         let mut patched = Vec::new();
+        // The fresh positions ascend, so one cursor walks them with the
+        // listing.
+        let mut fresh = observation.fresh_positions().iter().peekable();
         for (t, table) in observation.tables().iter().enumerate() {
             let to = next.layout.slots_of(t);
-            let prior = if observation.is_fresh(t) {
+            let prior = if fresh.next_if(|f| **f as usize == t).is_some() {
                 None
             } else if old_tables.get(t).map(|o| o.table_uid) == Some(table.table_uid) {
                 Some(t)

@@ -805,9 +805,6 @@ pub struct FleetObservation {
     /// prior observation — the invariant downstream caches key on (see
     /// [`Self::is_fresh`]).
     fresh: Vec<u32>,
-    /// `fresh` as a per-position flag. The next pass clears it through
-    /// `fresh`, so a pass costs O(previous fresh + fresh), not O(tables).
-    fresh_flags: Vec<bool>,
     /// Process-unique name of this observation, shared by its clones
     /// (see the module docs' chain). Not part of logical equality, never
     /// persisted.
@@ -924,9 +921,11 @@ impl FleetObservation {
     /// [`FleetObserver::mark_dirty`] (even when the changelog missed
     /// them), and newly listed tables — minus carries.
     /// Downstream per-table caches must invalidate on fresh entries: a
-    /// fresh entry's stats may differ from the prior cycle's.
+    /// fresh entry's stats may differ from the prior cycle's. A binary
+    /// search of the fresh positions; walks over the whole listing go
+    /// through the ascending list instead.
     pub fn is_fresh(&self, index: usize) -> bool {
-        self.fresh_flags[index]
+        u32::try_from(index).is_ok_and(|pos| self.fresh.binary_search(&pos).is_ok())
     }
 
     /// Listing positions of the [fresh](Self::is_fresh) entries,
@@ -1176,7 +1175,6 @@ impl FleetObservation {
         Ok(FleetObservation {
             scope,
             fresh: Vec::new(),
-            fresh_flags: vec![false; table_count],
             tables: Arc::new(tables),
             listing_epoch,
             entries: Arc::new(stats),
@@ -1609,14 +1607,9 @@ fn assemble(
 ) -> FleetObservation {
     let n = tables.len();
     let prior_serial = prior.as_ref().map(|p| p.serial);
-    let (entries, fresh_flags, uid_index) = match (prior, &plan.reuse) {
+    let (entries, uid_index) = match (prior, &plan.reuse) {
         // No position moved, so the retained uid index stays exact.
-        (Some(mut prior), Some(Reuse::Identity)) => {
-            for pos in prior.fresh {
-                prior.fresh_flags[pos as usize] = false;
-            }
-            (prior.entries, prior.fresh_flags, prior.uid_index)
-        }
+        (Some(prior), Some(Reuse::Identity)) => (prior.entries, prior.uid_index),
         // Tables moved. No two positions share a prior position, so
         // reused entries move.
         (Some(mut prior), Some(Reuse::Mapped(map))) => {
@@ -1628,13 +1621,9 @@ fn assemble(
                     from => std::mem::replace(&mut old[from as usize], TableObservation::Missing),
                 })
                 .collect();
-            (Arc::new(entries), vec![false; n], Arc::default())
+            (Arc::new(entries), Arc::default())
         }
-        _ => (
-            Arc::new(vec![TableObservation::Missing; n]),
-            vec![false; n],
-            Arc::default(),
-        ),
+        _ => (Arc::new(vec![TableObservation::Missing; n]), Arc::default()),
     };
     debug_assert_eq!(entries.len(), n, "one entry per listed table");
     FleetObservation {
@@ -1645,7 +1634,6 @@ fn assemble(
         uid_index,
         cursor,
         fresh: Vec::new(),
-        fresh_flags,
         serial: next_serial(),
         prior_serial: prior_serial.filter(|_| plan.incremental),
         degradation: ObserveDegradation::default(),
@@ -1883,7 +1871,6 @@ fn observe_pass(
                     }
                 }
             };
-            obs.fresh_flags[pos as usize] = true;
             fresh[landed] = pos;
             landed += 1;
         }

@@ -624,7 +624,9 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
     /// `executor_cursor` so unjournaled outcomes re-deliver (the
     /// ledger's settled-id dedupe absorbs the overlap with journaled
     /// ones). Without attached durability (or without any valid
-    /// snapshot) this is a reported cold start.
+    /// snapshot) this is a reported cold start. When the load finds no
+    /// valid generation because a delta's base is gone, the reason names
+    /// both, from the slots the load already read.
     pub fn recover(&mut self) -> RecoveryReport {
         let Some(durable) = self.durable.as_mut() else {
             return RecoveryReport::ColdStart {
@@ -632,15 +634,18 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             };
         };
         durable.since = None;
-        let Some(generation) = durable.store.load_generation() else {
-            let reason = match durable.store.missing_base() {
-                Some((delta, base)) => format!(
-                    "no valid snapshot generation: delta {delta} needs base {base}, \
-                     which no slot holds intact"
-                ),
-                None => "no valid snapshot generation".into(),
-            };
-            return RecoveryReport::ColdStart { reason };
+        let generation = match durable.store.load_generation() {
+            Ok(generation) => generation,
+            Err(missing) => {
+                let reason = match missing {
+                    Some((delta, base)) => format!(
+                        "no valid snapshot generation: delta {delta} needs base {base}, \
+                         which no slot holds intact"
+                    ),
+                    None => "no valid snapshot generation".into(),
+                };
+                return RecoveryReport::ColdStart { reason };
+            }
         };
         let (base, delta) = generation.payloads();
         let delta = delta.unwrap_or_default();

@@ -49,9 +49,12 @@
 //!   sequence is its claim, so the result is that of validating both. It
 //!   hands back the slot buffers as read, with the payload ranges and the
 //!   base's sequence, which a restart names when it resumes writing deltas
-//!   over that base. **`load`** is the same read with the payloads cut
-//!   out: a base alone in place in its slot's buffer, a base and a delta
-//!   copied once into one buffer of their own, the base's payload first.
+//!   over that base. When nothing restores, it has validated both slots,
+//!   and names from them a delta that validated without its base, so a
+//!   cold start's reason costs no second read. **`load`** is the same
+//!   read with the payloads cut out: a base alone in place in its slot's
+//!   buffer, a base and a delta copied once into one buffer of their
+//!   own, the base's payload first.
 //! * **`save`** (a base) and **`save_delta_with`** (a delta) must not
 //!   overwrite the base the newest generation depends on, the slot whose
 //!   survival the protocol depends on. A base is therefore validated
@@ -279,41 +282,47 @@ impl Restorable {
 
 /// The newest restorable generation of two slots, opening slot `i` with
 /// `open(i)`: slot `first` first, the other only when `first` is a
-/// delta (to find its base) or restores nothing.
+/// delta (to find its base) or restores nothing. When neither restores,
+/// both were opened, and the error names the `(delta, base)` sequences
+/// of a delta that validated without its base (slot 0's first), if one
+/// did.
 fn newest_restorable(
     first: usize,
     mut open: impl FnMut(usize) -> Option<Opened>,
-) -> Option<Restorable> {
-    let under = match open(first) {
-        Some(newest) => match newest.base {
-            None => {
-                return Some(Restorable {
-                    base: (first, newest),
-                    delta: None,
-                })
-            }
-            Some(named) => {
-                let under = open(1 - first);
-                if under
-                    .as_ref()
-                    .is_some_and(|b| b.base.is_none() && (b.seq, b.check) == named)
-                {
-                    return Some(Restorable {
-                        base: (1 - first, under.unwrap()),
-                        delta: Some((first, newest)),
-                    });
-                }
-                under
-            }
-        },
-        None => open(1 - first),
+) -> Result<Restorable, Option<(u64, u64)>> {
+    let newest = match open(first) {
+        Some(base) if base.base.is_none() => {
+            return Ok(Restorable {
+                base: (first, base),
+                delta: None,
+            })
+        }
+        newest => newest,
     };
-    // The newest slot restores nothing: the other one may, alone.
-    let alone = under.filter(|o| o.base.is_none())?;
-    Some(Restorable {
-        base: (1 - first, alone),
-        delta: None,
-    })
+    match (newest, open(1 - first)) {
+        (Some(delta), Some(base))
+            if base.base.is_none() && delta.base == Some((base.seq, base.check)) =>
+        {
+            Ok(Restorable {
+                base: (1 - first, base),
+                delta: Some((first, delta)),
+            })
+        }
+        // The newest slot restores nothing: the other one may, alone.
+        (_, Some(alone)) if alone.base.is_none() => Ok(Restorable {
+            base: (1 - first, alone),
+            delta: None,
+        }),
+        // Every slot that validated is a delta whose base no slot holds.
+        (newest, under) => {
+            let mut slots = [None, None];
+            (slots[first], slots[1 - first]) = (newest, under);
+            Err(slots
+                .iter()
+                .flatten()
+                .find_map(|delta| Some((delta.seq, delta.base?.0))))
+        }
+    }
 }
 
 /// The slot to open first: the one whose header claims, or whose
@@ -417,7 +426,7 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
             base: (mut base, payload),
             delta,
             ..
-        } = self.load_generation()?;
+        } = self.load_generation().ok()?;
         Some((
             seq,
             match delta {
@@ -439,12 +448,18 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
 
     /// Loads the newest restorable generation as the medium holds it: its
     /// base's slot bytes and its delta's, if it has one, with their
-    /// payload ranges, its sequence and its base's. `None` when no slot
-    /// holds one (cold start). Nothing remembered is consulted: both
-    /// slots are read, the one claiming the higher sequence is validated
-    /// first (slot 0 on a tie), then the base it names, if it is a delta,
-    /// and the other slot alone only if that fails.
-    pub fn load_generation(&self) -> Option<Generation> {
+    /// payload ranges, its sequence and its base's. Nothing remembered is
+    /// consulted: both slots are read, the one claiming the higher
+    /// sequence is validated first (slot 0 on a tie), then the base it
+    /// names, if it is a delta, and the other slot alone only if that
+    /// fails.
+    ///
+    /// When no slot holds a restorable generation (cold start), both
+    /// slots were validated, and the error says why in the one case that
+    /// has a reason to give: `Some((delta, base))`, the sequences of a
+    /// delta that validates while no slot holds the base it names intact.
+    /// Each slot is read once either way.
+    pub fn load_generation(&self) -> Result<Generation, Option<(u64, u64)>> {
         let mut slots = [0, 1].map(|slot| self.medium.read_slot(slot));
         let first = higher([0, 1].map(|i| slots[i].as_deref().and_then(claimed_sequence)));
         let found = newest_restorable(first, |i| slots[i].as_deref().and_then(open_slot))?;
@@ -454,26 +469,11 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
                 opened.payload.clone(),
             )
         };
-        Some(Generation {
+        Ok(Generation {
             seq: found.seq(),
             base_seq: found.base.1.seq,
             base: read(&found.base),
             delta: found.delta.as_ref().map(read),
-        })
-    }
-
-    /// `(delta sequence, base sequence)` of a delta that validates on the
-    /// medium while no slot holds the base it names intact: why a
-    /// [`load`](Self::load) that found nothing found nothing, when that is
-    /// the reason.
-    pub fn missing_base(&self) -> Option<(u64, u64)> {
-        let slots = [0, 1].map(|slot| self.medium.read_slot(slot).and_then(|b| open_slot(&b)));
-        (0..2).find_map(|i| {
-            let (base, check) = slots[i].as_ref()?.base?;
-            let held = slots[1 - i]
-                .as_ref()
-                .is_some_and(|b| b.base.is_none() && (b.seq, b.check) == (base, check));
-            (!held).then(|| (slots[i].as_ref().unwrap().seq, base))
         })
     }
 
@@ -496,7 +496,7 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
         }
         let mut opened = [0, 1].map(|slot| self.medium.read_slot(slot).and_then(|b| open_slot(&b)));
         let first = higher([0, 1].map(|i| opened[i].as_ref().map(|o| o.seq)));
-        let found = newest_restorable(first, |i| opened[i].take())?;
+        let found = newest_restorable(first, |i| opened[i].take()).ok()?;
         let (base, newest) = (found.base_slot(), found.seq());
         self.written = Some(Written {
             base,

@@ -65,6 +65,8 @@ struct Probe {
     tear_next_at: Cell<Option<usize>>,
     /// `(slot, bytes)` of every `write_slot`, before any tear.
     writes: RefCell<Vec<(usize, Vec<u8>)>>,
+    /// `read_slot` calls per slot.
+    reads: [Cell<u32>; 2],
 }
 
 struct ProbedMedium {
@@ -74,6 +76,8 @@ struct ProbedMedium {
 
 impl SnapshotMedium for ProbedMedium {
     fn read_slot(&self, slot: usize) -> Option<Vec<u8>> {
+        let reads = &self.probe.reads[slot];
+        reads.set(reads.get() + 1);
         self.inner.read_slot(slot)
     }
     fn write_slot(&mut self, slot: usize, bytes: &[u8]) -> std::io::Result<()> {
@@ -471,7 +475,7 @@ fn delta_fuzz(mut check: impl FnMut(&SnapshotStore<ProbedMedium>, &str)) -> (u32
 #[test]
 fn load_generation_agrees_with_load_on_every_step_of_the_delta_fuzz() {
     delta_fuzz(|store, at| {
-        let generation = store.load_generation();
+        let generation = store.load_generation().ok();
         let joined = generation.as_ref().map(|g| {
             let (base, delta) = g.payloads();
             (g.seq(), [base, delta.unwrap_or_default()].concat())
@@ -491,6 +495,42 @@ fn load_generation_agrees_with_load_on_every_step_of_the_delta_fuzz() {
             assert_eq!(delta_payload, &delta.payload[..], "{at}");
         }
     });
+}
+
+/// The delta of a slot that validates while the other slot does not hold
+/// the base it names intact, slot 0's first: why nothing restores, when
+/// that is the reason.
+fn ref_missing_base(medium: &impl SnapshotMedium) -> Option<(u64, u64)> {
+    let slots = [ref_open(medium, 0), ref_open(medium, 1)];
+    (0..2).find_map(|i| {
+        let (base, check) = slots[i].as_ref()?.base?;
+        let held = slots[1 - i]
+            .as_ref()
+            .is_some_and(|b| b.base.is_none() && (b.seq, b.check) == (base, check));
+        (!held).then(|| (slots[i].as_ref().unwrap().seq, base))
+    })
+}
+
+/// A load that finds nothing restorable reads each slot once and names
+/// the delta whose base is missing from what it read, on every step of
+/// the delta fuzz loop that leaves nothing restorable.
+#[test]
+fn a_failed_load_reads_each_slot_once_and_names_the_missing_base() {
+    let (mut failed, mut named) = (0, 0);
+    delta_fuzz(|store, at| {
+        let probe = &store.medium().probe;
+        probe.reads.iter().for_each(|reads| reads.set(0));
+        let Err(missing) = store.load_generation() else {
+            return;
+        };
+        let reads = probe.reads.each_ref().map(Cell::get);
+        assert_eq!(reads, [1, 1], "{at}");
+        assert_eq!(missing, ref_missing_base(store.medium()), "{at}");
+        assert_eq!(ref_newest(store.medium()), None, "{at}");
+        failed += 1;
+        named += missing.is_some() as u32;
+    });
+    assert!(named > 0 && named < failed, "{named} of {failed}");
 }
 
 /// A restart that builds a new store, remembering nothing, resumes the

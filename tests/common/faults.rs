@@ -1,4 +1,5 @@
-//! Deterministic, seed-driven fault injection for the durability suites.
+//! Deterministic, seed-driven fault injection for the durability and
+//! observe-fault suites.
 //!
 //! Every adapter here is a pure function of its seed and the call
 //! sequence (no wall clock, no global RNG), so a faulty run replays
@@ -14,16 +15,20 @@
 //!   crash/restore soaks;
 //! * [`TornMedium`] — a [`SnapshotMedium`] wrapper that truncates the
 //!   next slot write, modelling a crash mid-snapshot-write;
-//! * [`ObserveFaultSchedule`] — scripted (or seed-driven random)
-//!   per-pass listing/stats/changelog fault schedules armed into the
-//!   lakesim connectors' [`ObserveFaultScript`], for the observe-side
+//! * [`Faulted`] — a [`LakeConnector`] decorator, the one observe-side
+//!   injector: listing, changelog and per-table stats faults queued
+//!   FIFO and consumed one per `try_*` read before the wrapped lake is
+//!   asked, plus a log of which stats reads landed. [`ObserveFaultSchedule`]
+//!   arms it per observe pass, scripted or seed-driven random, for the
 //!   degradation and reconvergence suites (`tests/connector_faults.rs`).
 
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+
 use autocomp::{
-    Candidate, CompactionExecutor, ExecutionError, ExecutionResult, JobOutcome, ObserveFault,
-    Prediction, TrackedExecutor,
+    Candidate, CandidateStats, ChangeCursor, CompactionExecutor, ExecutionError, ExecutionResult,
+    JobOutcome, LakeConnector, ObserveFault, Prediction, TableRef, TrackedExecutor,
 };
-use autocomp_lakesim::ObserveFaultScript;
 use lakesim_storage::SnapshotMedium;
 
 /// SplitMix64: tiny, deterministic, seedable — the standard mixer for
@@ -289,61 +294,235 @@ pub enum ObserveFaultKind {
     /// `try_changes_since` fails (a read fault — retried).
     Changelog(ObserveFault),
     /// `try_changes_since` answers `None` mid-stream (retention
-    /// overflow — definitive, forces one full observe).
+    /// overflow — definitive, forces one full observe) without the real
+    /// changelog having to be flooded past its cap.
     ChangelogOverflow,
     /// The named table's next stats read fails.
     Stats(u64, ObserveFault),
 }
 
+/// The armed events and the read log of a [`Faulted`] lake.
+#[derive(Default)]
+struct Script {
+    listing: VecDeque<ObserveFault>,
+    /// `Changelog` and `ChangelogOverflow` events only.
+    changelog: VecDeque<ObserveFaultKind>,
+    stats: BTreeMap<u64, VecDeque<ObserveFault>>,
+    /// Fallible stats reads since the last `take_reads`: uid → whether
+    /// the read landed (`false`: it faulted).
+    reads: BTreeMap<u64, bool>,
+}
+
+/// A lake whose fallible reads fault on cue: wraps any [`LakeConnector`]
+/// and forwards every read to it, except that each `try_*` read first
+/// pops one armed event of its kind and, if there is one, answers with
+/// it instead of asking the wrapped lake. Stats events queue per table
+/// uid, and the table, partition and snapshot shapes share that queue,
+/// so a faulted table faults whichever shape the scope asks for. An
+/// empty queue lets the read through, which is how a schedule heals:
+/// once the armed events drain, the lake answers exactly as the wrapped
+/// one does.
+///
+/// Injection happens before the wrapped read, so a table that vanished
+/// still answers `Ok(None)` and an injected fault always answers `Err`:
+/// faults never masquerade as drops. The wrapped lake itself, reached
+/// through [`inner`](Self::inner), is the never-faulted view of the same
+/// data.
+pub struct Faulted<L> {
+    inner: L,
+    script: RefCell<Script>,
+}
+
+impl<L: LakeConnector> Faulted<L> {
+    /// Wraps `inner` with nothing armed.
+    pub fn new(inner: L) -> Self {
+        Faulted {
+            inner,
+            script: RefCell::default(),
+        }
+    }
+
+    /// The wrapped lake: reads through it neither consume armed events
+    /// nor show up in the read log.
+    pub fn inner(&self) -> &L {
+        &self.inner
+    }
+
+    /// Queues `event` behind those of its kind.
+    fn arm(&self, event: ObserveFaultKind) {
+        let mut script = self.script.borrow_mut();
+        match event {
+            ObserveFaultKind::Listing(fault) => script.listing.push_back(fault),
+            ObserveFaultKind::Stats(uid, fault) => {
+                script.stats.entry(uid).or_default().push_back(fault)
+            }
+            changelog => script.changelog.push_back(changelog),
+        }
+    }
+
+    /// The next unconsumed `try_list_tables` call fails with `fault`.
+    pub fn fault_listing(&self, fault: ObserveFault) {
+        self.arm(ObserveFaultKind::Listing(fault));
+    }
+
+    /// The next unconsumed `try_changes_since` call fails with `fault`.
+    pub fn fault_changelog(&self, fault: ObserveFault) {
+        self.arm(ObserveFaultKind::Changelog(fault));
+    }
+
+    /// The next unconsumed `try_changes_since` call answers `None`: the
+    /// cursor fell out of the changelog's retention.
+    pub fn overflow_changelog(&self) {
+        self.arm(ObserveFaultKind::ChangelogOverflow);
+    }
+
+    /// `table_uid`'s next unconsumed stats read (table, partition or
+    /// snapshot shape) fails with `fault`.
+    pub fn fault_stats(&self, table_uid: u64, fault: ObserveFault) {
+        self.arm(ObserveFaultKind::Stats(table_uid, fault));
+    }
+
+    /// Whether a stats fault is armed for `table_uid` and not yet
+    /// consumed.
+    pub fn stats_armed(&self, table_uid: u64) -> bool {
+        let script = self.script.borrow();
+        script.stats.get(&table_uid).is_some_and(|q| !q.is_empty())
+    }
+
+    /// Drops every unconsumed event — the "infrastructure healed" event
+    /// for schedules whose reads were never re-issued (a listing fault
+    /// armed while the registry epoch let the observer reuse its prior
+    /// listing, a stats fault on a table that never turned dirty).
+    pub fn clear(&self) {
+        let mut script = self.script.borrow_mut();
+        script.listing.clear();
+        script.changelog.clear();
+        script.stats.clear();
+    }
+
+    /// Whether every armed event has been consumed (the schedule has
+    /// healed).
+    pub fn drained(&self) -> bool {
+        let script = self.script.borrow();
+        script.listing.is_empty()
+            && script.changelog.is_empty()
+            && script.stats.values().all(VecDeque::is_empty)
+    }
+
+    /// The fallible stats reads since the last call, as uid → whether
+    /// the table's last read landed.
+    pub fn take_reads(&self) -> BTreeMap<u64, bool> {
+        std::mem::take(&mut self.script.borrow_mut().reads)
+    }
+
+    /// Front of every fallible stats read: consumes `table_uid`'s next
+    /// armed fault or runs `read`, and logs which.
+    fn stats_read<T>(
+        &self,
+        table_uid: u64,
+        read: impl FnOnce() -> Result<T, ObserveFault>,
+    ) -> Result<T, ObserveFault> {
+        let fault = self
+            .script
+            .borrow_mut()
+            .stats
+            .get_mut(&table_uid)
+            .and_then(VecDeque::pop_front);
+        let result = match fault {
+            Some(fault) => Err(fault),
+            None => read(),
+        };
+        let landed = result.is_ok();
+        self.script.borrow_mut().reads.insert(table_uid, landed);
+        result
+    }
+}
+
+impl<L: LakeConnector> LakeConnector for Faulted<L> {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.inner.list_tables()
+    }
+
+    fn table_stats(&self, table_uid: u64) -> Option<CandidateStats> {
+        self.inner.table_stats(table_uid)
+    }
+
+    fn partition_stats(&self, table_uid: u64) -> Vec<(String, CandidateStats)> {
+        self.inner.partition_stats(table_uid)
+    }
+
+    fn snapshot_stats(&self, table_uid: u64, window_ms: u64) -> Option<CandidateStats> {
+        self.inner.snapshot_stats(table_uid, window_ms)
+    }
+
+    fn fleet_cursor(&self) -> Option<ChangeCursor> {
+        self.inner.fleet_cursor()
+    }
+
+    fn listing_epoch(&self) -> Option<u64> {
+        self.inner.listing_epoch()
+    }
+
+    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+        self.inner.changes_since(cursor)
+    }
+
+    fn try_list_tables(&self) -> Result<Vec<TableRef>, ObserveFault> {
+        let fault = self.script.borrow_mut().listing.pop_front();
+        match fault {
+            Some(fault) => Err(fault),
+            None => self.inner.try_list_tables(),
+        }
+    }
+
+    fn try_table_stats(&self, table_uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
+        self.stats_read(table_uid, || self.inner.try_table_stats(table_uid))
+    }
+
+    fn try_partition_stats(
+        &self,
+        table_uid: u64,
+    ) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
+        self.stats_read(table_uid, || self.inner.try_partition_stats(table_uid))
+    }
+
+    fn try_snapshot_stats(
+        &self,
+        table_uid: u64,
+        window_ms: u64,
+    ) -> Result<Option<CandidateStats>, ObserveFault> {
+        self.stats_read(table_uid, || {
+            self.inner.try_snapshot_stats(table_uid, window_ms)
+        })
+    }
+
+    fn try_changes_since(&self, cursor: ChangeCursor) -> Result<Option<Vec<u64>>, ObserveFault> {
+        let event = self.script.borrow_mut().changelog.pop_front();
+        match event {
+            Some(ObserveFaultKind::Changelog(fault)) => Err(fault),
+            // The only other event the changelog queue holds.
+            Some(_overflow) => Ok(None),
+            None => self.inner.try_changes_since(cursor),
+        }
+    }
+}
+
 /// A deterministic per-pass observe fault schedule: `(pass, event)`
-/// pairs, armed into a connector's [`ObserveFaultScript`] right before
-/// the matching observe pass runs ([`arm`](Self::arm)). Replays
-/// bit-identically: the schedule is data, the script drains FIFO, and
-/// nothing reads a clock.
-#[derive(Debug, Clone, Default)]
+/// pairs, armed into a [`Faulted`] lake right before the matching
+/// observe pass runs ([`arm`](Self::arm)). Replays bit-identically: the
+/// schedule is data, the lake drains FIFO, and nothing reads a clock.
+#[derive(Debug)]
 pub struct ObserveFaultSchedule {
     events: Vec<(u64, ObserveFaultKind)>,
 }
 
 impl ObserveFaultSchedule {
-    /// An empty (never-faulting) schedule.
-    pub fn new() -> Self {
-        ObserveFaultSchedule::default()
-    }
-
-    /// Appends an event for observe pass `pass` (builder style).
-    pub fn at(mut self, pass: u64, event: ObserveFaultKind) -> Self {
-        self.events.push((pass, event));
-        self
-    }
-
-    /// Arms every event scheduled for `pass` into `script`, in schedule
+    /// Arms every event scheduled for `pass` into `lake`, in schedule
     /// order.
-    pub fn arm(&self, pass: u64, script: &ObserveFaultScript) {
+    pub fn arm<L: LakeConnector>(&self, pass: u64, lake: &Faulted<L>) {
         for (_, event) in self.events.iter().filter(|(p, _)| *p == pass) {
-            match event {
-                ObserveFaultKind::Listing(f) => script.fault_listing(f.clone()),
-                ObserveFaultKind::Changelog(f) => script.fault_changelog(f.clone()),
-                ObserveFaultKind::ChangelogOverflow => script.overflow_changelog(),
-                ObserveFaultKind::Stats(uid, f) => script.fault_stats(*uid, f.clone()),
-            }
+            lake.arm(event.clone());
         }
-    }
-
-    /// Last pass with any scheduled event — the healing horizon (`None`
-    /// for an empty schedule).
-    pub fn last_pass(&self) -> Option<u64> {
-        self.events.iter().map(|(p, _)| *p).max()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Seed-driven random schedule over `passes` observe passes and the

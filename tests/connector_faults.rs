@@ -1,8 +1,9 @@
 //! Observe-boundary fault-injection suite: the reconvergence contract.
 //!
-//! Drives the *real* lakesim connector through scripted and randomized
-//! observe-side fault schedules ([`autocomp_lakesim::ObserveFaultScript`])
-//! and pins the degradation contract end to end:
+//! Drives the *real* lakesim connector, wrapped in the test-side fault
+//! injector (`common::faults::Faulted`), through scripted and randomized
+//! observe-side fault schedules and pins the degradation contract end to
+//! end:
 //!
 //! * stats faults carry the prior entry forward and quarantine the table
 //!   with backoff; a healed read re-converges bit-identically;
@@ -15,20 +16,22 @@
 //!   round is classified `Degraded` by the runtime's health machine;
 //! * a chaos soak (seeded + proptest-randomized): after the fault
 //!   schedule heals, observations **and** `CycleReport`s become
-//!   bit-identical to a never-faulted twin running over the same lake.
+//!   bit-identical to a never-faulted twin running over the same lake;
+//! * the injector itself: an injected fault is `Err` and a vanished
+//!   table `Ok(None)`, and with nothing armed it observes exactly like
+//!   the lake it wraps, incremental passes included.
 //!
 //! Both twins share one environment: lakesim stats are pure functions of
 //! lake state, so the comparison is exact, never "close enough".
 
-use std::sync::Arc;
-
 use autocomp::{
     telemetry::names as tnames, AutoComp, AutoCompConfig, Candidate, CompactionExecutor,
     ComputeCostGbhr, ContinuousRuntime, CycleInput, CycleReport, DegradeReason, ExecutionResult,
-    FallbackCause, FileCountReduction, FleetHealth, FleetObserver, MinSizeFilter, ObserveFault,
-    Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy, TraitWeight, Untracked,
+    FallbackCause, FileCountReduction, FleetHealth, FleetObserver, LakeConnector, MinSizeFilter,
+    ObserveFault, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent, ScopeStrategy,
+    TraitWeight, Untracked,
 };
-use autocomp_lakesim::{share, CommitEventBridge, LakesimConnector, ObserveFaultScript, SharedEnv};
+use autocomp_lakesim::{share, CommitEventBridge, LakesimConnector, SharedEnv};
 use lakesim_catalog::TablePolicy;
 use lakesim_engine::{EnvConfig, FileSizePlan, SimEnv, WriteSpec};
 use lakesim_lst::{
@@ -40,7 +43,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 mod common;
-use common::faults::{ObserveFaultSchedule, SplitMix64};
+use common::faults::{Faulted, ObserveFaultSchedule, SplitMix64};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -156,8 +159,8 @@ fn reports_identical(a: &CycleReport, b: &CycleReport, ctx: &str) -> Result<(), 
 struct TwinRig {
     env: SharedEnv,
     ids: Vec<TableId>,
-    script: Arc<ObserveFaultScript>,
-    faulted: LakesimConnector,
+    /// The faulted twin's connector: the lake inside the fault injector.
+    script: Faulted<LakesimConnector>,
     clean: LakesimConnector,
     obs_f: FleetObserver,
     obs_c: FleetObserver,
@@ -168,14 +171,12 @@ struct TwinRig {
 impl TwinRig {
     fn new(tables: usize) -> Self {
         let (env, ids) = setup(tables);
-        let script = ObserveFaultScript::new();
-        let faulted = LakesimConnector::new(env.clone()).with_fault_script(script.clone());
+        let script = Faulted::new(LakesimConnector::new(env.clone()));
         let clean = LakesimConnector::new(env.clone());
         TwinRig {
             env,
             ids,
             script,
-            faulted,
             clean,
             obs_f: FleetObserver::new(),
             obs_c: FleetObserver::new(),
@@ -195,7 +196,7 @@ impl TwinRig {
         let f = self
             .ac_f
             .cycle(CycleInput {
-                connector: &self.faulted,
+                connector: &self.script,
                 observer: &mut self.obs_f,
                 executor: &mut exec,
                 now_ms: now,
@@ -602,4 +603,98 @@ proptest! {
     fn chaos_random_schedules_reconverge(seed in 0u64..(1u64 << 48), permille in 40u32..220) {
         run_chaos(seed, permille)?;
     }
+}
+
+/// The vanish-vs-fault split at the injector: a table that is gone
+/// answers `Ok(None)` with faults armed, and an injected fault answers
+/// `Err`, one per read, on whichever stats shape the read asks for.
+#[test]
+fn injected_faults_never_masquerade_as_drops() {
+    let (env, ids) = setup(1);
+    let uid = ids[0].0;
+    let connector = Faulted::new(LakesimConnector::new(env));
+    // A genuinely missing table is a state signal even with faults
+    // armed: `Ok(None)`, exactly the unfaulted drop path.
+    assert!(matches!(connector.try_table_stats(999), Ok(None)));
+    // A scripted fault is `Err` — the read failed, nothing vanished.
+    connector.fault_stats(uid, ObserveFault::transient("stats endpoint 503"));
+    assert!(connector.try_table_stats(uid).is_err());
+    // One fault per read: the schedule drained, so the retry heals.
+    assert!(connector.drained());
+    assert!(matches!(connector.try_table_stats(uid), Ok(Some(_))));
+    // Partition and snapshot shapes share the per-table queue.
+    connector.fault_stats(uid, ObserveFault::permanent("acl revoked"));
+    assert!(connector.try_partition_stats(uid).is_err());
+    assert!(connector
+        .try_snapshot_stats(uid, u64::MAX)
+        .unwrap()
+        .is_some());
+}
+
+/// With nothing armed the injector is invisible: over incremental
+/// passes with writes, a registry-epoch bump and a new table in between,
+/// a `Faulted` lake observes exactly what the lake it wraps does, through
+/// the same changelog and the same listing reuse. The twin comparisons
+/// above cannot see a lost forward: without the listing epoch or the
+/// changelog every pass is a full observe, whose observation equals the
+/// incremental one.
+#[test]
+fn an_unarmed_injector_observes_like_the_lake_it_wraps() {
+    let (env, ids) = setup(6);
+    let bare = LakesimConnector::new(env.clone());
+    let faulted = Faulted::new(LakesimConnector::new(env.clone()));
+    let (mut obs_b, mut obs_f) = (FleetObserver::new(), FleetObserver::new());
+    for pass in 0..7u64 {
+        let at = 10_000 * (pass + 1);
+        match pass {
+            1 => write(&env, ids[1], at),
+            2 => bump_registry_epoch(&env, ids[3]),
+            3 => {
+                write(&env, ids[0], at);
+                write(&env, ids[5], at + 1);
+            }
+            4 => {
+                env.borrow_mut()
+                    .create_database("db-late", "tenant", None)
+                    .unwrap();
+                let late = env
+                    .borrow_mut()
+                    .create_table(
+                        "db-late",
+                        "t-late",
+                        schema(),
+                        PartitionSpec::single(2, Transform::Month, "m"),
+                        TableProperties::default(),
+                        TablePolicy::default(),
+                    )
+                    .unwrap();
+                write(&env, late, at);
+            }
+            _ => {}
+        }
+        let cursor = obs_b.last().and_then(|o| o.cursor());
+        let b = obs_b.observe(&bare, ScopeStrategy::Hybrid).clone();
+        let f = obs_f.observe(&faulted, ScopeStrategy::Hybrid).clone();
+        let at = format!("pass {pass}");
+        assert_eq!(f, b, "{at}");
+        assert_eq!(f.cursor(), b.cursor(), "{at}");
+        assert_eq!(f.listing_epoch(), b.listing_epoch(), "{at}");
+        assert_eq!(f.fetched_tables(), b.fetched_tables(), "{at}");
+        assert!(!f.degradation().is_degraded(), "{at}");
+        assert!(b.cursor().is_some() && b.listing_epoch().is_some(), "{at}");
+        if let Some(cursor) = cursor {
+            assert_eq!(
+                faulted.changes_since(cursor),
+                bare.changes_since(cursor),
+                "{at}"
+            );
+            assert!(
+                b.fetched_tables() < b.table_count(),
+                "{at}: an incremental pass fetches what changed"
+            );
+        }
+    }
+    let reads = faulted.take_reads();
+    assert_eq!(reads.len(), 7, "every table was read through the injector");
+    assert!(reads.values().all(|landed| *landed));
 }

@@ -33,7 +33,7 @@ use proptest::prelude::*;
 
 mod common;
 use common::faults::{
-    CrashPoint, CrashingExecutor, FaultRates, FaultyExecutor, SplitMix64, TornMedium,
+    CrashPoint, CrashingExecutor, FaultRates, Faulted, FaultyExecutor, SplitMix64, TornMedium,
     SCRIPTED_CRASH,
 };
 use common::{tracked_cycle, ScriptedPlatform};
@@ -1159,17 +1159,17 @@ fn torn_store_writes_fall_back_then_self_heal() {
 // ---------------------------------------------------------------------
 
 /// A lake a script reshapes between rounds: writes through a changelog,
-/// tables listed and delisted under a listing epoch, stats reads that
-/// fault on demand, and partitions (two per table, three once a table
-/// has been written a lot). A write of many versions at once makes its
-/// table the fleet's largest, which moves a normalization bound.
+/// tables listed and delisted under a listing epoch, and partitions (two
+/// per table, three once a table has been written a lot). A write of
+/// many versions at once makes its table the fleet's largest, which
+/// moves a normalization bound. Its stats reads fault through a
+/// [`Faulted`] wrapper ([`fault_once`]).
 struct DeltaLake {
     tables: Mutex<Vec<TableRef>>,
     epoch: AtomicU64,
     next_uid: AtomicU64,
     versions: Mutex<std::collections::BTreeMap<u64, u64>>,
     log: Mutex<Vec<u64>>,
-    faulty: Mutex<std::collections::BTreeSet<u64>>,
 }
 
 impl DeltaLake {
@@ -1180,7 +1180,6 @@ impl DeltaLake {
             next_uid: AtomicU64::new(n),
             versions: Mutex::new((0..n).map(|uid| (uid, 0)).collect()),
             log: Mutex::new(Vec::new()),
-            faulty: Mutex::new(Default::default()),
         }
     }
 
@@ -1221,15 +1220,6 @@ impl DeltaLake {
             tables.push(Self::table(uid));
         }
         self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The table's next stats read fails.
-    fn fault(&self, uid: u64) {
-        self.faulty.lock().unwrap().insert(uid);
-    }
-
-    fn faulted(&self, uid: u64) -> bool {
-        self.faulty.lock().unwrap().remove(&uid)
     }
 
     fn stats(&self, uid: u64, part: u64) -> CandidateStats {
@@ -1283,24 +1273,14 @@ impl LakeConnector for DeltaLake {
             .get(cursor.0 as usize..)
             .map(<[u64]>::to_vec)
     }
-    fn try_table_stats(&self, uid: u64) -> Result<Option<CandidateStats>, autocomp::ObserveFault> {
-        match self.faulted(uid) {
-            true => Err(autocomp::ObserveFault::transient(
-                "stats endpoint timed out",
-            )),
-            false => Ok(self.table_stats(uid)),
-        }
-    }
-    fn try_partition_stats(
-        &self,
-        uid: u64,
-    ) -> Result<Vec<(String, CandidateStats)>, autocomp::ObserveFault> {
-        match self.faulted(uid) {
-            true => Err(autocomp::ObserveFault::transient(
-                "stats endpoint timed out",
-            )),
-            false => Ok(self.partition_stats(uid)),
-        }
+}
+
+/// The table's next stats read fails. A table holds at most one pending
+/// fault: arming it again before a read consumed the first does nothing.
+fn fault_once(lake: &Faulted<DeltaLake>, uid: u64) {
+    if !lake.stats_armed(uid) {
+        let fault = autocomp::ObserveFault::transient("stats endpoint timed out");
+        lake.fault_stats(uid, fault);
     }
 }
 
@@ -1375,7 +1355,8 @@ fn flush<M: SnapshotMedium, E: autocomp::TrackedExecutor>(
 /// full frame of the live pipeline. A listing change and a configuration
 /// edit each force a base.
 fn deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> (usize, usize) {
-    let lake = DeltaLake::new(16);
+    let faulted = Faulted::new(DeltaLake::new(16));
+    let lake = faulted.inner();
     let mut rng = SplitMix64::new(seed);
     let mut k = 4;
     let mut rt = ContinuousRuntime::new(delta_pipeline(scope, k), every_round_snapshots())
@@ -1400,7 +1381,7 @@ fn deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> (usize, usi
             }
             2 => {
                 let uid = pick(&mut rng);
-                lake.fault(uid);
+                fault_once(&faulted, uid);
                 lake.write(uid, 1);
                 false
             }
@@ -1416,7 +1397,7 @@ fn deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> (usize, usi
                 false
             }
         };
-        let round = flush(&mut rt, &lake, &mut platform, now(step));
+        let round = flush(&mut rt, &faulted, &mut platform, now(step));
         assert!(round.snapshot_saved, "{at}");
         let memo = rt.pipeline().rank_memo_stats();
         let full_rescore = memo.spliced_scores == 0 && memo.recomputed_scores > 0;
@@ -1615,7 +1596,10 @@ fn kill_and_recover<M: SnapshotMedium>(
 /// byte-equal to the twin's live frame. Returns how many boundaries after
 /// a restore saved a delta.
 fn restarted_deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> usize {
-    let lakes = [DeltaLake::new(16), DeltaLake::new(16)];
+    let lakes = [
+        Faulted::new(DeltaLake::new(16)),
+        Faulted::new(DeltaLake::new(16)),
+    ];
     let mut platforms = [
         ScriptedPlatform::new(JOB_DURATION_MS),
         ScriptedPlatform::new(JOB_DURATION_MS),
@@ -1629,13 +1613,13 @@ fn restarted_deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> u
     let mut deltas = 0;
     for step in 0..28 {
         let at = format!("seed {seed} {scope:?} step {step}");
-        let uids = lakes[0].uids();
+        let uids = lakes[0].inner().uids();
         let pick = |rng: &mut SplitMix64| uids[rng.below(uids.len() as u64) as usize];
         match rng.below(12) {
             0 => {
                 let relist = rng.next_u64();
                 for lake in &lakes {
-                    lake.relist(&mut SplitMix64::new(relist));
+                    lake.inner().relist(&mut SplitMix64::new(relist));
                 }
             }
             1 => {
@@ -1647,19 +1631,21 @@ fn restarted_deltas_restore_the_live_state(seed: u64, scope: ScopeStrategy) -> u
             2 => {
                 let uid = pick(&mut rng);
                 for lake in &lakes {
-                    lake.fault(uid);
-                    lake.write(uid, 1);
+                    fault_once(lake, uid);
+                    lake.inner().write(uid, 1);
                 }
             }
             3 => {
                 let (uid, versions) = (pick(&mut rng), 16 + rng.below(16));
-                lakes.iter().for_each(|lake| lake.write(uid, versions));
+                lakes
+                    .iter()
+                    .for_each(|lake| lake.inner().write(uid, versions));
             }
             4 => {}
             _ => {
                 for _ in 0..1 + rng.below(2) {
                     let uid = pick(&mut rng);
-                    lakes.iter().for_each(|lake| lake.write(uid, 1));
+                    lakes.iter().for_each(|lake| lake.inner().write(uid, 1));
                 }
             }
         }

@@ -28,6 +28,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 mod common;
+use common::faults::Faulted;
 use common::reference::{reference_cycle, reference_difference};
 
 const FLEET: u64 = 300;
@@ -50,11 +51,6 @@ struct CountingLake {
     table_stat_calls: AtomicU64,
     partition_stat_calls: AtomicU64,
     snapshot_stat_calls: AtomicU64,
-    /// Scripted stats faults still to inject, by uid.
-    stats_faults: Mutex<BTreeMap<u64, u32>>,
-    /// Fallible stats reads since the last `take_reads`: uid → whether
-    /// the read answered (`false`: it faulted).
-    reads: Mutex<BTreeMap<u64, bool>>,
 }
 
 fn table_ref(uid: u64) -> TableRef {
@@ -79,8 +75,6 @@ impl CountingLake {
             table_stat_calls: AtomicU64::new(0),
             partition_stat_calls: AtomicU64::new(0),
             snapshot_stat_calls: AtomicU64::new(0),
-            stats_faults: Mutex::new(BTreeMap::new()),
-            reads: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -141,34 +135,6 @@ impl CountingLake {
         self.versions.lock().unwrap().len() as u64
     }
 
-    /// Makes `uid`'s next fallible stats read fault.
-    fn fault_stats(&self, uid: u64) {
-        *self.stats_faults.lock().unwrap().entry(uid).or_default() += 1;
-    }
-
-    fn take_reads(&self) -> BTreeMap<u64, bool> {
-        std::mem::take(&mut self.reads.lock().unwrap())
-    }
-
-    /// Front of every fallible stats read: consumes a scripted fault or
-    /// lets the read through, and records which.
-    fn read(&self, uid: u64) -> Result<(), ObserveFault> {
-        let mut faults = self.stats_faults.lock().unwrap();
-        let faulted = match faults.get_mut(&uid) {
-            Some(left) if *left > 0 => {
-                *left -= 1;
-                true
-            }
-            _ => false,
-        };
-        self.reads.lock().unwrap().insert(uid, !faulted);
-        if faulted {
-            Err(ObserveFault::transient("store hiccup"))
-        } else {
-            Ok(())
-        }
-    }
-
     fn stats_for(&self, uid: u64) -> CandidateStats {
         let v = self.versions.lock().unwrap()[uid as usize];
         CandidateStats {
@@ -226,22 +192,6 @@ impl LakeConnector for CountingLake {
                 .map(|(_, uid)| *uid)
                 .collect(),
         )
-    }
-    fn try_table_stats(&self, uid: u64) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.read(uid)?;
-        Ok(self.table_stats(uid))
-    }
-    fn try_partition_stats(&self, uid: u64) -> Result<Vec<(String, CandidateStats)>, ObserveFault> {
-        self.read(uid)?;
-        Ok(self.partition_stats(uid))
-    }
-    fn try_snapshot_stats(
-        &self,
-        uid: u64,
-        window_ms: u64,
-    ) -> Result<Option<CandidateStats>, ObserveFault> {
-        self.read(uid)?;
-        Ok(self.snapshot_stats(uid, window_ms))
     }
 }
 
@@ -609,25 +559,6 @@ fn descriptor_edits_invalidate_cached_verdicts_without_a_changelog_write() {
 // between passes, with and without a listing epoch.
 // ---------------------------------------------------------------------
 
-/// The lake's infallible surface only: a cold observe through it neither
-/// consumes scripted faults nor shows up in the read record.
-struct Unfaulted<'a>(&'a CountingLake);
-
-impl LakeConnector for Unfaulted<'_> {
-    fn list_tables(&self) -> Vec<TableRef> {
-        self.0.list_tables()
-    }
-    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
-        self.0.table_stats(uid)
-    }
-    fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
-        self.0.partition_stats(uid)
-    }
-    fn snapshot_stats(&self, uid: u64, window_ms: u64) -> Option<CandidateStats> {
-        self.0.snapshot_stats(uid, window_ms)
-    }
-}
-
 /// One step of a listing scenario. A `pick` selects a listing position
 /// (or, for `ForceDirty`, a uid among all ever created) modulo the
 /// count.
@@ -660,7 +591,9 @@ fn listing_op_strategy() -> impl Strategy<Value = ListingOp> {
 }
 
 /// What must hold after every observe pass, whatever the listing did
-/// since `prior`. `reads` are the pass's fallible stats reads.
+/// since `prior`. `lake` is the bare lake, the unfaulted view, and
+/// `reads` are the pass's fallible stats reads through its fault
+/// injector.
 fn check_pass(
     lake: &CountingLake,
     prior: Option<&FleetObservation>,
@@ -706,9 +639,7 @@ fn check_pass(
         );
     }
     if !deg.is_degraded() {
-        let cold = FleetObserver::new()
-            .observe(&Unfaulted(lake), obs.scope())
-            .clone();
+        let cold = FleetObserver::new().observe(lake, obs.scope()).clone();
         prop_assert_eq!(
             obs.to_candidates(),
             cold.to_candidates(),
@@ -724,14 +655,15 @@ fn run_listing_scenario(
     scope: ScopeStrategy,
     epoch: bool,
 ) -> Result<(), TestCaseError> {
-    let lake = CountingLake::with_listing_epoch(n, epoch);
+    let faulted = Faulted::new(CountingLake::with_listing_epoch(n, epoch));
+    let lake = faulted.inner();
     let mut observer = FleetObserver::new();
     for (step, op) in ops.iter().chain([&ListingOp::Observe]).enumerate() {
         match op {
             ListingOp::Write(pick) | ListingOp::Fault(pick) => {
                 if let Some(uid) = lake.listed_uid(*pick) {
                     if matches!(op, ListingOp::Fault(_)) {
-                        lake.fault_stats(uid);
+                        faulted.fault_stats(uid, ObserveFault::transient("store hiccup"));
                     }
                     lake.write(uid);
                 }
@@ -742,10 +674,10 @@ fn run_listing_scenario(
             ListingOp::Rotate(pick) => lake.rotate(*pick),
             ListingOp::Observe => {
                 let prior = observer.last().cloned();
-                lake.take_reads();
-                let obs = observer.observe(&lake, scope).clone();
+                faulted.take_reads();
+                let obs = observer.observe(&faulted, scope).clone();
                 let context = format!("{scope:?}, epoch {epoch}, step {step}");
-                check_pass(&lake, prior.as_ref(), &obs, &lake.take_reads(), &context)?;
+                check_pass(lake, prior.as_ref(), &obs, &faulted.take_reads(), &context)?;
             }
         }
     }
@@ -866,23 +798,24 @@ proptest! {
 fn dropping_half_the_fleet_with_no_write_in_between_passes_every_check() {
     const N: u64 = 64;
     for epoch in [true, false] {
-        let lake = CountingLake::with_listing_epoch(N, epoch);
+        let faulted = Faulted::new(CountingLake::with_listing_epoch(N, epoch));
+        let lake = faulted.inner();
         let mut observer = FleetObserver::new();
-        observer.observe(&lake, ScopeStrategy::Table);
+        observer.observe(&faulted, ScopeStrategy::Table);
         // Rewrite the first half, then drop the second.
         (0..N / 2).for_each(|uid| lake.write(uid));
-        let obs = observer.observe(&lake, ScopeStrategy::Table);
+        let obs = observer.observe(&faulted, ScopeStrategy::Table);
         (0..N / 2).for_each(|_| lake.drop_at(N / 2));
         let prior = obs.clone();
-        lake.take_reads();
-        let obs = observer.observe(&lake, ScopeStrategy::Table).clone();
+        faulted.take_reads();
+        let obs = observer.observe(&faulted, ScopeStrategy::Table).clone();
         assert_eq!(obs.table_count() as u64, N / 2);
         assert_eq!(obs.fetched_tables(), 0, "nothing was written");
         check_pass(
-            &lake,
+            lake,
             Some(&prior),
             &obs,
-            &lake.take_reads(),
+            &faulted.take_reads(),
             "half dropped",
         )
         .unwrap();
