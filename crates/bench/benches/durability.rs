@@ -5,18 +5,27 @@
 //! * `snapshot/base/100000` — one base save into a dual-slot store: the
 //!   full frame encoded in place, the previous base validated, the slot
 //!   written.
+//! * `snapshot/base_side_parts/100000` — the same over a fleet whose
+//!   stats carry a quota, histogram buckets and custom metrics, the
+//!   parts a snapshot keeps in its side section.
 //! * `snapshot/delta_8_rounds/100000` — one
 //!   [`ContinuousRuntime::save_snapshot`] after eight rounds that each
 //!   changed 1 % of the fleet since the base: a delta over the base.
 //! * `snapshot/delta_after_restore/100000` — the same save in a runtime
 //!   that recovered that base and delta and then ran one 1 % round: a
 //!   cumulative delta over the restored base. The restart and the round
-//!   are set up outside the timing; the save includes the check a store
-//!   built at a restart makes before its first write, reading and
-//!   validating both slots.
+//!   are set up outside the timing. The store trusts the base its
+//!   recovery loaded, so the save reads no slot.
 //! * `restore/base_plus_delta/100000` — `SnapshotStore::load` of that
 //!   base and delta, then `AutoComp::restore_snapshot` into a fresh
 //!   pipeline and observer.
+//! * `restore/recover/100000` — the runtime's own path:
+//!   [`ContinuousRuntime::recover`] of that base and delta by a runtime
+//!   built over a copy of the medium (the copy is made outside the
+//!   timing). It restores from the slot bytes as read, with no join of
+//!   base and delta and no second checksum.
+//! * `restore/recover_side_parts/100000` — `recover` of a base of the
+//!   side-parts fleet.
 //!
 //! End to end, the same costs show as `steady_1pct`'s and
 //! `crash_restart`'s `round_ms_snap_p50` and `recover_ms_p50` in the
@@ -27,8 +36,8 @@ use std::cell::RefCell;
 use autocomp::{
     AutoComp, AutoCompConfig, Candidate, CandidateStats, ChangeCursor, CompactionExecutor,
     ComputeCostGbhr, ContinuousRuntime, ExecutionResult, FileCountReduction, FleetObserver,
-    JobRuntimeConfig, LakeConnector, Prediction, RankingPolicy, RuntimeConfig, RuntimeEvent,
-    ScopeStrategy, SnapshotContext, TableRef, TraitWeight, Untracked,
+    JobRuntimeConfig, LakeConnector, Prediction, QuotaSignal, RankingPolicy, RuntimeConfig,
+    RuntimeEvent, ScopeStrategy, SizeBucket, SnapshotContext, TableRef, TraitWeight, Untracked,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use lakesim_storage::{Journal, MemSnapshotMedium, SnapshotMedium, SnapshotStore};
@@ -44,11 +53,14 @@ struct Lake {
     tables: Vec<TableRef>,
     writes: RefCell<Vec<u32>>,
     log: RefCell<Vec<u64>>,
+    /// Whether stats carry a quota, histogram buckets and customs.
+    side_parts: bool,
 }
 
 impl Lake {
-    fn new() -> Self {
+    fn new(side_parts: bool) -> Self {
         Lake {
+            side_parts,
             tables: (0..TABLES)
                 .map(|uid| TableRef {
                     table_uid: uid,
@@ -81,14 +93,31 @@ impl LakeConnector for Lake {
         let w = *self.writes.borrow().get(uid as usize)? as u64;
         let file_count = 10 + (uid * 31) % 40 + 6 * w;
         let small_file_count = (4 + 6 * w).min(file_count);
-        Some(CandidateStats {
+        let mut stats = CandidateStats {
             file_count,
             small_file_count,
             small_bytes: small_file_count << 23,
             total_bytes: file_count * (48 << 20),
             target_file_size: 512 << 20,
             ..CandidateStats::default()
-        })
+        };
+        if self.side_parts {
+            stats.quota = Some(QuotaSignal {
+                used: 1_000 + uid % 64,
+                total: 100_000,
+            });
+            let edges = [Some(8 << 20), Some(64 << 20), Some(256 << 20), None];
+            let counts = [small_file_count, file_count - small_file_count, 0, 0];
+            stats.size_histogram = edges
+                .into_iter()
+                .zip(counts)
+                .map(|(upper_bytes, count)| SizeBucket { upper_bytes, count })
+                .collect();
+            stats = stats
+                .with_custom("scan_count_7d", (uid % 97) as f64)
+                .with_custom("sort_disorder", (uid % 7) as f64 / 7.0);
+        }
+        Some(stats)
     }
     fn partition_stats(&self, _uid: u64) -> Vec<(String, CandidateStats)> {
         Vec::new()
@@ -181,8 +210,7 @@ fn restarted_one_round_past(
     medium: &MemSnapshotMedium,
     lake: &Lake,
 ) -> ContinuousRuntime<MemSnapshotMedium> {
-    let mut rt = ContinuousRuntime::new(pipeline(), flush_only())
-        .with_durability(SnapshotStore::new(medium.clone()), Journal::new());
+    let mut rt = restart(medium);
     let report = rt.recover();
     assert!(report.is_warm(), "{report}");
     let mut exec = Untracked(Inert);
@@ -205,8 +233,40 @@ fn slot_bytes(store: &SnapshotStore<MemSnapshotMedium>) -> [usize; 2] {
     [0, 1].map(|slot| store.medium().read_slot(slot).map_or(0, |b| b.len()))
 }
 
+/// A runtime over a copy of `medium`, before its recovery.
+fn restart(medium: &MemSnapshotMedium) -> ContinuousRuntime<MemSnapshotMedium> {
+    ContinuousRuntime::new(pipeline(), flush_only())
+        .with_durability(SnapshotStore::new(medium.clone()), Journal::new())
+}
+
+/// Times `recover` by a runtime over a copy of `medium`. The runtime a
+/// sample recovered is dropped in the next setup, so neither the copy
+/// nor freeing it is timed.
+fn bench_recover(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    medium: &MemSnapshotMedium,
+) {
+    let recovered = RefCell::new(None);
+    group.bench_function(BenchmarkId::new(name, TABLES), |b| {
+        b.iter_batched(
+            || {
+                recovered.take();
+                restart(medium)
+            },
+            |mut rt| {
+                let report = rt.recover();
+                assert!(report.is_warm(), "{report}");
+                *recovered.borrow_mut() = Some(rt);
+                report
+            },
+            BatchSize::PerIteration,
+        )
+    });
+}
+
 fn bench_durability(c: &mut Criterion) {
-    let lake = Lake::new();
+    let lake = Lake::new(false);
     let mut rt = runtime_eight_rounds_past_a_base(&lake);
     let mut group = c.benchmark_group("snapshot");
     group.sample_size(10);
@@ -220,6 +280,31 @@ fn bench_durability(c: &mut Criterion) {
                 .expect("base save")
         })
     });
+
+    let side_lake = Lake::new(true);
+    let mut side_rt = ContinuousRuntime::new(pipeline(), flush_only())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    side_rt
+        .handle_event(
+            &RuntimeEvent::Flush { at_ms: 1_000 },
+            &side_lake,
+            &mut Untracked(Inert),
+        )
+        .expect("round");
+    let mut side_store = SnapshotStore::new(MemSnapshotMedium::new());
+    group.bench_function(BenchmarkId::new("base_side_parts", TABLES), |b| {
+        b.iter(|| {
+            side_store
+                .save_with(|enc| {
+                    let observer = side_rt.observer();
+                    side_rt.pipeline().encode_snapshot_into(observer, &ctx, enc)
+                })
+                .expect("base save")
+        })
+    });
+    assert!(side_rt.save_snapshot(&Untracked(Inert)), "base saved");
+    let side_medium = side_rt.snapshot_store().expect("durable").medium().clone();
+    drop((side_rt, side_store));
 
     assert!(rt.save_snapshot(&Untracked(Inert)), "delta saved");
     let [a, b] = slot_bytes(rt.snapshot_store().expect("durable"));
@@ -270,6 +355,8 @@ fn bench_durability(c: &mut Criterion) {
             report
         })
     });
+    bench_recover(&mut group, "recover", store.medium());
+    bench_recover(&mut group, "recover_side_parts", &side_medium);
     group.finish();
 }
 

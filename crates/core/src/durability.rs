@@ -38,9 +38,44 @@
 //! one decide-state section and added the observation's quarantine
 //! records. Version 4 added deltas, and shipped with the journal's
 //! word-wise record checksum, so no older snapshot is ever paired with a
-//! journal this build wrote.
+//! journal this build wrote. Version 5 writes the observation's entries
+//! as fixed-width records with a side section (below); the journal did
+//! not change. A version-4 slot opens, the restore cold-starts with a
+//! reason naming both versions, and the next boundary writes a
+//! version-5 base.
 //!
-//! # Bases and deltas (version 4)
+//! # Entry records (version 5)
+//!
+//! The observation section holds one entry per listed table (a delta:
+//! per changed position). The entries go out as one *entry block*, laid
+//! out for a restore that reads them at memory speed:
+//!
+//! 1. **Records**: one record of fixed width per entry, 83 bytes — a tag
+//!    (0 `Missing`, 1 `Table`, 2 `Partitions`), the eight `u64`
+//!    counters, the last-write flag and value (zero when absent), the
+//!    write-frequency bits, and a presence byte naming the variable parts
+//!    the entry has (a quota, histogram buckets, custom metrics). A
+//!    `Missing` or `Partitions` record is zero past its tag. A restore
+//!    reads all records with one bounds check and builds each entry from
+//!    its record in place; a base position a delta replaces is passed by
+//!    stride.
+//! 2. **Custom names**: every custom-metric name the block's stats use,
+//!    once each.
+//! 3. **Side section**: for each entry with variable parts, in record
+//!    order, the parts its presence byte names — the quota's two words,
+//!    the histogram buckets, the custom metrics as `(name index, value)`
+//!    pairs — or, for `Partitions`, the partition count and per partition
+//!    its label, an 82-byte stats record (a record without its tag) and
+//!    that record's parts. A fleet whose stats carry none of these parts
+//!    writes an empty side section.
+//!
+//! Every check of the per-field form stays: flags are 0 or 1 (and an
+//! absent value is zero), a presence byte names only known parts and a
+//! named part is never empty, counts fit the bytes left, name indexes are
+//! in range and no name repeats within a record, delta positions ascend
+//! and lie in the base's listing, and the whole payload is consumed.
+//!
+//! # Bases and deltas
 //!
 //! A boundary saves one of two frames into the dual-slot
 //! [`SnapshotStore`](lakesim_storage::SnapshotStore):
@@ -200,7 +235,7 @@ pub const SNAPSHOT_DELTA_KIND: u16 = 8;
 /// Newest pipeline-snapshot payload version this build reads and writes,
 /// for bases and deltas alike. Bumped on any incompatible layout change;
 /// see the module docs for the compatibility policy.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// What a durable runtime keeps about its last base, saved or restored:
 /// the identities a delta over it must share, and what changed since it
@@ -669,11 +704,34 @@ const STATS_HEAD_BYTES: usize = 8 * 8 + 1 + 8 + 8;
 /// Bytes per packed histogram bucket: presence flag, upper edge, count.
 const BUCKET_BYTES: usize = 1 + 8 + 8;
 
-pub(crate) fn put_stats(enc: &mut Encoder, stats: &CandidateStats) {
-    // The head goes out as one block, the mirror of `take_stats`' single
-    // read. The optional last-write is fixed width (flag + value, the
-    // value zeroed when absent) so the head is always STATS_HEAD_BYTES.
-    let mut head = [0u8; STATS_HEAD_BYTES];
+/// Bytes of a snapshot stats record: the head, then one presence byte
+/// naming the variable parts the side section holds for it
+/// ([`HAS_QUOTA`], [`HAS_HISTOGRAM`], [`HAS_CUSTOM`]).
+pub(crate) const STATS_RECORD_BYTES: usize = STATS_HEAD_BYTES + 1;
+
+/// Presence bit: the side section holds the record's quota signal.
+const HAS_QUOTA: u8 = 1;
+/// Presence bit: the side section holds the record's histogram buckets.
+const HAS_HISTOGRAM: u8 = 2;
+/// Presence bit: the side section holds the record's custom metrics.
+const HAS_CUSTOM: u8 = 4;
+
+fn word(block: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(block[at..at + 8].try_into().unwrap())
+}
+
+fn flag(byte: u8, what: &'static str) -> Result<bool, CodecError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError::Invalid(what)),
+    }
+}
+
+/// Fills `head` (`STATS_HEAD_BYTES` long) with the fixed-width fields of
+/// `stats`. The optional last-write is fixed width: flag, then the value,
+/// zeroed when absent.
+fn write_stats_head(head: &mut [u8], stats: &CandidateStats) {
     let words = [
         stats.file_count,
         stats.small_file_count,
@@ -684,48 +742,23 @@ pub(crate) fn put_stats(enc: &mut Encoder, stats: &CandidateStats) {
         stats.target_file_size,
         stats.created_at_ms,
     ];
-    for (slot, word) in head.chunks_exact_mut(8).zip(words) {
+    for (slot, word) in head[..64].chunks_exact_mut(8).zip(words) {
         slot.copy_from_slice(&word.to_le_bytes());
     }
     head[64] = stats.last_write_ms.is_some() as u8;
     head[65..73].copy_from_slice(&stats.last_write_ms.unwrap_or(0).to_le_bytes());
     head[73..81].copy_from_slice(&stats.write_frequency_per_hour.to_bits().to_le_bytes());
-    enc.put_raw(&head);
-    match stats.quota {
-        Some(q) => {
-            enc.put_bool(true);
-            enc.put_u64(q.used);
-            enc.put_u64(q.total);
-        }
-        None => enc.put_bool(false),
-    }
-    enc.put_u64(stats.size_histogram.len() as u64);
-    for bucket in &stats.size_histogram {
-        enc.put_bool(bucket.upper_bytes.is_some());
-        enc.put_u64(bucket.upper_bytes.unwrap_or(0));
-        enc.put_u64(bucket.count);
-    }
-    enc.put_u64(stats.custom.len() as u64);
-    for (name, value) in &stats.custom {
-        enc.put_str(name);
-        enc.put_f64(*value);
-    }
 }
 
-pub(crate) fn take_stats(dec: &mut Decoder<'_>) -> Result<CandidateStats, CodecError> {
-    fn word(block: &[u8], at: usize) -> u64 {
-        u64::from_le_bytes(block[at..at + 8].try_into().unwrap())
-    }
-    fn flag(byte: u8, what: &'static str) -> Result<bool, CodecError> {
-        match byte {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Invalid(what)),
-        }
-    }
-    let head = dec.take_raw(STATS_HEAD_BYTES, "stats head")?;
-    let last_write = flag(head[64], "last_write flag")?.then(|| word(head, 65));
-    let mut stats = CandidateStats {
+/// Reads what [`write_stats_head`] wrote, the variable parts left empty.
+/// An absent last-write must carry a zero value.
+fn read_stats_head(head: &[u8]) -> Result<CandidateStats, CodecError> {
+    let last_write = match flag(head[64], "last_write flag")? {
+        true => Some(word(head, 65)),
+        false if word(head, 65) == 0 => None,
+        false => return Err(CodecError::Invalid("last_write value without its flag")),
+    };
+    Ok(CandidateStats {
         file_count: word(head, 0),
         small_file_count: word(head, 8),
         small_bytes: word(head, 16),
@@ -737,25 +770,37 @@ pub(crate) fn take_stats(dec: &mut Decoder<'_>) -> Result<CandidateStats, CodecE
         last_write_ms: last_write,
         write_frequency_per_hour: f64::from_bits(word(head, 73)),
         ..CandidateStats::default()
-    };
-    if dec.take_bool("quota present")? {
-        let quota = dec.take_raw(16, "quota signal")?;
-        stats.quota = Some(QuotaSignal {
-            used: word(quota, 0),
-            total: word(quota, 8),
-        });
+    })
+}
+
+/// Writes `stats` field by field: the journal's and the ledger's form,
+/// which a record carries whole.
+pub(crate) fn put_stats(enc: &mut Encoder, stats: &CandidateStats) {
+    let mut head = [0u8; STATS_HEAD_BYTES];
+    write_stats_head(&mut head, stats);
+    enc.put_raw(&head);
+    match stats.quota {
+        Some(q) => {
+            enc.put_bool(true);
+            enc.put_u64(q.used);
+            enc.put_u64(q.total);
+        }
+        None => enc.put_bool(false),
     }
-    let buckets = dec.take_len(BUCKET_BYTES, "histogram")?;
-    let packed = dec.take_raw(buckets * BUCKET_BYTES, "histogram buckets")?;
-    stats.size_histogram = packed
-        .chunks_exact(BUCKET_BYTES)
-        .map(|bucket| {
-            Ok(SizeBucket {
-                upper_bytes: flag(bucket[0], "bucket edge flag")?.then(|| word(bucket, 1)),
-                count: word(bucket, 9),
-            })
-        })
-        .collect::<Result<_, CodecError>>()?;
+    put_buckets(enc, &stats.size_histogram);
+    enc.put_u64(stats.custom.len() as u64);
+    for (name, value) in &stats.custom {
+        enc.put_str(name);
+        enc.put_f64(*value);
+    }
+}
+
+pub(crate) fn take_stats(dec: &mut Decoder<'_>) -> Result<CandidateStats, CodecError> {
+    let mut stats = read_stats_head(dec.take_raw(STATS_HEAD_BYTES, "stats head")?)?;
+    if dec.take_bool("quota present")? {
+        stats.quota = Some(take_quota(dec)?);
+    }
+    stats.size_histogram = take_buckets(dec)?;
     let customs = dec.take_len(16, "custom metrics")?;
     for _ in 0..customs {
         let name = dec.take_str("custom name")?.to_string();
@@ -765,17 +810,165 @@ pub(crate) fn take_stats(dec: &mut Decoder<'_>) -> Result<CandidateStats, CodecE
     Ok(stats)
 }
 
-/// Steps over what [`put_stats`] wrote without building it.
-pub(crate) fn skip_stats(dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-    dec.take_raw(STATS_HEAD_BYTES, "stats head")?;
-    if dec.take_bool("quota present")? {
-        dec.take_raw(16, "quota signal")?;
+fn take_quota(dec: &mut Decoder<'_>) -> Result<QuotaSignal, CodecError> {
+    let quota = dec.take_raw(16, "quota signal")?;
+    Ok(QuotaSignal {
+        used: word(quota, 0),
+        total: word(quota, 8),
+    })
+}
+
+fn put_buckets(enc: &mut Encoder, buckets: &[SizeBucket]) {
+    enc.put_u64(buckets.len() as u64);
+    for bucket in buckets {
+        enc.put_bool(bucket.upper_bytes.is_some());
+        enc.put_u64(bucket.upper_bytes.unwrap_or(0));
+        enc.put_u64(bucket.count);
     }
+}
+
+/// Reads what [`put_buckets`] wrote, with one bounds check for all of
+/// them. An overflow bucket must carry a zero edge.
+fn take_buckets(dec: &mut Decoder<'_>) -> Result<Vec<SizeBucket>, CodecError> {
     let buckets = dec.take_len(BUCKET_BYTES, "histogram")?;
-    dec.take_raw(buckets * BUCKET_BYTES, "histogram buckets")?;
-    for _ in 0..dec.take_len(16, "custom metrics")? {
-        dec.take_str("custom name")?;
-        dec.take_f64("custom value")?;
+    let packed = dec.take_raw(buckets * BUCKET_BYTES, "histogram buckets")?;
+    // Collected, not sized up front: vectors of exactly the bucket count
+    // made `lake_fleet`'s first round after a restore measurably slower
+    // (its stats fetch and the drop of the restored entries).
+    packed
+        .chunks_exact(BUCKET_BYTES)
+        .map(|bucket| {
+            let upper = match flag(bucket[0], "bucket edge flag")? {
+                true => Some(word(bucket, 1)),
+                false if word(bucket, 1) == 0 => None,
+                false => return Err(CodecError::Invalid("bucket edge without its flag")),
+            };
+            Ok(SizeBucket {
+                upper_bytes: upper,
+                count: word(bucket, 9),
+            })
+        })
+        .collect()
+}
+
+/// The custom-metric names of one snapshot entry block, each written
+/// once; a record's customs name them by index.
+#[derive(Default)]
+pub(crate) struct CustomNames<'a> {
+    names: Vec<&'a str>,
+    index: std::collections::HashMap<&'a str, u32>,
+}
+
+impl<'a> CustomNames<'a> {
+    /// The index of `name`, interned on first sight.
+    fn index_of(&mut self, name: &'a str) -> u32 {
+        *self.index.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            self.names.len() as u32 - 1
+        })
+    }
+
+    /// Writes the name table.
+    pub(crate) fn put(&self, enc: &mut Encoder) {
+        enc.put_u64(self.names.len() as u64);
+        for name in &self.names {
+            enc.put_str(name);
+        }
+    }
+
+    /// Reads what [`put`](Self::put) wrote, borrowing from the frame.
+    pub(crate) fn take(dec: &mut Decoder<'a>) -> Result<Vec<&'a str>, CodecError> {
+        (0..dec.take_len(8, "custom names")?)
+            .map(|_| dec.take_str("custom name"))
+            .collect()
+    }
+}
+
+/// Fills `record` (`STATS_RECORD_BYTES` long) with `stats`' fixed-width
+/// fields and its presence byte, and returns that byte: non-zero when
+/// [`put_stats_side`] has parts to write for it.
+pub(crate) fn write_stats_record(record: &mut [u8], stats: &CandidateStats) -> u8 {
+    write_stats_head(&mut record[..STATS_HEAD_BYTES], stats);
+    let presence = (stats.quota.is_some() as u8 * HAS_QUOTA)
+        | (!stats.size_histogram.is_empty() as u8 * HAS_HISTOGRAM)
+        | (!stats.custom.is_empty() as u8 * HAS_CUSTOM);
+    record[STATS_HEAD_BYTES] = presence;
+    presence
+}
+
+/// Reads what [`write_stats_record`] wrote: the stats with their
+/// variable parts empty, and the presence byte naming the parts
+/// [`take_stats_side`] must fill in.
+#[inline]
+pub(crate) fn read_stats_record(record: &[u8]) -> Result<(CandidateStats, u8), CodecError> {
+    let presence = record[STATS_HEAD_BYTES];
+    if presence > HAS_QUOTA | HAS_HISTOGRAM | HAS_CUSTOM {
+        return Err(CodecError::Invalid("stats presence byte"));
+    }
+    Ok((read_stats_head(record)?, presence))
+}
+
+/// Writes the variable parts of `stats` its presence byte names, in the
+/// side section: the quota signal, the histogram buckets, and the custom
+/// metrics as `(name index, value)` pairs, their names interned into
+/// `names`.
+pub(crate) fn put_stats_side<'a>(
+    enc: &mut Encoder,
+    stats: &'a CandidateStats,
+    names: &mut CustomNames<'a>,
+) {
+    if let Some(q) = stats.quota {
+        enc.put_u64(q.used);
+        enc.put_u64(q.total);
+    }
+    if !stats.size_histogram.is_empty() {
+        put_buckets(enc, &stats.size_histogram);
+    }
+    if !stats.custom.is_empty() {
+        enc.put_u64(stats.custom.len() as u64);
+        for (name, value) in &stats.custom {
+            enc.put_u32(names.index_of(name));
+            enc.put_f64(*value);
+        }
+    }
+}
+
+/// Reads what [`put_stats_side`] wrote for a record with `presence` into
+/// `stats`. A part the presence byte names is never empty, and no name
+/// repeats within one record.
+pub(crate) fn take_stats_side(
+    dec: &mut Decoder<'_>,
+    stats: &mut CandidateStats,
+    presence: u8,
+    names: &[&str],
+) -> Result<(), CodecError> {
+    if presence & HAS_QUOTA != 0 {
+        stats.quota = Some(take_quota(dec)?);
+    }
+    if presence & HAS_HISTOGRAM != 0 {
+        stats.size_histogram = take_buckets(dec)?;
+        if stats.size_histogram.is_empty() {
+            return Err(CodecError::Invalid("histogram present but empty"));
+        }
+    }
+    if presence & HAS_CUSTOM != 0 {
+        let customs = dec.take_len(12, "custom metrics")?;
+        if customs == 0 {
+            return Err(CodecError::Invalid("custom metrics present but empty"));
+        }
+        for pair in dec
+            .take_raw(customs * 12, "custom metrics")?
+            .chunks_exact(12)
+        {
+            let at = u32::from_le_bytes(pair[..4].try_into().unwrap()) as usize;
+            let name = names
+                .get(at)
+                .ok_or(CodecError::Invalid("custom name index out of bounds"))?;
+            let value = f64::from_bits(word(pair, 4));
+            if stats.custom.insert(name.to_string(), value).is_some() {
+                return Err(CodecError::Invalid("custom metric repeated"));
+            }
+        }
     }
     Ok(())
 }

@@ -1004,8 +1004,10 @@ impl FleetObservation {
 
 impl FleetObservation {
     /// Writes the observation into a snapshot: scope, cursor keys, the
-    /// table listing (database names interned) and every entry's stats
-    /// in positional order.
+    /// table listing (database names interned), every entry in listing
+    /// order as one entry block (fixed-width records, then the custom
+    /// names and the side section; see [`crate::durability`]'s entry
+    /// records) and the quarantine records.
     pub(crate) fn snapshot_write(&self, enc: &mut lakesim_storage::Encoder) {
         crate::durability::put_scope(enc, self.scope);
         enc.put_opt_u64(self.listing_epoch);
@@ -1046,9 +1048,7 @@ impl FleetObservation {
             );
             enc.put_str(&table.name);
         }
-        for entry in self.entries.iter() {
-            put_entry(enc, entry);
-        }
+        put_entries(enc, self.entries.iter());
         self.put_quarantine(enc);
     }
 
@@ -1068,8 +1068,8 @@ impl FleetObservation {
 
     /// Writes the observation section of a snapshot delta over a base
     /// that holds this observation's listing: the scope and cursor keys,
-    /// the entries at the `changed` positions, each after its position,
-    /// and the quarantine records.
+    /// the `changed` positions as one block, the entries at them as an
+    /// entry block, and the quarantine records.
     pub(crate) fn snapshot_write_delta(&self, enc: &mut lakesim_storage::Encoder, changed: &Bits) {
         crate::durability::put_scope(enc, self.scope);
         enc.put_opt_u64(self.listing_epoch);
@@ -1078,8 +1078,8 @@ impl FleetObservation {
         enc.put_u64(changed.count() as u64);
         for pos in changed.ones() {
             enc.put_u32(pos);
-            put_entry(enc, &self.entries[pos as usize]);
         }
+        put_entries(enc, changed.ones().map(|pos| &self.entries[pos as usize]));
         self.put_quarantine(enc);
     }
 
@@ -1093,9 +1093,9 @@ impl FleetObservation {
     ///
     /// With a `delta` over the snapshot, the delta's entries take the
     /// place of the base's at their positions as the base is decoded in
-    /// order (the superseded base entries are skipped, not built), and
-    /// its scope and cursor keys and quarantine records replace the
-    /// base's.
+    /// order (the superseded base records are stepped over by stride, not
+    /// built), and its scope and cursor keys and quarantine records
+    /// replace the base's.
     pub(crate) fn snapshot_restore(
         dec: &mut lakesim_storage::Decoder<'_>,
         delta: Option<ObservationDelta>,
@@ -1142,11 +1142,12 @@ impl FleetObservation {
                 is_intermediate: flags & 4 != 0,
             });
         }
+        let block = EntryBlock::take(dec, table_count)?;
         let mut stats = Vec::with_capacity(table_count);
         let quarantine = match delta {
             None => {
-                for _ in 0..table_count {
-                    stats.push(take_entry(dec)?);
+                for record in block.records() {
+                    stats.push(block.entry(dec, record)?);
                 }
                 take_quarantine(dec)?
             }
@@ -1154,17 +1155,17 @@ impl FleetObservation {
                 if delta.tables != table_count as u64 {
                     return Err(CodecError::Invalid("delta listing differs from the base's"));
                 }
-                let mut patches = delta.positions.into_iter().zip(delta.entries).peekable();
-                for pos in 0..table_count {
-                    match patches.next_if(|(at, _)| *at as usize == pos) {
-                        Some((_, entry)) => {
-                            skip_entry(dec)?;
-                            stats.push(entry);
-                        }
-                        None => stats.push(take_entry(dec)?),
+                let mut patched = delta.positions.iter().peekable();
+                let mut patches = delta.entries.into_iter();
+                for (pos, record) in block.records().enumerate() {
+                    if patched.next_if(|at| **at as usize == pos).is_some() {
+                        block.skip(dec, record)?;
+                        stats.extend(patches.next());
+                    } else {
+                        stats.push(block.entry(dec, record)?);
                     }
                 }
-                if patches.next().is_some() {
+                if patched.next().is_some() {
                     return Err(CodecError::Invalid("delta position"));
                 }
                 take_quarantine(dec)?;
@@ -1216,15 +1217,19 @@ impl ObservationDelta {
         let listing_epoch = dec.take_opt_u64("listing epoch")?;
         let cursor = dec.take_opt_u64("observation cursor")?.map(ChangeCursor);
         let tables = dec.take_u64("delta table count")?;
-        let count = dec.take_len(5, "delta entries")?;
-        let (mut positions, mut entries) = (Vec::with_capacity(count), Vec::with_capacity(count));
-        for _ in 0..count {
-            let pos = dec.take_u32("delta position")?;
+        let count = dec.take_len(4 + ENTRY_RECORD_BYTES, "delta entries")?;
+        let mut positions = Vec::with_capacity(count);
+        for at in dec.take_raw(4 * count, "delta positions")?.chunks_exact(4) {
+            let pos = u32::from_le_bytes(at.try_into().unwrap());
             if positions.last().is_some_and(|p| *p >= pos) {
                 return Err(lakesim_storage::CodecError::Invalid("delta position"));
             }
             positions.push(pos);
-            entries.push(take_entry(dec)?);
+        }
+        let block = EntryBlock::take(dec, count)?;
+        let mut entries = Vec::with_capacity(count);
+        for record in block.records() {
+            entries.push(block.entry(dec, record)?);
         }
         Ok(ObservationDelta {
             scope,
@@ -1238,65 +1243,146 @@ impl ObservationDelta {
     }
 }
 
-/// Writes one entry of a snapshot's observation section.
-fn put_entry(enc: &mut lakesim_storage::Encoder, entry: &TableObservation) {
-    use crate::durability::put_stats;
-    match entry {
-        TableObservation::Missing => enc.put_u8(0),
-        TableObservation::Table(stats) => {
-            enc.put_u8(1);
-            put_stats(enc, stats);
-        }
-        TableObservation::Partitions(parts) => {
-            enc.put_u8(2);
-            enc.put_u64(parts.len() as u64);
-            for (label, stats) in parts {
-                enc.put_str(label);
-                put_stats(enc, stats);
+/// Bytes of an entry record: a tag (0 `Missing`, 1 `Table`,
+/// 2 `Partitions`), then a stats record, all zero unless the tag is 1.
+const ENTRY_RECORD_BYTES: usize = 1 + crate::durability::STATS_RECORD_BYTES;
+
+/// Writes an entry block: one fixed-width record per entry, the custom
+/// names the block's stats use, then the side section — for each entry
+/// with variable parts, in order, its quota, histogram and customs, or
+/// its partition list (each partition a label, a stats record and that
+/// record's parts). The side section is built beside the records in the
+/// same pass over the entries, and stays empty for a fleet whose stats
+/// have no variable parts.
+fn put_entries<'a>(
+    enc: &mut lakesim_storage::Encoder,
+    entries: impl Iterator<Item = &'a TableObservation>,
+) {
+    use crate::durability::{put_stats_side, write_stats_record, CustomNames, STATS_RECORD_BYTES};
+    let mut names = CustomNames::default();
+    let mut side = lakesim_storage::Encoder::new();
+    for entry in entries {
+        let mut record = [0u8; ENTRY_RECORD_BYTES];
+        match entry {
+            TableObservation::Missing => {}
+            TableObservation::Table(stats) => {
+                record[0] = 1;
+                if write_stats_record(&mut record[1..], stats) != 0 {
+                    put_stats_side(&mut side, stats, &mut names);
+                }
+            }
+            TableObservation::Partitions(parts) => {
+                record[0] = 2;
+                side.put_u64(parts.len() as u64);
+                for (label, stats) in parts {
+                    side.put_str(label);
+                    let mut record = [0u8; STATS_RECORD_BYTES];
+                    write_stats_record(&mut record, stats);
+                    side.put_raw(&record);
+                    put_stats_side(&mut side, stats, &mut names);
+                }
             }
         }
+        enc.put_raw(&record);
     }
+    names.put(enc);
+    enc.put_raw(side.as_bytes());
 }
 
-fn take_entry(
-    dec: &mut lakesim_storage::Decoder<'_>,
-) -> Result<TableObservation, lakesim_storage::CodecError> {
-    use crate::durability::take_stats;
-    use lakesim_storage::CodecError;
-    Ok(match dec.take_u8("entry tag")? {
-        0 => TableObservation::Missing,
-        1 => TableObservation::Table(take_stats(dec)?),
-        2 => {
-            let parts = (0..dec.take_len(8, "partition entries")?)
-                .map(|_| {
-                    Ok((
-                        dec.take_str("partition label")?.to_string(),
-                        take_stats(dec)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            TableObservation::Partitions(parts)
+/// An entry block being read: its records, taken with one read, and its
+/// custom names. The decoder stands at the side section, which
+/// [`entry`](Self::entry) and [`skip`](Self::skip) consume in record
+/// order.
+struct EntryBlock<'a> {
+    records: &'a [u8],
+    names: Vec<&'a str>,
+}
+
+impl<'a> EntryBlock<'a> {
+    /// Reads the records of `count` entries and the block's names.
+    fn take(
+        dec: &mut lakesim_storage::Decoder<'a>,
+        count: usize,
+    ) -> Result<Self, lakesim_storage::CodecError> {
+        let bytes = count
+            .checked_mul(ENTRY_RECORD_BYTES)
+            .ok_or(lakesim_storage::CodecError::Invalid("entry count"))?;
+        let records = dec.take_raw(bytes, "entry records")?;
+        Ok(EntryBlock {
+            records,
+            names: crate::durability::CustomNames::take(dec)?,
+        })
+    }
+
+    /// The block's records, in order.
+    fn records(&self) -> std::slice::ChunksExact<'a, u8> {
+        self.records.chunks_exact(ENTRY_RECORD_BYTES)
+    }
+
+    /// Builds the entry of `record`, reading its side parts from `dec`.
+    /// The common record, table stats without side parts, is built here;
+    /// the other shapes out of line, so the fleet-scale loop stays small.
+    #[inline]
+    fn entry(
+        &self,
+        dec: &mut lakesim_storage::Decoder<'a>,
+        record: &[u8],
+    ) -> Result<TableObservation, lakesim_storage::CodecError> {
+        use crate::durability::{read_stats_record, take_stats_side};
+        if record[0] != 1 {
+            return self.entry_without_stats(dec, record);
         }
-        _ => return Err(CodecError::Invalid("entry tag")),
-    })
-}
+        let (mut stats, presence) = read_stats_record(&record[1..])?;
+        if presence != 0 {
+            take_stats_side(dec, &mut stats, presence, &self.names)?;
+        }
+        Ok(TableObservation::Table(stats))
+    }
 
-/// Steps over one entry of a snapshot's observation section without
-/// building it.
-fn skip_entry(dec: &mut lakesim_storage::Decoder<'_>) -> Result<(), lakesim_storage::CodecError> {
-    use crate::durability::skip_stats;
-    match dec.take_u8("entry tag")? {
-        0 => {}
-        1 => skip_stats(dec)?,
-        2 => {
-            for _ in 0..dec.take_len(8, "partition entries")? {
-                dec.take_str("partition label")?;
-                skip_stats(dec)?;
+    /// [`entry`](Self::entry) of a `Missing` or `Partitions` record,
+    /// which must be zero past its tag.
+    #[inline(never)]
+    fn entry_without_stats(
+        &self,
+        dec: &mut lakesim_storage::Decoder<'a>,
+        record: &[u8],
+    ) -> Result<TableObservation, lakesim_storage::CodecError> {
+        use crate::durability::{read_stats_record, take_stats_side, STATS_RECORD_BYTES};
+        use lakesim_storage::CodecError;
+        if record[1..].iter().any(|b| *b != 0) {
+            return Err(CodecError::Invalid("entry record fields without stats"));
+        }
+        Ok(match record[0] {
+            0 => TableObservation::Missing,
+            2 => {
+                let count = dec.take_len(8 + STATS_RECORD_BYTES, "partition entries")?;
+                let mut parts = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let label = dec.take_str("partition label")?.to_string();
+                    let record = dec.take_raw(STATS_RECORD_BYTES, "partition stats record")?;
+                    let (mut stats, presence) = read_stats_record(record)?;
+                    take_stats_side(dec, &mut stats, presence, &self.names)?;
+                    parts.push((label, stats));
+                }
+                TableObservation::Partitions(parts)
             }
-        }
-        _ => return Err(lakesim_storage::CodecError::Invalid("entry tag")),
+            _ => return Err(CodecError::Invalid("entry tag")),
+        })
     }
-    Ok(())
+
+    /// Steps over the entry of `record`, whose place a delta takes: a
+    /// record alone is passed by stride; side parts, when it has them,
+    /// are read and dropped.
+    fn skip(
+        &self,
+        dec: &mut lakesim_storage::Decoder<'a>,
+        record: &[u8],
+    ) -> Result<(), lakesim_storage::CodecError> {
+        if record[0] == 2 || record[ENTRY_RECORD_BYTES - 1] != 0 {
+            self.entry(dec, record)?;
+        }
+        Ok(())
+    }
 }
 
 /// Reads quarantine records, re-based to pass 0.
@@ -1885,6 +1971,7 @@ fn observe_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{QuotaSignal, SizeBucket};
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
@@ -2829,5 +2916,192 @@ mod tests {
         let obs = observer.observe(&lake, ScopeStrategy::Table);
         assert!(obs.degradation().quarantine.is_empty());
         assert!(!obs.degradation().is_degraded());
+    }
+
+    /// splitmix64: the entry shapes' only source of randomness, so a
+    /// failure names its seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Stats of a random shape: a quota, histogram buckets (overflow
+    /// edges included) and custom metrics each present or not, a last
+    /// write absent, at zero or anywhere, and a write frequency that is
+    /// NaN (two payloads), ±0.0, infinite or ordinary.
+    fn random_stats(rng: &mut Mix) -> CandidateStats {
+        let frequency = match rng.below(6) {
+            0 => f64::NAN,
+            1 => f64::from_bits(0xfff8_0000_dead_beef),
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::NEG_INFINITY,
+            _ => rng.next() as f64 / 7.0,
+        };
+        let mut stats = CandidateStats {
+            file_count: rng.next(),
+            small_file_count: rng.next(),
+            small_bytes: rng.next(),
+            total_bytes: rng.next(),
+            delete_file_count: rng.next(),
+            partition_count: rng.next(),
+            target_file_size: rng.next(),
+            created_at_ms: rng.next(),
+            last_write_ms: match rng.below(3) {
+                0 => None,
+                1 => Some(0),
+                _ => Some(rng.next()),
+            },
+            write_frequency_per_hour: frequency,
+            quota: (rng.below(2) == 0).then(|| QuotaSignal {
+                used: rng.next(),
+                total: rng.next(),
+            }),
+            size_histogram: (0..rng.below(3) * 2)
+                .map(|_| SizeBucket {
+                    upper_bytes: (rng.below(3) != 0).then(|| rng.next()),
+                    count: rng.next(),
+                })
+                .collect(),
+            ..CandidateStats::default()
+        };
+        for _ in 0..rng.below(4) {
+            // A block shares a few names, or holds many.
+            let name = match rng.below(5) {
+                0 => format!("metric_{}", rng.below(40)),
+                pick => ["scan_count_7d", "sort_disorder", "partition_skew", "é"]
+                    [pick as usize - 1]
+                    .to_string(),
+            };
+            stats.custom.insert(name, f64::from_bits(rng.next()));
+        }
+        stats
+    }
+
+    fn random_entry(rng: &mut Mix) -> TableObservation {
+        match rng.below(3) {
+            0 => TableObservation::Missing,
+            1 => TableObservation::Table(random_stats(rng)),
+            _ => TableObservation::Partitions(
+                (0..rng.below(4))
+                    .map(|p| (format!("(p={p})"), random_stats(rng)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// An observation over a listing of `entries.len()` tables holding
+    /// exactly `entries`.
+    fn observation_of(
+        tables: Arc<Vec<TableRef>>,
+        entries: Vec<TableObservation>,
+    ) -> FleetObservation {
+        FleetObservation {
+            scope: ScopeStrategy::Partition,
+            tables,
+            listing_epoch: Some(3),
+            entries: Arc::new(entries),
+            uid_index: Arc::new(OnceLock::new()),
+            cursor: Some(ChangeCursor(9)),
+            fresh: Vec::new(),
+            serial: next_serial(),
+            prior_serial: None,
+            degradation: ObserveDegradation::default(),
+        }
+    }
+
+    fn encoded(observation: &FleetObservation) -> Vec<u8> {
+        let mut enc = lakesim_storage::Encoder::new();
+        observation.snapshot_write(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Every entry shape survives a base, and a base plus a delta over
+    /// it, bit for bit: the restored observation encodes to exactly the
+    /// bytes of the live one (bytes, because NaN stats are not equal to
+    /// themselves), and every byte of both frames is consumed.
+    #[test]
+    fn every_entry_shape_round_trips_through_a_base_and_a_delta() {
+        let mut seen = [0usize; 6];
+        for seed in 0..300u64 {
+            let mut rng = Mix(seed);
+            let n = 1 + rng.below(12) as usize;
+            let tables: Arc<Vec<TableRef>> = Arc::new(
+                (0..n as u64)
+                    .map(|uid| TableRef {
+                        table_uid: uid * 7 + 1,
+                        database: format!("db{}", uid % 3).into(),
+                        name: format!("t{uid}").into(),
+                        partitioned: uid % 2 == 0,
+                        compaction_enabled: true,
+                        is_intermediate: false,
+                    })
+                    .collect(),
+            );
+            let entries: Vec<_> = (0..n).map(|_| random_entry(&mut rng)).collect();
+            for entry in &entries {
+                let stats: Vec<&CandidateStats> = match entry {
+                    TableObservation::Missing => Vec::new(),
+                    TableObservation::Table(stats) => vec![stats],
+                    TableObservation::Partitions(parts) => parts.iter().map(|(_, s)| s).collect(),
+                };
+                seen[0] += matches!(entry, TableObservation::Missing) as usize;
+                seen[1] += matches!(entry, TableObservation::Partitions(_)) as usize;
+                for s in stats {
+                    let bare =
+                        s.quota.is_none() && s.size_histogram.is_empty() && s.custom.is_empty();
+                    seen[2] += bare as usize;
+                    seen[3] += (s.quota.is_some()
+                        && !s.size_histogram.is_empty()
+                        && !s.custom.is_empty()) as usize;
+                    seen[4] += s.write_frequency_per_hour.is_nan() as usize;
+                    seen[5] +=
+                        (s.write_frequency_per_hour.to_bits() == (-0.0f64).to_bits()) as usize;
+                }
+            }
+            let base = observation_of(Arc::clone(&tables), entries.clone());
+            let base_bytes = encoded(&base);
+            let mut dec = lakesim_storage::Decoder::new(&base_bytes);
+            let restored = FleetObservation::snapshot_restore(&mut dec, None).unwrap();
+            dec.finish().unwrap();
+            assert_eq!(encoded(&restored), base_bytes, "seed {seed}: base");
+
+            // A delta replacing a random subset of positions.
+            let mut changed = Bits::default();
+            let mut live = entries;
+            for (pos, entry) in live.iter_mut().enumerate() {
+                if rng.below(3) == 0 {
+                    changed.set(pos as u32);
+                    *entry = random_entry(&mut rng);
+                }
+            }
+            let live = observation_of(tables, live);
+            let mut enc = lakesim_storage::Encoder::new();
+            live.snapshot_write_delta(&mut enc, &changed);
+            let delta_bytes = enc.into_bytes();
+            let mut dec = lakesim_storage::Decoder::new(&delta_bytes);
+            let delta = ObservationDelta::read(&mut dec).unwrap();
+            dec.finish().unwrap();
+            let mut dec = lakesim_storage::Decoder::new(&base_bytes);
+            let restored = FleetObservation::snapshot_restore(&mut dec, Some(delta)).unwrap();
+            dec.finish().unwrap();
+            assert_eq!(
+                encoded(&restored),
+                encoded(&live),
+                "seed {seed}: base + delta"
+            );
+        }
+        assert!(seen.iter().all(|&count| count > 0), "shapes seen: {seen:?}");
     }
 }

@@ -616,7 +616,9 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
     /// watermark (re-adopting journaled in-flight submissions,
     /// re-applying journaled settlements idempotently). The generation's
     /// base and delta are restored from the slot bytes as read, without
-    /// joining them. A warm restore keeps the base it read as the base
+    /// joining them. The load is [`SnapshotStore::resume`], so the next
+    /// save trusts the base that load validated instead of reading it
+    /// back. A warm restore keeps the base it read as the base
     /// of the next boundary's delta, with what the restored delta carried
     /// counted as changed since it (see [`crate::durability`]'s fold
     /// rule). Returns the recovery report; on [`RecoveryReport::Warm`]
@@ -634,7 +636,7 @@ impl<M: SnapshotMedium> ContinuousRuntime<M> {
             };
         };
         durable.since = None;
-        let generation = match durable.store.load_generation() {
+        let generation = match durable.store.resume() {
             Ok(generation) => generation,
             Err(missing) => {
                 let reason = match missing {

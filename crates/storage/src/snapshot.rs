@@ -65,6 +65,13 @@
 //!   validates, both slots are validated, one at a time, and the target
 //!   chosen from the newest restorable generation they hold; a delta
 //!   save whose base is not that generation's base writes nothing.
+//! * **`resume`** is `load_generation` for a restart that goes on
+//!   writing into the store, and the one load that remembers: the
+//!   generation it returns is the newest, and its base, which this very
+//!   load validated against its checksum, is trusted. The first save
+//!   after the restart therefore reads no slot. Nothing can reach the
+//!   medium between that load and what the store remembers of it;
+//!   `medium_mut` afterwards forgets it like anything else remembered.
 //!
 //! # Fault model
 //!
@@ -351,7 +358,8 @@ struct Written {
 #[derive(Debug)]
 pub struct Generation {
     seq: u64,
-    base_seq: u64,
+    /// The base as a store remembers it: sequence, slot and checksum.
+    base_slot: BaseSlot,
     base: (Vec<u8>, Range<usize>),
     delta: Option<(Vec<u8>, Range<usize>)>,
 }
@@ -367,7 +375,7 @@ impl Generation {
     /// [`save_delta_with`](SnapshotStore::save_delta_with) over this
     /// generation names.
     pub fn base_seq(&self) -> u64 {
-        self.base_seq
+        self.base_slot.seq
     }
 
     /// The base's payload and the delta's, if there is a delta, borrowed
@@ -471,10 +479,26 @@ impl<M: SnapshotMedium> SnapshotStore<M> {
         };
         Ok(Generation {
             seq: found.seq(),
-            base_seq: found.base.1.seq,
+            base_slot: found.base_slot(),
             base: read(&found.base),
             delta: found.delta.as_ref().map(read),
         })
+    }
+
+    /// [`load_generation`](Self::load_generation) for a restart that
+    /// resumes writing into this store: the store also remembers what it
+    /// loaded, the generation as the newest and its base as the one that
+    /// generation depends on, trusted, because this load validated it.
+    /// The next save then reads no slot. When nothing restores, the store
+    /// forgets what it remembered, and the next save validates both slots.
+    pub fn resume(&mut self) -> Result<Generation, Option<(u64, u64)>> {
+        let loaded = self.load_generation();
+        self.written = loaded.as_ref().ok().map(|generation| Written {
+            base: generation.base_slot,
+            trusted: true,
+            newest: generation.seq,
+        });
+        loaded
     }
 
     /// The base the newest generation depends on, and that generation's

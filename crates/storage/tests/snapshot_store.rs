@@ -620,3 +620,73 @@ fn a_torn_but_acknowledged_new_base_keeps_the_old_base_restorable() {
     assert_eq!(probe.writes.borrow().last().unwrap().0, 0);
     assert_eq!(store.load().unwrap(), (seq + 1, b"base five+six".to_vec()));
 }
+
+/// `read_slot` calls per slot since the last call, which resets them.
+fn reads_since(probe: &Probe) -> [u32; 2] {
+    probe.reads.each_ref().map(|reads| reads.replace(0))
+}
+
+/// A restart that resumes the store saves without reading a slot, a
+/// delta and a base alike, where one that only loads reads both slots
+/// at its first save. Handing out `medium_mut` forgets what the resume
+/// remembered, and the next save reads both slots again.
+#[test]
+fn a_resumed_store_saves_without_reading_until_medium_mut() {
+    let delta = |store: &mut SnapshotStore<ProbedMedium>, base, payload: &'static [u8]| {
+        store
+            .save_delta_with(base, |enc| {
+                enc.put_raw(payload);
+                true
+            })
+            .unwrap()
+    };
+    let restart = |store: &SnapshotStore<ProbedMedium>, probe: &Rc<Probe>| {
+        SnapshotStore::new(ProbedMedium {
+            inner: store.medium().inner.clone(),
+            probe: Rc::clone(probe),
+        })
+    };
+    let (mut store, probe) = probed_store();
+    assert_eq!(store.save(b"base one").unwrap(), 1);
+    assert_eq!(delta(&mut store, 1, b"+two"), Some(2));
+
+    // Loading only, the first save after the restart reads both.
+    let mut loaded = restart(&store, &probe);
+    let generation = loaded.load_generation().expect("base + delta");
+    reads_since(&probe);
+    assert_eq!(
+        delta(&mut loaded, generation.base_seq(), b"+three"),
+        Some(3)
+    );
+    assert_eq!(reads_since(&probe), [1, 1]);
+
+    // Resuming, it reads none, and writes what the loading store wrote.
+    let mut store = restart(&store, &probe);
+    let generation = store.resume().expect("base + delta");
+    assert_eq!((generation.seq(), generation.base_seq()), (2, 1));
+    reads_since(&probe);
+    assert_eq!(delta(&mut store, generation.base_seq(), b"+three"), Some(3));
+    assert_eq!(reads_since(&probe), [0, 0]);
+    assert_eq!(
+        store.medium().inner.read_slot(1),
+        loaded.medium().inner.read_slot(1)
+    );
+    assert_eq!(store.load().unwrap(), (3, b"base one+three".to_vec()));
+
+    // A base after resuming at a base alone reads none either.
+    let seq = store.save(b"base four").unwrap();
+    let mut store = restart(&store, &probe);
+    assert_eq!(store.resume().expect("a base").base_seq(), seq);
+    reads_since(&probe);
+    assert_eq!(store.save(b"base five").unwrap(), seq + 1);
+    assert_eq!(reads_since(&probe), [0, 0]);
+    assert_eq!(store.load().unwrap(), (seq + 1, b"base five".to_vec()));
+
+    // `medium_mut` forgets what the resume remembered: the next save
+    // reads both slots.
+    store.resume().expect("a base");
+    store.medium_mut();
+    reads_since(&probe);
+    assert_eq!(delta(&mut store, seq + 1, b"+six"), Some(seq + 2));
+    assert_eq!(reads_since(&probe), [1, 1]);
+}

@@ -1743,3 +1743,206 @@ fn a_torn_delta_after_a_restore_falls_back_to_the_base_and_reconverges() {
         assert_reports_identical(&theirs.report, &ours.report, &format!("round {i}"));
     }
 }
+
+// ---------------------------------------------------------------------
+// The side section under corruption: a fleet whose stats carry every
+// variable part a snapshot record keeps beside it.
+// ---------------------------------------------------------------------
+
+/// [`DeltaLake`] whose stats carry every part a snapshot keeps in its
+/// side section: a quota, histogram buckets (an overflow bucket
+/// included) and custom metrics, with a last write at zero on tables
+/// never written. One unpartitioned table in five answers no table
+/// stats, so its entry is `Missing`.
+struct SideLake(DeltaLake);
+
+impl SideLake {
+    fn dress(uid: u64, mut stats: CandidateStats) -> CandidateStats {
+        stats.quota = Some(autocomp::QuotaSignal {
+            used: 100 + uid,
+            total: 1_000,
+        });
+        stats.size_histogram = vec![
+            autocomp::SizeBucket {
+                upper_bytes: Some(8 << 20),
+                count: stats.small_file_count,
+            },
+            autocomp::SizeBucket {
+                upper_bytes: None,
+                count: stats.file_count - stats.small_file_count.min(stats.file_count),
+            },
+        ];
+        stats.last_write_ms = stats.last_write_ms.or(Some(0));
+        stats
+            .with_custom("scan_count_7d", uid as f64 * 1.5)
+            .with_custom("sort_disorder", -0.0)
+    }
+}
+
+impl LakeConnector for SideLake {
+    fn list_tables(&self) -> Vec<TableRef> {
+        self.0.list_tables()
+    }
+    fn listing_epoch(&self) -> Option<u64> {
+        self.0.listing_epoch()
+    }
+    fn table_stats(&self, uid: u64) -> Option<CandidateStats> {
+        let stats = self.0.table_stats(uid)?;
+        (uid % 5 != 3).then(|| Self::dress(uid, stats))
+    }
+    fn partition_stats(&self, uid: u64) -> Vec<(String, CandidateStats)> {
+        let parts = self.0.partition_stats(uid).into_iter();
+        parts
+            .map(|(label, stats)| (label, Self::dress(uid, stats)))
+            .collect()
+    }
+    fn fleet_cursor(&self) -> Option<ChangeCursor> {
+        self.0.fleet_cursor()
+    }
+    fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<u64>> {
+        self.0.changes_since(cursor)
+    }
+}
+
+/// A base alone and a base + delta generation of a durable runtime over
+/// [`SideLake`] in hybrid scope (partition lists, table stats and
+/// `Missing` entries side by side), each with the report a pristine
+/// restore of it yields.
+fn side_section_corpus() -> Vec<(Vec<u8>, RecoveryReport)> {
+    let lake = SideLake(DeltaLake::new(40));
+    let scope = ScopeStrategy::Hybrid;
+    let mut rt = ContinuousRuntime::new(delta_pipeline(scope, 4), every_round_snapshots())
+        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let mut platform = ScriptedPlatform::new(JOB_DURATION_MS);
+    let mut corpus = Vec::new();
+    for step in 0..2 {
+        if step > 0 {
+            lake.0.write(4, 1);
+        }
+        flush(&mut rt, &lake, &mut platform, now(step));
+        let bytes = newest_generation(&rt);
+        let report = delta_pipeline(scope, 4).restore_snapshot(&mut FleetObserver::new(), &bytes);
+        assert!(report.is_warm(), "step {step}: {report}");
+        corpus.push((bytes, report));
+    }
+    assert!(split_generation(&corpus[0].0).1.is_empty(), "a base alone");
+    assert!(
+        !split_generation(&corpus[1].0).1.is_empty(),
+        "a base + delta"
+    );
+    corpus
+}
+
+/// Re-seals the frame at `frame` of `bytes` after its payload changed.
+fn reseal(bytes: &mut [u8], frame: std::ops::Range<usize>) {
+    let body = frame.end - 8;
+    let check = lakesim_storage::frame_checksum64(&bytes[frame.start..body]);
+    bytes[body..frame.end].copy_from_slice(&check.to_le_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Truncated or bit-flipped generations of a fleet with histograms,
+    /// customs and partitions never panic the restore and never install
+    /// a wrong warm state. A flip re-sealed under a valid checksum (mode
+    /// 2; the delta re-names a re-sealed base) reaches the decoder
+    /// itself: it either cold-starts with a reason or restores a state
+    /// that can be snapshotted again.
+    #[test]
+    fn corrupted_side_sections_cold_start_never_panic(
+        offset in 0u64..10_000_000,
+        mode in 0u8..3,
+        which in 0usize..2,
+    ) {
+        let (bytes, pristine) = side_section_corpus().swap_remove(which);
+        let mut mutated = bytes.clone();
+        let base_len = split_generation(&bytes).0.len();
+        match mode {
+            0 => mutated.truncate(offset as usize % mutated.len()),
+            1 => {
+                let bit = offset as usize % (mutated.len() * 8);
+                mutated[bit / 8] ^= 1 << (bit % 8);
+            }
+            _ => {
+                // A payload bit of the base or of the delta, past the
+                // delta's fingerprint and base name.
+                let header = lakesim_storage::codec::FRAME_OVERHEAD - 8;
+                let (frame, skip) = match which == 1 && offset % 2 == 1 {
+                    false => (0..base_len, header),
+                    true => (base_len..mutated.len(), header + 16),
+                };
+                let span = frame.len() - skip - 8;
+                let bit = (offset as usize / 2) % (span * 8);
+                mutated[frame.start + skip + bit / 8] ^= 1 << (bit % 8);
+                reseal(&mut mutated, frame.clone());
+                if frame.start == 0 && base_len < mutated.len() {
+                    let check = mutated[base_len - 8..base_len].to_vec();
+                    let named = base_len + header + 8;
+                    mutated[named..named + 8].copy_from_slice(&check);
+                    reseal(&mut mutated, base_len..bytes.len());
+                }
+            }
+        }
+        let mut ac = delta_pipeline(ScopeStrategy::Hybrid, 4);
+        let mut observer = FleetObserver::new();
+        let report = ac.restore_snapshot(&mut observer, &mutated);
+        match &report {
+            RecoveryReport::ColdStart { reason } => prop_assert!(!reason.is_empty()),
+            warm if mode < 2 => prop_assert_eq!(warm.clone(), pristine),
+            warm => {
+                let ctx = autocomp::SnapshotContext::default();
+                let frame = ac.encode_snapshot(&observer, &ctx);
+                prop_assert!(frame.is_some(), "{} left nothing to snapshot", warm);
+            }
+        }
+    }
+}
+
+/// A medium that counts slot reads.
+#[derive(Clone)]
+struct CountingMedium {
+    inner: MemSnapshotMedium,
+    reads: std::rc::Rc<std::cell::Cell<u32>>,
+}
+
+impl SnapshotMedium for CountingMedium {
+    fn read_slot(&self, slot: usize) -> Option<Vec<u8>> {
+        self.reads.set(self.reads.get() + 1);
+        self.inner.read_slot(slot)
+    }
+    fn write_slot(&mut self, slot: usize, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write_slot(slot, bytes)
+    }
+}
+
+/// A runtime restarted over a new store trusts the base its recovery
+/// loaded (`SnapshotStore::resume`): the delta the first boundary after
+/// it saves reads no slot.
+#[test]
+fn the_first_save_after_a_warm_recover_reads_no_slot() {
+    let lake = CrashLake::new(TABLES);
+    let reads = std::rc::Rc::new(std::cell::Cell::new(0));
+    let medium = CountingMedium {
+        inner: MemSnapshotMedium::new(),
+        reads: reads.clone(),
+    };
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
+        .with_durability(SnapshotStore::new(medium), Journal::new());
+    let mut platform = ScriptedPlatform::parity(JOB_DURATION_MS);
+    flush(&mut rt, &lake, &mut platform, now(0));
+    let (store, journal) = rt.into_durable_parts().unwrap();
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
+        .with_durability(SnapshotStore::new(store.medium().clone()), journal);
+    let report = rt.recover();
+    assert!(report.is_warm(), "{report}");
+
+    reads.set(0);
+    lake.write(1);
+    let round = flush(&mut rt, &lake, &mut platform, now(1));
+    assert!(round.snapshot_saved);
+    assert_eq!(reads.get(), 0, "the save read a slot");
+    assert!(
+        !split_generation(&newest_generation(&rt)).1.is_empty(),
+        "a delta"
+    );
+}
