@@ -1241,29 +1241,16 @@ impl JobTracker {
     }
 
     /// Writes the complete cross-cycle ledger state into a snapshot. The
-    /// derived indexes (`tables_running`, `db_running`, `tables_retrying`,
-    /// the settled-id set) are rebuilt on restore rather than persisted;
+    /// config is not written: the configuration fingerprint pins it, so a
+    /// restore takes the restoring pipeline's. The derived indexes
+    /// (`tables_running`, `db_running`, `tables_retrying`, the settled-id
+    /// set) are rebuilt on restore rather than persisted;
     /// `gbhr_window_sum` travels as raw IEEE-754 bits because its
     /// incrementally accumulated value differs in the low bits from a
     /// fresh re-sum, and admission comparisons must stay bit-identical
     /// across a restore.
     pub(crate) fn snapshot_write(&self, enc: &mut lakesim_storage::Encoder) {
         use crate::durability::{put_candidate, put_prediction};
-        let c = &self.config;
-        enc.put_u64(c.max_in_flight as u64);
-        enc.put_u64(c.max_in_flight_per_database as u64);
-        match c.gbhr_budget {
-            Some(budget) => {
-                enc.put_bool(true);
-                enc.put_f64(budget);
-            }
-            None => enc.put_bool(false),
-        }
-        enc.put_u64(c.gbhr_window_ms);
-        enc.put_u32(c.max_retries);
-        enc.put_u64(c.retry_backoff_ms);
-        enc.put_u64(c.retry_backoff_cap_ms);
-        enc.put_opt_u64(c.job_lease_ms);
         for jobs in [&self.jobs, &self.evicted] {
             enc.put_u64(jobs.len() as u64);
             for (job_id, job) in jobs.iter() {
@@ -1314,26 +1301,15 @@ impl JobTracker {
         }
     }
 
-    /// Restores a tracker from a snapshot, rebuilding the derived
+    /// Restores a tracker under `config`, the restoring pipeline's (which
+    /// the fingerprint matched), from a snapshot, rebuilding the derived
     /// suppression/admission indexes from the decoded ledger.
     pub(crate) fn snapshot_read(
         dec: &mut lakesim_storage::Decoder<'_>,
+        config: JobRuntimeConfig,
     ) -> Result<JobTracker, lakesim_storage::CodecError> {
         use crate::durability::{take_candidate, take_prediction};
         use lakesim_storage::CodecError;
-        let config = JobRuntimeConfig {
-            max_in_flight: dec.take_u64("max_in_flight")? as usize,
-            max_in_flight_per_database: dec.take_u64("max_in_flight_per_database")? as usize,
-            gbhr_budget: dec
-                .take_bool("gbhr_budget present")?
-                .then(|| dec.take_f64("gbhr_budget"))
-                .transpose()?,
-            gbhr_window_ms: dec.take_u64("gbhr_window_ms")?,
-            max_retries: dec.take_u32("max_retries")?,
-            retry_backoff_ms: dec.take_u64("retry_backoff_ms")?,
-            retry_backoff_cap_ms: dec.take_u64("retry_backoff_cap_ms")?,
-            job_lease_ms: dec.take_opt_u64("job_lease_ms")?,
-        };
         let mut tracker = JobTracker::new(config);
         for evicted in [false, true] {
             for _ in 0..dec.take_len(16, "ledger jobs")? {

@@ -702,7 +702,6 @@ pub(crate) fn snapshot_write(
     };
     enc.put_bool(true);
     enc.put_u64(s.keys.now_ms);
-    enc.put_u64(s.traits.width() as u64);
     put_verdicts(enc, &s.verdicts);
     for id in s.traits.trait_ids() {
         s.traits.col(id).iter().for_each(|v| enc.put_f64(*v));
@@ -848,8 +847,10 @@ fn take_live(dec: &mut Decoder<'_>, slots: usize) -> std::result::Result<Vec<u32
 
 /// Reads the decide-state section of a snapshot, laying the slots out
 /// from the restored `observation`, under `keys` (whose fill time the
-/// section supplies) and `template`'s traits. Every count, index and slot
-/// is checked against the layout before the state is built.
+/// section supplies) and `template`'s traits, whose width the
+/// fingerprint's trait names fix, so the section does not carry it.
+/// Every count, index and slot is checked against the layout before the
+/// state is built.
 ///
 /// With a `delta` — the decoder of a delta's decide-state section and
 /// the listing positions the delta replaced in `observation` — the
@@ -877,13 +878,7 @@ pub(crate) fn snapshot_read(
         return Ok(None);
     }
     let now_ms = dec.take_u64("decide fill time")?;
-    let width = dec.take_u64("decide width")?;
     let mut s = DecideState::blank(observation, template, Keys { now_ms, ..keys }, |_, _| None);
-    if width != template.width() as u64 {
-        return Err(CodecError::Invalid(
-            "decide state does not fit the observation",
-        ));
-    }
     let slots = s.slots();
     take_verdicts(dec, &mut s.verdicts)?;
     for id in template.trait_ids() {

@@ -34,17 +34,21 @@
 //! misinterpreted by an old binary, and an older one is not migrated.
 //! The compatibility posture is *reject and cold-start* — a snapshot is
 //! a cache of recoverable state, so discarding it is always safe, only
-//! slower. Version 3 replaced the cycle-cache and rank-memo sections with
-//! one decide-state section and added the observation's quarantine
-//! records. Version 4 added deltas, and shipped with the journal's
-//! word-wise record checksum, so no older snapshot is ever paired with a
-//! journal this build wrote. Version 5 writes the observation's entries
-//! as fixed-width records with a side section (below); the journal did
-//! not change. A version-4 slot opens, the restore cold-starts with a
-//! reason naming both versions, and the next boundary writes a
-//! version-5 base.
+//! slower. An older slot opens, the restore cold-starts with a reason
+//! naming both versions, and the next boundary writes a base of this
+//! build's version.
 //!
-//! # Entry records (version 5)
+//! **What the fingerprint pins, the frame does not repeat.** Every
+//! frame opens with the saving pipeline's configuration fingerprint,
+//! and a restore reads nothing past it unless it equals the restoring
+//! pipeline's (see the restore-validation contract below). So the frame
+//! carries no copy of what the fingerprint covers: the ledger section
+//! holds no job-runtime config (a restore builds the ledger under the
+//! restoring pipeline's), the ledger section is present exactly when the
+//! pipeline has a job tracker (no presence flag), and the decide-state
+//! section holds no trait width (the fingerprint's trait names fix it).
+//!
+//! # Entry records
 //!
 //! The observation section holds one entry per listed table (a delta:
 //! per changed position). The entries go out as one *entry block*, laid
@@ -83,7 +87,8 @@
 //! * a **base** ([`SNAPSHOT_KIND`]): the configuration fingerprint, the
 //!   [`SnapshotContext`], the observation with its listing, entries and
 //!   quarantine records, the pending dirty uids, the decide state, the job
-//!   ledger and the feedback calibration — the whole retained state;
+//!   ledger (with a job tracker) and the feedback calibration — the whole
+//!   retained state;
 //! * a **delta** ([`SNAPSHOT_DELTA_KIND`]): the fingerprint, the checksum
 //!   sealing the base frame it patches, the context, the observation's
 //!   scope and cursor keys, the entries at every listing position changed
@@ -163,8 +168,9 @@
 //!   the checksum, which the store's slot checksum already covered);
 //! * the configuration fingerprint recorded in the snapshot matches the
 //!   restoring pipeline (scope, policy, trigger label, calibration flag,
-//!   filter/trait names, trait width, job-runtime config) — restoring
-//!   into a differently-configured pipeline would misread retained rows;
+//!   filter/trait names, scheduler name, job-runtime config or its
+//!   absence) — restoring into a differently-configured pipeline would
+//!   misread retained rows;
 //! * the observation chain is internally consistent: the decide state is
 //!   persisted only while live for the snapshotted observation — last
 //!   patched against exactly it, in the current config epoch — and a
@@ -235,7 +241,7 @@ pub const SNAPSHOT_DELTA_KIND: u16 = 8;
 /// Newest pipeline-snapshot payload version this build reads and writes,
 /// for bases and deltas alike. Bumped on any incompatible layout change;
 /// see the module docs for the compatibility policy.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// What a durable runtime keeps about its last base, saved or restored:
 /// the identities a delta over it must share, and what changed since it
@@ -458,8 +464,8 @@ pub struct ReplaySummary {
 /// Appends one encoded record to `journal`, counting the append and its
 /// byte size into the telemetry registry (no-ops on a disabled sink).
 /// The single write path for journal traffic accounting — the runtime's
-/// direct appends, [`JournalingExecutor`] and [`ReplayExecutor`] all go
-/// through it.
+/// direct appends and [`JournalingExecutor`] (also behind
+/// [`ReplayExecutor`]) all go through it.
 pub(crate) fn append_counted(
     journal: &mut Journal,
     telemetry: &crate::telemetry::TelemetrySink,
@@ -471,6 +477,20 @@ pub(crate) fn append_counted(
         crate::telemetry::names::DURABILITY_JOURNAL_BYTES_TOTAL,
         record.len() as u64,
     );
+}
+
+/// Journals one delivered outcome: the one writer of
+/// [`JournalEvent::Settled`] records, for polled and pushed outcomes
+/// alike.
+pub(crate) fn append_settled(
+    journal: &mut Journal,
+    telemetry: &crate::telemetry::TelemetrySink,
+    outcome: &JobOutcome,
+) {
+    let event = JournalEvent::Settled {
+        outcome: outcome.clone(),
+    };
+    append_counted(journal, telemetry, &event.encode());
 }
 
 /// Executor adapter that journals every submit and every delivered
@@ -522,14 +542,7 @@ impl<E: TrackedExecutor> TrackedExecutor for JournalingExecutor<'_, E> {
     fn poll(&mut self, now_ms: u64) -> Vec<JobOutcome> {
         let outcomes = self.inner.poll(now_ms);
         for outcome in &outcomes {
-            append_counted(
-                self.journal,
-                &self.telemetry,
-                &JournalEvent::Settled {
-                    outcome: outcome.clone(),
-                }
-                .encode(),
-            );
+            append_settled(self.journal, &self.telemetry, outcome);
         }
         outcomes
     }
@@ -550,16 +563,16 @@ impl<E: TrackedExecutor> TrackedExecutor for JournalingExecutor<'_, E> {
 /// pipeline actually submits; a mismatch means the re-run diverged from
 /// the journaled run (non-deterministic pipeline or wrong snapshot) and
 /// panics with a diagnostic rather than silently corrupting the ledger.
-/// Once the prefix is exhausted, submissions pass through live and are
-/// journaled like any other. Polls always pass through to the (rewound)
-/// inner executor, whose outcome stream re-delivers the original
-/// batches; re-delivered outcomes are re-journaled, which is safe
-/// because journal replay is idempotent.
+/// The served prefix sits in front of a [`JournalingExecutor`] over the
+/// same executor and journal, which does everything else: once the
+/// prefix is exhausted, submissions pass through live and are journaled
+/// like any other, and polls always pass through to the (rewound) inner
+/// executor, whose outcome stream re-delivers the original batches;
+/// re-delivered outcomes are re-journaled, which is safe because journal
+/// replay is idempotent.
 pub struct ReplayExecutor<'a, E> {
-    inner: &'a mut E,
-    journal: &'a mut Journal,
     pending: VecDeque<(CandidateId, u64, ExecutionResult)>,
-    telemetry: crate::telemetry::TelemetrySink,
+    live: JournalingExecutor<'a, E>,
 }
 
 impl<'a, E> ReplayExecutor<'a, E> {
@@ -579,16 +592,14 @@ impl<'a, E> ReplayExecutor<'a, E> {
             }
         }
         ReplayExecutor {
-            inner,
-            journal,
             pending,
-            telemetry: crate::telemetry::TelemetrySink::disabled(),
+            live: JournalingExecutor::new(inner, journal),
         }
     }
 
     /// Counts journal appends/bytes into `sink` (builder style).
     pub fn with_telemetry(mut self, sink: crate::telemetry::TelemetrySink) -> Self {
-        self.telemetry = sink;
+        self.live.telemetry = sink;
         self
     }
 
@@ -600,27 +611,14 @@ impl<'a, E> ReplayExecutor<'a, E> {
 
 impl<E: CompactionExecutor> CompactionExecutor for ReplayExecutor<'_, E> {
     fn execute(&mut self, c: &Candidate, p: &Prediction, now_ms: u64) -> ExecutionResult {
-        if let Some((id, at_ms, result)) = self.pending.pop_front() {
-            assert!(
-                id == c.id && at_ms == now_ms,
-                "journal replay diverged: journaled submission {id} at {at_ms}ms, \
-                 re-driven pipeline submitted {} at {now_ms}ms",
-                c.id
-            );
-            return result;
-        }
-        let result = self.inner.execute(c, p, now_ms);
-        append_counted(
-            self.journal,
-            &self.telemetry,
-            &JournalEvent::Submitted {
-                candidate: Box::new(c.clone()),
-                prediction: p.clone(),
-                attempts: 1,
-                result: result.clone(),
-                now_ms,
-            }
-            .encode(),
+        let Some((id, at_ms, result)) = self.pending.pop_front() else {
+            return self.live.execute(c, p, now_ms);
+        };
+        assert!(
+            id == c.id && at_ms == now_ms,
+            "journal replay diverged: journaled submission {id} at {at_ms}ms, \
+             re-driven pipeline submitted {} at {now_ms}ms",
+            c.id
         );
         result
     }
@@ -628,22 +626,11 @@ impl<E: CompactionExecutor> CompactionExecutor for ReplayExecutor<'_, E> {
 
 impl<E: TrackedExecutor> TrackedExecutor for ReplayExecutor<'_, E> {
     fn poll(&mut self, now_ms: u64) -> Vec<JobOutcome> {
-        let outcomes = self.inner.poll(now_ms);
-        for outcome in &outcomes {
-            append_counted(
-                self.journal,
-                &self.telemetry,
-                &JournalEvent::Settled {
-                    outcome: outcome.clone(),
-                }
-                .encode(),
-            );
-        }
-        outcomes
+        self.live.poll(now_ms)
     }
 
     fn delivery_cursor(&self) -> u64 {
-        self.inner.delivery_cursor()
+        self.live.delivery_cursor()
     }
 }
 

@@ -825,13 +825,11 @@ impl AutoComp {
             .then(|| Arc::clone(state.layout_id()))
     }
 
+    /// The ledger, present exactly when the pipeline has a tracker (the
+    /// fingerprint pins which), then the feedback.
     fn put_ledger_and_feedback(&self, enc: &mut lakesim_storage::Encoder) {
-        match &self.tracker {
-            Some(tracker) => {
-                enc.put_bool(true);
-                tracker.snapshot_write(enc);
-            }
-            None => enc.put_bool(false),
+        if let Some(tracker) = &self.tracker {
+            tracker.snapshot_write(enc);
         }
         self.feedback.snapshot_write(enc);
     }
@@ -1001,7 +999,8 @@ impl AutoComp {
         // The ledger and the feedback go whole into a delta, so the
         // base's are not read under one.
         let mut tail = delta.unwrap_or(dec);
-        let (tracker, feedback) = take_ledger_and_feedback(&mut tail).map_err(cerr)?;
+        let config = self.tracker.as_ref().map(|t| t.config().clone());
+        let (tracker, feedback) = take_ledger_and_feedback(&mut tail, config).map_err(cerr)?;
         tail.finish().map_err(cerr)?;
 
         // Validated end-to-end: install atomically.
@@ -1160,13 +1159,15 @@ fn take_dirty(
         .collect()
 }
 
+/// Reads what [`AutoComp::put_ledger_and_feedback`] wrote, the ledger
+/// under `config`, the restoring pipeline's tracker config, if it has one.
 fn take_ledger_and_feedback(
     dec: &mut lakesim_storage::Decoder<'_>,
+    config: Option<JobRuntimeConfig>,
 ) -> std::result::Result<(Option<JobTracker>, EstimationFeedback), lakesim_storage::CodecError> {
-    let tracker = match dec.take_bool("tracker present")? {
-        true => Some(JobTracker::snapshot_read(dec)?),
-        false => None,
-    };
+    let tracker = config
+        .map(|config| JobTracker::snapshot_read(dec, config))
+        .transpose()?;
     Ok((tracker, EstimationFeedback::snapshot_read(dec)?))
 }
 

@@ -986,13 +986,10 @@ impl<M: SnapshotMedium> CompletionSink for ContinuousRuntime<M> {
         self.now_ms = self.now_ms.max(at_ms);
         self.stats.completion_events += 1;
         if let Some(durable) = self.durable.as_mut() {
-            crate::durability::append_counted(
+            crate::durability::append_settled(
                 &mut durable.journal,
                 self.pipeline.telemetry(),
-                &JournalEvent::Settled {
-                    outcome: outcome.clone(),
-                }
-                .encode(),
+                &outcome,
             );
         }
         self.pending_completions.push(outcome);

@@ -128,13 +128,23 @@ pub const SNAPSHOT_FRAME_VERSION: u32 = 1;
 /// Byte sink with two addressable slots. Implementations must make
 /// `read_slot` return whatever bytes the last `write_slot` left behind
 /// (torn writes included — the store's framing detects them); they need
-/// not make writes atomic.
+/// not make writes atomic. Any slot but 0 and 1 does not exist: it reads
+/// `None` and a write to it fails with `InvalidInput`, touching neither
+/// slot.
 pub trait SnapshotMedium {
     /// Reads the raw bytes of `slot` (0 or 1), or `None` if the slot has
     /// never been written / does not exist.
     fn read_slot(&self, slot: usize) -> Option<Vec<u8>>;
     /// Replaces the raw bytes of `slot` (0 or 1).
     fn write_slot(&mut self, slot: usize, bytes: &[u8]) -> std::io::Result<()>;
+}
+
+/// The error a write to a slot other than 0 or 1 fails with.
+fn no_such_slot(slot: usize) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("snapshot slot {slot} does not exist (slots are 0 and 1)"),
+    )
 }
 
 /// Volatile in-memory medium — the crash-simulation harness's "disk"
@@ -160,7 +170,7 @@ impl SnapshotMedium for MemSnapshotMedium {
         // one it replaces, so the slot's buffer is rewritten when it is
         // big enough, and replaced with that much headroom (not doubled)
         // when it is not.
-        match &mut self.slots[slot] {
+        match self.slots.get_mut(slot).ok_or_else(|| no_such_slot(slot))? {
             Some(held) if held.capacity() >= bytes.len() => {
                 held.clear();
                 held.extend_from_slice(bytes);
@@ -192,17 +202,21 @@ impl DirSnapshotMedium {
         Ok(DirSnapshotMedium { dir })
     }
 
-    fn slot_path(&self, slot: usize) -> PathBuf {
-        self.dir.join(if slot == 0 { "snap.a" } else { "snap.b" })
+    fn slot_path(&self, slot: usize) -> Option<PathBuf> {
+        let name = ["snap.a", "snap.b"].get(slot)?;
+        Some(self.dir.join(name))
     }
 }
 
 impl SnapshotMedium for DirSnapshotMedium {
     fn read_slot(&self, slot: usize) -> Option<Vec<u8>> {
-        std::fs::read(self.slot_path(slot)).ok()
+        std::fs::read(self.slot_path(slot)?).ok()
     }
     fn write_slot(&mut self, slot: usize, bytes: &[u8]) -> std::io::Result<()> {
-        std::fs::write(self.slot_path(slot), bytes)
+        std::fs::write(
+            self.slot_path(slot).ok_or_else(|| no_such_slot(slot))?,
+            bytes,
+        )
     }
 }
 

@@ -690,3 +690,27 @@ fn a_resumed_store_saves_without_reading_until_medium_mut() {
     assert_eq!(delta(&mut store, seq + 1, b"+six"), Some(seq + 2));
     assert_eq!(reads_since(&probe), [1, 1]);
 }
+
+/// Slots 0 and 1 are the only slots of either medium: any other reads
+/// `None`, and a write to it fails with `InvalidInput` and leaves both
+/// real slots as they were.
+fn out_of_range_slots_touch_nothing(medium: &mut impl SnapshotMedium) {
+    medium.write_slot(0, b"zero").unwrap();
+    medium.write_slot(1, b"one").unwrap();
+    for slot in [2, 3, usize::MAX] {
+        let err = medium.write_slot(slot, b"stray").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "slot {slot}");
+        assert_eq!(medium.read_slot(slot), None, "slot {slot}");
+    }
+    assert_eq!(medium.read_slot(0), Some(b"zero".to_vec()));
+    assert_eq!(medium.read_slot(1), Some(b"one".to_vec()));
+}
+
+#[test]
+fn a_slot_other_than_0_or_1_reads_none_and_refuses_writes() {
+    out_of_range_slots_touch_nothing(&mut MemSnapshotMedium::new());
+    let dir = std::env::temp_dir().join(format!("lakesim-slot-range-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    out_of_range_slots_touch_nothing(&mut lakesim_storage::DirSnapshotMedium::new(&dir).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}

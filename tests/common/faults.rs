@@ -14,7 +14,8 @@
 //!   the Nth submission or the Nth poll), for `catch_unwind`-based
 //!   crash/restore soaks;
 //! * [`TornMedium`] — a [`SnapshotMedium`] wrapper that truncates the
-//!   next slot write, modelling a crash mid-snapshot-write;
+//!   next slot write, modelling a crash mid-snapshot-write, and flips
+//!   slot bytes, modelling a corrupt slot; it counts slot reads;
 //! * [`Faulted`] — a [`LakeConnector`] decorator, the one observe-side
 //!   injector: listing, changelog and per-table stats faults queued
 //!   FIFO and consumed one per `try_*` read before the wrapped lake is
@@ -22,8 +23,9 @@
 //!   arms it per observe pass, scripted or seed-driven random, for the
 //!   degradation and reconvergence suites (`tests/connector_faults.rs`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use autocomp::{
     Candidate, CandidateStats, ChangeCursor, CompactionExecutor, ExecutionError, ExecutionResult,
@@ -244,11 +246,15 @@ impl<E: TrackedExecutor> TrackedExecutor for CrashingExecutor<E> {
 
 /// [`SnapshotMedium`] wrapper that tears the next slot write at a byte
 /// offset — a crash mid-snapshot-write. The dual-slot store must fall
-/// back to the other slot's older generation.
+/// back to the other slot's older generation. It also counts slot reads
+/// (clones share the count) and flips bytes in a slot in place.
+#[derive(Clone)]
 pub struct TornMedium<M> {
     inner: M,
     /// When set, the next `write_slot` keeps only this many bytes.
     tear_next_at: Option<usize>,
+    /// Slot reads so far, shared by every clone.
+    reads: Rc<Cell<u32>>,
 }
 
 impl<M> TornMedium<M> {
@@ -257,6 +263,7 @@ impl<M> TornMedium<M> {
         TornMedium {
             inner,
             tear_next_at: None,
+            reads: Rc::default(),
         }
     }
 
@@ -269,10 +276,25 @@ impl<M> TornMedium<M> {
     pub fn inner(&self) -> &M {
         &self.inner
     }
+
+    /// The count of slot reads, shared with this medium and its clones.
+    pub fn reads(&self) -> Rc<Cell<u32>> {
+        Rc::clone(&self.reads)
+    }
+}
+
+impl<M: SnapshotMedium> TornMedium<M> {
+    /// XORs byte `at` of `slot` with `mask`, in place.
+    pub fn flip(&mut self, slot: usize, at: usize, mask: u8) {
+        let mut bytes = self.inner.read_slot(slot).expect("a written slot");
+        bytes[at] ^= mask;
+        self.inner.write_slot(slot, &bytes).unwrap();
+    }
 }
 
 impl<M: SnapshotMedium> SnapshotMedium for TornMedium<M> {
     fn read_slot(&self, slot: usize) -> Option<Vec<u8>> {
+        self.reads.set(self.reads.get() + 1);
         self.inner.read_slot(slot)
     }
 

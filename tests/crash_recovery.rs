@@ -1508,8 +1508,10 @@ fn a_torn_delta_restores_the_base_boundary_and_reconverges() {
 #[test]
 fn a_corrupt_base_under_a_valid_delta_cold_starts_naming_the_base() {
     let lake = CrashLake::new(TABLES);
-    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
-        .with_durability(SnapshotStore::new(MemSnapshotMedium::new()), Journal::new());
+    let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots()).with_durability(
+        SnapshotStore::new(TornMedium::new(MemSnapshotMedium::new())),
+        Journal::new(),
+    );
     let mut exec = Untracked(InertExecutor);
     for i in 0..2 {
         lake.write(i as u64);
@@ -1523,10 +1525,8 @@ fn a_corrupt_base_under_a_valid_delta_cold_starts_naming_the_base() {
     let base_slot = (0..2)
         .max_by_key(|slot| medium.read_slot(*slot).map_or(0, |b| b.len()))
         .unwrap();
-    let mut bytes = medium.read_slot(base_slot).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    medium.write_slot(base_slot, &bytes).unwrap();
+    let mid = medium.read_slot(base_slot).unwrap().len() / 2;
+    medium.flip(base_slot, mid, 0x10);
 
     let (store, journal) = rt.into_durable_parts().unwrap();
     let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
@@ -1840,6 +1840,49 @@ fn reseal(bytes: &mut [u8], frame: std::ops::Range<usize>) {
     bytes[body..frame.end].copy_from_slice(&check.to_le_bytes());
 }
 
+/// Re-seals the base frame (`base_len` bytes) of the generation `bytes`
+/// after its payload changed, and re-names it in the delta after it, if
+/// there is one.
+fn reseal_base(bytes: &mut [u8], base_len: usize) {
+    reseal(bytes, 0..base_len);
+    if base_len < bytes.len() {
+        let check = bytes[base_len - 8..base_len].to_vec();
+        let named = base_len + lakesim_storage::codec::FRAME_OVERHEAD;
+        bytes[named..named + 8].copy_from_slice(&check);
+        reseal(bytes, base_len..bytes.len());
+    }
+}
+
+/// Where the ledger section of `base`, a base frame of
+/// [`side_section_corpus`], starts: the first byte past the fingerprint
+/// at which the frame of the state it restores differs from the frame of
+/// that state under a fresh tracker with other limits. Everything the
+/// ledger and feedback sections hold lies from there to the checksum.
+fn ledger_start(base: &[u8]) -> usize {
+    let encode = |retrack: Option<JobRuntimeConfig>| {
+        let mut ac = delta_pipeline(ScopeStrategy::Hybrid, 4);
+        let mut observer = FleetObserver::new();
+        assert!(ac.restore_snapshot(&mut observer, base).is_warm());
+        if let Some(config) = retrack {
+            ac = ac.with_job_tracker(config);
+        }
+        let ctx = autocomp::SnapshotContext::default();
+        ac.encode_snapshot(&observer, &ctx).expect("a frame")
+    };
+    let other = JobRuntimeConfig {
+        max_in_flight: 5,
+        max_in_flight_per_database: 3,
+        ..JobRuntimeConfig::default()
+    };
+    let (ours, theirs) = (encode(None), encode(Some(other)));
+    let past_fingerprint = lakesim_storage::codec::FRAME_OVERHEAD;
+    past_fingerprint
+        + (ours[past_fingerprint..].iter())
+            .zip(&theirs[past_fingerprint..])
+            .position(|(a, b)| a != b)
+            .expect("the ledgers differ")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Truncated or bit-flipped generations of a fleet with histograms,
@@ -1874,12 +1917,9 @@ proptest! {
                 let span = frame.len() - skip - 8;
                 let bit = (offset as usize / 2) % (span * 8);
                 mutated[frame.start + skip + bit / 8] ^= 1 << (bit % 8);
-                reseal(&mut mutated, frame.clone());
-                if frame.start == 0 && base_len < mutated.len() {
-                    let check = mutated[base_len - 8..base_len].to_vec();
-                    let named = base_len + header + 8;
-                    mutated[named..named + 8].copy_from_slice(&check);
-                    reseal(&mut mutated, base_len..bytes.len());
+                match frame.start {
+                    0 => reseal_base(&mut mutated, base_len),
+                    _ => reseal(&mut mutated, frame),
                 }
             }
         }
@@ -1898,20 +1938,39 @@ proptest! {
     }
 }
 
-/// A medium that counts slot reads.
-#[derive(Clone)]
-struct CountingMedium {
-    inner: MemSnapshotMedium,
-    reads: std::rc::Rc<std::cell::Cell<u32>>,
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A bit flipped in the base frame's ledger or feedback section and
+    /// re-sealed under a valid checksum never restores limits the
+    /// restoring pipeline was not given: a warm restore runs the ledger
+    /// under the pipeline's own job-runtime config, and what it leaves
+    /// snapshots into a frame that restores warm again.
+    #[test]
+    fn a_resealed_ledger_flip_restores_under_the_pipelines_own_config(
+        offset in 0u64..10_000_000,
+        which in 0usize..2,
+    ) {
+        let mut corpus = side_section_corpus();
+        let start = ledger_start(&corpus[0].0);
+        let (bytes, _) = corpus.swap_remove(which);
+        let base_len = split_generation(&bytes).0.len();
+        let mut mutated = bytes;
+        let bit = offset as usize % ((base_len - 8 - start) * 8);
+        mutated[start + bit / 8] ^= 1 << (bit % 8);
+        reseal_base(&mut mutated, base_len);
 
-impl SnapshotMedium for CountingMedium {
-    fn read_slot(&self, slot: usize) -> Option<Vec<u8>> {
-        self.reads.set(self.reads.get() + 1);
-        self.inner.read_slot(slot)
-    }
-    fn write_slot(&mut self, slot: usize, bytes: &[u8]) -> std::io::Result<()> {
-        self.inner.write_slot(slot, bytes)
+        let scope = ScopeStrategy::Hybrid;
+        let mut ac = delta_pipeline(scope, 4);
+        let mut observer = FleetObserver::new();
+        let report = ac.restore_snapshot(&mut observer, &mutated);
+        if report.is_warm() {
+            let own = delta_pipeline(scope, 4);
+            prop_assert_eq!(ac.job_tracker().unwrap().config(), own.job_tracker().unwrap().config());
+            let ctx = autocomp::SnapshotContext::default();
+            let frame = ac.encode_snapshot(&observer, &ctx).expect("a frame");
+            let again = delta_pipeline(scope, 4).restore_snapshot(&mut FleetObserver::new(), &frame);
+            prop_assert!(again.is_warm(), "{} re-encoded into {}", report, again);
+        }
     }
 }
 
@@ -1921,11 +1980,8 @@ impl SnapshotMedium for CountingMedium {
 #[test]
 fn the_first_save_after_a_warm_recover_reads_no_slot() {
     let lake = CrashLake::new(TABLES);
-    let reads = std::rc::Rc::new(std::cell::Cell::new(0));
-    let medium = CountingMedium {
-        inner: MemSnapshotMedium::new(),
-        reads: reads.clone(),
-    };
+    let medium = TornMedium::new(MemSnapshotMedium::new());
+    let reads = medium.reads();
     let mut rt = ContinuousRuntime::new(soak_pipeline(), every_round_snapshots())
         .with_durability(SnapshotStore::new(medium), Journal::new());
     let mut platform = ScriptedPlatform::parity(JOB_DURATION_MS);
